@@ -16,9 +16,9 @@
 // checkpoint results below are core-count independent.
 //
 // Part 2 (checkpoints): a durable engine with 16 checkpoint partitions.
-// After a full image exists, a small commit confined to one hash
-// partition is checkpointed incrementally (only dirty segments rewritten)
-// and monolithically (classic full rewrite); the byte ratio is the
+// The first checkpoint writes the full image (every segment fresh); a
+// small commit confined to one hash partition is then checkpointed again
+// (only dirty segments rewritten).  The byte ratio of the two is the
 // O(database) → O(dirty) claim, and is deterministic — no cores needed.
 //
 // `--json <path>` writes the summary rows (BENCH_E21.json).
@@ -97,13 +97,13 @@ BENCHMARK(BM_PartitionedCommit)
     ->Iterations(2)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Part 2: checkpoint bytes, incremental vs monolithic.
+// Part 2: checkpoint bytes, full image vs dirty partitions only.
 
 constexpr uint32_t kCheckpointPartitions = 16;
 size_t CheckpointRows() { return bench::Scaled(50'000, 500); }
 
 struct CheckpointResult {
-  double full_bytes = 0;   // first incremental image (all segments fresh)
+  double full_bytes = 0;   // first image (all segments fresh)
   double dirty_bytes = 0;  // re-checkpoint after a one-partition commit
   double segments = 0;     // segments written by the dirty checkpoint
   double skipped = 0;      // clean partitions carried forward
@@ -138,27 +138,23 @@ std::string ConfinedInsert(size_t from, size_t count) {
   return sql;
 }
 
-// Returns the bytes written by the two explicit checkpoints; with
-// `incremental` off the same flow measures the monolithic rewrite.
-CheckpointResult RunCheckpointExperiment(bool incremental) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("mview_bench_e21_") +
-                    (incremental ? "inc" : "mono"));
+// Returns the bytes written by the two explicit checkpoints.
+CheckpointResult RunCheckpointExperiment() {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mview_bench_e21_ckpt";
   std::filesystem::remove_all(dir);
   CheckpointResult result;
   {
     Storage::Options options;
-    options.incremental_checkpoints = incremental;
     options.checkpoint_partitions = kCheckpointPartitions;
     auto storage = Storage::Open(dir.string(), options);
     sql::Engine engine(storage.get());
     engine.Execute("CREATE TABLE t (a INT64, b INT64)");
     BulkInsert(engine, CheckpointRows(), 500);
-    // DDL forces a monolithic image, so the explicit checkpoint below
-    // starts from a clean dirty-map with no manifest to carry forward:
-    // its cost is the full image (every segment fresh).
     engine.Execute(
         "CREATE MATERIALIZED VIEW v AS SELECT a, b FROM t WHERE a >= 0");
+    // No manifest exists yet, so the first checkpoint writes the full
+    // image (every segment fresh).
     StorageMetrics& m = engine.mutable_views().metrics().storage();
     const int64_t before_full = m.checkpoint_bytes;
     engine.Execute("CHECKPOINT");
@@ -225,29 +221,23 @@ void PrintSummary() {
       "E21b: checkpoint bytes — " + std::to_string(CheckpointRows()) +
           " rows, " + std::to_string(kCheckpointPartitions) +
           " partitions, then a 64-row commit confined to one partition",
-      {"checkpoint", "bytes", "vs monolithic"});
-  CheckpointResult inc = RunCheckpointExperiment(/*incremental=*/true);
-  CheckpointResult mono = RunCheckpointExperiment(/*incremental=*/false);
-  checkpoints.AddRow({"monolithic rewrite",
-                      std::to_string(static_cast<int64_t>(mono.dirty_bytes)),
+      {"checkpoint", "bytes", "vs full image"});
+  CheckpointResult ckpt = RunCheckpointExperiment();
+  checkpoints.AddRow({"all partitions dirty (full image)",
+                      std::to_string(static_cast<int64_t>(ckpt.full_bytes)),
                       "1.00x"});
   checkpoints.AddRow(
-      {"incremental, all partitions dirty",
-       std::to_string(static_cast<int64_t>(inc.full_bytes)),
-       FormatSpeedup(mono.dirty_bytes / inc.full_bytes)});
-  checkpoints.AddRow(
-      {"incremental, 1/" + std::to_string(kCheckpointPartitions) + " dirty",
-       std::to_string(static_cast<int64_t>(inc.dirty_bytes)),
-       FormatSpeedup(mono.dirty_bytes / inc.dirty_bytes)});
+      {"1/" + std::to_string(kCheckpointPartitions) + " dirty",
+       std::to_string(static_cast<int64_t>(ckpt.dirty_bytes)),
+       FormatSpeedup(ckpt.full_bytes / ckpt.dirty_bytes)});
   checkpoints.Print();
   std::printf("dirty checkpoint: %.0f segments written, %.0f carried\n\n",
-              inc.segments, inc.skipped);
-  json.Add({{"ckpt_mono_bytes", mono.dirty_bytes},
-            {"ckpt_incremental_full_bytes", inc.full_bytes},
-            {"ckpt_incremental_dirty_bytes", inc.dirty_bytes},
-            {"ckpt_reduction_x", mono.dirty_bytes / inc.dirty_bytes},
-            {"segments_written", inc.segments},
-            {"partitions_skipped", inc.skipped}});
+              ckpt.segments, ckpt.skipped);
+  json.Add({{"ckpt_incremental_full_bytes", ckpt.full_bytes},
+            {"ckpt_incremental_dirty_bytes", ckpt.dirty_bytes},
+            {"ckpt_reduction_x", ckpt.full_bytes / ckpt.dirty_bytes},
+            {"segments_written", ckpt.segments},
+            {"partitions_skipped", ckpt.skipped}});
 
   if (!json.WriteIfRequested()) std::exit(1);
 }

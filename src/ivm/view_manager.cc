@@ -136,31 +136,59 @@ void ViewManager::SetParallelism(size_t workers) {
   }
 }
 
+Relation& ViewManager::CreateTable(const std::string& name, Schema schema) {
+  Relation& rel = db_->CreateRelation(name, std::move(schema));
+  dirty_.MarkAll("t:" + name);
+  return rel;
+}
+
+void ViewManager::DropTable(const std::string& name) {
+  db_->DropRelation(name);
+  dirty_.Forget("t:" + name);
+}
+
 void ViewManager::RegisterView(ViewDefinition def, MaintenanceMode mode,
                                MaintenanceOptions options) {
-  const std::string name = def.name();
-  MVIEW_CHECK(views_.count(name) == 0, "view already registered: ", name);
+  InstallView(PrepareView(std::move(def), mode, options));
+}
+
+ViewManager::PreparedView ViewManager::PrepareView(
+    ViewDefinition def, MaintenanceMode mode, MaintenanceOptions options) {
+  MVIEW_CHECK(views_.count(def.name()) == 0, "view already registered: ",
+              def.name());
   def.Validate(*db_);
 
   // Index the equi-join attributes so differential rows can probe the big
-  // relations from the small deltas (Section 5.3's t_r ⋈ s).
+  // relations from the small deltas (Section 5.3's t_r ⋈ s) — and so the
+  // evaluation below probes them instead of hashing whole relations.
   auto join_attrs = def.JoinAttributes(*db_);
   for (size_t i = 0; i < def.bases().size(); ++i) {
     Relation& rel = db_->Get(def.bases()[i].relation);
     for (const auto& attr : join_attrs[i]) rel.CreateIndex(attr);
   }
 
+  PreparedView prepared;
+  prepared.mode = mode;
+  prepared.maintainer =
+      std::make_unique<DifferentialMaintainer>(std::move(def), db_, options);
+  prepared.materialized = prepared.maintainer->FullEvaluate();
+  return prepared;
+}
+
+void ViewManager::InstallView(PreparedView prepared) {
+  const std::string name = prepared.maintainer->definition().name();
+  MVIEW_CHECK(views_.count(name) == 0, "view already registered: ", name);
+
   auto view = std::make_unique<ManagedView>();
   view->name = name;
-  view->mode = mode;
-  view->maintainer =
-      std::make_unique<DifferentialMaintainer>(std::move(def), db_, options);
+  view->mode = prepared.mode;
+  view->maintainer = std::move(prepared.maintainer);
   view->materialized =
-      std::make_shared<CountedRelation>(view->maintainer->FullEvaluate());
+      std::make_shared<CountedRelation>(std::move(prepared.materialized));
   dirty_.MarkAll("v:" + name);
   view->metrics = &metrics_.ForView(name);
   view->span_name_id = obs::Tracer::Global().InternName("maintain:" + name);
-  if (mode == MaintenanceMode::kDeferred) {
+  if (view->mode == MaintenanceMode::kDeferred) {
     const ViewDefinition& d = view->maintainer->definition();
     for (size_t i = 0; i < d.bases().size(); ++i) {
       view->pending.push_back(

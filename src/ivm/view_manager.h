@@ -191,12 +191,45 @@ class ViewManager {
     return pool_ == nullptr ? 0 : pool_->num_workers();
   }
 
+  /// Creates an empty base table and marks its checkpoint scope wholly
+  /// dirty, so a table re-created under a dropped one's name never
+  /// carries the old table's checkpoint segments forward.  Throws when the
+  /// name is taken.
+  Relation& CreateTable(const std::string& name, Schema schema);
+
+  /// Drops a base table and forgets its checkpoint scope.  The caller
+  /// ensures no view still references it.
+  void DropTable(const std::string& name);
+
   /// Registers a view, creates hash indexes on its equi-join attributes,
   /// and materializes it from the current database state.  Throws when the
-  /// name is taken or the definition is invalid.
+  /// name is taken or the definition is invalid.  Equivalent to
+  /// `InstallView(PrepareView(def, mode, options))`.
   void RegisterView(ViewDefinition def,
                     MaintenanceMode mode = MaintenanceMode::kImmediate,
                     MaintenanceOptions options = MaintenanceOptions{});
+
+  /// The first half of `RegisterView`: a validated, fully evaluated view
+  /// that nothing can observe yet.  Consumed by `InstallView`; dropping it
+  /// abandons the view.
+  struct PreparedView {
+    MaintenanceMode mode = MaintenanceMode::kImmediate;
+    std::unique_ptr<DifferentialMaintainer> maintainer;
+    CountedRelation materialized;
+  };
+
+  /// Validates `def` (the name must be free), creates hash indexes on its
+  /// equi-join attributes and evaluates it against the current database
+  /// state.  Changes no logical state: indexes are access paths, which an
+  /// abandoned view leaves behind just as `DropView` does.  Throws like
+  /// `RegisterView`.
+  PreparedView PrepareView(ViewDefinition def, MaintenanceMode mode,
+                           MaintenanceOptions options);
+
+  /// Installs a prepared view: marks its checkpoint scope dirty and
+  /// publishes an epoch that contains it.  The database must not have
+  /// changed since `PrepareView`.
+  void InstallView(PreparedView prepared);
 
   /// Removes a view, its materialization, and its metrics.
   void DropView(const std::string& name);

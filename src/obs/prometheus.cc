@@ -138,19 +138,19 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
          "WAL record bytes written")
       .Sample("", storage.wal_bytes);
   Family(os, "mview_checkpoints_total", "counter",
-         "Checkpoint files written")
+         "Checkpoints written")
       .Sample("", storage.checkpoints);
   Family(os, "mview_checkpoint_seconds_total", "counter",
          "Time spent writing checkpoints")
       .Sample("", Seconds(static_cast<double>(storage.checkpoint_nanos)));
   Family(os, "mview_checkpoint_bytes_total", "counter",
-         "Bytes written by checkpoints (monolithic and incremental)")
+         "Bytes written by checkpoints (manifest and fresh segments)")
       .Sample("", storage.checkpoint_bytes);
   Family(os, "mview_checkpoint_segments_total", "counter",
-         "Fresh partition segments written by incremental checkpoints")
+         "Fresh partition segments written by checkpoints")
       .Sample("", storage.segments_written);
   Family(os, "mview_checkpoint_partitions_skipped_total", "counter",
-         "Clean partitions carried forward by incremental checkpoints")
+         "Clean partitions carried forward by checkpoints")
       .Sample("", storage.partitions_skipped);
   Family(os, "mview_wal_replayed_records_total", "counter",
          "WAL records replayed at recovery")

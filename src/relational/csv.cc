@@ -12,39 +12,22 @@ bool NeedsQuoting(const std::string& s) {
   return s.find_first_of(",\"\n\r") != std::string::npos;
 }
 
-void WriteField(const Value& v, std::ostream& out) {
+void AppendField(const Value& v, std::string* out) {
   if (v.type() == ValueType::kInt64) {
-    out << v.AsInt64();
+    out->append(std::to_string(v.AsInt64()));
     return;
   }
   const std::string& s = v.AsString();
   if (!NeedsQuoting(s)) {
-    out << s;
+    out->append(s);
     return;
   }
-  out << '"';
+  out->push_back('"');
   for (char c : s) {
-    if (c == '"') out << '"';
-    out << c;
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
   }
-  out << '"';
-}
-
-void WriteHeader(const Schema& schema, bool counted, std::ostream& out) {
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (i > 0) out << ',';
-    out << schema.attribute(i).name << ':'
-        << ValueTypeName(schema.attribute(i).type);
-  }
-  if (counted) out << ",#count";
-  out << '\n';
-}
-
-void WriteRow(const Tuple& t, std::ostream& out) {
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (i > 0) out << ',';
-    WriteField(t.at(i), out);
-  }
+  out->push_back('"');
 }
 
 // Splits one CSV record into raw fields, honoring quoting.  Consumes
@@ -153,19 +136,48 @@ Tuple ParseTuple(const Schema& schema, const std::vector<std::string>& fields,
 
 }  // namespace
 
+void AppendCsvHeader(const Schema& schema, bool counted, std::string* out) {
+  for (size_t i = 0; i < schema.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    out->append(schema.attribute(i).name);
+    out->push_back(':');
+    out->append(ValueTypeName(schema.attribute(i).type));
+  }
+  if (counted) out->append(",#count");
+  out->push_back('\n');
+}
+
+void AppendCsvRow(const Tuple& t, const int64_t* count, std::string* out) {
+  for (size_t i = 0; i < t.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    AppendField(t.at(i), out);
+  }
+  if (count != nullptr) {
+    out->push_back(',');
+    out->append(std::to_string(*count));
+  }
+  out->push_back('\n');
+}
+
 void WriteCsv(const Relation& relation, std::ostream& out) {
-  WriteHeader(relation.schema(), /*counted=*/false, out);
+  std::string line;
+  AppendCsvHeader(relation.schema(), /*counted=*/false, &line);
+  out << line;
   for (const auto& t : relation.ToSortedVector()) {
-    WriteRow(t, out);
-    out << '\n';
+    line.clear();
+    AppendCsvRow(t, nullptr, &line);
+    out << line;
   }
 }
 
 void WriteCsv(const CountedRelation& relation, std::ostream& out) {
-  WriteHeader(relation.schema(), /*counted=*/true, out);
+  std::string line;
+  AppendCsvHeader(relation.schema(), /*counted=*/true, &line);
+  out << line;
   for (const auto& [t, c] : relation.ToSortedVector()) {
-    WriteRow(t, out);
-    out << ',' << c << '\n';
+    line.clear();
+    AppendCsvRow(t, &c, &line);
+    out << line;
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef MVIEW_RELATIONAL_CSV_H_
 #define MVIEW_RELATIONAL_CSV_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -21,6 +22,12 @@ void WriteCsv(const Relation& relation, std::ostream& out);
 
 /// Writes a counted relation, appending a `#count` column.
 void WriteCsv(const CountedRelation& relation, std::ostream& out);
+
+/// The string-building core of `WriteCsv`, for callers that assemble CSV
+/// from rows they already hold in sorted order: the header line, and one
+/// row line — with the trailing `#count` field when `count` is non-null.
+void AppendCsvHeader(const Schema& schema, bool counted, std::string* out);
+void AppendCsvRow(const Tuple& t, const int64_t* count, std::string* out);
 
 /// Reads a relation written by `WriteCsv`.  Throws `Error` on malformed
 /// input (bad header, arity mismatch, unparsable integers).

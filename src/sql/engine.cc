@@ -391,11 +391,45 @@ Result EngineCore::ExecuteSelect(const SelectQuery& query) {
   return RowsResult(out.schema(), out.ToSortedVector());
 }
 
+Result EngineCore::ExecuteCreateTable(const Statement& stmt) {
+  storage::CatalogChange change;
+  change.kind = storage::CatalogChange::Kind::kCreateTable;
+  change.name = stmt.name;
+  change.schema = Schema(stmt.columns);  // rejects duplicate columns
+  MVIEW_CHECK(!db_.Exists(stmt.name), "relation already exists: ", stmt.name);
+  LogCatalog(change);
+  views_.CreateTable(stmt.name, std::move(change.schema));
+  return Message("table " + stmt.name + " created");
+}
+
+Result EngineCore::ExecuteDropTable(const Statement& stmt) {
+  EnsureTableDroppable(stmt.name);
+  MVIEW_CHECK(db_.Exists(stmt.name), "unknown relation: ", stmt.name);
+  storage::CatalogChange change;
+  change.kind = storage::CatalogChange::Kind::kDropTable;
+  change.name = stmt.name;
+  LogCatalog(change);
+  views_.DropTable(stmt.name);
+  return Message("table " + stmt.name + " dropped");
+}
+
 Result EngineCore::ExecuteCreateView(const Statement& stmt) {
-  ViewDefinition def = BuildDefinition(stmt.name, stmt.query);
   MaintenanceOptions options;
   if (stmt.partitions > 0) options.partition_count = stmt.partitions;
-  views_.RegisterView(std::move(def), ToMode(stmt.view_mode), options);
+  // Evaluated before the log append, installed (and published to snapshot
+  // readers) only after it: a failed append leaves no trace of the view.
+  ViewManager::PreparedView prepared = views_.PrepareView(
+      BuildDefinition(stmt.name, stmt.query), ToMode(stmt.view_mode), options);
+  storage::CatalogChange change;
+  change.kind = storage::CatalogChange::Kind::kCreateView;
+  change.name = stmt.name;
+  change.view.name = stmt.name;
+  change.view.mode = prepared.mode;
+  change.view.options = prepared.maintainer->options();
+  change.view.definition = prepared.maintainer->definition();
+  LogCatalog(change);
+  views_.InstallView(std::move(prepared));
+
   ViewInfo info = views_.Describe(stmt.name);
   std::string detail = std::string(ModeName(info.mode)) + ", " +
                        std::to_string(info.rows) + " rows";
@@ -404,6 +438,54 @@ Result EngineCore::ExecuteCreateView(const Statement& stmt) {
     detail += ", " + std::to_string(partitions) + " partitions";
   }
   return Message("view " + stmt.name + " created (" + detail + ")");
+}
+
+Result EngineCore::ExecuteDropView(const Statement& stmt) {
+  MVIEW_CHECK(views_.HasView(stmt.name), "unknown view: ", stmt.name);
+  storage::CatalogChange change;
+  change.kind = storage::CatalogChange::Kind::kDropView;
+  change.name = stmt.name;
+  LogCatalog(change);
+  views_.DropView(stmt.name);
+  return Message("view " + stmt.name + " dropped");
+}
+
+Result EngineCore::ExecuteCreateAssertion(const Statement& stmt) {
+  std::vector<BaseRef> bases;
+  for (const auto& t : stmt.tables) bases.push_back(BaseRef{t, {}});
+  storage::CatalogChange change;
+  change.kind = storage::CatalogChange::Kind::kCreateAssertion;
+  change.name = stmt.name;
+  change.assertion = ViewDefinition(stmt.name, bases, stmt.where);
+  // The guard validates and evaluates as it registers.  Unlike a view, an
+  // assertion is visible only under the engine lock, which this statement
+  // holds exclusively — so registering first and withdrawing it when the
+  // append fails is unobservable.
+  guard_.AddAssertion(change.assertion);
+  try {
+    LogCatalog(change);
+  } catch (...) {
+    guard_.DropAssertion(stmt.name);
+    throw;
+  }
+  for (const auto& v : guard_.CurrentViolations()) {
+    if (v.assertion == stmt.name) {
+      return Message("assertion " + stmt.name + " created (WARNING: " +
+                     std::to_string(v.witnesses.size()) +
+                     " pre-existing violation(s))");
+    }
+  }
+  return Message("assertion " + stmt.name + " created");
+}
+
+Result EngineCore::ExecuteDropAssertion(const Statement& stmt) {
+  guard_.Definition(stmt.name);  // throws for an unknown assertion
+  storage::CatalogChange change;
+  change.kind = storage::CatalogChange::Kind::kDropAssertion;
+  change.name = stmt.name;
+  LogCatalog(change);
+  guard_.DropAssertion(stmt.name);
+  return Message("assertion " + stmt.name + " dropped");
 }
 
 Transaction EngineCore::BuildInsert(const Statement& stmt,
@@ -615,8 +697,8 @@ Result EngineCore::CommitTransaction(Transaction txn,
   return Message("");
 }
 
-void EngineCore::NoteCatalogChange() {
-  if (storage_ != nullptr) storage_->OnCatalogChange();
+void EngineCore::LogCatalog(const storage::CatalogChange& change) {
+  if (storage_ != nullptr) storage_->LogCatalog(change);
 }
 
 void EngineCore::SetMaintenanceParallelism(size_t workers) {
@@ -692,42 +774,17 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
   using Kind = Statement::Kind;
   switch (stmt.kind) {
     case Kind::kCreateTable:
-      db_.CreateRelation(stmt.name, Schema(stmt.columns));
-      NoteCatalogChange();
-      return Message("table " + stmt.name + " created");
+      return ExecuteCreateTable(stmt);
     case Kind::kDropTable:
-      EnsureTableDroppable(stmt.name);
-      db_.DropRelation(stmt.name);
-      NoteCatalogChange();
-      return Message("table " + stmt.name + " dropped");
-    case Kind::kCreateView: {
-      Result result = ExecuteCreateView(stmt);
-      NoteCatalogChange();
-      return result;
-    }
+      return ExecuteDropTable(stmt);
+    case Kind::kCreateView:
+      return ExecuteCreateView(stmt);
     case Kind::kDropView:
-      views_.DropView(stmt.name);
-      NoteCatalogChange();
-      return Message("view " + stmt.name + " dropped");
-    case Kind::kCreateAssertion: {
-      std::vector<BaseRef> bases;
-      for (const auto& t : stmt.tables) bases.push_back(BaseRef{t, {}});
-      guard_.AddAssertion(ViewDefinition(stmt.name, bases, stmt.where));
-      NoteCatalogChange();
-      auto current = guard_.CurrentViolations();
-      for (const auto& v : current) {
-        if (v.assertion == stmt.name) {
-          return Message("assertion " + stmt.name + " created (WARNING: " +
-                         std::to_string(v.witnesses.size()) +
-                         " pre-existing violation(s))");
-        }
-      }
-      return Message("assertion " + stmt.name + " created");
-    }
+      return ExecuteDropView(stmt);
+    case Kind::kCreateAssertion:
+      return ExecuteCreateAssertion(stmt);
     case Kind::kDropAssertion:
-      guard_.DropAssertion(stmt.name);
-      NoteCatalogChange();
-      return Message("assertion " + stmt.name + " dropped");
+      return ExecuteDropAssertion(stmt);
     case Kind::kInsert:
       return ExecuteInsert(stmt, pending, cancel);
     case Kind::kDelete:

@@ -27,6 +27,9 @@ class Cancellation;
 
 namespace mview {
 class Storage;
+namespace storage {
+struct CatalogChange;
+}  // namespace storage
 }  // namespace mview
 
 namespace mview::sql {
@@ -66,8 +69,8 @@ class EngineCore {
   /// in-memory engine, must outlive this core otherwise), which recovers
   /// the directory's checkpoint and WAL tail into this core — and
   /// republishes the recovered state as epoch 0 — before the constructor
-  /// returns.  Afterwards every commit is logged durably before it is
-  /// applied, and catalog changes force checkpoints.
+  /// returns.  Afterwards every commit and every catalog change is logged
+  /// durably before it is applied.
   explicit EngineCore(Storage* storage);
 
   /// Closes the attached storage (checkpointing per its options) while the
@@ -212,9 +215,16 @@ class EngineCore {
   Transaction BuildUpdate(const Statement& stmt, size_t* rows) const;
   Transaction BuildDml(const Statement& stmt, size_t* rows) const;
   void EnsureTableDroppable(const std::string& name) const;
-  // Called after every successful DDL statement: with storage attached,
-  // forces a checkpoint so the WAL only ever carries DML.
-  void NoteCatalogChange();
+  // DDL statements run in commit order: validate (and evaluate a new
+  // view), then log the change here — with storage attached it returns
+  // once the record is durable — and only then install and publish.  A
+  // failed append thus rejects the statement with nothing changed.
+  void LogCatalog(const storage::CatalogChange& change);
+  Result ExecuteCreateTable(const Statement& stmt);
+  Result ExecuteDropTable(const Statement& stmt);
+  Result ExecuteDropView(const Statement& stmt);
+  Result ExecuteCreateAssertion(const Statement& stmt);
+  Result ExecuteDropAssertion(const Statement& stmt);
 
   // Builds a ViewDefinition (canonical attribute naming, resolved
   // condition and projection) from a SELECT body over base tables.

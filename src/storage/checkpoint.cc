@@ -3,138 +3,29 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <regex>
 #include <sstream>
 #include <unordered_set>
 
 #include "relational/csv.h"
 #include "relational/partition.h"
-#include "storage/wal.h"
 #include "util/fault.h"
 
 namespace mview::storage {
 namespace {
 
-// "02" added the per-view health fields (quarantine flag, reason,
-// stickiness); "03" the per-view partition count.  No migration: a
-// checkpoint is rewritten wholesale on every CHECKPOINT/close, so no
-// deployment carries an old file across versions.
-constexpr char kMagic[8] = {'M', 'V', 'C', 'K', 'P', 'T', '0', '3'};
-// Incremental checkpoint manifest and row-segment files (see the header's
-// format note; the manifest rename is the commit point).
+// Manifest and row-segment files (see the header's format note; the
+// manifest rename is the commit point).
 constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '1'};
 constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '1'};
 
 [[noreturn]] void ThrowErrno(const std::string& what, const std::string& path) {
   throw IoError("checkpoint: " + what + " failed for " + path + ": " +
                 std::strerror(errno));
-}
-
-// --- structural (de)serialization of definitions ---------------------------
-//
-// `Condition::ToString` double-quotes string constants while the condition
-// parser expects single quotes, so conditions do not survive a text round
-// trip; atoms are encoded field by field instead.
-
-void PutAtom(std::string* out, const Atom& atom) {
-  wire::PutString(out, atom.lhs);
-  wire::PutU8(out, static_cast<uint8_t>(atom.op));
-  wire::PutU8(out, atom.rhs_var.has_value() ? 1 : 0);
-  if (atom.rhs_var.has_value()) {
-    wire::PutString(out, *atom.rhs_var);
-    wire::PutI64(out, atom.offset);
-  } else {
-    wire::PutValue(out, atom.rhs_const);
-  }
-}
-
-Atom GetAtom(wire::Reader* r) {
-  Atom atom;
-  atom.lhs = r->GetString();
-  uint8_t op = r->GetU8();
-  if (op > static_cast<uint8_t>(CompareOp::kGe)) {
-    throw CorruptionError("checkpoint: bad comparison operator tag");
-  }
-  atom.op = static_cast<CompareOp>(op);
-  if (r->GetU8() != 0) {
-    atom.rhs_var = r->GetString();
-    atom.offset = r->GetI64();
-  } else {
-    atom.rhs_const = r->GetValue();
-  }
-  return atom;
-}
-
-void PutCondition(std::string* out, const Condition& cond) {
-  wire::PutU32(out, static_cast<uint32_t>(cond.disjuncts().size()));
-  for (const auto& conj : cond.disjuncts()) {
-    wire::PutU32(out, static_cast<uint32_t>(conj.atoms.size()));
-    for (const auto& atom : conj.atoms) PutAtom(out, atom);
-  }
-}
-
-Condition GetCondition(wire::Reader* r) {
-  uint32_t n_disjuncts = r->GetCount();
-  std::vector<Conjunction> disjuncts;
-  disjuncts.reserve(n_disjuncts);
-  for (uint32_t d = 0; d < n_disjuncts; ++d) {
-    Conjunction conj;
-    uint32_t n_atoms = r->GetCount();
-    conj.atoms.reserve(n_atoms);
-    for (uint32_t a = 0; a < n_atoms; ++a) conj.atoms.push_back(GetAtom(r));
-    disjuncts.push_back(std::move(conj));
-  }
-  return Condition(std::move(disjuncts));
-}
-
-void PutStrings(std::string* out, const std::vector<std::string>& v) {
-  wire::PutU32(out, static_cast<uint32_t>(v.size()));
-  for (const auto& s : v) wire::PutString(out, s);
-}
-
-std::vector<std::string> GetStrings(wire::Reader* r) {
-  uint32_t n = r->GetCount();
-  std::vector<std::string> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) v.push_back(r->GetString());
-  return v;
-}
-
-void PutDefinition(std::string* out, const ViewDefinition& def) {
-  wire::PutString(out, def.name());
-  wire::PutU32(out, static_cast<uint32_t>(def.bases().size()));
-  for (const auto& base : def.bases()) {
-    wire::PutString(out, base.relation);
-    PutStrings(out, base.aliases);
-  }
-  PutCondition(out, def.condition());
-  PutStrings(out, def.projection());
-}
-
-ViewDefinition GetDefinition(wire::Reader* r) {
-  std::string name = r->GetString();
-  uint32_t n_bases = r->GetCount();
-  std::vector<BaseRef> bases;
-  bases.reserve(n_bases);
-  for (uint32_t i = 0; i < n_bases; ++i) {
-    BaseRef base;
-    base.relation = r->GetString();
-    base.aliases = GetStrings(r);
-    bases.push_back(std::move(base));
-  }
-  Condition cond = GetCondition(r);
-  std::vector<std::string> projection = GetStrings(r);
-  return ViewDefinition(std::move(name), std::move(bases), std::move(cond),
-                        std::move(projection));
-}
-
-template <typename RelationT>
-std::string ToCsvBlob(const RelationT& relation) {
-  std::ostringstream out;
-  WriteCsv(relation, out);
-  return out.str();
 }
 
 void PutTuples(std::string* out, const std::vector<Tuple>& tuples) {
@@ -151,7 +42,7 @@ std::vector<Tuple> GetTuples(wire::Reader* r) {
 }
 
 /// Captures everything about a view except its materialization's rows —
-/// the metadata shared by the monolithic body and the manifest.
+/// what the manifest stores per view.
 CheckpointView BuildViewMeta(const ViewManager& views,
                              const std::string& name) {
   ViewInfo info = views.Describe(name);
@@ -175,45 +66,6 @@ CheckpointView BuildViewMeta(const ViewManager& views,
   return view;
 }
 
-void PutViewMeta(std::string* body, const CheckpointView& view) {
-  wire::PutString(body, view.name);
-  wire::PutU8(body, static_cast<uint8_t>(view.mode));
-  wire::PutU8(body, view.options.use_irrelevance_filter ? 1 : 0);
-  wire::PutU8(body, view.options.reuse_subexpressions ? 1 : 0);
-  wire::PutU8(body, static_cast<uint8_t>(view.options.strategy));
-  wire::PutU32(body, view.options.partition_count);
-  wire::PutU8(body, view.quarantined ? 1 : 0);
-  wire::PutString(body, view.quarantine_reason);
-  wire::PutU8(body, view.quarantine_sticky ? 1 : 0);
-  PutDefinition(body, view.definition);
-}
-
-CheckpointView GetViewMeta(wire::Reader* r) {
-  CheckpointView view;
-  view.name = r->GetString();
-  uint8_t mode = r->GetU8();
-  if (mode > static_cast<uint8_t>(MaintenanceMode::kFullReevaluation)) {
-    throw CorruptionError("checkpoint: bad maintenance mode tag");
-  }
-  view.mode = static_cast<MaintenanceMode>(mode);
-  view.options.use_irrelevance_filter = r->GetU8() != 0;
-  view.options.reuse_subexpressions = r->GetU8() != 0;
-  uint8_t strategy = r->GetU8();
-  if (strategy > static_cast<uint8_t>(DeltaStrategy::kTelescoped)) {
-    throw CorruptionError("checkpoint: bad delta strategy tag");
-  }
-  view.options.strategy = static_cast<DeltaStrategy>(strategy);
-  view.options.partition_count = r->GetU32();
-  if (view.options.partition_count == 0) {
-    throw CorruptionError("checkpoint: zero view partition count");
-  }
-  view.quarantined = r->GetU8() != 0;
-  view.quarantine_reason = r->GetString();
-  view.quarantine_sticky = r->GetU8() != 0;
-  view.definition = GetDefinition(r);
-  return view;
-}
-
 void PutPendingLogs(std::string* body, const CheckpointView& view) {
   wire::PutU32(body, static_cast<uint32_t>(view.pending.size()));
   for (const auto& log : view.pending) {
@@ -232,78 +84,10 @@ void GetPendingLogs(wire::Reader* r, CheckpointView* view) {
   }
 }
 
-void PutAssertions(std::string* body, const IntegrityGuard* guard) {
-  std::vector<std::string> assertions =
-      guard == nullptr ? std::vector<std::string>{} : guard->AssertionNames();
-  wire::PutU32(body, static_cast<uint32_t>(assertions.size()));
-  for (const auto& name : assertions) {
-    PutDefinition(body, guard->Definition(name));
-  }
-}
-
-std::string EncodeBody(uint64_t lsn, const Database& db,
-                       const ViewManager& views, const IntegrityGuard* guard) {
-  std::string body;
-  wire::PutU64(&body, lsn);
-
-  std::vector<std::string> tables = db.Names();
-  wire::PutU32(&body, static_cast<uint32_t>(tables.size()));
-  for (const auto& name : tables) {
-    wire::PutString(&body, name);
-    wire::PutString(&body, ToCsvBlob(db.Get(name)));
-  }
-
-  std::vector<std::string> view_names = views.ViewNames();
-  wire::PutU32(&body, static_cast<uint32_t>(view_names.size()));
-  for (const auto& name : view_names) {
-    CheckpointView meta = BuildViewMeta(views, name);
-    PutViewMeta(&body, meta);
-    // The raw materialization, not `View()`: a quarantined view's contents
-    // still checkpoint (recovery restores them alongside the quarantine
-    // flag; `REPAIR VIEW` rebuilds from bases later).
-    wire::PutString(&body, ToCsvBlob(views.Materialization(name)));
-    PutPendingLogs(&body, meta);
-  }
-
-  PutAssertions(&body, guard);
-  return body;
-}
-
-CheckpointData DecodeBody(const std::string& body) {
-  wire::Reader r(body);
-  CheckpointData data;
-  data.lsn = r.GetU64();
-
-  uint32_t n_tables = r.GetCount();
-  for (uint32_t i = 0; i < n_tables; ++i) {
-    std::string name = r.GetString();
-    std::istringstream csv(r.GetString());
-    data.tables.emplace_back(std::move(name), ReadCsv(csv));
-  }
-
-  uint32_t n_views = r.GetCount();
-  for (uint32_t i = 0; i < n_views; ++i) {
-    CheckpointView view = GetViewMeta(&r);
-    std::istringstream csv(r.GetString());
-    view.materialized = ReadCountedCsv(csv);
-    GetPendingLogs(&r, &view);
-    data.views.push_back(std::move(view));
-  }
-
-  uint32_t n_assertions = r.GetCount();
-  for (uint32_t i = 0; i < n_assertions; ++i) {
-    data.assertions.push_back(GetDefinition(&r));
-  }
-  if (!r.AtEnd()) {
-    throw CorruptionError("checkpoint: trailing bytes after body");
-  }
-  return data;
-}
-
 // --- framed file I/O -------------------------------------------------------
 //
-// Every checkpoint artifact (monolithic file, manifest, segment) shares
-// one frame: 8-byte magic, CRC32 of the body, body length, body.
+// Every checkpoint file (manifest, segment) shares one frame: 8-byte
+// magic, CRC32 of the body, body length, body.
 
 void WriteAll(int fd, const std::string& data, const std::string& path) {
   size_t done = 0;
@@ -401,28 +185,36 @@ std::optional<std::string> ReadFramedFile(const std::string& path,
   return std::string(body, body_len);
 }
 
-// --- incremental format helpers --------------------------------------------
+// --- manifest and segment helpers -----------------------------------------
 
 std::string SegmentName(uint64_t generation, uint32_t seq) {
   return "seg_" + std::to_string(generation) + "_" + std::to_string(seq) +
          ".mv";
 }
 
-std::string TableSliceCsv(const Relation& rel, uint32_t p, uint32_t total) {
-  Relation slice(rel.schema());
-  rel.Scan([&](const Tuple& t) {
-    if (PartitionOf(t, kRowHashKey, total) == p) slice.Insert(t);
-  });
-  return ToCsvBlob(slice);
+/// True for the names `SegmentName` produces.  A manifest naming anything
+/// else is corrupt: recovery opens `dir + "/" + name`, so an unchecked name
+/// could point it at any file.
+bool IsSegmentName(const std::string& name) {
+  static const std::regex kPattern(R"(seg_[0-9]+_[0-9]+\.mv)");
+  return std::regex_match(name, kPattern);
 }
 
-std::string ViewSliceCsv(const CountedRelation& rel, uint32_t p,
-                         uint32_t total) {
-  CountedRelation slice(rel.schema());
-  rel.Scan([&](const Tuple& t, int64_t count) {
-    if (PartitionOf(t, kRowHashKey, total) == p) slice.Add(t, count);
-  });
-  return ToCsvBlob(slice);
+/// One partition's rows (with counts for a view) before sorting; the
+/// pointers borrow from the scope being checkpointed.
+using SliceRows = std::vector<std::pair<const Tuple*, int64_t>>;
+
+/// The CSV `WriteCsv` produces for a relation holding exactly `rows`:
+/// sorted by tuple, header first.
+std::string SliceCsv(const Schema& schema, bool counted, SliceRows* rows) {
+  std::sort(rows->begin(), rows->end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  std::string csv;
+  AppendCsvHeader(schema, counted, &csv);
+  for (const auto& [tuple, count] : *rows) {
+    AppendCsvRow(*tuple, counted ? &count : nullptr, &csv);
+  }
+  return csv;
 }
 
 void PutSegments(std::string* body, const SegmentList& sl) {
@@ -433,9 +225,21 @@ void PutSegments(std::string* body, const SegmentList& sl) {
 SegmentList GetSegments(wire::Reader* r, uint32_t partitions) {
   SegmentList sl;
   sl.name = r->GetString();
+  // Each name costs at least its 4-byte length prefix; clamp before the
+  // reserve so a corrupt count cannot size a huge allocation.
+  if (partitions > r->Remaining() / 4) {
+    throw CorruptionError("checkpoint: partition count " +
+                          std::to_string(partitions) + " exceeds the " +
+                          std::to_string(r->Remaining()) +
+                          " bytes remaining");
+  }
   sl.segments.reserve(partitions);
   for (uint32_t p = 0; p < partitions; ++p) {
-    sl.segments.push_back(r->GetString());
+    std::string file = r->GetString();
+    if (!IsSegmentName(file)) {
+      throw CorruptionError("checkpoint: bad segment name in manifest");
+    }
+    sl.segments.push_back(std::move(file));
   }
   return sl;
 }
@@ -449,12 +253,12 @@ std::string EncodeManifest(const CheckpointManifest& m) {
   for (const auto& sl : m.tables) PutSegments(&body, sl);
   wire::PutU32(&body, static_cast<uint32_t>(m.view_meta.size()));
   for (size_t i = 0; i < m.view_meta.size(); ++i) {
-    PutViewMeta(&body, m.view_meta[i]);
+    wire::PutViewMeta(&body, m.view_meta[i]);
     PutPendingLogs(&body, m.view_meta[i]);
     PutSegments(&body, m.view_segments[i]);
   }
   wire::PutU32(&body, static_cast<uint32_t>(m.assertions.size()));
-  for (const auto& def : m.assertions) PutDefinition(&body, def);
+  for (const auto& def : m.assertions) wire::PutDefinition(&body, def);
   return body;
 }
 
@@ -473,14 +277,14 @@ CheckpointManifest DecodeManifest(const std::string& body) {
   }
   uint32_t n_views = r.GetCount();
   for (uint32_t i = 0; i < n_views; ++i) {
-    CheckpointView view = GetViewMeta(&r);
+    CheckpointView view = wire::GetViewMeta(&r);
     GetPendingLogs(&r, &view);
     m.view_meta.push_back(std::move(view));
     m.view_segments.push_back(GetSegments(&r, m.partitions));
   }
   uint32_t n_assertions = r.GetCount();
   for (uint32_t i = 0; i < n_assertions; ++i) {
-    m.assertions.push_back(GetDefinition(&r));
+    m.assertions.push_back(wire::GetDefinition(&r));
   }
   if (!r.AtEnd()) {
     throw CorruptionError("checkpoint: trailing bytes after manifest");
@@ -549,67 +353,28 @@ CheckpointData AssembleFromManifest(const std::string& dir,
   return data;
 }
 
-/// Deletes `seg_*.mv` files in `dir` that `live` does not reference (pass
-/// null to delete them all) plus, always, any leftover temp manifest.
+/// Deletes segment files in `dir` that `live` does not reference, plus any
+/// leftover temp manifest.
 void SweepSegments(const std::string& dir,
-                   const std::unordered_set<std::string>* live) {
+                   const std::unordered_set<std::string>& live) {
   std::error_code ec;
   std::filesystem::remove(dir + "/manifest.mv.tmp", ec);
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("seg_", 0) != 0) continue;
-    if (name.size() < 3 || name.substr(name.size() - 3) != ".mv") continue;
-    if (live != nullptr && live->count(name) > 0) continue;
+    if (!IsSegmentName(name) || live.count(name) > 0) continue;
     std::filesystem::remove(entry.path(), ec);
   }
 }
 
 }  // namespace
 
-uint64_t WriteCheckpoint(const std::string& path, uint64_t lsn,
-                         const Database& db, const ViewManager& views,
-                         const IntegrityGuard* guard) {
-  // Fires before the temp file exists, so an injected failure leaves the
-  // previous checkpoint (and the un-rotated WAL) fully authoritative.
-  MVIEW_FAULT_POINT("checkpoint.write");
-  std::string file = Frame(kMagic, EncodeBody(lsn, db, views, guard));
-  CommitFile(path, file);
-
-  // The monolithic file now supersedes any incremental image: a stale
-  // manifest left behind could carry a higher LSN after the WAL rotates
-  // and would win the next recovery with old data.
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string().empty()
-          ? std::string(".")
-          : std::filesystem::path(path).parent_path().string();
-  std::error_code ec;
-  std::filesystem::remove(dir + "/manifest.mv", ec);
-  SweepSegments(dir, nullptr);
-  return file.size();
-}
-
-std::optional<CheckpointData> ReadCheckpoint(const std::string& path) {
-  std::optional<std::string> body = ReadFramedFile(path, kMagic);
-  if (!body.has_value()) return std::nullopt;
-  try {
-    return DecodeBody(*body);
-  } catch (const CorruptionError&) {
-    throw;
-  } catch (const Error& e) {
-    // CSV or definition decoding failed on a CRC-valid file: still
-    // corruption from the caller's perspective.
-    throw CorruptionError(std::string("checkpoint: undecodable body: ") +
-                          e.what());
-  }
-}
-
 CheckpointManifest WriteIncrementalCheckpoint(
     const std::string& dir, uint64_t lsn, const Database& db,
     const ViewManager& views, const IntegrityGuard* guard,
     const PartitionDirtyMap& dirty, uint32_t partitions,
     const CheckpointManifest* prev, IncrementalStats* stats) {
-  // Same pre-flight fault point as the monolithic writer: nothing on disk
-  // has changed yet, so the previous image stays authoritative.
+  // Fires before anything is written: the previous image stays
+  // authoritative.
   MVIEW_FAULT_POINT("checkpoint.write");
   IncrementalStats local;
   if (stats == nullptr) stats = &local;
@@ -623,16 +388,16 @@ CheckpointManifest WriteIncrementalCheckpoint(
   // mutation since with that count; anything else rewrites everything.
   const bool carry = prev != nullptr && prev->partitions == m.partitions &&
                      dirty.enabled() && dirty.partitions() == m.partitions;
-  auto find_prev = [&](const std::vector<SegmentList>* lists,
+  auto find_prev = [&](std::vector<SegmentList> CheckpointManifest::*lists,
                        const std::string& name) -> const SegmentList* {
-    if (!carry || lists == nullptr) return nullptr;
-    for (const auto& sl : *lists) {
+    if (!carry) return nullptr;
+    for (const auto& sl : prev->*lists) {
       if (sl.name == name) return &sl;
     }
     return nullptr;
   };
   uint32_t seq = 0;
-  auto write_segment = [&](std::string csv) {
+  auto write_segment = [&](const std::string& csv) {
     // Fires before each fresh segment: an injected failure mid-checkpoint
     // leaves orphan segments (swept by the next writer) but the previous
     // manifest untouched.
@@ -644,41 +409,59 @@ CheckpointManifest WriteIncrementalCheckpoint(
     ++stats->segments_written;
     return file;
   };
+  // One scope's segments: clean partitions carry `old`'s files forward;
+  // the rest are bucketed from a single scan of the scope (`scan` feeds
+  // every row and its count) and written fresh, in partition order.
+  auto write_scope = [&](const std::string& name, const std::string& scope,
+                         const SegmentList* old, const Schema& schema,
+                         bool counted, const auto& scan) {
+    SegmentList sl;
+    sl.name = name;
+    sl.segments.resize(m.partitions);
+    std::vector<bool> fresh(m.partitions, true);
+    bool any_fresh = false;
+    for (uint32_t p = 0; p < m.partitions; ++p) {
+      if (old != nullptr && !dirty.IsDirty(scope, p)) {
+        sl.segments[p] = old->segments[p];
+        fresh[p] = false;
+        ++stats->partitions_skipped;
+      } else {
+        any_fresh = true;
+      }
+    }
+    if (!any_fresh) return sl;
+    std::vector<SliceRows> buckets(m.partitions);
+    scan([&](const Tuple& t, int64_t count) {
+      const uint32_t p = PartitionOf(t, kRowHashKey, m.partitions);
+      if (fresh[p]) buckets[p].emplace_back(&t, count);
+    });
+    for (uint32_t p = 0; p < m.partitions; ++p) {
+      if (fresh[p]) {
+        sl.segments[p] = write_segment(SliceCsv(schema, counted, &buckets[p]));
+      }
+    }
+    return sl;
+  };
 
   for (const auto& name : db.Names()) {
     const Relation& rel = db.Get(name);
-    const SegmentList* old =
-        find_prev(prev == nullptr ? nullptr : &prev->tables, name);
-    const std::string scope = "t:" + name;
-    SegmentList sl;
-    sl.name = name;
-    for (uint32_t p = 0; p < m.partitions; ++p) {
-      if (old != nullptr && !dirty.IsDirty(scope, p)) {
-        sl.segments.push_back(old->segments[p]);
-        ++stats->partitions_skipped;
-      } else {
-        sl.segments.push_back(write_segment(TableSliceCsv(rel, p, m.partitions)));
-      }
-    }
-    m.tables.push_back(std::move(sl));
+    m.tables.push_back(write_scope(
+        name, "t:" + name, find_prev(&CheckpointManifest::tables, name),
+        rel.schema(), /*counted=*/false, [&](const auto& emit) {
+          rel.Scan([&](const Tuple& t) { emit(t, 0); });
+        }));
   }
   for (const auto& name : views.ViewNames()) {
     m.view_meta.push_back(BuildViewMeta(views, name));
+    // The raw materialization, not `View()`: a quarantined view's contents
+    // still checkpoint (recovery restores them alongside the quarantine
+    // flag; `REPAIR VIEW` rebuilds from bases later).
     const CountedRelation& rel = views.Materialization(name);
-    const SegmentList* old =
-        find_prev(prev == nullptr ? nullptr : &prev->view_segments, name);
-    const std::string scope = "v:" + name;
-    SegmentList sl;
-    sl.name = name;
-    for (uint32_t p = 0; p < m.partitions; ++p) {
-      if (old != nullptr && !dirty.IsDirty(scope, p)) {
-        sl.segments.push_back(old->segments[p]);
-        ++stats->partitions_skipped;
-      } else {
-        sl.segments.push_back(write_segment(ViewSliceCsv(rel, p, m.partitions)));
-      }
-    }
-    m.view_segments.push_back(std::move(sl));
+    m.view_segments.push_back(write_scope(
+        name, "v:" + name,
+        find_prev(&CheckpointManifest::view_segments, name), rel.schema(),
+        /*counted=*/true,
+        [&](const auto& emit) { rel.Scan(emit); }));
   }
   if (guard != nullptr) {
     for (const auto& name : guard->AssertionNames()) {
@@ -693,10 +476,7 @@ CheckpointManifest WriteIncrementalCheckpoint(
   CommitFile(dir + "/manifest.mv", framed);
   stats->bytes_written += framed.size();
 
-  // The incremental image now supersedes the monolithic file, and
-  // segments only the *old* manifest referenced are garbage.
-  std::error_code ec;
-  std::filesystem::remove(dir + "/checkpoint.mv", ec);
+  // Segments only the *old* manifest referenced are garbage now.
   std::unordered_set<std::string> live;
   for (const auto& sl : m.tables) {
     live.insert(sl.segments.begin(), sl.segments.end());
@@ -704,28 +484,19 @@ CheckpointManifest WriteIncrementalCheckpoint(
   for (const auto& sl : m.view_segments) {
     live.insert(sl.segments.begin(), sl.segments.end());
   }
-  SweepSegments(dir, &live);
+  SweepSegments(dir, live);
   return m;
 }
 
-std::optional<RecoveredCheckpoint> ReadCheckpointAuto(const std::string& dir) {
-  std::optional<CheckpointData> mono = ReadCheckpoint(dir + "/checkpoint.mv");
-  std::optional<CheckpointManifest> mani = ReadManifest(dir + "/manifest.mv");
-  // Higher LSN wins; the monolithic file wins ties because it is always
-  // written as the superseding image (its writer deletes the manifest —
-  // both present at the same LSN means that delete was lost mid-crash).
-  if (mani.has_value() && (!mono.has_value() || mani->lsn > mono->lsn)) {
-    RecoveredCheckpoint out;
-    out.data = AssembleFromManifest(dir, *mani);
-    out.manifest = std::move(mani);
-    return out;
-  }
-  if (mono.has_value()) {
-    RecoveredCheckpoint out;
-    out.data = std::move(*mono);
-    return out;
-  }
-  return std::nullopt;
+std::optional<RecoveredCheckpoint> ReadIncrementalCheckpoint(
+    const std::string& dir) {
+  std::optional<CheckpointManifest> manifest =
+      ReadManifest(dir + "/manifest.mv");
+  if (!manifest.has_value()) return std::nullopt;
+  RecoveredCheckpoint out;
+  out.data = AssembleFromManifest(dir, *manifest);
+  out.manifest = std::move(*manifest);
+  return out;
 }
 
 }  // namespace mview::storage

@@ -12,31 +12,9 @@
 #include "ivm/view_def.h"
 #include "ivm/view_manager.h"
 #include "relational/relation.h"
+#include "storage/codec.h"
 
 namespace mview::storage {
-
-/// One view's captured state inside a checkpoint: definition, maintenance
-/// configuration, the *exact* materialization (a deferred view may be
-/// stale — recovery must not lose that), and the pending change backlog.
-struct CheckpointView {
-  struct PendingLog {
-    std::vector<Tuple> inserts;
-    std::vector<Tuple> deletes;
-  };
-
-  std::string name;
-  MaintenanceMode mode = MaintenanceMode::kImmediate;
-  MaintenanceOptions options;
-  ViewDefinition definition;
-  CountedRelation materialized;
-  /// One entry per base occurrence for deferred views; empty otherwise.
-  std::vector<PendingLog> pending;
-  /// View health at checkpoint time: a quarantined view stays quarantined
-  /// across recovery (its materialization is untrusted until repaired).
-  bool quarantined = false;
-  std::string quarantine_reason;
-  bool quarantine_sticky = false;
-};
 
 /// A decoded checkpoint: everything needed to rebuild the engine state as
 /// of `lsn`, after which the WAL tail (records with LSN > `lsn`) replays.
@@ -49,41 +27,19 @@ struct CheckpointData {
   std::vector<ViewDefinition> assertions;
 };
 
-/// Writes a checkpoint of the full engine state to `path` atomically
-/// (write to a temp file, fsync, rename, fsync the directory): a crash at
-/// any point leaves either the old checkpoint or the new one, never a
-/// torn file.  `lsn` is the highest WAL LSN the snapshot covers; `guard`
-/// may be null when the engine has no integrity guard.
-///
-/// Table and view contents are embedded as CSV blobs (the `relational/`
-/// codecs), conditions structurally — `Condition::ToString` is not
-/// re-parseable, so no text round-trip.  Throws `IoError` on file errors.
-///
-/// A successful monolithic write also deletes any incremental manifest
-/// and its segments in the same directory — the fresh file supersedes
-/// them, and leaving a stale higher-LSN manifest behind would win the
-/// next recovery.  Returns the bytes written.
-uint64_t WriteCheckpoint(const std::string& path, uint64_t lsn,
-                         const Database& db, const ViewManager& views,
-                         const IntegrityGuard* guard);
-
-/// Reads a checkpoint written by `WriteCheckpoint`.  Returns nullopt when
-/// no file exists at `path` (a fresh database); throws `CorruptionError`
-/// when the file exists but fails validation (bad magic, CRC mismatch,
-/// undecodable body) and `IoError` on read errors.
-std::optional<CheckpointData> ReadCheckpoint(const std::string& path);
-
-// --- incremental (partition-segment) checkpoints ---------------------------
+// --- the checkpoint image ---------------------------------------------------
 //
-// The incremental format splits a checkpoint into a small manifest
-// (`manifest.mv`) and one row segment per (scope, hash partition)
-// (`seg_<generation>_<seq>.mv`).  The manifest carries everything
-// non-row — LSN, table names, view definitions/options/health/pending
-// backlogs, assertions — plus, per scope, the ordered list of segment
-// files holding its partitions' rows.  Writing a new checkpoint rewrites
-// only the segments of partitions the dirty map reports changed; clean
-// partitions carry their previous generation's file forward, so
-// checkpoint cost is O(dirty partitions), not O(database).
+// A checkpoint is a small manifest (`manifest.mv`) plus one row segment per
+// (scope, hash partition) (`seg_<generation>_<seq>.mv`).  The manifest
+// carries everything non-row — LSN, table names, view
+// definitions/options/health/pending backlogs, assertions — plus, per
+// scope, the ordered list of segment files holding its partitions' rows.
+// Writing a new checkpoint rewrites only the segments of partitions the
+// dirty map reports changed; clean partitions carry their previous
+// generation's file forward, so checkpoint cost is O(dirty partitions),
+// not O(database).  Catalog changes need no special case: a created table
+// or view marks its whole scope dirty, and a scope absent from the
+// previous manifest is written fresh.
 //
 // The manifest rename is the commit point: segments are written and
 // fsynced first (a crash leaves unreferenced orphans, removed by the next
@@ -91,6 +47,10 @@ std::optional<CheckpointData> ReadCheckpoint(const std::string& path);
 // Pending backlogs ride in the manifest rather than in segments because
 // deferred logging mutates them without touching the materialization —
 // the dirty map tracks rows, and the manifest is rewritten every time.
+//
+// Every file shares one frame: 8-byte magic, CRC32 of the body, body
+// length, body.  A segment's body is the CSV of its rows (the
+// `relational/` codec, sorted, so equal slices encode to equal bytes).
 
 /// One scope's (table's or view's) segment listing: `segments[p]` holds
 /// partition `p`'s rows.  Size always equals the manifest's `partitions`.
@@ -119,33 +79,35 @@ struct IncrementalStats {
   int64_t partitions_skipped = 0;  // carried forward unchanged
 };
 
-/// Writes an incremental checkpoint into `dir`.  Partitions whose scope
-/// is clean in `dirty` reuse `prev`'s segments; everything else (no
-/// `prev`, partition-count mismatch, scope absent from `prev`, or dirty)
-/// is rewritten.  Fires "checkpoint.write" once up front and
+/// Writes a checkpoint into `dir`.  Partitions whose scope is clean in
+/// `dirty` reuse `prev`'s segments; everything else (no `prev`,
+/// partition-count mismatch, scope absent from `prev`, or dirty) is
+/// rewritten.  Fires "checkpoint.write" once up front and
 /// "checkpoint.segment" before each fresh segment; a failure at either
 /// leaves the previous manifest fully authoritative.  After the manifest
-/// commits, unreferenced `seg_*.mv` files and any monolithic
-/// `checkpoint.mv` are removed.  Returns the new manifest.
+/// commits, unreferenced `seg_*.mv` files are removed.  Throws `IoError`
+/// on file errors.  Returns the new manifest.
 CheckpointManifest WriteIncrementalCheckpoint(
     const std::string& dir, uint64_t lsn, const Database& db,
     const ViewManager& views, const IntegrityGuard* guard,
     const PartitionDirtyMap& dirty, uint32_t partitions,
     const CheckpointManifest* prev, IncrementalStats* stats);
 
-/// A checkpoint recovered by `ReadCheckpointAuto`: the decoded state plus
-/// the manifest it came from when the incremental image won (absent when
-/// the monolithic file did).
+/// A checkpoint read back by `ReadIncrementalCheckpoint`: the assembled
+/// state plus the manifest it came from (the next write carries that
+/// manifest's clean segments forward).
 struct RecoveredCheckpoint {
   CheckpointData data;
-  std::optional<CheckpointManifest> manifest;
+  CheckpointManifest manifest;
 };
 
-/// Reads whichever checkpoint image in `dir` is newest: decodes both
-/// `checkpoint.mv` and `manifest.mv` headers when present, picks the
-/// higher LSN (the monolithic file wins ties — it is written as the
-/// superseding image).  Returns nullopt when neither exists.
-std::optional<RecoveredCheckpoint> ReadCheckpointAuto(const std::string& dir);
+/// Reads the checkpoint in `dir`.  Returns nullopt when no manifest exists
+/// (a fresh database); throws `CorruptionError` when the manifest or a
+/// segment it names fails validation (bad magic, CRC mismatch, undecodable
+/// body, a segment name outside `seg_<gen>_<seq>.mv`, a missing segment)
+/// and `IoError` on read errors.
+std::optional<RecoveredCheckpoint> ReadIncrementalCheckpoint(
+    const std::string& dir);
 
 }  // namespace mview::storage
 

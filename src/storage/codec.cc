@@ -1,0 +1,340 @@
+#include "storage/codec.h"
+
+#include <array>
+
+namespace mview::storage {
+
+uint32_t Crc32(const void* data, size_t size) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+namespace wire {
+
+void PutU8(std::string* out, uint8_t v) {
+  out->push_back(static_cast<char>(v));
+}
+
+void PutU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+void PutU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
+
+void PutString(std::string* out, const std::string& s) {
+  PutU32(out, static_cast<uint32_t>(s.size()));
+  out->append(s);
+}
+
+void PutValue(std::string* out, const Value& v) {
+  if (v.type() == ValueType::kInt64) {
+    PutU8(out, 0);
+    PutI64(out, v.AsInt64());
+  } else {
+    PutU8(out, 1);
+    PutString(out, v.AsString());
+  }
+}
+
+void PutTuple(std::string* out, const Tuple& t) {
+  PutU32(out, static_cast<uint32_t>(t.size()));
+  for (size_t i = 0; i < t.size(); ++i) PutValue(out, t.at(i));
+}
+
+void Reader::Need(size_t n) const {
+  if (static_cast<size_t>(end_ - p_) < n) {
+    throw CorruptionError("storage decode: record truncated");
+  }
+}
+
+uint8_t Reader::GetU8() {
+  Need(1);
+  return static_cast<uint8_t>(*p_++);
+}
+
+uint32_t Reader::GetU32() {
+  Need(4);
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<unsigned char>(p_[i])) << (8 * i);
+  }
+  p_ += 4;
+  return v;
+}
+
+uint64_t Reader::GetU64() {
+  Need(8);
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(p_[i])) << (8 * i);
+  }
+  p_ += 8;
+  return v;
+}
+
+int64_t Reader::GetI64() { return static_cast<int64_t>(GetU64()); }
+
+std::string Reader::GetString() {
+  uint32_t n = GetU32();
+  Need(n);
+  std::string s(p_, n);
+  p_ += n;
+  return s;
+}
+
+Value Reader::GetValue() {
+  uint8_t tag = GetU8();
+  if (tag == 0) return Value(GetI64());
+  if (tag == 1) return Value(GetString());
+  throw CorruptionError("storage decode: unknown value tag " +
+                        std::to_string(tag));
+}
+
+Tuple Reader::GetTuple() {
+  uint32_t arity = GetCount();
+  std::vector<Value> values;
+  values.reserve(arity);
+  for (uint32_t i = 0; i < arity; ++i) values.push_back(GetValue());
+  return Tuple(std::move(values));
+}
+
+uint32_t Reader::GetCount() {
+  uint32_t n = GetU32();
+  if (n > Remaining()) {
+    throw CorruptionError("storage decode: element count " +
+                          std::to_string(n) + " exceeds the " +
+                          std::to_string(Remaining()) + " bytes remaining");
+  }
+  return n;
+}
+
+namespace {
+
+void PutAtom(std::string* out, const Atom& atom) {
+  PutString(out, atom.lhs);
+  PutU8(out, static_cast<uint8_t>(atom.op));
+  PutU8(out, atom.rhs_var.has_value() ? 1 : 0);
+  if (atom.rhs_var.has_value()) {
+    PutString(out, *atom.rhs_var);
+    PutI64(out, atom.offset);
+  } else {
+    PutValue(out, atom.rhs_const);
+  }
+}
+
+Atom GetAtom(Reader* r) {
+  Atom atom;
+  atom.lhs = r->GetString();
+  uint8_t op = r->GetU8();
+  if (op > static_cast<uint8_t>(CompareOp::kGe)) {
+    throw CorruptionError("storage decode: bad comparison operator tag");
+  }
+  atom.op = static_cast<CompareOp>(op);
+  if (r->GetU8() != 0) {
+    atom.rhs_var = r->GetString();
+    atom.offset = r->GetI64();
+  } else {
+    atom.rhs_const = r->GetValue();
+  }
+  return atom;
+}
+
+void PutCondition(std::string* out, const Condition& cond) {
+  PutU32(out, static_cast<uint32_t>(cond.disjuncts().size()));
+  for (const auto& conj : cond.disjuncts()) {
+    PutU32(out, static_cast<uint32_t>(conj.atoms.size()));
+    for (const auto& atom : conj.atoms) PutAtom(out, atom);
+  }
+}
+
+Condition GetCondition(Reader* r) {
+  uint32_t n_disjuncts = r->GetCount();
+  std::vector<Conjunction> disjuncts;
+  disjuncts.reserve(n_disjuncts);
+  for (uint32_t d = 0; d < n_disjuncts; ++d) {
+    Conjunction conj;
+    uint32_t n_atoms = r->GetCount();
+    conj.atoms.reserve(n_atoms);
+    for (uint32_t a = 0; a < n_atoms; ++a) conj.atoms.push_back(GetAtom(r));
+    disjuncts.push_back(std::move(conj));
+  }
+  return Condition(std::move(disjuncts));
+}
+
+void PutStrings(std::string* out, const std::vector<std::string>& v) {
+  PutU32(out, static_cast<uint32_t>(v.size()));
+  for (const auto& s : v) PutString(out, s);
+}
+
+std::vector<std::string> GetStrings(Reader* r) {
+  uint32_t n = r->GetCount();
+  std::vector<std::string> v;
+  v.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) v.push_back(r->GetString());
+  return v;
+}
+
+void PutSchema(std::string* out, const Schema& schema) {
+  PutU32(out, static_cast<uint32_t>(schema.size()));
+  for (const auto& attr : schema.attributes()) {
+    PutString(out, attr.name);
+    PutU8(out, static_cast<uint8_t>(attr.type));
+  }
+}
+
+Schema GetSchema(Reader* r) {
+  uint32_t n = r->GetCount();
+  std::vector<Attribute> attrs;
+  attrs.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    Attribute attr;
+    attr.name = r->GetString();
+    uint8_t type = r->GetU8();
+    if (type > static_cast<uint8_t>(ValueType::kString)) {
+      throw CorruptionError("storage decode: bad attribute type tag");
+    }
+    attr.type = static_cast<ValueType>(type);
+    attrs.push_back(std::move(attr));
+  }
+  return Schema(std::move(attrs));
+}
+
+}  // namespace
+
+void PutDefinition(std::string* out, const ViewDefinition& def) {
+  PutString(out, def.name());
+  PutU32(out, static_cast<uint32_t>(def.bases().size()));
+  for (const auto& base : def.bases()) {
+    PutString(out, base.relation);
+    PutStrings(out, base.aliases);
+  }
+  PutCondition(out, def.condition());
+  PutStrings(out, def.projection());
+}
+
+ViewDefinition GetDefinition(Reader* r) {
+  std::string name = r->GetString();
+  uint32_t n_bases = r->GetCount();
+  std::vector<BaseRef> bases;
+  bases.reserve(n_bases);
+  for (uint32_t i = 0; i < n_bases; ++i) {
+    BaseRef base;
+    base.relation = r->GetString();
+    base.aliases = GetStrings(r);
+    bases.push_back(std::move(base));
+  }
+  Condition cond = GetCondition(r);
+  std::vector<std::string> projection = GetStrings(r);
+  return ViewDefinition(std::move(name), std::move(bases), std::move(cond),
+                        std::move(projection));
+}
+
+void PutViewMeta(std::string* out, const CheckpointView& view) {
+  PutString(out, view.name);
+  PutU8(out, static_cast<uint8_t>(view.mode));
+  PutU8(out, view.options.use_irrelevance_filter ? 1 : 0);
+  PutU8(out, view.options.reuse_subexpressions ? 1 : 0);
+  PutU8(out, static_cast<uint8_t>(view.options.strategy));
+  PutU32(out, view.options.partition_count);
+  PutU8(out, view.quarantined ? 1 : 0);
+  PutString(out, view.quarantine_reason);
+  PutU8(out, view.quarantine_sticky ? 1 : 0);
+  PutDefinition(out, view.definition);
+}
+
+CheckpointView GetViewMeta(Reader* r) {
+  CheckpointView view;
+  view.name = r->GetString();
+  uint8_t mode = r->GetU8();
+  if (mode > static_cast<uint8_t>(MaintenanceMode::kFullReevaluation)) {
+    throw CorruptionError("storage decode: bad maintenance mode tag");
+  }
+  view.mode = static_cast<MaintenanceMode>(mode);
+  view.options.use_irrelevance_filter = r->GetU8() != 0;
+  view.options.reuse_subexpressions = r->GetU8() != 0;
+  uint8_t strategy = r->GetU8();
+  if (strategy > static_cast<uint8_t>(DeltaStrategy::kTelescoped)) {
+    throw CorruptionError("storage decode: bad delta strategy tag");
+  }
+  view.options.strategy = static_cast<DeltaStrategy>(strategy);
+  view.options.partition_count = r->GetU32();
+  if (view.options.partition_count == 0) {
+    throw CorruptionError("storage decode: zero view partition count");
+  }
+  view.quarantined = r->GetU8() != 0;
+  view.quarantine_reason = r->GetString();
+  view.quarantine_sticky = r->GetU8() != 0;
+  view.definition = GetDefinition(r);
+  return view;
+}
+
+void PutCatalogChange(std::string* out, const CatalogChange& change) {
+  using Kind = CatalogChange::Kind;
+  PutU8(out, static_cast<uint8_t>(change.kind));
+  PutString(out, change.name);
+  switch (change.kind) {
+    case Kind::kCreateTable:
+      PutSchema(out, change.schema);
+      break;
+    case Kind::kCreateView:
+      PutViewMeta(out, change.view);
+      break;
+    case Kind::kCreateAssertion:
+      PutDefinition(out, change.assertion);
+      break;
+    case Kind::kDropTable:
+    case Kind::kDropView:
+    case Kind::kDropAssertion:
+      break;
+  }
+}
+
+CatalogChange GetCatalogChange(Reader* r) {
+  using Kind = CatalogChange::Kind;
+  CatalogChange change;
+  uint8_t kind = r->GetU8();
+  if (kind > static_cast<uint8_t>(Kind::kDropAssertion)) {
+    throw CorruptionError("storage decode: bad catalog change tag " +
+                          std::to_string(kind));
+  }
+  change.kind = static_cast<Kind>(kind);
+  change.name = r->GetString();
+  switch (change.kind) {
+    case Kind::kCreateTable:
+      change.schema = GetSchema(r);
+      break;
+    case Kind::kCreateView:
+      change.view = GetViewMeta(r);
+      break;
+    case Kind::kCreateAssertion:
+      change.assertion = GetDefinition(r);
+      break;
+    case Kind::kDropTable:
+    case Kind::kDropView:
+    case Kind::kDropAssertion:
+      break;
+  }
+  return change;
+}
+
+}  // namespace wire
+}  // namespace mview::storage

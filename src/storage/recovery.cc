@@ -1,6 +1,7 @@
 #include "storage/recovery.h"
 
 #include <memory>
+#include <vector>
 
 #include "ivm/snapshot.h"
 #include "util/error.h"
@@ -39,6 +40,34 @@ void InstallCheckpoint(CheckpointData&& data, Database* db,
     views->RestoreView(std::move(view.definition), view.mode, view.options,
                        std::move(view.materialized), std::move(pending),
                        std::move(health));
+  }
+}
+
+void ReplayCatalog(CatalogChange&& change, ViewManager* views,
+                   std::vector<ViewDefinition>* assertions) {
+  using Kind = CatalogChange::Kind;
+  switch (change.kind) {
+    case Kind::kCreateTable:
+      views->CreateTable(change.name, std::move(change.schema));
+      break;
+    case Kind::kDropTable:
+      views->DropTable(change.name);
+      break;
+    case Kind::kCreateView:
+      views->RegisterView(std::move(change.view.definition), change.view.mode,
+                          change.view.options);
+      break;
+    case Kind::kDropView:
+      views->DropView(change.name);
+      break;
+    case Kind::kCreateAssertion:
+      assertions->push_back(std::move(change.assertion));
+      break;
+    case Kind::kDropAssertion:
+      std::erase_if(*assertions, [&](const ViewDefinition& def) {
+        return def.name() == change.name;
+      });
+      break;
   }
 }
 

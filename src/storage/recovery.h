@@ -22,7 +22,16 @@ namespace mview::storage {
 void InstallCheckpoint(CheckpointData&& data, Database* db,
                        ViewManager* views);
 
-/// Re-registers checkpointed assertions.  Must run *after* WAL replay:
+/// Replays one logged catalog change in its place in the history: tables
+/// and views go through the same `ViewManager` calls the engine makes (a
+/// created view is evaluated against the bases as replay has rebuilt them
+/// so far, and both mark their checkpoint scopes dirty), while assertion
+/// changes only edit `assertions`, which `InstallAssertions` registers once
+/// replay is done.
+void ReplayCatalog(CatalogChange&& change, ViewManager* views,
+                   std::vector<ViewDefinition>* assertions);
+
+/// Re-registers checkpointed and replayed assertions.  Must run *after* WAL replay:
 /// replay drives `ViewManager::ApplyEffect` directly (replayed
 /// transactions were already admitted once, so prechecking them again is
 /// both wasted work and wrong under assertions added later), which
@@ -33,8 +42,9 @@ void InstallAssertions(const std::vector<ViewDefinition>& assertions,
 
 /// Converts a decoded WAL record back into a `TransactionEffect` against
 /// `db`'s catalog (schemas are looked up by relation name; throws
-/// `CorruptionError` when a record names an unknown relation — the
-/// DDL-forces-checkpoint policy makes that impossible for an intact log).
+/// `CorruptionError` when a record names an unknown relation — impossible
+/// for an intact log, whose catalog records replay in LSN order before the
+/// effects that depend on them).
 TransactionEffect ToEffect(const WalRecord& record, const Database& db);
 
 }  // namespace mview::storage

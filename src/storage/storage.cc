@@ -53,22 +53,19 @@ void Storage::Attach(sql::EngineCore& core) {
   uint64_t checkpoint_lsn = 0;
   bool have_checkpoint = false;
   std::vector<ViewDefinition> assertions;
-  if (auto recovered = storage::ReadCheckpointAuto(path_)) {
+  if (auto recovered = storage::ReadIncrementalCheckpoint(path_)) {
     have_checkpoint = true;
     checkpoint_lsn = recovered->data.lsn;
     assertions = std::move(recovered->data.assertions);
     storage::InstallCheckpoint(std::move(recovered->data), &db, &views);
-    // Carried into the next incremental write so its clean segments are
-    // reused; a monolithic image leaves this empty (full rewrite next).
+    // Carried into the next write so its clean segments are reused.
     manifest_ = std::move(recovered->manifest);
   }
 
   // Dirty tracking starts now — after the checkpoint image (which the
   // segments already cover) and before WAL replay (whose effects they do
   // not): every replayed mutation marks its partitions like a live one.
-  if (options_.incremental_checkpoints) {
-    views.dirty_partitions().Enable(options_.checkpoint_partitions);
-  }
+  views.dirty_partitions().Enable(options_.checkpoint_partitions);
 
   StorageMetrics& metrics = views.metrics().storage();
   storage::WalOptions wal_options;
@@ -105,6 +102,10 @@ void Storage::Attach(sql::EngineCore& core) {
               views.Repair(record.view);
             }
             break;
+          case storage::WalRecord::Type::kCatalog:
+            storage::ReplayCatalog(std::move(record.catalog), &views,
+                                   &assertions);
+            break;
         }
         ++metrics.replayed_records;
       });
@@ -119,7 +120,8 @@ void Storage::Attach(sql::EngineCore& core) {
     wal_->Rotate(checkpoint_lsn);
   }
 
-  // Assertions go last: replay bypassed the integrity guard (those
+  // Assertions go last — the checkpointed ones as edited by replayed
+  // catalog records: replay bypassed the integrity guard (those
   // transactions were admitted when first committed), so each error view
   // is computed once against the fully recovered state.
   storage::InstallAssertions(assertions, &core.storage_guard());
@@ -147,9 +149,7 @@ void Storage::Attach(sql::EngineCore& core) {
   engine_ = &core;
 }
 
-void Storage::Checkpoint() { CheckpointInternal(/*force_monolithic=*/false); }
-
-void Storage::CheckpointInternal(bool force_monolithic) {
+void Storage::Checkpoint() {
   MVIEW_CHECK(engine_ != nullptr && wal_ != nullptr, "storage not attached");
   static const uint32_t kCheckpointName =
       obs::Tracer::Global().InternName("checkpoint");
@@ -158,22 +158,14 @@ void Storage::CheckpointInternal(bool force_monolithic) {
   uint64_t lsn = wal_->stats().durable_lsn;
   ViewManager& views = engine_->storage_views();
   StorageMetrics& metrics = views.metrics().storage();
-  if (options_.incremental_checkpoints && !force_monolithic) {
-    storage::IncrementalStats inc;
-    manifest_ = storage::WriteIncrementalCheckpoint(
-        path_, lsn, engine_->database(), engine_->views(), &engine_->guard(),
-        views.dirty_partitions(), options_.checkpoint_partitions,
-        manifest_.has_value() ? &*manifest_ : nullptr, &inc);
-    metrics.checkpoint_bytes += static_cast<int64_t>(inc.bytes_written);
-    metrics.segments_written += inc.segments_written;
-    metrics.partitions_skipped += inc.partitions_skipped;
-  } else {
-    uint64_t bytes =
-        storage::WriteCheckpoint(checkpoint_path(), lsn, engine_->database(),
-                                 engine_->views(), &engine_->guard());
-    metrics.checkpoint_bytes += static_cast<int64_t>(bytes);
-    manifest_.reset();  // the monolithic writer deleted the manifest
-  }
+  storage::IncrementalStats inc;
+  manifest_ = storage::WriteIncrementalCheckpoint(
+      path_, lsn, engine_->database(), engine_->views(), &engine_->guard(),
+      views.dirty_partitions(), options_.checkpoint_partitions,
+      manifest_.has_value() ? &*manifest_ : nullptr, &inc);
+  metrics.checkpoint_bytes += static_cast<int64_t>(inc.bytes_written);
+  metrics.segments_written += inc.segments_written;
+  metrics.partitions_skipped += inc.partitions_skipped;
   // Everything marked so far is covered by the image just written; marks
   // from here on belong to the next checkpoint.  Cleared before `Rotate`
   // so a rotate failure can only cause re-replay (idempotent), never a
@@ -201,23 +193,9 @@ void Storage::LogCommit(const TransactionEffect& effect) {
   wal_->Append(effect);
 }
 
-void Storage::OnCatalogChange() {
+void Storage::LogCatalog(const storage::CatalogChange& change) {
   if (wal_ == nullptr) return;
-  try {
-    // Forced monolithic: segment carry-forward assumes the catalog of the
-    // previous manifest, and DDL (create/drop of tables or views) breaks
-    // that assumption — a full rewrite re-anchors the incremental chain.
-    CheckpointInternal(/*force_monolithic=*/true);
-  } catch (...) {
-    // The in-memory catalog already changed but the durable checkpoint
-    // does not reflect it, and the log never carries DDL — a later commit
-    // touching the new schema would be acknowledged durable yet
-    // unrecoverable.  Sticky-fail the log so nothing further is
-    // acknowledged until the directory is reopened through recovery,
-    // which rolls back to the last durable catalog.
-    wal_->Fail("checkpoint after catalog change failed; reopen to recover");
-    throw;
-  }
+  wal_->AppendCatalog(change);
 }
 
 void Storage::SyncWalMetrics() {

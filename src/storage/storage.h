@@ -17,18 +17,18 @@ class EngineCore;
 namespace mview {
 
 /// The single storage-facing facade: one durable database directory
-/// holding a checkpoint (`checkpoint.mv`) and a write-ahead log
-/// (`wal.mv`).
+/// holding a checkpoint image (`manifest.mv` plus its `seg_*.mv` row
+/// segments) and a write-ahead log (`wal.mv`).
 ///
 /// Lifecycle: `Open` the directory, construct an `sql::Engine` with the
 /// `Storage*` (the engine attaches, which recovers — checkpoint restore,
 /// WAL tail replay through the maintenance pipeline, assertion
-/// re-registration), then use the engine normally; every committed
-/// transaction is appended to the log (group-committed) before it is
-/// applied, and every catalog change forces a checkpoint so the log only
-/// ever carries DML.  `Checkpoint` (or SQL `CHECKPOINT`) snapshots state
-/// and truncates the log; `Close` detaches (checkpointing first by
-/// default).
+/// re-registration), then use the engine normally.  Every committed
+/// transaction and every catalog change (DDL) is appended to the log
+/// (group-committed) before it is applied, so a DDL statement costs one
+/// small record, not a checkpoint.  `Checkpoint` (or SQL `CHECKPOINT`)
+/// writes the partitions that changed since the last one and truncates
+/// the log; `Close` detaches (checkpointing first by default).
 class Storage {
  public:
   struct Options {
@@ -42,14 +42,6 @@ class Storage {
     /// Checkpoint automatically in `Close` (skipped when the log has
     /// failed — a later `Open` recovers from the last durable state).
     bool checkpoint_on_close = true;
-
-    /// Write partition-segment (incremental) checkpoints: `Checkpoint`
-    /// rewrites only the hash partitions the dirty map reports changed
-    /// since the last one — O(dirty), not O(database).  Catalog changes
-    /// still force a full monolithic rewrite (the manifest carry-forward
-    /// assumes a stable catalog).  When false, every checkpoint is the
-    /// classic single-file rewrite.
-    bool incremental_checkpoints = true;
 
     /// Hash-partition count for checkpoint segments and dirty tracking
     /// (whole-tuple hash; independent of any view's maintenance
@@ -94,9 +86,10 @@ class Storage {
   /// state.
   void Attach(sql::EngineCore& core);
 
-  /// Snapshots the full engine state (at the current durable LSN) to the
-  /// checkpoint file atomically, then truncates the log.  Requires an
-  /// attached engine.
+  /// Checkpoints the engine state at the current durable LSN — rewriting
+  /// only the hash partitions the dirty map reports changed since the last
+  /// checkpoint, O(dirty) rather than O(database) — then truncates the
+  /// log.  Requires an attached engine.
   void Checkpoint();
 
   /// Detaches from the engine, checkpointing first when
@@ -107,7 +100,6 @@ class Storage {
   bool attached() const { return engine_ != nullptr; }
   const std::string& path() const { return path_; }
   std::string wal_path() const { return path_ + "/wal.mv"; }
-  std::string checkpoint_path() const { return path_ + "/checkpoint.mv"; }
   std::string manifest_path() const { return path_ + "/manifest.mv"; }
 
   /// Counters of the underlying log (zeroes when not attached) — what SQL
@@ -129,17 +121,11 @@ class Storage {
   /// write-ahead rule).
   void LogCommit(const TransactionEffect& effect);
 
-  /// The shared body of `Checkpoint`/`OnCatalogChange`: incremental when
-  /// configured and not forced monolithic, classic rewrite otherwise.  A
-  /// successful write of either kind clears the dirty-partition map.
-  void CheckpointInternal(bool force_monolithic);
-
-  /// Called by the engine after any successful catalog change; forces a
-  /// checkpoint so the log never spans DDL.  When the checkpoint fails
-  /// the log is sticky-failed before the error propagates: the in-memory
-  /// catalog has already diverged from the durable state, so no further
-  /// commit may be acknowledged until the directory is reopened.
-  void OnCatalogChange();
+  /// Appends a catalog change to the log; returns once durable.  Called
+  /// by the engine after the DDL statement has been validated (and a new
+  /// view evaluated) but before anything is installed, so a failed append
+  /// rejects the statement with nothing changed.
+  void LogCatalog(const storage::CatalogChange& change);
 
   /// Refreshes the WAL-owned counters in the engine's `MetricsRegistry`
   /// from a snapshot taken under the log mutex.  Called by the engine
@@ -151,9 +137,9 @@ class Storage {
   Options options_;
   sql::EngineCore* engine_ = nullptr;
   std::unique_ptr<storage::Wal> wal_;
-  /// The manifest of the last incremental checkpoint (written here or
-  /// recovered at `Attach`); the next incremental write carries its clean
-  /// segments forward.  Absent after a monolithic write or fresh open.
+  /// The manifest of the last checkpoint (written here or recovered at
+  /// `Attach`); the next write carries its clean segments forward.  Absent
+  /// until the first checkpoint of a fresh database.
   std::optional<storage::CheckpointManifest> manifest_;
 };
 

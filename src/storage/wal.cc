@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -17,9 +16,10 @@ namespace mview::storage {
 namespace {
 
 // "002" added the record-type byte after the LSN (quarantine/repair
-// records).  Older logs are not migrated: the log is rotated away at every
-// checkpoint, so no deployment carries a long-lived WAL across versions.
-constexpr char kMagic[8] = {'M', 'V', 'W', 'A', 'L', '0', '0', '2'};
+// records); "003" the catalog-change record.  Older logs are not migrated:
+// the log is rotated away at every checkpoint, so no deployment carries a
+// long-lived WAL across versions.
+constexpr char kMagic[8] = {'M', 'V', 'W', 'A', 'L', '0', '0', '3'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t);
 // A record larger than this cannot be legitimate; treat it as damage
 // rather than attempting a multi-gigabyte allocation.
@@ -29,135 +29,6 @@ constexpr uint32_t kMaxPayload = 1u << 30;
   throw IoError("wal: " + what + " failed for " + path + ": " +
                 std::strerror(errno));
 }
-
-}  // namespace
-
-uint32_t Crc32(const void* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-namespace wire {
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-void PutValue(std::string* out, const Value& v) {
-  if (v.type() == ValueType::kInt64) {
-    PutU8(out, 0);
-    PutI64(out, v.AsInt64());
-  } else {
-    PutU8(out, 1);
-    PutString(out, v.AsString());
-  }
-}
-
-void PutTuple(std::string* out, const Tuple& t) {
-  PutU32(out, static_cast<uint32_t>(t.size()));
-  for (size_t i = 0; i < t.size(); ++i) PutValue(out, t.at(i));
-}
-
-void Reader::Need(size_t n) const {
-  if (static_cast<size_t>(end_ - p_) < n) {
-    throw CorruptionError("storage decode: record truncated");
-  }
-}
-
-uint8_t Reader::GetU8() {
-  Need(1);
-  return static_cast<uint8_t>(*p_++);
-}
-
-uint32_t Reader::GetU32() {
-  Need(4);
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p_[i])) << (8 * i);
-  }
-  p_ += 4;
-  return v;
-}
-
-uint64_t Reader::GetU64() {
-  Need(8);
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p_[i])) << (8 * i);
-  }
-  p_ += 8;
-  return v;
-}
-
-int64_t Reader::GetI64() { return static_cast<int64_t>(GetU64()); }
-
-std::string Reader::GetString() {
-  uint32_t n = GetU32();
-  Need(n);
-  std::string s(p_, n);
-  p_ += n;
-  return s;
-}
-
-Value Reader::GetValue() {
-  uint8_t tag = GetU8();
-  if (tag == 0) return Value(GetI64());
-  if (tag == 1) return Value(GetString());
-  throw CorruptionError("storage decode: unknown value tag " +
-                        std::to_string(tag));
-}
-
-Tuple Reader::GetTuple() {
-  uint32_t arity = GetCount();
-  std::vector<Value> values;
-  values.reserve(arity);
-  for (uint32_t i = 0; i < arity; ++i) values.push_back(GetValue());
-  return Tuple(std::move(values));
-}
-
-uint32_t Reader::GetCount() {
-  uint32_t n = GetU32();
-  if (n > Remaining()) {
-    throw CorruptionError("storage decode: element count " +
-                          std::to_string(n) + " exceeds the " +
-                          std::to_string(Remaining()) + " bytes remaining");
-  }
-  return n;
-}
-
-}  // namespace wire
-
-namespace {
 
 // The payload *tail*: everything after the leading `[u64 lsn]`, which
 // `Wal::AppendPayload` prepends once the LSN is assigned under the mutex.
@@ -185,7 +56,7 @@ WalRecord DecodePayload(const std::string& payload) {
   WalRecord record;
   record.lsn = r.GetU64();
   uint8_t type = r.GetU8();
-  if (type > static_cast<uint8_t>(WalRecord::Type::kRepair)) {
+  if (type > static_cast<uint8_t>(WalRecord::Type::kCatalog)) {
     throw CorruptionError("wal: unknown record type " + std::to_string(type));
   }
   record.type = static_cast<WalRecord::Type>(type);
@@ -217,6 +88,17 @@ WalRecord DecodePayload(const std::string& payload) {
     case WalRecord::Type::kRepair:
       record.view = r.GetString();
       break;
+    case WalRecord::Type::kCatalog:
+      try {
+        record.catalog = wire::GetCatalogChange(&r);
+      } catch (const CorruptionError&) {
+        throw;
+      } catch (const Error& e) {
+        // A CRC-valid record whose schema or definition fails validation.
+        throw CorruptionError(std::string("wal: undecodable catalog record: ") +
+                              e.what());
+      }
+      break;
   }
   if (!r.AtEnd()) {
     throw CorruptionError("wal: trailing bytes inside a record payload");
@@ -237,17 +119,6 @@ size_t RegistryFailurePolicy::AdmitWrite(size_t size) {
 
 void RegistryFailurePolicy::BeforeSync() {
   MVIEW_FAULT_POINT("wal.before_sync");
-}
-
-std::string Wal::EncodeRecord(uint64_t lsn, const TransactionEffect& effect) {
-  std::string payload;
-  wire::PutU64(&payload, lsn);
-  payload += EncodeEffectTail(effect);
-  std::string record;
-  wire::PutU32(&record, static_cast<uint32_t>(payload.size()));
-  wire::PutU32(&record, Crc32(payload.data(), payload.size()));
-  record.append(payload);
-  return record;
 }
 
 Wal::Wal(std::string path, WalOptions options, const ReplayFn& replay)
@@ -434,6 +305,15 @@ uint64_t Wal::AppendRepair(const std::string& view) {
   return AppendPayload(std::move(tail));
 }
 
+uint64_t Wal::AppendCatalog(const CatalogChange& change) {
+  // The same pre-flight point as `Append`: DDL and DML are rejected alike.
+  MVIEW_FAULT_POINT("wal.append");
+  std::string tail;
+  wire::PutU8(&tail, static_cast<uint8_t>(WalRecord::Type::kCatalog));
+  wire::PutCatalogChange(&tail, change);
+  return AppendPayload(std::move(tail));
+}
+
 uint64_t Wal::AppendPayload(std::string payload_tail) {
   static const uint32_t kAppendName =
       obs::Tracer::Global().InternName("wal_append");
@@ -575,14 +455,6 @@ void Wal::Rotate(uint64_t base_lsn) {
   base_lsn_ = base_lsn;
   next_lsn_ = base_lsn + 1;
   durable_lsn_ = base_lsn;
-}
-
-void Wal::Fail(const std::string& message) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (failed_) return;
-  failed_ = true;
-  failure_message_ = message;
-  cv_durable_.notify_all();
 }
 
 bool Wal::failed() const {

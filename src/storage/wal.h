@@ -12,17 +12,9 @@
 
 #include "db/transaction.h"
 #include "ivm/metrics.h"
-#include "relational/tuple.h"
-#include "util/error.h"
+#include "storage/codec.h"
 
 namespace mview::storage {
-
-// The storage exception types now live in `util/error.h` (the process-wide
-// fault registry throws them from arbitrary layers); these aliases keep
-// every existing `storage::IoError` / `storage::CorruptionError` reference
-// and catch site compiling against the same types.
-using mview::CorruptionError;
-using mview::IoError;
 
 /// Fault-injection hook for crash tests: lets a test make the log
 /// misbehave mid-write to prove torn-tail truncation and idempotent
@@ -65,11 +57,14 @@ class RegistryFailurePolicy : public FailurePolicy {
 /// committed transaction.  View-health transitions are logged too so a
 /// quarantine survives recovery: `kQuarantine` marks a view whose
 /// maintenance failed mid-commit, `kRepair` marks its subsequent heal.
+/// `kCatalog` carries one DDL statement, so the log replays schema changes
+/// in order with the commits around them.
 struct WalRecord {
   enum class Type : uint8_t {
     kEffect = 0,
     kQuarantine = 1,
     kRepair = 2,
+    kCatalog = 3,
   };
   struct Change {
     std::string relation;
@@ -82,6 +77,7 @@ struct WalRecord {
   std::string view;             // kQuarantine / kRepair
   std::string reason;           // kQuarantine
   bool sticky = false;          // kQuarantine
+  CatalogChange catalog;        // kCatalog
 };
 
 /// Knobs for the log; every field has a production-safe default.
@@ -132,15 +128,16 @@ struct WalStats {
   obs::LatencyHistogram fsync_latency;  // write+fsync wall time per batch
 };
 
-/// An fsync-batched append-only log of committed transaction effects and
-/// view-health transitions.
+/// An fsync-batched append-only log of committed transaction effects,
+/// catalog changes and view-health transitions.
 ///
-/// File layout: an 16-byte header (`"MVWAL002"` + little-endian u64 base
+/// File layout: an 16-byte header (`"MVWAL003"` + little-endian u64 base
 /// LSN) followed by records `[u32 payload_len][u32 crc32][payload]`.  The
 /// payload carries the LSN, a record-type byte (`WalRecord::Type`), and
 /// the type's body — for effects, the per-relation insert/delete tuple
 /// sets in sorted order with self-describing value types, so a log can be
-/// decoded without the catalog.  LSNs are assigned contiguously from
+/// decoded without the catalog; for catalog changes, the structural codec
+/// of `storage/codec.h`.  LSNs are assigned contiguously from
 /// `base_lsn + 1`; recovery rejects gaps as corruption and truncates an
 /// unreadable *tail* (short or CRC-failing trailing bytes) as a torn
 /// write.
@@ -189,6 +186,11 @@ class Wal {
   /// re-evaluation); durable before return.
   uint64_t AppendRepair(const std::string& view);
 
+  /// Appends a catalog-change record; durable before return.  Fails like
+  /// `Append` (same "wal.append" fault point, same sticky failure), so a
+  /// rejected DDL statement is never acknowledged.
+  uint64_t AppendCatalog(const CatalogChange& change);
+
   /// Empties the log and restarts it after `base_lsn` (call after a
   /// checkpoint covering everything up to `base_lsn` is durable).  The
   /// new log is built beside the old one and swapped in with an atomic
@@ -203,18 +205,6 @@ class Wal {
   /// True once an append has failed; the log rejects further work until
   /// reopened through recovery.
   bool failed() const;
-
-  /// Sticky-fails the log from outside the append path.  Used when the
-  /// durable state has diverged from the in-memory state in a way the log
-  /// cannot represent (e.g. a post-DDL checkpoint failed): every waiter
-  /// and future append gets an `IoError` until the directory is reopened
-  /// through recovery.  Thread-safe; a no-op if already failed.
-  void Fail(const std::string& message);
-
-  /// Encodes one record (length+crc framing included) — exposed for the
-  /// checkpoint writer and tests, which reuse the wire format.
-  static std::string EncodeRecord(uint64_t lsn,
-                                  const TransactionEffect& effect);
 
  private:
   // Shared group-commit path: assigns the LSN, frames `payload_tail` (the
@@ -248,55 +238,6 @@ class Wal {
   WalStats stats_;
 };
 
-/// CRC-32 (IEEE, reflected) over `data` — the integrity check of WAL
-/// records and checkpoint bodies.
-uint32_t Crc32(const void* data, size_t size);
-
-/// Little-endian primitives of the storage wire format, shared by the WAL
-/// record codec and the checkpoint file codec.
-namespace wire {
-
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutI64(std::string* out, int64_t v);
-void PutString(std::string* out, const std::string& s);
-/// Self-describing value: a type tag byte then the payload.
-void PutValue(std::string* out, const Value& v);
-void PutTuple(std::string* out, const Tuple& t);
-
-/// A bounds-checked cursor over encoded bytes; every getter throws
-/// `CorruptionError` on underflow or a bad tag.
-class Reader {
- public:
-  Reader(const char* data, size_t size) : p_(data), end_(data + size) {}
-  explicit Reader(const std::string& data) : Reader(data.data(), data.size()) {}
-
-  uint8_t GetU8();
-  uint32_t GetU32();
-  uint64_t GetU64();
-  int64_t GetI64();
-  std::string GetString();
-  Value GetValue();
-  Tuple GetTuple();
-
-  /// Reads a u32 element count and validates it against the bytes left:
-  /// every counted element encodes to at least one byte, so a count above
-  /// `Remaining()` is impossible in a well-formed stream.  Throws
-  /// `CorruptionError` instead of letting callers `reserve()` multi-GB
-  /// vectors off a corrupt length prefix.
-  uint32_t GetCount();
-
-  bool AtEnd() const { return p_ == end_; }
-  size_t Remaining() const { return static_cast<size_t>(end_ - p_); }
-
- private:
-  void Need(size_t n) const;
-  const char* p_;
-  const char* end_;
-};
-
-}  // namespace wire
 }  // namespace mview::storage
 
 #endif  // MVIEW_STORAGE_WAL_H_

@@ -77,11 +77,14 @@ const char* Preamble() {
          "CREATE ASSERTION bounded ON r WHERE a > 1000;";
 }
 
-// DML + refresh + checkpoint mix; every statement is independently
+// DML + DDL + refresh + checkpoint mix; every statement is independently
 // retriable (TryExecute) so a failing one is simply "not acknowledged".
+// The view created and dropped mid-stream puts every log fault point
+// inside DDL as well as DML.
 std::vector<std::string> Workload() {
   return {
       "INSERT INTO r VALUES (1, 10), (2, 20)",
+      "CREATE MATERIALIZED VIEW vc AS SELECT a, b FROM r WHERE b > 10",
       "INSERT INTO s VALUES (10, 100)",
       "UPDATE r SET b = 11 WHERE a = 1",
       "REFRESH VIEW vd",
@@ -93,6 +96,7 @@ std::vector<std::string> Workload() {
       "INSERT INTO r VALUES (5, 50)",
       "REFRESH VIEW vd",
       "DELETE FROM r WHERE a = 2",
+      "DROP VIEW vc",
       "INSERT INTO r VALUES (6, 60)",
   };
 }
@@ -201,10 +205,13 @@ class ChaosMatrixTest : public ::testing::Test {
         if (status.ok) {
           acked.push_back(sql);
         } else if (status.kind == Status::Kind::kIoError &&
-                   in_flight.empty() && sql != "CHECKPOINT" &&
-                   sql.rfind("REFRESH", 0) != 0) {
-          // The first log-level rejection: its bytes may or may not be
-          // durable depending on where in the append the fault fired.
+                   in_flight.empty() &&
+                   status.message.rfind("wal: log has failed", 0) == 0) {
+          // The first statement to find the log failed is the one whose
+          // batch failed: its bytes may or may not be durable depending on
+          // where in the append the fault fired.  A statement rejected
+          // before the log (precheck, evaluation, a refused append) never
+          // reached the disk, so it is not in flight.
           in_flight = sql;
         }
       }

@@ -223,10 +223,10 @@ class PartitionCheckpointTest : public ::testing::Test {
   std::string Dir(const char* leaf) const { return (dir_ / leaf).string(); }
 
   static std::unique_ptr<Storage> Open(const std::string& dir,
-                                       bool incremental) {
+                                       bool checkpoint_on_close = true) {
     Storage::Options options;
-    options.incremental_checkpoints = incremental;
     options.checkpoint_partitions = 8;
+    options.checkpoint_on_close = checkpoint_on_close;
     return Storage::Open(dir, options);
   }
 
@@ -273,55 +273,43 @@ class PartitionCheckpointTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(PartitionCheckpointTest, IncrementalAndMonolithicRecoverIdentically) {
+TEST_F(PartitionCheckpointTest, CheckpointedRecoveryMatchesReference) {
   Engine reference;
   reference.ExecuteScript(Preamble());
   {
-    auto inc_storage = Open(Dir("inc"), /*incremental=*/true);
-    auto mono_storage = Open(Dir("mono"), /*incremental=*/false);
-    Engine inc(inc_storage.get());
-    Engine mono(mono_storage.get());
-    inc.ExecuteScript(Preamble());
-    mono.ExecuteScript(Preamble());
+    auto storage = Open(Dir("inc"));
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
     for (int phase = 0; phase < 4; ++phase) {
       RunChunk(reference, phase);
-      RunChunk(inc, phase);
-      RunChunk(mono, phase);
+      RunChunk(engine, phase);
       // Checkpoint mid-stream so later phases replay WAL on top of a
-      // partition-granular (resp. monolithic) image at recovery.
-      if (phase == 1) {
-        inc.Execute("CHECKPOINT");
-        mono.Execute("CHECKPOINT");
-      }
+      // partition-granular image at recovery.
+      if (phase == 1) engine.Execute("CHECKPOINT");
     }
   }
-  auto inc_storage = Open(Dir("inc"), /*incremental=*/true);
-  auto mono_storage = Open(Dir("mono"), /*incremental=*/false);
-  Engine inc(inc_storage.get());
-  Engine mono(mono_storage.get());
-  ExpectSameState(inc, reference, "incremental recovery");
-  ExpectSameState(mono, reference, "monolithic recovery");
-  // Recovered engines keep maintaining correctly.
+  auto storage = Open(Dir("inc"));
+  Engine engine(storage.get());
+  ExpectSameState(engine, reference, "recovery");
+  // The recovered engine keeps maintaining correctly.
   RunChunk(reference, 4);
-  RunChunk(inc, 4);
-  RunChunk(mono, 4);
-  ExpectSameState(inc, reference, "incremental post-recovery");
-  ExpectSameState(mono, reference, "monolithic post-recovery");
+  RunChunk(engine, 4);
+  ExpectSameState(engine, reference, "post-recovery");
 }
 
 TEST_F(PartitionCheckpointTest, DirtyCarryForwardRecovers) {
   Engine reference;
   reference.ExecuteScript(Preamble());
   {
-    auto storage = Open(Dir("inc"), /*incremental=*/true);
+    auto storage = Open(Dir("inc"));
     Engine engine(storage.get());
     engine.ExecuteScript(Preamble());
     for (int phase = 0; phase < 3; ++phase) {
       RunChunk(reference, phase);
       RunChunk(engine, phase);
     }
-    // Anchor: a full image (the view DDL above forced monolithic, so
-    // this explicit checkpoint writes every segment fresh).
+    // Anchor: a full image (no manifest exists yet, so this first
+    // checkpoint writes every segment fresh).
     engine.Execute("CHECKPOINT");
     // A single small commit, then a second checkpoint: it must carry
     // clean segments forward instead of rewriting them.
@@ -336,9 +324,56 @@ TEST_F(PartitionCheckpointTest, DirtyCarryForwardRecovers) {
     RunChunk(reference, 3);
     RunChunk(engine, 3);
   }
-  auto storage = Open(Dir("inc"), /*incremental=*/true);
+  auto storage = Open(Dir("inc"));
   Engine engine(storage.get());
   ExpectSameState(engine, reference, "carry-forward recovery");
+}
+
+// A table dropped and re-created, and a view re-created under its old
+// name with another definition, between two checkpoints: the second
+// checkpoint must write both scopes fresh.  Carrying a clean partition of
+// the old scope forward would resurrect the old rows at recovery.
+TEST_F(PartitionCheckpointTest, RecreatedScopesNeverCarryOldSegments) {
+  const std::string before =
+      "CREATE TABLE r (a INT64, b INT64);"
+      "CREATE TABLE s (b2 INT64, c INT64);"
+      "CREATE MATERIALIZED VIEW joined AS SELECT a, c FROM r, s WHERE b = b2;"
+      "CREATE MATERIALIZED VIEW filtered AS SELECT a, b FROM r WHERE a < 600;";
+  // Re-created with two rows each: most partitions of the new scopes are
+  // never touched by a row, so only a whole-scope mark rewrites them.
+  const std::string after =
+      "DROP VIEW joined;"
+      "DROP TABLE s;"
+      "CREATE TABLE s (b2 INT64, c INT64);"
+      "INSERT INTO s VALUES (1, 7), (2, 8);"
+      "CREATE MATERIALIZED VIEW joined AS SELECT a, c FROM r, s "
+      "  WHERE b = b2 AND a > 3;"
+      "DROP VIEW filtered;"
+      "CREATE MATERIALIZED VIEW filtered AS SELECT a, b FROM r WHERE a > 30;";
+  Engine reference;
+  reference.ExecuteScript(before);
+  RunChunk(reference, 0);
+  reference.ExecuteScript(after);
+  {
+    auto storage = Open(Dir("inc"), /*checkpoint_on_close=*/false);
+    Engine engine(storage.get());
+    engine.ExecuteScript(before);
+    RunChunk(engine, 0);
+    engine.Execute("CHECKPOINT");
+    engine.ExecuteScript(after);
+    StorageMetrics& m = engine.mutable_views().metrics().storage();
+    const int64_t skipped_before = m.partitions_skipped;
+    engine.Execute("CHECKPOINT");
+    // Only table r carried anything forward: it is the one scope that
+    // kept its identity and saw no row change.
+    EXPECT_EQ(m.partitions_skipped - skipped_before, 8);
+  }
+  // The log was rotated by the second checkpoint, so recovery reads the
+  // image alone.
+  auto storage = Open(Dir("inc"));
+  Engine engine(storage.get());
+  EXPECT_EQ(storage->wal_stats().records_replayed, 0);
+  ExpectSameState(engine, reference, "re-created scopes");
 }
 
 }  // namespace

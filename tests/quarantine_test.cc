@@ -219,7 +219,7 @@ TEST_F(QuarantineTest, QuarantineSurvivesWalReplay) {
   {
     auto storage = Storage::Open(Dir(), no_checkpoint);
     Engine engine(storage.get());
-    engine.ExecuteScript(Preamble());  // DDL checkpoints; inserts stay in WAL
+    engine.ExecuteScript(Preamble());  // DDL and inserts stay in the WAL
     {
       ScopedFault fault("viewmgr.differential.pre_apply",
                         Spec(FaultKind::kCorruption));

@@ -21,6 +21,7 @@
 #include "storage/recovery.h"
 #include "storage/storage.h"
 #include "storage/wal.h"
+#include "util/fault.h"
 #include "workload/generator.h"
 
 namespace mview {
@@ -28,24 +29,27 @@ namespace {
 
 using sql::Engine;
 
-// Simulates a kill before anything reaches the disk: every physical batch
-// is dropped whole (zero bytes written), then the append fails.  The
-// deterministic stand-in for "power lost with zero fsyncs completed" —
-// an in-process BeforeSync crash would still leave the written bytes in
-// the file, which a real power cut may or may not.
+// Simulates a kill before anything reaches the disk: once armed, every
+// physical batch is dropped whole (zero bytes written), then the append
+// fails.  The deterministic stand-in for "power lost with zero fsyncs
+// completed" — an in-process BeforeSync crash would still leave the
+// written bytes in the file, which a real power cut may or may not.
 class DropWritePolicy : public storage::FailurePolicy {
  public:
-  size_t AdmitWrite(size_t) override { return 0; }
+  size_t AdmitWrite(size_t size) override { return armed ? 0 : size; }
+  bool armed = false;
 };
 
-// Tears the `fail_at`-th physical batch in half: a partial write reaches
-// the disk, then the append fails.
+// Tears the `fail_at`-th physical batch after arming in half: a partial
+// write reaches the disk, then the append fails.
 class TornWritePolicy : public storage::FailurePolicy {
  public:
   explicit TornWritePolicy(int fail_at) : fail_at_(fail_at) {}
   size_t AdmitWrite(size_t size) override {
+    if (!armed) return size;
     return ++writes_ == fail_at_ ? size / 2 : size;
   }
+  bool armed = false;
 
  private:
   int fail_at_;
@@ -148,12 +152,14 @@ TEST_F(RecoveryTest, CrashAfterFullFsyncReplaysTheWalTail) {
     auto storage = Storage::Open(Dir(), options);
     Engine engine(storage.get());
     engine.ExecuteScript(Preamble());
+    engine.Execute("CHECKPOINT;");  // the WAL tail below is DML only
     engine.ExecuteScript(
         "INSERT INTO r VALUES (1, 10);"
         "INSERT INTO s VALUES (10, 100);"
         "INSERT INTO r VALUES (2, 10), (3, 30);"
         "DELETE FROM r WHERE a = 1;");
-    EXPECT_EQ(storage->wal_stats().durable_lsn, 4u);
+    EXPECT_EQ(storage->wal_stats().durable_lsn,
+              storage->wal_stats().base_lsn + 4);
   }
 
   auto storage = Storage::Open(Dir());
@@ -178,9 +184,11 @@ TEST_F(RecoveryTest, CrashBeforeAnyFsyncLosesOnlyTheUndurableCommit) {
     options.failure_policy = &policy;
     auto storage = Storage::Open(Dir(), options);
     Engine engine(storage.get());
-    // DDL checkpoints bypass the WAL write path, so the schema lands
-    // durably even though every DML fsync will "lose power".
+    // The schema lands durably (and is checkpointed, so nothing is left to
+    // replay) before every later fsync "loses power".
     engine.ExecuteScript(Preamble());
+    engine.Execute("CHECKPOINT;");
+    policy.armed = true;
 
     Status status =
         engine.TryExecute("INSERT INTO r VALUES (1, 10);", nullptr);
@@ -210,6 +218,8 @@ TEST_F(RecoveryTest, CrashMidWriteDropsOnlyTheTornCommit) {
     auto storage = Storage::Open(Dir(), options);
     Engine engine(storage.get());
     engine.ExecuteScript(Preamble());
+    engine.Execute("CHECKPOINT;");  // the WAL tail below is DML only
+    policy.armed = true;
     engine.Execute("INSERT INTO r VALUES (1, 10);");
     engine.Execute("INSERT INTO s VALUES (10, 100);");
 
@@ -254,17 +264,19 @@ TEST_F(RecoveryTest, ReplaySkipsRecordsTheCheckpointAlreadyCovers) {
         "INSERT INTO r VALUES (1, 10);INSERT INTO r VALUES (2, 20);");
     // Write the checkpoint by hand — without the Rotate that
     // Storage::Checkpoint would perform next.
-    storage::WriteCheckpoint(storage->checkpoint_path(),
-                             storage->wal_stats().durable_lsn,
-                             engine.database(), engine.views(),
-                             &engine.guard());
+    storage::WriteIncrementalCheckpoint(
+        Dir(), storage->wal_stats().durable_lsn, engine.database(),
+        engine.views(), &engine.guard(), engine.views().dirty_partitions(),
+        Storage::Options{}.checkpoint_partitions, /*prev=*/nullptr,
+        /*stats=*/nullptr);
   }
 
   auto storage = Storage::Open(Dir());
   Engine recovered(storage.get());
-  // The log still carries both records (they were scanned at open), but
-  // the checkpoint covers them, so none may be re-applied.
-  EXPECT_EQ(storage->wal_stats().records_replayed, 2);
+  // The log still carries all seven records — the five DDL statements and
+  // both commits (they were scanned at open) — but the checkpoint covers
+  // them, so none may be re-applied.
+  EXPECT_EQ(storage->wal_stats().records_replayed, 7);
   EXPECT_EQ(recovered.views().metrics().storage().replayed_records, 0);
   ExpectSameState(recovered, reference);
 }
@@ -311,65 +323,138 @@ TEST_F(RecoveryTest, TornRotateDoesNotSwallowPostRecoveryCommits) {
   ExpectSameState(recovered, reference);
 }
 
-TEST_F(RecoveryTest, FailedDdlCheckpointStickyFailsTheLog) {
-  // DDL mutates the in-memory catalog, then checkpoints.  If that
-  // checkpoint fails, the log may not acknowledge anything further: a
-  // commit against the new schema would be durable in a WAL that the old
-  // checkpoint cannot decode.
+// A DDL statement is acknowledged only once its log record is durable:
+// with the append or the fsync failing, the statement is rejected with
+// nothing changed — invisible to catalog reads and snapshot readers — and
+// it is absent after reopening.
+TEST_F(RecoveryTest, FailedDdlAppendLeavesNoTrace) {
+  const std::vector<std::string> ddl = {
+      "CREATE TABLE t (x INT64);",
+      "DROP TABLE s;",
+      "CREATE MATERIALIZED VIEW big_a AS SELECT a, b FROM r WHERE a > 5;",
+      "DROP VIEW joined;",
+      "CREATE ASSERTION c_bounded ON s WHERE c > 1000000;",
+      "DROP ASSERTION a_bounded;",
+  };
+  auto catalog = [](Engine& engine) {
+    std::string out;
+    for (const char* show : {"SHOW TABLES;", "SHOW VIEWS;",
+                             "SHOW ASSERTIONS;"}) {
+      out += engine.Execute(show).ToString();
+    }
+    return out + "snapshot views: " +
+           std::to_string(engine.core().Snapshot()->ViewNames().size());
+  };
+  for (const char* point : {"wal.append", "wal.fsync"}) {
+    for (const std::string& sql : ddl) {
+      SCOPED_TRACE(std::string(point) + ": " + sql);
+      std::filesystem::remove_all(Dir());
+      std::string before;
+      {
+        auto storage = Storage::Open(Dir());
+        Engine engine(storage.get());
+        engine.ExecuteScript(Preamble());
+        engine.Execute("DROP TABLE s;" == sql ? "DROP VIEW joined;"
+                                              : "INSERT INTO r VALUES (1, 10);");
+        before = catalog(engine);
+        const int64_t appended = storage->wal_stats().records_appended;
+
+        util::FaultSpec eio;
+        eio.kind = util::FaultKind::kIoError;
+        util::FaultRegistry::Global().Arm(point, eio);
+        Status status = engine.TryExecute(sql, nullptr);
+        util::FaultRegistry::Global().DisarmAll();
+        ASSERT_FALSE(status.ok);
+        EXPECT_EQ(status.kind, Status::Kind::kIoError) << status.message;
+        EXPECT_EQ(catalog(engine), before);
+        EXPECT_EQ(storage->wal_stats().records_appended, appended);
+      }
+      auto storage = Storage::Open(Dir());
+      Engine recovered(storage.get());
+      EXPECT_EQ(catalog(recovered), before);
+    }
+  }
+}
+
+// Each DDL statement is one log record: no checkpoint, no rotation.
+TEST_F(RecoveryTest, DdlIsLoggedAsOneRecordWithoutACheckpoint) {
+  auto storage = Storage::Open(Dir());
+  Engine engine(storage.get());
+  int64_t appended = 0;
+  for (const char* sql :
+       {"CREATE TABLE r (a INT64, b INT64);",
+        "CREATE TABLE s (b2 INT64, c INT64);",
+        "CREATE MATERIALIZED VIEW joined AS SELECT a, c FROM r, s "
+        "WHERE b = b2;",
+        "CREATE ASSERTION a_bounded ON r WHERE a > 1000000;",
+        "DROP ASSERTION a_bounded;", "DROP VIEW joined;", "DROP TABLE s;"}) {
+    engine.Execute(sql);
+    ++appended;
+    EXPECT_EQ(storage->wal_stats().records_appended, appended) << sql;
+    EXPECT_EQ(storage->wal_stats().durable_lsn,
+              static_cast<uint64_t>(appended))
+        << sql;
+  }
+  EXPECT_EQ(storage->wal_stats().base_lsn, 0u);
+  EXPECT_EQ(engine.views().metrics().storage().checkpoints, 0);
+  EXPECT_FALSE(std::filesystem::exists(storage->manifest_path()));
+
+  engine.Execute("INSERT INTO r VALUES (1, 10);");
+  EXPECT_EQ(storage->wal_stats().durable_lsn, 8u);
+}
+
+// A crash after DDL and DML with no checkpoint at all: recovery rebuilds
+// the whole catalog from the log — tables, immediate, DEFERRED (with its
+// backlog) and PARTITIONS views, assertions, and the drops in between —
+// equal to an uninterrupted in-memory engine.
+TEST_F(RecoveryTest, CrashAfterDdlAndDmlRecoversFromTheLogAlone) {
+  const std::string script =
+      std::string(Preamble()) +
+      "INSERT INTO r VALUES (1, 10), (2, 20), (3, 30);"
+      "INSERT INTO s VALUES (10, 100), (30, 300);"
+      "CREATE TABLE gone (x INT64);"
+      "CREATE MATERIALIZED VIEW part PARTITIONS 4 AS "
+      "  SELECT a, b FROM r WHERE a > 1;"
+      "CREATE MATERIALIZED VIEW temp AS SELECT c FROM s WHERE c > 0;"
+      "CREATE ASSERTION c_bounded ON s WHERE c > 5000;"
+      "INSERT INTO r VALUES (4, 10);"
+      "DELETE FROM s WHERE b2 = 30;"
+      "DROP VIEW temp;"
+      "DROP TABLE gone;"
+      "DROP ASSERTION a_bounded;"
+      "INSERT INTO r VALUES (5, 50);";
+  Engine reference;
+  reference.ExecuteScript(script);
   {
-    auto storage = Storage::Open(Dir());
+    Storage::Options options;
+    options.checkpoint_on_close = false;  // simulated kill
+    auto storage = Storage::Open(Dir(), options);
     Engine engine(storage.get());
-    engine.Execute("CREATE TABLE r (a INT64, b INT64);");
-    engine.Execute("INSERT INTO r VALUES (1, 10);");
-
-    // Break checkpointing: its scratch file path is occupied by a
-    // directory, so the next WriteCheckpoint fails with an I/O error.
-    std::filesystem::create_directory(Dir() + "/checkpoint.mv.tmp");
-    Status ddl =
-        engine.TryExecute("CREATE TABLE s (b2 INT64, c INT64);", nullptr);
-    ASSERT_FALSE(ddl.ok);
-    EXPECT_EQ(ddl.kind, Status::Kind::kIoError);
-
-    // The log is sticky-failed: no commit is acknowledged while the
-    // durable catalog disagrees with the in-memory one.
-    Status dml =
-        engine.TryExecute("INSERT INTO r VALUES (2, 20);", nullptr);
-    ASSERT_FALSE(dml.ok);
-    EXPECT_EQ(dml.kind, Status::Kind::kIoError);
-    std::filesystem::remove(Dir() + "/checkpoint.mv.tmp");
-    // Engine destruction skips the close-time checkpoint (failed log).
+    engine.ExecuteScript(script);
+    EXPECT_EQ(engine.views().metrics().storage().checkpoints, 0);
   }
 
   auto storage = Storage::Open(Dir());
   Engine recovered(storage.get());
-  // Recovery rolls back to the last durable catalog: no table s, and the
-  // pre-DDL commit survived.
-  Engine reference;
-  reference.Execute("CREATE TABLE r (a INT64, b INT64);");
-  reference.Execute("INSERT INTO r VALUES (1, 10);");
-  EXPECT_EQ(Query(recovered, "SELECT * FROM r"),
-            Query(reference, "SELECT * FROM r"));
-  EXPECT_FALSE(recovered.database().Exists("s"));
-}
+  ExpectSameState(recovered, reference);
+  for (const char* show : {"SHOW TABLES;", "SHOW VIEWS;", "SHOW ASSERTIONS;",
+                           "SHOW PARTITIONS;", "SELECT * FROM part;"}) {
+    EXPECT_EQ(Query(recovered, show), Query(reference, show)) << show;
+  }
+  EXPECT_EQ(recovered.views().Describe("small_a").pending_tuples,
+            reference.views().Describe("small_a").pending_tuples);
+  EXPECT_TRUE(recovered.views().Describe("small_a").stale);
 
-TEST_F(RecoveryTest, DdlForcesACheckpointAndRotatesTheLog) {
-  auto storage = Storage::Open(Dir());
-  Engine engine(storage.get());
-  engine.Execute("CREATE TABLE r (a INT64, b INT64);");
-  EXPECT_EQ(storage->wal_stats().base_lsn, 0u);
-
-  engine.Execute("INSERT INTO r VALUES (1, 10);");
-  engine.Execute("INSERT INTO r VALUES (2, 20);");
-  EXPECT_EQ(storage->wal_stats().durable_lsn, 2u);
-
-  // Any catalog change checkpoints and rebases the log: the WAL never
-  // spans DDL.
-  engine.Execute("CREATE TABLE s (b2 INT64, c INT64);");
-  EXPECT_EQ(storage->wal_stats().base_lsn, 2u);
-  EXPECT_EQ(storage->wal_stats().next_lsn, 3u);
-
-  engine.Execute("INSERT INTO s VALUES (10, 100);");
-  EXPECT_EQ(storage->wal_stats().durable_lsn, 3u);
+  // The replayed assertion guards commits; the dropped one does not.
+  for (Engine* engine : {&recovered, &reference}) {
+    EXPECT_NE(engine->Execute("INSERT INTO s VALUES (7, 9000);")
+                  .message.find("c_bounded"),
+              std::string::npos);
+    engine->Execute("INSERT INTO r VALUES (2000000, 1);");
+  }
+  recovered.Execute("REFRESH small_a;");
+  reference.Execute("REFRESH small_a;");
+  ExpectSameState(recovered, reference);
 }
 
 TEST_F(RecoveryTest, AssertionsRecoverAndStillRejectViolations) {
@@ -401,13 +486,15 @@ TEST_F(RecoveryTest, SqlCheckpointShowWalAndStorageStats) {
   auto storage = Storage::Open(Dir());
   Engine engine(storage.get());
   engine.ExecuteScript(Preamble());
+  const uint64_t ddl_lsn = storage->wal_stats().durable_lsn;
+  EXPECT_EQ(ddl_lsn, 5u);  // one record per DDL statement
   engine.ExecuteScript(
       "INSERT INTO r VALUES (1, 10);INSERT INTO r VALUES (2, 20);");
 
   Engine::Result checkpoint = engine.Execute("CHECKPOINT;");
   EXPECT_EQ(checkpoint.kind, Engine::Result::Kind::kMessage);
   EXPECT_NE(checkpoint.message.find("checkpoint"), std::string::npos);
-  EXPECT_EQ(storage->wal_stats().base_lsn, 2u);
+  EXPECT_EQ(storage->wal_stats().base_lsn, ddl_lsn + 2);
 
   Engine::Result wal = engine.Execute("SHOW WAL;");
   ASSERT_EQ(wal.kind, Engine::Result::Kind::kRows);
@@ -420,7 +507,7 @@ TEST_F(RecoveryTest, SqlCheckpointShowWalAndStorageStats) {
     }
     if (row.at(0).AsString() == "base_lsn") {
       saw_base_lsn = true;
-      EXPECT_EQ(row.at(1).AsInt64(), 2);
+      EXPECT_EQ(row.at(1).AsInt64(), static_cast<int64_t>(ddl_lsn + 2));
     }
   }
   EXPECT_TRUE(saw_attached);
@@ -447,7 +534,6 @@ TEST_F(RecoveryTest, SqlCheckpointShowWalAndStorageStats) {
 // and the deferred backlog exactly.
 TEST_F(RecoveryTest, RandomWorkloadReplayMatchesDirectExecution) {
   const std::string wal_path = Dir() + "/wal.mv";
-  const std::string ckpt_path = Dir() + "/checkpoint.mv";
 
   RelationSpec r_spec("R", /*arity=*/2, /*domain=*/40, /*rows=*/60);
   RelationSpec s_spec("S", /*arity=*/2, /*domain=*/40, /*rows=*/60);
@@ -466,8 +552,11 @@ TEST_F(RecoveryTest, RandomWorkloadReplayMatchesDirectExecution) {
 
   // Checkpoint the populated initial state at LSN 0, then stream a random
   // workload through the live manager and the log in lockstep.
-  storage::WriteCheckpoint(ckpt_path, /*lsn=*/0, live_db, live,
-                           /*guard=*/nullptr);
+  storage::WriteIncrementalCheckpoint(Dir(), /*lsn=*/0, live_db, live,
+                                     /*guard=*/nullptr,
+                                     live.dirty_partitions(),
+                                     /*partitions=*/4, /*prev=*/nullptr,
+                                     /*stats=*/nullptr);
   {
     storage::Wal wal(wal_path, storage::WalOptions{});
     for (int i = 0; i < 40; ++i) {
@@ -484,9 +573,9 @@ TEST_F(RecoveryTest, RandomWorkloadReplayMatchesDirectExecution) {
   // Recover into a fresh database + manager.
   Database recovered_db;
   ViewManager recovered(&recovered_db);
-  auto checkpoint = storage::ReadCheckpoint(ckpt_path);
+  auto checkpoint = storage::ReadIncrementalCheckpoint(Dir());
   ASSERT_TRUE(checkpoint.has_value());
-  storage::InstallCheckpoint(std::move(*checkpoint), &recovered_db,
+  storage::InstallCheckpoint(std::move(checkpoint->data), &recovered_db,
                              &recovered);
   int64_t replayed = 0;
   {

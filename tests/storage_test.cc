@@ -4,11 +4,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "db/database.h"
 #include "ivm/view_manager.h"
+#include "relational/csv.h"
+#include "relational/partition.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
 #include "test_util.h"
@@ -31,7 +35,37 @@ class StorageTest : public ::testing::Test {
   ~StorageTest() override { std::filesystem::remove_all(dir_); }
 
   std::string WalPath() const { return dir_ + "/wal.mv"; }
-  std::string CheckpointPath() const { return dir_ + "/checkpoint.mv"; }
+  std::string ManifestPath() const { return dir_ + "/manifest.mv"; }
+
+  // A full checkpoint of `db`/`views` into the test directory, sliced into
+  // `partitions` segments per scope.
+  CheckpointManifest WriteFull(uint64_t lsn, const Database& db,
+                               const ViewManager& views,
+                               const IntegrityGuard* guard,
+                               uint32_t partitions = 4,
+                               const CheckpointManifest* prev = nullptr) {
+    return WriteIncrementalCheckpoint(dir_, lsn, db, views, guard,
+                                      views.dirty_partitions(), partitions,
+                                      prev, nullptr);
+  }
+
+  // Frames `body` as a manifest file (magic, CRC, length) and installs it.
+  void WriteRawManifest(const std::string& body) {
+    std::string file = "MVMANIF1";
+    wire::PutU32(&file, Crc32(body.data(), body.size()));
+    wire::PutU64(&file, body.size());
+    file += body;
+    std::ofstream(ManifestPath(), std::ios::binary | std::ios::trunc) << file;
+  }
+
+  static void FlipLastByte(const std::string& path) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    char c;
+    f.seekg(-1, std::ios::end);
+    f.get(c);
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(c ^ 0xFF));
+  }
 
   // A one-relation effect inserting (k, k*10) into R.
   TransactionEffect Effect(int64_t k) {
@@ -336,14 +370,6 @@ TEST_F(StorageTest, InjectedTornWriteFailsTheLogStickily) {
   EXPECT_EQ(stats.durable_lsn, 1u);
 }
 
-TEST_F(StorageTest, ExternalFailIsSticky) {
-  Wal wal(WalPath(), WalOptions{});
-  wal.Append(Effect(1));
-  wal.Fail("post-DDL checkpoint failed");
-  EXPECT_TRUE(wal.failed());
-  EXPECT_THROW(wal.Append(Effect(2)), IoError);
-}
-
 class SyncCrashPolicy : public FailurePolicy {
  public:
   void BeforeSync() override {
@@ -387,60 +413,164 @@ TEST_F(StorageTest, CheckpointRoundTripsTablesViewsAndAssertions) {
   IntegrityGuard guard(&db);
   guard.AddAssertion("no_big_a", {"R"}, "A > 100");
 
-  WriteCheckpoint(CheckpointPath(), /*lsn=*/7, db, views, &guard);
-  auto data = ReadCheckpoint(CheckpointPath());
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->lsn, 7u);
-  ASSERT_EQ(data->tables.size(), 2u);
-  EXPECT_EQ(data->tables[0].first, "R");
-  EXPECT_EQ(data->tables[0].second.size(), 3u);
-  ASSERT_EQ(data->views.size(), 2u);
-  EXPECT_EQ(data->views[0].name, "j");
-  EXPECT_TRUE(data->views[0].materialized.SameContents(views.View("j")));
-  EXPECT_EQ(data->views[1].mode, MaintenanceMode::kDeferred);
-  ASSERT_EQ(data->views[1].pending.size(), 1u);
-  ASSERT_EQ(data->views[1].pending[0].inserts.size(), 1u);
-  EXPECT_EQ(data->views[1].pending[0].inserts[0], T({5, 2}));
-  ASSERT_EQ(data->assertions.size(), 1u);
-  EXPECT_EQ(data->assertions[0].name(), "no_big_a");
+  WriteFull(/*lsn=*/7, db, views, &guard);
+  auto recovered = ReadIncrementalCheckpoint(dir_);
+  ASSERT_TRUE(recovered.has_value());
+  const CheckpointData& data = recovered->data;
+  EXPECT_EQ(data.lsn, 7u);
+  EXPECT_EQ(recovered->manifest.lsn, 7u);
+  ASSERT_EQ(data.tables.size(), 2u);
+  EXPECT_EQ(data.tables[0].first, "R");
+  EXPECT_EQ(data.tables[0].second.size(), 3u);
+  ASSERT_EQ(data.views.size(), 2u);
+  EXPECT_EQ(data.views[0].name, "j");
+  EXPECT_TRUE(data.views[0].materialized.SameContents(views.View("j")));
+  EXPECT_EQ(data.views[1].mode, MaintenanceMode::kDeferred);
+  ASSERT_EQ(data.views[1].pending.size(), 1u);
+  ASSERT_EQ(data.views[1].pending[0].inserts.size(), 1u);
+  EXPECT_EQ(data.views[1].pending[0].inserts[0], T({5, 2}));
+  ASSERT_EQ(data.assertions.size(), 1u);
+  EXPECT_EQ(data.assertions[0].name(), "no_big_a");
   // The condition survived structurally.
-  EXPECT_EQ(data->assertions[0].condition().ToString(),
+  EXPECT_EQ(data.assertions[0].condition().ToString(),
             guard.Definition("no_big_a").condition().ToString());
 }
 
 TEST_F(StorageTest, MissingCheckpointIsNotAnError) {
-  EXPECT_FALSE(ReadCheckpoint(CheckpointPath()).has_value());
+  EXPECT_FALSE(ReadIncrementalCheckpoint(dir_).has_value());
 }
 
 TEST_F(StorageTest, CorruptCheckpointThrows) {
   Database db;
-  MakeRelation(&db, "R", {"A"}, {{1}});
+  MakeRelation(&db, "R", {"A"}, {{1}, {2}, {3}});
   ViewManager views(&db);
-  WriteCheckpoint(CheckpointPath(), 1, db, views, nullptr);
-  {
-    std::fstream f(CheckpointPath(),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    char c;
-    f.seekg(-1, std::ios::end);
-    f.get(c);
-    f.seekp(-1, std::ios::end);
-    f.put(static_cast<char>(c ^ 0xFF));
-  }
-  EXPECT_THROW(ReadCheckpoint(CheckpointPath()), CorruptionError);
+  CheckpointManifest m = WriteFull(1, db, views, nullptr, /*partitions=*/1);
+  ASSERT_EQ(m.tables.size(), 1u);
+  const std::string segment = dir_ + "/" + m.tables[0].segments[0];
+
+  // A flipped byte in a segment fails its CRC ...
+  FlipLastByte(segment);
+  EXPECT_THROW(ReadIncrementalCheckpoint(dir_), CorruptionError);
+  FlipLastByte(segment);
+  ASSERT_TRUE(ReadIncrementalCheckpoint(dir_).has_value());
+
+  // ... and so does one in the manifest.
+  FlipLastByte(ManifestPath());
+  EXPECT_THROW(ReadIncrementalCheckpoint(dir_), CorruptionError);
 }
 
 TEST_F(StorageTest, CheckpointOverwriteIsAtomic) {
   Database db;
   MakeRelation(&db, "R", {"A"}, {{1}});
   ViewManager views(&db);
-  WriteCheckpoint(CheckpointPath(), 1, db, views, nullptr);
+  CheckpointManifest first = WriteFull(1, db, views, nullptr);
   db.Get("R").Insert(T({2}));
-  WriteCheckpoint(CheckpointPath(), 2, db, views, nullptr);
-  auto data = ReadCheckpoint(CheckpointPath());
-  ASSERT_TRUE(data.has_value());
-  EXPECT_EQ(data->lsn, 2u);
-  EXPECT_EQ(data->tables[0].second.size(), 2u);
-  EXPECT_FALSE(std::filesystem::exists(CheckpointPath() + ".tmp"));
+  WriteFull(2, db, views, nullptr, /*partitions=*/4, &first);
+  auto recovered = ReadIncrementalCheckpoint(dir_);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->data.lsn, 2u);
+  EXPECT_EQ(recovered->manifest.generation, first.generation + 1);
+  EXPECT_EQ(recovered->data.tables[0].second.size(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(ManifestPath() + ".tmp"));
+}
+
+// A manifest whose CRC is valid but whose partition count is absurd must
+// fail as corruption before the decoder sizes a vector from it (~128 GiB
+// of strings for 0xFFFFFFFF).
+TEST_F(StorageTest, ManifestPartitionCountIsClampedToItsBytes) {
+  std::string body;
+  wire::PutU64(&body, 1);            // lsn
+  wire::PutU64(&body, 1);            // generation
+  wire::PutU32(&body, 0xFFFFFFFFu);  // partitions
+  wire::PutU32(&body, 1);            // one table ...
+  wire::PutString(&body, "R");       // ... whose segment list is missing
+  WriteRawManifest(body);
+  EXPECT_THROW(ReadIncrementalCheckpoint(dir_), CorruptionError);
+}
+
+// Recovery opens `dir + "/" + name` for every segment a manifest lists,
+// so a name outside `seg_<gen>_<seq>.mv` must be rejected even when the
+// file it points at is a perfectly valid segment.
+TEST_F(StorageTest, ManifestSegmentNamesMustBeSegmentFiles) {
+  Database db;
+  MakeRelation(&db, "R", {"A"}, {{1}, {2}});
+  ViewManager views(&db);
+  CheckpointManifest m = WriteFull(1, db, views, nullptr, /*partitions=*/1);
+  std::filesystem::copy_file(dir_ + "/" + m.tables[0].segments[0],
+                             dir_ + "/elsewhere.mv");
+  for (const std::string& name :
+       {std::string("elsewhere.mv"), std::string("../") +
+                                         std::filesystem::path(dir_)
+                                             .filename()
+                                             .string() +
+                                         "/" + m.tables[0].segments[0]}) {
+    std::string body;
+    wire::PutU64(&body, 1);  // lsn
+    wire::PutU64(&body, 2);  // generation
+    wire::PutU32(&body, 1);  // partitions
+    wire::PutU32(&body, 1);  // tables
+    wire::PutString(&body, "R");
+    wire::PutString(&body, name);
+    wire::PutU32(&body, 0);  // views
+    wire::PutU32(&body, 0);  // assertions
+    WriteRawManifest(body);
+    EXPECT_THROW(ReadIncrementalCheckpoint(dir_), CorruptionError) << name;
+  }
+}
+
+// Segments are encoded straight from one bucketing pass over each scope;
+// their bytes must equal `WriteCsv` of the same slice — including string
+// values that need CSV quoting — for tables (plain rows) and views
+// (rows with counts).
+TEST_F(StorageTest, SegmentBytesEqualWriteCsvOfTheSlice) {
+  constexpr uint32_t kPartitions = 4;
+  Database db;
+  Relation& rel = db.CreateRelation(
+      "S", Schema({{"id", ValueType::kInt64}, {"s", ValueType::kString}}));
+  const std::vector<std::string> strings = {
+      "plain", "with,comma", "with \"quotes\"", "line\nbreak", "cr\r",
+      "", "\"", "a,\"b\",c"};
+  for (int64_t i = 0; i < 64; ++i) {
+    rel.Insert(Tuple({Value(i - 20), Value(strings[i % strings.size()] +
+                                           std::to_string(i % 5))}));
+  }
+  ViewManager views(&db);
+  views.RegisterView(ViewDefinition::Select("v", "S", "id > -5", {"s"}),
+                     MaintenanceMode::kImmediate);
+
+  CheckpointManifest m = WriteFull(1, db, views, nullptr, kPartitions);
+  auto segment_csv = [&](const std::string& file) {
+    std::ifstream in(dir_ + "/" + file, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    return bytes.substr(8 + 4 + 8);  // magic, CRC, length
+  };
+  for (uint32_t p = 0; p < kPartitions; ++p) {
+    Relation table_slice(rel.schema());
+    rel.Scan([&](const Tuple& t) {
+      if (PartitionOf(t, kRowHashKey, kPartitions) == p) table_slice.Insert(t);
+    });
+    std::ostringstream table_csv;
+    WriteCsv(table_slice, table_csv);
+    EXPECT_EQ(segment_csv(m.tables[0].segments[p]), table_csv.str())
+        << "table partition " << p;
+
+    const CountedRelation& view = views.View("v");
+    CountedRelation view_slice(view.schema());
+    view.Scan([&](const Tuple& t, int64_t count) {
+      if (PartitionOf(t, kRowHashKey, kPartitions) == p) {
+        view_slice.Add(t, count);
+      }
+    });
+    std::ostringstream view_csv;
+    WriteCsv(view_slice, view_csv);
+    EXPECT_EQ(segment_csv(m.view_segments[0].segments[p]), view_csv.str())
+        << "view partition " << p;
+  }
+  // The projection collapsed duplicates, so some counts exceed one.
+  bool multi = false;
+  views.View("v").Scan([&](const Tuple&, int64_t c) { multi |= c > 1; });
+  EXPECT_TRUE(multi);
 }
 
 }  // namespace
