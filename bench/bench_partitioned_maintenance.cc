@@ -1,5 +1,5 @@
 // Experiment E21: hash-partitioned views — intra-view parallel maintenance
-// and dirty-partition incremental checkpoints.
+// — and differential checkpoints.
 //
 // Part 1 (maintenance): an E16-style 1M-row workload (r ⋈ s on
 // r_a1 = s_a0, ~1 match per key) driven through the ViewManager commit
@@ -15,11 +15,12 @@
 // (EXPERIMENTS.md E21 discusses this).  Partition *pruning* and the
 // checkpoint results below are core-count independent.
 //
-// Part 2 (checkpoints): a durable engine with 16 checkpoint partitions.
-// The first checkpoint writes the full image (every segment fresh); a
-// small commit confined to one hash partition is then checkpointed again
-// (only dirty segments rewritten).  The byte ratio of the two is the
-// O(database) → O(dirty) claim, and is deterministic — no cores needed.
+// Part 2 (checkpoints): a durable engine with one table and one view.  The
+// first checkpoint writes the full image (every scope's base); one commit
+// then changes about 1% of the rows, and the next checkpoint writes one
+// delta segment per scope holding just those rows.  The byte ratio of the
+// two is the O(database) → O(change) claim, and is deterministic — no
+// cores needed.
 //
 // `--json <path>` writes the summary rows (BENCH_E21.json).
 
@@ -36,7 +37,6 @@
 
 #include "bench_util.h"
 #include "ivm/view_manager.h"
-#include "relational/partition.h"
 #include "sql/engine.h"
 #include "storage/storage.h"
 #include "workload/generator.h"
@@ -97,16 +97,16 @@ BENCHMARK(BM_PartitionedCommit)
     ->Iterations(2)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Part 2: checkpoint bytes, full image vs dirty partitions only.
+// Part 2: checkpoint bytes, full image vs the delta of a 1% change.
 
-constexpr uint32_t kCheckpointPartitions = 16;
 size_t CheckpointRows() { return bench::Scaled(50'000, 500); }
 
 struct CheckpointResult {
-  double full_bytes = 0;   // first image (all segments fresh)
-  double dirty_bytes = 0;  // re-checkpoint after a one-partition commit
-  double segments = 0;     // segments written by the dirty checkpoint
-  double skipped = 0;      // clean partitions carried forward
+  double full_bytes = 0;     // first image (every scope's base)
+  double delta_bytes = 0;    // re-checkpoint after the 1% commit
+  double changed_rows = 0;   // rows the commit deleted or inserted
+  double segments = 0;       // segments written by the second checkpoint
+  double skipped = 0;        // scopes carried forward by it
 };
 
 // Multi-row INSERT statements in `chunk`-row batches (one commit each).
@@ -121,23 +121,6 @@ void BulkInsert(sql::Engine& engine, size_t rows, size_t chunk) {
   }
 }
 
-// Fresh tuples (a >= `from`) that all land in checkpoint partition 0 under
-// the storage layer's whole-tuple hash — the commit they form dirties
-// exactly one of the 16 partitions per scope.
-std::string ConfinedInsert(size_t from, size_t count) {
-  std::string sql = "INSERT INTO t VALUES ";
-  size_t found = 0;
-  for (size_t i = from; found < count; ++i) {
-    Tuple t({Value(static_cast<int64_t>(i)),
-             Value(static_cast<int64_t>(2 * i))});
-    if (PartitionOf(t, kRowHashKey, kCheckpointPartitions) != 0) continue;
-    if (found != 0) sql += ", ";
-    sql += "(" + std::to_string(i) + ", " + std::to_string(2 * i) + ")";
-    ++found;
-  }
-  return sql;
-}
-
 // Returns the bytes written by the two explicit checkpoints.
 CheckpointResult RunCheckpointExperiment() {
   const auto dir =
@@ -145,30 +128,40 @@ CheckpointResult RunCheckpointExperiment() {
   std::filesystem::remove_all(dir);
   CheckpointResult result;
   {
-    Storage::Options options;
-    options.checkpoint_partitions = kCheckpointPartitions;
-    auto storage = Storage::Open(dir.string(), options);
+    auto storage = Storage::Open(dir.string());
     sql::Engine engine(storage.get());
     engine.Execute("CREATE TABLE t (a INT64, b INT64)");
     BulkInsert(engine, CheckpointRows(), 500);
     engine.Execute(
         "CREATE MATERIALIZED VIEW v AS SELECT a, b FROM t WHERE a >= 0");
     // No manifest exists yet, so the first checkpoint writes the full
-    // image (every segment fresh).
+    // image (every scope's base).
     StorageMetrics& m = engine.mutable_views().metrics().storage();
     const int64_t before_full = m.checkpoint_bytes;
     engine.Execute("CHECKPOINT");
     result.full_bytes = static_cast<double>(m.checkpoint_bytes - before_full);
 
-    // One commit confined to partition 0 of both scopes (the view
-    // materializes the same tuples, so its rows hash identically).
-    engine.Execute(ConfinedInsert(CheckpointRows(), 64));
-    const int64_t before_dirty = m.checkpoint_bytes;
+    // One commit changing 1% of the rows: half deletes of old rows, half
+    // inserts of new ones.  The view holds the same tuples, so its delta
+    // is the same size.
+    const size_t half = CheckpointRows() / 200;
+    engine.Execute("BEGIN");
+    engine.Execute("DELETE FROM t WHERE a < " + std::to_string(half));
+    std::string insert = "INSERT INTO t VALUES ";
+    for (size_t i = 0; i < half; ++i) {
+      const size_t a = CheckpointRows() + i;
+      if (i != 0) insert += ", ";
+      insert += "(" + std::to_string(a) + ", " + std::to_string(2 * a) + ")";
+    }
+    engine.Execute(insert);
+    engine.Execute("COMMIT");
+    result.changed_rows = static_cast<double>(2 * half);
+    const int64_t before_delta = m.checkpoint_bytes;
     const int64_t seg0 = m.segments_written;
     const int64_t skip0 = m.partitions_skipped;
     engine.Execute("CHECKPOINT");
-    result.dirty_bytes =
-        static_cast<double>(m.checkpoint_bytes - before_dirty);
+    result.delta_bytes =
+        static_cast<double>(m.checkpoint_bytes - before_delta);
     result.segments = static_cast<double>(m.segments_written - seg0);
     result.skipped = static_cast<double>(m.partitions_skipped - skip0);
   }
@@ -219,25 +212,27 @@ void PrintSummary() {
 
   bench::SummaryTable checkpoints(
       "E21b: checkpoint bytes — " + std::to_string(CheckpointRows()) +
-          " rows, " + std::to_string(kCheckpointPartitions) +
-          " partitions, then a 64-row commit confined to one partition",
+          " rows in a table and a view, then one commit changing 1% of them",
       {"checkpoint", "bytes", "vs full image"});
   CheckpointResult ckpt = RunCheckpointExperiment();
-  checkpoints.AddRow({"all partitions dirty (full image)",
+  checkpoints.AddRow({"full image (every base)",
                       std::to_string(static_cast<int64_t>(ckpt.full_bytes)),
                       "1.00x"});
   checkpoints.AddRow(
-      {"1/" + std::to_string(kCheckpointPartitions) + " dirty",
-       std::to_string(static_cast<int64_t>(ckpt.dirty_bytes)),
-       FormatSpeedup(ckpt.full_bytes / ckpt.dirty_bytes)});
+      {"delta of " + std::to_string(static_cast<int64_t>(ckpt.changed_rows)) +
+           " changed rows",
+       std::to_string(static_cast<int64_t>(ckpt.delta_bytes)),
+       FormatSpeedup(ckpt.full_bytes / ckpt.delta_bytes)});
   checkpoints.Print();
-  std::printf("dirty checkpoint: %.0f segments written, %.0f carried\n\n",
-              ckpt.segments, ckpt.skipped);
-  json.Add({{"ckpt_incremental_full_bytes", ckpt.full_bytes},
-            {"ckpt_incremental_dirty_bytes", ckpt.dirty_bytes},
-            {"ckpt_reduction_x", ckpt.full_bytes / ckpt.dirty_bytes},
+  std::printf(
+      "delta checkpoint: %.0f segments written, %.0f scopes carried\n\n",
+      ckpt.segments, ckpt.skipped);
+  json.Add({{"ckpt_full_bytes", ckpt.full_bytes},
+            {"ckpt_delta_bytes", ckpt.delta_bytes},
+            {"ckpt_reduction_x", ckpt.full_bytes / ckpt.delta_bytes},
+            {"changed_rows", ckpt.changed_rows},
             {"segments_written", ckpt.segments},
-            {"partitions_skipped", ckpt.skipped}});
+            {"scopes_skipped", ckpt.skipped}});
 
   if (!json.WriteIfRequested()) std::exit(1);
 }

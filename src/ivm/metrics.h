@@ -111,11 +111,13 @@ struct StorageMetrics {
   int64_t wal_fsyncs = 0;        // fsync calls issued by the log
   int64_t wal_bytes = 0;         // record bytes written (excl. header)
   int64_t fsync_nanos = 0;       // total wall time inside write+fsync
-  int64_t checkpoints = 0;       // checkpoint files written
+  int64_t checkpoints = 0;       // checkpoints written
   int64_t checkpoint_nanos = 0;  // time spent writing checkpoints
-  int64_t checkpoint_bytes = 0;  // bytes written by checkpoints (all kinds)
-  int64_t segments_written = 0;  // fresh partition segments written
-  int64_t partitions_skipped = 0;  // clean partitions carried forward
+  int64_t checkpoint_bytes = 0;  // every byte a checkpoint writes
+  int64_t segments_written = 0;  // segment files (bases and deltas) written
+  // Scopes (tables and views) a checkpoint carried forward unchanged; the
+  // key keeps its name for `SHOW STATS JSON` readers.
+  int64_t partitions_skipped = 0;
   int64_t replayed_records = 0;  // WAL records replayed at recovery
   SizeHistogram batch_commits;   // commits coalesced per fsync batch
   obs::LatencyHistogram fsync_latency;  // per write+fsync batch

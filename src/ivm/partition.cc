@@ -108,44 +108,4 @@ PartitionLayout ComputePartitionLayout(const Condition& condition,
   return layout;
 }
 
-void PartitionDirtyMap::Enable(uint32_t partitions) {
-  if (partitions == 0) partitions = 1;
-  if (partitions_ == partitions) return;
-  partitions_ = partitions;
-  scopes_.clear();
-}
-
-void PartitionDirtyMap::Mark(const std::string& scope, const Tuple& tuple) {
-  if (!enabled()) return;
-  ScopeState& state = scopes_[scope];
-  if (state.all) return;
-  if (state.bits.empty()) state.bits.assign(partitions_, false);
-  state.bits[PartitionOf(tuple, kRowHashKey, partitions_)] = true;
-}
-
-void PartitionDirtyMap::MarkAll(const std::string& scope) {
-  if (!enabled()) return;
-  scopes_[scope].all = true;
-}
-
-void PartitionDirtyMap::Forget(const std::string& scope) {
-  scopes_.erase(scope);
-}
-
-bool PartitionDirtyMap::IsDirty(const std::string& scope, uint32_t p) const {
-  auto it = scopes_.find(scope);
-  if (it == scopes_.end()) return false;
-  if (it->second.all) return true;
-  return p < it->second.bits.size() && it->second.bits[p];
-}
-
-uint32_t PartitionDirtyMap::DirtyCount(const std::string& scope) const {
-  auto it = scopes_.find(scope);
-  if (it == scopes_.end()) return 0;
-  if (it->second.all) return partitions_;
-  uint32_t n = 0;
-  for (bool b : it->second.bits) n += b ? 1 : 0;
-  return n;
-}
-
 }  // namespace mview

@@ -2,8 +2,6 @@
 #define MVIEW_IVM_PARTITION_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "predicate/condition.h"
@@ -55,59 +53,6 @@ struct PartitionLayout {
 PartitionLayout ComputePartitionLayout(const Condition& condition,
                                        const std::vector<Schema>& aliased,
                                        uint32_t count);
-
-/// Tracks which hash partitions of each table and view changed since the
-/// last successful checkpoint, so `Storage::Checkpoint` can rewrite only
-/// dirty partition segments.
-///
-/// Scopes are string keys (the storage layer uses "t:<table>" and
-/// "v:<view>").  A scope with no marks since the last `Clear` is clean —
-/// every mutation path (commit apply, deferred refresh, repair, restore
-/// replay) must mark, which the `ViewManager` guarantees.  `MarkAll`
-/// conservatively dirties a whole scope when per-row attribution is
-/// unavailable (full re-evaluation, repair, test-only mutable access).
-///
-/// Not thread-safe: marking happens on the commit coordinator thread and
-/// checkpointing runs under the engine's exclusive lock, which the caller
-/// must ensure never overlap.
-class PartitionDirtyMap {
- public:
-  /// Turns tracking on with the given partition count (rows are assigned
-  /// by whole-tuple `PartitionOf`).  Idempotent for the same count; a
-  /// different count resets all state.
-  void Enable(uint32_t partitions);
-
-  bool enabled() const { return partitions_ > 0; }
-  uint32_t partitions() const { return partitions_; }
-
-  /// Marks the partition containing `tuple` dirty.  No-op when disabled.
-  void Mark(const std::string& scope, const Tuple& tuple);
-
-  /// Marks every partition of `scope` dirty.  No-op when disabled.
-  void MarkAll(const std::string& scope);
-
-  /// Drops a scope entirely (dropped view/table).
-  void Forget(const std::string& scope);
-
-  /// Resets every scope to clean — called after a successful checkpoint.
-  void Clear() { scopes_.clear(); }
-
-  /// True when partition `p` of `scope` changed since the last `Clear`.
-  /// Unknown scopes are clean (nothing was marked).
-  bool IsDirty(const std::string& scope, uint32_t p) const;
-
-  /// Number of dirty partitions in `scope` (0 for unknown scopes).
-  uint32_t DirtyCount(const std::string& scope) const;
-
- private:
-  struct ScopeState {
-    bool all = false;
-    std::vector<bool> bits;
-  };
-
-  uint32_t partitions_ = 0;  // 0 = disabled
-  std::unordered_map<std::string, ScopeState> scopes_;
-};
 
 }  // namespace mview
 

@@ -71,6 +71,15 @@ const CountedRelation& EpochSnapshot::Read(const std::string& name) const {
   return *view->data;
 }
 
+EpochSnapshot::~EpochSnapshot() {
+  // Runs after every reader's last use of this epoch (the last reference
+  // drop is ordered after the others); the release pairs with the
+  // writer's acquire in `WritableBuffer`.
+  for (const auto& [name, view] : views_) {
+    view.data->epochs.fetch_sub(1, std::memory_order_release);
+  }
+}
+
 std::vector<std::string> EpochSnapshot::ViewNames() const {
   std::vector<std::string> names;
   names.reserve(views_.size());
@@ -90,6 +99,7 @@ void ViewManager::PublishEpoch() {
   for (const auto& [name, view] : views_) {
     ViewSnapshot vs;
     vs.data = view->materialized;
+    view->materialized->epochs.fetch_add(1, std::memory_order_relaxed);
     vs.mode = view->mode;
     vs.quarantined = view->quarantined;
     vs.quarantine_reason = view->quarantine_reason;
@@ -107,13 +117,18 @@ void ViewManager::PublishAsEpochZero() {
   PublishEpoch();
 }
 
-std::shared_ptr<CountedRelation> ViewManager::WritableBuffer(
-    ManagedView* view) {
+std::shared_ptr<ViewBuffer> ViewManager::WritableBuffer(ManagedView* view) {
+  // `use_count` alone is a relaxed load: it orders nothing, so a reader
+  // still finishing its scan could race the replay below.  The acquire
+  // load of the epoch count is the edge: it sees zero only after every
+  // epoch holding the buffer was destroyed, each with a release.  The
+  // use count still rules out holders that copied `data` out of an epoch.
   if (view->spare != nullptr && view->lag_delta != nullptr &&
-      view->spare.use_count() == 1) {
-    // No snapshot pins the retired buffer: catch it up to the front by
+      view->spare.use_count() == 1 &&
+      view->spare->epochs.load(std::memory_order_acquire) == 0) {
+    // No snapshot holds the retired buffer: catch it up to the front by
     // replaying the delta that separates them — O(|delta|), no copy.
-    std::shared_ptr<CountedRelation> buffer = std::move(view->spare);
+    std::shared_ptr<ViewBuffer> buffer = std::move(view->spare);
     view->lag_delta->ApplyTo(buffer.get());
     view->lag_delta.reset();
     ++metrics_.commit().snapshot_reuses;
@@ -125,7 +140,8 @@ std::shared_ptr<CountedRelation> ViewManager::WritableBuffer(
   view->spare.reset();
   view->lag_delta.reset();
   ++metrics_.commit().snapshot_copies;
-  return std::make_shared<CountedRelation>(*view->materialized);
+  return std::make_shared<ViewBuffer>(
+      static_cast<const CountedRelation&>(*view->materialized));
 }
 
 void ViewManager::SetParallelism(size_t workers) {
@@ -138,13 +154,12 @@ void ViewManager::SetParallelism(size_t workers) {
 
 Relation& ViewManager::CreateTable(const std::string& name, Schema schema) {
   Relation& rel = db_->CreateRelation(name, std::move(schema));
-  dirty_.MarkAll("t:" + name);
+  changed_.MarkCreated("t:" + name);
   return rel;
 }
 
 void ViewManager::DropTable(const std::string& name) {
   db_->DropRelation(name);
-  dirty_.Forget("t:" + name);
 }
 
 void ViewManager::RegisterView(ViewDefinition def, MaintenanceMode mode,
@@ -184,8 +199,8 @@ void ViewManager::InstallView(PreparedView prepared) {
   view->mode = prepared.mode;
   view->maintainer = std::move(prepared.maintainer);
   view->materialized =
-      std::make_shared<CountedRelation>(std::move(prepared.materialized));
-  dirty_.MarkAll("v:" + name);
+      std::make_shared<ViewBuffer>(std::move(prepared.materialized));
+  changed_.MarkCreated("v:" + name);
   view->metrics = &metrics_.ForView(name);
   view->span_name_id = obs::Tracer::Global().InternName("maintain:" + name);
   if (view->mode == MaintenanceMode::kDeferred) {
@@ -222,11 +237,10 @@ void ViewManager::RestoreView(ViewDefinition def, MaintenanceMode mode,
   view->quarantine_sticky = health.sticky;
   view->maintainer =
       std::make_unique<DifferentialMaintainer>(std::move(def), db_, options);
-  view->materialized =
-      std::make_shared<CountedRelation>(std::move(materialized));
-  // Conservative: the restored image may postdate the last checkpoint
-  // (WAL-replayed creation), so its partitions must all be rewritten.
-  dirty_.MarkAll("v:" + name);
+  view->materialized = std::make_shared<ViewBuffer>(std::move(materialized));
+  // Conservative: nothing says the restored rows match any checkpoint
+  // image.  Recovery, which knows they do, clears the mark.
+  changed_.MarkCreated("v:" + name);
   view->metrics = &metrics_.ForView(name);
   view->span_name_id = obs::Tracer::Global().InternName("maintain:" + name);
   if (mode == MaintenanceMode::kDeferred) {
@@ -249,7 +263,6 @@ void ViewManager::RestoreView(ViewDefinition def, MaintenanceMode mode,
 void ViewManager::DropView(const std::string& name) {
   MVIEW_CHECK(views_.erase(name) > 0, "unknown view: ", name);
   metrics_.Remove(name);
-  dirty_.Forget("v:" + name);
   PublishEpoch();
 }
 
@@ -407,25 +420,10 @@ void ViewManager::MergePartitionedJob(CommitJob* job) {
   m.stats.maintenance_nanos += timer.ElapsedNanos();
 }
 
-void ViewManager::MarkEffectDirty(const TransactionEffect& effect) {
-  if (!dirty_.enabled()) return;
+void ViewManager::MarkEffectChanged(const TransactionEffect& effect) {
   for (const std::string& name : effect.TouchedRelations()) {
-    const RelationEffect* re = effect.Find(name);
-    if (re == nullptr) continue;
-    const std::string scope = "t:" + name;
-    re->inserts.Scan([&](const Tuple& t) { dirty_.Mark(scope, t); });
-    re->deletes.Scan([&](const Tuple& t) { dirty_.Mark(scope, t); });
+    changed_.MarkRows("t:" + name);
   }
-}
-
-void ViewManager::MarkDeltaDirty(const std::string& view_name,
-                                 const ViewDelta& delta) {
-  if (!dirty_.enabled()) return;
-  const std::string scope = "v:" + view_name;
-  delta.inserts.Scan(
-      [&](const Tuple& t, int64_t) { dirty_.Mark(scope, t); });
-  delta.deletes.Scan(
-      [&](const Tuple& t, int64_t) { dirty_.Mark(scope, t); });
 }
 
 struct ViewManager::PreparedCommit::Impl {
@@ -582,7 +580,7 @@ void ViewManager::CommitPrepared(PreparedCommit prepared,
     obs::TraceSpan span(kBaseApplyName);
     Stopwatch timer;
     effect.ApplyTo(db_);
-    MarkEffectDirty(effect);
+    MarkEffectChanged(effect);
     metrics_.commit().base_apply_nanos += timer.ElapsedNanos();
   }
 
@@ -608,9 +606,9 @@ void ViewManager::CommitPrepared(PreparedCommit prepared,
           // retire the published front as the new spare, and remember the
           // delta so the spare can be recycled next commit.  The published
           // epoch's buffer is never touched.
-          std::shared_ptr<CountedRelation> next = WritableBuffer(view);
+          std::shared_ptr<ViewBuffer> next = WritableBuffer(view);
           job.delta->ApplyTo(next.get());
-          MarkDeltaDirty(view->name, *job.delta);
+          changed_.MarkRows("v:" + view->name);
           m.delta_sizes.Record(job.delta->TotalCount());
           view->spare = std::move(view->materialized);
           view->materialized = std::move(next);
@@ -622,9 +620,9 @@ void ViewManager::CommitPrepared(PreparedCommit prepared,
         }
         if (view->mode == MaintenanceMode::kFullReevaluation) {
           Stopwatch timer;
-          view->materialized = std::make_shared<CountedRelation>(
+          view->materialized = std::make_shared<ViewBuffer>(
               view->maintainer->FullEvaluate(&m.stats.plan));
-          dirty_.MarkAll("v:" + view->name);
+          changed_.MarkRows("v:" + view->name);
           view->spare.reset();
           view->lag_delta.reset();
           ++m.stats.full_reevaluations;
@@ -689,8 +687,8 @@ void ViewManager::Repair(const std::string& name) {
     throw Error("repair verification failed for view " + name +
                 ": two full evaluations disagree");
   }
-  view.materialized = std::make_shared<CountedRelation>(std::move(result));
-  dirty_.MarkAll("v:" + name);
+  view.materialized = std::make_shared<ViewBuffer>(std::move(result));
+  changed_.MarkRows("v:" + name);
   view.spare.reset();
   view.lag_delta.reset();
   view.maintainer->ResetJoinCache();
@@ -819,9 +817,9 @@ void ViewManager::RefreshView(const std::string& name, ManagedView* view) {
     ViewDelta delta = view->maintainer->ComputeDeltaFromParts(parts, &m.stats);
     m.phases.differential_nanos += timer.ElapsedNanos();
     Stopwatch apply_timer;
-    std::shared_ptr<CountedRelation> next = WritableBuffer(view);
+    std::shared_ptr<ViewBuffer> next = WritableBuffer(view);
     delta.ApplyTo(next.get());
-    MarkDeltaDirty(name, delta);
+    changed_.MarkRows("v:" + name);
     m.delta_sizes.Record(delta.TotalCount());
     view->spare = std::move(view->materialized);
     view->materialized = std::move(next);
@@ -887,7 +885,7 @@ CountedRelation& ViewManager::MutableMaterialization(const std::string& name) {
   // bytes and silently undo what the test injected.
   view.spare.reset();
   view.lag_delta.reset();
-  dirty_.MarkAll("v:" + name);
+  changed_.MarkRows("v:" + name);
   return *view.materialized;
 }
 

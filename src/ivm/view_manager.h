@@ -1,6 +1,7 @@
 #ifndef MVIEW_IVM_VIEW_MANAGER_H_
 #define MVIEW_IVM_VIEW_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -8,6 +9,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "db/database.h"
@@ -79,13 +81,24 @@ struct ViewHealthEvent {
   bool sticky = false;  // kQuarantine: no automatic retry
 };
 
+/// A view's materialization buffer plus the number of published epochs
+/// that hold it.  Each epoch counts itself in when published and out with
+/// a release decrement when destroyed — after every read made through it —
+/// so the writer's acquire load that sees zero orders all those reads
+/// before it recycles the buffer.
+struct ViewBuffer : CountedRelation {
+  explicit ViewBuffer(CountedRelation rows)
+      : CountedRelation(std::move(rows)) {}
+  mutable std::atomic<int64_t> epochs{0};
+};
+
 /// One view's entry in a published epoch: an immutable materialization
 /// plus the health/staleness the view had when the epoch was installed.
 struct ViewSnapshot {
   /// The materialized contents at the epoch — never null, never mutated
   /// after publication (the commit pipeline installs the *next* version in
   /// a different buffer).
-  std::shared_ptr<const CountedRelation> data;
+  std::shared_ptr<const ViewBuffer> data;
   MaintenanceMode mode = MaintenanceMode::kImmediate;
   bool quarantined = false;
   std::string quarantine_reason;
@@ -100,6 +113,11 @@ struct ViewSnapshot {
 /// the writer can recycle retired buffers instead of copying.
 class EpochSnapshot {
  public:
+  EpochSnapshot() = default;
+  EpochSnapshot(const EpochSnapshot&) = delete;
+  EpochSnapshot& operator=(const EpochSnapshot&) = delete;
+  ~EpochSnapshot();
+
   /// Monotonic publication counter.  Recovery installs epoch 0 (the
   /// recovered state); every later mutation publishes the next epoch.
   uint64_t epoch() const { return epoch_; }
@@ -120,6 +138,35 @@ class EpochSnapshot {
   friend class ViewManager;
   uint64_t epoch_ = 0;
   std::map<std::string, ViewSnapshot> views_;
+};
+
+/// Which checkpoint scopes — tables ("t:<name>") and views ("v:<name>") —
+/// changed since the last successful checkpoint.  It records scopes, not
+/// rows: the checkpoint writer finds a changed scope's rows by merging its
+/// image on disk with its rows in memory.  Every path that mutates a
+/// scope's rows marks it; one that (re)creates a scope marks it created,
+/// so the writer gives it a fresh base instead of a predecessor's chain.
+/// Not thread-safe: marks happen on the commit coordinator thread and the
+/// checkpoint runs under the engine's exclusive lock.
+class ChangedScopes {
+ public:
+  void MarkRows(const std::string& scope) { scopes_.try_emplace(scope, false); }
+  void MarkCreated(const std::string& scope) { scopes_[scope] = true; }
+
+  bool Changed(const std::string& scope) const {
+    return scopes_.count(scope) > 0;
+  }
+  bool Created(const std::string& scope) const {
+    auto it = scopes_.find(scope);
+    return it != scopes_.end() && it->second;
+  }
+
+  /// Resets every scope to unchanged — after a successful checkpoint, or
+  /// once recovery has installed the image.
+  void Clear() { scopes_.clear(); }
+
+ private:
+  std::unordered_map<std::string, bool> scopes_;  // scope -> created
 };
 
 /// Owns the materializations of a set of SPJ views over a `Database` and
@@ -191,14 +238,13 @@ class ViewManager {
     return pool_ == nullptr ? 0 : pool_->num_workers();
   }
 
-  /// Creates an empty base table and marks its checkpoint scope wholly
-  /// dirty, so a table re-created under a dropped one's name never
-  /// carries the old table's checkpoint segments forward.  Throws when the
-  /// name is taken.
+  /// Creates an empty base table and marks its checkpoint scope created,
+  /// so a table re-created under a dropped one's name never inherits the
+  /// old table's checkpoint chain.  Throws when the name is taken.
   Relation& CreateTable(const std::string& name, Schema schema);
 
-  /// Drops a base table and forgets its checkpoint scope.  The caller
-  /// ensures no view still references it.
+  /// Drops a base table (the next checkpoint leaves its scope out).  The
+  /// caller ensures no view still references it.
   void DropTable(const std::string& name);
 
   /// Registers a view, creates hash indexes on its equi-join attributes,
@@ -226,7 +272,7 @@ class ViewManager {
   PreparedView PrepareView(ViewDefinition def, MaintenanceMode mode,
                            MaintenanceOptions options);
 
-  /// Installs a prepared view: marks its checkpoint scope dirty and
+  /// Installs a prepared view: marks its checkpoint scope created and
   /// publishes an epoch that contains it.  The database must not have
   /// changed since `PrepareView`.
   void InstallView(PreparedView prepared);
@@ -401,15 +447,13 @@ class ViewManager {
   Database& database() { return *db_; }
   const Database& database() const { return *db_; }
 
-  /// Dirty-partition tracking for incremental checkpoints.  Disabled until
-  /// the storage layer calls `Enable` (after installing the checkpoint
-  /// image, before WAL replay); once enabled, every mutation path marks
-  /// the partitions it touches — per-tuple for commit applies and
-  /// refreshes, whole-scope for register/restore/repair/test mutation —
-  /// and `Storage::Checkpoint` clears the map after a successful write.
-  /// Scopes are "t:<table>" and "v:<view>".
-  PartitionDirtyMap& dirty_partitions() { return dirty_; }
-  const PartitionDirtyMap& dirty_partitions() const { return dirty_; }
+  /// The checkpoint scopes changed since the last checkpoint: every
+  /// mutation path marks the scope it touches — a commit its touched
+  /// tables and the views it changed, register/create/repair/refresh and
+  /// test mutation theirs — and `Storage::Checkpoint` clears the set after
+  /// a successful write.
+  ChangedScopes& changed_scopes() { return changed_; }
+  const ChangedScopes& changed_scopes() const { return changed_; }
 
  private:
   struct ManagedView {
@@ -420,12 +464,12 @@ class ViewManager {
     // published epoch snapshot.  Once published it is treated as immutable
     // by the commit pipeline — deltas are applied to a successor buffer
     // which then replaces it (RCU).
-    std::shared_ptr<CountedRelation> materialized;
+    std::shared_ptr<ViewBuffer> materialized;
     // The previous front, retired at the last delta commit, plus the delta
     // that separates it from `materialized`.  When no epoch snapshot still
-    // pins `spare` (use_count == 1) the next commit recycles it by
-    // replaying `lag_delta` instead of copying the whole view.
-    std::shared_ptr<CountedRelation> spare;
+    // holds `spare` the next commit recycles it by replaying `lag_delta`
+    // instead of copying the whole view.
+    std::shared_ptr<ViewBuffer> spare;
     std::unique_ptr<ViewDelta> lag_delta;
     ViewMetrics* metrics = nullptr;  // owned by metrics_, stable address
     uint32_t span_name_id = 0;       // interned "maintain:<name>" span name
@@ -481,9 +525,8 @@ class ViewManager {
   /// Serial epilogue: folds per-partition deltas/stats/errors into the
   /// job's `delta` and the view's metrics.
   void MergePartitionedJob(CommitJob* job);
-  /// Marks the dirty map for every tuple the effect/delta touches.
-  void MarkEffectDirty(const TransactionEffect& effect);
-  void MarkDeltaDirty(const std::string& view_name, const ViewDelta& delta);
+  /// Marks the scope of every table the effect touches changed.
+  void MarkEffectChanged(const TransactionEffect& effect);
   void LogDeferred(ManagedView* view, const TransactionEffect& effect);
   void RefreshView(const std::string& name, ManagedView* view);
   /// Quarantines `view` for the failure captured in `error` (transient
@@ -498,9 +541,9 @@ class ViewManager {
   void PublishEpoch();
   /// A buffer holding `view`'s current contents that the commit pipeline
   /// may mutate: the retired spare caught up via `lag_delta` replay when no
-  /// snapshot pins it, otherwise a clone of the front (counted in
+  /// snapshot holds it, otherwise a clone of the front (counted in
   /// `CommitMetrics::snapshot_copies`).
-  std::shared_ptr<CountedRelation> WritableBuffer(ManagedView* view);
+  std::shared_ptr<ViewBuffer> WritableBuffer(ManagedView* view);
 
   /// The atomically-swappable holder of the published epoch.  Morally
   /// `std::atomic<std::shared_ptr<const EpochSnapshot>>`, but GCC 12's
@@ -532,7 +575,7 @@ class ViewManager {
 
   Database* db_;
   std::map<std::string, std::unique_ptr<ManagedView>> views_;
-  PartitionDirtyMap dirty_;
+  ChangedScopes changed_;
   MetricsRegistry metrics_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::function<void(const ViewHealthEvent&)> health_listener_;

@@ -144,13 +144,13 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
          "Time spent writing checkpoints")
       .Sample("", Seconds(static_cast<double>(storage.checkpoint_nanos)));
   Family(os, "mview_checkpoint_bytes_total", "counter",
-         "Bytes written by checkpoints (manifest and fresh segments)")
+         "Bytes written by checkpoints (every segment and manifest)")
       .Sample("", storage.checkpoint_bytes);
   Family(os, "mview_checkpoint_segments_total", "counter",
-         "Fresh partition segments written by checkpoints")
+         "Segment files (bases and deltas) written by checkpoints")
       .Sample("", storage.segments_written);
   Family(os, "mview_checkpoint_partitions_skipped_total", "counter",
-         "Clean partitions carried forward by checkpoints")
+         "Scopes (tables and views) carried forward unchanged by checkpoints")
       .Sample("", storage.partitions_skipped);
   Family(os, "mview_wal_replayed_records_total", "counter",
          "WAL records replayed at recovery")

@@ -117,11 +117,9 @@ Schema ParseHeader(std::istream& in, bool* counted) {
   return Schema(std::move(attrs));
 }
 
-Tuple ParseTuple(const Schema& schema, const std::vector<std::string>& fields,
-                 size_t count_fields) {
-  MVIEW_CHECK(fields.size() == schema.size() + count_fields,
-              "CSV row has ", fields.size(), " fields, expected ",
-              schema.size() + count_fields);
+Tuple ParseTuple(const Schema& schema, const std::vector<std::string>& fields) {
+  MVIEW_CHECK(fields.size() == schema.size(), "CSV row has ", fields.size(),
+              " fields, expected ", schema.size());
   std::vector<Value> values;
   values.reserve(schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
@@ -134,8 +132,7 @@ Tuple ParseTuple(const Schema& schema, const std::vector<std::string>& fields,
   return Tuple(std::move(values));
 }
 
-}  // namespace
-
+// The header line, with a trailing `#count` field when `counted`.
 void AppendCsvHeader(const Schema& schema, bool counted, std::string* out) {
   for (size_t i = 0; i < schema.size(); ++i) {
     if (i > 0) out->push_back(',');
@@ -147,6 +144,7 @@ void AppendCsvHeader(const Schema& schema, bool counted, std::string* out) {
   out->push_back('\n');
 }
 
+// One row line, with its count when `count` is non-null.
 void AppendCsvRow(const Tuple& t, const int64_t* count, std::string* out) {
   for (size_t i = 0; i < t.size(); ++i) {
     if (i > 0) out->push_back(',');
@@ -158,6 +156,8 @@ void AppendCsvRow(const Tuple& t, const int64_t* count, std::string* out) {
   }
   out->push_back('\n');
 }
+
+}  // namespace
 
 void WriteCsv(const Relation& relation, std::ostream& out) {
   std::string line;
@@ -184,27 +184,13 @@ void WriteCsv(const CountedRelation& relation, std::ostream& out) {
 Relation ReadCsv(std::istream& in) {
   bool counted = false;
   Schema schema = ParseHeader(in, &counted);
-  MVIEW_CHECK(!counted, "use ReadCountedCsv for '#count' files");
+  MVIEW_CHECK(!counted, "a '#count' column marks a counted relation, which "
+                        "cannot be read as a relation");
   Relation out(std::move(schema));
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    out.Insert(ParseTuple(out.schema(), SplitRecord(in, std::move(line)), 0));
-  }
-  return out;
-}
-
-CountedRelation ReadCountedCsv(std::istream& in) {
-  bool counted = false;
-  Schema schema = ParseHeader(in, &counted);
-  MVIEW_CHECK(counted, "missing '#count' column; use ReadCsv");
-  CountedRelation out(std::move(schema));
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<std::string> fields = SplitRecord(in, std::move(line));
-    Tuple t = ParseTuple(out.schema(), fields, 1);
-    out.Add(t, ParseInt(fields.back()));
+    out.Insert(ParseTuple(out.schema(), SplitRecord(in, std::move(line))));
   }
   return out;
 }

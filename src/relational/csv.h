@@ -23,18 +23,10 @@ void WriteCsv(const Relation& relation, std::ostream& out);
 /// Writes a counted relation, appending a `#count` column.
 void WriteCsv(const CountedRelation& relation, std::ostream& out);
 
-/// The string-building core of `WriteCsv`, for callers that assemble CSV
-/// from rows they already hold in sorted order: the header line, and one
-/// row line — with the trailing `#count` field when `count` is non-null.
-void AppendCsvHeader(const Schema& schema, bool counted, std::string* out);
-void AppendCsvRow(const Tuple& t, const int64_t* count, std::string* out);
-
 /// Reads a relation written by `WriteCsv`.  Throws `Error` on malformed
-/// input (bad header, arity mismatch, unparsable integers).
+/// input (bad header, arity mismatch, unparsable integers) and on counted
+/// input (a `#count` column), which has no plain-relation reading.
 Relation ReadCsv(std::istream& in);
-
-/// Reads a counted relation (requires the trailing `#count` column).
-CountedRelation ReadCountedCsv(std::istream& in);
 
 /// File-path conveniences; throw `Error` when the file cannot be opened.
 void WriteCsvFile(const Relation& relation, const std::string& path);

@@ -10,9 +10,7 @@ namespace mview {
 
 /// Sentinel partition key meaning "hash the whole tuple" — the row-hash
 /// fallback used when no join/equality attribute co-partitions a view's
-/// bases, and the fixed scheme of the storage layer's dirty-partition
-/// tracking (a row's checkpoint partition must never depend on which views
-/// happen to exist).
+/// bases.
 inline constexpr size_t kRowHashKey = static_cast<size_t>(-1);
 
 /// The partition of `tuple` among `count` hash partitions: the stable hash

@@ -48,8 +48,8 @@ class Tuple {
   std::size_t Hash() const;
 
   /// A process-independent hash folding the values' `Value::StableHash`;
-  /// the whole-row partitioning key of the storage layer's dirty-partition
-  /// tracking (stable across restarts, unlike `Hash()`).
+  /// the whole-row key of hash-partitioned maintenance and scrubbing
+  /// (stable across restarts, unlike `Hash()`).
   uint64_t StableHash() const;
 
   /// Renders as "(1, 2, \"x\")".

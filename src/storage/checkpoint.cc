@@ -7,42 +7,31 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <regex>
-#include <sstream>
 #include <unordered_set>
+#include <utility>
 
-#include "relational/csv.h"
-#include "relational/partition.h"
 #include "util/fault.h"
 
 namespace mview::storage {
 namespace {
 
 // Manifest and row-segment files (see the header's format note; the
-// manifest rename is the commit point).
-constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '1'};
-constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '1'};
+// manifest rename is the commit point).  "2" moved segment bodies from
+// CSV to the compact row codec and scopes from hash partitions to chains.
+constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '2'};
+constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '2'};
+// Magic, CRC, body length.
+constexpr size_t kFramePrefix = 8 + 4 + 8;
 
 [[noreturn]] void ThrowErrno(const std::string& what, const std::string& path) {
   throw IoError("checkpoint: " + what + " failed for " + path + ": " +
                 std::strerror(errno));
 }
 
-void PutTuples(std::string* out, const std::vector<Tuple>& tuples) {
-  wire::PutU32(out, static_cast<uint32_t>(tuples.size()));
-  for (const auto& t : tuples) wire::PutTuple(out, t);
-}
-
-std::vector<Tuple> GetTuples(wire::Reader* r) {
-  uint32_t n = r->GetCount();
-  std::vector<Tuple> tuples;
-  tuples.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) tuples.push_back(r->GetTuple());
-  return tuples;
-}
-
-/// Captures everything about a view except its materialization's rows —
-/// what the manifest stores per view.
+/// Captures everything about a view except its rows — what the manifest
+/// stores per view.
 CheckpointView BuildViewMeta(const ViewManager& views,
                              const std::string& name) {
   ViewInfo info = views.Describe(name);
@@ -58,6 +47,7 @@ CheckpointView BuildViewMeta(const ViewManager& views,
     // ForEachNetChange streams inserts then deletes in sorted order;
     // split them back out so each section carries its own count.
     CheckpointView::PendingLog out;
+    out.types = ColumnTypesOf(log->inserts().schema());
     log->ForEachNetChange([&](const Tuple& t, bool is_insert) {
       (is_insert ? out.inserts : out.deletes).push_back(t);
     });
@@ -67,19 +57,21 @@ CheckpointView BuildViewMeta(const ViewManager& views,
 }
 
 void PutPendingLogs(std::string* body, const CheckpointView& view) {
-  wire::PutU32(body, static_cast<uint32_t>(view.pending.size()));
+  wire::PutVarint(body, view.pending.size());
   for (const auto& log : view.pending) {
-    PutTuples(body, log.inserts);
-    PutTuples(body, log.deletes);
+    wire::PutRowHeader(body, log.types);
+    wire::PutRows(body, log.inserts);
+    wire::PutRows(body, log.deletes);
   }
 }
 
 void GetPendingLogs(wire::Reader* r, CheckpointView* view) {
-  uint32_t n_logs = r->GetCount();
-  for (uint32_t l = 0; l < n_logs; ++l) {
+  uint64_t n_logs = r->GetVarCount();
+  for (uint64_t l = 0; l < n_logs; ++l) {
     CheckpointView::PendingLog log;
-    log.inserts = GetTuples(r);
-    log.deletes = GetTuples(r);
+    log.types = r->GetRowHeader();
+    log.inserts = r->GetRows(log.types);
+    log.deletes = r->GetRows(log.types);
     view->pending.push_back(std::move(log));
   }
 }
@@ -167,25 +159,24 @@ std::optional<std::string> ReadFramedFile(const std::string& path,
   }
   ::close(fd);
 
-  constexpr size_t kPrefix = 8 + 4 + 8;
-  if (contents.size() < kPrefix ||
+  if (contents.size() < kFramePrefix ||
       std::memcmp(contents.data(), magic, 8) != 0) {
     throw CorruptionError("checkpoint: bad header in " + path);
   }
   wire::Reader prefix(contents.data() + 8, 12);
   uint32_t crc = prefix.GetU32();
   uint64_t body_len = prefix.GetU64();
-  if (contents.size() != kPrefix + body_len) {
+  if (body_len != contents.size() - kFramePrefix) {
     throw CorruptionError("checkpoint: truncated body in " + path);
   }
-  const char* body = contents.data() + kPrefix;
-  if (Crc32(body, body_len) != crc) {
+  if (Crc32(contents.data() + kFramePrefix, body_len) != crc) {
     throw CorruptionError("checkpoint: CRC mismatch in " + path);
   }
-  return std::string(body, body_len);
+  contents.erase(0, kFramePrefix);
+  return contents;
 }
 
-// --- manifest and segment helpers -----------------------------------------
+// --- segments ---------------------------------------------------------------
 
 std::string SegmentName(uint64_t generation, uint32_t seq) {
   return "seg_" + std::to_string(generation) + "_" + std::to_string(seq) +
@@ -200,64 +191,274 @@ bool IsSegmentName(const std::string& name) {
   return std::regex_match(name, kPattern);
 }
 
-/// One partition's rows (with counts for a view) before sorting; the
-/// pointers borrow from the scope being checkpointed.
-using SliceRows = std::vector<std::pair<const Tuple*, int64_t>>;
+/// The start of a segment body: kind, column-type header, row count; the
+/// `n` rows follow.
+std::string SegmentHeader(SegmentKind kind, const ColumnTypes& types,
+                          uint64_t n) {
+  std::string body;
+  wire::PutU8(&body, static_cast<uint8_t>(kind));
+  wire::PutRowHeader(&body, types);
+  wire::PutVarint(&body, n);
+  return body;
+}
 
-/// The CSV `WriteCsv` produces for a relation holding exactly `rows`:
-/// sorted by tuple, header first.
-std::string SliceCsv(const Schema& schema, bool counted, SliceRows* rows) {
+/// Streams one segment's rows in order, validating as it goes: the kind
+/// and column types the chain position requires, strictly ascending rows,
+/// counts in range, nothing after the last row.
+class SegmentReader {
+ public:
+  SegmentReader(const std::string& dir, const SegmentRef& ref,
+                SegmentKind kind, const ColumnTypes& types)
+      : path_(dir + "/" + ref.file),
+        body_(ReadBody(path_, ref.bytes)),
+        r_(body_),
+        types_(types),
+        counted_(kind != SegmentKind::kTableBase),
+        // A base holds live rows only; a delta may record a row's removal.
+        min_count_(kind == SegmentKind::kDelta ? 0 : 1) {
+    if (r_.GetU8() != static_cast<uint8_t>(kind)) Fail("wrong segment kind");
+    if (r_.GetRowHeader() != types_) Fail("column types differ from schema");
+    left_ = r_.GetVarCount();
+  }
+  SegmentReader(const SegmentReader&) = delete;
+  SegmentReader& operator=(const SegmentReader&) = delete;
+
+  /// Moves to the next row; false once past the last.
+  bool Next() {
+    if (left_ == 0) {
+      if (!r_.AtEnd()) Fail("trailing bytes after the last row");
+      return false;
+    }
+    --left_;
+    Tuple next = r_.GetRow(types_);
+    count_ = counted_ ? r_.GetZigzag() : 1;
+    if (count_ < min_count_) Fail("row count out of range");
+    if (has_row_ && !(row_ < next)) Fail("rows out of order");
+    row_ = std::move(next);
+    has_row_ = true;
+    return true;
+  }
+
+  const Tuple& row() const { return row_; }
+  int64_t count() const { return count_; }
+
+ private:
+  static std::string ReadBody(const std::string& path, uint64_t bytes);
+  [[noreturn]] void Fail(const std::string& what) const {
+    throw CorruptionError("checkpoint: " + what + " in " + path_);
+  }
+
+  std::string path_;
+  std::string body_;
+  wire::Reader r_;  // over body_
+  ColumnTypes types_;
+  bool counted_;
+  int64_t min_count_;
+  uint64_t left_ = 0;
+  Tuple row_;
+  int64_t count_ = 0;
+  bool has_row_ = false;
+};
+
+std::string SegmentReader::ReadBody(const std::string& path, uint64_t bytes) {
+  std::optional<std::string> body = ReadFramedFile(path, kSegmentMagic);
+  if (!body.has_value()) {
+    throw CorruptionError("checkpoint: missing segment " + path);
+  }
+  if (body->size() + kFramePrefix != bytes) {
+    throw CorruptionError("checkpoint: segment " + path +
+                          " differs in size from its manifest entry");
+  }
+  return std::move(*body);
+}
+
+/// A scope's image in ascending row order: the base streamed, with the
+/// chain's deltas folded into one sorted override list (deltas are small;
+/// the base is read once).  Positioned on live rows only.
+class ImageReader {
+ public:
+  ImageReader(const std::string& dir, const ScopeImage& scope, bool counted)
+      : counted_(counted) {
+    const ColumnTypes types = ColumnTypesOf(scope.schema);
+    for (size_t i = 1; i < scope.chain.size(); ++i) {
+      SegmentReader delta(dir, scope.chain[i], SegmentKind::kDelta, types);
+      Fold(&delta);
+    }
+    base_ = std::make_unique<SegmentReader>(
+        dir, scope.chain[0],
+        counted ? SegmentKind::kViewBase : SegmentKind::kTableBase, types);
+    base_valid_ = base_->Next();
+    Settle();
+  }
+
+  bool Valid() const { return row_ != nullptr; }
+  const Tuple& row() const { return *row_; }
+  int64_t count() const { return count_; }
+  void Next() {
+    Advance();
+    Settle();
+  }
+
+ private:
+  using Override = std::pair<Tuple, int64_t>;
+
+  // Merges a later delta into the override list; on equal rows the later
+  // delta's multiplicity wins.
+  void Fold(SegmentReader* delta) {
+    std::vector<Override> merged;
+    merged.reserve(overrides_.size());
+    size_t i = 0;
+    bool more = delta->Next();
+    while (i < overrides_.size() || more) {
+      if (!more || (i < overrides_.size() &&
+                    overrides_[i].first < delta->row())) {
+        merged.push_back(std::move(overrides_[i++]));
+        continue;
+      }
+      if (i < overrides_.size() && !(delta->row() < overrides_[i].first)) {
+        ++i;  // superseded
+      }
+      merged.emplace_back(delta->row(), delta->count());
+      more = delta->Next();
+    }
+    overrides_ = std::move(merged);
+  }
+
+  void Advance() {
+    if (from_base_) base_valid_ = base_->Next();
+    if (from_override_) ++next_override_;
+  }
+
+  void Settle() {
+    while (true) {
+      const bool have_override = next_override_ < overrides_.size();
+      if (!base_valid_ && !have_override) {
+        row_ = nullptr;
+        return;
+      }
+      const Override* o = have_override ? &overrides_[next_override_] : nullptr;
+      from_base_ = base_valid_ && (o == nullptr || !(o->first < base_->row()));
+      from_override_ = o != nullptr &&
+                       (!base_valid_ || !(base_->row() < o->first));
+      if (from_override_) {
+        row_ = &o->first;
+        count_ = o->second;
+      } else {
+        row_ = &base_->row();
+        count_ = base_->count();
+      }
+      if (!counted_ && count_ > 1) {
+        throw CorruptionError("checkpoint: table row counted " +
+                              std::to_string(count_) + " times");
+      }
+      if (count_ > 0) return;
+      Advance();  // a row the chain removed
+    }
+  }
+
+  bool counted_;
+  std::unique_ptr<SegmentReader> base_;
+  bool base_valid_ = false;
+  std::vector<Override> overrides_;
+  size_t next_override_ = 0;
+  // The current row, its count, and the inputs it came from.
+  const Tuple* row_ = nullptr;
+  int64_t count_ = 0;
+  bool from_base_ = false;
+  bool from_override_ = false;
+};
+
+/// A scope's rows in memory, sorted; the tuples are borrowed.
+using SortedRows = std::vector<std::pair<const Tuple*, int64_t>>;
+
+void SortRows(SortedRows* rows) {
   std::sort(rows->begin(), rows->end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  std::string csv;
-  AppendCsvHeader(schema, counted, &csv);
-  for (const auto& [tuple, count] : *rows) {
-    AppendCsvRow(*tuple, counted ? &count : nullptr, &csv);
-  }
-  return csv;
 }
 
-void PutSegments(std::string* body, const SegmentList& sl) {
-  wire::PutString(body, sl.name);
-  for (const auto& file : sl.segments) wire::PutString(body, file);
+/// Appends one row of a segment body (with its count when `counted`).
+void PutSegmentRow(std::string* out, const Tuple& row, bool counted,
+                   int64_t count) {
+  wire::PutRow(out, row);
+  if (counted) wire::PutZigzag(out, count);
 }
 
-SegmentList GetSegments(wire::Reader* r, uint32_t partitions) {
-  SegmentList sl;
-  sl.name = r->GetString();
-  // Each name costs at least its 4-byte length prefix; clamp before the
-  // reserve so a corrupt count cannot size a huge allocation.
-  if (partitions > r->Remaining() / 4) {
-    throw CorruptionError("checkpoint: partition count " +
-                          std::to_string(partitions) + " exceeds the " +
-                          std::to_string(r->Remaining()) +
-                          " bytes remaining");
+/// Encodes, as delta rows, every row whose count in `rows` differs from
+/// its count in `image` (absent = 0), with its count in `rows`.  Returns
+/// how many.
+uint64_t DiffRows(ImageReader* image, const SortedRows& rows,
+                  std::string* out) {
+  uint64_t n = 0;
+  size_t i = 0;
+  while (image->Valid() || i < rows.size()) {
+    if (!image->Valid() ||
+        (i < rows.size() && *rows[i].first < image->row())) {
+      PutSegmentRow(out, *rows[i].first, true, rows[i].second);
+      ++n;
+      ++i;
+    } else if (i == rows.size() || image->row() < *rows[i].first) {
+      PutSegmentRow(out, image->row(), true, 0);
+      ++n;
+      image->Next();
+    } else {
+      if (rows[i].second != image->count()) {
+        PutSegmentRow(out, *rows[i].first, true, rows[i].second);
+        ++n;
+      }
+      ++i;
+      image->Next();
+    }
   }
-  sl.segments.reserve(partitions);
-  for (uint32_t p = 0; p < partitions; ++p) {
-    std::string file = r->GetString();
-    if (!IsSegmentName(file)) {
+  return n;
+}
+
+// --- manifest ---------------------------------------------------------------
+
+void PutScope(std::string* body, const ScopeImage& scope) {
+  wire::PutString(body, scope.name);
+  wire::PutSchema(body, scope.schema);
+  wire::PutVarint(body, scope.chain.size());
+  for (const auto& ref : scope.chain) {
+    wire::PutString(body, ref.file);
+    wire::PutVarint(body, ref.bytes);
+  }
+}
+
+ScopeImage GetScope(wire::Reader* r) {
+  ScopeImage scope;
+  scope.name = r->GetString();
+  scope.schema = wire::GetSchema(r);
+  uint64_t n = r->GetVarCount();
+  if (n == 0 || n > 1 + kMaxDeltas) {
+    throw CorruptionError("checkpoint: chain of " + std::to_string(n) +
+                          " segments for " + scope.name);
+  }
+  scope.chain.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    SegmentRef ref;
+    ref.file = r->GetString();
+    if (!IsSegmentName(ref.file)) {
       throw CorruptionError("checkpoint: bad segment name in manifest");
     }
-    sl.segments.push_back(std::move(file));
+    ref.bytes = r->GetVarint();
+    scope.chain.push_back(std::move(ref));
   }
-  return sl;
+  return scope;
 }
 
 std::string EncodeManifest(const CheckpointManifest& m) {
   std::string body;
   wire::PutU64(&body, m.lsn);
   wire::PutU64(&body, m.generation);
-  wire::PutU32(&body, m.partitions);
-  wire::PutU32(&body, static_cast<uint32_t>(m.tables.size()));
-  for (const auto& sl : m.tables) PutSegments(&body, sl);
-  wire::PutU32(&body, static_cast<uint32_t>(m.view_meta.size()));
-  for (size_t i = 0; i < m.view_meta.size(); ++i) {
-    wire::PutViewMeta(&body, m.view_meta[i]);
-    PutPendingLogs(&body, m.view_meta[i]);
-    PutSegments(&body, m.view_segments[i]);
+  wire::PutVarint(&body, m.tables.size());
+  for (const auto& scope : m.tables) PutScope(&body, scope);
+  wire::PutVarint(&body, m.views.size());
+  for (size_t i = 0; i < m.views.size(); ++i) {
+    wire::PutViewMeta(&body, m.views[i]);
+    PutPendingLogs(&body, m.views[i]);
+    PutScope(&body, m.view_images[i]);
   }
-  wire::PutU32(&body, static_cast<uint32_t>(m.assertions.size()));
+  wire::PutVarint(&body, m.assertions.size());
   for (const auto& def : m.assertions) wire::PutDefinition(&body, def);
   return body;
 }
@@ -267,90 +468,33 @@ CheckpointManifest DecodeManifest(const std::string& body) {
   CheckpointManifest m;
   m.lsn = r.GetU64();
   m.generation = r.GetU64();
-  m.partitions = r.GetU32();
-  if (m.partitions == 0) {
-    throw CorruptionError("checkpoint: zero manifest partition count");
+  std::unordered_set<std::string> names;
+  uint64_t n_tables = r.GetVarCount();
+  for (uint64_t i = 0; i < n_tables; ++i) {
+    m.tables.push_back(GetScope(&r));
+    if (!names.insert("t:" + m.tables.back().name).second) {
+      throw CorruptionError("checkpoint: duplicate table in manifest");
+    }
   }
-  uint32_t n_tables = r.GetCount();
-  for (uint32_t i = 0; i < n_tables; ++i) {
-    m.tables.push_back(GetSegments(&r, m.partitions));
-  }
-  uint32_t n_views = r.GetCount();
-  for (uint32_t i = 0; i < n_views; ++i) {
+  uint64_t n_views = r.GetVarCount();
+  for (uint64_t i = 0; i < n_views; ++i) {
     CheckpointView view = wire::GetViewMeta(&r);
     GetPendingLogs(&r, &view);
-    m.view_meta.push_back(std::move(view));
-    m.view_segments.push_back(GetSegments(&r, m.partitions));
+    ScopeImage image = GetScope(&r);
+    if (image.name != view.name || !names.insert("v:" + view.name).second) {
+      throw CorruptionError("checkpoint: bad view scope in manifest");
+    }
+    m.views.push_back(std::move(view));
+    m.view_images.push_back(std::move(image));
   }
-  uint32_t n_assertions = r.GetCount();
-  for (uint32_t i = 0; i < n_assertions; ++i) {
+  uint64_t n_assertions = r.GetVarCount();
+  for (uint64_t i = 0; i < n_assertions; ++i) {
     m.assertions.push_back(wire::GetDefinition(&r));
   }
   if (!r.AtEnd()) {
     throw CorruptionError("checkpoint: trailing bytes after manifest");
   }
   return m;
-}
-
-std::optional<CheckpointManifest> ReadManifest(const std::string& path) {
-  std::optional<std::string> body = ReadFramedFile(path, kManifestMagic);
-  if (!body.has_value()) return std::nullopt;
-  try {
-    return DecodeManifest(*body);
-  } catch (const CorruptionError&) {
-    throw;
-  } catch (const Error& e) {
-    throw CorruptionError(std::string("checkpoint: undecodable manifest: ") +
-                          e.what());
-  }
-}
-
-std::string ReadSegmentBody(const std::string& path) {
-  std::optional<std::string> body = ReadFramedFile(path, kSegmentMagic);
-  if (!body.has_value()) {
-    throw CorruptionError("checkpoint: missing segment " + path);
-  }
-  return std::move(*body);
-}
-
-/// Rebuilds full `CheckpointData` from a manifest: each scope's rows are
-/// the union of its partition segments (partitions are disjoint by hash,
-/// so plain insertion reassembles exactly).
-CheckpointData AssembleFromManifest(const std::string& dir,
-                                    const CheckpointManifest& m) {
-  CheckpointData data;
-  data.lsn = m.lsn;
-  try {
-    for (const SegmentList& sl : m.tables) {
-      std::istringstream first(ReadSegmentBody(dir + "/" + sl.segments[0]));
-      Relation merged = ReadCsv(first);
-      for (size_t p = 1; p < sl.segments.size(); ++p) {
-        std::istringstream csv(ReadSegmentBody(dir + "/" + sl.segments[p]));
-        ReadCsv(csv).Scan([&](const Tuple& t) { merged.Insert(t); });
-      }
-      data.tables.emplace_back(sl.name, std::move(merged));
-    }
-    for (size_t i = 0; i < m.view_meta.size(); ++i) {
-      CheckpointView view = m.view_meta[i];
-      const SegmentList& sl = m.view_segments[i];
-      std::istringstream first(ReadSegmentBody(dir + "/" + sl.segments[0]));
-      CountedRelation merged = ReadCountedCsv(first);
-      for (size_t p = 1; p < sl.segments.size(); ++p) {
-        std::istringstream csv(ReadSegmentBody(dir + "/" + sl.segments[p]));
-        ReadCountedCsv(csv).Scan(
-            [&](const Tuple& t, int64_t count) { merged.Add(t, count); });
-      }
-      view.materialized = std::move(merged);
-      data.views.push_back(std::move(view));
-    }
-  } catch (const CorruptionError&) {
-    throw;
-  } catch (const Error& e) {
-    throw CorruptionError(std::string("checkpoint: undecodable segment: ") +
-                          e.what());
-  }
-  data.assertions = m.assertions;
-  return data;
 }
 
 /// Deletes segment files in `dir` that `live` does not reference, plus any
@@ -368,79 +512,94 @@ void SweepSegments(const std::string& dir,
 
 }  // namespace
 
-CheckpointManifest WriteIncrementalCheckpoint(
-    const std::string& dir, uint64_t lsn, const Database& db,
-    const ViewManager& views, const IntegrityGuard* guard,
-    const PartitionDirtyMap& dirty, uint32_t partitions,
-    const CheckpointManifest* prev, IncrementalStats* stats) {
+CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
+                                   const Database& db,
+                                   const ViewManager& views,
+                                   const IntegrityGuard* guard,
+                                   const ChangedScopes& changed,
+                                   const CheckpointManifest* prev,
+                                   CheckpointStats* stats) {
   // Fires before anything is written: the previous image stays
   // authoritative.
   MVIEW_FAULT_POINT("checkpoint.write");
-  IncrementalStats local;
+  CheckpointStats local;
   if (stats == nullptr) stats = &local;
 
   CheckpointManifest m;
   m.lsn = lsn;
   m.generation = prev == nullptr ? 1 : prev->generation + 1;
-  m.partitions = partitions == 0 ? 1 : partitions;
-  // Carrying a clean partition forward is only sound when the previous
-  // manifest sliced by the same count AND the dirty map tracked every
-  // mutation since with that count; anything else rewrites everything.
-  const bool carry = prev != nullptr && prev->partitions == m.partitions &&
-                     dirty.enabled() && dirty.partitions() == m.partitions;
-  auto find_prev = [&](std::vector<SegmentList> CheckpointManifest::*lists,
-                       const std::string& name) -> const SegmentList* {
-    if (!carry) return nullptr;
-    for (const auto& sl : prev->*lists) {
-      if (sl.name == name) return &sl;
-    }
-    return nullptr;
-  };
   uint32_t seq = 0;
-  auto write_segment = [&](const std::string& csv) {
-    // Fires before each fresh segment: an injected failure mid-checkpoint
+  auto write_segment = [&](const std::string& body) {
+    // Fires before each segment: an injected failure mid-checkpoint
     // leaves orphan segments (swept by the next writer) but the previous
     // manifest untouched.
     MVIEW_FAULT_POINT("checkpoint.segment");
-    std::string file = SegmentName(m.generation, seq++);
-    std::string framed = Frame(kSegmentMagic, csv);
-    WriteFileDurable(dir + "/" + file, framed);
-    stats->bytes_written += framed.size();
+    SegmentRef ref;
+    ref.file = SegmentName(m.generation, seq++);
+    std::string framed = Frame(kSegmentMagic, body);
+    WriteFileDurable(dir + "/" + ref.file, framed);
+    ref.bytes = framed.size();
+    stats->bytes_written += ref.bytes;
     ++stats->segments_written;
-    return file;
+    return ref;
   };
-  // One scope's segments: clean partitions carry `old`'s files forward;
-  // the rest are bucketed from a single scan of the scope (`scan` feeds
-  // every row and its count) and written fresh, in partition order.
-  auto write_scope = [&](const std::string& name, const std::string& scope,
-                         const SegmentList* old, const Schema& schema,
+  auto find_prev = [&](std::vector<ScopeImage> CheckpointManifest::*scopes,
+                       const std::string& name) -> const ScopeImage* {
+    if (prev == nullptr) return nullptr;
+    for (const auto& scope : prev->*scopes) {
+      if (scope.name == name) return &scope;
+    }
+    return nullptr;
+  };
+  // One scope's chain: carried forward, extended by a delta, or replaced
+  // by a fresh base (see the header's chain and compaction rules).  `scan`
+  // feeds every row in memory with its count.
+  auto write_scope = [&](const std::string& name, const std::string& key,
+                         const ScopeImage* old, const Schema& schema,
                          bool counted, const auto& scan) {
-    SegmentList sl;
-    sl.name = name;
-    sl.segments.resize(m.partitions);
-    std::vector<bool> fresh(m.partitions, true);
-    bool any_fresh = false;
-    for (uint32_t p = 0; p < m.partitions; ++p) {
-      if (old != nullptr && !dirty.IsDirty(scope, p)) {
-        sl.segments[p] = old->segments[p];
-        fresh[p] = false;
-        ++stats->partitions_skipped;
-      } else {
-        any_fresh = true;
+    ScopeImage out;
+    out.name = name;
+    out.schema = schema;
+    const bool fresh =
+        old == nullptr || changed.Created(key) || !(old->schema == schema);
+    if (!fresh && !changed.Changed(key)) {
+      out.chain = old->chain;
+      ++stats->scopes_skipped;
+      return out;
+    }
+    SortedRows rows;
+    scan([&](const Tuple& t, int64_t count) { rows.emplace_back(&t, count); });
+    SortRows(&rows);
+    const ColumnTypes types = ColumnTypesOf(schema);
+    if (!fresh) {
+      ImageReader image(dir, *old, counted);
+      std::string delta;
+      const uint64_t n = DiffRows(&image, rows, &delta);
+      if (n == 0) {
+        out.chain = old->chain;
+        ++stats->scopes_skipped;
+        return out;
+      }
+      std::string body = SegmentHeader(SegmentKind::kDelta, types, n) + delta;
+      uint64_t chain_bytes = kFramePrefix + body.size();
+      for (size_t i = 1; i < old->chain.size(); ++i) {
+        chain_bytes += old->chain[i].bytes;
+      }
+      if (old->chain.size() <= kMaxDeltas &&
+          chain_bytes <= old->chain[0].bytes) {
+        out.chain = old->chain;
+        out.chain.push_back(write_segment(body));
+        return out;
       }
     }
-    if (!any_fresh) return sl;
-    std::vector<SliceRows> buckets(m.partitions);
-    scan([&](const Tuple& t, int64_t count) {
-      const uint32_t p = PartitionOf(t, kRowHashKey, m.partitions);
-      if (fresh[p]) buckets[p].emplace_back(&t, count);
-    });
-    for (uint32_t p = 0; p < m.partitions; ++p) {
-      if (fresh[p]) {
-        sl.segments[p] = write_segment(SliceCsv(schema, counted, &buckets[p]));
-      }
+    std::string base = SegmentHeader(
+        counted ? SegmentKind::kViewBase : SegmentKind::kTableBase, types,
+        rows.size());
+    for (const auto& [t, count] : rows) {
+      PutSegmentRow(&base, *t, counted, count);
     }
-    return sl;
+    out.chain.push_back(write_segment(base));
+    return out;
   };
 
   for (const auto& name : db.Names()) {
@@ -448,19 +607,18 @@ CheckpointManifest WriteIncrementalCheckpoint(
     m.tables.push_back(write_scope(
         name, "t:" + name, find_prev(&CheckpointManifest::tables, name),
         rel.schema(), /*counted=*/false, [&](const auto& emit) {
-          rel.Scan([&](const Tuple& t) { emit(t, 0); });
+          rel.Scan([&](const Tuple& t) { emit(t, 1); });
         }));
   }
   for (const auto& name : views.ViewNames()) {
-    m.view_meta.push_back(BuildViewMeta(views, name));
+    m.views.push_back(BuildViewMeta(views, name));
     // The raw materialization, not `View()`: a quarantined view's contents
     // still checkpoint (recovery restores them alongside the quarantine
     // flag; `REPAIR VIEW` rebuilds from bases later).
     const CountedRelation& rel = views.Materialization(name);
-    m.view_segments.push_back(write_scope(
-        name, "v:" + name,
-        find_prev(&CheckpointManifest::view_segments, name), rel.schema(),
-        /*counted=*/true,
+    m.view_images.push_back(write_scope(
+        name, "v:" + name, find_prev(&CheckpointManifest::view_images, name),
+        rel.schema(), /*counted=*/true,
         [&](const auto& emit) { rel.Scan(emit); }));
   }
   if (guard != nullptr) {
@@ -472,31 +630,44 @@ CheckpointManifest WriteIncrementalCheckpoint(
   // Commit point: once the manifest rename lands, the new image is the
   // recovery source; before it, the old manifest still references every
   // segment it needs (fresh ones used new names, nothing was overwritten).
+  // The fault point is the crash window in between: every segment
+  // written, none referenced.
+  MVIEW_FAULT_POINT("checkpoint.manifest");
   std::string framed = Frame(kManifestMagic, EncodeManifest(m));
   CommitFile(dir + "/manifest.mv", framed);
   stats->bytes_written += framed.size();
 
   // Segments only the *old* manifest referenced are garbage now.
   std::unordered_set<std::string> live;
-  for (const auto& sl : m.tables) {
-    live.insert(sl.segments.begin(), sl.segments.end());
-  }
-  for (const auto& sl : m.view_segments) {
-    live.insert(sl.segments.begin(), sl.segments.end());
+  for (const auto* scopes : {&m.tables, &m.view_images}) {
+    for (const auto& scope : *scopes) {
+      for (const auto& ref : scope.chain) live.insert(ref.file);
+    }
   }
   SweepSegments(dir, live);
   return m;
 }
 
-std::optional<RecoveredCheckpoint> ReadIncrementalCheckpoint(
-    const std::string& dir) {
-  std::optional<CheckpointManifest> manifest =
-      ReadManifest(dir + "/manifest.mv");
-  if (!manifest.has_value()) return std::nullopt;
-  RecoveredCheckpoint out;
-  out.data = AssembleFromManifest(dir, *manifest);
-  out.manifest = std::move(*manifest);
-  return out;
+std::optional<CheckpointManifest> ReadManifest(const std::string& dir) {
+  const std::string path = dir + "/manifest.mv";
+  std::optional<std::string> body = ReadFramedFile(path, kManifestMagic);
+  if (!body.has_value()) return std::nullopt;
+  try {
+    return DecodeManifest(*body);
+  } catch (const CorruptionError&) {
+    throw;
+  } catch (const Error& e) {
+    // A CRC-valid body whose schema or definition fails validation.
+    throw CorruptionError(std::string("checkpoint: undecodable manifest: ") +
+                          e.what());
+  }
+}
+
+void ScanImage(const std::string& dir, const ScopeImage& scope, bool counted,
+               const std::function<void(const Tuple&, int64_t)>& fn) {
+  for (ImageReader image(dir, scope, counted); image.Valid(); image.Next()) {
+    fn(image.row(), image.count());
+  }
 }
 
 }  // namespace mview::storage

@@ -2,112 +2,141 @@
 #define MVIEW_STORAGE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "db/database.h"
 #include "ivm/integrity.h"
 #include "ivm/view_def.h"
 #include "ivm/view_manager.h"
-#include "relational/relation.h"
+#include "relational/schema.h"
+#include "relational/tuple.h"
 #include "storage/codec.h"
 
 namespace mview::storage {
 
-/// A decoded checkpoint: everything needed to rebuild the engine state as
-/// of `lsn`, after which the WAL tail (records with LSN > `lsn`) replays.
-struct CheckpointData {
-  uint64_t lsn = 0;
-  std::vector<std::pair<std::string, Relation>> tables;
-  std::vector<CheckpointView> views;
-  /// Error-predicate definitions of registered assertions; re-registered
-  /// *after* WAL replay so their error views reflect the final state.
-  std::vector<ViewDefinition> assertions;
-};
-
 // --- the checkpoint image ---------------------------------------------------
 //
-// A checkpoint is a small manifest (`manifest.mv`) plus one row segment per
-// (scope, hash partition) (`seg_<generation>_<seq>.mv`).  The manifest
-// carries everything non-row — LSN, table names, view
-// definitions/options/health/pending backlogs, assertions — plus, per
-// scope, the ordered list of segment files holding its partitions' rows.
-// Writing a new checkpoint rewrites only the segments of partitions the
-// dirty map reports changed; clean partitions carry their previous
-// generation's file forward, so checkpoint cost is O(dirty partitions),
-// not O(database).  Catalog changes need no special case: a created table
-// or view marks its whole scope dirty, and a scope absent from the
-// previous manifest is written fresh.
+// A checkpoint is a small manifest (`manifest.mv`) plus, per scope (table
+// or view), a chain of row segments (`seg_<generation>_<seq>.mv`).  The
+// chain's first file is the scope's *base*: every row, sorted.  Each
+// later file is a *delta* written by one later checkpoint: every row whose
+// multiplicity changed since the chain's previous file, sorted, with its
+// multiplicity after that checkpoint — 0 when the row is gone.  A scope's
+// image is its base with the deltas applied in order.  The manifest
+// carries everything else — LSN, table schemas, view definitions,
+// options, health and pending backlogs, assertions — plus each scope's
+// chain.
+//
+// The view manager records which scopes changed since the last
+// checkpoint, not which rows (`ChangedScopes`).  For each changed scope
+// the writer stream-merges the image on disk with the scope's rows in
+// memory, sorted, and appends the differences as one delta; a scope that
+// did not change, or whose merge finds no difference, carries its chain
+// forward untouched.  So a checkpoint costs bytes in proportion to the
+// rows that changed, and repair, full re-evaluation or creation need no
+// special case.  A scope created (or dropped and re-created) since the
+// last checkpoint gets a fresh base: it never inherits a predecessor's
+// chain.
+//
+// Compaction: when appending the delta would make the chain hold more
+// than `kMaxDeltas` deltas or more delta bytes than its base, the writer
+// writes a fresh base instead and drops the chain.  The byte rule bounds
+// a scope's files at twice its base, so the space on disk and the bytes
+// recovery reads stay within a constant of the live rows; the count rule
+// bounds how many files recovery and the next merge open per scope.  Both
+// are fixed: they trade write volume against those bounds, not a
+// deployment choice.
 //
 // The manifest rename is the commit point: segments are written and
 // fsynced first (a crash leaves unreferenced orphans, removed by the next
 // writer's sweep), then the manifest replaces its predecessor atomically.
 // Pending backlogs ride in the manifest rather than in segments because
-// deferred logging mutates them without touching the materialization —
-// the dirty map tracks rows, and the manifest is rewritten every time.
+// deferred logging mutates them without touching the materialization.
 //
 // Every file shares one frame: 8-byte magic, CRC32 of the body, body
-// length, body.  A segment's body is the CSV of its rows (the
-// `relational/` codec, sorted, so equal slices encode to equal bytes).
+// length, body.  A segment's body is a kind byte (`SegmentKind`), the
+// row codec's column-type header, a varint row count and the rows in
+// strictly ascending order, each followed by its zigzag multiplicity —
+// except in a table's base, where every row counts once.
 
-/// One scope's (table's or view's) segment listing: `segments[p]` holds
-/// partition `p`'s rows.  Size always equals the manifest's `partitions`.
-struct SegmentList {
-  std::string name;
-  std::vector<std::string> segments;  // file names relative to the dir
+/// Deltas a chain may hold before the next change compacts it.
+constexpr size_t kMaxDeltas = 8;
+
+/// What a segment holds; the first byte of its body.
+enum class SegmentKind : uint8_t {
+  kTableBase = 0,  // rows, each counted once
+  kViewBase = 1,   // rows with their counts (>= 1)
+  kDelta = 2,      // rows with their multiplicity after the change (>= 0)
 };
 
-/// A decoded `manifest.mv`.  `views` metadata lives in `view_meta`
-/// (parallel to `view_segments`) with `materialized` left empty — rows
-/// live in the segments.
+/// One file of a chain and its size on disk (frame included).
+struct SegmentRef {
+  std::string file;  // relative to the checkpoint directory
+  uint64_t bytes = 0;
+};
+
+/// One scope's checkpointed rows: its schema and its chain — `chain[0]`
+/// is the base, the rest are deltas, oldest first.
+struct ScopeImage {
+  std::string name;
+  Schema schema;
+  std::vector<SegmentRef> chain;
+};
+
+/// A decoded `manifest.mv`.  `views` hold each view's metadata and
+/// pending backlog; `view_images` (parallel to it) its rows.
 struct CheckpointManifest {
   uint64_t lsn = 0;
   uint64_t generation = 0;  // monotonic per manifest write
-  uint32_t partitions = 0;  // row-hash partition count of every scope
-  std::vector<SegmentList> tables;
-  std::vector<CheckpointView> view_meta;  // materialized empty
-  std::vector<SegmentList> view_segments;
+  std::vector<ScopeImage> tables;
+  std::vector<CheckpointView> views;
+  std::vector<ScopeImage> view_images;
   std::vector<ViewDefinition> assertions;
 };
 
-/// Byte/segment accounting of one incremental write.
-struct IncrementalStats {
-  uint64_t bytes_written = 0;      // manifest + fresh segments
-  int64_t segments_written = 0;    // fresh segment files
-  int64_t partitions_skipped = 0;  // carried forward unchanged
+/// Accounting of one checkpoint write.
+struct CheckpointStats {
+  uint64_t bytes_written = 0;    // every file written: segments + manifest
+  int64_t segments_written = 0;  // bases and deltas
+  int64_t scopes_skipped = 0;    // chains carried forward unchanged
 };
 
-/// Writes a checkpoint into `dir`.  Partitions whose scope is clean in
-/// `dirty` reuse `prev`'s segments; everything else (no `prev`,
-/// partition-count mismatch, scope absent from `prev`, or dirty) is
-/// rewritten.  Fires "checkpoint.write" once up front and
-/// "checkpoint.segment" before each fresh segment; a failure at either
-/// leaves the previous manifest fully authoritative.  After the manifest
-/// commits, unreferenced `seg_*.mv` files are removed.  Throws `IoError`
-/// on file errors.  Returns the new manifest.
-CheckpointManifest WriteIncrementalCheckpoint(
-    const std::string& dir, uint64_t lsn, const Database& db,
-    const ViewManager& views, const IntegrityGuard* guard,
-    const PartitionDirtyMap& dirty, uint32_t partitions,
-    const CheckpointManifest* prev, IncrementalStats* stats);
+/// Writes a checkpoint of `db`, `views` and `guard`'s assertions into
+/// `dir` at `lsn`.  Scopes absent from `prev` (or every scope, when `prev`
+/// is null) get a fresh base; the rest follow the chain rules above, with
+/// `changed` naming the scopes that may differ from `prev`'s image.
+/// Fires "checkpoint.write" once up front, "checkpoint.segment" before
+/// each segment and "checkpoint.manifest" after the last one, before the
+/// manifest commits; a failure at any of them leaves the previous manifest
+/// fully authoritative.  After the manifest commits, unreferenced `seg_*.mv`
+/// files are removed.  Throws `IoError` on file errors and
+/// `CorruptionError` when a chain it must merge fails validation.
+/// Returns the new manifest.
+CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
+                                   const Database& db,
+                                   const ViewManager& views,
+                                   const IntegrityGuard* guard,
+                                   const ChangedScopes& changed,
+                                   const CheckpointManifest* prev,
+                                   CheckpointStats* stats);
 
-/// A checkpoint read back by `ReadIncrementalCheckpoint`: the assembled
-/// state plus the manifest it came from (the next write carries that
-/// manifest's clean segments forward).
-struct RecoveredCheckpoint {
-  CheckpointData data;
-  CheckpointManifest manifest;
-};
+/// Reads the manifest in `dir`.  Returns nullopt when none exists (a
+/// fresh database); throws `CorruptionError` when it fails validation (bad
+/// magic, CRC mismatch, undecodable body, an empty or overlong chain, a
+/// segment name outside `seg_<gen>_<seq>.mv`, a duplicate scope) and
+/// `IoError` on read errors.
+std::optional<CheckpointManifest> ReadManifest(const std::string& dir);
 
-/// Reads the checkpoint in `dir`.  Returns nullopt when no manifest exists
-/// (a fresh database); throws `CorruptionError` when the manifest or a
-/// segment it names fails validation (bad magic, CRC mismatch, undecodable
-/// body, a segment name outside `seg_<gen>_<seq>.mv`, a missing segment)
-/// and `IoError` on read errors.
-std::optional<RecoveredCheckpoint> ReadIncrementalCheckpoint(
-    const std::string& dir);
+/// Streams a scope's image — base with the chain applied — to `fn`, each
+/// live row once with its count, in ascending order.  `counted` is false
+/// for a table.  Throws `CorruptionError` when a segment is missing, fails
+/// its frame, or does not decode as the chain position and `scope.schema`
+/// require (wrong kind or column types, rows out of order, bad counts).
+void ScanImage(const std::string& dir, const ScopeImage& scope, bool counted,
+               const std::function<void(const Tuple&, int64_t)>& fn);
 
 }  // namespace mview::storage
 

@@ -4,6 +4,13 @@
 
 namespace mview::storage {
 
+ColumnTypes ColumnTypesOf(const Schema& schema) {
+  ColumnTypes types;
+  types.reserve(schema.size());
+  for (const auto& attr : schema.attributes()) types.push_back(attr.type);
+  return types;
+}
+
 uint32_t Crc32(const void* data, size_t size) {
   static const std::array<uint32_t, 256> kTable = [] {
     std::array<uint32_t, 256> table{};
@@ -55,9 +62,40 @@ void PutValue(std::string* out, const Value& v) {
   }
 }
 
-void PutTuple(std::string* out, const Tuple& t) {
-  PutU32(out, static_cast<uint32_t>(t.size()));
-  for (size_t i = 0; i < t.size(); ++i) PutValue(out, t.at(i));
+void PutVarint(std::string* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+void PutZigzag(std::string* out, int64_t v) {
+  PutVarint(out, (static_cast<uint64_t>(v) << 1) ^
+                     static_cast<uint64_t>(v >> 63));
+}
+
+void PutRowHeader(std::string* out, const ColumnTypes& types) {
+  MVIEW_CHECK(!types.empty(), "row codec: a row needs at least one column");
+  PutVarint(out, types.size());
+  for (ValueType type : types) PutU8(out, static_cast<uint8_t>(type));
+}
+
+void PutRow(std::string* out, const Tuple& row) {
+  for (const Value& v : row.values()) {
+    if (v.type() == ValueType::kInt64) {
+      PutZigzag(out, v.AsInt64());
+    } else {
+      const std::string& s = v.AsString();
+      PutVarint(out, s.size());
+      out->append(s);
+    }
+  }
+}
+
+void PutRows(std::string* out, const std::vector<Tuple>& rows) {
+  PutVarint(out, rows.size());
+  for (const Tuple& row : rows) PutRow(out, row);
 }
 
 void Reader::Need(size_t n) const {
@@ -109,14 +147,6 @@ Value Reader::GetValue() {
                         std::to_string(tag));
 }
 
-Tuple Reader::GetTuple() {
-  uint32_t arity = GetCount();
-  std::vector<Value> values;
-  values.reserve(arity);
-  for (uint32_t i = 0; i < arity; ++i) values.push_back(GetValue());
-  return Tuple(std::move(values));
-}
-
 uint32_t Reader::GetCount() {
   uint32_t n = GetU32();
   if (n > Remaining()) {
@@ -125,6 +155,81 @@ uint32_t Reader::GetCount() {
                           std::to_string(Remaining()) + " bytes remaining");
   }
   return n;
+}
+
+uint64_t Reader::GetVarint() {
+  uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    uint8_t byte = GetU8();
+    // The tenth byte holds bit 63 alone; anything more overflows.
+    if (shift == 63 && byte > 1) {
+      throw CorruptionError("storage decode: varint overflows 64 bits");
+    }
+    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      // A zero final byte after others pads the value: overlong.
+      if (byte == 0 && shift > 0) {
+        throw CorruptionError("storage decode: overlong varint");
+      }
+      return v;
+    }
+  }
+}
+
+int64_t Reader::GetZigzag() {
+  uint64_t u = GetVarint();
+  return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+}
+
+uint64_t Reader::GetVarCount() {
+  uint64_t n = GetVarint();
+  if (n > Remaining()) {
+    throw CorruptionError("storage decode: element count " +
+                          std::to_string(n) + " exceeds the " +
+                          std::to_string(Remaining()) + " bytes remaining");
+  }
+  return n;
+}
+
+ColumnTypes Reader::GetRowHeader() {
+  uint64_t arity = GetVarCount();
+  if (arity == 0) throw CorruptionError("storage decode: empty row header");
+  ColumnTypes types;
+  types.reserve(arity);
+  for (uint64_t i = 0; i < arity; ++i) {
+    uint8_t type = GetU8();
+    if (type > static_cast<uint8_t>(ValueType::kString)) {
+      throw CorruptionError("storage decode: bad column type tag " +
+                            std::to_string(type));
+    }
+    types.push_back(static_cast<ValueType>(type));
+  }
+  return types;
+}
+
+Tuple Reader::GetRow(const ColumnTypes& types) {
+  std::vector<Value> values;
+  values.reserve(types.size());
+  for (ValueType type : types) {
+    if (type == ValueType::kInt64) {
+      values.emplace_back(GetZigzag());
+    } else {
+      uint64_t n = GetVarint();
+      Need(n);
+      values.emplace_back(std::string(p_, n));
+      p_ += n;
+    }
+  }
+  return Tuple(std::move(values));
+}
+
+std::vector<Tuple> Reader::GetRows(const ColumnTypes& types) {
+  // Every column takes at least one byte, so the clamp holds per row.
+  uint64_t n = GetVarCount();
+  std::vector<Tuple> rows;
+  rows.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) rows.push_back(GetRow(types));
+  return rows;
 }
 
 namespace {
@@ -193,6 +298,8 @@ std::vector<std::string> GetStrings(Reader* r) {
   return v;
 }
 
+}  // namespace
+
 void PutSchema(std::string* out, const Schema& schema) {
   PutU32(out, static_cast<uint32_t>(schema.size()));
   for (const auto& attr : schema.attributes()) {
@@ -217,8 +324,6 @@ Schema GetSchema(Reader* r) {
   }
   return Schema(std::move(attrs));
 }
-
-}  // namespace
 
 void PutDefinition(std::string* out, const ViewDefinition& def) {
   PutString(out, def.name());

@@ -8,39 +8,55 @@
 
 namespace mview::storage {
 
-void InstallCheckpoint(CheckpointData&& data, Database* db,
-                       ViewManager* views) {
-  MVIEW_CHECK(db != nullptr && views != nullptr, "null recovery target");
+void InstallCheckpoint(const std::string& dir, CheckpointManifest* manifest,
+                       Database* db, ViewManager* views) {
+  MVIEW_CHECK(manifest != nullptr && db != nullptr && views != nullptr,
+              "null recovery target");
   MVIEW_CHECK(db->Names().empty() && views->ViewNames().empty(),
               "recovery requires an empty engine");
 
-  for (auto& [name, contents] : data.tables) {
-    Relation& rel = db->CreateRelation(name, contents.schema());
-    contents.Scan([&](const Tuple& t) { rel.Insert(t); });
+  for (const ScopeImage& table : manifest->tables) {
+    Relation& rel = db->CreateRelation(table.name, table.schema);
+    ScanImage(dir, table, /*counted=*/false,
+              [&](const Tuple& t, int64_t) { rel.Insert(t); });
   }
 
-  for (auto& view : data.views) {
+  for (size_t v = 0; v < manifest->views.size(); ++v) {
+    CheckpointView& view = manifest->views[v];
+    const ScopeImage& image = manifest->view_images[v];
+    if (!(image.schema == view.definition.OutputSchema(*db))) {
+      throw CorruptionError("checkpoint: image of view " + view.name +
+                            " does not match its definition's columns");
+    }
+    CountedRelation rows(image.schema);
+    ScanImage(dir, image, /*counted=*/true,
+              [&](const Tuple& t, int64_t count) { rows.Add(t, count); });
     std::vector<std::unique_ptr<BaseDeltaLog>> pending;
     if (view.mode == MaintenanceMode::kDeferred && !view.pending.empty()) {
       MVIEW_CHECK(view.pending.size() == view.definition.bases().size(),
                   "checkpointed pending logs do not cover every base of ",
                   view.name);
       for (size_t i = 0; i < view.pending.size(); ++i) {
-        auto log = std::make_unique<BaseDeltaLog>(
-            view.definition.AliasedSchema(*db, i));
+        Schema schema = view.definition.AliasedSchema(*db, i);
+        if (ColumnTypesOf(schema) != view.pending[i].types) {
+          throw CorruptionError("checkpoint: pending log of " + view.name +
+                                " does not match its base's columns");
+        }
+        auto log = std::make_unique<BaseDeltaLog>(std::move(schema));
         for (const auto& t : view.pending[i].inserts) log->LogInsert(t);
         for (const auto& t : view.pending[i].deletes) log->LogDelete(t);
         pending.push_back(std::move(log));
       }
+      view.pending.clear();
     }
     RestoredHealth health;
     health.quarantined = view.quarantined;
-    health.reason = std::move(view.quarantine_reason);
+    health.reason = view.quarantine_reason;
     health.sticky = view.quarantine_sticky;
-    views->RestoreView(std::move(view.definition), view.mode, view.options,
-                       std::move(view.materialized), std::move(pending),
-                       std::move(health));
+    views->RestoreView(view.definition, view.mode, view.options,
+                       std::move(rows), std::move(pending), std::move(health));
   }
+  views->changed_scopes().Clear();
 }
 
 void ReplayCatalog(CatalogChange&& change, ViewManager* views,
@@ -84,6 +100,10 @@ TransactionEffect ToEffect(const WalRecord& record, const Database& db) {
     if (rel == nullptr) {
       throw CorruptionError("wal replay: record " + std::to_string(record.lsn) +
                             " touches unknown relation " + change.relation);
+    }
+    if (ColumnTypesOf(rel->schema()) != change.types) {
+      throw CorruptionError("wal replay: record " + std::to_string(record.lsn) +
+                            " has the wrong columns for " + change.relation);
     }
     RelationEffect& re = effect.Mutable(change.relation, rel->schema());
     for (const auto& t : change.inserts) re.inserts.Insert(t);

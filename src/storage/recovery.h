@@ -1,6 +1,7 @@
 #ifndef MVIEW_STORAGE_RECOVERY_H_
 #define MVIEW_STORAGE_RECOVERY_H_
 
+#include <string>
 #include <vector>
 
 #include "db/database.h"
@@ -12,20 +13,24 @@
 
 namespace mview::storage {
 
-/// Rebuilds base relations and views from a decoded checkpoint.  Tables
-/// are created and filled first; views are then installed with their
-/// *exact* checkpointed materialization and pending backlog via
-/// `ViewManager::RestoreView` — not re-evaluated, because a deferred
-/// view's checkpointed contents may legitimately lag its bases.  The
-/// caller replays the WAL tail afterwards and registers assertions last
-/// (see `InstallAssertions`).  Expects an empty database/manager.
-void InstallCheckpoint(CheckpointData&& data, Database* db,
-                       ViewManager* views);
+/// Rebuilds base relations and views from the checkpoint `manifest` in
+/// `dir`.  Each table's image (base plus chain) is decoded straight into
+/// the `Database` relation created for it; each view's into the
+/// materialization it is restored with, along with its pending backlog
+/// (moved out of `manifest`) via `ViewManager::RestoreView` — not
+/// re-evaluated, because a deferred view's checkpointed contents may
+/// legitimately lag its bases.  Leaves the manager's changed-scope set
+/// empty: what it installed is the image.  The caller replays the WAL
+/// tail afterwards and registers assertions last (see
+/// `InstallAssertions`).  Expects an empty database/manager.  Throws
+/// `CorruptionError` when a segment or a pending log fails validation.
+void InstallCheckpoint(const std::string& dir, CheckpointManifest* manifest,
+                       Database* db, ViewManager* views);
 
 /// Replays one logged catalog change in its place in the history: tables
 /// and views go through the same `ViewManager` calls the engine makes (a
 /// created view is evaluated against the bases as replay has rebuilt them
-/// so far, and both mark their checkpoint scopes dirty), while assertion
+/// so far, and both mark their checkpoint scopes created), while assertion
 /// changes only edit `assertions`, which `InstallAssertions` registers once
 /// replay is done.
 void ReplayCatalog(CatalogChange&& change, ViewManager* views,

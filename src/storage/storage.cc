@@ -53,19 +53,16 @@ void Storage::Attach(sql::EngineCore& core) {
   uint64_t checkpoint_lsn = 0;
   bool have_checkpoint = false;
   std::vector<ViewDefinition> assertions;
-  if (auto recovered = storage::ReadIncrementalCheckpoint(path_)) {
+  if (auto manifest = storage::ReadManifest(path_)) {
     have_checkpoint = true;
-    checkpoint_lsn = recovered->data.lsn;
-    assertions = std::move(recovered->data.assertions);
-    storage::InstallCheckpoint(std::move(recovered->data), &db, &views);
-    // Carried into the next write so its clean segments are reused.
-    manifest_ = std::move(recovered->manifest);
+    checkpoint_lsn = manifest->lsn;
+    assertions = manifest->assertions;
+    // Leaves the changed-scope set empty: from here on every mutation,
+    // replayed or live, marks its scope like a live one.
+    storage::InstallCheckpoint(path_, &*manifest, &db, &views);
+    // Carried into the next write, which extends its chains.
+    manifest_ = std::move(manifest);
   }
-
-  // Dirty tracking starts now — after the checkpoint image (which the
-  // segments already cover) and before WAL replay (whose effects they do
-  // not): every replayed mutation marks its partitions like a live one.
-  views.dirty_partitions().Enable(options_.checkpoint_partitions);
 
   StorageMetrics& metrics = views.metrics().storage();
   storage::WalOptions wal_options;
@@ -158,19 +155,19 @@ void Storage::Checkpoint() {
   uint64_t lsn = wal_->stats().durable_lsn;
   ViewManager& views = engine_->storage_views();
   StorageMetrics& metrics = views.metrics().storage();
-  storage::IncrementalStats inc;
-  manifest_ = storage::WriteIncrementalCheckpoint(
+  storage::CheckpointStats stats;
+  manifest_ = storage::WriteCheckpoint(
       path_, lsn, engine_->database(), engine_->views(), &engine_->guard(),
-      views.dirty_partitions(), options_.checkpoint_partitions,
-      manifest_.has_value() ? &*manifest_ : nullptr, &inc);
-  metrics.checkpoint_bytes += static_cast<int64_t>(inc.bytes_written);
-  metrics.segments_written += inc.segments_written;
-  metrics.partitions_skipped += inc.partitions_skipped;
-  // Everything marked so far is covered by the image just written; marks
-  // from here on belong to the next checkpoint.  Cleared before `Rotate`
-  // so a rotate failure can only cause re-replay (idempotent), never a
-  // carry-forward of rows the image missed.
-  views.dirty_partitions().Clear();
+      views.changed_scopes(), manifest_.has_value() ? &*manifest_ : nullptr,
+      &stats);
+  metrics.checkpoint_bytes += static_cast<int64_t>(stats.bytes_written);
+  metrics.segments_written += stats.segments_written;
+  metrics.partitions_skipped += stats.scopes_skipped;
+  // Every change so far is covered by the image just written; marks from
+  // here on belong to the next checkpoint.  Cleared before `Rotate` so a
+  // rotate failure can only cause re-replay (idempotent), never a carried
+  // chain that misses rows.
+  views.changed_scopes().Clear();
   wal_->Rotate(lsn);
   ++metrics.checkpoints;
   metrics.checkpoint_nanos += timer.ElapsedNanos();

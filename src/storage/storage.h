@@ -17,8 +17,8 @@ class EngineCore;
 namespace mview {
 
 /// The single storage-facing facade: one durable database directory
-/// holding a checkpoint image (`manifest.mv` plus its `seg_*.mv` row
-/// segments) and a write-ahead log (`wal.mv`).
+/// holding a checkpoint image (`manifest.mv` plus each scope's chain of
+/// `seg_*.mv` row segments) and a write-ahead log (`wal.mv`).
 ///
 /// Lifecycle: `Open` the directory, construct an `sql::Engine` with the
 /// `Storage*` (the engine attaches, which recovers — checkpoint restore,
@@ -27,8 +27,7 @@ namespace mview {
 /// transaction and every catalog change (DDL) is appended to the log
 /// (group-committed) before it is applied, so a DDL statement costs one
 /// small record, not a checkpoint.  `Checkpoint` (or SQL `CHECKPOINT`)
-/// writes the partitions that changed since the last one and truncates
-/// the log; `Close` detaches (checkpointing first by default).
+/// writes the rows that changed since the last one and truncates the log; `Close` detaches (checkpointing first by default).
 class Storage {
  public:
   struct Options {
@@ -42,12 +41,6 @@ class Storage {
     /// Checkpoint automatically in `Close` (skipped when the log has
     /// failed — a later `Open` recovers from the last durable state).
     bool checkpoint_on_close = true;
-
-    /// Hash-partition count for checkpoint segments and dirty tracking
-    /// (whole-tuple hash; independent of any view's maintenance
-    /// partitioning).  More partitions → finer dirty granularity but more
-    /// files per full rewrite.
-    uint32_t checkpoint_partitions = 16;
 
     /// Fault injection for crash tests; not owned, may be null.
     storage::FailurePolicy* failure_policy = nullptr;
@@ -86,10 +79,11 @@ class Storage {
   /// state.
   void Attach(sql::EngineCore& core);
 
-  /// Checkpoints the engine state at the current durable LSN — rewriting
-  /// only the hash partitions the dirty map reports changed since the last
-  /// checkpoint, O(dirty) rather than O(database) — then truncates the
-  /// log.  Requires an attached engine.
+  /// Checkpoints the engine state at the current durable LSN — one delta
+  /// segment per scope whose rows changed since the last checkpoint,
+  /// holding just those rows, so the cost follows the change rather than
+  /// the database (see `storage/checkpoint.h`) — then truncates the log.
+  /// Requires an attached engine.
   void Checkpoint();
 
   /// Detaches from the engine, checkpointing first when
@@ -138,8 +132,8 @@ class Storage {
   sql::EngineCore* engine_ = nullptr;
   std::unique_ptr<storage::Wal> wal_;
   /// The manifest of the last checkpoint (written here or recovered at
-  /// `Attach`); the next write carries its clean segments forward.  Absent
-  /// until the first checkpoint of a fresh database.
+  /// `Attach`); the next write extends or carries forward its chains.
+  /// Absent until the first checkpoint of a fresh database.
   std::optional<storage::CheckpointManifest> manifest_;
 };
 

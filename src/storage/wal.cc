@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -16,10 +17,11 @@ namespace mview::storage {
 namespace {
 
 // "002" added the record-type byte after the LSN (quarantine/repair
-// records); "003" the catalog-change record.  Older logs are not migrated:
+// records); "003" the catalog-change record; "004" the compact row codec
+// for effect rows (it was tagged 9-byte cells).  Older logs are not migrated:
 // the log is rotated away at every checkpoint, so no deployment carries a
 // long-lived WAL across versions.
-constexpr char kMagic[8] = {'M', 'V', 'W', 'A', 'L', '0', '0', '3'};
+constexpr char kMagic[8] = {'M', 'V', 'W', 'A', 'L', '0', '0', '4'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t);
 // A record larger than this cannot be legitimate; treat it as damage
 // rather than attempting a multi-gigabyte allocation.
@@ -30,23 +32,31 @@ constexpr uint32_t kMaxPayload = 1u << 30;
                 std::strerror(errno));
 }
 
+// A varint row count, then `rows` in sorted order (so a given effect always
+// encodes the same), sorted by reference rather than copied.
+void PutSortedRows(std::string* out, const Relation& rows) {
+  std::vector<const Tuple*> sorted;
+  sorted.reserve(rows.size());
+  rows.Scan([&](const Tuple& t) { sorted.push_back(&t); });
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Tuple* a, const Tuple* b) { return *a < *b; });
+  wire::PutVarint(out, sorted.size());
+  for (const Tuple* t : sorted) wire::PutRow(out, *t);
+}
+
 // The payload *tail*: everything after the leading `[u64 lsn]`, which
 // `Wal::AppendPayload` prepends once the LSN is assigned under the mutex.
 std::string EncodeEffectTail(const TransactionEffect& effect) {
   std::string payload;
   wire::PutU8(&payload, static_cast<uint8_t>(WalRecord::Type::kEffect));
   std::vector<std::string> touched = effect.TouchedRelations();
-  wire::PutU32(&payload, static_cast<uint32_t>(touched.size()));
+  wire::PutVarint(&payload, touched.size());
   for (const auto& name : touched) {
     const RelationEffect* re = effect.Find(name);
     wire::PutString(&payload, name);
-    // Sorted order keeps the encoding deterministic for a given effect.
-    std::vector<Tuple> ins = re->inserts.ToSortedVector();
-    std::vector<Tuple> del = re->deletes.ToSortedVector();
-    wire::PutU32(&payload, static_cast<uint32_t>(ins.size()));
-    for (const auto& t : ins) wire::PutTuple(&payload, t);
-    wire::PutU32(&payload, static_cast<uint32_t>(del.size()));
-    for (const auto& t : del) wire::PutTuple(&payload, t);
+    wire::PutRowHeader(&payload, ColumnTypesOf(re->inserts.schema()));
+    PutSortedRows(&payload, re->inserts);
+    PutSortedRows(&payload, re->deletes);
   }
   return payload;
 }
@@ -62,20 +72,13 @@ WalRecord DecodePayload(const std::string& payload) {
   record.type = static_cast<WalRecord::Type>(type);
   switch (record.type) {
     case WalRecord::Type::kEffect: {
-      uint32_t n_changes = r.GetCount();
-      for (uint32_t c = 0; c < n_changes; ++c) {
+      uint64_t n_changes = r.GetVarCount();
+      for (uint64_t c = 0; c < n_changes; ++c) {
         WalRecord::Change change;
         change.relation = r.GetString();
-        uint32_t n_ins = r.GetCount();
-        change.inserts.reserve(n_ins);
-        for (uint32_t i = 0; i < n_ins; ++i) {
-          change.inserts.push_back(r.GetTuple());
-        }
-        uint32_t n_del = r.GetCount();
-        change.deletes.reserve(n_del);
-        for (uint32_t i = 0; i < n_del; ++i) {
-          change.deletes.push_back(r.GetTuple());
-        }
+        change.types = r.GetRowHeader();
+        change.inserts = r.GetRows(change.types);
+        change.deletes = r.GetRows(change.types);
         record.changes.push_back(std::move(change));
       }
       break;

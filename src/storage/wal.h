@@ -68,6 +68,7 @@ struct WalRecord {
   };
   struct Change {
     std::string relation;
+    ColumnTypes types;  // of both row lists
     std::vector<Tuple> inserts;
     std::vector<Tuple> deletes;
   };
@@ -131,13 +132,13 @@ struct WalStats {
 /// An fsync-batched append-only log of committed transaction effects,
 /// catalog changes and view-health transitions.
 ///
-/// File layout: an 16-byte header (`"MVWAL003"` + little-endian u64 base
+/// File layout: an 16-byte header (`"MVWAL004"` + little-endian u64 base
 /// LSN) followed by records `[u32 payload_len][u32 crc32][payload]`.  The
 /// payload carries the LSN, a record-type byte (`WalRecord::Type`), and
-/// the type's body — for effects, the per-relation insert/delete tuple
-/// sets in sorted order with self-describing value types, so a log can be
-/// decoded without the catalog; for catalog changes, the structural codec
-/// of `storage/codec.h`.  LSNs are assigned contiguously from
+/// the type's body — for effects, per relation a column-type header and
+/// the insert and delete rows in sorted order, in the compact row codec
+/// of `storage/codec.h` (the header makes a log decodable without the
+/// catalog); for catalog changes, the structural codec of the same file.  LSNs are assigned contiguously from
 /// `base_lsn + 1`; recovery rejects gaps as corruption and truncates an
 /// unreadable *tail* (short or CRC-failing trailing bytes) as a torn
 /// write.

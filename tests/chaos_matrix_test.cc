@@ -56,6 +56,7 @@ const char* const kAllPoints[] = {
     "wal.torn_write",
     "checkpoint.write",
     "checkpoint.segment",
+    "checkpoint.manifest",
 };
 
 // Points whose behaviour can depend on the cross-transaction join cache;

@@ -47,7 +47,8 @@ TEST(CsvTest, RoundTripStrings) {
   EXPECT_EQ(back.ToSortedVector(), r.ToSortedVector());
 }
 
-TEST(CsvTest, RoundTripCountedRelation) {
+// Counted CSV is an export format (COPY of a view); nothing reads it back.
+TEST(CsvTest, WriteCountedRelation) {
   CountedRelation r(Schema::OfInts({"A"}));
   r.Add(T({1}), 3);
   r.Add(T({2}), 1);
@@ -55,8 +56,7 @@ TEST(CsvTest, RoundTripCountedRelation) {
   WriteCsv(r, out);
   EXPECT_EQ(out.str(), "A:int64,#count\n1,3\n2,1\n");
   std::istringstream in(out.str());
-  CountedRelation back = ReadCountedCsv(in);
-  EXPECT_TRUE(back.SameContents(r));
+  EXPECT_THROW(ReadCsv(in), Error);
 }
 
 TEST(CsvTest, EmptyRelation) {
@@ -87,10 +87,6 @@ TEST(CsvTest, MalformedInputs) {
   {
     std::istringstream in("A:int64\nxyz\n");  // bad integer
     EXPECT_THROW(ReadCsv(in), Error);
-  }
-  {
-    std::istringstream in("A:int64\n1\n");  // counted reader on plain file
-    EXPECT_THROW(ReadCountedCsv(in), Error);
   }
   {
     std::istringstream in("A:int64,#count\n1,1\n");  // plain on counted

@@ -13,11 +13,14 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "ivm/view_manager.h"
 #include "sql/engine.h"
+#include "storage/checkpoint.h"
 #include "storage/storage.h"
 #include "test_util.h"
 #include "util/error.h"
@@ -225,7 +228,6 @@ class PartitionCheckpointTest : public ::testing::Test {
   static std::unique_ptr<Storage> Open(const std::string& dir,
                                        bool checkpoint_on_close = true) {
     Storage::Options options;
-    options.checkpoint_partitions = 8;
     options.checkpoint_on_close = checkpoint_on_close;
     return Storage::Open(dir, options);
   }
@@ -309,10 +311,10 @@ TEST_F(PartitionCheckpointTest, DirtyCarryForwardRecovers) {
       RunChunk(engine, phase);
     }
     // Anchor: a full image (no manifest exists yet, so this first
-    // checkpoint writes every segment fresh).
+    // checkpoint writes every scope's base).
     engine.Execute("CHECKPOINT");
-    // A single small commit, then a second checkpoint: it must carry
-    // clean segments forward instead of rewriting them.
+    // A single small commit, then a second checkpoint: it must carry the
+    // unchanged scopes (s, filtered) forward instead of rewriting them.
     reference.Execute("INSERT INTO r VALUES (9001, 3)");
     engine.Execute("INSERT INTO r VALUES (9001, 3)");
     StorageMetrics& m = engine.mutable_views().metrics().storage();
@@ -331,16 +333,15 @@ TEST_F(PartitionCheckpointTest, DirtyCarryForwardRecovers) {
 
 // A table dropped and re-created, and a view re-created under its old
 // name with another definition, between two checkpoints: the second
-// checkpoint must write both scopes fresh.  Carrying a clean partition of
-// the old scope forward would resurrect the old rows at recovery.
+// checkpoint must give every re-created scope a fresh base and never
+// extend or carry the old scope's chain, whose rows belong to a
+// predecessor.
 TEST_F(PartitionCheckpointTest, RecreatedScopesNeverCarryOldSegments) {
   const std::string before =
       "CREATE TABLE r (a INT64, b INT64);"
       "CREATE TABLE s (b2 INT64, c INT64);"
       "CREATE MATERIALIZED VIEW joined AS SELECT a, c FROM r, s WHERE b = b2;"
       "CREATE MATERIALIZED VIEW filtered AS SELECT a, b FROM r WHERE a < 600;";
-  // Re-created with two rows each: most partitions of the new scopes are
-  // never touched by a row, so only a whole-scope mark rewrites them.
   const std::string after =
       "DROP VIEW joined;"
       "DROP TABLE s;"
@@ -360,13 +361,32 @@ TEST_F(PartitionCheckpointTest, RecreatedScopesNeverCarryOldSegments) {
     engine.ExecuteScript(before);
     RunChunk(engine, 0);
     engine.Execute("CHECKPOINT");
+    const std::optional<storage::CheckpointManifest> old =
+        storage::ReadManifest(Dir("inc"));
+    ASSERT_TRUE(old.has_value());
     engine.ExecuteScript(after);
     StorageMetrics& m = engine.mutable_views().metrics().storage();
     const int64_t skipped_before = m.partitions_skipped;
     engine.Execute("CHECKPOINT");
-    // Only table r carried anything forward: it is the one scope that
-    // kept its identity and saw no row change.
-    EXPECT_EQ(m.partitions_skipped - skipped_before, 8);
+    // Only table r was carried forward: it is the one scope that kept its
+    // identity and saw no row change.
+    EXPECT_EQ(m.partitions_skipped - skipped_before, 1);
+    const std::optional<storage::CheckpointManifest> now =
+        storage::ReadManifest(Dir("inc"));
+    ASSERT_TRUE(now.has_value());
+    std::set<std::string> old_files;
+    for (const auto* scopes : {&old->tables, &old->view_images}) {
+      for (const auto& scope : *scopes) {
+        for (const auto& ref : scope.chain) old_files.insert(ref.file);
+      }
+    }
+    for (const auto* scopes : {&now->tables, &now->view_images}) {
+      for (const auto& scope : *scopes) {
+        if (scope.name == "r") continue;
+        ASSERT_EQ(scope.chain.size(), 1u) << scope.name;
+        EXPECT_EQ(old_files.count(scope.chain[0].file), 0u) << scope.name;
+      }
+    }
   }
   // The log was rotated by the second checkpoint, so recovery reads the
   // image alone.

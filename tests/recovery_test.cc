@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -264,11 +268,10 @@ TEST_F(RecoveryTest, ReplaySkipsRecordsTheCheckpointAlreadyCovers) {
         "INSERT INTO r VALUES (1, 10);INSERT INTO r VALUES (2, 20);");
     // Write the checkpoint by hand — without the Rotate that
     // Storage::Checkpoint would perform next.
-    storage::WriteIncrementalCheckpoint(
-        Dir(), storage->wal_stats().durable_lsn, engine.database(),
-        engine.views(), &engine.guard(), engine.views().dirty_partitions(),
-        Storage::Options{}.checkpoint_partitions, /*prev=*/nullptr,
-        /*stats=*/nullptr);
+    storage::WriteCheckpoint(Dir(), storage->wal_stats().durable_lsn,
+                             engine.database(), engine.views(), &engine.guard(),
+                             engine.views().changed_scopes(), /*prev=*/nullptr,
+                             /*stats=*/nullptr);
   }
 
   auto storage = Storage::Open(Dir());
@@ -527,6 +530,318 @@ TEST_F(RecoveryTest, SqlCheckpointShowWalAndStorageStats) {
   EXPECT_EQ(detached.rows.at(0).first.at(1).AsInt64(), 0);
 }
 
+// ---------------------------------------------------------------------------
+// Differential checkpoints: chains of delta segments over a base.
+
+// Scope name -> its chain in the manifest on disk (tables and views).
+std::map<std::string, std::vector<storage::SegmentRef>> Chains(
+    const std::string& dir) {
+  std::optional<storage::CheckpointManifest> m = storage::ReadManifest(dir);
+  std::map<std::string, std::vector<storage::SegmentRef>> chains;
+  if (!m.has_value()) return chains;
+  for (const auto* scopes : {&m->tables, &m->view_images}) {
+    for (const auto& scope : *scopes) chains[scope.name] = scope.chain;
+  }
+  return chains;
+}
+
+// Segment files in `dir` that the manifest does not reference.
+std::set<std::string> Orphans(const std::string& dir) {
+  std::set<std::string> live;
+  for (const auto& [name, chain] : Chains(dir)) {
+    for (const auto& ref : chain) live.insert(ref.file);
+  }
+  std::set<std::string> orphans;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("seg_", 0) == 0 && live.count(name) == 0) {
+      orphans.insert(name);
+    }
+  }
+  return orphans;
+}
+
+// Every file in `dir` with its size.
+std::map<std::string, uintmax_t> Files(const std::string& dir) {
+  std::map<std::string, uintmax_t> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = entry.file_size();
+  }
+  return files;
+}
+
+class DifferentialCheckpointTest : public RecoveryTest {
+ protected:
+  void SetUp() override {
+    RecoveryTest::SetUp();
+    options_.checkpoint_on_close = false;
+    storage_ = Storage::Open(Dir(), options_);
+    engine_ = std::make_unique<Engine>(storage_.get());
+    Both(Preamble());
+    // A base large enough that one-row deltas stay far below its bytes.
+    for (int from = 0; from < 300; from += 50) {
+      std::string r = "INSERT INTO r VALUES ";
+      std::string s = "INSERT INTO s VALUES ";
+      for (int a = from; a < from + 50; ++a) {
+        const std::string sep = a == from ? "" : ", ";
+        r += sep + "(" + std::to_string(a) + ", " + std::to_string(a % 7) + ")";
+        s += sep + "(" + std::to_string(a % 7) + ", " + std::to_string(a) + ")";
+      }
+      Both(r + ";" + s + ";");
+    }
+    engine_->Execute("CHECKPOINT");
+  }
+
+  // Runs `script` on the durable engine and the in-memory reference.
+  void Both(const std::string& script) {
+    reference_.ExecuteScript(script);
+    engine_->ExecuteScript(script);
+  }
+
+  // Drops the engine without a checkpoint, as a crash would.
+  void Crash() {
+    engine_.reset();
+    storage_.reset();
+  }
+
+  void Reopen() {
+    Crash();
+    storage_ = Storage::Open(Dir(), options_);
+    engine_ = std::make_unique<Engine>(storage_.get());
+  }
+
+  // Recovers a copy of the directory as it is now into a fresh engine and
+  // compares it with the reference.
+  void ExpectCopyRecovers(const std::string& label) {
+    const std::string copy = Dir() + "_copy";
+    std::filesystem::remove_all(copy);
+    std::filesystem::copy(Dir(), copy);
+    {
+      auto storage = Storage::Open(copy, options_);
+      Engine recovered(storage.get());
+      SCOPED_TRACE(label);
+      ExpectSameState(recovered, reference_);
+    }
+    std::filesystem::remove_all(copy);
+  }
+
+  Storage::Options options_;
+  Engine reference_;
+  std::unique_ptr<Storage> storage_;
+  std::unique_ptr<Engine> engine_;
+};
+
+// Recovery equals the reference with 0 to 8 deltas in a chain, across the
+// count rule's compaction (the 9th delta rewrites the base instead) and
+// the byte rule's (a change larger than the base compacts at once).
+TEST_F(DifferentialCheckpointTest, ChainsRecoverAtEveryLength) {
+  const size_t max = storage::kMaxDeltas;
+  for (size_t step = 0; step <= max + 2; ++step) {
+    if (step > 0) {
+      // Fresh rows in and out, plus one row toggled at every step, so the
+      // chain's deltas disagree about it and only the latest may win.
+      Both("INSERT INTO r VALUES (" + std::to_string(1000 + step) + ", 3);" +
+           "DELETE FROM r WHERE a = " + std::to_string(step) + ";" +
+           (step % 2 == 1 ? "INSERT INTO r VALUES (777, 3);"
+                          : "DELETE FROM r WHERE a = 777;"));
+      engine_->Execute("CHECKPOINT");
+    }
+    const size_t expect = step <= max ? 1 + step : step - max;
+    EXPECT_EQ(Chains(Dir())["r"].size(), expect) << "step " << step;
+    EXPECT_EQ(Chains(Dir())["s"].size(), 1u) << "unchanged, carried";
+    ExpectCopyRecovers("step " + std::to_string(step));
+  }
+  const std::string base = Chains(Dir())["r"][0].file;
+  Both("DELETE FROM r WHERE a < 1000;");
+  engine_->Execute("CHECKPOINT");
+  ASSERT_EQ(Chains(Dir())["r"].size(), 1u);
+  EXPECT_NE(Chains(Dir())["r"][0].file, base);
+  ExpectCopyRecovers("after the byte rule");
+  EXPECT_TRUE(Orphans(Dir()).empty());
+}
+
+// A crash after the delta segments are written but before the manifest
+// rename: the old manifest stays authoritative (the WAL still holds the
+// changes), and the orphans go at the next checkpoint.
+TEST_F(DifferentialCheckpointTest, CrashBeforeManifestRenameKeepsTheOldImage) {
+  Both("INSERT INTO r VALUES (5000, 2);DELETE FROM s WHERE c = 3;");
+  engine_->Execute("CHECKPOINT");
+  Both("INSERT INTO r VALUES (5001, 2);INSERT INTO s VALUES (2, 5001);");
+  const auto before = Chains(Dir());
+  {
+    util::ScopedFault fault("checkpoint.manifest", util::FaultSpec{});
+    EXPECT_THROW(engine_->Execute("CHECKPOINT"), Error);
+  }
+  EXPECT_EQ(Chains(Dir())["r"].size(), before.at("r").size());
+  EXPECT_FALSE(Orphans(Dir()).empty());
+
+  Reopen();
+  ExpectSameState(*engine_, reference_);
+  EXPECT_FALSE(Orphans(Dir()).empty());
+  engine_->Execute("CHECKPOINT");
+  EXPECT_TRUE(Orphans(Dir()).empty());
+  Reopen();
+  ExpectSameState(*engine_, reference_);
+}
+
+// A table and a view dropped and re-created under their names, with the
+// same rows, while their chains hold deltas: the next checkpoint gives
+// each a fresh base.  (A merge against the old image would find nothing
+// to write and carry the predecessor's chain forward.)
+TEST_F(DifferentialCheckpointTest, ScopeRecreatedMidChainNeverInheritsIt) {
+  for (int i = 0; i < 2; ++i) {
+    Both("INSERT INTO s VALUES (3, " + std::to_string(9000 + i) + ");");
+    engine_->Execute("CHECKPOINT");
+  }
+  const auto before = Chains(Dir());
+  ASSERT_EQ(before.at("s").size(), 3u);
+  ASSERT_EQ(before.at("joined").size(), 3u);
+  std::string refill = "INSERT INTO s VALUES (3, 9000), (3, 9001)";
+  for (int a = 0; a < 300; ++a) {
+    refill += ", (" + std::to_string(a % 7) + ", " + std::to_string(a) + ")";
+  }
+  Both("DROP VIEW joined;"
+       "DROP TABLE s;"
+       "CREATE TABLE s (b2 INT64, c INT64);" +
+       refill +
+       ";"
+       "CREATE MATERIALIZED VIEW joined AS "
+       "  SELECT a, c FROM r, s WHERE b = b2;");
+  engine_->Execute("CHECKPOINT");
+  auto after = Chains(Dir());
+  for (const char* scope : {"s", "joined"}) {
+    ASSERT_EQ(after[scope].size(), 1u) << scope;
+    for (const auto& old : before.at(scope)) {
+      EXPECT_NE(after[scope][0].file, old.file) << scope;
+    }
+  }
+  EXPECT_EQ(after["r"].size(), before.at("r").size());  // untouched
+  Reopen();
+  ExpectSameState(*engine_, reference_);
+}
+
+// A quarantined view, a DEFERRED view with a pending backlog, and an
+// assertion all survive a chain of differential checkpoints.
+TEST_F(DifferentialCheckpointTest, QuarantineBacklogAndAssertionSurvive) {
+  {
+    util::FaultSpec spec;
+    spec.kind = util::FaultKind::kCorruption;
+    util::ScopedFault fault("viewmgr.differential.pre_apply", spec);
+    engine_->Execute("INSERT INTO r VALUES (7000, 1);");
+  }
+  reference_.Execute("INSERT INTO r VALUES (7000, 1);");
+  ASSERT_TRUE(engine_->views().IsQuarantined("joined"));
+  engine_->Execute("CHECKPOINT");
+  for (int i = 0; i < 3; ++i) {
+    Both("INSERT INTO r VALUES (" + std::to_string(20 + i) + ", 5);" +
+         "DELETE FROM r WHERE a = " + std::to_string(40 + i) + ";");
+    engine_->Execute("CHECKPOINT");
+  }
+  EXPECT_GE(Chains(Dir())["r"].size(), 4u);
+  const size_t backlog = reference_.views().Describe("small_a").pending_tuples;
+  ASSERT_GT(backlog, 0u);
+
+  Reopen();
+  EXPECT_TRUE(engine_->views().IsQuarantined("joined"));
+  EXPECT_TRUE(engine_->views().Describe("joined").quarantine_sticky);
+  EXPECT_EQ(engine_->views().Describe("small_a").pending_tuples, backlog);
+  for (const char* rel : {"r", "s", "small_a"}) {
+    EXPECT_EQ(Query(*engine_, std::string("SELECT * FROM ") + rel),
+              Query(reference_, std::string("SELECT * FROM ") + rel))
+        << rel;
+  }
+  // The recovered assertion still rejects a violating commit.
+  Engine::Result rejected =
+      engine_->Execute("INSERT INTO r VALUES (2000000, 1)");
+  EXPECT_NE(rejected.message.find("a_bounded"), std::string::npos);
+  EXPECT_FALSE(engine_->database().Get("r").Contains(
+      Tuple({Value(2000000), Value(1)})));
+  engine_->Execute("REPAIR VIEW joined");
+  Both("REFRESH VIEW small_a;");
+  ExpectSameState(*engine_, reference_);
+}
+
+// Every path that changes a scope's rows marks it, so the next checkpoint
+// records the change: a commit (with a RECOMPUTED view's full
+// re-evaluation), a REFRESH, and the REPAIR of a quarantined view that
+// missed a commit.  Each checkpoint rotates the log away, so recovery
+// reads the image alone.
+TEST_F(DifferentialCheckpointTest, EveryMutationPathReachesTheImage) {
+  Both("CREATE MATERIALIZED VIEW recomputed RECOMPUTED AS "
+       "  SELECT a, b FROM r WHERE b = 3;");
+  engine_->Execute("CHECKPOINT");
+  auto check = [&](const std::string& label) {
+    engine_->Execute("CHECKPOINT");
+    Reopen();
+    EXPECT_EQ(storage_->wal_stats().records_replayed, 0) << label;
+    for (const char* rel : {"r", "s", "joined", "small_a", "recomputed"}) {
+      EXPECT_EQ(Query(*engine_, std::string("SELECT * FROM ") + rel),
+                Query(reference_, std::string("SELECT * FROM ") + rel))
+          << label << ": divergence in " << rel;
+    }
+  };
+  Both("INSERT INTO r VALUES (8000, 3);DELETE FROM r WHERE a = 10;");
+  check("commit");
+  Both("REFRESH VIEW small_a;");
+  check("refresh");
+  {
+    util::FaultSpec spec;
+    spec.kind = util::FaultKind::kCorruption;
+    util::ScopedFault fault("viewmgr.differential.pre_apply", spec);
+    engine_->Execute("INSERT INTO s VALUES (3, 8001);");
+  }
+  reference_.Execute("INSERT INTO s VALUES (3, 8001);");
+  ASSERT_TRUE(engine_->views().IsQuarantined("joined"));
+  engine_->Execute("CHECKPOINT");  // the stale rows, quarantined
+  engine_->Execute("REPAIR VIEW joined");
+  check("repair");
+}
+
+// `checkpoint_bytes` counts every byte of every file a checkpoint writes,
+// and `segments_written` every segment file.
+TEST_F(DifferentialCheckpointTest, CheckpointBytesEqualTheFilesWritten) {
+  for (int round = 0; round < 3; ++round) {
+    Both("INSERT INTO r VALUES (" + std::to_string(3000 + round) + ", 1);" +
+         "INSERT INTO s VALUES (1, " + std::to_string(3000 + round) + ");");
+    StorageMetrics& m = engine_->mutable_views().metrics().storage();
+    const int64_t bytes0 = m.checkpoint_bytes;
+    const int64_t segments0 = m.segments_written;
+    const auto files0 = Files(Dir());
+    engine_->Execute("CHECKPOINT");
+    uintmax_t written = 0;
+    int64_t segments = 0;
+    for (const auto& [name, size] : Files(Dir())) {
+      if (name == "manifest.mv") {
+        written += size;
+      } else if (name.rfind("seg_", 0) == 0 && files0.count(name) == 0) {
+        written += size;
+        ++segments;
+      }
+    }
+    EXPECT_EQ(m.checkpoint_bytes - bytes0, static_cast<int64_t>(written));
+    EXPECT_EQ(m.segments_written - segments0, segments);
+    EXPECT_GT(segments, 0);
+  }
+}
+
+// `REPAIR VIEW` of a healthy view reinstalls the same rows: the merge
+// finds no difference, so the next checkpoint writes no delta for it.
+TEST_F(DifferentialCheckpointTest,
+       RepairOfAHealthyViewLeavesItsNextDeltaEmpty) {
+  const auto before = Chains(Dir());
+  engine_->Execute("REPAIR VIEW joined");
+  ASSERT_TRUE(engine_->views().changed_scopes().Changed("v:joined"));
+  StorageMetrics& m = engine_->mutable_views().metrics().storage();
+  const int64_t segments0 = m.segments_written;
+  const int64_t skipped0 = m.partitions_skipped;
+  engine_->Execute("CHECKPOINT");
+  EXPECT_EQ(m.segments_written, segments0);
+  EXPECT_EQ(m.partitions_skipped - skipped0, 4);  // r, s, joined, small_a
+  const auto after = Chains(Dir());
+  EXPECT_EQ(after.at("joined").size(), before.at("joined").size());
+  EXPECT_EQ(after.at("joined")[0].file, before.at("joined")[0].file);
+}
+
 // The replay == direct-execution property, at the component level: a
 // random multi-relation workload is applied to a live ViewManager while
 // every effect is appended to a WAL; recovering checkpoint + WAL into a
@@ -552,11 +867,9 @@ TEST_F(RecoveryTest, RandomWorkloadReplayMatchesDirectExecution) {
 
   // Checkpoint the populated initial state at LSN 0, then stream a random
   // workload through the live manager and the log in lockstep.
-  storage::WriteIncrementalCheckpoint(Dir(), /*lsn=*/0, live_db, live,
-                                     /*guard=*/nullptr,
-                                     live.dirty_partitions(),
-                                     /*partitions=*/4, /*prev=*/nullptr,
-                                     /*stats=*/nullptr);
+  storage::WriteCheckpoint(Dir(), /*lsn=*/0, live_db, live, /*guard=*/nullptr,
+                           live.changed_scopes(), /*prev=*/nullptr,
+                           /*stats=*/nullptr);
   {
     storage::Wal wal(wal_path, storage::WalOptions{});
     for (int i = 0; i < 40; ++i) {
@@ -573,10 +886,9 @@ TEST_F(RecoveryTest, RandomWorkloadReplayMatchesDirectExecution) {
   // Recover into a fresh database + manager.
   Database recovered_db;
   ViewManager recovered(&recovered_db);
-  auto checkpoint = storage::ReadIncrementalCheckpoint(Dir());
-  ASSERT_TRUE(checkpoint.has_value());
-  storage::InstallCheckpoint(std::move(checkpoint->data), &recovered_db,
-                             &recovered);
+  auto manifest = storage::ReadManifest(Dir());
+  ASSERT_TRUE(manifest.has_value());
+  storage::InstallCheckpoint(Dir(), &*manifest, &recovered_db, &recovered);
   int64_t replayed = 0;
   {
     storage::Wal wal(wal_path, storage::WalOptions{},

@@ -1,19 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "db/database.h"
 #include "ivm/view_manager.h"
-#include "relational/csv.h"
-#include "relational/partition.h"
 #include "storage/checkpoint.h"
+#include "storage/recovery.h"
 #include "storage/wal.h"
 #include "test_util.h"
 #include "util/error.h"
@@ -37,21 +36,27 @@ class StorageTest : public ::testing::Test {
   std::string WalPath() const { return dir_ + "/wal.mv"; }
   std::string ManifestPath() const { return dir_ + "/manifest.mv"; }
 
-  // A full checkpoint of `db`/`views` into the test directory, sliced into
-  // `partitions` segments per scope.
-  CheckpointManifest WriteFull(uint64_t lsn, const Database& db,
-                               const ViewManager& views,
-                               const IntegrityGuard* guard,
-                               uint32_t partitions = 4,
-                               const CheckpointManifest* prev = nullptr) {
-    return WriteIncrementalCheckpoint(dir_, lsn, db, views, guard,
-                                      views.dirty_partitions(), partitions,
-                                      prev, nullptr);
+  // A checkpoint of `db`/`views` into the test directory: every scope
+  // gets a fresh base unless `prev` is given.
+  CheckpointManifest Write(uint64_t lsn, const Database& db,
+                           const ViewManager& views,
+                           const IntegrityGuard* guard,
+                           const CheckpointManifest* prev = nullptr) {
+    return WriteCheckpoint(dir_, lsn, db, views, guard, views.changed_scopes(),
+                           prev, nullptr);
+  }
+
+  // Reads the manifest back and installs it into `db`/`views`.
+  CheckpointManifest Install(Database* db, ViewManager* views) {
+    std::optional<CheckpointManifest> m = ReadManifest(dir_);
+    EXPECT_TRUE(m.has_value());
+    InstallCheckpoint(dir_, &*m, db, views);
+    return *m;
   }
 
   // Frames `body` as a manifest file (magic, CRC, length) and installs it.
   void WriteRawManifest(const std::string& body) {
-    std::string file = "MVMANIF1";
+    std::string file = "MVMANIF2";
     wire::PutU32(&file, Crc32(body.data(), body.size()));
     wire::PutU64(&file, body.size());
     file += body;
@@ -86,13 +91,22 @@ class StorageTest : public ::testing::Test {
 };
 
 TEST_F(StorageTest, WireCodecRoundTripsValuesAndTuples) {
+  const ColumnTypes types = {ValueType::kInt64, ValueType::kString,
+                             ValueType::kInt64};
+  const std::vector<Tuple> rows = {
+      Tuple({Value(0), Value(""), Value(-1)}),
+      Tuple({Value(INT64_MIN), Value("x,\"y\"\n"), Value(INT64_MAX)}),
+      Tuple({Value(63), Value(std::string(300, 'z')), Value(-64)}),
+  };
   std::string buf;
   wire::PutU32(&buf, 0xDEADBEEFu);
   wire::PutI64(&buf, -42);
   wire::PutString(&buf, "hello, wal");
   wire::PutValue(&buf, Value(7));
   wire::PutValue(&buf, Value("seven"));
-  wire::PutTuple(&buf, Tuple({Value(1), Value("x")}));
+  wire::PutRowHeader(&buf, types);
+  wire::PutRows(&buf, rows);
+  wire::PutVarint(&buf, UINT64_MAX);
 
   wire::Reader r(buf);
   EXPECT_EQ(r.GetU32(), 0xDEADBEEFu);
@@ -100,8 +114,27 @@ TEST_F(StorageTest, WireCodecRoundTripsValuesAndTuples) {
   EXPECT_EQ(r.GetString(), "hello, wal");
   EXPECT_EQ(r.GetValue(), Value(7));
   EXPECT_EQ(r.GetValue(), Value("seven"));
-  EXPECT_EQ(r.GetTuple(), Tuple({Value(1), Value("x")}));
+  EXPECT_EQ(r.GetRowHeader(), types);
+  EXPECT_EQ(r.GetRows(types), rows);
+  EXPECT_EQ(r.GetVarint(), UINT64_MAX);
   EXPECT_TRUE(r.AtEnd());
+
+  // Small magnitudes of either sign take one byte: the point of zigzag.
+  for (int64_t v : {0, 1, -1, 63, -64}) {
+    std::string one;
+    wire::PutZigzag(&one, v);
+    EXPECT_EQ(one.size(), 1u) << v;
+  }
+}
+
+TEST_F(StorageTest, ReaderRejectsOverlongVarints) {
+  // 0 padded to two bytes, and a value past 64 bits.
+  for (const std::string& bad :
+       {std::string("\x80\x00", 2), std::string(9, '\xFF') + "\x02",
+        std::string(10, '\xFF') + "\x01", std::string("\x80")}) {
+    wire::Reader r(bad);
+    EXPECT_THROW(r.GetVarint(), CorruptionError);
+  }
 }
 
 TEST_F(StorageTest, ReaderThrowsOnUnderflow) {
@@ -205,9 +238,16 @@ TEST_F(StorageTest, ReaderRejectsImpossibleCounts) {
     wire::Reader r(buf);
     EXPECT_THROW(r.GetCount(), CorruptionError);
   }
-  {
-    wire::Reader r(buf);  // same bytes read as a tuple arity
-    EXPECT_THROW(r.GetTuple(), CorruptionError);
+  // The same for the row codec's varint counts: a row block or a header
+  // claiming more elements than bytes follow.
+  for (uint64_t count : {uint64_t{0xFFFFFFFF}, uint64_t{1} << 62}) {
+    std::string rows;
+    wire::PutVarint(&rows, count);
+    wire::PutString(&rows, "x");
+    wire::Reader block(rows);
+    EXPECT_THROW(block.GetRows({ValueType::kInt64}), CorruptionError);
+    wire::Reader header(rows);
+    EXPECT_THROW(header.GetRowHeader(), CorruptionError);
   }
 }
 
@@ -413,79 +453,104 @@ TEST_F(StorageTest, CheckpointRoundTripsTablesViewsAndAssertions) {
   IntegrityGuard guard(&db);
   guard.AddAssertion("no_big_a", {"R"}, "A > 100");
 
-  WriteFull(/*lsn=*/7, db, views, &guard);
-  auto recovered = ReadIncrementalCheckpoint(dir_);
-  ASSERT_TRUE(recovered.has_value());
-  const CheckpointData& data = recovered->data;
-  EXPECT_EQ(data.lsn, 7u);
-  EXPECT_EQ(recovered->manifest.lsn, 7u);
-  ASSERT_EQ(data.tables.size(), 2u);
-  EXPECT_EQ(data.tables[0].first, "R");
-  EXPECT_EQ(data.tables[0].second.size(), 3u);
-  ASSERT_EQ(data.views.size(), 2u);
-  EXPECT_EQ(data.views[0].name, "j");
-  EXPECT_TRUE(data.views[0].materialized.SameContents(views.View("j")));
-  EXPECT_EQ(data.views[1].mode, MaintenanceMode::kDeferred);
-  ASSERT_EQ(data.views[1].pending.size(), 1u);
-  ASSERT_EQ(data.views[1].pending[0].inserts.size(), 1u);
-  EXPECT_EQ(data.views[1].pending[0].inserts[0], T({5, 2}));
-  ASSERT_EQ(data.assertions.size(), 1u);
-  EXPECT_EQ(data.assertions[0].name(), "no_big_a");
+  Write(/*lsn=*/7, db, views, &guard);
+  Database back_db;
+  ViewManager back(&back_db);
+  CheckpointManifest m = Install(&back_db, &back);
+  EXPECT_EQ(m.lsn, 7u);
+  ASSERT_EQ(m.tables.size(), 2u);
+  EXPECT_EQ(m.tables[0].name, "R");
+  EXPECT_EQ(back_db.Get("R").ToSortedVector(), db.Get("R").ToSortedVector());
+  EXPECT_EQ(back_db.Get("S").ToSortedVector(), db.Get("S").ToSortedVector());
+  ASSERT_EQ(back.ViewNames(), views.ViewNames());
+  EXPECT_TRUE(back.View("j").SameContents(views.View("j")));
+  EXPECT_TRUE(back.Materialization("sel").SameContents(
+      views.Materialization("sel")));
+  EXPECT_EQ(back.Describe("sel").mode, MaintenanceMode::kDeferred);
+  EXPECT_EQ(back.Describe("sel").pending_tuples, 1);
+  EXPECT_EQ(back.PendingLogs("sel")[0]->inserts().ToSortedVector(),
+            std::vector<Tuple>{T({5, 2})});
+  // What was installed is the image: nothing is marked changed.
+  EXPECT_FALSE(back.changed_scopes().Changed("v:j"));
+  EXPECT_FALSE(back.changed_scopes().Changed("t:R"));
+  ASSERT_EQ(m.assertions.size(), 1u);
+  EXPECT_EQ(m.assertions[0].name(), "no_big_a");
   // The condition survived structurally.
-  EXPECT_EQ(data.assertions[0].condition().ToString(),
+  EXPECT_EQ(m.assertions[0].condition().ToString(),
             guard.Definition("no_big_a").condition().ToString());
 }
 
 TEST_F(StorageTest, MissingCheckpointIsNotAnError) {
-  EXPECT_FALSE(ReadIncrementalCheckpoint(dir_).has_value());
+  EXPECT_FALSE(ReadManifest(dir_).has_value());
 }
 
 TEST_F(StorageTest, CorruptCheckpointThrows) {
   Database db;
   MakeRelation(&db, "R", {"A"}, {{1}, {2}, {3}});
   ViewManager views(&db);
-  CheckpointManifest m = WriteFull(1, db, views, nullptr, /*partitions=*/1);
+  CheckpointManifest m = Write(1, db, views, nullptr);
   ASSERT_EQ(m.tables.size(), 1u);
-  const std::string segment = dir_ + "/" + m.tables[0].segments[0];
+  const std::string segment = dir_ + "/" + m.tables[0].chain[0].file;
 
-  // A flipped byte in a segment fails its CRC ...
+  // A flipped byte in a segment fails its CRC when the image is read ...
   FlipLastByte(segment);
-  EXPECT_THROW(ReadIncrementalCheckpoint(dir_), CorruptionError);
+  {
+    Database back_db;
+    ViewManager back(&back_db);
+    EXPECT_THROW(Install(&back_db, &back), CorruptionError);
+  }
   FlipLastByte(segment);
-  ASSERT_TRUE(ReadIncrementalCheckpoint(dir_).has_value());
+  {
+    Database back_db;
+    ViewManager back(&back_db);
+    Install(&back_db, &back);
+    EXPECT_EQ(back_db.Get("R").size(), 3u);
+  }
 
-  // ... and so does one in the manifest.
+  // ... and one in the manifest fails it as soon as it is read.
   FlipLastByte(ManifestPath());
-  EXPECT_THROW(ReadIncrementalCheckpoint(dir_), CorruptionError);
+  EXPECT_THROW(ReadManifest(dir_), CorruptionError);
 }
 
 TEST_F(StorageTest, CheckpointOverwriteIsAtomic) {
   Database db;
   MakeRelation(&db, "R", {"A"}, {{1}});
   ViewManager views(&db);
-  CheckpointManifest first = WriteFull(1, db, views, nullptr);
+  CheckpointManifest first = Write(1, db, views, nullptr);
   db.Get("R").Insert(T({2}));
-  WriteFull(2, db, views, nullptr, /*partitions=*/4, &first);
-  auto recovered = ReadIncrementalCheckpoint(dir_);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->data.lsn, 2u);
-  EXPECT_EQ(recovered->manifest.generation, first.generation + 1);
-  EXPECT_EQ(recovered->data.tables[0].second.size(), 2u);
+  views.changed_scopes().MarkRows("t:R");
+  Write(2, db, views, nullptr, &first);
+  Database back_db;
+  ViewManager back(&back_db);
+  CheckpointManifest m = Install(&back_db, &back);
+  EXPECT_EQ(m.lsn, 2u);
+  EXPECT_EQ(m.generation, first.generation + 1);
+  EXPECT_EQ(back_db.Get("R").size(), 2u);
   EXPECT_FALSE(std::filesystem::exists(ManifestPath() + ".tmp"));
 }
 
-// A manifest whose CRC is valid but whose partition count is absurd must
-// fail as corruption before the decoder sizes a vector from it (~128 GiB
-// of strings for 0xFFFFFFFF).
-TEST_F(StorageTest, ManifestPartitionCountIsClampedToItsBytes) {
-  std::string body;
-  wire::PutU64(&body, 1);            // lsn
-  wire::PutU64(&body, 1);            // generation
-  wire::PutU32(&body, 0xFFFFFFFFu);  // partitions
-  wire::PutU32(&body, 1);            // one table ...
-  wire::PutString(&body, "R");       // ... whose segment list is missing
-  WriteRawManifest(body);
-  EXPECT_THROW(ReadIncrementalCheckpoint(dir_), CorruptionError);
+// A manifest whose CRC is valid but whose counts are absurd must fail as
+// corruption before the decoder sizes a vector from them: a chain length
+// beyond the bytes left or beyond the compaction cap, or an empty chain.
+TEST_F(StorageTest, ManifestChainLengthIsClampedToItsBytes) {
+  for (uint64_t chain : {uint64_t{0xFFFFFFFF}, uint64_t{kMaxDeltas + 2},
+                         uint64_t{0}}) {
+    std::string body;
+    wire::PutU64(&body, 1);  // lsn
+    wire::PutU64(&body, 1);  // generation
+    wire::PutVarint(&body, 1);  // one table ...
+    wire::PutString(&body, "R");
+    wire::PutSchema(&body, Schema::OfInts({"A"}));
+    wire::PutVarint(&body, chain);  // ... whose chain is cut short
+    for (uint64_t i = 0; i < std::min<uint64_t>(chain, kMaxDeltas + 2); ++i) {
+      wire::PutString(&body, "seg_1_" + std::to_string(i) + ".mv");
+      wire::PutVarint(&body, 20);
+    }
+    wire::PutVarint(&body, 0);  // views
+    wire::PutVarint(&body, 0);  // assertions
+    WriteRawManifest(body);
+    EXPECT_THROW(ReadManifest(dir_), CorruptionError) << chain;
+  }
 }
 
 // Recovery opens `dir + "/" + name` for every segment a manifest lists,
@@ -495,35 +560,33 @@ TEST_F(StorageTest, ManifestSegmentNamesMustBeSegmentFiles) {
   Database db;
   MakeRelation(&db, "R", {"A"}, {{1}, {2}});
   ViewManager views(&db);
-  CheckpointManifest m = WriteFull(1, db, views, nullptr, /*partitions=*/1);
-  std::filesystem::copy_file(dir_ + "/" + m.tables[0].segments[0],
-                             dir_ + "/elsewhere.mv");
+  CheckpointManifest m = Write(1, db, views, nullptr);
+  const SegmentRef& base = m.tables[0].chain[0];
+  std::filesystem::copy_file(dir_ + "/" + base.file, dir_ + "/elsewhere.mv");
   for (const std::string& name :
-       {std::string("elsewhere.mv"), std::string("../") +
-                                         std::filesystem::path(dir_)
-                                             .filename()
-                                             .string() +
-                                         "/" + m.tables[0].segments[0]}) {
+       {std::string("elsewhere.mv"),
+        std::string("../") + std::filesystem::path(dir_).filename().string() +
+            "/" + base.file}) {
     std::string body;
     wire::PutU64(&body, 1);  // lsn
     wire::PutU64(&body, 2);  // generation
-    wire::PutU32(&body, 1);  // partitions
-    wire::PutU32(&body, 1);  // tables
+    wire::PutVarint(&body, 1);  // tables
     wire::PutString(&body, "R");
+    wire::PutSchema(&body, db.Get("R").schema());
+    wire::PutVarint(&body, 1);  // chain
     wire::PutString(&body, name);
-    wire::PutU32(&body, 0);  // views
-    wire::PutU32(&body, 0);  // assertions
+    wire::PutVarint(&body, base.bytes);
+    wire::PutVarint(&body, 0);  // views
+    wire::PutVarint(&body, 0);  // assertions
     WriteRawManifest(body);
-    EXPECT_THROW(ReadIncrementalCheckpoint(dir_), CorruptionError) << name;
+    EXPECT_THROW(ReadManifest(dir_), CorruptionError) << name;
   }
 }
 
-// Segments are encoded straight from one bucketing pass over each scope;
-// their bytes must equal `WriteCsv` of the same slice — including string
-// values that need CSV quoting — for tables (plain rows) and views
-// (rows with counts).
-TEST_F(StorageTest, SegmentBytesEqualWriteCsvOfTheSlice) {
-  constexpr uint32_t kPartitions = 4;
+// A base segment is the row codec of the scope's rows in sorted order —
+// kind, column-type header, row count, rows — with each view row followed
+// by its count, and the manifest records the framed file's size.
+TEST_F(StorageTest, SegmentBytesAreTheRowCodecOfTheSortedScope) {
   Database db;
   Relation& rel = db.CreateRelation(
       "S", Schema({{"id", ValueType::kInt64}, {"s", ValueType::kString}}));
@@ -538,39 +601,92 @@ TEST_F(StorageTest, SegmentBytesEqualWriteCsvOfTheSlice) {
   views.RegisterView(ViewDefinition::Select("v", "S", "id > -5", {"s"}),
                      MaintenanceMode::kImmediate);
 
-  CheckpointManifest m = WriteFull(1, db, views, nullptr, kPartitions);
-  auto segment_csv = [&](const std::string& file) {
-    std::ifstream in(dir_ + "/" + file, std::ios::binary);
+  CheckpointManifest m = Write(1, db, views, nullptr);
+  auto segment = [&](const SegmentRef& ref) {
+    std::ifstream in(dir_ + "/" + ref.file, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), ref.bytes);
     return bytes.substr(8 + 4 + 8);  // magic, CRC, length
   };
-  for (uint32_t p = 0; p < kPartitions; ++p) {
-    Relation table_slice(rel.schema());
-    rel.Scan([&](const Tuple& t) {
-      if (PartitionOf(t, kRowHashKey, kPartitions) == p) table_slice.Insert(t);
-    });
-    std::ostringstream table_csv;
-    WriteCsv(table_slice, table_csv);
-    EXPECT_EQ(segment_csv(m.tables[0].segments[p]), table_csv.str())
-        << "table partition " << p;
 
-    const CountedRelation& view = views.View("v");
-    CountedRelation view_slice(view.schema());
-    view.Scan([&](const Tuple& t, int64_t count) {
-      if (PartitionOf(t, kRowHashKey, kPartitions) == p) {
-        view_slice.Add(t, count);
-      }
-    });
-    std::ostringstream view_csv;
-    WriteCsv(view_slice, view_csv);
-    EXPECT_EQ(segment_csv(m.view_segments[0].segments[p]), view_csv.str())
-        << "view partition " << p;
+  std::string table;
+  wire::PutU8(&table, static_cast<uint8_t>(SegmentKind::kTableBase));
+  wire::PutRowHeader(&table, ColumnTypesOf(rel.schema()));
+  wire::PutRows(&table, rel.ToSortedVector());
+  ASSERT_EQ(m.tables.size(), 1u);
+  ASSERT_EQ(m.tables[0].chain.size(), 1u);
+  EXPECT_EQ(segment(m.tables[0].chain[0]), table);
+
+  const CountedRelation& view = views.View("v");
+  std::string counted;
+  wire::PutU8(&counted, static_cast<uint8_t>(SegmentKind::kViewBase));
+  wire::PutRowHeader(&counted, ColumnTypesOf(view.schema()));
+  wire::PutVarint(&counted, view.size());
+  for (const auto& [t, count] : view.ToSortedVector()) {
+    wire::PutRow(&counted, t);
+    wire::PutZigzag(&counted, count);
   }
+  ASSERT_EQ(m.view_images.size(), 1u);
+  EXPECT_EQ(segment(m.view_images[0].chain[0]), counted);
   // The projection collapsed duplicates, so some counts exceed one.
   bool multi = false;
-  views.View("v").Scan([&](const Tuple&, int64_t c) { multi |= c > 1; });
+  view.Scan([&](const Tuple&, int64_t c) { multi |= c > 1; });
   EXPECT_TRUE(multi);
+}
+
+// A changed scope gets one delta holding exactly the rows whose count
+// changed, with the count after the change (0 = gone); an unchanged one
+// keeps its chain, and recovery applies the chain over the base.
+TEST_F(StorageTest, DeltaSegmentHoldsOnlyTheChangedRows) {
+  Database db;
+  MakeRelation(&db, "R", {"A", "B"}, {{1, 1}, {2, 1}, {3, 2}, {4, 2}});
+  MakeRelation(&db, "Q", {"C"}, {{9}});
+  ViewManager views(&db);
+  views.RegisterView(ViewDefinition::Select("p", "R", "A > 0", {"B"}),
+                     MaintenanceMode::kImmediate);
+  CheckpointManifest first = Write(1, db, views, nullptr);
+  views.changed_scopes().Clear();
+
+  Transaction txn;
+  txn.Delete("R", T({1, 1}));
+  txn.Insert("R", T({5, 3}));
+  views.Apply(txn);
+  CheckpointStats stats;
+  CheckpointManifest second = WriteCheckpoint(
+      dir_, 2, db, views, nullptr, views.changed_scopes(), &first, &stats);
+  EXPECT_EQ(stats.segments_written, 2);  // R and p; Q carried
+  EXPECT_EQ(stats.scopes_skipped, 1);
+  EXPECT_EQ(second.tables[0].name, "Q");
+  EXPECT_EQ(second.tables[0].chain.size(), 1u);
+  ASSERT_EQ(second.tables[1].chain.size(), 2u);
+  EXPECT_EQ(second.tables[1].chain[0].file, first.tables[1].chain[0].file);
+
+  std::string delta;
+  wire::PutU8(&delta, static_cast<uint8_t>(SegmentKind::kDelta));
+  wire::PutRowHeader(&delta, {ValueType::kInt64, ValueType::kInt64});
+  wire::PutVarint(&delta, 2);
+  wire::PutRow(&delta, T({1, 1}));
+  wire::PutZigzag(&delta, 0);
+  wire::PutRow(&delta, T({5, 3}));
+  wire::PutZigzag(&delta, 1);
+  std::ifstream in(dir_ + "/" + second.tables[1].chain[1].file,
+                   std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.substr(8 + 4 + 8), delta);
+
+  // The view: B=1 dropped from count 2 to 1, and B=3 appeared.
+  std::vector<std::pair<Tuple, int64_t>> view_rows;
+  ScanImage(dir_, second.view_images[0], /*counted=*/true,
+            [&](const Tuple& t, int64_t c) { view_rows.emplace_back(t, c); });
+  EXPECT_EQ(view_rows, views.View("p").ToSortedVector());
+
+  Database back_db;
+  ViewManager back(&back_db);
+  Install(&back_db, &back);
+  EXPECT_EQ(back_db.Get("R").ToSortedVector(), db.Get("R").ToSortedVector());
+  EXPECT_TRUE(back.View("p").SameContents(views.View("p")));
 }
 
 }  // namespace
