@@ -19,7 +19,7 @@ ColumnBatch::ColumnBatch(const Schema& schema, size_t capacity,
     if (types_[c] == ValueType::kInt64) {
       data_[c] = arena->AllocateArray<int64_t>(capacity_);
     } else {
-      data_[c] = arena->AllocateArray<const std::string*>(capacity_);
+      data_[c] = arena->AllocateArray<std::string_view>(capacity_);
     }
   }
 }
@@ -31,7 +31,7 @@ void ColumnBatch::SetFromTuple(size_t row, const Tuple& tuple,
     if (types_[c] == ValueType::kInt64) {
       ints(c)[row] = tuple.at(i).AsInt64();
     } else {
-      strs(c)[row] = &tuple.at(i).AsString();
+      strs(c)[row] = tuple.at(i).AsString();
     }
   }
 }
@@ -49,22 +49,17 @@ void ColumnBatch::CopyRow(const ColumnBatch& src, size_t src_row,
 
 Value ColumnBatch::ValueAt(size_t row, size_t col) const {
   if (types_[col] == ValueType::kInt64) return Value(ints(col)[row]);
-  return Value(*strs(col)[row]);
+  return Value(strs(col)[row]);
 }
 
 Tuple ColumnBatch::MakeTuple(size_t row,
                              const std::vector<size_t>& cols) const {
-  std::vector<Value> vals;
-  vals.reserve(cols.size());
-  for (size_t c : cols) vals.push_back(ValueAt(row, c));
-  return Tuple(std::move(vals));
+  return Tuple::Build(cols.size(),
+                      [&](size_t i) { return ValueAt(row, cols[i]); });
 }
 
 Tuple ColumnBatch::MakeTuple(size_t row) const {
-  std::vector<Value> vals;
-  vals.reserve(num_cols_);
-  for (size_t c = 0; c < num_cols_; ++c) vals.push_back(ValueAt(row, c));
-  return Tuple(std::move(vals));
+  return Tuple::Build(num_cols_, [&](size_t c) { return ValueAt(row, c); });
 }
 
 void ColumnBatch::Keep(const uint32_t* sel, size_t n) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "relational/relation.h"
@@ -17,17 +18,18 @@ namespace mview {
 /// A fixed-capacity columnar chunk of counted rows.
 ///
 /// This is the unit of the batch differential pipeline: instead of flowing
-/// through the evaluator one heap-allocated `Tuple` (a `vector<Value>` of
-/// variants) at a time, delta rows move in chunks of `kDefaultCapacity`
+/// through the evaluator one heap-allocated `Tuple` (an array of tagged
+/// `Value`s) at a time, delta rows move in chunks of `kDefaultCapacity`
 /// rows laid out column-wise in per-round arena memory —
 ///
 ///   - `kInt64` attributes are a flat `int64_t` array (the common case;
 ///     the paper's domains are integer-valued), so selection and join-key
 ///     computation run as tight loops over machine words;
-///   - `kString` attributes are an array of *borrowed* `const std::string*`
-///     pointing into the scanned relations' node-stable rows, so strings
-///     are never copied while a row is in flight — only a surviving output
-///     row materializes its strings into the result `Tuple`;
+///   - `kString` attributes are an array of *borrowed* `std::string_view`s
+///     into the scanned relations' node-stable rows (a row's value array
+///     never moves while the row is stored), so strings are never copied
+///     while a row is in flight — only a surviving output row materializes
+///     its strings into the result `Tuple`;
 ///   - every row carries its multiplicity in a `counts` column
 ///     (Section 5.2's counter algebra: join multiplies, projection sums).
 ///
@@ -68,11 +70,11 @@ class ColumnBatch {
   const int64_t* ints(size_t col) const {
     return static_cast<const int64_t*>(data_[col]);
   }
-  const std::string** strs(size_t col) {
-    return static_cast<const std::string**>(data_[col]);
+  std::string_view* strs(size_t col) {
+    return static_cast<std::string_view*>(data_[col]);
   }
-  const std::string* const* strs(size_t col) const {
-    return static_cast<const std::string* const*>(data_[col]);
+  const std::string_view* strs(size_t col) const {
+    return static_cast<const std::string_view*>(data_[col]);
   }
 
   /// The multiplicity column.

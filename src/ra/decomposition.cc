@@ -194,7 +194,8 @@ SubResult Decomposer::Solve(std::vector<size_t> inputs,
   if (inputs.size() == 1) {
     result.members = inputs;
     for (auto& [t, c] : FilterRows(inputs[0], atoms)) {
-      result.rows.emplace_back(t.values(), c);
+      result.rows.emplace_back(
+          std::vector<Value>(t.values().begin(), t.values().end()), c);
     }
     if (stats_ != nullptr) {
       stats_->intermediate_tuples +=
@@ -281,7 +282,7 @@ SubResult Decomposer::Solve(std::vector<size_t> inputs,
     if (!alive) continue;
     SubResult sub = Solve(rest, std::move(substituted));
     for (const auto& [values, count] : sub.rows) {
-      std::vector<Value> row = t.values();
+      std::vector<Value> row(t.values().begin(), t.values().end());
       row.insert(row.end(), values.begin(), values.end());
       result.rows.emplace_back(std::move(row), c * count);
     }

@@ -127,11 +127,10 @@ CountedRelation Evaluate(const Expr& expr, const Database& db) {
       });
       CountedRelation out(out_schema);
       // One scratch key reused across probes: overwriting its values
-      // recycles string capacity instead of allocating a fresh key tuple
-      // per left row.
-      Tuple probe(std::vector<Value>(ls.size()));
+      // avoids allocating a fresh key tuple per left row.
+      Tuple probe = Tuple::OfSize(ls.size());
       l.Scan([&](const Tuple& lt, int64_t lc) {
-        auto& key_vals = probe.mutable_values();
+        std::span<Value> key_vals = probe.mutable_values();
         for (size_t i = 0; i < ls.size(); ++i) key_vals[i] = lt.at(ls[i]);
         auto hit = table.find(probe);
         if (hit == table.end()) return;
@@ -189,7 +188,7 @@ bool EvalBoundAtom(const ColumnBatch& batch, size_t row,
       const int64_t right = atom.rhs_const.AsInt64();
       return EvalCompare(left < right ? -1 : (left > right ? 1 : 0), atom.op);
     }
-    const std::string& left = *batch.strs(atom.lhs_col)[row];
+    const std::string_view left = batch.strs(atom.lhs_col)[row];
     return EvalCompare(left.compare(atom.rhs_const.AsString()), atom.op);
   }
   if (lhs_int) {
@@ -198,8 +197,8 @@ bool EvalBoundAtom(const ColumnBatch& batch, size_t row,
     const int64_t right = batch.ints(atom.rhs_col)[row];
     return EvalCompare(left < right ? -1 : (left > right ? 1 : 0), atom.op);
   }
-  const std::string& left = *batch.strs(atom.lhs_col)[row];
-  const std::string& right = *batch.strs(atom.rhs_col)[row];
+  const std::string_view left = batch.strs(atom.lhs_col)[row];
+  const std::string_view right = batch.strs(atom.rhs_col)[row];
   return EvalCompare(left.compare(right), atom.op);
 }
 

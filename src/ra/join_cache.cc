@@ -17,14 +17,10 @@ bool JoinStateCache::InPartition(uint32_t slot, const Tuple& tuple) const {
 
 size_t JoinStateCache::ApproxRowBytes(const Tuple& tuple) {
   // One copy in Table::rows plus (roughly) one key copy in the hash index
-  // or the keyless reverse map, plus container node overhead.  The budget
-  // is a coarse knob, not an allocator audit.
-  size_t value_bytes = 0;
-  for (const Value& v : tuple.values()) {
-    value_bytes += sizeof(Value);
-    if (v.type() == ValueType::kString) value_bytes += v.AsString().size();
-  }
-  return 2 * (sizeof(Tuple) + value_bytes) + 64;
+  // or the keyless reverse map, each a `Tuple` handle and the heap bytes
+  // it owns (its value array and out-of-line strings), plus container node
+  // overhead.  The budget is a coarse knob, not an allocator audit.
+  return 2 * (sizeof(Tuple) + tuple.HeapBytes()) + 64;
 }
 
 void JoinStateCache::BeginRound(std::vector<SlotUpdate> slots) {

@@ -448,7 +448,7 @@ void SpjExecutor::ExecuteStep(size_t input_id, std::vector<PartialRow>* rows) {
     }
     merged.count = row.count * count;  // Section 5.2: join multiplies counts
     if (!filters.empty()) {
-      Tuple view(std::vector<Value>(merged.vals));
+      Tuple view(std::span<const Value>(merged.vals));
       for (const Atom* atom : filters) {
         if (!atom->Evaluate(combined_, view)) return;
       }
@@ -500,11 +500,10 @@ void SpjExecutor::ExecuteStep(size_t input_id, std::vector<PartialRow>* rows) {
   if (!links.empty() && !use_index) {
     PlannerCache::Table* table = MaterializeTable(input_id, key_attrs);
     // One scratch key reused across probes: assigning into its values
-    // recycles their string capacity instead of materializing a fresh
-    // tuple (and fresh strings) per probe.
-    Tuple probe_key(std::vector<Value>(links.size()));
+    // avoids materializing a fresh tuple per probe.
+    Tuple probe_key = Tuple::OfSize(links.size());
     for (const auto& row : *rows) {
-      auto& key_vals = probe_key.mutable_values();
+      std::span<Value> key_vals = probe_key.mutable_values();
       for (size_t li = 0; li < links.size(); ++li) {
         const Link& l = links[li];
         const Value& bound_val = row.vals[l.bound_combined];
@@ -567,7 +566,7 @@ void SpjExecutor::ExecuteStep(size_t input_id, std::vector<PartialRow>* rows) {
 }
 
 void SpjExecutor::Emit(const PartialRow& row) {
-  Tuple full(std::vector<Value>(row.vals));
+  Tuple full(std::span<const Value>(row.vals));
   if (need_residual_ && query_.condition != nullptr &&
       !query_.condition->Evaluate(combined_, full)) {
     return;
@@ -732,7 +731,7 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
     if (src.column_type(link.bound_combined) == ValueType::kInt64) {
       return Value(src.ints(link.bound_combined)[row] + link.key_offset);
     }
-    return Value(*src.strs(link.bound_combined)[row]);
+    return Value(src.strs(link.bound_combined)[row]);
   };
 
   auto check_links = [&](const ColumnBatch& src, size_t row, const Tuple& t,
@@ -745,7 +744,7 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
         if (tv.AsInt64() != src.ints(l.bound_combined)[row] + l.key_offset) {
           return false;
         }
-      } else if (tv.AsString() != *src.strs(l.bound_combined)[row]) {
+      } else if (tv.AsString() != src.strs(l.bound_combined)[row]) {
         return false;
       }
     }
@@ -799,10 +798,10 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
       }
     } else {
       // One scratch key reused across probes, as in the tuple path.
-      Tuple probe_key(std::vector<Value>(links.size()));
+      Tuple probe_key = Tuple::OfSize(links.size());
       for (const ColumnBatch& src : *batches) {
         for (size_t r = 0; r < src.size(); ++r) {
-          auto& key_vals = probe_key.mutable_values();
+          std::span<Value> key_vals = probe_key.mutable_values();
           for (size_t li = 0; li < links.size(); ++li) {
             key_vals[li] = key_value(src, r, links[li]);
           }

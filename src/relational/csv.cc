@@ -8,7 +8,7 @@
 namespace mview {
 namespace {
 
-bool NeedsQuoting(const std::string& s) {
+bool NeedsQuoting(std::string_view s) {
   return s.find_first_of(",\"\n\r") != std::string::npos;
 }
 
@@ -17,7 +17,7 @@ void AppendField(const Value& v, std::string* out) {
     out->append(std::to_string(v.AsInt64()));
     return;
   }
-  const std::string& s = v.AsString();
+  std::string_view s = v.AsString();
   if (!NeedsQuoting(s)) {
     out->append(s);
     return;

@@ -2,8 +2,12 @@
 #define MVIEW_RELATIONAL_TUPLE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <new>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relational/value.h"
@@ -17,20 +21,66 @@ namespace mview {
 /// here — `CountedRelation` keeps counts beside tuples, matching the paper's
 /// remark that the counter attribute "need not be explicitly stored" for base
 /// relations (where it is always one).
+///
+/// A tuple is a pointer and a 32-bit size over one heap array of exactly
+/// `size()` values — no capacity slack, 16 bytes in its container node.
+/// Moving a tuple moves the pointer, so values (and the bytes of their
+/// inline strings) stay where they are while the tuple is alive.
 class Tuple {
  public:
   Tuple() = default;
-  explicit Tuple(std::vector<Value> values) : values_(std::move(values)) {}
-  Tuple(std::initializer_list<Value> values) : values_(values) {}
+  /// Moves `values` into a new exact-size array.
+  explicit Tuple(std::vector<Value> values);
+  /// Copies `values` into a new array.
+  explicit Tuple(std::span<const Value> values);
+  Tuple(std::initializer_list<Value> values)
+      : Tuple(std::span<const Value>(values.begin(), values.size())) {}
 
-  size_t size() const { return values_.size(); }
+  /// Builds a tuple of `n` values straight into its final array, the i-th
+  /// constructed from `make(i)` (called in order, i = 0, 1, ...).
+  template <typename Make>
+  static Tuple Build(size_t n, Make&& make) {
+    Tuple t;
+    t.Allocate(n);
+    for (size_t i = 0; i < n; ++i) t.Push(make(i));
+    return t;
+  }
+
+  /// A tuple of `n` integer zeros, to be overwritten through
+  /// `mutable_values()` (the join hot loops' scratch probe keys).
+  static Tuple OfSize(size_t n) {
+    return Build(n, [](size_t) { return Value(); });
+  }
+
+  Tuple(const Tuple& other) : Tuple(other.values()) {}
+  Tuple(Tuple&& other) noexcept : data_(other.data_), size_(other.size_) {
+    other.data_ = nullptr;
+    other.size_ = 0;
+  }
+  Tuple& operator=(const Tuple& other) {
+    if (this != &other) *this = Tuple(other);
+    return *this;
+  }
+  Tuple& operator=(Tuple&& other) noexcept {
+    if (this != &other) {
+      Release();
+      data_ = other.data_;
+      size_ = other.size_;
+      other.data_ = nullptr;
+      other.size_ = 0;
+    }
+    return *this;
+  }
+  ~Tuple() { Release(); }
+
+  size_t size() const { return size_; }
   const Value& at(size_t index) const;
-  const std::vector<Value>& values() const { return values_; }
+  std::span<const Value> values() const { return {data_, size_}; }
 
   /// Mutable access for scratch tuples reused across hash probes (the
   /// join hot loops overwrite one key tuple in place instead of
   /// materializing a fresh tuple — and its string values — per probe).
-  std::vector<Value>& mutable_values() { return values_; }
+  std::span<Value> mutable_values() { return {data_, size_}; }
 
   /// Returns the concatenation of this tuple with `other`.
   Tuple Concat(const Tuple& other) const;
@@ -38,8 +88,8 @@ class Tuple {
   /// Returns the sub-tuple at the given source indices (projection).
   Tuple Project(const std::vector<size_t>& indices) const;
 
-  bool operator==(const Tuple& other) const { return values_ == other.values_; }
-  bool operator!=(const Tuple& other) const { return values_ != other.values_; }
+  bool operator==(const Tuple& other) const;
+  bool operator!=(const Tuple& other) const { return !(*this == other); }
 
   /// Lexicographic order (used only for deterministic printing/sorting).
   bool operator<(const Tuple& other) const;
@@ -52,12 +102,31 @@ class Tuple {
   /// (stable across restarts, unlike `Hash()`).
   uint64_t StableHash() const;
 
+  /// Heap bytes this tuple owns: its value array plus the values'
+  /// out-of-line string blocks (not `sizeof(Tuple)` itself, which lives in
+  /// the owning container).
+  size_t HeapBytes() const;
+
   /// Renders as "(1, 2, \"x\")".
   std::string ToString() const;
 
  private:
-  std::vector<Value> values_;
+  // Allocates room for `n` values and leaves `size_` at 0; `Push` then
+  // constructs them in order.  `size_` counts the constructed values, so a
+  // throw midway destroys exactly those.
+  void Allocate(size_t n);
+  template <typename V>
+  void Push(V&& v) {
+    new (data_ + size_) Value(std::forward<V>(v));
+    ++size_;
+  }
+  void Release();
+
+  Value* data_ = nullptr;
+  uint32_t size_ = 0;
 };
+
+static_assert(sizeof(Tuple) == 16, "a Tuple is a pointer and a size");
 
 }  // namespace mview
 

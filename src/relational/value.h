@@ -2,9 +2,10 @@
 #define MVIEW_RELATIONAL_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <string>
-#include <variant>
+#include <string_view>
 
 namespace mview {
 
@@ -30,43 +31,98 @@ const char* ValueTypeName(ValueType type);
 /// Values are ordered and hashable.  Comparisons between values of different
 /// types throw `Error` — schemas are statically typed and the condition
 /// validator rejects mixed-type atoms, so such a comparison indicates a bug.
+///
+/// A value is 16 bytes, because every stored row of every base relation,
+/// view and epoch spare is an array of them.  Byte 15 is a tag:
+///
+///   - `0..15`: a string of that many bytes, stored inline in bytes 0..14;
+///   - `kIntTag`: an `int64_t` in bytes 0..7;
+///   - `kHeapTag`: a string longer than 15 bytes, in a heap block the value
+///     owns alone (bytes 0..7 point at it, bytes 8..11 hold its length).
+///
+/// A string is inline exactly when it fits, and bytes a representation does
+/// not use are zero, so equal values have equal tags and — except for heap
+/// strings — equal bytes.  A heap block is never shared (there is no
+/// reference count), so copies handed to epoch readers share nothing
+/// mutable.
 class Value {
  public:
   /// Constructs the integer value 0.
-  Value() : rep_(int64_t{0}) {}
+  Value() noexcept { SetInt(0); }
   /// Constructs an integer value.
-  Value(int64_t v) : rep_(v) {}  // NOLINT: implicit by design for literals
+  Value(int64_t v) noexcept { SetInt(v); }  // NOLINT: implicit by design
   /// Constructs an integer value from a plain int literal.
-  Value(int v) : rep_(int64_t{v}) {}  // NOLINT
+  Value(int v) noexcept { SetInt(v); }  // NOLINT
   /// Constructs a string value.
-  Value(std::string v) : rep_(std::move(v)) {}  // NOLINT
+  Value(const std::string& v) { SetString(v); }  // NOLINT
   /// Constructs a string value from a C literal.
-  Value(const char* v) : rep_(std::string(v)) {}  // NOLINT
+  Value(const char* v) { SetString(v); }  // NOLINT
+  /// Constructs a string value (copying the viewed bytes).
+  explicit Value(std::string_view v) { SetString(v); }
+
+  Value(const Value& other) {
+    if (other.tag() == kHeapTag) {
+      SetString(other.StringPayload());
+    } else {
+      std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    }
+  }
+  Value(Value&& other) noexcept {
+    std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+    other.SetInt(0);
+  }
+  Value& operator=(const Value& other) {
+    if (this != &other) *this = Value(other);
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      Release();
+      std::memcpy(bytes_, other.bytes_, sizeof(bytes_));
+      other.SetInt(0);
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
 
   /// Returns the runtime type of this value.
   ValueType type() const {
-    return std::holds_alternative<int64_t>(rep_) ? ValueType::kInt64
-                                                 : ValueType::kString;
+    return tag() == kIntTag ? ValueType::kInt64 : ValueType::kString;
   }
 
   /// Returns the integer payload; throws if this is not an integer.
   int64_t AsInt64() const;
 
-  /// Returns the string payload; throws if this is not a string.
-  const std::string& AsString() const;
+  /// Returns the string payload; throws if this is not a string.  The view
+  /// borrows this value's bytes: it is valid while the value is neither
+  /// destroyed, moved from nor assigned to.
+  std::string_view AsString() const;
 
   /// Three-way comparison; throws on mixed-type comparison.
   int Compare(const Value& other) const;
 
-  bool operator==(const Value& other) const { return rep_ == other.rep_; }
-  bool operator!=(const Value& other) const { return rep_ != other.rep_; }
+  /// Equality; values of different types are unequal (no throw).
+  bool operator==(const Value& other) const {
+    if (tag() != other.tag()) return false;
+    if (tag() == kHeapTag) return StringPayload() == other.StringPayload();
+    return std::memcmp(bytes_, other.bytes_, sizeof(bytes_)) == 0;
+  }
+  bool operator!=(const Value& other) const { return !(*this == other); }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
   bool operator<=(const Value& other) const { return Compare(other) <= 0; }
   bool operator>(const Value& other) const { return Compare(other) > 0; }
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
   /// Returns a hash suitable for unordered containers.
-  std::size_t Hash() const;
+  std::size_t Hash() const {
+    if (tag() != kIntTag) return StringHash();
+    // Mix so that small integers spread across buckets.
+    uint64_t x = static_cast<uint64_t>(IntPayload());
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    return static_cast<std::size_t>(x);
+  }
 
   /// A process-independent hash (FNV-1a over a type tag and the payload
   /// bytes).  Unlike `Hash()` — which may vary with the standard library —
@@ -74,12 +130,55 @@ class Value {
   /// assignments derived from it survive checkpoint/recovery round-trips.
   uint64_t StableHash() const;
 
+  /// Heap bytes this value owns: the length of an out-of-line string, else
+  /// 0 (integers and strings of at most 15 bytes live in the value itself).
+  size_t HeapBytes() const { return tag() == kHeapTag ? HeapSize() : 0; }
+
   /// Renders the value for diagnostics ("42" or "\"abc\"").
   std::string ToString() const;
 
  private:
-  std::variant<int64_t, std::string> rep_;
+  static constexpr size_t kInlineCapacity = 15;
+  static constexpr uint8_t kIntTag = 0x40;
+  static constexpr uint8_t kHeapTag = 0x41;
+
+  uint8_t tag() const { return static_cast<uint8_t>(bytes_[15]); }
+  int64_t IntPayload() const {
+    int64_t v;
+    std::memcpy(&v, bytes_, sizeof(v));
+    return v;
+  }
+  char* HeapData() const {
+    char* p;
+    std::memcpy(&p, bytes_, sizeof(p));
+    return p;
+  }
+  uint32_t HeapSize() const {
+    uint32_t n;
+    std::memcpy(&n, bytes_ + 8, sizeof(n));
+    return n;
+  }
+  // The string payload of a value known to be a string.
+  std::string_view StringPayload() const {
+    return tag() == kHeapTag ? std::string_view(HeapData(), HeapSize())
+                             : std::string_view(bytes_, tag());
+  }
+
+  void SetInt(int64_t v) {
+    std::memset(bytes_, 0, sizeof(bytes_));
+    std::memcpy(bytes_, &v, sizeof(v));
+    bytes_[15] = static_cast<char>(kIntTag);
+  }
+  void SetString(std::string_view s);  // on raw (unowned) bytes
+  void Release() {
+    if (tag() == kHeapTag) delete[] HeapData();
+  }
+  std::size_t StringHash() const;
+
+  alignas(8) char bytes_[16];
 };
+
+static_assert(sizeof(Value) == 16, "a Value is 16 bytes");
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 

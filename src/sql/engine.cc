@@ -502,7 +502,7 @@ Transaction EngineCore::BuildInsert(const Statement& stmt,
                   rel.schema().attribute(i).name, " expects ",
                   ValueTypeName(rel.schema().attribute(i).type));
     }
-    txn.Insert(stmt.name, Tuple(row));
+    txn.Insert(stmt.name, Tuple(std::span<const Value>(row)));
   }
   *rows = stmt.rows.size();
   return txn;
@@ -539,9 +539,10 @@ Transaction EngineCore::BuildUpdate(const Statement& stmt,
   size_t changed = 0;
   rel.Scan([&](const Tuple& t) {
     if (!stmt.where.Evaluate(schema, t)) return;
-    std::vector<Value> values = t.values();
+    Tuple updated = t;
+    std::span<Value> values = updated.mutable_values();
     for (const auto& [idx, value] : sets) values[idx] = value;
-    txn.Update(stmt.name, t, Tuple(std::move(values)));
+    txn.Update(stmt.name, t, std::move(updated));
     ++changed;
   });
   *rows = changed;
@@ -793,13 +794,30 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
       return ExecuteUpdate(stmt, pending, cancel);
     case Kind::kSelect:
       return ExecuteSelect(stmt.query);
-    case Kind::kRefresh:
+    case Kind::kRefresh: {
+      // Logged before it runs, like a commit: once it returns the refresh
+      // is durable, and a failed append leaves the view untouched.  A
+      // refresh with nothing to do (no backlog — only deferred views have
+      // one — or a quarantined view) is not logged.
+      const ViewInfo info = views_.Describe(stmt.name);
+      if (storage_ != nullptr && info.stale && !info.quarantined) {
+        storage_->LogRefresh(stmt.name);
+      }
       views_.Refresh(stmt.name);
       return Message("view " + stmt.name + " refreshed (" +
                      std::to_string(views_.View(stmt.name).size()) +
                      " rows)");
+    }
     case Kind::kRepair: {
-      const bool was_quarantined = views_.IsQuarantined(stmt.name);
+      // A repair that consumes a deferred backlog is logged first, as
+      // REFRESH is.  A quarantined view's repair is logged by the health
+      // listener, and a healthy view without a backlog is recomputed to
+      // exactly the rows replay rebuilds, so neither needs a record here.
+      const ViewInfo info = views_.Describe(stmt.name);
+      const bool was_quarantined = info.quarantined;
+      if (storage_ != nullptr && info.stale && !was_quarantined) {
+        storage_->LogRepair(stmt.name);
+      }
       views_.Repair(stmt.name);
       return Message("view " + stmt.name +
                      (was_quarantined ? " repaired (" : " recomputed (") +

@@ -48,8 +48,9 @@ std::string Result::ToString() const {
     std::vector<std::string> row;
     for (size_t i = 0; i < tuple.size(); ++i) {
       const Value& v = tuple.at(i);
-      row.push_back(v.type() == ValueType::kString ? v.AsString()
-                                                   : v.ToString());
+      row.push_back(v.type() == ValueType::kString
+                         ? std::string(v.AsString())
+                         : v.ToString());
       widths[i] = std::max(widths[i], row.back().size());
     }
     if (count != 1) any_dup = true;

@@ -47,7 +47,7 @@ void PutU64(std::string* out, uint64_t v) {
 
 void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
 
-void PutString(std::string* out, const std::string& s) {
+void PutString(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
@@ -86,7 +86,7 @@ void PutRow(std::string* out, const Tuple& row) {
     if (v.type() == ValueType::kInt64) {
       PutZigzag(out, v.AsInt64());
     } else {
-      const std::string& s = v.AsString();
+      std::string_view s = v.AsString();
       PutVarint(out, s.size());
       out->append(s);
     }
@@ -208,19 +208,14 @@ ColumnTypes Reader::GetRowHeader() {
 }
 
 Tuple Reader::GetRow(const ColumnTypes& types) {
-  std::vector<Value> values;
-  values.reserve(types.size());
-  for (ValueType type : types) {
-    if (type == ValueType::kInt64) {
-      values.emplace_back(GetZigzag());
-    } else {
-      uint64_t n = GetVarint();
-      Need(n);
-      values.emplace_back(std::string(p_, n));
-      p_ += n;
-    }
-  }
-  return Tuple(std::move(values));
+  return Tuple::Build(types.size(), [&](size_t i) {
+    if (types[i] == ValueType::kInt64) return Value(GetZigzag());
+    uint64_t n = GetVarint();
+    Need(n);
+    Value v(std::string_view(p_, n));
+    p_ += n;
+    return v;
+  });
 }
 
 std::vector<Tuple> Reader::GetRows(const ColumnTypes& types) {

@@ -90,7 +90,7 @@ void PutU8(std::string* out, uint8_t v);
 void PutU32(std::string* out, uint32_t v);
 void PutU64(std::string* out, uint64_t v);
 void PutI64(std::string* out, int64_t v);
-void PutString(std::string* out, const std::string& s);
+void PutString(std::string* out, std::string_view s);
 /// Self-describing value (a type tag byte then the payload) — for the
 /// constants of a stored condition, where no header fixes the type.
 void PutValue(std::string* out, const Value& v);

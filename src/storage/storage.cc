@@ -103,6 +103,11 @@ void Storage::Attach(sql::EngineCore& core) {
             storage::ReplayCatalog(std::move(record.catalog), &views,
                                    &assertions);
             break;
+          case storage::WalRecord::Type::kRefresh:
+            // The backlog it consumed was rebuilt by the records before
+            // it, so the refresh lands at the same point of the history.
+            if (views.HasView(record.view)) views.Refresh(record.view);
+            break;
         }
         ++metrics.replayed_records;
       });
@@ -193,6 +198,16 @@ void Storage::LogCommit(const TransactionEffect& effect) {
 void Storage::LogCatalog(const storage::CatalogChange& change) {
   if (wal_ == nullptr) return;
   wal_->AppendCatalog(change);
+}
+
+void Storage::LogRefresh(const std::string& view) {
+  if (wal_ == nullptr) return;
+  wal_->AppendRefresh(view);
+}
+
+void Storage::LogRepair(const std::string& view) {
+  if (wal_ == nullptr) return;
+  wal_->AppendRepair(view);
 }
 
 void Storage::SyncWalMetrics() {

@@ -121,6 +121,16 @@ class Storage {
   /// rejects the statement with nothing changed.
   void LogCatalog(const storage::CatalogChange& change);
 
+  /// Appends a deferred-view refresh to the log; returns once durable.
+  /// Called by the engine before the refresh runs, so a failed append
+  /// rejects the statement with the view untouched.
+  void LogRefresh(const std::string& view);
+
+  /// Appends a view repair to the log; returns once durable.  Called by
+  /// the engine before a REPAIR that consumes a deferred view's backlog
+  /// (the repair of a quarantined view is logged by the health listener).
+  void LogRepair(const std::string& view);
+
   /// Refreshes the WAL-owned counters in the engine's `MetricsRegistry`
   /// from a snapshot taken under the log mutex.  Called by the engine
   /// before rendering `SHOW STATS`, so metrics reads never race the

@@ -66,7 +66,7 @@ WalRecord DecodePayload(const std::string& payload) {
   WalRecord record;
   record.lsn = r.GetU64();
   uint8_t type = r.GetU8();
-  if (type > static_cast<uint8_t>(WalRecord::Type::kCatalog)) {
+  if (type > static_cast<uint8_t>(WalRecord::Type::kRefresh)) {
     throw CorruptionError("wal: unknown record type " + std::to_string(type));
   }
   record.type = static_cast<WalRecord::Type>(type);
@@ -89,6 +89,7 @@ WalRecord DecodePayload(const std::string& payload) {
       record.sticky = r.GetU8() != 0;
       break;
     case WalRecord::Type::kRepair:
+    case WalRecord::Type::kRefresh:
       record.view = r.GetString();
       break;
     case WalRecord::Type::kCatalog:
@@ -314,6 +315,14 @@ uint64_t Wal::AppendCatalog(const CatalogChange& change) {
   std::string tail;
   wire::PutU8(&tail, static_cast<uint8_t>(WalRecord::Type::kCatalog));
   wire::PutCatalogChange(&tail, change);
+  return AppendPayload(std::move(tail));
+}
+
+uint64_t Wal::AppendRefresh(const std::string& view) {
+  MVIEW_FAULT_POINT("wal.append");
+  std::string tail;
+  wire::PutU8(&tail, static_cast<uint8_t>(WalRecord::Type::kRefresh));
+  wire::PutString(&tail, view);
   return AppendPayload(std::move(tail));
 }
 

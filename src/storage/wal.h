@@ -56,15 +56,19 @@ class RegistryFailurePolicy : public FailurePolicy {
 /// records are `kEffect` — the normalized net effect (Section 3) of a
 /// committed transaction.  View-health transitions are logged too so a
 /// quarantine survives recovery: `kQuarantine` marks a view whose
-/// maintenance failed mid-commit, `kRepair` marks its subsequent heal.
+/// maintenance failed mid-commit, `kRepair` marks its subsequent heal (or a
+/// `REPAIR` that consumed a deferred view's backlog).
 /// `kCatalog` carries one DDL statement, so the log replays schema changes
-/// in order with the commits around them.
+/// in order with the commits around them.  `kRefresh` marks a `REFRESH` of
+/// a deferred view, so a refresh already reported as done survives a crash
+/// before the next checkpoint.
 struct WalRecord {
   enum class Type : uint8_t {
     kEffect = 0,
     kQuarantine = 1,
     kRepair = 2,
     kCatalog = 3,
+    kRefresh = 4,
   };
   struct Change {
     std::string relation;
@@ -75,7 +79,7 @@ struct WalRecord {
   uint64_t lsn = 0;
   Type type = Type::kEffect;
   std::vector<Change> changes;  // kEffect
-  std::string view;             // kQuarantine / kRepair
+  std::string view;             // kQuarantine / kRepair / kRefresh
   std::string reason;           // kQuarantine
   bool sticky = false;          // kQuarantine
   CatalogChange catalog;        // kCatalog
@@ -191,6 +195,10 @@ class Wal {
   /// `Append` (same "wal.append" fault point, same sticky failure), so a
   /// rejected DDL statement is never acknowledged.
   uint64_t AppendCatalog(const CatalogChange& change);
+
+  /// Appends a deferred-view refresh record; durable before return.  Fails
+  /// like `Append`, so a refresh whose record did not land never runs.
+  uint64_t AppendRefresh(const std::string& view);
 
   /// Empties the log and restarts it after `base_lsn` (call after a
   /// checkpoint covering everything up to `base_lsn` is durable).  The

@@ -58,10 +58,10 @@ TEST(ColumnBatchTest, BorrowedStringsAreMaterializedOnDemand) {
   Tuple t(std::vector<Value>{Value(owner), Value(int64_t{7})});
   batch.AppendTuple(t, 1);
   // The batch borrows the string; materializing copies it.
-  EXPECT_EQ(batch.strs(0)[0], &t.at(0).AsString());
+  EXPECT_EQ(batch.strs(0)[0].data(), t.at(0).AsString().data());
   Tuple out = batch.MakeTuple(0);
   EXPECT_EQ(out.at(0).AsString(), "waterloo");
-  EXPECT_NE(&out.at(0).AsString(), &t.at(0).AsString());
+  EXPECT_NE(out.at(0).AsString().data(), t.at(0).AsString().data());
   EXPECT_EQ(batch.ValueAt(0, 1), Value(int64_t{7}));
 }
 

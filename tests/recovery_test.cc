@@ -8,12 +8,14 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "db/database.h"
@@ -178,6 +180,132 @@ TEST_F(RecoveryTest, CrashAfterFullFsyncReplaysTheWalTail) {
   reference.Execute("REFRESH small_a;");
   EXPECT_EQ(Query(recovered, "SELECT * FROM small_a"),
             Query(reference, "SELECT * FROM small_a"));
+}
+
+TEST_F(RecoveryTest, CrashAfterRefreshKeepsTheRefresh) {
+  std::string rows;
+  for (int a = 0; a < 100; ++a) {
+    rows += (a == 0 ? "" : ", ") + std::string("(") + std::to_string(a) +
+            ", " + std::to_string(a % 7) + ")";
+  }
+  const std::string insert = "INSERT INTO r VALUES " + rows + ";";
+
+  Engine reference;
+  reference.ExecuteScript(Preamble());
+  reference.Execute(insert);
+  reference.Execute("REFRESH small_a;");
+  reference.Execute("INSERT INTO r VALUES (500, 1), (7, 70);");
+
+  {
+    Storage::Options options;
+    options.checkpoint_on_close = false;  // simulated kill, no checkpoint
+    auto storage = Storage::Open(Dir(), options);
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
+    engine.Execute(insert);
+    engine.Execute("REFRESH small_a;");
+    engine.Execute("INSERT INTO r VALUES (500, 1), (7, 70);");
+    // A refresh with nothing pending has nothing to log.
+    engine.Execute("REFRESH joined;");
+  }
+
+  auto storage = Storage::Open(Dir());
+  Engine recovered(storage.get());
+  ExpectSameState(recovered, reference);
+  EXPECT_EQ(recovered.views().View("small_a").size(), 100u);
+  // The backlog after the refresh is pending again, and only it.
+  EXPECT_TRUE(recovered.views().Describe("small_a").stale);
+  EXPECT_EQ(recovered.views().Describe("small_a").pending_tuples,
+            reference.views().Describe("small_a").pending_tuples);
+  recovered.Execute("REFRESH small_a;");
+  reference.Execute("REFRESH small_a;");
+  ExpectSameState(recovered, reference);
+}
+
+// The other maintenance statements, each followed by a crash before any
+// checkpoint.  A quarantine and its REPAIR are logged; a REPAIR of a
+// healthy view and SCRUB … REPAIR recompute the rows replay rebuilds from
+// the log anyway, so they need no record.  Each must recover equal to an
+// uninterrupted engine that never saw the fault or the drift.
+TEST_F(RecoveryTest, CrashAfterRepairOrScrubKeepsTheViews) {
+  const std::string data =
+      "INSERT INTO r VALUES (1, 10), (2, 20), (3, 30);"
+      "INSERT INTO s VALUES (10, 100), (20, 200);";
+  const std::vector<std::pair<std::string, std::function<void(Engine&)>>>
+      cases = {
+          {"repair healthy",
+           [](Engine& e) { e.Execute("REPAIR VIEW joined;"); }},
+          {"repair deferred",  // consumes small_a's backlog, as REFRESH
+           [](Engine& e) { e.Execute("REPAIR VIEW small_a;"); }},
+          {"repair quarantined",
+           [](Engine& e) {
+             {
+               util::FaultSpec spec;
+               spec.kind = util::FaultKind::kCorruption;
+               util::ScopedFault fault("viewmgr.differential.pre_apply", spec);
+               e.Execute("INSERT INTO s VALUES (30, 300);");
+             }
+             ASSERT_TRUE(e.views().IsQuarantined("joined"));
+             e.Execute("REPAIR VIEW joined;");
+           }},
+          {"scrub repair",
+           [](Engine& e) {
+             e.mutable_views().MutableMaterialization("joined").Add(
+                 Tuple({Value(77), Value(77)}), 2);
+             e.Execute("SCRUB ALL REPAIR;");
+           }},
+      };
+  for (const auto& [label, run] : cases) {
+    SCOPED_TRACE(label);
+    std::filesystem::remove_all(Dir());
+    Engine reference;
+    reference.ExecuteScript(Preamble() + data);
+    if (label == "repair quarantined") {
+      reference.Execute("INSERT INTO s VALUES (30, 300);");
+    }
+    if (label == "repair deferred") reference.Execute("REFRESH small_a;");
+    {
+      Storage::Options options;
+      options.checkpoint_on_close = false;  // simulated kill
+      auto storage = Storage::Open(Dir(), options);
+      Engine engine(storage.get());
+      engine.ExecuteScript(Preamble() + data);
+      run(engine);
+      ExpectSameState(engine, reference);
+    }
+    auto storage = Storage::Open(Dir());
+    Engine recovered(storage.get());
+    EXPECT_TRUE(recovered.views().QuarantinedViews().empty());
+    ExpectSameState(recovered, reference);
+  }
+}
+
+TEST_F(RecoveryTest, FailedRefreshAppendLeavesTheViewStale) {
+  {
+    Storage::Options options;
+    options.checkpoint_on_close = false;
+    auto storage = Storage::Open(Dir(), options);
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
+    engine.Execute("INSERT INTO r VALUES (1, 10), (2, 20);");
+    const int64_t appended = storage->wal_stats().records_appended;
+    {
+      util::FaultSpec eio;
+      eio.kind = util::FaultKind::kIoError;
+      util::ScopedFault fault("wal.append", eio);
+      Status status = engine.TryExecute("REFRESH small_a;", nullptr);
+      ASSERT_FALSE(status.ok);
+      EXPECT_EQ(status.kind, Status::Kind::kIoError) << status.message;
+    }
+    EXPECT_EQ(storage->wal_stats().records_appended, appended);
+    // Not acknowledged, not applied: the backlog is still pending.
+    EXPECT_TRUE(engine.views().Describe("small_a").stale);
+    EXPECT_EQ(engine.views().View("small_a").size(), 0u);
+  }
+  auto storage = Storage::Open(Dir());
+  Engine recovered(storage.get());
+  EXPECT_TRUE(recovered.views().Describe("small_a").stale);
+  EXPECT_EQ(recovered.views().View("small_a").size(), 0u);
 }
 
 TEST_F(RecoveryTest, CrashBeforeAnyFsyncLosesOnlyTheUndurableCommit) {

@@ -160,7 +160,7 @@ TEST(SessionTest, ShowStatsCarriesSessionCounters) {
   const size_t value_col = *result.ColumnIndex("value");
   bool saw_opened = false, saw_statements = false;
   for (const auto& [tuple, count] : result) {
-    const std::string& metric = tuple.at(metric_col).AsString();
+    std::string_view metric = tuple.at(metric_col).AsString();
     if (metric == "sessions_opened") {
       saw_opened = true;
       EXPECT_GE(tuple.at(value_col).AsInt64(), 2);  // default + ours
