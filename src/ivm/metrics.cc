@@ -156,6 +156,8 @@ std::string StorageMetrics::ToJson() const {
      << ", \"checkpoints\": " << checkpoints
      << ", \"checkpoint_nanos\": " << checkpoint_nanos
      << ", \"checkpoint_bytes\": " << checkpoint_bytes
+     << ", \"checkpoint_base_bytes\": " << checkpoint_base_bytes
+     << ", \"checkpoint_delta_bytes\": " << checkpoint_delta_bytes
      << ", \"segments_written\": " << segments_written
      << ", \"partitions_skipped\": " << partitions_skipped
      << ", \"replayed_records\": " << replayed_records

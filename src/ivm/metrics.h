@@ -114,6 +114,8 @@ struct StorageMetrics {
   int64_t checkpoints = 0;       // checkpoints written
   int64_t checkpoint_nanos = 0;  // time spent writing checkpoints
   int64_t checkpoint_bytes = 0;  // every byte a checkpoint writes
+  int64_t checkpoint_base_bytes = 0;   // of which fresh bases and compactions
+  int64_t checkpoint_delta_bytes = 0;  // of which delta segments
   int64_t segments_written = 0;  // segment files (bases and deltas) written
   // Scopes (tables and views) a checkpoint carried forward unchanged; the
   // key keeps its name for `SHOW STATS JSON` readers.

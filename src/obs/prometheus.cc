@@ -146,6 +146,12 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
   Family(os, "mview_checkpoint_bytes_total", "counter",
          "Bytes written by checkpoints (every segment and manifest)")
       .Sample("", storage.checkpoint_bytes);
+  Family(os, "mview_checkpoint_base_bytes_total", "counter",
+         "Bytes of base segments written by checkpoints (fresh and compacted)")
+      .Sample("", storage.checkpoint_base_bytes);
+  Family(os, "mview_checkpoint_delta_bytes_total", "counter",
+         "Bytes of delta segments written by checkpoints")
+      .Sample("", storage.checkpoint_delta_bytes);
   Family(os, "mview_checkpoint_segments_total", "counter",
          "Segment files (bases and deltas) written by checkpoints")
       .Sample("", storage.segments_written);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <regex>
@@ -18,10 +19,10 @@ namespace mview::storage {
 namespace {
 
 // Manifest and row-segment files (see the header's format note; the
-// manifest rename is the commit point).  "2" moved segment bodies from
-// CSV to the compact row codec and scopes from hash partitions to chains.
-constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '2'};
-constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '2'};
+// manifest rename is the commit point).  "3" moved segment bodies and
+// pending backlogs from the row codec to packed blocks.
+constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '3'};
+constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '3'};
 // Magic, CRC, body length.
 constexpr size_t kFramePrefix = 8 + 4 + 8;
 
@@ -57,11 +58,18 @@ CheckpointView BuildViewMeta(const ViewManager& views,
 }
 
 void PutPendingLogs(std::string* body, const CheckpointView& view) {
+  auto put_rows = [&](const ColumnTypes& types,
+                      const std::vector<Tuple>& rows) {
+    std::vector<wire::CountedRow> block;
+    block.reserve(rows.size());
+    for (const Tuple& t : rows) block.emplace_back(&t, 1);
+    wire::PutPackedRows(body, types, block, /*counted=*/false);
+  };
   wire::PutVarint(body, view.pending.size());
   for (const auto& log : view.pending) {
     wire::PutRowHeader(body, log.types);
-    wire::PutRows(body, log.inserts);
-    wire::PutRows(body, log.deletes);
+    put_rows(log.types, log.inserts);
+    put_rows(log.types, log.deletes);
   }
 }
 
@@ -70,8 +78,8 @@ void GetPendingLogs(wire::Reader* r, CheckpointView* view) {
   for (uint64_t l = 0; l < n_logs; ++l) {
     CheckpointView::PendingLog log;
     log.types = r->GetRowHeader();
-    log.inserts = r->GetRows(log.types);
-    log.deletes = r->GetRows(log.types);
+    log.inserts = wire::GetPackedRows(r, log.types);
+    log.deletes = wire::GetPackedRows(r, log.types);
     view->pending.push_back(std::move(log));
   }
 }
@@ -191,56 +199,49 @@ bool IsSegmentName(const std::string& name) {
   return std::regex_match(name, kPattern);
 }
 
-/// The start of a segment body: kind, column-type header, row count; the
-/// `n` rows follow.
-std::string SegmentHeader(SegmentKind kind, const ColumnTypes& types,
-                          uint64_t n) {
+/// A scope's rows in memory, sorted; the tuples are borrowed.
+using SortedRows = std::vector<wire::CountedRow>;
+
+/// A segment body: kind, column-type header, and `rows` as one packed
+/// block, counted unless the segment is a table's base.
+std::string SegmentBody(SegmentKind kind, const ColumnTypes& types,
+                        const SortedRows& rows) {
   std::string body;
   wire::PutU8(&body, static_cast<uint8_t>(kind));
   wire::PutRowHeader(&body, types);
-  wire::PutVarint(&body, n);
+  wire::PutPackedRows(&body, types, rows, kind != SegmentKind::kTableBase);
   return body;
 }
 
 /// Streams one segment's rows in order, validating as it goes: the kind
-/// and column types the chain position requires, strictly ascending rows,
-/// counts in range, nothing after the last row.
+/// and column types the chain position requires, nothing after the block,
+/// and (in `wire::PackedReader`) strictly ascending rows; counts in range.
 class SegmentReader {
  public:
   SegmentReader(const std::string& dir, const SegmentRef& ref,
                 SegmentKind kind, const ColumnTypes& types)
       : path_(dir + "/" + ref.file),
         body_(ReadBody(path_, ref.bytes)),
-        r_(body_),
-        types_(types),
-        counted_(kind != SegmentKind::kTableBase),
         // A base holds live rows only; a delta may record a row's removal.
         min_count_(kind == SegmentKind::kDelta ? 0 : 1) {
-    if (r_.GetU8() != static_cast<uint8_t>(kind)) Fail("wrong segment kind");
-    if (r_.GetRowHeader() != types_) Fail("column types differ from schema");
-    left_ = r_.GetVarCount();
+    wire::Reader r(body_);
+    if (r.GetU8() != static_cast<uint8_t>(kind)) Fail("wrong segment kind");
+    if (r.GetRowHeader() != types) Fail("column types differ from schema");
+    block_.emplace(&r, types, kind != SegmentKind::kTableBase);
+    if (!r.AtEnd()) Fail("trailing bytes after the last row");
   }
   SegmentReader(const SegmentReader&) = delete;
   SegmentReader& operator=(const SegmentReader&) = delete;
 
   /// Moves to the next row; false once past the last.
   bool Next() {
-    if (left_ == 0) {
-      if (!r_.AtEnd()) Fail("trailing bytes after the last row");
-      return false;
-    }
-    --left_;
-    Tuple next = r_.GetRow(types_);
-    count_ = counted_ ? r_.GetZigzag() : 1;
-    if (count_ < min_count_) Fail("row count out of range");
-    if (has_row_ && !(row_ < next)) Fail("rows out of order");
-    row_ = std::move(next);
-    has_row_ = true;
+    if (!block_->Next()) return false;
+    if (block_->count() < min_count_) Fail("row count out of range");
     return true;
   }
 
-  const Tuple& row() const { return row_; }
-  int64_t count() const { return count_; }
+  const Tuple& row() const { return block_->row(); }
+  int64_t count() const { return block_->count(); }
 
  private:
   static std::string ReadBody(const std::string& path, uint64_t bytes);
@@ -250,14 +251,8 @@ class SegmentReader {
 
   std::string path_;
   std::string body_;
-  wire::Reader r_;  // over body_
-  ColumnTypes types_;
-  bool counted_;
   int64_t min_count_;
-  uint64_t left_ = 0;
-  Tuple row_;
-  int64_t count_ = 0;
-  bool has_row_ = false;
+  std::optional<wire::PackedReader> block_;  // over body_
 };
 
 std::string SegmentReader::ReadBody(const std::string& path, uint64_t bytes) {
@@ -368,48 +363,34 @@ class ImageReader {
   bool from_override_ = false;
 };
 
-/// A scope's rows in memory, sorted; the tuples are borrowed.
-using SortedRows = std::vector<std::pair<const Tuple*, int64_t>>;
-
 void SortRows(SortedRows* rows) {
   std::sort(rows->begin(), rows->end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
 }
 
-/// Appends one row of a segment body (with its count when `counted`).
-void PutSegmentRow(std::string* out, const Tuple& row, bool counted,
-                   int64_t count) {
-  wire::PutRow(out, row);
-  if (counted) wire::PutZigzag(out, count);
-}
-
-/// Encodes, as delta rows, every row whose count in `rows` differs from
-/// its count in `image` (absent = 0), with its count in `rows`.  Returns
-/// how many.
-uint64_t DiffRows(ImageReader* image, const SortedRows& rows,
-                  std::string* out) {
-  uint64_t n = 0;
+/// Collects, as delta rows, every row whose count in `rows` differs from
+/// its count in `image` (absent = 0), with its count in `rows`.  A row the
+/// image holds and `rows` does not is copied into `removed`, which must
+/// outlive the result.
+SortedRows DiffRows(ImageReader* image, const SortedRows& rows,
+                    std::deque<Tuple>* removed) {
+  SortedRows delta;
   size_t i = 0;
   while (image->Valid() || i < rows.size()) {
     if (!image->Valid() ||
         (i < rows.size() && *rows[i].first < image->row())) {
-      PutSegmentRow(out, *rows[i].first, true, rows[i].second);
-      ++n;
-      ++i;
+      delta.push_back(rows[i++]);
     } else if (i == rows.size() || image->row() < *rows[i].first) {
-      PutSegmentRow(out, image->row(), true, 0);
-      ++n;
+      removed->push_back(image->row());
+      delta.emplace_back(&removed->back(), 0);
       image->Next();
     } else {
-      if (rows[i].second != image->count()) {
-        PutSegmentRow(out, *rows[i].first, true, rows[i].second);
-        ++n;
-      }
+      if (rows[i].second != image->count()) delta.push_back(rows[i]);
       ++i;
       image->Next();
     }
   }
-  return n;
+  return delta;
 }
 
 // --- manifest ---------------------------------------------------------------
@@ -529,7 +510,7 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
   m.lsn = lsn;
   m.generation = prev == nullptr ? 1 : prev->generation + 1;
   uint32_t seq = 0;
-  auto write_segment = [&](const std::string& body) {
+  auto write_segment = [&](const std::string& body, bool base) {
     // Fires before each segment: an injected failure mid-checkpoint
     // leaves orphan segments (swept by the next writer) but the previous
     // manifest untouched.
@@ -540,6 +521,7 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
     WriteFileDurable(dir + "/" + ref.file, framed);
     ref.bytes = framed.size();
     stats->bytes_written += ref.bytes;
+    (base ? stats->base_bytes : stats->delta_bytes) += ref.bytes;
     ++stats->segments_written;
     return ref;
   };
@@ -573,14 +555,14 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
     const ColumnTypes types = ColumnTypesOf(schema);
     if (!fresh) {
       ImageReader image(dir, *old, counted);
-      std::string delta;
-      const uint64_t n = DiffRows(&image, rows, &delta);
-      if (n == 0) {
+      std::deque<Tuple> removed;
+      const SortedRows delta = DiffRows(&image, rows, &removed);
+      if (delta.empty()) {
         out.chain = old->chain;
         ++stats->scopes_skipped;
         return out;
       }
-      std::string body = SegmentHeader(SegmentKind::kDelta, types, n) + delta;
+      std::string body = SegmentBody(SegmentKind::kDelta, types, delta);
       uint64_t chain_bytes = kFramePrefix + body.size();
       for (size_t i = 1; i < old->chain.size(); ++i) {
         chain_bytes += old->chain[i].bytes;
@@ -588,17 +570,14 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
       if (old->chain.size() <= kMaxDeltas &&
           chain_bytes <= old->chain[0].bytes) {
         out.chain = old->chain;
-        out.chain.push_back(write_segment(body));
+        out.chain.push_back(write_segment(body, /*base=*/false));
         return out;
       }
     }
-    std::string base = SegmentHeader(
-        counted ? SegmentKind::kViewBase : SegmentKind::kTableBase, types,
-        rows.size());
-    for (const auto& [t, count] : rows) {
-      PutSegmentRow(&base, *t, counted, count);
-    }
-    out.chain.push_back(write_segment(base));
+    out.chain.push_back(write_segment(
+        SegmentBody(counted ? SegmentKind::kViewBase : SegmentKind::kTableBase,
+                    types, rows),
+        /*base=*/true));
     return out;
   };
 

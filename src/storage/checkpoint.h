@@ -58,9 +58,13 @@ namespace mview::storage {
 //
 // Every file shares one frame: 8-byte magic, CRC32 of the body, body
 // length, body.  A segment's body is a kind byte (`SegmentKind`), the
-// row codec's column-type header, a varint row count and the rows in
-// strictly ascending order, each followed by its zigzag multiplicity —
-// except in a table's base, where every row counts once.
+// column-type header, and its rows, strictly ascending, as one packed
+// block (`wire::PutPackedRows`): column-major and bit-packed, with the
+// multiplicity column last — except in a table's base, where every row
+// counts once and the block has none.  A sorted set of narrow columns packs
+// to a few bits per value, which roughly halves every base, delta and
+// compaction against the row codec.  The manifest stores each pending
+// backlog's inserts and deletes as packed blocks too.
 
 /// Deltas a chain may hold before the next change compacts it.
 constexpr size_t kMaxDeltas = 8;
@@ -100,6 +104,8 @@ struct CheckpointManifest {
 /// Accounting of one checkpoint write.
 struct CheckpointStats {
   uint64_t bytes_written = 0;    // every file written: segments + manifest
+  uint64_t base_bytes = 0;       // fresh bases and compactions
+  uint64_t delta_bytes = 0;      // delta segments
   int64_t segments_written = 0;  // bases and deltas
   int64_t scopes_skipped = 0;    // chains carried forward unchanged
 };

@@ -1,6 +1,8 @@
 #include "storage/codec.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 
 namespace mview::storage {
 
@@ -224,6 +226,217 @@ std::vector<Tuple> Reader::GetRows(const ColumnTypes& types) {
   std::vector<Tuple> rows;
   rows.reserve(n);
   for (uint64_t i = 0; i < n; ++i) rows.push_back(GetRow(types));
+  return rows;
+}
+
+const char* Reader::Take(size_t n) {
+  Need(n);
+  const char* at = p_;
+  p_ += n;
+  return at;
+}
+
+// --- packed blocks -----------------------------------------------------------
+
+namespace {
+
+/// Appends `width`-bit values to a byte string, least significant bit
+/// first; `Flush` pads the last byte with zeros.
+class BitWriter {
+ public:
+  explicit BitWriter(std::string* out) : out_(out) {}
+
+  void Put(uint64_t v, int width) {
+    while (width > 0) {
+      const int take = std::min(width, 8 - used_);
+      cur_ |= static_cast<unsigned>(v & ((1u << take) - 1)) << used_;
+      v >>= take;
+      width -= take;
+      used_ += take;
+      if (used_ == 8) Flush();
+    }
+  }
+
+  void Flush() {
+    if (used_ == 0) return;
+    out_->push_back(static_cast<char>(cur_));
+    cur_ = 0;
+    used_ = 0;
+  }
+
+ private:
+  std::string* out_;
+  unsigned cur_ = 0;
+  int used_ = 0;
+};
+
+/// The `width`-bit value at bit `at` of `bits`; reads only the bytes that
+/// hold it.
+uint64_t Unpack(const unsigned char* bits, uint64_t at, int width) {
+  if (width == 0) return 0;
+  const unsigned char* p = bits + at / 8;
+  const int shift = static_cast<int>(at % 8);
+  uint64_t v = *p >> shift;
+  for (int got = 8 - shift; got < width; got += 8) {
+    v |= static_cast<uint64_t>(*++p) << got;
+  }
+  return width == 64 ? v : v & ((uint64_t{1} << width) - 1);
+}
+
+/// `base + offset`, or `CorruptionError` when that leaves int64.  The
+/// unsigned difference `INT64_MAX - base` is exact for every base.
+int64_t AddOffset(int64_t base, uint64_t offset) {
+  const uint64_t headroom = static_cast<uint64_t>(INT64_MAX) -
+                            static_cast<uint64_t>(base);
+  if (offset > headroom) {
+    throw CorruptionError("storage decode: packed value overflows int64");
+  }
+  return static_cast<int64_t>(static_cast<uint64_t>(base) + offset);
+}
+
+/// One packed column of `offsets` from `base`.
+void PutPackedColumn(std::string* out, int64_t base,
+                     const std::vector<uint64_t>& offsets) {
+  uint64_t any = 0;
+  for (uint64_t u : offsets) any |= u;
+  const int width = std::bit_width(any);
+  PutZigzag(out, base);
+  PutU8(out, static_cast<uint8_t>(width));
+  BitWriter bits(out);
+  for (uint64_t u : offsets) bits.Put(u, width);
+  bits.Flush();
+}
+
+}  // namespace
+
+void PutPackedRows(std::string* out, const ColumnTypes& types,
+                   std::span<const CountedRow> rows, bool counted) {
+  PutVarint(out, rows.size());
+  std::vector<uint64_t> offsets(rows.size());
+  // A frame-of-reference column of `value(i)`, based at the minimum.
+  auto put_ints = [&](const auto& value) {
+    int64_t base = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      base = i == 0 ? value(i) : std::min(base, value(i));
+    }
+    for (size_t i = 0; i < rows.size(); ++i) {
+      offsets[i] =
+          static_cast<uint64_t>(value(i)) - static_cast<uint64_t>(base);
+    }
+    PutPackedColumn(out, base, offsets);
+  };
+  for (size_t c = 0; c < types.size(); ++c) {
+    auto field = [&](size_t i) -> const Value& {
+      return rows[i].first->values()[c];
+    };
+    if (types[c] == ValueType::kString) {
+      put_ints([&](size_t i) {
+        return static_cast<int64_t>(field(i).AsString().size());
+      });
+      for (size_t i = 0; i < rows.size(); ++i) out->append(field(i).AsString());
+    } else if (c == 0) {
+      const int64_t base = rows.empty() ? 0 : field(0).AsInt64();
+      int64_t prev = base;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const int64_t v = field(i).AsInt64();
+        offsets[i] = static_cast<uint64_t>(v) - static_cast<uint64_t>(prev);
+        prev = v;
+      }
+      PutPackedColumn(out, base, offsets);
+    } else {
+      put_ints([&](size_t i) { return field(i).AsInt64(); });
+    }
+  }
+  if (counted) put_ints([&](size_t i) { return rows[i].second; });
+}
+
+PackedReader::PackedReader(Reader* r, const ColumnTypes& types, bool counted)
+    : types_(types), counted_(counted) {
+  n_ = r->GetVarint();
+  uint64_t payload = 0;  // bytes the columns take after their headers
+  const size_t n_columns = types_.size() + (counted ? 1 : 0);
+  columns_.reserve(n_columns);  // the header's arity is clamped to its bytes
+  for (size_t c = 0; c < n_columns; ++c) {
+    Column column;
+    column.base = r->GetZigzag();
+    column.width = r->GetU8();
+    if (column.width > 64) {
+      throw CorruptionError("storage decode: packed width " +
+                            std::to_string(column.width) + " exceeds 64");
+    }
+    if (column.width > 0 && n_ > r->Remaining() * 8 / column.width) {
+      throw CorruptionError("storage decode: " + std::to_string(n_) +
+                            " packed rows exceed the bytes remaining");
+    }
+    const uint64_t packed = (n_ * column.width + 7) / 8;
+    column.bits = reinterpret_cast<const unsigned char*>(r->Take(packed));
+    payload += packed;
+    if (c < types_.size() && types_[c] == ValueType::kString) {
+      // Sum the lengths, each checked against the bytes left, before the
+      // strings are taken.  Width 0 means one length for every row.
+      uint64_t total = 0;
+      const uint64_t left = r->Remaining();
+      auto add = [&](int64_t len, uint64_t times) {
+        if (len < 0 || (len > 0 && times > (left - total) /
+                                               static_cast<uint64_t>(len))) {
+          throw CorruptionError("storage decode: packed string lengths "
+                                "exceed the bytes remaining");
+        }
+        total += static_cast<uint64_t>(len) * times;
+      };
+      if (column.width == 0) {
+        add(column.base, n_);
+      } else {
+        for (uint64_t i = 0; i < n_; ++i) add(Decode(column, i), 1);
+      }
+      column.bytes = r->Take(total);
+      payload += total;
+    }
+    column.last = column.base;
+    columns_.push_back(column);
+  }
+  // Rows that take no bytes are all equal, and equal rows cannot ascend.
+  if (n_ > 1 && payload == 0) {
+    throw CorruptionError("storage decode: " + std::to_string(n_) +
+                          " packed rows in no bytes");
+  }
+}
+
+int64_t PackedReader::Decode(const Column& column, uint64_t i) const {
+  return AddOffset(column.base, Unpack(column.bits, i * column.width,
+                                       column.width));
+}
+
+bool PackedReader::Next() {
+  if (next_ == n_) return false;
+  const uint64_t i = next_++;
+  Tuple row = Tuple::Build(types_.size(), [&](size_t c) {
+    Column& column = columns_[c];
+    if (types_[c] == ValueType::kString) {
+      const auto len = static_cast<size_t>(Decode(column, i));
+      Value v(std::string_view(column.bytes, len));
+      column.bytes += len;
+      return v;
+    }
+    if (c == 0) {
+      column.last = AddOffset(
+          column.last, Unpack(column.bits, i * column.width, column.width));
+      return Value(column.last);
+    }
+    return Value(Decode(column, i));
+  });
+  if (counted_) count_ = Decode(columns_.back(), i);
+  if (i > 0 && !(row_ < row)) {
+    throw CorruptionError("storage decode: packed rows out of order");
+  }
+  row_ = std::move(row);
+  return true;
+}
+
+std::vector<Tuple> GetPackedRows(Reader* r, const ColumnTypes& types) {
+  PackedReader block(r, types, /*counted=*/false);
+  std::vector<Tuple> rows;
+  while (block.Next()) rows.push_back(block.row());
   return rows;
 }
 

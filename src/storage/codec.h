@@ -2,7 +2,9 @@
 #define MVIEW_STORAGE_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ivm/differential.h"
@@ -76,14 +78,18 @@ struct CatalogChange {
 /// Primitives of the storage wire format, shared by the WAL record codec
 /// and the checkpoint file codec.
 ///
-/// Fixed-width fields are little-endian.  Rows use one compact codec
-/// everywhere `src/storage/` writes them (WAL effect records, a deferred
-/// view's pending log in the manifest, base and delta segments): a block
-/// of rows starts with a column-type header (varint arity, then one
-/// `ValueType` byte per column), and each row is its values in column
-/// order with no per-value tag — an int64 as a zigzag varint, a string as
-/// a varint length and its bytes.  Varints are LEB128 and must be minimal;
-/// the decoder rejects overlong ones.
+/// Fixed-width fields are little-endian.  Varints are LEB128 and must be
+/// minimal; the decoder rejects overlong ones.  Rows come in two codecs,
+/// both after a column-type header (varint arity, then one `ValueType` byte
+/// per column):
+///
+/// - The *row codec* stores each row as its values in column order with no
+///   per-value tag — an int64 as a zigzag varint, a string as a varint
+///   length and its bytes.  WAL effect records use it: a record holds a few
+///   unsorted rows per relation, too few for per-column headers to pay.
+/// - The *packed block* is column-major and bit-packed, for the sorted sets
+///   a checkpoint writes (base and delta segments, a deferred view's pending
+///   backlog).  See `PutPackedRows`.
 namespace wire {
 
 void PutU8(std::string* out, uint8_t v);
@@ -103,6 +109,23 @@ void PutRowHeader(std::string* out, const ColumnTypes& types);
 void PutRow(std::string* out, const Tuple& row);
 /// A varint row count, then the rows.
 void PutRows(std::string* out, const std::vector<Tuple>& rows);
+
+/// One row of a packed block and its multiplicity.
+using CountedRow = std::pair<const Tuple*, int64_t>;
+
+/// Appends a packed block of `rows`, which must be strictly ascending and
+/// of the column types `types` (the header is not written): a varint row
+/// count, then one packed column per schema column, then — when `counted`
+/// — the multiplicity column.  A packed column is a zigzag-varint
+/// frame-of-reference base, a width byte (0–64) and the row count's
+/// `width`-bit unsigned offsets from the base, least significant bit
+/// first, in ⌈n·width/8⌉ bytes.  Column 0, when it is an int64, stores the
+/// gap from the previous row instead (the first row's from the base), so
+/// its value is the base plus a running sum; the ascending order keeps
+/// every gap non-negative.  A string column packs its lengths that way and
+/// then holds the strings' bytes back to back.
+void PutPackedRows(std::string* out, const ColumnTypes& types,
+                   std::span<const CountedRow> rows, bool counted);
 
 /// A bounds-checked cursor over encoded bytes; every getter throws
 /// `CorruptionError` on underflow, a bad tag or an overlong varint.
@@ -132,6 +155,9 @@ class Reader {
   uint32_t GetCount();
   uint64_t GetVarCount();
 
+  /// The next `n` bytes, skipped over.
+  const char* Take(size_t n);
+
   bool AtEnd() const { return p_ == end_; }
   size_t Remaining() const { return static_cast<size_t>(end_ - p_); }
 
@@ -140,6 +166,47 @@ class Reader {
   const char* p_;
   const char* end_;
 };
+
+/// Streams the rows of a packed block (`PutPackedRows`) in order.  The
+/// constructor consumes the whole block from `r` and validates its layout
+/// before anything is sized from it: widths at most 64, a row count the
+/// packed bytes can hold, string lengths that fit the bytes.  `Next` then
+/// decodes one row at fixed bit offsets and checks that every value stays
+/// in int64 and that the rows strictly ascend.  Every failure throws
+/// `CorruptionError`.  The block's bytes must outlive the reader.
+class PackedReader {
+ public:
+  PackedReader(Reader* r, const ColumnTypes& types, bool counted);
+  PackedReader(const PackedReader&) = delete;
+  PackedReader& operator=(const PackedReader&) = delete;
+
+  /// Moves to the next row; false once past the last.
+  bool Next();
+  const Tuple& row() const { return row_; }
+  /// The row's multiplicity; 1 in an uncounted block.
+  int64_t count() const { return count_; }
+
+ private:
+  struct Column {
+    int64_t base = 0;
+    uint8_t width = 0;
+    const unsigned char* bits = nullptr;
+    const char* bytes = nullptr;  // a string column's bytes
+    int64_t last = 0;             // column 0's running value
+  };
+  int64_t Decode(const Column& column, uint64_t i) const;
+
+  ColumnTypes types_;
+  std::vector<Column> columns_;  // then the multiplicity column, if counted
+  bool counted_;
+  uint64_t n_ = 0;
+  uint64_t next_ = 0;
+  Tuple row_;
+  int64_t count_ = 1;
+};
+
+/// Decodes a whole uncounted packed block.
+std::vector<Tuple> GetPackedRows(Reader* r, const ColumnTypes& types);
 
 // Structural codec of catalog objects.  `Condition::ToString` is not
 // re-parseable (it double-quotes string constants), so definitions are

@@ -166,6 +166,8 @@ void Storage::Checkpoint() {
       views.changed_scopes(), manifest_.has_value() ? &*manifest_ : nullptr,
       &stats);
   metrics.checkpoint_bytes += static_cast<int64_t>(stats.bytes_written);
+  metrics.checkpoint_base_bytes += static_cast<int64_t>(stats.base_bytes);
+  metrics.checkpoint_delta_bytes += static_cast<int64_t>(stats.delta_bytes);
   metrics.segments_written += stats.segments_written;
   metrics.partitions_skipped += stats.scopes_skipped;
   // Every change so far is covered by the image just written; marks from

@@ -188,6 +188,10 @@ TEST(PrometheusTest, EngineEndToEndExport) {
     EXPECT_GE(samples.at("mview_commits_total"), 2);
     EXPECT_GE(samples.at("mview_wal_appends_total"), 2);
     EXPECT_GE(samples.at("mview_checkpoints_total"), 1);
+    EXPECT_GT(samples.at("mview_checkpoint_base_bytes_total"), 0);
+    EXPECT_EQ(samples.at("mview_checkpoint_delta_bytes_total"), 0);
+    EXPECT_LT(samples.at("mview_checkpoint_base_bytes_total"),
+              samples.at("mview_checkpoint_bytes_total"));
     EXPECT_GE(samples.at("mview_fsync_latency_seconds_count"), 2);
     EXPECT_GE(samples.at("mview_view_transactions_total{view=\"v\"}"), 2);
     EXPECT_GE(samples.at("mview_commit_latency_seconds_count"), 2);

@@ -717,6 +717,15 @@ class DifferentialCheckpointTest : public RecoveryTest {
       }
       Both(r + ";" + s + ";");
     }
+    // Packed, consecutive keys take about 4 bits a row, so r also holds
+    // rows up to a = 999 that join nothing (no b2 is 7).
+    for (int from = 300; from < 1000; from += 100) {
+      std::string r = "INSERT INTO r VALUES ";
+      for (int a = from; a < from + 100; ++a) {
+        r += (a == from ? "(" : ", (") + std::to_string(a) + ", 7)";
+      }
+      Both(r + ";");
+    }
     engine_->Execute("CHECKPOINT");
   }
 
@@ -926,29 +935,46 @@ TEST_F(DifferentialCheckpointTest, EveryMutationPathReachesTheImage) {
 }
 
 // `checkpoint_bytes` counts every byte of every file a checkpoint writes,
-// and `segments_written` every segment file.
+// and `segments_written` every segment file; `checkpoint_base_bytes` and
+// `checkpoint_delta_bytes` split the segments' bytes by chain position.
 TEST_F(DifferentialCheckpointTest, CheckpointBytesEqualTheFilesWritten) {
-  for (int round = 0; round < 3; ++round) {
-    Both("INSERT INTO r VALUES (" + std::to_string(3000 + round) + ", 1);" +
-         "INSERT INTO s VALUES (1, " + std::to_string(3000 + round) + ");");
+  for (int round = 0; round < 4; ++round) {
+    if (round < 3) {
+      Both("INSERT INTO r VALUES (" + std::to_string(3000 + round) + ", 1);" +
+           "INSERT INTO s VALUES (1, " + std::to_string(3000 + round) + ");");
+    } else {
+      Both("DELETE FROM s WHERE c < 1000;");  // outgrows s's base: compacts
+    }
     StorageMetrics& m = engine_->mutable_views().metrics().storage();
     const int64_t bytes0 = m.checkpoint_bytes;
+    const int64_t base0 = m.checkpoint_base_bytes;
+    const int64_t delta0 = m.checkpoint_delta_bytes;
     const int64_t segments0 = m.segments_written;
     const auto files0 = Files(Dir());
     engine_->Execute("CHECKPOINT");
+    std::set<std::string> bases;
+    for (const auto& [scope, chain] : Chains(Dir())) {
+      bases.insert(chain[0].file);
+    }
     uintmax_t written = 0;
+    int64_t base = 0;
+    int64_t delta = 0;
     int64_t segments = 0;
     for (const auto& [name, size] : Files(Dir())) {
       if (name == "manifest.mv") {
         written += size;
       } else if (name.rfind("seg_", 0) == 0 && files0.count(name) == 0) {
         written += size;
+        (bases.count(name) > 0 ? base : delta) += static_cast<int64_t>(size);
         ++segments;
       }
     }
     EXPECT_EQ(m.checkpoint_bytes - bytes0, static_cast<int64_t>(written));
+    EXPECT_EQ(m.checkpoint_base_bytes - base0, base) << "round " << round;
+    EXPECT_EQ(m.checkpoint_delta_bytes - delta0, delta) << "round " << round;
     EXPECT_EQ(m.segments_written - segments0, segments);
     EXPECT_GT(segments, 0);
+    EXPECT_GT(round < 3 ? delta : base, 0) << "round " << round;
   }
 }
 

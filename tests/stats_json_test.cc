@@ -89,6 +89,16 @@ TEST(StatsJsonTest, GoldenSchema) {
       ASSERT_TRUE(storage_json.Has(key)) << key;
     }
     EXPECT_GT(storage_json.At("wal_appends").number, 0);
+    // The first checkpoint writes every scope's base; the rest of its bytes
+    // are the manifest's.
+    for (const char* key : {"checkpoint_bytes", "checkpoint_base_bytes",
+                            "checkpoint_delta_bytes"}) {
+      ASSERT_TRUE(storage_json.Has(key)) << key;
+    }
+    EXPECT_GT(storage_json.At("checkpoint_base_bytes").number, 0);
+    EXPECT_EQ(storage_json.At("checkpoint_delta_bytes").number, 0);
+    EXPECT_LT(storage_json.At("checkpoint_base_bytes").number,
+              storage_json.At("checkpoint_bytes").number);
     EXPECT_GT(storage_json.At("fsync_latency").At("count").number, 0);
 
     // Pool gauges.

@@ -1,13 +1,18 @@
-// Seeded mutation test over every storage decoder: the row codec, WAL
-// records, the checkpoint manifest (with its chains) and base and delta
-// segments.  Bodies are recorded from a small durable workload, then
-// mutated — bit flips, truncations, splices of other bodies — and fed back
-// through the real entry points, mostly with a valid frame (so the CRC
-// passes and the decoder, not the checksum, has to cope) and otherwise
-// with the frame mutated too.  Every mutated input must
-// decode or raise `CorruptionError`: no other exception, no crash (run
-// under the asan preset), and no allocation sized from a corrupt count
-// rather than from the bytes at hand.
+// Seeded mutation test over every storage decoder: the row codec, the
+// packed block, WAL records, the checkpoint manifest (with its chains and
+// packed pending backlogs) and base and delta segments.  Bodies are
+// recorded from a small durable workload, then mutated — bit flips,
+// truncations, splices of other bodies — and fed back through the real
+// entry points, mostly with a valid frame (so the CRC passes and the
+// decoder, not the checksum, has to cope) and otherwise with the frame
+// mutated too.  Every mutated input must decode or raise
+// `CorruptionError`: no other exception, no crash (run under the asan
+// preset), and no allocation sized from a corrupt count rather than from
+// the bytes at hand.
+//
+// Targeted cases then build packed blocks that break one rule each: a width
+// above 64, a row count the bytes cannot hold, values or running sums
+// leaving int64, rows out of order, and bytes after the block.
 //
 // MVIEW_FUZZ_ITERS sets the mutations per recorded body (default 200).
 
@@ -20,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <new>
 #include <random>
@@ -92,7 +98,8 @@ struct Recorded {
   std::string manifest_body;
   std::string wal_header;                 // magic and base LSN
   std::vector<std::string> wal_payloads;  // in log order
-  std::string rows;  // a row-codec block: header, count, rows
+  std::string rows;    // a row-codec block: header, count, rows
+  std::string packed;  // a header and a counted packed block
 };
 
 // Tables with strings that need every kind of care, negative and large
@@ -157,6 +164,14 @@ Recorded Record(const std::string& dir) {
   }
   wire::PutRowHeader(&out.rows, types);
   wire::PutRows(&out.rows, rows);
+
+  std::sort(rows.begin(), rows.end());
+  std::vector<wire::CountedRow> block;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    block.emplace_back(&rows[i], static_cast<int64_t>(i % 3));
+  }
+  wire::PutRowHeader(&out.packed, types);
+  wire::PutPackedRows(&out.packed, types, block, /*counted=*/true);
   return out;
 }
 
@@ -204,7 +219,8 @@ class StorageFuzzTest : public ::testing::Test {
     dir_ = ::testing::TempDir() + "/mview_storage_fuzz_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     recorded_ = Record(dir_);
-    std::vector<std::string> donors = {recorded_.manifest_body, recorded_.rows};
+    std::vector<std::string> donors = {recorded_.manifest_body, recorded_.rows,
+                                       recorded_.packed};
     for (const auto& p : recorded_.wal_payloads) donors.push_back(p);
     for (const auto* scopes :
          {&recorded_.manifest.tables, &recorded_.manifest.view_images}) {
@@ -266,6 +282,24 @@ TEST_F(StorageFuzzTest, RowCodec) {
   ExpectBothOutcomes();
 }
 
+TEST_F(StorageFuzzTest, PackedBlock) {
+  const ColumnTypes types = {ValueType::kInt64, ValueType::kString,
+                             ValueType::kInt64};
+  for (int64_t i = 0; i < 4 * Iterations(); ++i) {
+    const std::string body = mutator_->Mutate(recorded_.packed);
+    ExpectDecodesOrCorruption("packed", body.size(), [&] {
+      for (const bool counted : {true, false}) {
+        wire::Reader r(body);
+        ColumnTypes header = r.GetRowHeader();
+        wire::PackedReader block(&r, counted ? header : types, counted);
+        while (block.Next()) {
+        }
+      }
+    });
+  }
+  ExpectBothOutcomes();
+}
+
 TEST_F(StorageFuzzTest, WalRecords) {
   ASSERT_GE(recorded_.wal_payloads.size(), 10u);
   const std::string path = dir_ + "/fuzz_wal.mv";
@@ -300,12 +334,17 @@ TEST_F(StorageFuzzTest, ManifestWithChains) {
     has_delta |= scope.chain.size() > 1;
   }
   ASSERT_TRUE(has_delta) << "the workload left no chain to mutate";
-  const std::string framed = Frame("MVMANIF2", recorded_.manifest_body);
+  bool has_backlog = false;
+  for (const auto& view : recorded_.manifest.views) {
+    for (const auto& log : view.pending) has_backlog |= !log.inserts.empty();
+  }
+  ASSERT_TRUE(has_backlog) << "the workload left no pending backlog";
+  const std::string framed = Frame("MVMANIF3", recorded_.manifest_body);
   for (int64_t i = 0; i < 8 * Iterations(); ++i) {
     // Odd rounds mutate the frame too (magic, CRC, length): the reader
     // must not trust the length field either.
     const std::string file =
-        i % 2 == 0 ? Frame("MVMANIF2",
+        i % 2 == 0 ? Frame("MVMANIF3",
                            mutator_->Mutate(recorded_.manifest_body))
                    : mutator_->Mutate(framed);
     WriteFile(dir_ + "/manifest.mv", file);
@@ -327,7 +366,7 @@ TEST_F(StorageFuzzTest, BaseAndDeltaSegments) {
         const std::string original = ReadFile(path);
         for (int64_t i = 0; i < Iterations(); ++i) {
           const std::string file =
-              i % 2 == 0 ? Frame("MVSEG002",
+              i % 2 == 0 ? Frame("MVSEG003",
                                  mutator_->Mutate(original.substr(kFrame)))
                          : mutator_->Mutate(original);
           WriteFile(path, file);
@@ -346,6 +385,165 @@ TEST_F(StorageFuzzTest, BaseAndDeltaSegments) {
   }
   EXPECT_GT(deltas, 0) << "the workload left no delta segment to mutate";
   ExpectBothOutcomes();
+}
+
+// A segment or manifest with a byte after its last field is corrupt.
+TEST_F(StorageFuzzTest, TrailingBytesAfterPackedBlocksAreCorrupt) {
+  const ScopeImage& scope = recorded_.manifest.tables[0];
+  const std::string path = dir_ + "/" + scope.chain[0].file;
+  const std::string file = Frame(
+      "MVSEG003", ReadFile(path).substr(kFrame) + std::string(1, '\0'));
+  WriteFile(path, file);
+  ScopeImage grown = scope;
+  grown.chain[0].bytes = file.size();
+  EXPECT_THROW(
+      ScanImage(dir_, grown, false, [](const Tuple&, int64_t) {}),
+      CorruptionError);
+
+  WriteFile(dir_ + "/manifest.mv",
+            Frame("MVMANIF3", recorded_.manifest_body + std::string(1, '\0')));
+  EXPECT_THROW(ReadManifest(dir_), CorruptionError);
+}
+
+// Hand-built packed blocks that each break one rule of the format.  Every
+// one must raise `CorruptionError` — from the constructor when the layout
+// is bad, from `Next` when a row is — and allocate nothing sized from the
+// bad field.
+class PackedDecoderTest : public ::testing::Test {
+ protected:
+  // A packed column header: zigzag FOR base, width byte.
+  static std::string Column(int64_t base, uint8_t width) {
+    std::string out;
+    wire::PutZigzag(&out, base);
+    wire::PutU8(&out, width);
+    return out;
+  }
+  static std::string Count(uint64_t n) {
+    std::string out;
+    wire::PutVarint(&out, n);
+    return out;
+  }
+
+  // Where a block is rejected: by the constructor, before any row is
+  // read, or by `Next`.
+  enum class At { kLayout, kRow };
+
+  static void ExpectCorrupt(const std::string& what, At at,
+                            const std::string& block,
+                            const ColumnTypes& types, bool counted) {
+    largest_allocation.store(0);
+    At reached = At::kLayout;
+    try {
+      wire::Reader r(block);
+      wire::PackedReader reader(&r, types, counted);
+      reached = At::kRow;
+      while (reader.Next()) {
+      }
+      ADD_FAILURE() << what << ": decoded";
+    } catch (const CorruptionError&) {
+      EXPECT_EQ(reached, at) << what;
+    }
+    EXPECT_LE(largest_allocation.load(), 1u << 10) << what;
+  }
+
+  const ColumnTypes one_int_ = {ValueType::kInt64};
+  const ColumnTypes two_ints_ = {ValueType::kInt64, ValueType::kInt64};
+};
+
+TEST_F(PackedDecoderTest, WidthAbove64) {
+  ExpectCorrupt("width 65", At::kLayout,
+                Count(2) + Column(0, 65) + std::string(17, '\xff'), one_int_,
+                false);
+  ExpectCorrupt("count width 255", At::kLayout,
+                Count(1) + Column(0, 0) + Column(0, 255) + std::string(32, 0),
+                one_int_, true);
+}
+
+TEST_F(PackedDecoderTest, RowCountTheBytesCannotHold) {
+  // 1000 8-bit values in 10 bytes.
+  ExpectCorrupt("1000 rows", At::kLayout,
+                Count(1000) + Column(0, 8) + std::string(10, 1), one_int_,
+                false);
+  // 2^58 + 1 64-bit values: the bit count wraps to 64 in 64-bit
+  // arithmetic, which the 8 bytes present would hold.
+  ExpectCorrupt("wrapping bit count", At::kLayout,
+                Count((uint64_t{1} << 58) + 1) + Column(0, 64) +
+                    std::string(8, 1),
+                one_int_, false);
+  // The second column runs out where the first did not.
+  ExpectCorrupt("second column", At::kLayout,
+                Count(16) + Column(0, 1) + std::string(2, 1) + Column(0, 64) +
+                    std::string(8, 1),
+                two_ints_, false);
+  // Every width 0: every row equal, which cannot ascend — rejected before
+  // 2^40 rows are walked.
+  ExpectCorrupt("zero widths", At::kLayout,
+                Count(uint64_t{1} << 40) + Column(5, 0), one_int_, false);
+  ExpectCorrupt("zero widths, counted", At::kLayout,
+                Count(uint64_t{1} << 40) + Column(5, 0) + Column(1, 0),
+                one_int_, true);
+  ExpectCorrupt("empty strings", At::kLayout,
+                Count(uint64_t{1} << 40) + Column(0, 0), {ValueType::kString},
+                false);
+  // String lengths beyond the bytes; lengths -4 and 8, whose sum wraps to
+  // the 4 bytes present; and a constant length 4 times 2^62 + 2 rows,
+  // which wraps to the 8 bytes present.
+  ExpectCorrupt("long strings", At::kLayout,
+                Count(2) + Column(1000, 1) + std::string(1, 2) + "abc",
+                {ValueType::kString}, false);
+  ExpectCorrupt("negative length", At::kLayout,
+                Count(2) + Column(-4, 4) + std::string(1, '\xc0') + "abcd",
+                {ValueType::kString}, false);
+  ExpectCorrupt("length times count", At::kLayout,
+                Count((uint64_t{1} << 62) + 2) + Column(4, 0) + "abcdefgh",
+                {ValueType::kString}, false);
+}
+
+TEST_F(PackedDecoderTest, ValueLeavingInt64) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  // Column 1: base INT64_MAX - 1, offsets 0 and 2.
+  ExpectCorrupt("offset", At::kRow,
+                Count(2) + Column(0, 1) + std::string(1, 2) +
+                    Column(max - 1, 2) + std::string(1, 0x08),
+                two_ints_, false);
+  // The multiplicity column likewise.
+  ExpectCorrupt("count offset", At::kRow,
+                Count(1) + Column(0, 0) + Column(max, 1) + std::string(1, 1),
+                one_int_, true);
+  // A 64-bit offset from a negative base reaches past INT64_MAX too; a
+  // string length is checked with the layout.
+  ExpectCorrupt("64-bit offset", At::kLayout,
+                Count(1) + Column(-1, 64) + std::string(8, '\xff'),
+                {ValueType::kString}, false);
+}
+
+TEST_F(PackedDecoderTest, RunningSumLeavingInt64) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  // Column 0 from INT64_MAX - 1 with gaps 1 and 1.
+  ExpectCorrupt("running sum", At::kRow,
+                Count(2) + Column(max - 1, 1) + std::string(1, 0x03),
+                one_int_, false);
+  // A full 64-bit gap from INT64_MIN lands on INT64_MAX; one more cannot.
+  ExpectCorrupt("64-bit gaps", At::kRow,
+                Count(2) + Column(std::numeric_limits<int64_t>::min(), 64) +
+                    std::string(16, '\xff'),
+                one_int_, false);
+}
+
+TEST_F(PackedDecoderTest, RowsNotStrictlyAscending) {
+  // (0, 1) then (0, 0).
+  ExpectCorrupt("descending", At::kRow,
+                Count(2) + Column(0, 1) + std::string(1, 0) + Column(0, 1) +
+                    std::string(1, 0x01),
+                two_ints_, false);
+  // (0, 1) twice.
+  ExpectCorrupt("equal", At::kRow,
+                Count(2) + Column(0, 1) + std::string(1, 0) + Column(1, 1) +
+                    std::string(1, 0),
+                two_ints_, false);
+  // Strings: "b" then "a".
+  ExpectCorrupt("strings", At::kRow, Count(2) + Column(1, 0) + "ba",
+                {ValueType::kString}, false);
 }
 
 }  // namespace

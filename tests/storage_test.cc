@@ -56,11 +56,23 @@ class StorageTest : public ::testing::Test {
 
   // Frames `body` as a manifest file (magic, CRC, length) and installs it.
   void WriteRawManifest(const std::string& body) {
-    std::string file = "MVMANIF2";
+    std::string file = "MVMANIF3";
     wire::PutU32(&file, Crc32(body.data(), body.size()));
     wire::PutU64(&file, body.size());
     file += body;
     std::ofstream(ManifestPath(), std::ios::binary | std::ios::trunc) << file;
+  }
+
+  // The body of a segment file (its frame stripped).
+  std::string SegmentBody(const SegmentRef& ref) const {
+    std::ifstream in(dir_ + "/" + ref.file, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    return bytes.substr(8 + 4 + 8);  // magic, CRC, length
+  }
+
+  static std::string Bytes(std::initializer_list<unsigned char> bytes) {
+    return std::string(bytes.begin(), bytes.end());
   }
 
   static void FlipLastByte(const std::string& path) {
@@ -583,10 +595,10 @@ TEST_F(StorageTest, ManifestSegmentNamesMustBeSegmentFiles) {
   }
 }
 
-// A base segment is the row codec of the scope's rows in sorted order —
-// kind, column-type header, row count, rows — with each view row followed
-// by its count, and the manifest records the framed file's size.
-TEST_F(StorageTest, SegmentBytesAreTheRowCodecOfTheSortedScope) {
+// A base segment is the scope's rows in sorted order as one packed block —
+// kind, column-type header, then the block, whose last column holds a view
+// row's count — and the manifest records the framed file's size.
+TEST_F(StorageTest, SegmentBytesArePackedBlocksOfTheSortedScope) {
   Database db;
   Relation& rel = db.CreateRelation(
       "S", Schema({{"id", ValueType::kInt64}, {"s", ValueType::kString}}));
@@ -610,23 +622,27 @@ TEST_F(StorageTest, SegmentBytesAreTheRowCodecOfTheSortedScope) {
     return bytes.substr(8 + 4 + 8);  // magic, CRC, length
   };
 
+  const std::vector<Tuple> table_rows = rel.ToSortedVector();
+  std::vector<wire::CountedRow> block;
+  for (const Tuple& t : table_rows) block.emplace_back(&t, 1);
   std::string table;
   wire::PutU8(&table, static_cast<uint8_t>(SegmentKind::kTableBase));
   wire::PutRowHeader(&table, ColumnTypesOf(rel.schema()));
-  wire::PutRows(&table, rel.ToSortedVector());
+  wire::PutPackedRows(&table, ColumnTypesOf(rel.schema()), block,
+                      /*counted=*/false);
   ASSERT_EQ(m.tables.size(), 1u);
   ASSERT_EQ(m.tables[0].chain.size(), 1u);
   EXPECT_EQ(segment(m.tables[0].chain[0]), table);
 
   const CountedRelation& view = views.View("v");
+  const auto view_rows = view.ToSortedVector();
+  block.clear();
+  for (const auto& [t, count] : view_rows) block.emplace_back(&t, count);
   std::string counted;
   wire::PutU8(&counted, static_cast<uint8_t>(SegmentKind::kViewBase));
   wire::PutRowHeader(&counted, ColumnTypesOf(view.schema()));
-  wire::PutVarint(&counted, view.size());
-  for (const auto& [t, count] : view.ToSortedVector()) {
-    wire::PutRow(&counted, t);
-    wire::PutZigzag(&counted, count);
-  }
+  wire::PutPackedRows(&counted, ColumnTypesOf(view.schema()), block,
+                      /*counted=*/true);
   ASSERT_EQ(m.view_images.size(), 1u);
   EXPECT_EQ(segment(m.view_images[0].chain[0]), counted);
   // The projection collapsed duplicates, so some counts exceed one.
@@ -640,7 +656,10 @@ TEST_F(StorageTest, SegmentBytesAreTheRowCodecOfTheSortedScope) {
 // keeps its chain, and recovery applies the chain over the base.
 TEST_F(StorageTest, DeltaSegmentHoldsOnlyTheChangedRows) {
   Database db;
-  MakeRelation(&db, "R", {"A", "B"}, {{1, 1}, {2, 1}, {3, 2}, {4, 2}});
+  // The two wide rows keep R's packed base larger than a two-row delta, so
+  // the byte rule extends the chain instead of compacting it.
+  MakeRelation(&db, "R", {"A", "B"},
+               {{1, 1}, {2, 1}, {3, 2}, {4, 2}, {1000000, 7}, {2000000, 9}});
   MakeRelation(&db, "Q", {"C"}, {{9}});
   ViewManager views(&db);
   views.RegisterView(ViewDefinition::Select("p", "R", "A > 0", {"B"}),
@@ -662,19 +681,16 @@ TEST_F(StorageTest, DeltaSegmentHoldsOnlyTheChangedRows) {
   ASSERT_EQ(second.tables[1].chain.size(), 2u);
   EXPECT_EQ(second.tables[1].chain[0].file, first.tables[1].chain[0].file);
 
-  std::string delta;
-  wire::PutU8(&delta, static_cast<uint8_t>(SegmentKind::kDelta));
-  wire::PutRowHeader(&delta, {ValueType::kInt64, ValueType::kInt64});
-  wire::PutVarint(&delta, 2);
-  wire::PutRow(&delta, T({1, 1}));
-  wire::PutZigzag(&delta, 0);
-  wire::PutRow(&delta, T({5, 3}));
-  wire::PutZigzag(&delta, 1);
-  std::ifstream in(dir_ + "/" + second.tables[1].chain[1].file,
-                   std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes.substr(8 + 4 + 8), delta);
+  // The rows (1, 1) now 0 times and (5, 3) once, as golden bytes.
+  const std::string delta = Bytes({
+      0x02,              // kind: delta
+      0x02, 0x00, 0x00,  // two int64 columns
+      0x02,              // two rows
+      0x02, 0x03, 0x20,  // A: base 1, 3-bit gaps 0 and 4
+      0x02, 0x02, 0x08,  // B: base 1, 2-bit offsets 0 and 2
+      0x00, 0x01, 0x02,  // counts: base 0, 1-bit offsets 0 and 1
+  });
+  EXPECT_EQ(SegmentBody(second.tables[1].chain[1]), delta);
 
   // The view: B=1 dropped from count 2 to 1, and B=3 appeared.
   std::vector<std::pair<Tuple, int64_t>> view_rows;
@@ -687,6 +703,31 @@ TEST_F(StorageTest, DeltaSegmentHoldsOnlyTheChangedRows) {
   Install(&back_db, &back);
   EXPECT_EQ(back_db.Get("R").ToSortedVector(), db.Get("R").ToSortedVector());
   EXPECT_TRUE(back.View("p").SameContents(views.View("p")));
+}
+
+// Pins the packed segment format: a small table's base, byte for byte.
+TEST_F(StorageTest, BaseSegmentGoldenBytes) {
+  Database db;
+  Relation& rel = db.CreateRelation(
+      "T", Schema({{"k", ValueType::kInt64},
+                   {"s", ValueType::kString},
+                   {"n", ValueType::kInt64}}));
+  rel.Insert(Tuple({Value(3), Value(""), Value(7)}));
+  rel.Insert(Tuple({Value(-2), Value("c"), Value(5)}));
+  rel.Insert(Tuple({Value(-2), Value("ab"), Value(7)}));
+  ViewManager views(&db);
+  CheckpointManifest m = Write(1, db, views, nullptr);
+  ASSERT_EQ(m.tables.size(), 1u);
+  const std::string base = Bytes({
+      0x00,                    // kind: table base
+      0x03, 0x00, 0x01, 0x00,  // columns int64, string, int64
+      0x03,                    // three rows
+      0x03, 0x03, 0x40, 0x01,  // k: base -2, 3-bit gaps 0, 0, 5
+      0x00, 0x02, 0x06,        // s: lengths base 0, 2-bit offsets 2, 1, 0
+      'a', 'b', 'c',           //    then the bytes of "ab", "c", ""
+      0x0a, 0x02, 0x22,        // n: base 5, 2-bit offsets 2, 0, 2
+  });
+  EXPECT_EQ(SegmentBody(m.tables[0].chain[0]), base);
 }
 
 }  // namespace
