@@ -387,9 +387,10 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
     util::Arena* arena, MaintenanceStats* stats,
     const util::Cancellation* cancel) const {
   // Covers the delta paths — commit-time rows (every partition) and
-  // deferred refresh funnel through here.  `FullEvaluate` deliberately
-  // does not: it is the recovery oracle, and a point there would let a
-  // sticky fault block the repair it is supposed to exercise.
+  // deferred refresh funnel through here.  `FullEvaluate` has no point of
+  // its own, but it allocates from an arena like every evaluation, so an
+  // armed `ra.batch.alloc` fails it too: view creation, REPAIR and scrub
+  // then fail with the fault rather than return a partial result.
   MVIEW_FAULT_POINT("differential.eval");
   MVIEW_CHECK(full.size() == def_.bases().size(),
               "expected one BaseParts per base occurrence");
@@ -463,7 +464,6 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
   BatchEvalStats batch_stats;
   EvalContext ctx;
   ctx.arena = arena;
-  ctx.enable_batch = options_.enable_batch_eval;
   ctx.batch_stats = &batch_stats;
   ctx.cancel = cancel;
   if (cancel != nullptr) cancel->Check();

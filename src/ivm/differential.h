@@ -54,13 +54,6 @@ struct MaintenanceOptions {
   /// entries are evicted past it at round boundaries.
   size_t join_cache_budget_bytes = size_t{256} << 20;
 
-  /// Run the planner's columnar batch pipeline (ra/batch.h): delta rows
-  /// flow through the join order in `ColumnBatch` chunks backed by a
-  /// per-round arena instead of tuple-at-a-time heap rows.  Produces
-  /// byte-identical deltas to the tuple path (property-tested); bench E20
-  /// ablates it.
-  bool enable_batch_eval = true;
-
   /// Split each maintenance round into this many hash partitions that can
   /// be computed independently (see `PartitionLayout` for the keyed /
   /// row-hash mode choice).  1 disables partitioning.  The merged delta is
@@ -109,7 +102,7 @@ struct MaintenanceStats {
   int64_t cache_misses = 0;
   int64_t cache_evictions = 0;
   int64_t cache_bytes = 0;
-  // Columnar batch pipeline activity (MaintenanceOptions::enable_batch_eval).
+  // Columnar executor activity (ra/batch.h).
   // The first two are cumulative; the arena pair are gauges overwritten
   // after every round (operator+= sums them across views, like
   // `cache_bytes`): `arena_bytes` is the scratch memory currently reserved

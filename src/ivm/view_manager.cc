@@ -675,7 +675,9 @@ void ViewManager::Repair(const std::string& name) {
   ViewMetrics& m = *view.metrics;
   Stopwatch timer;
   // Lets tests fail the heal itself (exercising retry backoff and sticky
-  // escalation) without touching `FullEvaluate`, the recovery oracle.
+  // escalation) before any evaluation runs.  The evaluations below pass
+  // the `ra.batch.alloc` point through their arenas, so an armed arena
+  // fault fails the repair as well and leaves the view quarantined.
   MVIEW_FAULT_POINT("viewmgr.repair");
   // Full recompute from the current base state — the paper's always-valid
   // fallback.  Evaluate twice and require byte equality: a fault that

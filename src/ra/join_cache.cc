@@ -163,22 +163,8 @@ void JoinStateCache::AddRow(Entry* entry, const Tuple& tuple) {
   for (const Atom& atom : entry->filters) {
     if (!atom.Evaluate(entry->schema, tuple)) return;
   }
-  const size_t row = entry->table.rows.size();
-  entry->table.rows.emplace_back(tuple, 1);
-  if (entry->table.all_int) {
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      entry->table.int_rows.push_back(tuple.at(i).AsInt64());
-    }
-  }
-  if (!entry->table.key_attrs.empty()) {
-    entry->table.index[tuple.Project(entry->table.key_attrs)].push_back(row);
-    if (entry->table.int_keyed) {
-      entry->table.int_index[tuple.at(entry->table.key_attrs[0]).AsInt64()]
-          .push_back(row);
-    }
-  } else {
-    entry->row_of[tuple] = row;
-  }
+  const size_t row = entry->table.AddRow(tuple, 1);
+  if (entry->table.key_attrs.empty()) entry->row_of[tuple] = row;
   const size_t row_bytes = ApproxRowBytes(tuple);
   entry->bytes += row_bytes;
   bytes_ += row_bytes;
@@ -186,60 +172,46 @@ void JoinStateCache::AddRow(Entry* entry, const Tuple& tuple) {
 }
 
 void JoinStateCache::RemoveRow(Entry* entry, const Tuple& tuple) {
-  auto& rows = entry->table.rows;
+  PlannerCache::Table& table = entry->table;
+  auto& rows = table.rows;
+  const bool keyed = !table.key_attrs.empty();
   size_t row = rows.size();
-  if (!entry->table.key_attrs.empty()) {
-    auto hit = entry->table.index.find(tuple.Project(entry->table.key_attrs));
-    if (hit == entry->table.index.end()) return;  // filtered out at build
-    auto& bucket = hit->second;
-    size_t pos = bucket.size();
-    for (size_t i = 0; i < bucket.size(); ++i) {
-      if (rows[bucket[i]].first == tuple) {
-        pos = i;
-        break;
-      }
-    }
-    if (pos == bucket.size()) return;  // filtered out at build
-    row = bucket[pos];
-    bucket.erase(bucket.begin() + static_cast<ptrdiff_t>(pos));
-    if (bucket.empty()) entry->table.index.erase(hit);
-    if (entry->table.int_keyed) {
-      auto ihit = entry->table.int_index.find(
-          tuple.at(entry->table.key_attrs[0]).AsInt64());
-      MVIEW_CHECK(ihit != entry->table.int_index.end(),
-                  "int_index out of sync with index");
-      auto& ibucket = ihit->second;
-      ibucket.erase(std::find(ibucket.begin(), ibucket.end(), row));
-      if (ibucket.empty()) entry->table.int_index.erase(ihit);
-    }
-  } else {
-    auto hit = entry->row_of.find(tuple);
-    if (hit == entry->row_of.end()) return;  // filtered out at build
+  if (keyed) {
+    table.WithKeyIndex(tuple, [&](auto& index, const auto& key) {
+      auto hit = index.find(key);
+      if (hit == index.end()) return;  // filtered out at build
+      auto& bucket = hit->second;
+      auto pos = std::find_if(bucket.begin(), bucket.end(), [&](size_t i) {
+        return rows[i].first == tuple;
+      });
+      if (pos == bucket.end()) return;  // filtered out at build
+      row = *pos;
+      bucket.erase(pos);
+      if (bucket.empty()) index.erase(hit);
+    });
+  } else if (auto hit = entry->row_of.find(tuple); hit != entry->row_of.end()) {
     row = hit->second;
     entry->row_of.erase(hit);
   }
+  if (row == rows.size()) return;  // filtered out at build
 
   // Swap-remove; redirect references to the moved last row.
   const size_t last = rows.size() - 1;
   if (row != last) {
-    if (!entry->table.key_attrs.empty()) {
-      Tuple moved_key = rows[last].first.Project(entry->table.key_attrs);
-      auto& bucket = entry->table.index[moved_key];
-      std::replace(bucket.begin(), bucket.end(), last, row);
-      if (entry->table.int_keyed) {
-        auto& ibucket = entry->table.int_index[rows[last].first
-                            .at(entry->table.key_attrs[0])
-                            .AsInt64()];
-        std::replace(ibucket.begin(), ibucket.end(), last, row);
-      }
+    const Tuple& moved = rows[last].first;
+    if (keyed) {
+      table.WithKeyIndex(moved, [&](auto& index, const auto& key) {
+        auto& bucket = index[key];
+        std::replace(bucket.begin(), bucket.end(), last, row);
+      });
     } else {
-      entry->row_of[rows[last].first] = row;
+      entry->row_of[moved] = row;
     }
     rows[row] = std::move(rows[last]);
   }
   rows.pop_back();
-  if (entry->table.all_int) {
-    auto& ir = entry->table.int_rows;
+  if (table.all_int) {
+    auto& ir = table.int_rows;
     const size_t stride = entry->schema.size();
     if (row != last) {
       std::copy(ir.begin() + static_cast<ptrdiff_t>(last * stride),

@@ -42,6 +42,20 @@ PlannerCache::Table* PlannerCache::Create(const RelationInput* input,
   return raw;
 }
 
+size_t PlannerCache::Table::AddRow(const Tuple& t, int64_t count) {
+  const size_t row = rows.size();
+  rows.emplace_back(t, count);
+  if (all_int) {
+    for (size_t i = 0; i < t.size(); ++i) int_rows.push_back(t.at(i).AsInt64());
+  }
+  if (!key_attrs.empty()) {
+    WithKeyIndex(t, [&](auto& index, auto key) {
+      index[std::move(key)].push_back(row);
+    });
+  }
+  return row;
+}
+
 Schema CombinedSchema(const SpjQuery& query) {
   Schema combined;
   for (const auto* input : query.inputs) {
@@ -66,11 +80,6 @@ struct JoinPred {
 struct StepFilter {
   Atom atom;
   size_t last_input = 0;  // the step at which the atom becomes ground
-};
-
-struct PartialRow {
-  std::vector<Value> vals;
-  int64_t count = 1;
 };
 
 // A connecting equi-join predicate at one join step: bound side expressed
@@ -109,17 +118,11 @@ class SpjExecutor {
   bool PassesLocalFilters(const InputInfo& info, const Tuple& t) const;
   std::vector<Link> CollectLinks(size_t input_id) const;
 
-  // Tuple-at-a-time backend.
-  void RunTuple();
-  void ExecuteFirst(std::vector<PartialRow>* rows);
-  void ExecuteStep(size_t input_id, std::vector<PartialRow>* rows);
-  void Emit(const PartialRow& row);
-
-  // Columnar batch backend (see EvalContext); same plan, batch execution.
-  void RunBatch();
-  size_t BatchExecuteFirst(std::vector<ColumnBatch>* out);
-  size_t BatchExecuteStep(size_t input_id, size_t total,
-                          std::vector<ColumnBatch>* batches);
+  // Columnar execution: rows flow through the join order in ColumnBatch
+  // chunks carved from `arena_`.
+  size_t ScanFirst(std::vector<ColumnBatch>* out);
+  size_t JoinStep(size_t input_id, size_t total,
+                  std::vector<ColumnBatch>* batches);
   void EmitBatches(std::vector<ColumnBatch>* batches);
   ColumnBatch& DestBatch(std::vector<ColumnBatch>* list);
   void FilterBatch(ColumnBatch* batch, const std::vector<BoundAtom>& filters);
@@ -136,8 +139,7 @@ class SpjExecutor {
 
   PlannerCache::Table* MaterializeTable(size_t input_id,
                                         const std::vector<size_t>& key_attrs);
-  void FillTable(const InputInfo& info, const std::vector<size_t>& key_attrs,
-                 PlannerCache::Table* table);
+  void FillTable(const InputInfo& info, PlannerCache::Table* table);
 
   const SpjQuery& query_;
   CountedRelation* out_;
@@ -145,7 +147,7 @@ class SpjExecutor {
   PlanStats* stats_;
   PlannerCache* cache_;
   const EvalContext* ctx_;
-  util::Arena* arena_ = nullptr;  // set when the batch backend runs
+  util::Arena* arena_ = nullptr;  // the context's arena or a call-local one
   // Owns tables when no external cache was supplied.
   PlannerCache local_cache_;
 
@@ -309,7 +311,7 @@ PlannerCache::Table* SpjExecutor::MaterializeTable(
     if (PlannerCache::Table* warm = jsc->Lookup(slot, key_attrs)) return warm;
     if (PlannerCache::Table* table = jsc->Install(
             slot, key_attrs, info.input->schema(), info.local_filters)) {
-      FillTable(info, key_attrs, table);
+      FillTable(info, table);
       jsc->CompleteInstall(slot, key_attrs);
       return table;
     }
@@ -320,16 +322,14 @@ PlannerCache::Table* SpjExecutor::MaterializeTable(
     return hit;
   }
   PlannerCache::Table* table = cache->Create(info.input, key_attrs);
-  FillTable(info, key_attrs, table);
+  FillTable(info, table);
   return table;
 }
 
 void SpjExecutor::FillTable(const InputInfo& info,
-                            const std::vector<size_t>& key_attrs,
                             PlannerCache::Table* table) {
-  // Without local filters the input size is the exact row count; with
-  // filters a full-size reserve could vastly overshoot the survivors.
   const Schema& schema = info.input->schema();
+  const std::vector<size_t>& key_attrs = table->key_attrs;
   table->int_keyed =
       key_attrs.size() == 1 &&
       schema.attribute(key_attrs[0]).type == ValueType::kInt64;
@@ -340,76 +340,34 @@ void SpjExecutor::FillTable(const InputInfo& info,
       break;
     }
   }
+  // Without local filters the input size is the exact row count; with
+  // filters a full-size reserve could vastly overshoot the survivors.
   if (info.local_filters.empty()) {
     const size_t hint = info.input->SizeHint();
     table->rows.reserve(hint);
-    if (!key_attrs.empty()) table->index.reserve(hint);
-    if (table->int_keyed) table->int_index.reserve(hint);
+    if (table->int_keyed) {
+      table->int_index.reserve(hint);
+    } else if (!key_attrs.empty()) {
+      table->index.reserve(hint);
+    }
     if (table->all_int) table->int_rows.reserve(hint * schema.size());
   }
   class BuildSink final : public DeltaSink {
    public:
-    BuildSink(SpjExecutor* e, const InputInfo& info,
-              const std::vector<size_t>& key_attrs, PlannerCache::Table* table)
-        : e_(e), info_(info), key_attrs_(key_attrs), table_(table) {}
+    BuildSink(SpjExecutor* e, const InputInfo& info, PlannerCache::Table* table)
+        : e_(e), info_(info), table_(table) {}
     void Emit(const Tuple& t, int64_t count) override {
       ++e_->local_stats_.rows_scanned;
-      if (!e_->PassesLocalFilters(info_, t)) return;
-      size_t row = table_->rows.size();
-      table_->rows.emplace_back(t, count);
-      if (table_->all_int) {
-        for (size_t i = 0; i < info_.arity; ++i) {
-          table_->int_rows.push_back(t.at(i).AsInt64());
-        }
-      }
-      if (!key_attrs_.empty()) {
-        if (table_->int_keyed) {
-          table_->int_index[t.at(key_attrs_[0]).AsInt64()].push_back(row);
-        }
-        Tuple key = t.Project(key_attrs_);
-        table_->index[std::move(key)].push_back(row);
-      }
+      if (e_->PassesLocalFilters(info_, t)) table_->AddRow(t, count);
     }
 
    private:
     SpjExecutor* e_;
     const InputInfo& info_;
-    const std::vector<size_t>& key_attrs_;
     PlannerCache::Table* table_;
   };
-  BuildSink sink(this, info, key_attrs, table);
+  BuildSink sink(this, info, table);
   info.input->Scan(sink);
-}
-
-void SpjExecutor::ExecuteFirst(std::vector<PartialRow>* rows) {
-  PollCancel();
-  size_t input_id = order_[0];
-  const InputInfo& info = inputs_[input_id];
-  class FirstSink final : public DeltaSink {
-   public:
-    FirstSink(SpjExecutor* e, const InputInfo& info,
-              std::vector<PartialRow>* rows)
-        : e_(e), info_(info), rows_(rows) {}
-    void Emit(const Tuple& t, int64_t count) override {
-      ++e_->local_stats_.rows_scanned;
-      if (!e_->PassesLocalFilters(info_, t)) return;
-      PartialRow row;
-      row.vals.resize(e_->combined_.size());
-      for (size_t i = 0; i < info_.arity; ++i) {
-        row.vals[info_.offset + i] = t.at(i);
-      }
-      row.count = count;
-      rows_->push_back(std::move(row));
-    }
-
-   private:
-    SpjExecutor* e_;
-    const InputInfo& info_;
-    std::vector<PartialRow>* rows_;
-  };
-  FirstSink sink(this, info, rows);
-  info.input->Scan(sink);
-  local_stats_.intermediate_tuples += rows->size();
 }
 
 std::vector<Link> SpjExecutor::CollectLinks(size_t input_id) const {
@@ -428,193 +386,12 @@ std::vector<Link> SpjExecutor::CollectLinks(size_t input_id) const {
   return links;
 }
 
-void SpjExecutor::ExecuteStep(size_t input_id, std::vector<PartialRow>* rows) {
-  PollCancel();
-  const InputInfo& info = inputs_[input_id];
-  std::vector<Link> links = CollectLinks(input_id);
-  // Step filters that become ground at this step.
-  std::vector<const Atom*> filters;
-  for (const auto& f : step_filters_) {
-    if (f.last_input == input_id) filters.push_back(&f.atom);
-  }
-
-  std::vector<PartialRow> next;
-
-  auto emit_match = [&](const PartialRow& row, const Tuple& t, int64_t count) {
-    PartialRow merged;
-    merged.vals = row.vals;
-    for (size_t i = 0; i < info.arity; ++i) {
-      merged.vals[info.offset + i] = t.at(i);
-    }
-    merged.count = row.count * count;  // Section 5.2: join multiplies counts
-    if (!filters.empty()) {
-      Tuple view(std::span<const Value>(merged.vals));
-      for (const Atom* atom : filters) {
-        if (!atom->Evaluate(combined_, view)) return;
-      }
-    }
-    next.push_back(std::move(merged));
-  };
-
-  auto compute_key = [&](const PartialRow& row, const Link& link) {
-    const Value& bound_val = row.vals[link.bound_combined];
-    if (link.key_offset == 0) return bound_val;
-    return Value(bound_val.AsInt64() + link.key_offset);
-  };
-
-  auto check_links = [&](const PartialRow& row, const Tuple& t,
-                         size_t skip_link) {
-    for (size_t li = 0; li < links.size(); ++li) {
-      if (li == skip_link) continue;
-      if (t.at(links[li].local_attr) != compute_key(row, links[li])) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Strategy selection: index join when the input exposes an index on a
-  // connecting attribute and is large; otherwise hash join on all
-  // connecting attributes; cross join when nothing connects.  A warm
-  // persistent table beats an index-probe plan — its build is already paid
-  // for and its rows are pre-filtered — so peek before deciding.
-  std::vector<size_t> key_attrs;
-  key_attrs.reserve(links.size());
-  for (const auto& l : links) key_attrs.push_back(l.local_attr);
-
-  std::optional<size_t> probe_link;
-  for (size_t li = 0; li < links.size(); ++li) {
-    if (info.input->CanProbe(links[li].local_attr)) {
-      probe_link = li;
-      break;
-    }
-  }
-  bool warm = false;
-  if (JoinStateCache* jsc = info.input->join_cache();
-      jsc != nullptr && !links.empty()) {
-    warm = jsc->Peek(info.input->cache_slot(), key_attrs);
-  }
-  bool use_index = !warm && probe_link.has_value() &&
-                   info.input->SizeHint() > rows->size();
-
-  if (!links.empty() && !use_index) {
-    PlannerCache::Table* table = MaterializeTable(input_id, key_attrs);
-    // One scratch key reused across probes: assigning into its values
-    // avoids materializing a fresh tuple per probe.
-    Tuple probe_key = Tuple::OfSize(links.size());
-    for (const auto& row : *rows) {
-      std::span<Value> key_vals = probe_key.mutable_values();
-      for (size_t li = 0; li < links.size(); ++li) {
-        const Link& l = links[li];
-        const Value& bound_val = row.vals[l.bound_combined];
-        if (l.key_offset == 0) {
-          key_vals[li] = bound_val;
-        } else {
-          key_vals[li] = Value(bound_val.AsInt64() + l.key_offset);
-        }
-      }
-      auto hit = table->index.find(probe_key);
-      if (hit == table->index.end()) continue;
-      for (size_t idx : hit->second) {
-        const auto& [t, count] = table->rows[idx];
-        emit_match(row, t, count);
-      }
-    }
-  } else if (use_index) {
-    const Link& link = links[*probe_link];
-    // A reusable stack sink: the per-probe state is one pointer assignment
-    // (`row_`), not a fresh closure per probe.
-    class ProbeSink final : public DeltaSink {
-     public:
-      ProbeSink(SpjExecutor* e, const InputInfo& info,
-                decltype(check_links)& check, decltype(emit_match)& emit,
-                size_t skip_link)
-          : e_(e), info_(info), check_(check), emit_(emit),
-            skip_link_(skip_link) {}
-      void Emit(const Tuple& t, int64_t count) override {
-        if (!e_->PassesLocalFilters(info_, t)) return;
-        if (!check_(*row_, t, skip_link_)) return;
-        emit_(*row_, t, count);
-      }
-      const PartialRow* row_ = nullptr;
-
-     private:
-      SpjExecutor* e_;
-      const InputInfo& info_;
-      decltype(check_links)& check_;
-      decltype(emit_match)& emit_;
-      size_t skip_link_;
-    };
-    ProbeSink sink(this, info, check_links, emit_match, *probe_link);
-    for (const auto& row : *rows) {
-      ++local_stats_.probes;
-      sink.row_ = &row;
-      info.input->ProbeEqual(link.local_attr, compute_key(row, link), sink);
-    }
-  } else {
-    // Cross join against the (cached) materialized input.
-    PlannerCache::Table* table = MaterializeTable(input_id, {});
-    for (const auto& row : *rows) {
-      for (const auto& [t, count] : table->rows) {
-        emit_match(row, t, count);
-      }
-    }
-  }
-
-  local_stats_.intermediate_tuples += next.size();
-  rows->swap(next);
-}
-
-void SpjExecutor::Emit(const PartialRow& row) {
-  Tuple full(std::span<const Value>(row.vals));
-  if (need_residual_ && query_.condition != nullptr &&
-      !query_.condition->Evaluate(combined_, full)) {
-    return;
-  }
-  ++local_stats_.output_tuples;
-  out_->Add(full.Project(projection_indices_), row.count * multiplier_);
-}
-
-void SpjExecutor::Run() {
-  Analyze();
-  if (query_.condition != nullptr && query_.condition->IsTriviallyFalse()) {
-    return;  // σ_false(...) is empty
-  }
-  ChooseOrder();
-
-  // Re-run the binding order, marking inputs bound step by step so that
-  // each join step sees the correct bound set.
-  bound_.assign(inputs_.size(), false);
-  if (ctx_ != nullptr && ctx_->enable_batch && ctx_->arena != nullptr) {
-    arena_ = ctx_->arena;
-    RunBatch();
-    if (ctx_->batch_stats != nullptr) *ctx_->batch_stats += batch_stats_;
-  } else {
-    RunTuple();
-  }
-  if (stats_ != nullptr) *stats_ += local_stats_;
-}
-
-void SpjExecutor::RunTuple() {
-  std::vector<PartialRow> rows;
-  ExecuteFirst(&rows);
-  bound_[order_[0]] = true;
-  for (size_t s = 1; s < order_.size() && !rows.empty(); ++s) {
-    ExecuteStep(order_[s], &rows);
-    bound_[order_[s]] = true;
-  }
-  if (order_.size() == 1 || !rows.empty()) {
-    for (const auto& row : rows) Emit(row);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// The columnar batch backend.  Same plan (Analyze/ChooseOrder), same join
-// strategies per step (warm-peek → hash probe, index probe, cross join),
-// same counting semantics — but intermediate rows live in combined-scheme
-// `ColumnBatch` chunks carved from the round arena instead of per-row
-// heap-allocated `vector<Value>`s, selections run as kernels producing
-// selection vectors, and the final projection is a column shuffle.
+// Execution.  Intermediate rows live in combined-scheme `ColumnBatch` chunks
+// carved from the arena, selections run as kernels producing selection
+// vectors, and the final projection is a column shuffle.  Each join step
+// picks a strategy (warm-peek → hash probe, index probe, cross join) and
+// multiplies counts (Section 5.2).
 
 ColumnBatch& SpjExecutor::DestBatch(std::vector<ColumnBatch>* list) {
   if (list->empty() || list->back().full()) {
@@ -634,7 +411,7 @@ void SpjExecutor::FilterBatch(ColumnBatch* batch,
   batch->Keep(sel, n);
 }
 
-size_t SpjExecutor::BatchExecuteFirst(std::vector<ColumnBatch>* out) {
+size_t SpjExecutor::ScanFirst(std::vector<ColumnBatch>* out) {
   PollCancel();
   const size_t input_id = order_[0];
   const InputInfo& info = inputs_[input_id];
@@ -676,8 +453,8 @@ size_t SpjExecutor::BatchExecuteFirst(std::vector<ColumnBatch>* out) {
   return total;
 }
 
-size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
-                                     std::vector<ColumnBatch>* batches) {
+size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
+                             std::vector<ColumnBatch>* batches) {
   PollCancel();
   const InputInfo& info = inputs_[input_id];
   std::vector<Link> links = CollectLinks(input_id);
@@ -751,8 +528,9 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
     return true;
   };
 
-  // Strategy selection mirrors the tuple path exactly (including the
-  // warm-table peek), so both backends materialize the same cache state.
+  // Strategy selection.  A warm persistent table beats an index-probe
+  // plan — its build is already paid for and its rows are pre-filtered —
+  // so peek before deciding.
   std::vector<size_t> key_attrs;
   key_attrs.reserve(links.size());
   for (const auto& l : links) key_attrs.push_back(l.local_attr);
@@ -774,30 +552,30 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
 
   if (!links.empty() && !use_index) {
     PlannerCache::Table* table = MaterializeTable(input_id, key_attrs);
-    const bool int_probe =
-        table->int_keyed && !batches->empty() &&
-        batches->front().column_type(links[0].bound_combined) ==
-            ValueType::kInt64;
     const int64_t* mirror = table->all_int ? table->int_rows.data() : nullptr;
-    if (int_probe) {
-      // Raw-key fast path: the probe key is one int64 read straight from
-      // the column, hashed without building a key tuple.
+    auto emit_bucket = [&](const ColumnBatch& src, size_t r,
+                           const std::vector<size_t>& bucket) {
+      for (size_t idx : bucket) {
+        const auto& [t, count] = table->rows[idx];
+        emit_merged(src, r, t, count,
+                    mirror != nullptr ? mirror + idx * info.arity : nullptr);
+      }
+    };
+    if (table->int_keyed) {
+      // Raw-key probe: the key is one int64 read straight from the column
+      // (Condition::Validate keeps both sides of a join the same type),
+      // hashed without building a key tuple.
       const Link& link = links[0];
       for (const ColumnBatch& src : *batches) {
         const int64_t* keys = src.ints(link.bound_combined);
         for (size_t r = 0; r < src.size(); ++r) {
           auto hit = table->int_index.find(keys[r] + link.key_offset);
-          if (hit == table->int_index.end()) continue;
-          for (size_t idx : hit->second) {
-            const auto& [t, count] = table->rows[idx];
-            emit_merged(src, r, t, count,
-                        mirror != nullptr ? mirror + idx * info.arity
-                                          : nullptr);
-          }
+          if (hit != table->int_index.end()) emit_bucket(src, r, hit->second);
         }
       }
     } else {
-      // One scratch key reused across probes, as in the tuple path.
+      // One scratch key reused across probes: assigning into its values
+      // avoids materializing a fresh tuple per probe.
       Tuple probe_key = Tuple::OfSize(links.size());
       for (const ColumnBatch& src : *batches) {
         for (size_t r = 0; r < src.size(); ++r) {
@@ -806,13 +584,7 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
             key_vals[li] = key_value(src, r, links[li]);
           }
           auto hit = table->index.find(probe_key);
-          if (hit == table->index.end()) continue;
-          for (size_t idx : hit->second) {
-            const auto& [t, count] = table->rows[idx];
-            emit_merged(src, r, t, count,
-                        mirror != nullptr ? mirror + idx * info.arity
-                                          : nullptr);
-          }
+          if (hit != table->index.end()) emit_bucket(src, r, hit->second);
         }
       }
     }
@@ -896,15 +668,33 @@ void SpjExecutor::EmitBatches(std::vector<ColumnBatch>* batches) {
   }
 }
 
-void SpjExecutor::RunBatch() {
+void SpjExecutor::Run() {
+  Analyze();
+  if (query_.condition != nullptr && query_.condition->IsTriviallyFalse()) {
+    return;  // σ_false(...) is empty
+  }
+  ChooseOrder();
+
+  // Callers without a round arena (full evaluation, ad-hoc queries) get
+  // one scoped to this call; its blocks are freed when the result is out.
+  util::Arena local_arena;
+  arena_ = ctx_ != nullptr && ctx_->arena != nullptr ? ctx_->arena
+                                                     : &local_arena;
+  // Re-run the binding order, marking inputs bound step by step so that
+  // each join step sees the correct bound set.
+  bound_.assign(inputs_.size(), false);
   std::vector<ColumnBatch> batches;
-  size_t total = BatchExecuteFirst(&batches);
+  size_t total = ScanFirst(&batches);
   bound_[order_[0]] = true;
   for (size_t s = 1; s < order_.size() && total > 0; ++s) {
-    total = BatchExecuteStep(order_[s], total, &batches);
+    total = JoinStep(order_[s], total, &batches);
     bound_[order_[s]] = true;
   }
   EmitBatches(&batches);
+  if (ctx_ != nullptr && ctx_->batch_stats != nullptr) {
+    *ctx_->batch_stats += batch_stats_;
+  }
+  if (stats_ != nullptr) *stats_ += local_stats_;
 }
 
 }  // namespace

@@ -61,23 +61,35 @@ class PlannerCache {
   /// A filtered, materialized input with an optional equi-join hash index.
   struct Table {
     std::vector<std::pair<Tuple, int64_t>> rows;
-    // Key tuple (values of key_attrs in order) → indices into rows.
+    // A keyed table keeps exactly one index from its key to indices into
+    // rows.  An `int_keyed` table uses `int_index`, which the executor
+    // probes with an int64 straight out of a column, skipping the key-tuple
+    // build and the Tuple hash; any other keyed table uses `index`, keyed
+    // by the tuple of key_attrs' values.  `AddRow` and the swap-remove in
+    // JoinStateCache::RemoveRow are the only mutations of rows.
     std::unordered_map<Tuple, std::vector<size_t>> index;
-    // Raw-key mirror of `index`, populated only when `int_keyed`: the batch
-    // pipeline probes it with an int64 straight out of a column, skipping
-    // the key-tuple build and the Tuple hash.  Every mutation of `index`
-    // (FillTable, JoinStateCache::AddRow/RemoveRow) maintains the mirror.
     std::unordered_map<int64_t, std::vector<size_t>> int_index;
     // Flat row-major mirror of `rows`' values, populated only when
-    // `all_int`: the batch pipeline copies matched rows into merged
-    // batches straight from this array (row i at [i*arity, (i+1)*arity)),
-    // skipping the per-value variant reads of `SetFromTuple`.  Maintained
-    // at the same three sites as `int_index`.
+    // `all_int`: the executor copies matched rows into merged batches
+    // straight from this array (row i at [i*arity, (i+1)*arity)),
+    // skipping the per-value variant reads of `SetFromTuple`.
     std::vector<int64_t> int_rows;
     std::vector<size_t> key_attrs;  // empty for plain materializations
     bool int_keyed = false;  // key_attrs is one kInt64 attribute
     bool all_int = false;    // every input attribute is kInt64
     uint64_t debug_serial = 0;      // RelationInput::debug_serial() at Create
+
+    /// Appends `t` with multiplicity `count` to rows, its mirror and the
+    /// key index; returns its row index.
+    size_t AddRow(const Tuple& t, int64_t count);
+
+    /// Calls `fn(index, key)` with the table's one key index and `t`'s key
+    /// in it.  Keyed tables only.
+    template <typename Fn>
+    decltype(auto) WithKeyIndex(const Tuple& t, Fn&& fn) {
+      if (int_keyed) return fn(int_index, t.at(key_attrs[0]).AsInt64());
+      return fn(index, t.Project(key_attrs));
+    }
   };
 
   /// Returns the cached table for (input, key_attrs), or nullptr.
@@ -94,7 +106,7 @@ class PlannerCache {
       tables_;
 };
 
-/// Work counters of the columnar batch pipeline (see `EvalContext`).
+/// Work counters of the columnar executor (see `EvalContext`).
 struct BatchEvalStats {
   int64_t batches = 0;  // ColumnBatch chunks allocated
   int64_t rows = 0;     // rows committed into batches across all stages
@@ -106,17 +118,14 @@ struct BatchEvalStats {
   }
 };
 
-/// Execution-context knobs the differential maintainer threads into the
-/// planner.  When `enable_batch` is set (and `arena` is non-null) the
-/// executor runs the columnar pipeline: delta rows move through the join
-/// order in `ColumnBatch` chunks whose arrays live in `arena` (scoped to
-/// the maintenance round), selections produce selection vectors, and
-/// projection is column shuffling.  Without a context — or with the knob
-/// off — the historical tuple-at-a-time path runs; the two produce
-/// byte-identical results (property-tested).
+/// Execution context the differential maintainer threads into the planner.
+/// Rows move through the join order in `ColumnBatch` chunks whose arrays
+/// live in `arena`, selections produce selection vectors, and projection
+/// is column shuffling.  A maintenance round passes its own arena, scoped
+/// to the round; without a context, or with a null `arena`, the executor
+/// uses an arena local to the call.
 struct EvalContext {
   util::Arena* arena = nullptr;
-  bool enable_batch = false;
   BatchEvalStats* batch_stats = nullptr;  // optional activity counters
   // Cooperative cancellation token (null = uncancellable).  The executor
   // polls it per join step and per allocated batch — never per tuple — so
@@ -132,8 +141,8 @@ struct EvalContext {
 /// The plan pushes single-input atoms below the joins, extracts equality
 /// atoms common to every disjunct as hash/index join predicates, orders
 /// joins greedily by input size (preferring index probes), and applies the
-/// remaining condition as a residual filter.  `ctx` selects the columnar
-/// batch pipeline (see `EvalContext`); null runs tuple-at-a-time.
+/// remaining condition as a residual filter.  `ctx` is optional (see
+/// `EvalContext`).
 void EvaluateSpjInto(const SpjQuery& query, CountedRelation* out,
                      int64_t multiplier = 1, PlanStats* stats = nullptr,
                      PlannerCache* cache = nullptr,

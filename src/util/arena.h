@@ -28,7 +28,8 @@ struct ArenaStats {
 /// lifetimes all end when the round's delta has been emitted, which is the
 /// textbook arena workload.  `Reset()` recycles every block in O(#blocks)
 /// without touching the heap, so steady-state rounds allocate from memory
-/// that is already hot in cache.
+/// that is already hot in cache.  Full evaluations and ad-hoc queries use
+/// an arena local to the call.
 ///
 /// Poisoning: under AddressSanitizer the unused tail of every block — and,
 /// after `Reset()`, the entire recycled block — is poisoned, so a batch or
@@ -39,7 +40,8 @@ struct ArenaStats {
 /// Fault injection: every allocation passes the `ra.batch.alloc` point, so
 /// the chaos matrix can simulate scratch-memory exhaustion mid-round; the
 /// thrown error unwinds through the join-cache round guard and quarantines
-/// the view instead of corrupting it.
+/// the view instead of corrupting it, or fails the full evaluation (view
+/// creation, REPAIR) that was allocating.
 ///
 /// Thread-safety: none.  Each `DifferentialMaintainer` owns one arena and
 /// the commit pipeline runs at most one worker per view per commit.

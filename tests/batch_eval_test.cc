@@ -1,19 +1,18 @@
-// Byte-identity contract of the columnar batch pipeline: for arbitrary
-// workloads, the batch evaluator must produce exactly the deltas and
-// materializations the tuple-at-a-time evaluator produces — and both must
-// equal a cold FullEvaluate — across every {enable_batch_eval ×
-// enable_join_cache} combination, through DML, DDL (view register/drop),
-// REFRESH, and WAL-replay recovery.  Plus unit tests for `ColumnBatch`
-// itself.
+// Correctness of the columnar executor: for arbitrary workloads, the
+// materializations it maintains — with the join cache on and off — and its
+// cold FullEvaluate must equal the naive tuple-at-a-time evaluator of
+// ra/eval.cc (`testing::NaiveEvaluate`), through DML, DDL (view
+// register/drop), REFRESH, and WAL-replay recovery.  Plus unit tests for
+// `ColumnBatch` itself.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ivm/view_manager.h"
+#include "ivm_test_util.h"
 #include "ra/batch.h"
 #include "sql/engine.h"
 #include "storage/storage.h"
@@ -127,8 +126,9 @@ TEST(CountedRelationSinkTest, BatchAndTupleEmissionAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Property: batch == tuple == cold FullEvaluate, delta by delta, across the
-// option grid, on the E9/E16 workload shapes.
+// Property: maintained == naive oracle == cold FullEvaluate, step by step,
+// with the join cache on and off, on the E9/E16 workload shapes.  (The
+// tuple-at-a-time side of the test name is the naive evaluator.)
 
 struct Scenario {
   const char* name;
@@ -137,9 +137,8 @@ struct Scenario {
   size_t num_relations;  // 1..3 (r, s, t)
 };
 
-MaintenanceOptions Opts(bool batch, bool cache) {
+MaintenanceOptions Opts(bool cache) {
   MaintenanceOptions options;
-  options.enable_batch_eval = batch;
   options.enable_join_cache = cache;
   return options;
 }
@@ -162,12 +161,12 @@ TEST_P(BatchIdentityTest, BatchEqualsTupleEqualsFullEvaluate) {
     for (const auto& spec : specs) bases.push_back(BaseRef{spec.name, {}});
     ViewDefinition def("v", bases, sc.condition, sc.projection);
 
-    // The four corners of the ablation grid; the tuple/no-cache maintainer
-    // is the reference every other corner must match byte for byte.
-    DifferentialMaintainer reference(def, &db, Opts(false, false));
-    DifferentialMaintainer tuple_cached(def, &db, Opts(false, true));
-    DifferentialMaintainer batch_plain(def, &db, Opts(true, false));
-    DifferentialMaintainer batch_cached(def, &db, Opts(true, true));
+    DifferentialMaintainer plain(def, &db, Opts(false));
+    DifferentialMaintainer cached(def, &db, Opts(true));
+    CountedRelation plain_view = plain.FullEvaluate();
+    CountedRelation cached_view = cached.FullEvaluate();
+    ASSERT_TRUE(plain_view.SameContents(testing::NaiveEvaluate(def, db)))
+        << sc.name << " initial evaluation diverged at round " << round;
 
     for (int step = 0; step < 10; ++step) {
       Transaction txn;
@@ -177,24 +176,22 @@ TEST_P(BatchIdentityTest, BatchEqualsTupleEqualsFullEvaluate) {
                        static_cast<size_t>(gen.rng().Uniform(0, 4)));
       }
       TransactionEffect effect = txn.Normalize(db);
-      ViewDelta expected = reference.ComputeDelta(effect);
-      for (auto* m : {&tuple_cached, &batch_plain, &batch_cached}) {
-        ViewDelta got = m->ComputeDelta(effect);
-        ASSERT_TRUE(got.inserts.SameContents(expected.inserts))
-            << sc.name << " inserts diverged at round " << round << " step "
-            << step << "\ngot:\n"
-            << got.inserts.ToString() << "expected:\n"
-            << expected.inserts.ToString();
-        ASSERT_TRUE(got.deletes.SameContents(expected.deletes))
-            << sc.name << " deletes diverged at round " << round << " step "
-            << step;
-      }
+      ViewDelta plain_delta = plain.ComputeDelta(effect);
+      ViewDelta cached_delta = cached.ComputeDelta(effect);
       effect.ApplyTo(&db);
+      plain_delta.ApplyTo(&plain_view);
+      cached_delta.ApplyTo(&cached_view);
+      const CountedRelation expected = testing::NaiveEvaluate(def, db);
+      ASSERT_TRUE(plain_view.SameContents(expected))
+          << sc.name << " cache-off view diverged at round " << round
+          << " step " << step << "\ngot:\n"
+          << plain_view.ToString() << "expected:\n"
+          << expected.ToString();
+      ASSERT_TRUE(cached_view.SameContents(expected))
+          << sc.name << " cache-on view diverged at round " << round
+          << " step " << step;
       if (step % 3 == 2) {
-        // Cold identity on the updated base state.
-        CountedRelation cold_tuple = reference.FullEvaluate();
-        CountedRelation cold_batch = batch_plain.FullEvaluate();
-        ASSERT_TRUE(cold_batch.SameContents(cold_tuple))
+        ASSERT_TRUE(plain.FullEvaluate().SameContents(expected))
             << sc.name << " cold evaluation diverged at round " << round
             << " step " << step;
       }
@@ -222,64 +219,51 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// End-to-end through the view manager: twin engines over identically seeded
-// databases — one maintaining every view with the batch pipeline, one with
-// the tuple pipeline — stay identical through DML, mid-stream DDL (drop +
-// re-register), and deferred REFRESH.
+// End-to-end through the view manager: the views stay identical to the
+// naive oracle through DML, mid-stream DDL (drop + re-register, which
+// evaluates the new shape cold), and deferred REFRESH.
 
 TEST(BatchManagerIdentityTest, DmlDdlRefreshStayIdentical) {
   Rng seeds(0xba7c4e57u);
   for (int round = 0; round < 3; ++round) {
-    const uint64_t seed = seeds.Next();
-    Database db_batch, db_tuple;
-    WorkloadGenerator gen_batch(seed), gen_tuple(seed);
+    Database db;
+    WorkloadGenerator gen(seeds.Next());
     RelationSpec r{"r", 2, 12, 40}, s{"s", 2, 12, 40};
-    for (const auto& spec : {r, s}) {
-      gen_batch.Populate(&db_batch, spec);
-      gen_tuple.Populate(&db_tuple, spec);
-    }
+    for (const auto& spec : {r, s}) gen.Populate(&db, spec);
 
     ViewDefinition join("vj", {BaseRef{"r", {}}, BaseRef{"s", {}}},
                         "r_a1 = s_a0", {"r_a0", "s_a1"});
     ViewDefinition sel("vs", {BaseRef{"r", {}}}, "r_a0 < 8", {"r_a1"});
 
-    ViewManager vm_batch(&db_batch), vm_tuple(&db_tuple);
-    vm_batch.RegisterView(join, MaintenanceMode::kImmediate, Opts(true, true));
-    vm_tuple.RegisterView(join, MaintenanceMode::kImmediate,
-                          Opts(false, true));
-    vm_batch.RegisterView(sel, MaintenanceMode::kDeferred, Opts(true, false));
-    vm_tuple.RegisterView(sel, MaintenanceMode::kDeferred, Opts(false, false));
+    ViewManager vm(&db);
+    vm.RegisterView(join, MaintenanceMode::kImmediate, Opts(true));
+    vm.RegisterView(sel, MaintenanceMode::kDeferred, Opts(false));
 
     for (int step = 0; step < 12; ++step) {
       Transaction txn;
       for (const auto& spec : {r, s}) {
-        gen_batch.AddUpdates(&txn, spec,
-                             static_cast<size_t>(gen_batch.rng().Uniform(0, 4)),
-                             static_cast<size_t>(gen_batch.rng().Uniform(0, 4)));
+        gen.AddUpdates(&txn, spec,
+                       static_cast<size_t>(gen.rng().Uniform(0, 4)),
+                       static_cast<size_t>(gen.rng().Uniform(0, 4)));
       }
-      vm_batch.Apply(txn);
-      vm_tuple.Apply(txn);
-      ASSERT_TRUE(vm_batch.View("vj").SameContents(vm_tuple.View("vj")))
+      vm.Apply(txn);
+      ASSERT_TRUE(vm.View("vj").SameContents(testing::NaiveEvaluate(join, db)))
           << "vj diverged at round " << round << " step " << step;
 
       if (step == 5) {
-        // DDL mid-stream: replace the join view with a different shape;
-        // registration re-evaluates cold through each backend.
-        ViewDefinition spj("vj", {BaseRef{"r", {}}, BaseRef{"s", {}}},
-                           "r_a1 = s_a0 && s_a1 > 3", {"r_a0"});
-        vm_batch.DropView("vj");
-        vm_tuple.DropView("vj");
-        vm_batch.RegisterView(spj, MaintenanceMode::kImmediate,
-                              Opts(true, true));
-        vm_tuple.RegisterView(spj, MaintenanceMode::kImmediate,
-                              Opts(false, true));
-        ASSERT_TRUE(vm_batch.View("vj").SameContents(vm_tuple.View("vj")))
+        // DDL mid-stream: replace the join view with a different shape.
+        join = ViewDefinition("vj", {BaseRef{"r", {}}, BaseRef{"s", {}}},
+                              "r_a1 = s_a0 && s_a1 > 3", {"r_a0"});
+        vm.DropView("vj");
+        vm.RegisterView(join, MaintenanceMode::kImmediate, Opts(true));
+        ASSERT_TRUE(
+            vm.View("vj").SameContents(testing::NaiveEvaluate(join, db)))
             << "re-registered vj diverged at round " << round;
       }
       if (step % 4 == 3) {
-        vm_batch.Refresh("vs");
-        vm_tuple.Refresh("vs");
-        ASSERT_TRUE(vm_batch.View("vs").SameContents(vm_tuple.View("vs")))
+        vm.Refresh("vs");
+        ASSERT_TRUE(
+            vm.View("vs").SameContents(testing::NaiveEvaluate(sel, db)))
             << "refreshed vs diverged at round " << round << " step " << step;
       }
     }
@@ -287,19 +271,17 @@ TEST(BatchManagerIdentityTest, DmlDdlRefreshStayIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery: a durable engine maintained by the batch pipeline is killed
-// without a close checkpoint, so reopening replays the WAL through the
-// batch-arm ApplyEffect path.  The recovered materializations must equal a
-// tuple-arm cold evaluation over the recovered base tables.
+// Recovery: a durable engine is killed without a close checkpoint, so
+// reopening replays the WAL through the maintenance path.  The recovered
+// materializations must equal the naive (tuple-at-a-time) cold evaluation
+// over the recovered base tables.
 
 TEST(BatchRecoveryIdentityTest, ReplayedViewsMatchTupleArmColdEvaluation) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "batch_recovery_identity";
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::ScratchDir();
   {
     Storage::Options options;
     options.checkpoint_on_close = false;  // force WAL replay on reopen
-    auto storage = Storage::Open(dir.string(), options);
+    auto storage = Storage::Open(dir, options);
     sql::Engine engine(storage.get());
     engine.ExecuteScript(
         "CREATE TABLE r (a INT64, b INT64);"
@@ -317,25 +299,21 @@ TEST(BatchRecoveryIdentityTest, ReplayedViewsMatchTupleArmColdEvaluation) {
     engine.Execute("INSERT INTO s VALUES (10, 101)");
   }
 
-  auto storage = Storage::Open(dir.string());
+  auto storage = Storage::Open(dir);
   sql::Engine recovered(storage.get());
   recovered.Execute("REFRESH VIEW small_a");
 
-  Database& db = recovered.mutable_database();
-  MaintenanceOptions tuple_opts = Opts(false, false);
-  DifferentialMaintainer joined_oracle(
-      ViewDefinition("o1", {BaseRef{"r", {}}, BaseRef{"s", {}}}, "b = b2",
-                     {"a", "c"}),
-      &db, tuple_opts);
-  DifferentialMaintainer small_oracle(
-      ViewDefinition("o2", {BaseRef{"r", {}}}, "a < 100", {"a", "b"}), &db,
-      tuple_opts);
-  EXPECT_TRUE(
-      recovered.views().View("joined").SameContents(joined_oracle.FullEvaluate()))
+  const Database& db = recovered.database();
+  const ViewDefinition joined("o1", {BaseRef{"r", {}}, BaseRef{"s", {}}},
+                              "b = b2", {"a", "c"});
+  const ViewDefinition small_a("o2", {BaseRef{"r", {}}}, "a < 100",
+                               {"a", "b"});
+  EXPECT_TRUE(recovered.views().View("joined").SameContents(
+      testing::NaiveEvaluate(joined, db)))
       << "recovered 'joined':\n"
       << recovered.views().View("joined").ToString();
-  EXPECT_TRUE(
-      recovered.views().View("small_a").SameContents(small_oracle.FullEvaluate()))
+  EXPECT_TRUE(recovered.views().View("small_a").SameContents(
+      testing::NaiveEvaluate(small_a, db)))
       << "recovered 'small_a':\n"
       << recovered.views().View("small_a").ToString();
 }

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "sql/engine.h"
 #include "storage/storage.h"
 #include "storage/wal.h"
+#include "test_util.h"
 #include "util/fault.h"
 
 namespace mview {
@@ -164,25 +164,13 @@ void RepairRefreshAndCompare(Engine& recovered, Engine& shadow,
 
 class ChaosMatrixTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("chaos_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-  }
-
   void TearDown() override { FaultRegistry::Global().DisarmAll(); }
-
-  std::string FreshDir() {
-    std::filesystem::remove_all(dir_);
-    return dir_.string();
-  }
 
   // One end-to-end scenario under an armed registry.  Returns through the
   // acceptance check above.
   void RunScenario(const std::vector<std::pair<std::string, FaultSpec>>& arm,
                    bool cache, const std::string& trace) {
-    const std::string dir = FreshDir();
+    const std::string dir = testing::ScratchDir();
     Engine shadow;
     shadow.ExecuteScript(Preamble());
     if (!cache) DisableJoinCache(shadow);
@@ -231,9 +219,6 @@ class ChaosMatrixTest : public ::testing::Test {
     Engine recovered(storage.get());
     RepairRefreshAndCompare(recovered, shadow, in_flight, trace);
   }
-
- private:
-  std::filesystem::path dir_;
 };
 
 TEST_F(ChaosMatrixTest, EveryFaultPointIsContained) {
@@ -277,7 +262,7 @@ TEST_F(ChaosMatrixTest, RandomizedMultiPointChaos) {
 // was fail-once — and recovery must replay exactly the acknowledged
 // prefix.
 TEST_F(ChaosMatrixTest, FsyncFailureSticksAndRecoveryReplaysAckedPrefix) {
-  const std::string dir = FreshDir();
+  const std::string dir = testing::ScratchDir();
   Engine reference;
   reference.ExecuteScript(Preamble());
   reference.Execute("INSERT INTO r VALUES (1, 10)");
@@ -350,6 +335,54 @@ TEST_F(ChaosMatrixTest, ArenaExhaustionQuarantinesInsteadOfCorrupting) {
   EXPECT_TRUE(engine.views().QuarantinedViews().empty());
   EXPECT_EQ(Dump(engine, "va"), Dump(reference, "va"));
   EXPECT_EQ(Dump(engine, "vb"), Dump(reference, "vb"));
+}
+
+// Full evaluation allocates from an arena like every evaluation, so an
+// arena fault stops it too.  CREATE MATERIALIZED VIEW evaluates before it
+// logs, so the failed statement leaves no view, live or after reopen.  A
+// failed REPAIR leaves the view quarantined, and the next one heals it.
+TEST_F(ChaosMatrixTest, ArenaFaultFailsFullEvaluationCleanly) {
+  const std::string dir = testing::ScratchDir();
+  Engine reference;
+  reference.ExecuteScript(Preamble());
+  FaultSpec oom;
+  oom.kind = FaultKind::kIoError;  // fail-once: the next arena allocation
+  {
+    auto storage = Storage::Open(dir);
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
+    for (Engine* e : {&reference, &engine}) {
+      e->Execute("INSERT INTO r VALUES (1, 10), (2, 20)");
+      e->Execute("INSERT INTO s VALUES (10, 100), (20, 200)");
+    }
+
+    FaultRegistry::Global().Arm("ra.batch.alloc", oom);
+    Status status = engine.TryExecute(
+        "CREATE MATERIALIZED VIEW vc AS SELECT a, b FROM r WHERE b > 10",
+        nullptr);
+    EXPECT_FALSE(status.ok);
+    EXPECT_EQ(FaultRegistry::Global().FireCount("ra.batch.alloc"), 1);
+    FaultRegistry::Global().DisarmAll();
+    EXPECT_FALSE(engine.views().HasView("vc"));
+
+    engine.mutable_views().Quarantine("va", "injected", /*sticky=*/true);
+    FaultRegistry::Global().Arm("ra.batch.alloc", oom);
+    status = engine.TryExecute("REPAIR VIEW va", nullptr);
+    EXPECT_FALSE(status.ok);
+    EXPECT_EQ(FaultRegistry::Global().FireCount("ra.batch.alloc"), 1);
+    FaultRegistry::Global().DisarmAll();
+    EXPECT_TRUE(engine.views().IsQuarantined("va"));
+
+    engine.Execute("REPAIR VIEW va");
+    EXPECT_FALSE(engine.views().IsQuarantined("va"));
+    EXPECT_EQ(Dump(engine, "va"), Dump(reference, "va"));
+  }
+
+  auto storage = Storage::Open(dir);
+  Engine recovered(storage.get());
+  EXPECT_FALSE(recovered.views().HasView("vc"));
+  EXPECT_FALSE(recovered.views().IsQuarantined("va"));
+  EXPECT_TRUE(SameVisibleState(recovered, reference));
 }
 
 // Satellite (b): an exception inside a join-cache round must unwind

@@ -101,7 +101,7 @@ TEST(CsvTest, MalformedInputs) {
 TEST(CsvTest, FileRoundTrip) {
   Relation r(Schema::OfInts({"A"}));
   Fill(&r, {{7}, {8}});
-  std::string path = ::testing::TempDir() + "/mview_csv_test.csv";
+  const std::string path = testing::ScratchDir() + "/r.csv";
   WriteCsvFile(r, path);
   Relation back = ReadCsvFile(path);
   EXPECT_EQ(back.ToSortedVector(), r.ToSortedVector());

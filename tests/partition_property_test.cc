@@ -213,15 +213,7 @@ TEST(PartitionSqlTest, ScrubPartitionWalksSlicesAndRestartsOnMutation) {
 
 class PartitionCheckpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("partition_ckpt_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
+  void SetUp() override { dir_ = testing::ScratchDir(); }
 
   std::string Dir(const char* leaf) const { return (dir_ / leaf).string(); }
 

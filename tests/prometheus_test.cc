@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -15,6 +13,7 @@
 #include "ivm/metrics.h"
 #include "sql/engine.h"
 #include "storage/storage.h"
+#include "test_util.h"
 
 namespace mview {
 namespace {
@@ -168,9 +167,7 @@ TEST(PrometheusTest, LabelValuesAreEscaped) {
 }
 
 TEST(PrometheusTest, EngineEndToEndExport) {
-  std::string dir = ::testing::TempDir() + "/mview_prom_" +
-                    std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::ScratchDir();
   {
     auto storage = Storage::Open(dir);
     sql::Engine engine(storage.get());

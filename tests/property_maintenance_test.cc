@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ivm/view_manager.h"
+#include "ivm_test_util.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -11,7 +12,9 @@ namespace {
 // Randomized end-to-end property: for arbitrary databases, update streams,
 // and views of every class the paper covers, differentially maintained
 // materializations must equal from-scratch re-evaluation after every
-// transaction, in every maintenance mode and option combination.
+// transaction, in every maintenance mode and option combination.  The
+// reference is the naive evaluator (`testing::NaiveEvaluate`), which shares
+// no code with the planner under test.
 
 struct Scenario {
   const char* name;
@@ -20,7 +23,6 @@ struct Scenario {
   size_t num_relations;    // 1..3 (r, s, t)
   bool use_filter;
   bool reuse_cache;
-  bool batch_eval = true;  // columnar batch pipeline vs tuple-at-a-time
 };
 
 class MaintenancePropertyTest : public ::testing::TestWithParam<Scenario> {};
@@ -45,15 +47,12 @@ TEST_P(MaintenancePropertyTest, DifferentialEqualsFullReevaluation) {
     MaintenanceOptions options;
     options.use_irrelevance_filter = sc.use_filter;
     options.reuse_subexpressions = sc.reuse_cache;
-    options.enable_batch_eval = sc.batch_eval;
 
     ViewManager vm(&db);
     vm.RegisterView(def, MaintenanceMode::kImmediate, options);
     vm.RegisterView(
         ViewDefinition("snap", bases, sc.condition, sc.projection),
         MaintenanceMode::kDeferred, options);
-    DifferentialMaintainer oracle(
-        ViewDefinition("oracle", bases, sc.condition, sc.projection), &db);
 
     for (int step = 0; step < 12; ++step) {
       Transaction txn;
@@ -65,7 +64,7 @@ TEST_P(MaintenancePropertyTest, DifferentialEqualsFullReevaluation) {
         }
       }
       vm.Apply(txn);
-      CountedRelation expected = oracle.FullEvaluate();
+      CountedRelation expected = testing::NaiveEvaluate(def, db);
       ASSERT_TRUE(vm.View("v").SameContents(expected))
           << sc.name << " diverged at round " << round << " step " << step
           << "\nview:\n"
@@ -105,16 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
                  "r_a1 = s_a0 && s_a1 = t_a0", {"r_a0", "t_a1"}, 3, false,
                  false},
         Scenario{"cross_product_select", "r_a0 = 3 && s_a1 = 4",
-                 {"r_a1", "s_a0"}, 2, true, true},
-        // The tuple-at-a-time arm of the batch ablation: the same shapes
-        // must hold with the columnar pipeline disabled (batch_eval_test
-        // asserts the two arms are byte-identical; this asserts each arm
-        // independently equals full re-evaluation).
-        Scenario{"select_tuple_arm", "r_a0 < 6", {}, 1, true, true, false},
-        Scenario{"join_tuple_arm", "r_a1 = s_a0", {"r_a0", "s_a1"}, 2, true,
-                 true, false},
-        Scenario{"three_way_tuple_arm", "r_a1 = s_a0 && s_a1 = t_a0",
-                 {"r_a0", "t_a1"}, 3, true, true, false}),
+                 {"r_a1", "s_a0"}, 2, true, true}),
     [](const ::testing::TestParamInfo<Scenario>& info) {
       return info.param.name;
     });
@@ -194,13 +184,11 @@ TEST(MaintenanceEdgeCaseTest, TransactionTouchingAllRelationsOfSelfJoin) {
   ViewManager vm(&db);
   auto def = ViewDefinition::NaturalJoin("v", {"r", "r"}, db);
   vm.RegisterView(def);
-  DifferentialMaintainer oracle(
-      ViewDefinition::NaturalJoin("o", {"r", "r"}, db), &db);
   for (int i = 0; i < 10; ++i) {
     Transaction txn;
     gen.AddUpdates(&txn, {"r", 2, 6, 15}, 2, 2);
     vm.Apply(txn);
-    ASSERT_TRUE(vm.View("v").SameContents(oracle.FullEvaluate()))
+    ASSERT_TRUE(vm.View("v").SameContents(testing::NaiveEvaluate(def, db)))
         << "self-join diverged at step " << i;
   }
 }

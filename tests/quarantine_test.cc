@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,17 +39,11 @@ FaultSpec Spec(FaultKind kind, bool sticky = false) {
 
 class QuarantineTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("quarantine_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    std::filesystem::remove_all(dir_);
-  }
+  void SetUp() override { dir_ = testing::ScratchDir(); }
 
   void TearDown() override { FaultRegistry::Global().DisarmAll(); }
 
-  std::string Dir() const { return dir_.string(); }
+  const std::string& Dir() const { return dir_; }
 
   // Two immediate views over disjoint bases, so a single-table insert
   // affects exactly one view (deterministic fault targeting).
@@ -66,7 +59,7 @@ class QuarantineTest : public ::testing::Test {
   }
 
  private:
-  std::filesystem::path dir_;
+  std::string dir_;
 };
 
 TEST_F(QuarantineTest, FailedViewIsQuarantinedWhileBasesAndSiblingsCommit) {

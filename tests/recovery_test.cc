@@ -28,6 +28,7 @@
 #include "storage/storage.h"
 #include "storage/wal.h"
 #include "util/fault.h"
+#include "test_util.h"
 #include "workload/generator.h"
 
 namespace mview {
@@ -64,16 +65,9 @@ class TornWritePolicy : public storage::FailurePolicy {
 
 class RecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("recovery_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
+  void SetUp() override { dir_ = testing::ScratchDir(); }
 
-  std::string Dir() const { return dir_.string(); }
+  const std::string& Dir() const { return dir_; }
 
   // The schema + view + assertion preamble every SQL test shares: an
   // immediate join view, a deferred selection view, and an assertion.
@@ -102,7 +96,7 @@ class RecoveryTest : public ::testing::Test {
   }
 
  private:
-  std::filesystem::path dir_;
+  std::string dir_;
 };
 
 TEST_F(RecoveryTest, CleanShutdownRecoversTablesViewsAndStaleness) {

@@ -308,7 +308,7 @@ TEST_F(SqlEngineTest, MultiStatementExecuteRejected) {
 }
 
 TEST_F(SqlEngineTest, CopyToAndFromRoundTrip) {
-  std::string path = ::testing::TempDir() + "/mview_sql_copy.csv";
+  const std::string path = testing::ScratchDir() + "/emp.csv";
   auto out = engine_.Execute("COPY emp TO '" + path + "';");
   EXPECT_NE(out.message.find("3 row(s) copied"), std::string::npos);
   engine_.Execute("CREATE TABLE emp2 (id INT, name STRING, dept INT, "
@@ -320,7 +320,7 @@ TEST_F(SqlEngineTest, CopyToAndFromRoundTrip) {
 }
 
 TEST_F(SqlEngineTest, CopyFromMaintainsViewsAndChecksAssertions) {
-  std::string path = ::testing::TempDir() + "/mview_sql_copy2.csv";
+  const std::string path = testing::ScratchDir() + "/emp.csv";
   engine_.Execute("COPY emp TO '" + path + "';");
   engine_.Execute("CREATE TABLE staging (id INT, name STRING, dept INT, "
                   "salary INT);");
@@ -340,7 +340,7 @@ TEST_F(SqlEngineTest, CopyFromMaintainsViewsAndChecksAssertions) {
 TEST_F(SqlEngineTest, CopyErrors) {
   EXPECT_THROW(engine_.Execute("COPY emp FROM '/no/such/file.csv';"), Error);
   EXPECT_THROW(engine_.Execute("COPY nope TO '/tmp/x.csv';"), Error);
-  std::string path = ::testing::TempDir() + "/mview_sql_copy3.csv";
+  const std::string path = testing::ScratchDir() + "/dept.csv";
   engine_.Execute("COPY dept TO '" + path + "';");
   // Scheme mismatch.
   EXPECT_THROW(engine_.Execute("COPY emp FROM '" + path + "';"), Error);

@@ -4,14 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <string>
 
 #include "json_test_util.h"
 #include "sql/engine.h"
 #include "storage/storage.h"
+#include "test_util.h"
 
 namespace mview {
 namespace {
@@ -47,9 +46,7 @@ void ExpectViewMetricsShape(const JsonValue& v, const std::string& where) {
 }
 
 TEST(StatsJsonTest, GoldenSchema) {
-  std::string dir = ::testing::TempDir() + "/mview_stats_json_" +
-                    std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::ScratchDir();
   {
     auto storage = Storage::Open(dir);
     sql::Engine engine(storage.get());

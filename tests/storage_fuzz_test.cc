@@ -37,6 +37,7 @@
 #include "storage/codec.h"
 #include "storage/storage.h"
 #include "storage/wal.h"
+#include "test_util.h"
 #include "util/error.h"
 
 namespace {
@@ -216,8 +217,7 @@ class Mutator {
 class StorageFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/mview_storage_fuzz_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testing::ScratchDir();
     recorded_ = Record(dir_);
     std::vector<std::string> donors = {recorded_.manifest_body, recorded_.rows,
                                        recorded_.packed};

@@ -26,10 +26,7 @@ using ::mview::testing::T;
 class StorageTest : public ::testing::Test {
  protected:
   StorageTest() {
-    dir_ = ::testing::TempDir() + "/mview_storage_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = testing::ScratchDir();
   }
   ~StorageTest() override { std::filesystem::remove_all(dir_); }
 

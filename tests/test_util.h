@@ -1,6 +1,10 @@
 #ifndef MVIEW_TESTS_TEST_UTIL_H_
 #define MVIEW_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -44,6 +48,23 @@ inline std::vector<std::pair<Tuple, int64_t>> Rows(const CountedRelation& r) {
 inline std::pair<Tuple, int64_t> TC(std::initializer_list<int64_t> values,
                                     int64_t count) {
   return {T(values), count};
+}
+
+/// Returns a fresh, empty scratch directory for the running test:
+/// `TempDir()/mview_<suite>_<test>_<pid>`.  The suite, test and process
+/// id make it unique, so two build trees running the same suite at once
+/// never share one.  Any earlier contents are removed.
+inline std::string ScratchDir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string("mview_") + info->test_suite_name() + "_" +
+                     info->name() + "_" + std::to_string(::getpid());
+  for (char& c : name) {
+    if (c == '/') c = '_';  // parameterized suite and test names
+  }
+  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
 }
 
 }  // namespace mview::testing

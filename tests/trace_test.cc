@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -15,6 +13,7 @@
 #include "json_test_util.h"
 #include "sql/engine.h"
 #include "storage/storage.h"
+#include "test_util.h"
 #include "util/stopwatch.h"
 
 namespace mview::obs {
@@ -176,9 +175,7 @@ const TraceEvent* FindSpan(const std::vector<TraceEvent>& events,
 }
 
 TEST_F(TraceTest, CommitPathSpanTreeNestsCorrectly) {
-  std::string dir = ::testing::TempDir() + "/mview_trace_e2e_" +
-                    std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
+  const std::string dir = testing::ScratchDir();
   {
     auto storage = Storage::Open(dir);
     sql::Engine engine(storage.get());
@@ -285,7 +282,8 @@ TEST_F(TraceTest, DumpTraceWritesTheJsonFile) {
   sql::Engine engine;
   engine.Execute("CREATE TABLE t (a INT64)");
   engine.Execute("INSERT INTO t VALUES (7)");
-  std::string path = ::testing::TempDir() + "/mview_trace_dump.json";
+  const std::string dir = testing::ScratchDir();
+  const std::string path = dir + "/trace.json";
   engine.DumpTrace(path);
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
@@ -293,7 +291,7 @@ TEST_F(TraceTest, DumpTraceWritesTheJsonFile) {
                    std::istreambuf_iterator<char>());
   JsonValue doc = JsonParser::Parse(text);
   EXPECT_TRUE(doc.Has("traceEvents"));
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(TraceTest, TraceOnOffStatements) {
