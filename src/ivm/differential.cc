@@ -371,11 +371,8 @@ ViewDelta DifferentialMaintainer::ComputeDeltaFromParts(
   if (stats != nullptr) {
     stats->delta_inserts += delta.inserts.TotalCount();
     stats->delta_deletes += delta.deletes.TotalCount();
-    stats->arena_bytes =
-        static_cast<int64_t>(arenas_.front()->stats().bytes_reserved);
-    stats->arena_high_water =
-        static_cast<int64_t>(arenas_.front()->stats().high_water);
   }
+  FinalizeRoundStats(stats);
   return delta;
 }
 

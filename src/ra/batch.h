@@ -15,12 +15,15 @@
 
 namespace mview {
 
-/// A fixed-capacity columnar chunk of counted rows.
+/// A columnar chunk of counted rows, its capacity fixed at construction.
 ///
 /// This is the unit of the batch differential pipeline: instead of flowing
 /// through the evaluator one heap-allocated `Tuple` (an array of tagged
-/// `Value`s) at a time, delta rows move in chunks of `kDefaultCapacity`
-/// rows laid out column-wise in per-round arena memory —
+/// `Value`s) at a time, delta rows move in chunks laid out column-wise in
+/// per-round arena memory.  The executor sizes a list of chunks to its
+/// input: the first holds `kFirstCapacity` rows and each later one twice
+/// the one before, up to `kDefaultCapacity`, so a three-row delta occupies
+/// one 16-row chunk while a full evaluation still streams 1024-row ones —
 ///
 ///   - `kInt64` attributes are a flat `int64_t` array (the common case;
 ///     the paper's domains are integer-valued), so selection and join-key
@@ -44,6 +47,7 @@ namespace mview {
 /// in; `CopyRow` therefore copies explicit column ranges, not whole rows.
 class ColumnBatch {
  public:
+  static constexpr size_t kFirstCapacity = 16;
   static constexpr size_t kDefaultCapacity = 1024;
 
   ColumnBatch() = default;

@@ -124,7 +124,9 @@ class SpjExecutor {
   size_t JoinStep(size_t input_id, size_t total,
                   std::vector<ColumnBatch>* batches);
   void EmitBatches(std::vector<ColumnBatch>* batches);
-  ColumnBatch& DestBatch(std::vector<ColumnBatch>* list);
+  // The chunk of `list` the next row goes into: the last one, unless it
+  // is full or `sealed`, in which case a new chunk opens on the ramp.
+  ColumnBatch& DestBatch(std::vector<ColumnBatch>* list, bool sealed = false);
   void FilterBatch(ColumnBatch* batch, const std::vector<BoundAtom>& filters);
 
   // Cooperative cancellation poll: free when no token rides the context,
@@ -393,10 +395,17 @@ std::vector<Link> SpjExecutor::CollectLinks(size_t input_id) const {
 // picks a strategy (warm-peek → hash probe, index probe, cross join) and
 // multiplies counts (Section 5.2).
 
-ColumnBatch& SpjExecutor::DestBatch(std::vector<ColumnBatch>* list) {
-  if (list->empty() || list->back().full()) {
+ColumnBatch& SpjExecutor::DestBatch(std::vector<ColumnBatch>* list,
+                                    bool sealed) {
+  if (sealed || list->empty() || list->back().full()) {
     PollCancel();  // one relaxed check per allocated batch, never per row
-    list->emplace_back(combined_, ColumnBatch::kDefaultCapacity, arena_);
+    // Chunks ramp 16, 32, … up to the 1024-row cap, so a round's scratch
+    // grows with the rows in flight instead of starting at the cap.
+    const size_t capacity =
+        list->empty() ? ColumnBatch::kFirstCapacity
+                      : std::min(2 * list->back().capacity(),
+                                 ColumnBatch::kDefaultCapacity);
+    list->emplace_back(combined_, capacity, arena_);
     ++batch_stats_.batches;
   }
   return list->back();
@@ -423,7 +432,10 @@ size_t SpjExecutor::ScanFirst(std::vector<ColumnBatch>* out) {
   }
 
   // Appends every scanned row, running the selection kernel over each chunk
-  // as it fills (and once more over the final partial chunk).
+  // as it fills (and once more over the final partial chunk).  A filtered
+  // chunk below the cap is sealed, so the ramp follows the rows scanned,
+  // not the survivors: a selective filter would otherwise refill one
+  // 16-row chunk, and rerun its kernel, every 16 rows.
   class ScanSink final : public DeltaSink {
    public:
     ScanSink(SpjExecutor* e, std::vector<ColumnBatch>* out,
@@ -431,9 +443,13 @@ size_t SpjExecutor::ScanFirst(std::vector<ColumnBatch>* out) {
         : e_(e), out_(out), info_(info), filters_(filters) {}
     void Emit(const Tuple& t, int64_t count) override {
       ++e_->local_stats_.rows_scanned;
-      ColumnBatch& batch = e_->DestBatch(out_);
+      ColumnBatch& batch = e_->DestBatch(out_, sealed_);
       batch.AppendTuple(t, count, info_.offset);
-      if (batch.full()) e_->FilterBatch(&batch, filters_);
+      sealed_ = false;
+      if (batch.full()) {
+        e_->FilterBatch(&batch, filters_);
+        sealed_ = batch.capacity() < ColumnBatch::kDefaultCapacity;
+      }
     }
 
    private:
@@ -441,6 +457,7 @@ size_t SpjExecutor::ScanFirst(std::vector<ColumnBatch>* out) {
     std::vector<ColumnBatch>* out_;
     const InputInfo& info_;
     const std::vector<BoundAtom>& filters_;
+    bool sealed_ = false;
   };
   ScanSink sink(this, out, info, filters);
   info.input->Scan(sink);

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "ivm_test_util.h"
 #include "predicate/parser.h"
+#include "ra/batch.h"
 #include "ra/eval.h"
 #include "test_util.h"
+#include "util/arena.h"
 #include "util/error.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -195,6 +201,122 @@ TEST_F(PlannerTest, CacheReusesMaterializations) {
   EXPECT_LT(second.rows_scanned, first.rows_scanned);
   EXPECT_GE(cache.size(), 1u);
 }
+
+// Chunk boundaries.  A list of batches ramps 16, 32, … 1024 rows, so row
+// counts around every ramp step (and past the cap) must neither drop nor
+// duplicate rows — with local and step filters compacting partly filled
+// chunks too — and the executor allocates just the chunks the ramp needs.
+
+// Chunks a list needs to hold `rows` rows on the ramp.
+int64_t RampChunks(size_t rows) {
+  int64_t chunks = 0;
+  size_t held = 0;
+  for (size_t cap = ColumnBatch::kFirstCapacity; held < rows;
+       cap = std::min(2 * cap, ColumnBatch::kDefaultCapacity)) {
+    held += cap;
+    ++chunks;
+  }
+  return chunks;
+}
+
+TEST(RampChunksTest, FollowsTheDoublingRamp) {
+  EXPECT_EQ(RampChunks(0), 0);
+  EXPECT_EQ(RampChunks(16), 1);
+  EXPECT_EQ(RampChunks(17), 2);
+  EXPECT_EQ(RampChunks(1008), 6);   // 16 + 32 + … + 512
+  EXPECT_EQ(RampChunks(2032), 7);   // … + 1024
+  EXPECT_EQ(RampChunks(2033), 8);
+}
+
+class ChunkBoundaryTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ChunkBoundaryTest, ScansAndJoinsEqualNaiveEvaluation) {
+  const size_t n = GetParam();
+  // r holds `n` rows; each matches exactly one of s's five rows on B = C,
+  // so a key join also moves `n` rows while the naive product stays 5n.
+  constexpr size_t kS = 5;
+  Database db;
+  Relation& r_rel = MakeRelation(&db, "r", {"A", "B"}, {});
+  Relation& s_rel = MakeRelation(&db, "s", {"C", "D"}, {});
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t v = static_cast<int64_t>(i);
+    r_rel.Insert(T({v, v % static_cast<int64_t>(kS)}));
+  }
+  for (size_t c = 0; c < kS; ++c) {
+    const int64_t v = static_cast<int64_t>(c);
+    s_rel.Insert(T({v, 400 * v}));
+  }
+
+  struct Case {
+    const char* condition;
+    std::vector<std::string> projection;
+    bool join;
+    bool filtered;
+  };
+  const Case cases[] = {
+      {"true", {}, false, false},
+      {"B < 2", {"A"}, false, true},         // local filter on the scan
+      {"B = C", {"A", "D"}, true, false},    // key join
+      {"B = C && B < 3 && D > 0", {"A", "D"}, true, true},  // both sides
+      {"B = C && A > D", {"A", "B"}, true, true},  // step filter
+  };
+  for (const Case& c : cases) {
+    std::vector<BaseRef> bases{BaseRef{"r", {}}};
+    if (c.join) bases.push_back(BaseRef{"s", {}});
+    const ViewDefinition def("v", bases, c.condition, c.projection);
+    FullRelationInput r(&r_rel, r_rel.schema());
+    FullRelationInput s(&s_rel, s_rel.schema());
+    SpjQuery q;
+    q.inputs = {&r};
+    if (c.join) q.inputs.push_back(&s);
+    q.condition = &def.condition();
+    q.projection = c.projection;
+
+    util::Arena arena;
+    BatchEvalStats batch_stats;
+    EvalContext ctx;
+    ctx.arena = &arena;
+    ctx.batch_stats = &batch_stats;
+    CountedRelation out(c.projection.empty()
+                            ? CombinedSchema(q)
+                            : CombinedSchema(q).Project(c.projection));
+    EvaluateSpjInto(q, &out, 1, nullptr, nullptr, &ctx);
+    const CountedRelation expected = testing::NaiveEvaluate(def, db);
+    EXPECT_TRUE(out.SameContents(expected))
+        << c.condition << " over " << n << " rows\ngot " << out.size()
+        << " rows, expected " << expected.size();
+
+    // Unfiltered, the smaller input is scanned first, then the join step
+    // moves `n` rows (no join step runs when the first scan is empty).
+    const size_t first = c.join ? std::min(n, kS) : n;
+    const size_t joined = c.join && first > 0 ? n : 0;
+    const int64_t unfiltered = RampChunks(first) + RampChunks(joined);
+    if (!c.filtered) {
+      EXPECT_EQ(batch_stats.batches, unfiltered) << c.condition;
+      EXPECT_EQ(batch_stats.rows, static_cast<int64_t>(first + joined))
+          << c.condition;
+    } else {
+      // A filtered stage needs the chunks of its survivors, plus at most
+      // one that a trailing rejected row opened.
+      const int64_t stages = c.join ? 2 : 1;
+      EXPECT_GE(batch_stats.batches, RampChunks(expected.size()))
+          << c.condition;
+      EXPECT_LE(batch_stats.batches, unfiltered + stages) << c.condition;
+      if (!c.join) {
+        // Below the cap a filtered scan seals each chunk it filled, so it
+        // climbs the ramp with the rows scanned, not the survivors.
+        const size_t below_cap =
+            ColumnBatch::kDefaultCapacity - ColumnBatch::kFirstCapacity;
+        EXPECT_GE(batch_stats.batches, RampChunks(std::min(n, below_cap)))
+            << c.condition;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RampSteps, ChunkBoundaryTest,
+                         ::testing::Values(0, 1, 15, 16, 17, 48, 1023, 1024,
+                                           1025, 3000));
 
 // Property: the planner agrees with the naive expression evaluator on
 // randomized relations and conditions.
