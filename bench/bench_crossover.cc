@@ -37,13 +37,7 @@ std::pair<double, double> Measure(const ViewCase& vc, double fraction) {
     bases.push_back(BaseRef{specs.back().name, {}});
   }
   ViewDefinition def("v", bases, vc.condition, vc.projection);
-  // Match ViewManager behavior: index the equi-join attributes.
-  auto join_attrs = def.JoinAttributes(db);
-  for (size_t i = 0; i < bases.size(); ++i) {
-    for (const auto& attr : join_attrs[i]) {
-      db.Get(bases[i].relation).CreateIndex(attr);
-    }
-  }
+  // The maintainer indexes the equi-join attributes.
   DifferentialMaintainer maintainer(def, &db);
   size_t per_rel =
       std::max<size_t>(1, static_cast<size_t>(fraction * Rows() / 2));

@@ -1,24 +1,38 @@
-// Experiment E16: the cross-transaction join-state cache.  Claim to
-// reproduce: steady-state maintenance cost is O(|delta|), not O(|base|).
-// Without the cache, every commit re-scans and re-hashes the clean side of
-// each delta join — O(|base|) per commit even for a 1-row transaction.
-// With it, the hash table built on the first commit is kept alive and
-// updated by the normalized deltas, so per-commit latency stays flat as
-// the base grows.
+// Experiment E16: which probe structure serves a join step.  Claim to
+// reproduce: steady-state maintenance cost follows the delta, not the base
+// (Section 5.3: "one only needs to compute the contribution of the new
+// tuples to the join").
 //
-// The workload drives a DifferentialMaintainer directly over *unindexed*
-// bases (r ⋈ s on r_a1 = s_a0, transactions touching only r), the regime
-// where the planner takes the hash-join path: ViewManager-registered views
-// get equi-join indexes and sidestep the rebuild.  The join fan-out is held
-// at ~5 matches per delta row across the sweep (domain scales with the
-// base) so output size does not grow with |base| and any latency growth is
-// attributable to the clean-side rebuild.
+// The workload drives a DifferentialMaintainer, which indexes its view's
+// equi-join attributes itself, so every arm runs in the engine's
+// configuration.  Transactions touch only `r`.  Three arms:
 //
-// `--json <path>` writes the sweep rows (BENCH_E16.json in EXPERIMENTS.md).
+//  - indexed equi: r ⋈ s on r_a1 = s_a0.  Each delta row probes s's index,
+//    O(|delta|) at every base size.
+//  - equi after bulk: the same view after one transaction as large as s,
+//    whose round hashes s instead of probing it.  Later small commits must
+//    go back to the index.
+//  - non-equi: a small r (100 rows) against s on r_a1 > s_a0 + (D − 10),
+//    where D is s's value domain.  No index applies: the step is a cross
+//    join filtered per pair, O(|delta|·|s|) either way, and the join-state
+//    cache keeps s's filtered materialization across commits.
+//
+// The equi arms hold the join fan-out at ~5 matches per delta row (domain
+// scales with the base), so output size does not grow with |base|.
+// "Cold" calls ResetJoinCache() before every timed commit, so any cache
+// state is rebuilt; "warm" keeps it.  Each of 7 repetitions times a warm
+// run, then a cold run, each the mean per-commit time of at least 20
+// commits and 25 ms of commit time; a cell is the median and IQR over the
+// repetitions.
+//
+// `--json <path>` writes the rows (BENCH_E16.json in EXPERIMENTS.md).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "ivm/differential.h"
@@ -28,101 +42,188 @@
 namespace mview {
 namespace {
 
-// ~5 expected join matches per key at every base size.
+// ~5 expected equi-join matches per key at every base size.
 int64_t DomainFor(size_t base_rows) {
   return base_rows < 50 ? 10 : static_cast<int64_t>(base_rows / 5);
 }
+
+enum class Arm { kIndexedEqui, kEquiAfterBulk, kNonEqui };
+
+const char* ArmName(Arm arm) {
+  switch (arm) {
+    case Arm::kIndexedEqui:
+      return "indexed equi";
+    case Arm::kEquiAfterBulk:
+      return "equi after bulk";
+    case Arm::kNonEqui:
+      return "non-equi";
+  }
+  return "?";
+}
+
+constexpr size_t kNonEquiRRows = 100;
 
 struct Setup {
   Database db;
   WorkloadGenerator gen{42};
   RelationSpec r, s;
-  DifferentialMaintainer m;
+  std::unique_ptr<DifferentialMaintainer> m;
   CountedRelation view;
+  std::vector<Tuple> bulk_rows;
+  bool bulk_present = false;
 
-  Setup(size_t base_rows, bool cached)
-      : r{"r", 2, DomainFor(base_rows), base_rows},
-        s{"s", 2, DomainFor(base_rows), base_rows},
-        m((gen.Populate(&db, r), gen.Populate(&db, s),
-           ViewDefinition("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
-                          "r_a1 = s_a0", {"r_a0", "s_a1"})),
-          &db, MakeOptions(cached)) {
-    view = m.FullEvaluate();
+  Setup(size_t base_rows, Arm arm)
+      : r{"r", 2, DomainFor(base_rows),
+          arm == Arm::kNonEqui ? kNonEquiRRows : base_rows},
+        s{"s", 2, DomainFor(base_rows), base_rows} {
+    gen.Populate(&db, r);
+    gen.Populate(&db, s);
+    const std::string condition =
+        arm == Arm::kNonEqui
+            ? "r_a1 > s_a0 + " + std::to_string(DomainFor(base_rows) - 10)
+            : "r_a1 = s_a0";
+    m = std::make_unique<DifferentialMaintainer>(
+        ViewDefinition("v", {BaseRef{"r", {}}, BaseRef{"s", {}}}, condition,
+                       {"r_a0", "s_a1"}),
+        &db);
+    view = m->FullEvaluate();
+    if (arm == Arm::kEquiAfterBulk) {
+      // Fresh r rows (r_a0 outside the generator's domain), as many as s
+      // holds.
+      const int64_t domain = DomainFor(base_rows);
+      const int64_t n = static_cast<int64_t>(db.Get("s").size());
+      for (int64_t i = 0; i < n; ++i) {
+        bulk_rows.push_back(Tuple({Value(domain + i), Value(i % domain)}));
+      }
+    }
   }
 
-  static MaintenanceOptions MakeOptions(bool cached) {
-    MaintenanceOptions options;
-    options.enable_join_cache = cached;
-    // The default per-view budget (256 MiB ≈ 600k cached rows) fits every
-    // production-shaped view but not this sweep's 1M-row top point, whose
-    // two clean-side tables would thrash; the budget exists to be sized.
-    options.join_cache_budget_bytes = size_t{2} << 30;
-    return options;
+  // The equi-after-bulk arm's bulk transaction: inserts the bulk rows, or
+  // deletes them again on the next call.  Either way the round's delta
+  // ties with s, so the planner scans the delta first and hashes s for
+  // that round.
+  void Bulk() {
+    Transaction txn;
+    for (const Tuple& t : bulk_rows) {
+      if (bulk_present) {
+        txn.Delete("r", t);
+      } else {
+        txn.Insert("r", t);
+      }
+    }
+    bulk_present = !bulk_present;
+    Apply(txn);
+  }
+
+  void Apply(const Transaction& txn) {
+    TransactionEffect effect = txn.Normalize(db);
+    ViewDelta delta = m->ComputeDelta(effect);
+    effect.ApplyTo(&db);
+    delta.ApplyTo(&view);
   }
 
   void Commit(size_t delta_rows) {
     Transaction txn;
     gen.AddUpdates(&txn, r, delta_rows, delta_rows);
-    TransactionEffect effect = txn.Normalize(db);
-    ViewDelta delta = m.ComputeDelta(effect);
-    effect.ApplyTo(&db);
-    delta.ApplyTo(&view);
+    Apply(txn);
   }
 
-  // Average seconds per maintained commit in steady state.  The untimed
-  // warmup commits install the cache entries (warm configuration) and
-  // absorb the one-time growth costs — the first post-install insert
-  // reallocates the entry's row vector and rehashes its index; averaging
-  // those into a short timed window would overstate warm latency.
-  double TimePerCommit(size_t commits, size_t delta_rows) {
-    for (size_t i = 0; i < 5; ++i) Commit(delta_rows);
-    Stopwatch timer;
-    for (size_t i = 0; i < commits; ++i) Commit(delta_rows);
-    return timer.ElapsedSeconds() / static_cast<double>(commits);
+  // Mean seconds per commit over a run of at least `min_commits` commits
+  // and `min_nanos` of commit time, timing only the commits themselves; a
+  // cold run resets the join-state cache before each one.
+  double TimePerCommit(size_t min_commits, int64_t min_nanos,
+                       size_t delta_rows, bool cold) {
+    int64_t nanos = 0;
+    size_t commits = 0;
+    while (commits < min_commits || nanos < min_nanos) {
+      if (cold) m->ResetJoinCache();
+      Stopwatch timer;
+      Commit(delta_rows);
+      nanos += timer.ElapsedNanos();
+      ++commits;
+    }
+    return static_cast<double>(nanos) * 1e-9 / static_cast<double>(commits);
   }
 };
 
+struct Spread {
+  double median = 0;
+  double iqr = 0;
+};
+
+// Median and interquartile range (linear interpolation between ranks).
+Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
 void BM_SteadyStateCommit(benchmark::State& state) {
-  Setup setup(static_cast<size_t>(state.range(0)), state.range(1) != 0);
+  const auto arm = static_cast<Arm>(state.range(1));
+  Setup setup(static_cast<size_t>(state.range(0)), arm);
+  if (arm == Arm::kEquiAfterBulk) setup.Bulk();
   setup.Commit(10);  // warmup
   for (auto _ : state) setup.Commit(10);
 }
-// Args: (base rows, cache enabled).
+// Args: (base rows, arm).
 BENCHMARK(BM_SteadyStateCommit)
-    ->Args({10000, 0})->Args({10000, 1})
-    ->Args({100000, 0})->Args({100000, 1})
+    ->Args({10000, 0})->Args({10000, 1})->Args({10000, 2})
     ->Iterations(20)->Unit(benchmark::kMillisecond);
 
 void PrintSummary() {
   using bench::FormatSeconds;
   using bench::FormatSpeedup;
-  const size_t commits = bench::Scaled(40, 2);
+  const size_t commits = bench::Scaled(20, 2);
+  const int64_t min_nanos = bench::Options().smoke ? 0 : 25'000'000;
+  const int reps = bench::Options().smoke ? 2 : 7;
   const std::vector<size_t> bases =
       bench::Options().smoke ? std::vector<size_t>{200, 400}
-                             : std::vector<size_t>{10'000, 100'000, 1'000'000};
+                             : std::vector<size_t>{10'000, 100'000};
   const std::vector<size_t> deltas = bench::Options().smoke
                                          ? std::vector<size_t>{1, 4}
                                          : std::vector<size_t>{1, 100};
   bench::SummaryTable table(
-      "E16: cross-transaction join-state cache — per-commit maintenance "
-      "latency, r ⋈ s (unindexed), transactions touch only r",
-      {"base rows", "delta rows", "cold (no cache)", "warm (cached)",
-       "speedup"});
+      "E16: probe structure per join step — per-commit maintenance latency "
+      "(median, IQR over reps), transactions touch only r",
+      {"arm", "s rows", "delta rows", "cold", "cold IQR", "warm", "warm IQR",
+       "cold/warm"});
   bench::JsonRows json;
-  for (size_t base : bases) {
-    Setup cold(base, /*cached=*/false);
-    Setup warm(base, /*cached=*/true);
-    for (size_t delta : deltas) {
-      const double t_cold = cold.TimePerCommit(commits, delta);
-      const double t_warm = warm.TimePerCommit(commits, delta);
-      table.AddRow({std::to_string(base), std::to_string(delta),
-                    FormatSeconds(t_cold), FormatSeconds(t_warm),
-                    FormatSpeedup(t_cold / t_warm)});
-      json.Add({{"base_rows", static_cast<double>(base)},
-                {"delta_rows", static_cast<double>(delta)},
-                {"cold_seconds", t_cold},
-                {"warm_seconds", t_warm},
-                {"speedup", t_cold / t_warm}});
+  for (Arm arm : {Arm::kIndexedEqui, Arm::kEquiAfterBulk, Arm::kNonEqui}) {
+    for (size_t base : bases) {
+      Setup setup(base, arm);
+      for (size_t d = 0; d < deltas.size(); ++d) {
+        std::vector<double> warm, cold;
+        for (int rep = 0; rep < reps; ++rep) {
+          // After a reset the equi arms never hash s again, so each rep
+          // times warm before cold, and the after-bulk arm replays its
+          // bulk transaction first.
+          if (arm == Arm::kEquiAfterBulk) setup.Bulk();
+          setup.Commit(deltas[d]);  // untimed: reinstalls what a reset drops
+          warm.push_back(
+              setup.TimePerCommit(commits, min_nanos, deltas[d], false));
+          cold.push_back(
+              setup.TimePerCommit(commits, min_nanos, deltas[d], true));
+        }
+        const Spread c = SpreadOf(cold), w = SpreadOf(warm);
+        table.AddRow({ArmName(arm), std::to_string(base),
+                      std::to_string(deltas[d]), FormatSeconds(c.median),
+                      FormatSeconds(c.iqr), FormatSeconds(w.median),
+                      FormatSeconds(w.iqr), FormatSpeedup(c.median / w.median)});
+        json.Add({{"equi", arm == Arm::kNonEqui ? 0.0 : 1.0},
+                  {"after_bulk", arm == Arm::kEquiAfterBulk ? 1.0 : 0.0},
+                  {"s_rows", static_cast<double>(base)},
+                  {"delta_rows", static_cast<double>(deltas[d])},
+                  {"cold_median_seconds", c.median},
+                  {"cold_iqr_seconds", c.iqr},
+                  {"warm_median_seconds", w.median},
+                  {"warm_iqr_seconds", w.iqr}});
+      }
     }
   }
   table.Print();

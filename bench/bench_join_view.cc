@@ -30,9 +30,7 @@ struct JoinSetup {
     gen.Populate(&db, s);
     ViewDefinition def("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
                        "r_a1 = s_a0", {"r_a0", "s_a1"});
-    // Indexes on the join attributes, as ViewManager::RegisterView does.
-    db.Get("r").CreateIndex("r_a1");
-    db.Get("s").CreateIndex("s_a0");
+    // The maintainer indexes the join attributes r_a1 and s_a0.
     maintainer = std::make_unique<DifferentialMaintainer>(def, &db);
   }
 };

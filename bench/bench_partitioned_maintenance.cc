@@ -62,9 +62,6 @@ struct JoinSetup {
     gen.Populate(&db, s);
     MaintenanceOptions options;
     options.partition_count = partitions;
-    // The sweep's clean sides exceed the default per-view budget; size it
-    // like E16 so cache behaviour does not confound the partition split.
-    options.join_cache_budget_bytes = size_t{2} << 30;
     vm.RegisterView(ViewDefinition("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
                                    "r_a1 = s_a0", {"r_a0", "s_a1"}),
                     MaintenanceMode::kImmediate, options);
@@ -86,7 +83,7 @@ void BM_PartitionedCommit(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     JoinSetup setup(partitions, workers, bench::Scaled(20'000, 1'000));
-    setup.RunCommits(2);  // warm the join-cache shards
+    setup.RunCommits(2);  // warm the heap and the per-partition arenas
     state.ResumeTiming();
     setup.RunCommits(Commits());
   }
@@ -195,7 +192,7 @@ void PrintSummary() {
   double baseline = 0;
   for (const Config& config : configs) {
     JoinSetup setup(config.partitions, config.workers, BaseRows());
-    setup.RunCommits(4);  // warm the shards before measuring
+    setup.RunCommits(4);  // warm the heap and arenas before measuring
     const double per_commit =
         bench::TimeIt([&setup] { setup.RunCommits(Commits()); }) /
         static_cast<double>(Commits());

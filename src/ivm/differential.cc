@@ -12,6 +12,10 @@
 namespace mview {
 namespace {
 
+// The byte budget of one view's join-state cache, split evenly among its
+// partition shards.
+constexpr size_t kJoinCacheBudgetBytes = size_t{256} << 20;
+
 /// Exception-safe wrapper of the join-cache round protocol: the destructor
 /// aborts a round that never reached `Commit()`, so a throw anywhere
 /// between `BeginRound` and `EndRound` (planner failure, injected fault,
@@ -78,11 +82,20 @@ MaintenanceStats& MaintenanceStats::operator+=(const MaintenanceStats& o) {
 }
 
 DifferentialMaintainer::DifferentialMaintainer(ViewDefinition def,
-                                               const Database* db,
+                                               Database* db,
                                                MaintenanceOptions options)
     : def_(std::move(def)), db_(db), options_(options) {
-  MVIEW_CHECK(db_ != nullptr, "null database");
-  def_.Validate(*db_);
+  MVIEW_CHECK(db != nullptr, "null database");
+  def_.Validate(*db);
+  // Index the equi-join attributes so differential rows probe the big
+  // relations from the small deltas (Section 5.3's t_r ⋈ s), and so full
+  // evaluation probes them instead of hashing whole relations.
+  const auto join_attrs = def_.JoinAttributes(*db);
+  for (size_t i = 0; i < def_.bases().size(); ++i) {
+    Relation& rel = db->Get(def_.bases()[i].relation);
+    for (const auto& attr : join_attrs[i]) rel.CreateIndex(attr);
+  }
+  cross_join_ = !def_.EquiConnected(*db);
   combined_ = def_.CombinedSchema(*db_);
   output_ = def_.OutputSchema(*db_);
   aliased_.reserve(def_.bases().size());
@@ -101,18 +114,11 @@ DifferentialMaintainer::DifferentialMaintainer(ViewDefinition def,
 
 void DifferentialMaintainer::BuildShards() {
   shards_.clear();
-  if (!options_.enable_join_cache) return;
-  const size_t budget =
-      std::max<size_t>(options_.join_cache_budget_bytes / layout_.count, 1);
+  if (!cross_join_) return;
+  const size_t budget = kJoinCacheBudgetBytes / layout_.count;
   shards_.reserve(layout_.count);
   for (uint32_t p = 0; p < layout_.count; ++p) {
-    JoinStateCache::PartitionSpec spec;
-    if (layout_.keyed && layout_.count > 1) {
-      spec.slice = p;
-      spec.total = layout_.count;
-      spec.slot_key_attr = layout_.key_attr;
-    }
-    shards_.push_back(std::make_unique<JoinStateCache>(budget, std::move(spec)));
+    shards_.push_back(std::make_unique<JoinStateCache>(budget));
   }
 }
 
@@ -267,9 +273,9 @@ ViewDelta DifferentialMaintainer::ComputePartition(
   // each base's (uid, version) token and apply the *unfiltered* deletes so
   // warm tables mirror the clean pre-state the planner's clean inputs
   // stream.  The unfiltered inserts are replayed (through each entry's
-  // stored local and partition filters) when the round closes.  Pruned
-  // partitions run the round too — skipping it would let the shard's
-  // version tokens fall behind the relations and force cold rebuilds.
+  // stored local filters) when the round closes.  Pruned partitions run
+  // the round too — skipping it would let the shard's version tokens fall
+  // behind the relations and force cold rebuilds.
   JoinStateCache* shard = prep.use_cache ? shards_[p].get() : nullptr;
   JoinCacheCounters before;
   std::optional<JoinCacheRoundGuard> round;
@@ -432,11 +438,10 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
     } else {
       clean[i] = keep(std::make_unique<FullRelationInput>(&rel, aliased_[i]));
     }
-    if (shard != nullptr) {
-      // Only the clean inputs go through the persistent cache: their slot
-      // index is a stable identity and their contents advance exactly by
-      // the normalized deltas the shard's round replays (through its
-      // partition filter).
+    if (shard != nullptr && !slice_clean) {
+      // Only the unsliced clean inputs go through the persistent cache:
+      // their slot index is a stable identity and their contents advance
+      // exactly by the normalized deltas the shard's round replays.
       clean[i]->BindJoinCache(shard, static_cast<uint32_t>(i));
     }
     ins[i] = make_delta(i, full[i].inserts);
@@ -608,20 +613,7 @@ void DifferentialMaintainer::EnumerateRows(
 }
 
 CountedRelation DifferentialMaintainer::FullEvaluate(PlanStats* stats) const {
-  size_t n = def_.bases().size();
-  std::vector<std::unique_ptr<RelationInput>> inputs(n);
-  SpjQuery query;
-  for (size_t i = 0; i < n; ++i) {
-    inputs[i] = std::make_unique<FullRelationInput>(
-        &db_->Get(def_.bases()[i].relation), aliased_[i]);
-    query.inputs.push_back(inputs[i].get());
-  }
-  const Condition& condition = def_.condition();
-  query.condition = condition.IsTriviallyTrue() ? nullptr : &condition;
-  query.projection = def_.projection();
-  CountedRelation out(output_);
-  EvaluateSpjInto(query, &out, 1, stats, nullptr);
-  return out;
+  return EvaluateDefinition(def_, *db_, stats);
 }
 
 CountedRelation DifferentialMaintainer::FullEvaluateSlice(
@@ -648,6 +640,24 @@ CountedRelation DifferentialMaintainer::FullEvaluateSlice(
   query.condition = condition.IsTriviallyTrue() ? nullptr : &condition;
   query.projection = def_.projection();
   CountedRelation out(output_);
+  EvaluateSpjInto(query, &out, 1, stats, nullptr);
+  return out;
+}
+
+CountedRelation EvaluateDefinition(const ViewDefinition& def,
+                                   const Database& db, PlanStats* stats) {
+  const size_t n = def.bases().size();
+  std::vector<std::unique_ptr<RelationInput>> inputs(n);
+  SpjQuery query;
+  for (size_t i = 0; i < n; ++i) {
+    inputs[i] = std::make_unique<FullRelationInput>(
+        &db.Get(def.bases()[i].relation), def.AliasedSchema(db, i));
+    query.inputs.push_back(inputs[i].get());
+  }
+  const Condition& condition = def.condition();
+  query.condition = condition.IsTriviallyTrue() ? nullptr : &condition;
+  query.projection = def.projection();
+  CountedRelation out(def.OutputSchema(db));
   EvaluateSpjInto(query, &out, 1, stats, nullptr);
   return out;
 }

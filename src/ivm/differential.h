@@ -43,26 +43,15 @@ struct MaintenanceOptions {
   /// Delta-join decomposition (see `DeltaStrategy`).
   DeltaStrategy strategy = DeltaStrategy::kTruthTable;
 
-  /// Keep the planner's clean-input join tables alive *across* transactions
-  /// in a per-view `JoinStateCache`, updated by each round's normalized
-  /// deltas (O(|delta|)) instead of rebuilt from the base (O(|base|)) —
-  /// the cross-transaction extension of `reuse_subexpressions`; bench E16
-  /// measures it.
-  bool enable_join_cache = true;
-
-  /// Byte budget for the per-view join-state cache; least-recently-used
-  /// entries are evicted past it at round boundaries.
-  size_t join_cache_budget_bytes = size_t{256} << 20;
-
   /// Split each maintenance round into this many hash partitions that can
   /// be computed independently (see `PartitionLayout` for the keyed /
   /// row-hash mode choice).  1 disables partitioning.  The merged delta is
   /// byte-identical to the unpartitioned one (property-tested); bench E21
-  /// measures the split.  The join-cache budget is divided evenly among
-  /// the per-partition shards: in keyed mode each shard holds ~1/P of the
-  /// clean rows so the effective total is unchanged, while in row-hash
-  /// mode every shard mirrors the full clean tables and a large P can
-  /// force evictions a single shard would not need.
+  /// measures the split.  A view with a cross-join step keeps one
+  /// join-state cache shard per partition; such a view is never keyed, so
+  /// every shard mirrors the full clean tables, and the shards split one
+  /// fixed byte budget evenly — a large P can force evictions a single
+  /// shard would not need.
   uint32_t partition_count = 1;
 };
 
@@ -157,7 +146,14 @@ class DifferentialMaintainer {
  public:
   /// Compiles maintenance machinery for `def` over `db` (whose relations
   /// must outlive this object).  Throws when the definition is invalid.
-  DifferentialMaintainer(ViewDefinition def, const Database* db,
+  ///
+  /// Indexes every base attribute of the definition's equi-join predicates
+  /// (`ViewDefinition::JoinAttributes`), so each differential row probes
+  /// the clean bases from its small delta (Section 5.3's `t_r ⋈ s`) in
+  /// O(|delta|).  A view whose equi-joins leave some base unconnected also
+  /// gets a join-state cache for its cross-join steps
+  /// (`ViewDefinition::EquiConnected`); every other view has none.
+  DifferentialMaintainer(ViewDefinition def, Database* db,
                          MaintenanceOptions options = {});
 
   /// Computes the view delta for a transaction's net effect.  The database
@@ -166,10 +162,10 @@ class DifferentialMaintainer {
   /// when enabled.  When `phases` is non-null, filter and differential time
   /// are accumulated into it separately.
   ///
-  /// When the join-state cache is enabled this runs one cache *round*:
+  /// When the view has a join-state cache this runs one cache *round*:
   /// entries are validated and synchronized with the effect's normalized
   /// deltas, so a steady-state call touches O(|delta|) cached rows instead
-  /// of rehashing the clean bases.
+  /// of rescanning the clean bases at its cross-join steps.
   ///
   /// Thread-safety: reads only the (frozen) database pre-state and mutates
   /// only this maintainer's own join-state cache shard, so concurrent
@@ -205,7 +201,7 @@ class DifferentialMaintainer {
     /// cache-round cadence as unpartitioned maintenance.
     std::vector<bool> active;
     /// Join-cache round tokens built from the *unfiltered* deltas; every
-    /// shard replays them through its own partition filter.
+    /// shard replays them in full.
     std::vector<JoinStateCache::SlotUpdate> slots;
     bool use_cache = false;
     std::vector<std::unique_ptr<Relation>> owned;
@@ -280,9 +276,9 @@ class DifferentialMaintainer {
   const PartitionLayout& partition_layout() const { return layout_; }
   uint32_t partition_count() const { return layout_.count; }
 
-  /// The first join-state cache shard (null when disabled) — the whole
-  /// cache for unpartitioned views; tests and stats renderers that need
-  /// totals across shards use `join_cache_bytes()`.
+  /// The first join-state cache shard (null for equi-connected views) —
+  /// the whole cache for unpartitioned views; tests and stats renderers
+  /// that need totals across shards use `join_cache_bytes()`.
   const JoinStateCache* join_cache() const {
     return shards_.empty() ? nullptr : shards_.front().get();
   }
@@ -332,14 +328,17 @@ class DifferentialMaintainer {
   ViewDefinition def_;
   const Database* db_;
   MaintenanceOptions options_;
+  // Some base meets the others only through a cross-join step (not
+  // `EquiConnected`): the view gets one cache shard per partition.
+  bool cross_join_ = false;
   Schema combined_;
   Schema output_;
   std::vector<Schema> aliased_;
   PartitionLayout layout_;
   std::unique_ptr<IrrelevanceFilter> filter_;
-  // One join-state cache shard per partition (empty when the cache is
-  // disabled); mutable because ComputeDelta is logically const yet
-  // advances the shards between rounds.  Shard `p` is touched only by
+  // One join-state cache shard per partition (empty for equi-connected
+  // views); mutable because ComputeDelta is logically const yet advances
+  // the shards between rounds.  Shard `p` is touched only by
   // partition `p`'s rounds — the basis of the partition-parallel contract.
   mutable std::vector<std::unique_ptr<JoinStateCache>> shards_;
   // Per-partition scratch memory for the batch pipeline, reset at the
@@ -347,6 +346,15 @@ class DifferentialMaintainer {
   // the shards.
   mutable std::vector<std::unique_ptr<util::Arena>> arenas_;
 };
+
+/// Evaluates `def` from scratch over `db`'s current state — what
+/// `DifferentialMaintainer::FullEvaluate` does, without building a
+/// maintainer, so it creates no index.  Ad-hoc queries use it: they run
+/// under a shared lock, where indexing a base would race with other
+/// readers.
+CountedRelation EvaluateDefinition(const ViewDefinition& def,
+                                   const Database& db,
+                                   PlanStats* stats = nullptr);
 
 }  // namespace mview
 

@@ -14,13 +14,8 @@ void IntegrityGuard::AddAssertion(ViewDefinition def) {
   const std::string name = def.name();
   MVIEW_CHECK(assertions_.count(name) == 0, "assertion already exists: ",
               name);
-  def.Validate(*db_);
-  // Index the join attributes so violation checks probe instead of scan.
-  auto join_attrs = def.JoinAttributes(*db_);
-  for (size_t i = 0; i < def.bases().size(); ++i) {
-    Relation& rel = db_->Get(def.bases()[i].relation);
-    for (const auto& attr : join_attrs[i]) rel.CreateIndex(attr);
-  }
+  // The maintainer validates the definition and indexes its join
+  // attributes, so violation checks probe instead of scan.
   Assertion assertion;
   assertion.maintainer =
       std::make_unique<DifferentialMaintainer>(std::move(def), db_);

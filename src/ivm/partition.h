@@ -21,8 +21,8 @@ namespace mview {
 ///    by the hash of that base's class attribute.  Exact because two
 ///    tuples whose class attributes hash to different partitions can never
 ///    satisfy the condition together, so every output row is produced in
-///    exactly one partition.  Each partition's cached join state holds
-///    only ~1/P of the clean rows.
+///    exactly one partition.  Such a view is equi-connected, so it has no
+///    join-state cache.
 ///
 ///  - **Row-hash (anchor-slice) fallback**: the general case (inequality
 ///    joins, offset joins, disjuncts with differing equalities,

@@ -1,6 +1,7 @@
 #include "ivm/view_def.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -169,25 +170,42 @@ void ViewDefinition::Validate(const Database& db) const {
   if (!projection_.empty()) combined.Project(projection_);
 }
 
-std::vector<std::vector<std::string>> ViewDefinition::JoinAttributes(
-    const Database& db) const {
-  std::vector<std::vector<std::string>> result(bases_.size());
-  if (condition_.disjuncts().empty()) return result;
-  // Atoms in every disjunct (the conjunctive core) are enforceable as join
-  // predicates; equality atoms between two bases benefit from indexes.
+namespace {
+
+// Calls `fn(lhs_base, lhs_attr, rhs_base, rhs_attr)` for each equality atom
+// of `def`'s conjunctive core that joins two different base occurrences
+// (attribute indices are positions in the base's scheme).
+template <typename Fn>
+void ForEachCoreEquiJoin(const ViewDefinition& def, const Database& db,
+                         Fn&& fn) {
   std::vector<Schema> aliased;
-  aliased.reserve(bases_.size());
-  for (size_t i = 0; i < bases_.size(); ++i) {
-    aliased.push_back(AliasedSchema(db, i));
+  aliased.reserve(def.bases().size());
+  for (size_t i = 0; i < def.bases().size(); ++i) {
+    aliased.push_back(def.AliasedSchema(db, i));
   }
+  // The first base owning a name, as SpjExecutor::Resolve picks it.
   auto owner = [&](const std::string& var) -> std::optional<size_t> {
     for (size_t i = 0; i < aliased.size(); ++i) {
       if (aliased[i].Contains(var)) return i;
     }
     return std::nullopt;
   };
-  auto add = [&](size_t base, const std::string& alias) {
-    size_t pos = aliased[base].MustIndexOf(alias);
+  for (const auto& atom : def.condition().ConjunctiveCore()) {
+    if (atom.op != CompareOp::kEq || !atom.rhs_var.has_value()) continue;
+    auto lo = owner(atom.lhs);
+    auto ro = owner(*atom.rhs_var);
+    if (!lo.has_value() || !ro.has_value() || *lo == *ro) continue;
+    fn(*lo, aliased[*lo].MustIndexOf(atom.lhs), *ro,
+       aliased[*ro].MustIndexOf(*atom.rhs_var));
+  }
+}
+
+}  // namespace
+
+std::vector<std::vector<std::string>> ViewDefinition::JoinAttributes(
+    const Database& db) const {
+  std::vector<std::vector<std::string>> result(bases_.size());
+  auto add = [&](size_t base, size_t pos) {
     const std::string& original =
         db.Get(bases_[base].relation).schema().attribute(pos).name;
     auto& list = result[base];
@@ -195,24 +213,31 @@ std::vector<std::vector<std::string>> ViewDefinition::JoinAttributes(
       list.push_back(original);
     }
   };
-  for (const auto& atom : condition_.disjuncts().front().atoms) {
-    if (atom.op != CompareOp::kEq || !atom.rhs_var.has_value()) continue;
-    bool everywhere = true;
-    for (size_t d = 1; d < condition_.disjuncts().size(); ++d) {
-      const auto& atoms = condition_.disjuncts()[d].atoms;
-      if (std::find(atoms.begin(), atoms.end(), atom) == atoms.end()) {
-        everywhere = false;
-        break;
-      }
-    }
-    if (!everywhere) continue;
-    auto lo = owner(atom.lhs);
-    auto ro = owner(*atom.rhs_var);
-    if (!lo.has_value() || !ro.has_value() || *lo == *ro) continue;
-    add(*lo, atom.lhs);
-    add(*ro, *atom.rhs_var);
-  }
+  ForEachCoreEquiJoin(*this, db, [&](size_t lb, size_t la, size_t rb,
+                                      size_t ra) {
+    add(lb, la);
+    add(rb, ra);
+  });
   return result;
+}
+
+bool ViewDefinition::EquiConnected(const Database& db) const {
+  // Union-find over base occurrences, joined by the core's equi-joins.
+  std::vector<size_t> parent(bases_.size());
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  auto find = [&](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  size_t components = bases_.size();
+  ForEachCoreEquiJoin(*this, db, [&](size_t lb, size_t, size_t rb, size_t) {
+    const size_t a = find(lb), b = find(rb);
+    if (a != b) {
+      parent[a] = b;
+      --components;
+    }
+  });
+  return components <= 1;
 }
 
 std::string ViewDefinition::ToString() const {

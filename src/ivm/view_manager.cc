@@ -171,17 +171,8 @@ ViewManager::PreparedView ViewManager::PrepareView(
     ViewDefinition def, MaintenanceMode mode, MaintenanceOptions options) {
   MVIEW_CHECK(views_.count(def.name()) == 0, "view already registered: ",
               def.name());
-  def.Validate(*db_);
-
-  // Index the equi-join attributes so differential rows can probe the big
-  // relations from the small deltas (Section 5.3's t_r ⋈ s) — and so the
-  // evaluation below probes them instead of hashing whole relations.
-  auto join_attrs = def.JoinAttributes(*db_);
-  for (size_t i = 0; i < def.bases().size(); ++i) {
-    Relation& rel = db_->Get(def.bases()[i].relation);
-    for (const auto& attr : join_attrs[i]) rel.CreateIndex(attr);
-  }
-
+  // The maintainer validates the definition and indexes its equi-join
+  // attributes, so the evaluation below probes them.
   PreparedView prepared;
   prepared.mode = mode;
   prepared.maintainer =
@@ -221,13 +212,6 @@ void ViewManager::RestoreView(ViewDefinition def, MaintenanceMode mode,
                               RestoredHealth health) {
   const std::string name = def.name();
   MVIEW_CHECK(views_.count(name) == 0, "view already registered: ", name);
-  def.Validate(*db_);
-
-  auto join_attrs = def.JoinAttributes(*db_);
-  for (size_t i = 0; i < def.bases().size(); ++i) {
-    Relation& rel = db_->Get(def.bases()[i].relation);
-    for (const auto& attr : join_attrs[i]) rel.CreateIndex(attr);
-  }
 
   auto view = std::make_unique<ManagedView>();
   view->name = name;

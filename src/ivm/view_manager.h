@@ -188,11 +188,12 @@ class ChangedScopes {
 /// folds the per-partition deltas.  Deltas are still applied serially in
 /// name order, so view contents are bit-identical to the serial pipeline
 /// regardless of worker count or partition count (see DESIGN.md, "Commit
-/// pipeline").  Each view's maintainer owns private per-partition
-/// `JoinStateCache` shards, and the pipeline runs at most one worker per
-/// (view, partition) per commit, so the shards need no locking; DDL
-/// (`DropView`/`RegisterView`/`RestoreView`) replaces the maintainer and
-/// its shards wholesale, which is how cached state is invalidated.
+/// pipeline").  A view with a cross-join step has a maintainer owning
+/// private per-partition `JoinStateCache` shards, and the pipeline runs at
+/// most one worker per (view, partition) per commit, so the shards need no
+/// locking; DDL (`DropView`/`RegisterView`/`RestoreView`) replaces the
+/// maintainer and its shards wholesale, which is how cached state is
+/// invalidated.
 ///
 /// Failure containment: an exception inside one view's maintenance does
 /// not poison the commit.  The failing view is *quarantined* — its

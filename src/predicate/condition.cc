@@ -1,5 +1,6 @@
 #include "predicate/condition.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/error.h"
@@ -145,6 +146,20 @@ bool Condition::IsTriviallyTrue() const {
     if (d.atoms.empty()) return true;
   }
   return false;
+}
+
+std::vector<Atom> Condition::ConjunctiveCore() const {
+  std::vector<Atom> core;
+  if (disjuncts_.empty()) return core;
+  for (const auto& atom : disjuncts_.front().atoms) {
+    bool everywhere = true;
+    for (size_t d = 1; d < disjuncts_.size() && everywhere; ++d) {
+      const auto& atoms = disjuncts_[d].atoms;
+      everywhere = std::find(atoms.begin(), atoms.end(), atom) != atoms.end();
+    }
+    if (everywhere) core.push_back(atom);
+  }
+  return core;
 }
 
 Condition Condition::And(const Condition& other) const {

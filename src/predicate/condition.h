@@ -98,6 +98,11 @@ class Condition {
   bool IsTriviallyTrue() const;
   bool IsTriviallyFalse() const { return disjuncts_.empty(); }
 
+  /// The atoms present in every disjunct (the conjunctive core).  They are
+  /// implied by the condition, so a plan may enforce them while joining.
+  /// Empty for `false`.
+  std::vector<Atom> ConjunctiveCore() const;
+
   /// Logical AND; distributes to keep DNF (m1 * m2 disjuncts).
   Condition And(const Condition& other) const;
 

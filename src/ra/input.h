@@ -53,10 +53,10 @@ class RelationInput {
                           DeltaSink& sink) const;
 
   /// Attaches this input to slot `slot` of a cross-transaction join-state
-  /// cache.  The planner materializes a bound input through the cache —
-  /// keyed by the stable slot identity rather than this (per-round) object
-  /// — instead of rebuilding its hash table from scratch.  Only the *clean*
-  /// inputs of a maintenance round are ever bound.
+  /// cache.  At a cross-join step the planner materializes a bound input
+  /// through the cache — keyed by the stable slot identity rather than
+  /// this (per-round) object — instead of rescanning it.  Only the
+  /// unsliced *clean* inputs of a maintenance round are ever bound.
   void BindJoinCache(JoinStateCache* cache, uint32_t slot) {
     join_cache_ = cache;
     cache_slot_ = slot;

@@ -2,24 +2,16 @@
 
 #include <algorithm>
 
-#include "relational/partition.h"
 #include "util/error.h"
 #include "util/fault.h"
 
 namespace mview {
 
-bool JoinStateCache::InPartition(uint32_t slot, const Tuple& tuple) const {
-  if (spec_.total <= 1) return true;
-  if (slot >= spec_.slot_key_attr.size()) return true;
-  return PartitionOf(tuple, spec_.slot_key_attr[slot], spec_.total) ==
-         spec_.slice;
-}
-
 size_t JoinStateCache::ApproxRowBytes(const Tuple& tuple) {
-  // One copy in Table::rows plus (roughly) one key copy in the hash index
-  // or the keyless reverse map, each a `Tuple` handle and the heap bytes
-  // it owns (its value array and out-of-line strings), plus container node
-  // overhead.  The budget is a coarse knob, not an allocator audit.
+  // One copy in Table::rows plus one key copy in the reverse map, each a
+  // `Tuple` handle and the heap bytes it owns (its value array and
+  // out-of-line strings), plus container node overhead.  The budget is a
+  // coarse bound, not an allocator audit.
   return 2 * (sizeof(Tuple) + tuple.HeapBytes()) + 64;
 }
 
@@ -34,7 +26,7 @@ void JoinStateCache::BeginRound(std::vector<SlotUpdate> slots) {
 
   for (auto it = entries_.begin(); it != entries_.end();) {
     Entry& entry = *it->second;
-    const uint32_t slot = it->first.first;
+    const uint32_t slot = it->first;
     const SlotUpdate* current =
         slot < slots_.size() ? &slots_[slot] : nullptr;
     const bool stale = entry.inround || !entry.complete ||
@@ -49,12 +41,7 @@ void JoinStateCache::BeginRound(std::vector<SlotUpdate> slots) {
     // `r − d` the planner's clean inputs stream.
     if (current->deletes != nullptr && !current->deletes->empty()) {
       entry.inround = true;
-      // The partition filter here is an optimization only: RemoveRow
-      // tolerates absent rows, and an out-of-partition tuple was never
-      // added.  The EndRound insert filter is load-bearing.
-      current->deletes->Scan([&](const Tuple& t) {
-        if (InPartition(slot, t)) RemoveRow(&entry, t);
-      });
+      current->deletes->Scan([&](const Tuple& t) { RemoveRow(&entry, t); });
     } else if (current->inserts != nullptr && !current->inserts->empty()) {
       entry.inround = true;  // inserts pending at EndRound
     }
@@ -67,14 +54,9 @@ void JoinStateCache::EndRound() {
   for (auto& [key, entry_ptr] : entries_) {
     Entry& entry = *entry_ptr;
     if (!entry.inround) continue;
-    const SlotUpdate& slot = slots_[key.first];
+    const SlotUpdate& slot = slots_[key];
     if (slot.inserts != nullptr) {
-      // A partitioned shard must not absorb another shard's rows: AddRow
-      // only sees the entry's local filters, so the partition membership
-      // check here is required for correctness.
-      slot.inserts->Scan([&](const Tuple& t) {
-        if (InPartition(key.first, t)) AddRow(&entry, t);
-      });
+      slot.inserts->Scan([&](const Tuple& t) { AddRow(&entry, t); });
     }
     // Normalized effects satisfy deletes ⊆ r and inserts ∩ r = ∅, so every
     // applied tuple bumps the relation's version exactly once.
@@ -102,33 +84,24 @@ void JoinStateCache::AbortRound() {
   slots_.clear();
 }
 
-bool JoinStateCache::Peek(uint32_t slot,
-                          const std::vector<size_t>& key_attrs) const {
-  if (!round_active_) return false;
-  auto it = entries_.find(Key{slot, key_attrs});
-  return it != entries_.end() && it->second->complete;
-}
-
-PlannerCache::Table* JoinStateCache::Lookup(
-    uint32_t slot, const std::vector<size_t>& key_attrs) {
+PlannerCache::Table* JoinStateCache::Lookup(uint32_t slot) {
   if (!round_active_) return nullptr;
-  auto it = entries_.find(Key{slot, key_attrs});
+  auto it = entries_.find(slot);
   if (it == entries_.end() || !it->second->complete) return nullptr;
   ++counters_.hits;
   it->second->last_used = ++tick_;
   return &it->second->table;
 }
 
-PlannerCache::Table* JoinStateCache::Install(
-    uint32_t slot, const std::vector<size_t>& key_attrs, const Schema& schema,
-    const std::vector<Atom>& filters) {
+PlannerCache::Table* JoinStateCache::Install(uint32_t slot,
+                                             const Schema& schema,
+                                             const std::vector<Atom>& filters) {
   if (!round_active_ || slot >= slots_.size()) return nullptr;
   ++counters_.misses;
-  auto& entry_ptr = entries_[Key{slot, key_attrs}];
+  auto& entry_ptr = entries_[slot];
   if (entry_ptr != nullptr) bytes_ -= entry_ptr->bytes;
   entry_ptr = std::make_unique<Entry>();
   Entry& entry = *entry_ptr;
-  entry.table.key_attrs = key_attrs;
   entry.schema = schema;
   entry.filters = filters;
   const SlotUpdate& current = slots_[slot];
@@ -144,15 +117,14 @@ PlannerCache::Table* JoinStateCache::Install(
   return &entry.table;
 }
 
-void JoinStateCache::CompleteInstall(uint32_t slot,
-                                     const std::vector<size_t>& key_attrs) {
-  auto it = entries_.find(Key{slot, key_attrs});
+void JoinStateCache::CompleteInstall(uint32_t slot) {
+  auto it = entries_.find(slot);
   MVIEW_CHECK(it != entries_.end(), "CompleteInstall without Install");
   Entry& entry = *it->second;
   entry.bytes = 256;  // fixed per-entry overhead
   for (size_t i = 0; i < entry.table.rows.size(); ++i) {
     entry.bytes += ApproxRowBytes(entry.table.rows[i].first);
-    if (key_attrs.empty()) entry.row_of[entry.table.rows[i].first] = i;
+    entry.row_of[entry.table.rows[i].first] = i;
   }
   entry.complete = true;
   bytes_ += entry.bytes;
@@ -163,8 +135,7 @@ void JoinStateCache::AddRow(Entry* entry, const Tuple& tuple) {
   for (const Atom& atom : entry->filters) {
     if (!atom.Evaluate(entry->schema, tuple)) return;
   }
-  const size_t row = entry->table.AddRow(tuple, 1);
-  if (entry->table.key_attrs.empty()) entry->row_of[tuple] = row;
+  entry->row_of[tuple] = entry->table.AddRow(tuple, 1);
   const size_t row_bytes = ApproxRowBytes(tuple);
   entry->bytes += row_bytes;
   bytes_ += row_bytes;
@@ -172,41 +143,17 @@ void JoinStateCache::AddRow(Entry* entry, const Tuple& tuple) {
 }
 
 void JoinStateCache::RemoveRow(Entry* entry, const Tuple& tuple) {
+  auto hit = entry->row_of.find(tuple);
+  if (hit == entry->row_of.end()) return;  // filtered out at build
+  const size_t row = hit->second;
+  entry->row_of.erase(hit);
+
+  // Swap-remove; redirect the moved last row's reverse-map slot.
   PlannerCache::Table& table = entry->table;
   auto& rows = table.rows;
-  const bool keyed = !table.key_attrs.empty();
-  size_t row = rows.size();
-  if (keyed) {
-    table.WithKeyIndex(tuple, [&](auto& index, const auto& key) {
-      auto hit = index.find(key);
-      if (hit == index.end()) return;  // filtered out at build
-      auto& bucket = hit->second;
-      auto pos = std::find_if(bucket.begin(), bucket.end(), [&](size_t i) {
-        return rows[i].first == tuple;
-      });
-      if (pos == bucket.end()) return;  // filtered out at build
-      row = *pos;
-      bucket.erase(pos);
-      if (bucket.empty()) index.erase(hit);
-    });
-  } else if (auto hit = entry->row_of.find(tuple); hit != entry->row_of.end()) {
-    row = hit->second;
-    entry->row_of.erase(hit);
-  }
-  if (row == rows.size()) return;  // filtered out at build
-
-  // Swap-remove; redirect references to the moved last row.
   const size_t last = rows.size() - 1;
   if (row != last) {
-    const Tuple& moved = rows[last].first;
-    if (keyed) {
-      table.WithKeyIndex(moved, [&](auto& index, const auto& key) {
-        auto& bucket = index[key];
-        std::replace(bucket.begin(), bucket.end(), last, row);
-      });
-    } else {
-      entry->row_of[moved] = row;
-    }
+    entry->row_of[rows[last].first] = row;
     rows[row] = std::move(rows[last]);
   }
   rows.pop_back();

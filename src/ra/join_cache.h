@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "predicate/condition.h"
@@ -25,38 +24,40 @@ struct JoinCacheCounters {
   int64_t delta_rows = 0;  // rows incrementally added/removed in entries
 };
 
-/// A cross-transaction cache of the filtered materializations and equi-join
-/// hash tables (`PlannerCache::Table`) that the SPJ planner builds for the
-/// *clean* part of a base relation.
+/// A cross-transaction cache of the filtered, keyless materializations
+/// (`PlannerCache::Table` without a key) that the SPJ planner streams at a
+/// *cross-join* step: a clean base that no equality predicate connects to
+/// the rows already bound, so no index probe applies and every delta row
+/// meets every surviving base row.
 ///
-/// The paper's differential step is O(|delta|) everywhere except here:
-/// without this cache, every maintenance round re-scans and re-hashes the
-/// full clean base into a fresh per-round `PlannerCache` — O(|base|) per
-/// commit.  This cache keeps those tables alive across rounds and updates
-/// them *with the same normalized per-base deltas the round already has*:
-/// the transaction's deletes are removed when a round opens, its inserts
-/// are added (through the entry's stored local filters) when it closes.
+/// Equi-joins never reach this cache: the maintainer indexes every
+/// equi-join attribute, so their steps probe the base's `Relation` index
+/// in O(|delta|).  A cross-join step costs O(|delta|·|base|) either way;
+/// the cache saves the per-round filtered scan of the base and lets the
+/// executor copy matched rows from a contiguous int mirror — a constant
+/// factor, not an asymptotic one (bench E16).  Its entries are updated
+/// *with the same normalized per-base deltas the round already has*: the
+/// transaction's deletes are removed when a round opens, its inserts are
+/// added (through the entry's stored local filters) when it closes.
 ///
-/// Keying and validity.  Entries are keyed by (slot, key_attrs), where
-/// `slot` is the base-occurrence index within the owning view — a stable
-/// identity, unlike the per-round `RelationInput*` the `PlannerCache` keys
-/// on — and `key_attrs` are the hash-join key attributes (empty for plain
-/// materializations).  Each entry carries the owning relation's
-/// (`uid`, `version`) observed when it was last synchronized.  Because
-/// normalized effects guarantee `inserts ∩ r = ∅` and `deletes ⊆ r`, the
-/// post-round version is exactly `pre + |deletes| + |inserts|`, so the
-/// entry's predicted version matches the relation iff the commit really
-/// applied; aborted rounds, rejected transactions, and out-of-band
-/// mutations all surface as a mismatch and the entry is lazily dropped
-/// (cold rebuild) instead of serving stale rows.
+/// Keying and validity.  Entries are keyed by `slot`, the base-occurrence
+/// index within the owning view — a stable identity, unlike the per-round
+/// `RelationInput*` the `PlannerCache` keys on.  Each entry carries the
+/// owning relation's (`uid`, `version`) observed when it was last
+/// synchronized.  Because normalized effects guarantee `inserts ∩ r = ∅`
+/// and `deletes ⊆ r`, the post-round version is exactly
+/// `pre + |deletes| + |inserts|`, so the entry's predicted version matches
+/// the relation iff the commit really applied; aborted rounds, rejected
+/// transactions, and out-of-band mutations all surface as a mismatch and
+/// the entry is lazily dropped (cold rebuild) instead of serving stale
+/// rows.
 ///
-/// Round protocol (driven by `DifferentialMaintainer::ComputeDelta`):
+/// Round protocol (driven by `DifferentialMaintainer::ComputePartition`):
 ///   1. `BeginRound(slots)` — validate every entry against its relation's
 ///      current token, drop stale ones, then apply the round's *deletes* so
 ///      entries mirror the clean pre-state `r − d` the planner expects.
-///   2. The planner calls `Peek`/`Lookup`/`Install`+`CompleteInstall`
-///      through the `RelationInput` cache binding while evaluating the
-///      delta rows.
+///   2. The planner calls `Lookup`/`Install`+`CompleteInstall` through the
+///      `RelationInput` cache binding while evaluating the delta rows.
 ///   3. `EndRound()` — apply the round's *inserts* (filtered through each
 ///      entry's stored local filters), stamp the predicted post-version,
 ///      and evict LRU entries down to the byte budget.
@@ -77,25 +78,7 @@ class JoinStateCache {
     const Relation* inserts = nullptr;  // normalized, unfiltered; may be null
   };
 
-  /// Restricts a shard to one hash partition of keyed co-partitioned
-  /// maintenance: entries hold only the rows whose slot key attribute
-  /// hashes to `slice` (of `total`), and the round protocol filters the
-  /// replayed deletes/inserts the same way.  The version stamp still uses
-  /// the *full* delta sizes — it predicts the relation's post-commit
-  /// version, which advances by every applied tuple regardless of
-  /// partition.  The default spec (`total == 1`) means no filtering.
-  struct PartitionSpec {
-    uint32_t slice = 0;
-    uint32_t total = 1;
-    /// Per base-occurrence slot: the partition-key attribute index in the
-    /// base's scheme (`kRowHashKey` for whole-tuple hashing).  May be
-    /// empty when `total == 1`.
-    std::vector<size_t> slot_key_attr;
-  };
-
   explicit JoinStateCache(size_t budget_bytes) : budget_bytes_(budget_bytes) {}
-  JoinStateCache(size_t budget_bytes, PartitionSpec spec)
-      : budget_bytes_(budget_bytes), spec_(std::move(spec)) {}
 
   JoinStateCache(const JoinStateCache&) = delete;
   JoinStateCache& operator=(const JoinStateCache&) = delete;
@@ -109,15 +92,9 @@ class JoinStateCache {
   /// predicted post-versions, and evicts down to the byte budget.
   void EndRound();
 
-  /// True when a complete entry exists for (slot, key_attrs) — used by the
-  /// planner's strategy choice without counting a hit or touching LRU.
-  bool Peek(uint32_t slot, const std::vector<size_t>& key_attrs) const;
-
-  /// Returns the live table for (slot, key_attrs) or nullptr.  Counts a
-  /// hit and refreshes the entry's LRU position.  Only valid inside a
-  /// round.
-  PlannerCache::Table* Lookup(uint32_t slot,
-                              const std::vector<size_t>& key_attrs);
+  /// Returns the live table for `slot` or nullptr.  Counts a hit and
+  /// refreshes the entry's LRU position.  Only valid inside a round.
+  PlannerCache::Table* Lookup(uint32_t slot);
 
   /// Starts installing a cold entry: returns an empty table for the caller
   /// to fill with the clean input's filtered rows, or nullptr when no
@@ -125,15 +102,13 @@ class JoinStateCache {
   /// and `filters` are the input's aliased scheme and the local filter
   /// atoms the caller applies while filling; the cache replays inserts
   /// through them on every future `EndRound`.  Counts a miss.
-  PlannerCache::Table* Install(uint32_t slot,
-                               const std::vector<size_t>& key_attrs,
-                               const Schema& schema,
+  PlannerCache::Table* Install(uint32_t slot, const Schema& schema,
                                const std::vector<Atom>& filters);
 
-  /// Finalizes the entry begun by `Install` (row accounting, reverse map
-  /// for keyless entries, eviction).  Until this is called the entry is
-  /// invisible to `Peek`/`Lookup` and dropped by the next `BeginRound`.
-  void CompleteInstall(uint32_t slot, const std::vector<size_t>& key_attrs);
+  /// Finalizes the entry begun by `Install` (row accounting, reverse map,
+  /// eviction).  Until this is called the entry is invisible to `Lookup`
+  /// and dropped by the next `BeginRound`.
+  void CompleteInstall(uint32_t slot);
 
   /// Abandons an open round without applying inserts: the entries the
   /// round touched are discarded (their deletes were already applied, so
@@ -153,8 +128,7 @@ class JoinStateCache {
     PlannerCache::Table table;
     Schema schema;              // aliased scheme of the cached input
     std::vector<Atom> filters;  // local filters applied at build time
-    // Reverse map (full tuple → row index) for keyless entries only;
-    // keyed entries locate rows through their own hash index.
+    // Reverse map (full tuple → row index) for the swap-remove.
     std::unordered_map<Tuple, size_t> row_of;
     uint64_t uid = 0;
     uint64_t version = 0;  // matching Relation::version() when !inround
@@ -164,19 +138,13 @@ class JoinStateCache {
     uint64_t last_used = 0;
   };
 
-  using Key = std::pair<uint32_t, std::vector<size_t>>;
-
   void AddRow(Entry* entry, const Tuple& tuple);
   void RemoveRow(Entry* entry, const Tuple& tuple);
   void EvictToBudget(const Entry* keep);
   static size_t ApproxRowBytes(const Tuple& tuple);
 
-  /// True when `tuple` belongs to this shard's partition for `slot`.
-  bool InPartition(uint32_t slot, const Tuple& tuple) const;
-
   size_t budget_bytes_;
-  PartitionSpec spec_;
-  std::map<Key, std::unique_ptr<Entry>> entries_;
+  std::map<uint32_t, std::unique_ptr<Entry>> entries_;
   std::vector<SlotUpdate> slots_;
   bool round_active_ = false;
   size_t bytes_ = 0;

@@ -48,10 +48,10 @@ size_t PlannerCache::Table::AddRow(const Tuple& t, int64_t count) {
   if (all_int) {
     for (size_t i = 0; i < t.size(); ++i) int_rows.push_back(t.at(i).AsInt64());
   }
-  if (!key_attrs.empty()) {
-    WithKeyIndex(t, [&](auto& index, auto key) {
-      index[std::move(key)].push_back(row);
-    });
+  if (int_keyed) {
+    int_index[t.at(key_attrs[0]).AsInt64()].push_back(row);
+  } else if (!key_attrs.empty()) {
+    index[t.Project(key_attrs)].push_back(row);
   }
   return row;
 }
@@ -198,22 +198,10 @@ void SpjExecutor::Analyze() {
     need_residual_ = cond != nullptr && cond->IsTriviallyFalse();
     return;
   }
-  // The conjunctive core: atoms appearing in every disjunct.  These are
-  // implied by the condition, so they can be enforced during the joins; the
-  // full condition is re-checked as a residual only when disjunction makes
-  // the core incomplete.
-  std::vector<Atom> core;
-  for (const auto& atom : cond->disjuncts().front().atoms) {
-    bool everywhere = true;
-    for (size_t d = 1; d < cond->disjuncts().size(); ++d) {
-      const auto& atoms = cond->disjuncts()[d].atoms;
-      if (std::find(atoms.begin(), atoms.end(), atom) == atoms.end()) {
-        everywhere = false;
-        break;
-      }
-    }
-    if (everywhere) core.push_back(atom);
-  }
+  // The conjunctive core is enforced during the joins; the full condition
+  // is re-checked as a residual only when disjunction makes the core
+  // incomplete.
+  const std::vector<Atom> core = cond->ConjunctiveCore();
   need_residual_ = cond->disjuncts().size() > 1;
 
   for (const auto& atom : core) {
@@ -304,17 +292,19 @@ bool SpjExecutor::PassesLocalFilters(const InputInfo& info,
 PlannerCache::Table* SpjExecutor::MaterializeTable(
     size_t input_id, const std::vector<size_t>& key_attrs) {
   const InputInfo& info = inputs_[input_id];
-  // Cross-round path: a clean input bound to a `JoinStateCache` keeps its
-  // table alive across maintenance rounds (keyed by its stable slot, not
-  // this per-round input object) and only pays the full scan on a cold
-  // miss; the cache replays later deltas into the installed table.
-  if (JoinStateCache* jsc = info.input->join_cache()) {
+  // Cross-round path: a cross-join step over a clean input bound to a
+  // `JoinStateCache` reuses its keyless table across maintenance rounds
+  // (keyed by its stable slot, not this per-round input object) and only
+  // pays the full scan on a cold miss; the cache replays later deltas into
+  // the installed table.
+  JoinStateCache* jsc = info.input->join_cache();
+  if (jsc != nullptr && key_attrs.empty()) {
     const uint32_t slot = info.input->cache_slot();
-    if (PlannerCache::Table* warm = jsc->Lookup(slot, key_attrs)) return warm;
-    if (PlannerCache::Table* table = jsc->Install(
-            slot, key_attrs, info.input->schema(), info.local_filters)) {
+    if (PlannerCache::Table* warm = jsc->Lookup(slot)) return warm;
+    if (PlannerCache::Table* table =
+            jsc->Install(slot, info.input->schema(), info.local_filters)) {
       FillTable(info, table);
-      jsc->CompleteInstall(slot, key_attrs);
+      jsc->CompleteInstall(slot);
       return table;
     }
     // No active round; fall through to the per-round cache.
@@ -392,8 +382,8 @@ std::vector<Link> SpjExecutor::CollectLinks(size_t input_id) const {
 // Execution.  Intermediate rows live in combined-scheme `ColumnBatch` chunks
 // carved from the arena, selections run as kernels producing selection
 // vectors, and the final projection is a column shuffle.  Each join step
-// picks a strategy (warm-peek → hash probe, index probe, cross join) and
-// multiplies counts (Section 5.2).
+// picks a strategy (index probe, hash join, cross join) and multiplies
+// counts (Section 5.2).
 
 ColumnBatch& SpjExecutor::DestBatch(std::vector<ColumnBatch>* list,
                                     bool sealed) {
@@ -545,13 +535,8 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
     return true;
   };
 
-  // Strategy selection.  A warm persistent table beats an index-probe
-  // plan — its build is already paid for and its rows are pre-filtered —
-  // so peek before deciding.
-  std::vector<size_t> key_attrs;
-  key_attrs.reserve(links.size());
-  for (const auto& l : links) key_attrs.push_back(l.local_attr);
-
+  // Strategy selection: probe the input's index from each bound row while
+  // the input outgrows the rows in flight; otherwise hash it once.
   std::optional<size_t> probe_link;
   for (size_t li = 0; li < links.size(); ++li) {
     if (info.input->CanProbe(links[li].local_attr)) {
@@ -559,15 +544,13 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
       break;
     }
   }
-  bool warm = false;
-  if (JoinStateCache* jsc = info.input->join_cache();
-      jsc != nullptr && !links.empty()) {
-    warm = jsc->Peek(info.input->cache_slot(), key_attrs);
-  }
-  bool use_index =
-      !warm && probe_link.has_value() && info.input->SizeHint() > total;
+  const bool use_index =
+      probe_link.has_value() && info.input->SizeHint() > total;
 
   if (!links.empty() && !use_index) {
+    std::vector<size_t> key_attrs;
+    key_attrs.reserve(links.size());
+    for (const auto& l : links) key_attrs.push_back(l.local_attr);
     PlannerCache::Table* table = MaterializeTable(input_id, key_attrs);
     const int64_t* mirror = table->all_int ? table->int_rows.data() : nullptr;
     auto emit_bucket = [&](const ColumnBatch& src, size_t r,

@@ -48,8 +48,9 @@ struct PlanStats {
 /// plan executions over the *same* condition (the truth-table rows of
 /// Section 5.3/5.4 all share the view condition and most inputs).  This is
 /// the paper's "re-using partial subexpressions appearing in multiple rows";
-/// bench E9 ablates it.  (The *cross-round* reuse of these tables lives in
-/// `JoinStateCache`, which keys on stable slot identities instead.)
+/// bench E9 ablates it.  (The *cross-round* reuse of keyless tables at
+/// cross-join steps lives in `JoinStateCache`, which keys on stable slot
+/// identities instead.)
 ///
 /// Entries are keyed by input identity, so a cache must never outlive the
 /// inputs it indexes, and must not be shared across different conditions.
@@ -66,7 +67,8 @@ class PlannerCache {
     // probes with an int64 straight out of a column, skipping the key-tuple
     // build and the Tuple hash; any other keyed table uses `index`, keyed
     // by the tuple of key_attrs' values.  `AddRow` and the swap-remove in
-    // JoinStateCache::RemoveRow are the only mutations of rows.
+    // JoinStateCache::RemoveRow (keyless tables only) are the only
+    // mutations of rows.
     std::unordered_map<Tuple, std::vector<size_t>> index;
     std::unordered_map<int64_t, std::vector<size_t>> int_index;
     // Flat row-major mirror of `rows`' values, populated only when
@@ -82,14 +84,6 @@ class PlannerCache {
     /// Appends `t` with multiplicity `count` to rows, its mirror and the
     /// key index; returns its row index.
     size_t AddRow(const Tuple& t, int64_t count);
-
-    /// Calls `fn(index, key)` with the table's one key index and `t`'s key
-    /// in it.  Keyed tables only.
-    template <typename Fn>
-    decltype(auto) WithKeyIndex(const Tuple& t, Fn&& fn) {
-      if (int_keyed) return fn(int_index, t.at(key_attrs[0]).AsInt64());
-      return fn(index, t.Project(key_attrs));
-    }
   };
 
   /// Returns the cached table for (input, key_attrs), or nullptr.

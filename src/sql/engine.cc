@@ -386,8 +386,7 @@ Result EngineCore::ExecuteSelect(const SelectQuery& query) {
   // Otherwise evaluate an SPJ query over base tables.
   ViewDefinition def = BuildDefinition("__query", query);
   def.Validate(db_);
-  DifferentialMaintainer evaluator(def, &db_);
-  CountedRelation out = evaluator.FullEvaluate();
+  CountedRelation out = EvaluateDefinition(def, db_);
   return RowsResult(out.schema(), out.ToSortedVector());
 }
 

@@ -1,6 +1,5 @@
 // Correctness of the columnar executor: for arbitrary workloads, the
-// materializations it maintains — with the join cache on and off — and its
-// cold FullEvaluate must equal the naive tuple-at-a-time evaluator of
+// materializations it maintains and its cold FullEvaluate must equal the naive tuple-at-a-time evaluator of
 // ra/eval.cc (`testing::NaiveEvaluate`), through DML, DDL (view
 // register/drop), REFRESH, and WAL-replay recovery.  Plus unit tests for
 // `ColumnBatch` itself.
@@ -127,8 +126,8 @@ TEST(CountedRelationSinkTest, BatchAndTupleEmissionAgree) {
 
 // ---------------------------------------------------------------------------
 // Property: maintained == naive oracle == cold FullEvaluate, step by step,
-// with the join cache on and off, on the E9/E16 workload shapes.  (The
-// tuple-at-a-time side of the test name is the naive evaluator.)
+// on the E9/E16 workload shapes.  (The tuple-at-a-time side of the test
+// name is the naive evaluator.)
 
 struct Scenario {
   const char* name;
@@ -136,12 +135,6 @@ struct Scenario {
   std::vector<std::string> projection;
   size_t num_relations;  // 1..3 (r, s, t)
 };
-
-MaintenanceOptions Opts(bool cache) {
-  MaintenanceOptions options;
-  options.enable_join_cache = cache;
-  return options;
-}
 
 class BatchIdentityTest : public ::testing::TestWithParam<Scenario> {};
 
@@ -161,11 +154,9 @@ TEST_P(BatchIdentityTest, BatchEqualsTupleEqualsFullEvaluate) {
     for (const auto& spec : specs) bases.push_back(BaseRef{spec.name, {}});
     ViewDefinition def("v", bases, sc.condition, sc.projection);
 
-    DifferentialMaintainer plain(def, &db, Opts(false));
-    DifferentialMaintainer cached(def, &db, Opts(true));
-    CountedRelation plain_view = plain.FullEvaluate();
-    CountedRelation cached_view = cached.FullEvaluate();
-    ASSERT_TRUE(plain_view.SameContents(testing::NaiveEvaluate(def, db)))
+    DifferentialMaintainer maintainer(def, &db);
+    CountedRelation view = maintainer.FullEvaluate();
+    ASSERT_TRUE(view.SameContents(testing::NaiveEvaluate(def, db)))
         << sc.name << " initial evaluation diverged at round " << round;
 
     for (int step = 0; step < 10; ++step) {
@@ -176,22 +167,17 @@ TEST_P(BatchIdentityTest, BatchEqualsTupleEqualsFullEvaluate) {
                        static_cast<size_t>(gen.rng().Uniform(0, 4)));
       }
       TransactionEffect effect = txn.Normalize(db);
-      ViewDelta plain_delta = plain.ComputeDelta(effect);
-      ViewDelta cached_delta = cached.ComputeDelta(effect);
+      ViewDelta delta = maintainer.ComputeDelta(effect);
       effect.ApplyTo(&db);
-      plain_delta.ApplyTo(&plain_view);
-      cached_delta.ApplyTo(&cached_view);
+      delta.ApplyTo(&view);
       const CountedRelation expected = testing::NaiveEvaluate(def, db);
-      ASSERT_TRUE(plain_view.SameContents(expected))
-          << sc.name << " cache-off view diverged at round " << round
-          << " step " << step << "\ngot:\n"
-          << plain_view.ToString() << "expected:\n"
+      ASSERT_TRUE(view.SameContents(expected))
+          << sc.name << " view diverged at round " << round << " step "
+          << step << "\ngot:\n"
+          << view.ToString() << "expected:\n"
           << expected.ToString();
-      ASSERT_TRUE(cached_view.SameContents(expected))
-          << sc.name << " cache-on view diverged at round " << round
-          << " step " << step;
       if (step % 3 == 2) {
-        ASSERT_TRUE(plain.FullEvaluate().SameContents(expected))
+        ASSERT_TRUE(maintainer.FullEvaluate().SameContents(expected))
             << sc.name << " cold evaluation diverged at round " << round
             << " step " << step;
       }
@@ -236,8 +222,8 @@ TEST(BatchManagerIdentityTest, DmlDdlRefreshStayIdentical) {
     ViewDefinition sel("vs", {BaseRef{"r", {}}}, "r_a0 < 8", {"r_a1"});
 
     ViewManager vm(&db);
-    vm.RegisterView(join, MaintenanceMode::kImmediate, Opts(true));
-    vm.RegisterView(sel, MaintenanceMode::kDeferred, Opts(false));
+    vm.RegisterView(join, MaintenanceMode::kImmediate, MaintenanceOptions{});
+    vm.RegisterView(sel, MaintenanceMode::kDeferred, MaintenanceOptions{});
 
     for (int step = 0; step < 12; ++step) {
       Transaction txn;
@@ -255,7 +241,8 @@ TEST(BatchManagerIdentityTest, DmlDdlRefreshStayIdentical) {
         join = ViewDefinition("vj", {BaseRef{"r", {}}, BaseRef{"s", {}}},
                               "r_a1 = s_a0 && s_a1 > 3", {"r_a0"});
         vm.DropView("vj");
-        vm.RegisterView(join, MaintenanceMode::kImmediate, Opts(true));
+        vm.RegisterView(join, MaintenanceMode::kImmediate,
+                        MaintenanceOptions{});
         ASSERT_TRUE(
             vm.View("vj").SameContents(testing::NaiveEvaluate(join, db)))
             << "re-registered vj diverged at round " << round;

@@ -1,9 +1,10 @@
-// Chaos matrix: every registry fault point × {fail-once, sticky} ×
-// {join cache on, off}, driven through a durable engine against a
-// fault-free in-memory shadow.  The invariant after disarm + recovery:
-// either the database is identical to the shadow's, or the damage is
-// contained to quarantined views that REPAIR VIEW restores — verified by a
-// full consistency scrub.  Plus the fsyncgate sticky-failure contract and
+// Chaos matrix: every registry fault point × {fail-once, sticky}, driven
+// through a durable engine against a fault-free in-memory shadow.  The
+// views cover equi joins (indexed, no join-state cache) and a non-equi
+// join whose cross-join step runs through the join-state cache.  The
+// invariant after disarm + recovery: either the database is identical to
+// the shadow's, or the damage is contained to quarantined views that
+// REPAIR VIEW restores — verified by a full consistency scrub.  Plus the fsyncgate sticky-failure contract and
 // join-cache round exception safety.
 //
 // Knobs: MVIEW_CHAOS_SEED seeds the randomized pass (printed on failure),
@@ -59,19 +60,11 @@ const char* const kAllPoints[] = {
     "checkpoint.manifest",
 };
 
-// Points whose behaviour can depend on the cross-transaction join cache;
-// only these get the cache-off dimension (the rest run cache-on only).
-bool CacheSensitive(const std::string& point) {
-  return point == "differential.eval" || point == "ra.batch.alloc" ||
-         point == "joincache.repair" ||
-         point == "viewmgr.differential.pre_apply" ||
-         point == "viewmgr.apply.serial";
-}
-
 const char* Preamble() {
   return "CREATE TABLE r (a INT64, b INT64);"
          "CREATE TABLE s (c INT64, d INT64);"
          "CREATE MATERIALIZED VIEW va AS SELECT a, d FROM r, s WHERE b = c;"
+         "CREATE MATERIALIZED VIEW vx AS SELECT a, c FROM r, s WHERE a < c;"
          "CREATE MATERIALIZED VIEW vb AS SELECT c, d FROM s WHERE c < 100;"
          "CREATE MATERIALIZED VIEW vd DEFERRED AS "
          "  SELECT a, b FROM r WHERE a < 100;"
@@ -102,26 +95,12 @@ std::vector<std::string> Workload() {
   };
 }
 
-// Re-registers every view with the cross-transaction join cache disabled
-// (definitions and modes preserved; tables are still empty at this point).
-void DisableJoinCache(Engine& engine) {
-  for (const auto& name : engine.views().ViewNames()) {
-    ViewInfo info = engine.views().Describe(name);
-    MaintenanceOptions options;
-    options.enable_join_cache = false;
-    ViewDefinition def = info.definition;
-    MaintenanceMode mode = info.mode;
-    engine.mutable_views().DropView(name);
-    engine.mutable_views().RegisterView(std::move(def), mode, options);
-  }
-}
-
 std::string Dump(Engine& engine, const char* relation) {
   return engine.Execute(std::string("SELECT * FROM ") + relation).ToString();
 }
 
 bool SameVisibleState(Engine& a, Engine& b) {
-  for (const char* rel : {"r", "s", "va", "vb", "vd"}) {
+  for (const char* rel : {"r", "s", "va", "vb", "vd", "vx"}) {
     if (Dump(a, rel) != Dump(b, rel)) return false;
   }
   return true;
@@ -156,7 +135,7 @@ void RepairRefreshAndCompare(Engine& recovered, Engine& shadow,
   // carries that commit too (acked ⊆ recovered ⊆ attempted).
   shadow.Execute(in_flight);
   shadow.Execute("REFRESH VIEW vd");
-  for (const char* rel : {"r", "s", "va", "vb", "vd"}) {
+  for (const char* rel : {"r", "s", "va", "vb", "vd", "vx"}) {
     EXPECT_EQ(Dump(recovered, rel), Dump(shadow, rel)) << "divergence in "
                                                        << rel;
   }
@@ -166,14 +145,14 @@ class ChaosMatrixTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultRegistry::Global().DisarmAll(); }
 
-  // One end-to-end scenario under an armed registry.  Returns through the
-  // acceptance check above.
-  void RunScenario(const std::vector<std::pair<std::string, FaultSpec>>& arm,
-                   bool cache, const std::string& trace) {
+  // One end-to-end scenario under an armed registry, through the
+  // acceptance check above.  Returns how many times the armed points fired.
+  int64_t RunScenario(const std::vector<std::pair<std::string, FaultSpec>>& arm,
+                      const std::string& trace) {
     const std::string dir = testing::ScratchDir();
     Engine shadow;
     shadow.ExecuteScript(Preamble());
-    if (!cache) DisableJoinCache(shadow);
+    int64_t fired = 0;
 
     std::vector<std::string> acked;
     std::string in_flight;
@@ -184,7 +163,6 @@ class ChaosMatrixTest : public ::testing::Test {
       auto storage = Storage::Open(dir, options);
       Engine engine(storage.get());
       engine.ExecuteScript(Preamble());
-      if (!cache) DisableJoinCache(engine);
 
       for (const auto& [point, spec] : arm) {
         FaultRegistry::Global().Arm(point, spec);
@@ -204,6 +182,9 @@ class ChaosMatrixTest : public ::testing::Test {
           in_flight = sql;
         }
       }
+      for (const auto& [point, spec] : arm) {
+        fired += FaultRegistry::Global().FireCount(point);
+      }
       FaultRegistry::Global().DisarmAll();
       // Scope exit: the engine closes the storage (checkpointing when the
       // log is still healthy).
@@ -218,21 +199,23 @@ class ChaosMatrixTest : public ::testing::Test {
     auto storage = Storage::Open(dir);
     Engine recovered(storage.get());
     RepairRefreshAndCompare(recovered, shadow, in_flight, trace);
+    return fired;
   }
 };
 
 TEST_F(ChaosMatrixTest, EveryFaultPointIsContained) {
   for (const char* point : kAllPoints) {
     for (bool sticky : {false, true}) {
-      for (bool cache : {true, false}) {
-        if (!cache && !CacheSensitive(point)) continue;
-        FaultSpec spec;
-        spec.kind = FaultKind::kIoError;
-        spec.sticky = sticky;
-        RunScenario({{point, spec}}, cache,
-                    std::string("point=") + point +
-                        " sticky=" + (sticky ? "1" : "0") +
-                        " cache=" + (cache ? "1" : "0"));
+      FaultSpec spec;
+      spec.kind = FaultKind::kIoError;
+      spec.sticky = sticky;
+      const int64_t fired = RunScenario(
+          {{point, spec}}, std::string("point=") + point +
+                               " sticky=" + (sticky ? "1" : "0"));
+      // vx's cross-join rounds reach the cache's repair point, so the
+      // round guard's unwind is exercised, not just armed.
+      if (std::string(point) == "joincache.repair") {
+        EXPECT_GT(fired, 0) << "sticky=" << sticky;
       }
     }
   }
@@ -251,8 +234,7 @@ TEST_F(ChaosMatrixTest, RandomizedMultiPointChaos) {
       spec.seed = static_cast<uint64_t>(seed + iter * 1000 + i);
       arm.emplace_back(kAllPoints[i], spec);
     }
-    RunScenario(arm, /*cache=*/true,
-                "MVIEW_CHAOS_SEED=" + std::to_string(seed) +
+    RunScenario(arm, "MVIEW_CHAOS_SEED=" + std::to_string(seed) +
                     " iter=" + std::to_string(iter));
   }
 }
@@ -297,7 +279,7 @@ TEST_F(ChaosMatrixTest, FsyncFailureSticksAndRecoveryReplaysAckedPrefix) {
 
   auto storage = Storage::Open(dir);
   Engine recovered(storage.get());
-  for (const char* rel : {"r", "s", "va", "vb", "vd"}) {
+  for (const char* rel : {"r", "s", "va", "vb", "vd", "vx"}) {
     EXPECT_EQ(Dump(recovered, rel), Dump(reference, rel)) << rel;
   }
 }
@@ -385,9 +367,10 @@ TEST_F(ChaosMatrixTest, ArenaFaultFailsFullEvaluationCleanly) {
   EXPECT_TRUE(SameVisibleState(recovered, reference));
 }
 
-// Satellite (b): an exception inside a join-cache round must unwind
-// through AbortRound — the next delta computation starts a fresh round
-// instead of tripping over a still-open one.
+// An exception inside a join-cache round must unwind through AbortRound —
+// the next delta computation starts a fresh round instead of tripping over
+// a still-open one.  vx (a < c) is the view with a cross-join step, so it
+// is the one whose rounds open the cache.
 TEST_F(ChaosMatrixTest, JoinCacheRoundUnwindsOnFault) {
   Engine reference;
   reference.ExecuteScript(Preamble());
@@ -395,24 +378,27 @@ TEST_F(ChaosMatrixTest, JoinCacheRoundUnwindsOnFault) {
   engine.ExecuteScript(Preamble());
   for (Engine* e : {&reference, &engine}) {
     e->Execute("INSERT INTO r VALUES (1, 10)");
-    e->Execute("INSERT INTO s VALUES (10, 100)");  // warms va's join cache
+    e->Execute("INSERT INTO s VALUES (10, 100)");  // warms vx's join cache
   }
 
   FaultSpec eio;
   eio.kind = FaultKind::kIoError;
   FaultRegistry::Global().Arm("joincache.repair", eio);
-  engine.Execute("INSERT INTO s VALUES (20, 200)");  // va quarantined
+  engine.Execute("INSERT INTO s VALUES (20, 200)");  // vx quarantined
   reference.Execute("INSERT INTO s VALUES (20, 200)");
-  EXPECT_TRUE(engine.views().IsQuarantined("va"));
+  EXPECT_EQ(FaultRegistry::Global().FireCount("joincache.repair"), 1);
+  EXPECT_TRUE(engine.views().IsQuarantined("vx"));
+  EXPECT_FALSE(engine.views().IsQuarantined("va"));
 
-  // Transient: the next commit heals va, and its join cache rounds work
+  // Transient: the next commit heals vx, and its join cache rounds work
   // again (BeginRound would throw "round already active" had the failed
   // round leaked).
   for (Engine* e : {&reference, &engine}) {
     e->Execute("INSERT INTO r VALUES (2, 20)");
     e->Execute("INSERT INTO s VALUES (30, 300)");
   }
-  EXPECT_FALSE(engine.views().IsQuarantined("va"));
+  EXPECT_FALSE(engine.views().IsQuarantined("vx"));
+  EXPECT_EQ(Dump(engine, "vx"), Dump(reference, "vx"));
   EXPECT_EQ(Dump(engine, "va"), Dump(reference, "va"));
 }
 

@@ -1,8 +1,8 @@
 // Partitioned-maintenance property tests: for every SPJ shape the paper
 // covers, a view split into P hash partitions must materialize exactly
 // what the unpartitioned pipeline and from-scratch re-evaluation produce
-// — under both delta strategies, with the cross-transaction cache on and
-// off, and with the per-partition jobs fanned over a worker pool.  The
+// — under both delta strategies, with per-round subexpression reuse on
+// and off, and with the per-partition jobs fanned over a worker pool.  The
 // checkpoint twins assert the storage-layer mirror: an engine writing
 // dirty-partition incremental checkpoints recovers byte-for-byte the
 // state a monolithic-checkpoint engine (and an undisturbed in-memory
