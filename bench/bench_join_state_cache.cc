@@ -146,24 +146,6 @@ struct Setup {
   }
 };
 
-struct Spread {
-  double median = 0;
-  double iqr = 0;
-};
-
-// Median and interquartile range (linear interpolation between ranks).
-Spread SpreadOf(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, samples.size() - 1);
-    return samples[lo] + (pos - static_cast<double>(lo)) *
-                             (samples[hi] - samples[lo]);
-  };
-  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
-}
-
 void BM_SteadyStateCommit(benchmark::State& state) {
   const auto arm = static_cast<Arm>(state.range(1));
   Setup setup(static_cast<size_t>(state.range(0)), arm);
@@ -179,6 +161,8 @@ BENCHMARK(BM_SteadyStateCommit)
 void PrintSummary() {
   using bench::FormatSeconds;
   using bench::FormatSpeedup;
+  using bench::Spread;
+  using bench::SpreadOf;
   const size_t commits = bench::Scaled(20, 2);
   const int64_t min_nanos = bench::Options().smoke ? 0 : 25'000'000;
   const int reps = bench::Options().smoke ? 2 : 7;

@@ -8,8 +8,10 @@
 //
 // Measurements:
 //  1. End-to-end: identical commit loops against fresh setups,
-//     tracer enabled vs disabled, min-of-rounds per-commit latency.  The
-//     enabled/disabled ratio is the *enabled* overhead.
+//     tracer enabled vs disabled in alternating round pairs,
+//     min-of-rounds per-commit latency.  The enabled/disabled ratio is the
+//     *enabled* overhead; the median and IQR of each pair's ratio give
+//     its spread.
 //  2. Disabled-span microbenchmark: ns per `TraceSpan` with the tracer
 //     off, times the spans-per-commit count observed in an enabled run,
 //     over the disabled per-commit time.  The end-to-end delta of the
@@ -104,23 +106,19 @@ struct EngineSetup {
   }
 };
 
-// Min over rounds, fresh setup per round so both configurations see the
-// same table-growth profile; min discards scheduler noise, which only
-// ever inflates a round.
+// Per-commit seconds of one round on a fresh setup, so both configurations
+// see the same table-growth profile.
 template <typename Setup>
-double MinTimePerCommit(bool traced, size_t rounds, size_t commits) {
-  double best = 1e99;
-  for (size_t i = 0; i < rounds; ++i) {
-    SetTracer(traced);
-    Setup setup;
-    for (size_t w = 0; w < 16; ++w) setup.Commit();  // warm the heap
-    Stopwatch timer;
-    for (size_t c = 0; c < commits; ++c) setup.Commit();
-    best = std::min(best,
-                    timer.ElapsedSeconds() / static_cast<double>(commits));
-  }
+double TimePerCommit(bool traced, size_t commits) {
+  SetTracer(traced);
+  Setup setup;
+  for (size_t w = 0; w < 16; ++w) setup.Commit();  // warm the heap
+  Stopwatch timer;
+  for (size_t c = 0; c < commits; ++c) setup.Commit();
+  const double seconds =
+      timer.ElapsedSeconds() / static_cast<double>(commits);
   obs::Tracer::Global().Disable();
-  return best;
+  return seconds;
 }
 
 // Spans recorded per commit, observed on a short enabled run.
@@ -191,16 +189,31 @@ struct Ablation {
   double t_enabled;
   double spans_per_commit;
   double enabled_pct;
+  bench::Spread paired_pct;  // enabled overhead of each round pair
   double disabled_pct;
 };
 
+// Rounds alternate disabled/enabled order in pairs.  The per-commit times
+// are the min over rounds (scheduler noise only ever inflates a round);
+// the spread is that of each pair's enabled/disabled ratio.
 template <typename Setup>
 Ablation RunAblation(size_t rounds, size_t commits, double span_ns) {
   Ablation a;
-  a.t_disabled = MinTimePerCommit<Setup>(false, rounds, commits);
-  a.t_enabled = MinTimePerCommit<Setup>(true, rounds, commits);
+  a.t_disabled = a.t_enabled = 1e99;
+  std::vector<double> paired;
+  for (size_t i = 0; i < rounds; ++i) {
+    const bool enabled_first = i % 2 == 1;
+    const double first = TimePerCommit<Setup>(enabled_first, commits);
+    const double second = TimePerCommit<Setup>(!enabled_first, commits);
+    const double off = enabled_first ? second : first;
+    const double on = enabled_first ? first : second;
+    a.t_disabled = std::min(a.t_disabled, off);
+    a.t_enabled = std::min(a.t_enabled, on);
+    paired.push_back((on / off - 1.0) * 100.0);
+  }
   a.spans_per_commit = SpansPerCommit<Setup>(std::min<size_t>(commits, 500));
   a.enabled_pct = (a.t_enabled / a.t_disabled - 1.0) * 100.0;
+  a.paired_pct = bench::SpreadOf(paired);
   a.disabled_pct =
       span_ns * a.spans_per_commit / (a.t_disabled * 1e9) * 100.0;
   return a;
@@ -208,7 +221,7 @@ Ablation RunAblation(size_t rounds, size_t commits, double span_ns) {
 
 void PrintSummary() {
   using bench::FormatSeconds;
-  const size_t rounds = bench::Scaled(7, 2);
+  const size_t rounds = bench::Scaled(11, 2);
   const size_t commits = bench::Scaled(4000, 50);
   const double span_ns = DisabledSpanNanos(bench::Scaled(20'000'000, 10'000));
 
@@ -220,6 +233,11 @@ void PrintSummary() {
     std::snprintf(buf, sizeof(buf), "%.3f%%%s", v, suffix);
     return std::string(buf);
   };
+  auto paired = [](const bench::Spread& p) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.1f%% (IQR %.1f%%)", p.median, p.iqr);
+    return std::string(buf);
+  };
   auto spans = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.1f", v);
@@ -227,16 +245,19 @@ void PrintSummary() {
   };
   bench::SummaryTable table(
       "E17: tracing overhead — per-commit latency, tracer disabled vs "
-      "enabled, min over rounds",
-      {"workload", "config", "per commit", "spans", "overhead"});
+      "enabled, min over rounds; paired = median and IQR of each round "
+      "pair's ratio",
+      {"workload", "config", "per commit", "spans", "overhead", "paired"});
   table.AddRow({"E16 indexed equi", "disabled", FormatSeconds(e16.t_disabled),
-                "-", pct(e16.disabled_pct, " (derived)")});
+                "-", pct(e16.disabled_pct, " (derived)"), "-"});
   table.AddRow({"E16 indexed equi", "enabled", FormatSeconds(e16.t_enabled),
-                spans(e16.spans_per_commit), pct(e16.enabled_pct)});
+                spans(e16.spans_per_commit), pct(e16.enabled_pct),
+                paired(e16.paired_pct)});
   table.AddRow({"engine 2 views", "disabled", FormatSeconds(eng.t_disabled),
-                "-", pct(eng.disabled_pct, " (derived)")});
+                "-", pct(eng.disabled_pct, " (derived)"), "-"});
   table.AddRow({"engine 2 views", "enabled", FormatSeconds(eng.t_enabled),
-                spans(eng.spans_per_commit), pct(eng.enabled_pct)});
+                spans(eng.spans_per_commit), pct(eng.enabled_pct),
+                paired(eng.paired_pct)});
   table.Print();
   std::printf("disabled span: %.2f ns\n\n", span_ns);
 
@@ -244,12 +265,17 @@ void PrintSummary() {
   json.Add({{"t_disabled_s", e16.t_disabled},
             {"t_enabled_s", e16.t_enabled},
             {"enabled_overhead_pct", e16.enabled_pct},
+            {"enabled_overhead_paired_median_pct", e16.paired_pct.median},
+            {"enabled_overhead_paired_iqr_pct", e16.paired_pct.iqr},
             {"disabled_overhead_pct", e16.disabled_pct},
             {"spans_per_commit", e16.spans_per_commit},
             {"disabled_span_nanos", span_ns},
             {"engine_t_disabled_s", eng.t_disabled},
             {"engine_t_enabled_s", eng.t_enabled},
             {"engine_enabled_overhead_pct", eng.enabled_pct},
+            {"engine_enabled_overhead_paired_median_pct",
+             eng.paired_pct.median},
+            {"engine_enabled_overhead_paired_iqr_pct", eng.paired_pct.iqr},
             {"engine_disabled_overhead_pct", eng.disabled_pct},
             {"engine_spans_per_commit", eng.spans_per_commit}});
   json.WriteIfRequested();

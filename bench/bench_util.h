@@ -1,6 +1,7 @@
 #ifndef MVIEW_BENCH_BENCH_UTIL_H_
 #define MVIEW_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -145,6 +146,25 @@ class SummaryTable {
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+struct Spread {
+  double median = 0;
+  double iqr = 0;
+};
+
+/// Median and interquartile range of `samples` (linear interpolation
+/// between ranks); `samples` must not be empty.
+inline Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
 
 /// Runs `fn` `reps` times and returns the average seconds per run (a
 /// single rep under --smoke).

@@ -38,6 +38,11 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+// Set once the calling thread's exit hook has run.  A span recorded after it
+// (on the main thread, by a static object's destructor at exit) is dropped
+// rather than given a ring that nothing would retire.
+thread_local bool this_thread_exited = false;
+
 }  // namespace
 
 Tracer& Tracer::Global() {
@@ -45,16 +50,70 @@ Tracer& Tracer::Global() {
   return *tracer;
 }
 
-Tracer::ThreadBuffer& Tracer::BufferForThisThread() {
-  // The shared_ptr is co-owned by the registry, so the buffer survives
-  // thread exit and stays snapshot-able until process end.
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [this] {
-    auto b = std::make_shared<ThreadBuffer>(CurrentOsTid());
+struct Tracer::ThreadState {
+  std::string name;
+  ~ThreadState() {
+    this_thread_exited = true;
+    if (this_thread_ring_ == nullptr) return;
+    Tracer::Global().Retire(this_thread_ring_);
+    this_thread_ring_ = nullptr;
+  }
+};
+
+thread_local Tracer::ThreadBuffer* Tracer::this_thread_ring_ = nullptr;
+
+Tracer::ThreadState& Tracer::ThisThread() {
+  // Constructed by the thread's first rename or span, so its destructor (the
+  // ring's retirement) runs after those of thread-locals made later.
+  thread_local ThreadState state;
+  return state;
+}
+
+Tracer::ThreadBuffer* Tracer::CreateRingForThisThread() {
+  if (this_thread_exited) return nullptr;
+  const std::string& name = ThisThread().name;
+  auto ring = std::make_unique<ThreadBuffer>(CurrentOsTid());
+  ThreadBuffer* raw = ring.get();
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    buffers_.push_back(b);
-    return b;
-  }();
-  return *buffer;
+    ring->thread_name = name;
+    rings_.push_back(std::move(ring));
+  }
+  this_thread_ring_ = raw;
+  return raw;
+}
+
+void Tracer::Retire(ThreadBuffer* ring) {
+  static_assert(sizeof(RetiredSlot) == sizeof(Slot));
+  std::unique_ptr<ThreadBuffer> owned;  // freed after the lock is dropped
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& r : rings_) {
+    if (r.get() != ring) continue;
+    owned = std::move(r);
+    r = std::move(rings_.back());
+    rings_.pop_back();
+    break;
+  }
+  // Runs on the ring's owning thread, after its last push: every slot below
+  // head is complete and nothing writes it concurrently.
+  const int64_t epoch = clear_epoch_nanos_.load(std::memory_order_relaxed);
+  const uint64_t head = ring->head.load(std::memory_order_relaxed);
+  const uint32_t thread_name_id =
+      ring->thread_name.empty() ? 0 : InternNameLocked(ring->thread_name);
+  for (uint64_t h = head - std::min<uint64_t>(head, kSlotCapacity); h < head;
+       ++h) {
+    const Slot& slot = ring->slots[h & (kSlotCapacity - 1)];
+    const int64_t start = slot.start_nanos.load(std::memory_order_relaxed);
+    if (start < epoch) continue;
+    if (retired_.empty()) retired_.resize(kSlotCapacity);
+    RetiredSlot& out = retired_[retired_head_++ & (kSlotCapacity - 1)];
+    out.start_nanos = start;
+    out.dur_nanos = slot.dur_nanos.load(std::memory_order_relaxed);
+    out.ids = slot.ids.load(std::memory_order_relaxed);
+    out.arg = slot.arg.load(std::memory_order_relaxed);
+    out.tid = static_cast<int32_t>(ring->tid);
+    out.thread_name_id = thread_name_id;
+  }
 }
 
 void Tracer::Clear() {
@@ -63,6 +122,10 @@ void Tracer::Clear() {
 
 uint32_t Tracer::InternName(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  return InternNameLocked(name);
+}
+
+uint32_t Tracer::InternNameLocked(const std::string& name) {
   auto [it, inserted] =
       name_ids_.emplace(name, static_cast<uint32_t>(names_.size()));
   if (inserted) names_.push_back(name);
@@ -71,7 +134,9 @@ uint32_t Tracer::InternName(const std::string& name) {
 
 void Tracer::Record(uint32_t name_id, int64_t start_nanos, int64_t dur_nanos,
                     uint32_t arg_name_id, int64_t arg) {
-  ThreadBuffer& buf = BufferForThisThread();
+  ThreadBuffer* ring = this_thread_ring_;
+  if (ring == nullptr && (ring = CreateRingForThisThread()) == nullptr) return;
+  ThreadBuffer& buf = *ring;
   uint64_t h = buf.head.load(std::memory_order_relaxed);
   Slot& slot = buf.slots[h & (kSlotCapacity - 1)];
   slot.seq.store(2 * h + 1, std::memory_order_relaxed);
@@ -85,41 +150,63 @@ void Tracer::Record(uint32_t name_id, int64_t start_nanos, int64_t dur_nanos,
 }
 
 void Tracer::SetCurrentThreadName(const std::string& name) {
-  ThreadBuffer& buf = BufferForThisThread();
+  ThisThread().name = name;
+  if (this_thread_ring_ == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  buf.thread_name = name;
+  this_thread_ring_->thread_name = name;
+}
+
+Tracer::RingCounts Tracer::ring_counts() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  RingCounts counts;
+  counts.live = rings_.size();
+  counts.retired = retired_.empty() ? 0 : 1;
+  return counts;
 }
 
 std::vector<TraceEvent> Tracer::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   const int64_t epoch = clear_epoch_nanos_.load(std::memory_order_relaxed);
   std::vector<TraceEvent> events;
-  for (const auto& buf : buffers_) {
+  auto emit = [&](int64_t start, int64_t dur, uint64_t ids, int64_t arg,
+                  int64_t tid, const std::string& thread_name) {
+    if (start < epoch) return;
+    TraceEvent ev;
+    ev.start_nanos = start;
+    ev.dur_nanos = dur;
+    ev.arg = arg;
+    const auto name_id = static_cast<uint32_t>(ids >> 32);
+    const auto arg_name_id = static_cast<uint32_t>(ids & 0xffffffffu);
+    if (name_id < names_.size()) ev.name = names_[name_id];
+    if (arg_name_id != 0 && arg_name_id < names_.size()) {
+      ev.arg_name = names_[arg_name_id];
+    }
+    ev.tid = tid;
+    ev.thread_name = thread_name;
+    events.push_back(std::move(ev));
+  };
+  for (const auto& buf : rings_) {
     const uint64_t head = buf->head.load(std::memory_order_acquire);
     const uint64_t count = std::min<uint64_t>(head, kSlotCapacity);
     for (uint64_t h = head - count; h < head; ++h) {
       const Slot& slot = buf->slots[h & (kSlotCapacity - 1)];
       const uint64_t expect = 2 * h + 2;
       if (slot.seq.load(std::memory_order_acquire) != expect) continue;
-      TraceEvent ev;
-      ev.start_nanos = slot.start_nanos.load(std::memory_order_relaxed);
-      ev.dur_nanos = slot.dur_nanos.load(std::memory_order_relaxed);
+      const int64_t start = slot.start_nanos.load(std::memory_order_relaxed);
+      const int64_t dur = slot.dur_nanos.load(std::memory_order_relaxed);
       const uint64_t ids = slot.ids.load(std::memory_order_relaxed);
-      ev.arg = slot.arg.load(std::memory_order_relaxed);
+      const int64_t arg = slot.arg.load(std::memory_order_relaxed);
       // Revalidate: if the owner lapped us mid-read, the fields above may
       // mix two pushes — drop the slot rather than emit garbage.
       if (slot.seq.load(std::memory_order_acquire) != expect) continue;
-      if (ev.start_nanos < epoch) continue;
-      const auto name_id = static_cast<uint32_t>(ids >> 32);
-      const auto arg_name_id = static_cast<uint32_t>(ids & 0xffffffffu);
-      if (name_id < names_.size()) ev.name = names_[name_id];
-      if (arg_name_id != 0 && arg_name_id < names_.size()) {
-        ev.arg_name = names_[arg_name_id];
-      }
-      ev.tid = buf->tid;
-      ev.thread_name = buf->thread_name;
-      events.push_back(std::move(ev));
+      emit(start, dur, ids, arg, buf->tid, buf->thread_name);
     }
+  }
+  const uint64_t retired = std::min<uint64_t>(retired_head_, retired_.size());
+  for (uint64_t h = retired_head_ - retired; h < retired_head_; ++h) {
+    const RetiredSlot& slot = retired_[h & (kSlotCapacity - 1)];
+    emit(slot.start_nanos, slot.dur_nanos, slot.ids, slot.arg, slot.tid,
+         names_[slot.thread_name_id]);
   }
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {

@@ -27,15 +27,24 @@ struct TraceEvent {
 /// Design constraints, in order:
 ///  1. Disabled cost is one relaxed atomic load and a branch — the
 ///     `TraceSpan` constructor does nothing else when tracing is off.
-///  2. Enabled recording never takes a lock.  Each thread writes completed
-///     spans into its own fixed-capacity ring buffer whose slots are made
-///     entirely of relaxed `std::atomic<uint64_t>` fields guarded by a
-///     per-slot seqlock generation counter: the single owning thread writes
-///     (odd seq → fields → even seq, release), readers validate the
-///     generation and drop torn slots.  The ring overwrites its oldest
-///     entries, bounding memory at ~`kSlotCapacity` spans per thread.
+///  2. Enabled recording never takes a lock after a thread's first span.
+///     Each thread writes completed spans into its own fixed-capacity ring
+///     buffer whose slots are made entirely of relaxed
+///     `std::atomic<uint64_t>` fields guarded by a per-slot seqlock
+///     generation counter: the single owning thread writes (odd seq →
+///     fields → even seq, release), readers validate the generation and
+///     drop torn slots.  The ring overwrites its oldest entries.
 ///  3. Exports are crash-consistent snapshots: `Snapshot()` walks every
 ///     registered buffer under the registry mutex without stopping writers.
+///
+/// Rings follow the threads that record.  A thread's ring is allocated
+/// (and registered, under the mutex) by its first recorded span, so a
+/// thread that never records while tracing is on costs nothing.  When a
+/// thread with a ring exits, its spans newer than the last `Clear()` move
+/// into one shared ring of `kSlotCapacity` slots for exited threads
+/// (keeping tid and thread name) and its own ring is freed.  Tracer memory
+/// is bounded by (live threads that have recorded + 1) rings of
+/// `kSlotCapacity` × 40 B.
 ///
 /// Span *names* are interned once per call site
 /// (`static const uint32_t id = Tracer::Global().InternName("x");`) so the
@@ -47,8 +56,16 @@ struct TraceEvent {
 /// snapshots filter out spans that started before it.
 class Tracer {
  public:
-  /// Spans each thread can hold before the ring wraps (power of two).
+  /// Spans each ring can hold before it wraps (power of two).
   static constexpr size_t kSlotCapacity = 8192;
+
+  /// The rings the tracer holds: one per live thread that has recorded a
+  /// span, plus the shared ring of exited threads' spans (0 until a thread
+  /// exits with spans newer than the last `Clear()`, then 1).
+  struct RingCounts {
+    size_t live = 0;
+    size_t retired = 0;
+  };
 
   static Tracer& Global();
 
@@ -64,13 +81,15 @@ class Tracer {
   uint32_t InternName(const std::string& name);
 
   /// Records one completed span into the calling thread's ring buffer.
-  /// Lock-free; safe from any thread, including WAL leader and pool
+  /// Lock-free once the thread has a ring (its first span allocates and
+  /// registers one); safe from any thread, including WAL leader and pool
   /// workers.  `arg_name_id` 0 means no argument.
   void Record(uint32_t name_id, int64_t start_nanos, int64_t dur_nanos,
               uint32_t arg_name_id = 0, int64_t arg = 0);
 
   /// Labels the calling thread in exports ("engine", "pool-worker-3", …).
-  /// Idempotent; takes the registry mutex.
+  /// Allocates no ring: the label is applied when the thread's first span
+  /// creates its ring, or at once (under the registry mutex) if it has one.
   void SetCurrentThreadName(const std::string& name);
 
   /// All spans recorded since the last `Clear()`, sorted by start time.
@@ -80,6 +99,8 @@ class Tracer {
   /// object form): "X" complete events with microsecond ts/dur plus "M"
   /// thread_name metadata, loadable in chrome://tracing and Perfetto.
   std::string ExportChromeJson() const;
+
+  RingCounts ring_counts() const;
 
  private:
   struct Slot {
@@ -102,14 +123,37 @@ class Tracer {
     std::string thread_name;  // written and read under Tracer::mu_
   };
 
+  // One exited thread's span in the shared retired ring.  Written and read
+  // under `mu_` only, so plain fields; the same 40 B as a `Slot`.
+  struct RetiredSlot {
+    int64_t start_nanos = 0;
+    int64_t dur_nanos = 0;
+    uint64_t ids = 0;  // as in Slot
+    int64_t arg = 0;
+    int32_t tid = 0;
+    uint32_t thread_name_id = 0;  // interned like span names
+  };
+
+  // The calling thread's label; its destructor retires the thread's ring.
+  struct ThreadState;
+
   Tracer() = default;
 
-  ThreadBuffer& BufferForThisThread();
+  static ThreadState& ThisThread();
+  // The calling thread's ring, null before its first span.  Trivially
+  // destructible, so `Record` finds it with one thread-local load.
+  static thread_local ThreadBuffer* this_thread_ring_;
+
+  ThreadBuffer* CreateRingForThisThread();
+  void Retire(ThreadBuffer* ring);
+  uint32_t InternNameLocked(const std::string& name);
 
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};
   std::atomic<int64_t> clear_epoch_nanos_{0};
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;  // under mu_
+  std::vector<std::unique_ptr<ThreadBuffer>> rings_;    // under mu_
+  std::vector<RetiredSlot> retired_;  // under mu_; empty or kSlotCapacity
+  uint64_t retired_head_ = 0;         // under mu_; monotonic push count
   std::unordered_map<std::string, uint32_t> name_ids_;  // under mu_
   std::vector<std::string> names_{""};                  // under mu_; id 0 = ""
 };

@@ -7,6 +7,7 @@
 #include "ivm/snapshot.h"
 #include "ivm/view_manager.h"
 #include "ivm_test_util.h"
+#include "test_util.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -106,6 +107,38 @@ TEST_P(JoinCachePropertyTest, WarmEqualsDisabledAcrossDdlRefreshRecovery) {
         check_shards();
       }
     }
+
+    // Swap-remove of a moved row: append a fresh r row to the cached table,
+    // delete another row (the fresh one moves into its slot), then delete
+    // the moved row, which the reverse map must find at its new slot.  An
+    // s insert that joins every r row then exposes a stale cached table.
+    auto commit = [&](const Transaction& txn, const char* what) {
+      vm->Apply(txn);
+      ASSERT_TRUE(vm->View("v").SameContents(testing::NaiveEvaluate(def, db)))
+          << sc.name << " diverged at round " << round << " after " << what;
+    };
+    const Tuple fresh = testing::T({500 + round, 500 + round});
+    Transaction warm_r;  // r clean: its cached table is built or kept warm
+    warm_r.Insert("s", testing::T({-500 - round, 9}));
+    ASSERT_NO_FATAL_FAILURE(commit(warm_r, "warming r"));
+    Transaction append;
+    append.Insert("r", fresh);
+    ASSERT_NO_FATAL_FAILURE(commit(append, "appending a row"));
+    Transaction remove_other;
+    bool picked = false;
+    db.Get("r").Scan([&](const Tuple& t) {
+      if (picked || t == fresh) return;
+      remove_other.Delete("r", t);
+      picked = true;
+    });
+    ASSERT_NO_FATAL_FAILURE(commit(remove_other, "deleting a row"));
+    Transaction remove_moved;
+    remove_moved.Delete("r", fresh);
+    ASSERT_NO_FATAL_FAILURE(commit(remove_moved, "deleting the moved row"));
+    Transaction join_all;
+    join_all.Insert("s", testing::T({1000 + round, 0}));
+    join_all.Insert("s", testing::T({-1000 - round, 0}));
+    ASSERT_NO_FATAL_FAILURE(commit(join_all, "joining every r row"));
     warm_hits += vm->Describe("v").stats.cache_hits;
   }
   if (sc.cross_join) {

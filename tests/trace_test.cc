@@ -12,9 +12,11 @@
 
 #include "json_test_util.h"
 #include "sql/engine.h"
+#include "sql/session.h"
 #include "storage/storage.h"
 #include "test_util.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace mview::obs {
 namespace {
@@ -153,9 +155,116 @@ TEST_F(TraceTest, ConcurrentWritersAndSnapshotters) {
       tids.push_back(ev.tid);
     }
   }
-  // Every span fits: per-thread ring capacity exceeds kSpansPerThread.
+  // Every span fits: the writers have exited, and the shared ring their
+  // spans retired into holds more than kThreads * kSpansPerThread.
   EXPECT_EQ(count, static_cast<size_t>(kThreads) * kSpansPerThread);
   EXPECT_EQ(tids.size(), static_cast<size_t>(kThreads));
+}
+
+// --- Ring lifecycle: rings follow the threads that record. ---
+
+bool SameRings(const Tracer::RingCounts& a, const Tracer::RingCounts& b) {
+  return a.live == b.live && a.retired == b.retired;
+}
+
+TEST_F(TraceTest, UntracedPoolWorkersAllocateNoRings) {
+  Tracer::Global().Disable();
+  const Tracer::RingCounts before = Tracer::Global().ring_counts();
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    util::ThreadPool pool(4);  // each worker names itself, then exits
+  }
+  const Tracer::RingCounts after = Tracer::Global().ring_counts();
+  EXPECT_TRUE(SameRings(before, after))
+      << "live " << before.live << " -> " << after.live << ", retired "
+      << before.retired << " -> " << after.retired;
+}
+
+TEST_F(TraceTest, UntracedEngineOpensAllocateNoRings) {
+  Tracer::Global().Disable();
+  const std::string dir = testing::ScratchDir();
+  const Tracer::RingCounts before = Tracer::Global().ring_counts();
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    // A fresh thread per open, as a server connection would have.
+    std::thread opener([&] {
+      auto storage = Storage::Open(dir);
+      sql::EngineCore core(storage.get());
+      core.SetMaintenanceParallelism(2);
+      std::unique_ptr<sql::Session> session = core.CreateSession();
+      if (cycle == 0) {
+        session->Execute("CREATE TABLE r (a INT64, b INT64)");
+        session->Execute("CREATE TABLE s (b INT64, c INT64)");
+        session->Execute(
+            "CREATE MATERIALIZED VIEW v AS SELECT * FROM r, s "
+            "WHERE r.b = s.b");
+      }
+      session->Execute("INSERT INTO r VALUES (" + std::to_string(cycle) +
+                       ", 1)");
+      session->Execute("INSERT INTO s VALUES (1, " + std::to_string(cycle) +
+                       ")");
+    });
+    opener.join();
+  }
+  const Tracer::RingCounts after = Tracer::Global().ring_counts();
+  EXPECT_TRUE(SameRings(before, after))
+      << "live " << before.live << " -> " << after.live << ", retired "
+      << before.retired << " -> " << after.retired;
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(TraceTest, ExitedThreadsShareOneRetiredRing) {
+  const uint32_t id = Tracer::Global().InternName("exiting_span");
+  const size_t live_before = Tracer::Global().ring_counts().live;
+  constexpr int kThreads = 64;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([id, t] {
+      Tracer::Global().SetCurrentThreadName("exiting-" + std::to_string(t));
+      TraceSpan span(id);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const Tracer::RingCounts after = Tracer::Global().ring_counts();
+  EXPECT_EQ(after.live, live_before);
+  EXPECT_LE(after.retired, 1u);
+
+  std::vector<std::string> names;
+  std::vector<int64_t> tids;
+  for (const auto& ev : Tracer::Global().Snapshot()) {
+    if (ev.name != "exiting_span") continue;
+    names.push_back(ev.thread_name);
+    tids.push_back(ev.tid);
+    EXPECT_GT(ev.tid, 0);
+  }
+  ASSERT_EQ(names.size(), static_cast<size_t>(kThreads));
+  std::sort(names.begin(), names.end());
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(std::binary_search(names.begin(), names.end(),
+                                   "exiting-" + std::to_string(t)))
+        << t;
+  }
+}
+
+TEST_F(TraceTest, RenameAfterFirstSpanRelabelsTheThread) {
+  const uint32_t id = Tracer::Global().InternName("renamed_span");
+  std::thread worker([id] {
+    Tracer::Global().SetCurrentThreadName("before");
+    { TraceSpan span(id); }
+    Tracer::Global().SetCurrentThreadName("after");
+    { TraceSpan span(id); }
+    for (const auto& ev : Tracer::Global().Snapshot()) {
+      if (ev.name != "renamed_span") continue;
+      EXPECT_EQ(ev.thread_name, "after");
+    }
+  });
+  worker.join();
+  // Retirement keeps the label the thread last gave itself.
+  int count = 0;
+  for (const auto& ev : Tracer::Global().Snapshot()) {
+    if (ev.name != "renamed_span") continue;
+    ++count;
+    EXPECT_EQ(ev.thread_name, "after");
+  }
+  EXPECT_EQ(count, 2);
 }
 
 // --- End-to-end: the commit path's span tree through SQL. ---
