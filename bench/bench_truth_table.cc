@@ -79,11 +79,9 @@ void PrintSummary() {
   bench::SummaryTable table(
       "E7: truth-table rows vs. k modified relations (p = 6 chain join; "
       "paper §5.3: O(2^k), not O(2^p); insert-only → exactly 2^k − 1 rows; "
-      "telescoped extension → 2k terms; both strategies timed on the same "
-      "mixed transaction, median and IQR over reps)",
+      "mixed transaction timed, median and IQR over reps)",
       {"k modified", "rows enumerated", "2^k - 1", "rows (mixed ins+del)",
-       "telescoped terms", "table time", "table IQR", "telescoped time",
-       "telescoped IQR"});
+       "table time", "table IQR"});
   const size_t max_k = bench::Scaled(6, 3);
   const size_t reps = bench::Scaled(21, 3);
   for (size_t k = 1; k <= max_k; ++k) {
@@ -100,45 +98,24 @@ void PrintSummary() {
     }
     // Mixed transactions: each touched relation has inserts AND deletes,
     // so rows multiply (choices {clean, ins, del} with the ignore rule).
-    // The telescoped strategy runs on the same transaction: 2k terms.
     TransactionEffect mixed = setup.TouchFirstK(k, true);
-    MaintenanceOptions tele = options;
-    tele.strategy = DeltaStrategy::kTelescoped;
-    DifferentialMaintainer m2(setup.maintainer->definition(), &setup.db,
-                              tele);
-    MaintenanceStats mixed_stats, tele_stats;
+    MaintenanceStats mixed_stats;
     {
       ViewDelta d = m.ComputeDelta(mixed, &mixed_stats);
-      ViewDelta d2 = m2.ComputeDelta(mixed, &tele_stats);
       benchmark::DoNotOptimize(&d);
-      benchmark::DoNotOptimize(&d2);
     }
-    std::vector<double> table_s, tele_s;
-    auto time = [&](DifferentialMaintainer& maintainer) {
-      Stopwatch timer;
-      ViewDelta d = maintainer.ComputeDelta(mixed);
-      benchmark::DoNotOptimize(&d);
-      return timer.ElapsedSeconds();
-    };
+    std::vector<double> table_s;
     for (size_t rep = 0; rep < reps; ++rep) {
-      // Alternate which strategy runs first so drift hits both alike.
-      if (rep % 2 == 0) {
-        table_s.push_back(time(m));
-        tele_s.push_back(time(m2));
-      } else {
-        tele_s.push_back(time(m2));
-        table_s.push_back(time(m));
-      }
+      Stopwatch timer;
+      ViewDelta d = m.ComputeDelta(mixed);
+      benchmark::DoNotOptimize(&d);
+      table_s.push_back(timer.ElapsedSeconds());
     }
     const bench::Spread t = bench::SpreadOf(table_s);
-    const bench::Spread te = bench::SpreadOf(tele_s);
     table.AddRow({std::to_string(k), std::to_string(ins_stats.rows_enumerated),
                   std::to_string((1 << k) - 1),
                   std::to_string(mixed_stats.rows_enumerated),
-                  std::to_string(tele_stats.rows_enumerated),
-                  bench::FormatSeconds(t.median), bench::FormatSeconds(t.iqr),
-                  bench::FormatSeconds(te.median),
-                  bench::FormatSeconds(te.iqr)});
+                  bench::FormatSeconds(t.median), bench::FormatSeconds(t.iqr)});
   }
   table.Print();
 }

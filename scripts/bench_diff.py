@@ -11,14 +11,21 @@ threshold.
 Field classification (by name, documented here because the JSON carries
 no units):
 
-* metric fields — timings (`*_ms`, `*_us`, `*_ns`, `*_seconds`, `*_s`),
-  sizes (`*_bytes`), and ratios (`*_x`, `speedup*`, `*throughput*`,
-  `*_per_sec`).  Compared with the relative threshold; direction-aware
-  (time/bytes regress upward, speedups/throughput regress downward).
+* metric fields — timings (`*_ms`, `*_us`, `*_ns`, `*_nanos`,
+  `*_seconds`, `*_s`), sizes (`*_bytes`), and ratios (`*_x`, `speedup*`,
+  `*throughput*`, `*_per_sec`).  Compared with the relative threshold;
+  direction-aware (time/bytes regress upward, speedups/throughput regress
+  downward).
+* percentage fields — `*_pct` (overheads and their spreads, lower is
+  better).  They sit near 0 and can be negative, so a ratio means
+  nothing: they are compared by absolute difference, and regress when
+  the fresh value exceeds the baseline by more than `threshold * 100`
+  percentage points (50 points at the default).
 * config fields — everything else (`rows`, `partitions`, `workers`,
-  `cores`, ...).  Must match the baseline exactly; a mismatch means the
-  workload changed and the comparison is meaningless, which is reported
-  as an error rather than a regression.
+  `cores`, counts such as `spans_per_commit`, ...).  Must match the
+  baseline exactly; a mismatch means the workload changed and the
+  comparison is meaningless, which is reported as an error rather than a
+  regression.
 
 The default threshold is deliberately generous (50%) — bench numbers on
 shared CI hosts are noisy, and the goal is catching order-of-magnitude
@@ -41,13 +48,16 @@ import subprocess
 import sys
 import tempfile
 
-LOWER_IS_BETTER = ("_ms", "_us", "_ns", "_seconds", "_s", "_sec", "_bytes")
+LOWER_IS_BETTER = ("_ms", "_us", "_ns", "_nanos", "_seconds", "_s", "_sec",
+                   "_bytes")
 HIGHER_IS_BETTER_HINTS = ("speedup", "throughput", "_per_sec", "reduction")
 
 
 def classify(name):
-    """Returns 'lower', 'higher', or 'config' for a field name."""
+    """Returns 'lower', 'higher', 'points', or 'config' for a field name."""
     lowered = name.lower()
+    if lowered.endswith("_pct"):
+        return "points"
     if any(hint in lowered for hint in HIGHER_IS_BETTER_HINTS):
         return "higher"
     if lowered.endswith("_x"):
@@ -86,6 +96,15 @@ def compare(baseline_rows, fresh_rows, threshold):
                     errors.append(
                         f"row {i}: config field '{field}' changed "
                         f"({b:g} -> {f:g}); workloads are not comparable"
+                    )
+                continue
+            if kind == "points":
+                points = f - b
+                if points > threshold * 100.0:
+                    regressions.append(
+                        f"row {i}: '{field}' {b:g} -> {f:g} "
+                        f"(+{points:.2f} points, threshold "
+                        f"{threshold * 100.0:.0f} points)"
                     )
                 continue
             if b <= 0 or f <= 0:

@@ -412,9 +412,7 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
   };
   // Deltas are streamed through `DeltaIndexInput`, which claims probe
   // support on every attribute and builds a single-attribute hash index
-  // lazily on first probe — the telescoped strategy used to *copy* each
-  // delta and eagerly rebuild all of the base's indexes on it, per term,
-  // per transaction.
+  // lazily on first probe.
   auto make_delta = [&](size_t i, const Relation* part) -> RelationInput* {
     if (part == nullptr || part->empty()) return nullptr;
     return keep(std::make_unique<DeltaIndexInput>(part, aliased_[i]));
@@ -456,9 +454,9 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
   }
 
   ViewDelta delta(output_);
+  // Shared by every row of this slice: scans and join hash tables of
+  // parts that recur across rows are built once (Section 5.4).
   PlannerCache cache;
-  PlannerCache* cache_ptr =
-      options_.reuse_subexpressions ? &cache : nullptr;
   // The slice's batch scratch: resetting recycles (and, under ASan,
   // poisons) the previous round's blocks, so every ColumnBatch allocated
   // below dies when this partition's *next* round begins.
@@ -469,85 +467,13 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
   ctx.batch_stats = &batch_stats;
   ctx.cancel = cancel;
   if (cancel != nullptr) cancel->Check();
-  if (options_.strategy == DeltaStrategy::kTelescoped) {
-    EnumerateTelescoped(clean, ins, del, a_ins, a_del, &delta, stats,
-                        cache_ptr, &ctx);
-  } else {
-    EnumerateRows(clean, ins, del, a_ins, a_del, &delta, stats, cache_ptr,
-                  &ctx);
-  }
+  EnumerateRows(clean, ins, del, a_ins, a_del, &delta, stats, &cache, &ctx);
   delta.Normalize();
   if (stats != nullptr) {
     stats->batch_batches += batch_stats.batches;
     stats->batch_rows += batch_stats.rows;
   }
   return delta;
-}
-
-void DifferentialMaintainer::EnumerateTelescoped(
-    const std::vector<RelationInput*>& clean,
-    const std::vector<RelationInput*>& ins,
-    const std::vector<RelationInput*>& del,
-    const std::vector<RelationInput*>& anchor_ins,
-    const std::vector<RelationInput*>& anchor_del, ViewDelta* delta,
-    MaintenanceStats* stats, PlannerCache* cache,
-    const EvalContext* ctx) const {
-  size_t n = def_.bases().size();
-  const Condition& condition = def_.condition();
-  bool trivially_true = condition.IsTriviallyTrue();
-
-  // old_i = clean_i ∪ d_i (the pre-change contents), new_i = clean_i ∪ i_i
-  // (the post-change contents); both degenerate to clean_i for untouched
-  // relations.  Telescoping:
-  //   Π new_i − Π old_i = Σ_j new_{<j} ⋈ (i_j − d_j) ⋈ old_{>j},
-  // so each modified relation contributes one insert-tagged and/or one
-  // delete-tagged term anchored at its small delta.  Term j is linear in
-  // that anchor, which is why a partitioned round may hand us a *sliced*
-  // anchor_ins/anchor_del while the non-anchor positions stay full.
-  std::vector<std::unique_ptr<RelationInput>> concats;
-  std::vector<const RelationInput*> old_in(n), new_in(n);
-  for (size_t i = 0; i < n; ++i) {
-    old_in[i] = clean[i];
-    if (del[i] != nullptr) {
-      concats.push_back(
-          std::make_unique<ConcatRelationInput>(clean[i], del[i]));
-      old_in[i] = concats.back().get();
-    }
-    new_in[i] = clean[i];
-    if (ins[i] != nullptr) {
-      concats.push_back(
-          std::make_unique<ConcatRelationInput>(clean[i], ins[i]));
-      new_in[i] = concats.back().get();
-    }
-  }
-
-  auto evaluate_term = [&](size_t j, const RelationInput* anchor,
-                           bool is_delete) {
-    if (stats != nullptr) ++stats->rows_enumerated;
-    std::vector<const RelationInput*> row(n);
-    for (size_t i = 0; i < j; ++i) row[i] = new_in[i];
-    row[j] = anchor;
-    for (size_t i = j + 1; i < n; ++i) row[i] = old_in[i];
-    for (const auto* input : row) {
-      if (input->SizeHint() == 0) return;
-    }
-    if (stats != nullptr) ++stats->rows_evaluated;
-    SpjQuery query;
-    query.inputs = std::move(row);
-    query.condition = trivially_true ? nullptr : &condition;
-    query.projection = def_.projection();
-    EvaluateSpjInto(query, is_delete ? &delta->deletes : &delta->inserts, 1,
-                    stats != nullptr ? &stats->plan : nullptr, cache, ctx);
-  };
-
-  for (size_t j = 0; j < n; ++j) {
-    if (anchor_ins[j] != nullptr) {
-      evaluate_term(j, anchor_ins[j], /*is_delete=*/false);
-    }
-    if (anchor_del[j] != nullptr) {
-      evaluate_term(j, anchor_del[j], /*is_delete=*/true);
-    }
-  }
 }
 
 void DifferentialMaintainer::EnumerateRows(

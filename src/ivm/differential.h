@@ -15,33 +15,14 @@
 
 namespace mview {
 
-/// How the view delta is decomposed into delta joins.
-enum class DeltaStrategy {
-  /// The paper's truth-table expansion (Section 5.3): up to `2^k − 1` rows
-  /// per tag for `k` modified relations, each row joining whole parts.
-  kTruthTable,
-  /// Telescoped decomposition — the direction of the paper's closing remark
-  /// that "efficient solutions are being investigated": the standard
-  /// rewriting  Π new_i − Π old_i = Σ_j new_{<j} ⋈ (i_j − d_j) ⋈ old_{>j},
-  /// giving at most 2k terms, each anchored at one small delta.  The two
-  /// strategies produce identical deltas (property-tested); bench E7/E9
-  /// compare their costs.
-  kTelescoped,
-};
-
-/// Tuning knobs for differential maintenance; each corresponds to a design
-/// choice the paper discusses and a benchmark ablates.
+/// Tuning knobs for differential maintenance.  Every view delta is the
+/// paper's truth table (Section 5.3) with partial subexpressions shared
+/// between its rows (Section 5.4); these two settings only choose whether
+/// the rows see screened deltas and how many slices a round is split into.
 struct MaintenanceOptions {
   /// Run Algorithm 4.1 over the transaction's tuples before re-evaluation
   /// (Section 4); off = treat every update as relevant.
   bool use_irrelevance_filter = true;
-
-  /// Share materialized scans and join hash tables across truth-table rows
-  /// (the paper's "re-using partial subexpressions", Section 5.3/5.4).
-  bool reuse_subexpressions = true;
-
-  /// Delta-join decomposition (see `DeltaStrategy`).
-  DeltaStrategy strategy = DeltaStrategy::kTruthTable;
 
   /// Split each maintenance round into this many hash partitions that can
   /// be computed independently (see `PartitionLayout` for the keyed /
@@ -295,8 +276,8 @@ class DifferentialMaintainer {
  private:
   /// Evaluates one slice of a round.  `full` supplies the clean inputs
   /// (with their subtract relations) and the deltas at non-anchoring join
-  /// positions; `anchor` supplies the delta at each truth-table row's /
-  /// telescoped term's *anchoring* position (the first non-clean choice).
+  /// positions; `anchor` supplies the delta at each truth-table row's
+  /// *anchoring* position (the first non-clean choice).
   /// Each row is linear in its anchor, so slicing only the anchor input
   /// partitions the output exactly.  Keyed mode passes the same sliced
   /// parts as both (and `slice_clean` selects `PartitionSliceInput` for
@@ -314,14 +295,6 @@ class DifferentialMaintainer {
                      const std::vector<RelationInput*>& anchor_del,
                      ViewDelta* delta, MaintenanceStats* stats,
                      PlannerCache* cache, const EvalContext* ctx) const;
-
-  void EnumerateTelescoped(const std::vector<RelationInput*>& clean,
-                           const std::vector<RelationInput*>& ins,
-                           const std::vector<RelationInput*>& del,
-                           const std::vector<RelationInput*>& anchor_ins,
-                           const std::vector<RelationInput*>& anchor_del,
-                           ViewDelta* delta, MaintenanceStats* stats,
-                           PlannerCache* cache, const EvalContext* ctx) const;
 
   void BuildShards();
 

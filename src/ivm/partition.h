@@ -27,10 +27,10 @@ namespace mview {
 ///  - **Row-hash (anchor-slice) fallback**: the general case (inequality
 ///    joins, offset joins, disjuncts with differing equalities,
 ///    single-base views).  Only the *anchoring* delta input of each
-///    truth-table row / telescoped term is sliced, by whole-tuple hash;
-///    clean inputs and non-anchor deltas stay full.  Exact because each
-///    row/term is linear in its anchor, so slicing the anchor partitions
-///    the term's output without losing cross combinations.
+///    truth-table row is sliced, by whole-tuple hash; clean inputs and
+///    non-anchor deltas stay full.  Exact because each row is linear in
+///    its anchor, so slicing the anchor partitions the row's output
+///    without losing cross combinations.
 ///
 /// Both modes merge per-partition deltas by summing signed multiplicities;
 /// `ViewDelta::Normalize` is a function of that signed measure, so the

@@ -112,33 +112,6 @@ void DeltaIndexInput::ProbeEqual(size_t attr, const Value& key,
   for (const Tuple* t : hit->second) sink.Emit(*t, 1);
 }
 
-ConcatRelationInput::ConcatRelationInput(const RelationInput* first,
-                                         const RelationInput* second)
-    : first_(first), second_(second) {
-  MVIEW_CHECK(first_ != nullptr && second_ != nullptr, "null input");
-  MVIEW_CHECK(first_->schema().size() == second_->schema().size(),
-              "concatenated inputs must share a scheme");
-}
-
-size_t ConcatRelationInput::SizeHint() const {
-  return first_->SizeHint() + second_->SizeHint();
-}
-
-void ConcatRelationInput::Scan(DeltaSink& sink) const {
-  first_->Scan(sink);
-  second_->Scan(sink);
-}
-
-bool ConcatRelationInput::CanProbe(size_t attr) const {
-  return first_->CanProbe(attr) && second_->CanProbe(attr);
-}
-
-void ConcatRelationInput::ProbeEqual(size_t attr, const Value& key,
-                                     DeltaSink& sink) const {
-  first_->ProbeEqual(attr, key, sink);
-  second_->ProbeEqual(attr, key, sink);
-}
-
 PartitionSliceInput::PartitionSliceInput(const Relation* relation,
                                          Schema schema, const Relation* minus,
                                          size_t key_attr, uint32_t slice,

@@ -133,12 +133,12 @@ class CountedRelationInput : public RelationInput {
 
 /// A small delta relation exposed with *lazy* per-attribute hash indexes.
 ///
-/// The telescoped strategy anchors each term at a delta and probes it via
-/// `ConcatRelationInput`, which is probe-capable only when both parts are.
-/// Copying the delta and eagerly rebuilding the base relation's indexes on
-/// it (the old approach) costs O(|delta| · indexes) per term per round;
-/// this input instead claims probe support on every attribute and builds a
-/// single-attribute index the first time one is actually probed.
+/// A truth-table row may join a delta at a non-anchor position, where the
+/// planner can probe it from the rows built so far.  Eagerly indexing
+/// every delta on every base index would cost O(|delta| · indexes) per
+/// round; this input instead claims probe support on every attribute and
+/// builds a single-attribute index the first time one is actually probed,
+/// so a delta that is only scanned pays nothing.
 ///
 /// Thread-safety: the lazy indexes mutate on first probe, so an instance
 /// must stay confined to the maintenance round (and thread) that created
@@ -160,25 +160,6 @@ class DeltaIndexInput : public RelationInput {
   const Relation* relation_;
   Schema schema_;
   mutable std::unordered_map<size_t, LazyIndex> indexes_;
-};
-
-/// A union of two parts streamed in sequence (e.g. the reconstructed old
-/// state `(r_now − i) ∪ d` used by deferred refresh).  The parts must have
-/// equal schemes and be disjoint.
-class ConcatRelationInput : public RelationInput {
- public:
-  ConcatRelationInput(const RelationInput* first, const RelationInput* second);
-
-  const Schema& schema() const override { return first_->schema(); }
-  size_t SizeHint() const override;
-  void Scan(DeltaSink& sink) const override;
-  bool CanProbe(size_t attr) const override;
-  void ProbeEqual(size_t attr, const Value& key,
-                  DeltaSink& sink) const override;
-
- private:
-  const RelationInput* first_;
-  const RelationInput* second_;
 };
 
 /// One hash partition of `(relation − minus)`: streams the tuples whose

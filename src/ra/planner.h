@@ -47,10 +47,10 @@ struct PlanStats {
 /// A cache of materialized scans and join hash tables shared by several
 /// plan executions over the *same* condition (the truth-table rows of
 /// Section 5.3/5.4 all share the view condition and most inputs).  This is
-/// the paper's "re-using partial subexpressions appearing in multiple rows";
-/// bench E9 ablates it.  (The *cross-round* reuse of keyless tables at
-/// cross-join steps lives in `JoinStateCache`, which keys on stable slot
-/// identities instead.)
+/// the paper's "re-using partial subexpressions appearing in multiple rows",
+/// and differential maintenance always shares one across a round's rows.
+/// (The *cross-round* reuse of keyless tables at cross-join steps lives in
+/// `JoinStateCache`, which keys on stable slot identities instead.)
 ///
 /// Entries are keyed by input identity, so a cache must never outlive the
 /// inputs it indexes, and must not be shared across different conditions.

@@ -21,7 +21,7 @@ namespace {
 // Manifest and row-segment files (see the header's format note; the
 // manifest rename is the commit point).  "3" moved segment bodies and
 // pending backlogs from the row codec to packed blocks.
-constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '3'};
+constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '4'};
 constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '3'};
 // Magic, CRC, body length.
 constexpr size_t kFramePrefix = 8 + 4 + 8;

@@ -565,8 +565,6 @@ void PutViewMeta(std::string* out, const CheckpointView& view) {
   PutString(out, view.name);
   PutU8(out, static_cast<uint8_t>(view.mode));
   PutU8(out, view.options.use_irrelevance_filter ? 1 : 0);
-  PutU8(out, view.options.reuse_subexpressions ? 1 : 0);
-  PutU8(out, static_cast<uint8_t>(view.options.strategy));
   PutU32(out, view.options.partition_count);
   PutU8(out, view.quarantined ? 1 : 0);
   PutString(out, view.quarantine_reason);
@@ -583,12 +581,6 @@ CheckpointView GetViewMeta(Reader* r) {
   }
   view.mode = static_cast<MaintenanceMode>(mode);
   view.options.use_irrelevance_filter = r->GetU8() != 0;
-  view.options.reuse_subexpressions = r->GetU8() != 0;
-  uint8_t strategy = r->GetU8();
-  if (strategy > static_cast<uint8_t>(DeltaStrategy::kTelescoped)) {
-    throw CorruptionError("storage decode: bad delta strategy tag");
-  }
-  view.options.strategy = static_cast<DeltaStrategy>(strategy);
   view.options.partition_count = r->GetU32();
   if (view.options.partition_count == 0) {
     throw CorruptionError("storage decode: zero view partition count");

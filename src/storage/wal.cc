@@ -21,7 +21,7 @@ namespace {
 // for effect rows (it was tagged 9-byte cells).  Older logs are not migrated:
 // the log is rotated away at every checkpoint, so no deployment carries a
 // long-lived WAL across versions.
-constexpr char kMagic[8] = {'M', 'V', 'W', 'A', 'L', '0', '0', '4'};
+constexpr char kMagic[8] = {'M', 'V', 'W', 'A', 'L', '0', '0', '5'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t);
 // A record larger than this cannot be legitimate; treat it as damage
 // rather than attempting a multi-gigabyte allocation.

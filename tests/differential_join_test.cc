@@ -177,26 +177,9 @@ TEST_F(JoinViewTest, NaturalJoinViaDefinitionBuilder) {
   CheckMaintenance(&db, def, txn);
 }
 
-TEST_F(JoinViewTest, TelescopedStrategyMatchesTruthTable) {
-  Transaction txn;
-  txn.Insert("R", T({7, 4}))
-      .Delete("R", T({1, 2}))
-      .Insert("S", T({9, 90}))
-      .Delete("S", T({4, 40}));
-  TransactionEffect effect = txn.Normalize(db_);
-  MaintenanceOptions table_opts, tele_opts;
-  tele_opts.strategy = DeltaStrategy::kTelescoped;
-  DifferentialMaintainer m_table(def_, &db_, table_opts);
-  DifferentialMaintainer m_tele(def_, &db_, tele_opts);
-  ViewDelta d1 = m_table.ComputeDelta(effect);
-  ViewDelta d2 = m_tele.ComputeDelta(effect);
-  EXPECT_TRUE(d1.inserts.SameContents(d2.inserts));
-  EXPECT_TRUE(d1.deletes.SameContents(d2.deletes));
-}
-
-TEST_F(JoinViewTest, TelescopedTermCountIsLinear) {
-  // k modified relations, each with inserts and deletes → 2k terms,
-  // versus the truth table's exponential row count.
+TEST_F(JoinViewTest, ThreeWayChurnOnEveryBase) {
+  // k = p = 3, each base with inserts and deletes: 2^3 − 1 insert-tagged
+  // and 2^3 − 1 delete-tagged rows; the mixed ones are never enumerated.
   MakeRelation(&db_, "U", {"C2", "D"}, {{20, 7}, {40, 8}});
   ViewDefinition def("w",
                      {BaseRef{"R", {}}, BaseRef{"S", {}}, BaseRef{"U", {}}},
@@ -205,42 +188,11 @@ TEST_F(JoinViewTest, TelescopedTermCountIsLinear) {
   txn.Insert("R", T({9, 2})).Delete("R", T({3, 4}));
   txn.Insert("S", T({5, 50})).Delete("S", T({2, 20}));
   txn.Insert("U", T({50, 9})).Delete("U", T({40, 8}));
-  TransactionEffect effect = txn.Normalize(db_);
-  MaintenanceOptions tele;
-  tele.strategy = DeltaStrategy::kTelescoped;
-  tele.use_irrelevance_filter = false;
-  DifferentialMaintainer m(def, &db_, tele);
+  MaintenanceOptions options;
+  options.use_irrelevance_filter = false;
   MaintenanceStats stats;
-  ViewDelta delta = m.ComputeDelta(effect, &stats);
-  EXPECT_EQ(stats.rows_enumerated, 6);  // 2k for k = 3
-  // And it is exact.
-  CountedRelation view = m.FullEvaluate();
-  effect.ApplyTo(&db_);
-  delta.ApplyTo(&view);
-  EXPECT_TRUE(view.SameContents(m.FullEvaluate()));
-}
-
-TEST_F(JoinViewTest, TelescopedMixedChurnEndToEnd) {
-  MaintenanceOptions tele;
-  tele.strategy = DeltaStrategy::kTelescoped;
-  Transaction txn;
-  txn.Insert("R", T({7, 4})).Delete("S", T({4, 40})).Insert("S", T({4, 41}));
-  CheckMaintenance(&db_, def_, txn, tele);
-}
-
-TEST_F(JoinViewTest, ReuseCacheMatchesNoCache) {
-  Transaction txn;
-  txn.Insert("R", T({7, 4})).Insert("S", T({2, 21})).Delete("R", T({1, 2}));
-  TransactionEffect effect = txn.Normalize(db_);
-  MaintenanceOptions with_cache;
-  MaintenanceOptions no_cache;  // NOLINT
-  no_cache.reuse_subexpressions = false;
-  DifferentialMaintainer m1(def_, &db_, with_cache);
-  DifferentialMaintainer m2(def_, &db_, no_cache);
-  ViewDelta d1 = m1.ComputeDelta(effect);
-  ViewDelta d2 = m2.ComputeDelta(effect);
-  EXPECT_TRUE(d1.inserts.SameContents(d2.inserts));
-  EXPECT_TRUE(d1.deletes.SameContents(d2.deletes));
+  CheckMaintenance(&db_, def, txn, options, &stats);
+  EXPECT_EQ(stats.rows_enumerated, 14);
 }
 
 }  // namespace

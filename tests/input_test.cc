@@ -108,30 +108,5 @@ TEST(CountedRelationInputTest, PreservesCounts) {
   EXPECT_THROW(input.ProbeEqual(0, Value(1), ignore), Error);
 }
 
-TEST(ConcatRelationInputTest, ScansBothParts) {
-  Relation a(Schema::OfInts({"A"}));
-  Fill(&a, {{1}});
-  Relation b(Schema::OfInts({"A"}));
-  Fill(&b, {{2}, {3}});
-  FullRelationInput ia(&a, a.schema());
-  FullRelationInput ib(&b, b.schema());
-  ConcatRelationInput input(&ia, &ib);
-  auto rows = Collect(input);
-  EXPECT_EQ(rows.size(), 3u);
-  EXPECT_EQ(input.SizeHint(), 3u);
-}
-
-TEST(ConcatRelationInputTest, ProbeNeedsBothSides) {
-  Relation a(Schema::OfInts({"A"}));
-  Relation b(Schema::OfInts({"A"}));
-  a.CreateIndex("A");
-  FullRelationInput ia(&a, a.schema());
-  FullRelationInput ib(&b, b.schema());
-  ConcatRelationInput input(&ia, &ib);
-  EXPECT_FALSE(input.CanProbe(0));
-  b.CreateIndex("A");
-  EXPECT_TRUE(input.CanProbe(0));
-}
-
 }  // namespace
 }  // namespace mview

@@ -78,10 +78,7 @@ class Scenario {
                             a + "_a1 = " + b + "_a0");
     };
     vm_.RegisterView(join("v_join_01", "r0", "r1"));
-    MaintenanceOptions telescoped;
-    telescoped.strategy = DeltaStrategy::kTelescoped;
-    vm_.RegisterView(join("v_join_23", "r2", "r3"),
-                     MaintenanceMode::kImmediate, telescoped);
+    vm_.RegisterView(join("v_join_23", "r2", "r3"));
     vm_.RegisterView(
         ViewDefinition::Select("v_sel_wide", "r0", "r0_a0 < 40"));
     vm_.RegisterView(

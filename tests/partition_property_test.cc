@@ -1,8 +1,7 @@
 // Partitioned-maintenance property tests: for every SPJ shape the paper
 // covers, a view split into P hash partitions must materialize exactly
-// what the unpartitioned pipeline and from-scratch re-evaluation produce
-// — under both delta strategies, with per-round subexpression reuse on
-// and off, and with the per-partition jobs fanned over a worker pool.  The
+// what the unpartitioned pipeline and the naive evaluator produce, with
+// the per-partition jobs fanned over a worker pool.  The
 // checkpoint twins assert the storage-layer mirror: an engine writing
 // dirty-partition incremental checkpoints recovers byte-for-byte the
 // state a monolithic-checkpoint engine (and an undisturbed in-memory
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "ivm/view_manager.h"
+#include "ivm_test_util.h"
 #include "sql/engine.h"
 #include "storage/checkpoint.h"
 #include "storage/storage.h"
@@ -34,18 +34,19 @@ using sql::Engine;
 
 struct Scenario {
   const char* name;
-  const char* condition;  // over r/s/t attribute names (arity 2 each)
+  const char* condition;  // over r/s/t attribute names r_a0, r_a1, ...
   std::vector<std::string> projection;
   size_t num_relations;  // 1..3 (r, s, t)
-  bool reuse_cache;
+  size_t arity = 2;      // attributes per base relation
 };
 
 class PartitionPropertyTest : public ::testing::TestWithParam<Scenario> {};
 
 // One ViewManager holds the unpartitioned baseline plus a partitioned
-// twin per {partition count} x {delta strategy} cell, so every view sees
-// the identical commit stream; all must equal the FullEvaluate oracle
-// after every transaction.
+// twin per partition count, so every view sees the identical commit
+// stream; all must equal the naive evaluation (`testing::NaiveEvaluate`,
+// which shares no code with the executor under test) after every
+// transaction.
 TEST_P(PartitionPropertyTest, PartitionedEqualsUnpartitionedEqualsOracle) {
   const Scenario& sc = GetParam();
   Rng seeds(0x9a8713c4u);
@@ -55,7 +56,7 @@ TEST_P(PartitionPropertyTest, PartitionedEqualsUnpartitionedEqualsOracle) {
     std::vector<RelationSpec> specs;
     const char* names[] = {"r", "s", "t"};
     for (size_t i = 0; i < sc.num_relations; ++i) {
-      specs.push_back({names[i], 2, 12, 40});
+      specs.push_back({names[i], sc.arity, 12, 40});
       gen.Populate(&db, specs.back());
     }
     std::vector<BaseRef> bases;
@@ -64,23 +65,14 @@ TEST_P(PartitionPropertyTest, PartitionedEqualsUnpartitionedEqualsOracle) {
     ViewManager vm(&db, /*parallelism=*/2);
     std::vector<std::string> views;
     for (uint32_t partitions : {1u, 4u, 7u}) {
-      for (DeltaStrategy strategy :
-           {DeltaStrategy::kTruthTable, DeltaStrategy::kTelescoped}) {
-        MaintenanceOptions options;
-        options.partition_count = partitions;
-        options.strategy = strategy;
-        options.reuse_subexpressions = sc.reuse_cache;
-        std::string name =
-            "v_p" + std::to_string(partitions) +
-            (strategy == DeltaStrategy::kTelescoped ? "_tele" : "_table");
-        vm.RegisterView(ViewDefinition(name, bases, sc.condition,
-                                       sc.projection),
-                        MaintenanceMode::kImmediate, options);
-        views.push_back(std::move(name));
-      }
+      MaintenanceOptions options;
+      options.partition_count = partitions;
+      std::string name = "v_p" + std::to_string(partitions);
+      vm.RegisterView(ViewDefinition(name, bases, sc.condition, sc.projection),
+                      MaintenanceMode::kImmediate, options);
+      views.push_back(std::move(name));
     }
-    DifferentialMaintainer oracle(
-        ViewDefinition("oracle", bases, sc.condition, sc.projection), &db);
+    const ViewDefinition oracle("oracle", bases, sc.condition, sc.projection);
 
     for (int step = 0; step < 8; ++step) {
       Transaction txn;
@@ -92,7 +84,7 @@ TEST_P(PartitionPropertyTest, PartitionedEqualsUnpartitionedEqualsOracle) {
         }
       }
       vm.Apply(txn);
-      CountedRelation expected = oracle.FullEvaluate();
+      const CountedRelation expected = testing::NaiveEvaluate(oracle, db);
       for (const std::string& name : views) {
         ASSERT_TRUE(vm.View(name).SameContents(expected))
             << sc.name << " " << name << " diverged at round " << round
@@ -107,21 +99,17 @@ TEST_P(PartitionPropertyTest, PartitionedEqualsUnpartitionedEqualsOracle) {
 INSTANTIATE_TEST_SUITE_P(
     ViewClasses, PartitionPropertyTest,
     ::testing::Values(
-        Scenario{"select", "r_a0 < 6", {}, 1, true},
-        Scenario{"project", "true", {"r_a1"}, 1, true},
-        Scenario{"select_project", "r_a0 >= 4", {"r_a1"}, 1, true},
-        Scenario{"join", "r_a1 = s_a0", {"r_a0", "s_a1"}, 2, true},
-        Scenario{"join_no_cache", "r_a1 = s_a0", {"r_a0", "s_a1"}, 2, false},
-        Scenario{"spj", "r_a1 = s_a0 && r_a0 < 8", {"s_a1"}, 2, true},
-        Scenario{"spj_inequality_join", "r_a0 < s_a0", {"r_a1", "s_a1"}, 2,
-                 true},
+        Scenario{"select", "r_a0 < 6", {}, 1},
+        Scenario{"project", "true", {"r_a1"}, 1},
+        Scenario{"select_project", "r_a0 >= 4", {"r_a1"}, 1},
+        Scenario{"join", "r_a1 = s_a0", {"r_a0", "s_a1"}, 2},
+        Scenario{"spj", "r_a1 = s_a0 && r_a0 < 8", {"s_a1"}, 2},
+        Scenario{"spj_inequality_join", "r_a0 < s_a0", {"r_a1", "s_a1"}, 2},
         Scenario{"spj_disjunctive",
                  "(r_a1 = s_a0 && r_a0 < 4) || (r_a1 = s_a0 && s_a1 > 8)",
-                 {"r_a0", "s_a1"}, 2, true},
+                 {"r_a0", "s_a1"}, 2},
         Scenario{"three_way_chain", "r_a1 = s_a0 && s_a1 = t_a0",
-                 {"r_a0", "t_a1"}, 3, true},
-        Scenario{"three_way_no_cache", "r_a1 = s_a0 && s_a1 = t_a0",
-                 {"r_a0", "t_a1"}, 3, false}),
+                 {"r_a0", "t_a1"}, 3}),
     [](const ::testing::TestParamInfo<Scenario>& info) {
       return info.param.name;
     });

@@ -365,5 +365,42 @@ TEST(PlannerPropertyTest, AgreesWithNaiveEvaluator) {
   }
 }
 
+// Property: on three-way joins — an equi-join chain, an equi-join with a
+// local filter on the third base (a cross-join step), an offset join with a
+// cross-input inequality, and a residual disjunction — the planner agrees
+// with the naive evaluator, which shares none of its code.
+TEST(PlannerPropertyTest, ThreeWayAgreesWithNaiveEvaluator) {
+  Rng rng(31337);
+  const char* conditions[] = {
+      "r_a1 = s_a0 && s_a1 = t_a0",
+      "r_a1 = s_a0 && t_a1 > 4",
+      "r_a1 = s_a0 + 1 && s_a1 < t_a0",
+      "(r_a1 = s_a0 && t_a0 < 3) || (r_a1 = s_a0 && r_a0 > 5)",
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    Database db;
+    WorkloadGenerator gen(rng.Next());
+    for (const char* name : {"r", "s", "t"}) {
+      gen.Populate(&db, {name, 2, 8, static_cast<size_t>(rng.Uniform(0, 25))});
+    }
+    const ViewDefinition def(
+        "v", {BaseRef{"r", {}}, BaseRef{"s", {}}, BaseRef{"t", {}}},
+        conditions[rng.Uniform(0, 3)], {"r_a0", "t_a1"});
+    FullRelationInput ir(&db.Get("r"), db.Get("r").schema());
+    FullRelationInput is(&db.Get("s"), db.Get("s").schema());
+    FullRelationInput it(&db.Get("t"), db.Get("t").schema());
+    SpjQuery q;
+    q.inputs = {&ir, &is, &it};
+    q.condition = &def.condition();
+    q.projection = def.projection();
+    const CountedRelation by_planner = EvaluateSpj(q);
+    const CountedRelation expected = testing::NaiveEvaluate(def, db);
+    ASSERT_TRUE(by_planner.SameContents(expected))
+        << def.condition().ToString() << "\nplanner:\n"
+        << by_planner.ToString() << "naive:\n"
+        << expected.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace mview

@@ -22,7 +22,6 @@ struct Scenario {
   std::vector<std::string> projection;
   size_t num_relations;    // 1..3 (r, s, t)
   bool use_filter;
-  bool reuse_cache;
 };
 
 class MaintenancePropertyTest : public ::testing::TestWithParam<Scenario> {};
@@ -46,7 +45,6 @@ TEST_P(MaintenancePropertyTest, DifferentialEqualsFullReevaluation) {
 
     MaintenanceOptions options;
     options.use_irrelevance_filter = sc.use_filter;
-    options.reuse_subexpressions = sc.reuse_cache;
 
     ViewManager vm(&db);
     vm.RegisterView(def, MaintenanceMode::kImmediate, options);
@@ -83,68 +81,27 @@ TEST_P(MaintenancePropertyTest, DifferentialEqualsFullReevaluation) {
 INSTANTIATE_TEST_SUITE_P(
     ViewClasses, MaintenancePropertyTest,
     ::testing::Values(
-        Scenario{"select", "r_a0 < 6", {}, 1, true, true},
-        Scenario{"select_no_filter", "r_a0 < 6", {}, 1, false, true},
-        Scenario{"project", "true", {"r_a1"}, 1, true, true},
-        Scenario{"select_project", "r_a0 >= 4", {"r_a1"}, 1, true, true},
-        Scenario{"join", "r_a1 = s_a0", {"r_a0", "s_a1"}, 2, true, true},
-        Scenario{"join_no_cache", "r_a1 = s_a0", {"r_a0", "s_a1"}, 2, true,
-                 false},
-        Scenario{"spj", "r_a1 = s_a0 && r_a0 < 8", {"s_a1"}, 2, true, true},
+        Scenario{"select", "r_a0 < 6", {}, 1, true},
+        Scenario{"select_no_filter", "r_a0 < 6", {}, 1, false},
+        Scenario{"project", "true", {"r_a1"}, 1, true},
+        Scenario{"select_project", "r_a0 >= 4", {"r_a1"}, 1, true},
+        Scenario{"join", "r_a1 = s_a0", {"r_a0", "s_a1"}, 2, true},
+        Scenario{"spj", "r_a1 = s_a0 && r_a0 < 8", {"s_a1"}, 2, true},
         Scenario{"spj_inequality_join", "r_a0 < s_a0", {"r_a1", "s_a1"}, 2,
-                 true, true},
-        Scenario{"spj_offset_join", "r_a1 = s_a0 + 2", {"r_a0"}, 2, true,
                  true},
+        Scenario{"spj_offset_join", "r_a1 = s_a0 + 2", {"r_a0"}, 2, true},
         Scenario{"spj_disjunctive",
                  "(r_a1 = s_a0 && r_a0 < 4) || (r_a1 = s_a0 && s_a1 > 8)",
-                 {"r_a0", "s_a1"}, 2, true, true},
+                 {"r_a0", "s_a1"}, 2, true},
         Scenario{"three_way_chain", "r_a1 = s_a0 && s_a1 = t_a0",
-                 {"r_a0", "t_a1"}, 3, true, true},
-        Scenario{"three_way_no_filter_no_cache",
-                 "r_a1 = s_a0 && s_a1 = t_a0", {"r_a0", "t_a1"}, 3, false,
-                 false},
+                 {"r_a0", "t_a1"}, 3, true},
+        Scenario{"three_way_no_filter", "r_a1 = s_a0 && s_a1 = t_a0",
+                 {"r_a0", "t_a1"}, 3, false},
         Scenario{"cross_product_select", "r_a0 = 3 && s_a1 = 4",
-                 {"r_a1", "s_a0"}, 2, true, true}),
+                 {"r_a1", "s_a0"}, 2, true}),
     [](const ::testing::TestParamInfo<Scenario>& info) {
       return info.param.name;
     });
-
-// The two delta strategies must agree on arbitrary workloads (the
-// telescoped decomposition is algebraically equal to the truth table).
-TEST(DeltaStrategyPropertyTest, TelescopedEqualsTruthTable) {
-  Rng seeds(777);
-  for (int round = 0; round < 15; ++round) {
-    Database db;
-    WorkloadGenerator gen(seeds.Next());
-    RelationSpec r{"r", 2, 12, 40}, s{"s", 2, 12, 40}, t{"t", 2, 12, 40};
-    gen.Populate(&db, r);
-    gen.Populate(&db, s);
-    gen.Populate(&db, t);
-    ViewDefinition def(
-        "v", {BaseRef{"r", {}}, BaseRef{"s", {}}, BaseRef{"t", {}}},
-        "r_a1 = s_a0 && s_a1 = t_a0 && r_a0 < 9", {"r_a0", "t_a1"});
-    MaintenanceOptions table_opts, tele_opts;
-    tele_opts.strategy = DeltaStrategy::kTelescoped;
-    DifferentialMaintainer m_table(def, &db, table_opts);
-    DifferentialMaintainer m_tele(def, &db, tele_opts);
-    for (int step = 0; step < 6; ++step) {
-      Transaction txn;
-      for (const auto& spec : {r, s, t}) {
-        gen.AddUpdates(&txn, spec,
-                       static_cast<size_t>(gen.rng().Uniform(0, 3)),
-                       static_cast<size_t>(gen.rng().Uniform(0, 3)));
-      }
-      TransactionEffect effect = txn.Normalize(db);
-      ViewDelta d1 = m_table.ComputeDelta(effect);
-      ViewDelta d2 = m_tele.ComputeDelta(effect);
-      ASSERT_TRUE(d1.inserts.SameContents(d2.inserts))
-          << "round " << round << " step " << step;
-      ASSERT_TRUE(d1.deletes.SameContents(d2.deletes))
-          << "round " << round << " step " << step;
-      effect.ApplyTo(&db);
-    }
-  }
-}
 
 // Degenerate shapes that have bitten real IVM systems.
 TEST(MaintenanceEdgeCaseTest, EmptyBaseRelations) {

@@ -339,12 +339,12 @@ TEST_F(StorageFuzzTest, ManifestWithChains) {
     for (const auto& log : view.pending) has_backlog |= !log.inserts.empty();
   }
   ASSERT_TRUE(has_backlog) << "the workload left no pending backlog";
-  const std::string framed = Frame("MVMANIF3", recorded_.manifest_body);
+  const std::string framed = Frame("MVMANIF4", recorded_.manifest_body);
   for (int64_t i = 0; i < 8 * Iterations(); ++i) {
     // Odd rounds mutate the frame too (magic, CRC, length): the reader
     // must not trust the length field either.
     const std::string file =
-        i % 2 == 0 ? Frame("MVMANIF3",
+        i % 2 == 0 ? Frame("MVMANIF4",
                            mutator_->Mutate(recorded_.manifest_body))
                    : mutator_->Mutate(framed);
     WriteFile(dir_ + "/manifest.mv", file);
@@ -401,7 +401,7 @@ TEST_F(StorageFuzzTest, TrailingBytesAfterPackedBlocksAreCorrupt) {
       CorruptionError);
 
   WriteFile(dir_ + "/manifest.mv",
-            Frame("MVMANIF3", recorded_.manifest_body + std::string(1, '\0')));
+            Frame("MVMANIF4", recorded_.manifest_body + std::string(1, '\0')));
   EXPECT_THROW(ReadManifest(dir_), CorruptionError);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -53,7 +54,7 @@ class StorageTest : public ::testing::Test {
 
   // Frames `body` as a manifest file (magic, CRC, length) and installs it.
   void WriteRawManifest(const std::string& body) {
-    std::string file = "MVMANIF3";
+    std::string file = "MVMANIF4";
     wire::PutU32(&file, Crc32(body.data(), body.size()));
     wire::PutU64(&file, body.size());
     file += body;
@@ -260,16 +261,22 @@ TEST_F(StorageTest, ReaderRejectsImpossibleCounts) {
   }
 }
 
+// A clobbered magic, and the previous format's magic (whose view meta
+// carried two more bytes), are both refused rather than decoded.
 TEST_F(StorageTest, BadHeaderMagicThrows) {
-  {
-    Wal wal(WalPath(), WalOptions{});
-    wal.Append(Effect(1));
+  for (const char* magic : {"X", "MVWAL004"}) {
+    std::filesystem::remove(WalPath());
+    {
+      Wal wal(WalPath(), WalOptions{});
+      wal.Append(Effect(1));
+    }
+    {
+      std::fstream f(WalPath(),
+                     std::ios::binary | std::ios::in | std::ios::out);
+      f.write(magic, static_cast<std::streamsize>(std::strlen(magic)));
+    }
+    EXPECT_THROW(Reopen(), CorruptionError) << magic;
   }
-  {
-    std::fstream f(WalPath(), std::ios::binary | std::ios::in | std::ios::out);
-    f.put('X');  // clobber the magic
-  }
-  EXPECT_THROW(Reopen(), CorruptionError);
 }
 
 TEST_F(StorageTest, PerCommitFsyncWhenBatchSizeIsOne) {
@@ -368,17 +375,22 @@ TEST_F(StorageTest, TornHeaderIsRecoverableWhenOptedIn) {
 }
 
 TEST_F(StorageTest, TornHeaderToleranceStillRejectsLogsWithRecords) {
-  {
-    Wal wal(WalPath(), WalOptions{});
-    wal.Append(Effect(1));
+  // A clobbered magic, or the previous format's: the record bytes remain.
+  for (const char* magic : {"X", "MVWAL004"}) {
+    std::filesystem::remove(WalPath());
+    {
+      Wal wal(WalPath(), WalOptions{});
+      wal.Append(Effect(1));
+    }
+    {
+      std::fstream f(WalPath(),
+                     std::ios::binary | std::ios::in | std::ios::out);
+      f.write(magic, static_cast<std::streamsize>(std::strlen(magic)));
+    }
+    WalOptions options;
+    options.tolerate_torn_header = true;
+    EXPECT_THROW(Reopen(options), CorruptionError) << magic;
   }
-  {
-    std::fstream f(WalPath(), std::ios::binary | std::ios::in | std::ios::out);
-    f.put('X');  // clobber the magic; the record bytes remain
-  }
-  WalOptions options;
-  options.tolerate_torn_header = true;
-  EXPECT_THROW(Reopen(options), CorruptionError);
 }
 
 class TornWritePolicy : public FailurePolicy {
@@ -518,6 +530,17 @@ TEST_F(StorageTest, CorruptCheckpointThrows) {
 
   // ... and one in the manifest fails it as soon as it is read.
   FlipLastByte(ManifestPath());
+  EXPECT_THROW(ReadManifest(dir_), CorruptionError);
+  FlipLastByte(ManifestPath());
+  ASSERT_TRUE(ReadManifest(dir_).has_value());
+
+  // A manifest under the previous format's magic is refused, not decoded,
+  // even with an intact CRC: its view meta carried two more bytes.
+  {
+    std::fstream f(ManifestPath(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.write("MVMANIF3", 8);
+  }
   EXPECT_THROW(ReadManifest(dir_), CorruptionError);
 }
 
