@@ -186,15 +186,18 @@ void Report(bench::SummaryTable* table, bench::JsonRows* json,
          p == 0 ? std::string("-") : std::to_string(phase.writes),
          p == 0 ? std::string("-")
                 : bench::FormatSpeedup(result.P99Ratio())});
+    // Counts are reported as rates over the phase, so every field but the
+    // three configuration ones names a metric and its direction for
+    // scripts/bench_diff.py.
     json->Add({{"tcp", tcp ? 1.0 : 0.0},
                {"writer", p == 0 ? 0.0 : 1.0},
                {"readers", static_cast<double>(kReaders)},
-               {"reads", static_cast<double>(phase.reads)},
-               {"read_qps", phase.Qps()},
+               {"reads_per_sec", phase.Qps()},
                {"p50_ns", static_cast<double>(phase.latency.Quantile(0.50))},
                {"p99_ns", static_cast<double>(phase.latency.Quantile(0.99))},
-               {"writes", static_cast<double>(phase.writes)},
-               {"p99_ratio", p == 0 ? 1.0 : result.P99Ratio()}});
+               {"writes_per_sec",
+                phase.seconds > 0 ? phase.writes / phase.seconds : 0},
+               {"p99_slowdown", p == 0 ? 1.0 : result.P99Ratio()}});
   }
 }
 

@@ -18,6 +18,13 @@
 //  3. Points-per-commit, counted exactly by arming the hot-path points
 //     with firing probability 0 (hits counted, nothing thrown).
 //
+// Every timing is taken over 11 rounds.  A round times the disarmed and
+// the armed commit loop back to back, in alternating order, each on a
+// fresh setup, and then the two point microbenchmarks.  The summary
+// reports each timing's median and its interquartile range as a
+// percentage of the median, and the median and IQR of each round's armed
+// overhead, as E17 does: one slow round moves neither.
+//
 // `--json <path>` writes the summary row (BENCH_E18.json in
 // EXPERIMENTS.md).
 
@@ -26,6 +33,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "ivm/differential.h"
@@ -112,22 +120,46 @@ double PointsPerCommit(size_t commits) {
   return static_cast<double>(hits) / static_cast<double>(commits);
 }
 
-// Min over rounds, fresh setup per round; min discards scheduler noise,
-// which only ever inflates a round.
-double MinTimePerCommit(bool armed, size_t rounds, size_t commits) {
-  double best = 1e99;
-  for (size_t i = 0; i < rounds; ++i) {
-    FaultRegistry::Global().DisarmAll();
-    if (armed) FaultRegistry::Global().Arm("bench.unrelated", FaultSpec{});
-    E16Setup setup;
-    for (size_t w = 0; w < 16; ++w) setup.Commit();  // warm the heap
-    Stopwatch timer;
-    for (size_t c = 0; c < commits; ++c) setup.Commit();
-    best = std::min(best,
-                    timer.ElapsedSeconds() / static_cast<double>(commits));
-  }
+// Seconds per commit over `commits` commits on a fresh setup.
+double TimePerCommit(bool armed, size_t commits) {
   FaultRegistry::Global().DisarmAll();
-  return best;
+  if (armed) FaultRegistry::Global().Arm("bench.unrelated", FaultSpec{});
+  E16Setup setup;
+  for (size_t w = 0; w < 16; ++w) setup.Commit();  // warm the heap
+  Stopwatch timer;
+  for (size_t c = 0; c < commits; ++c) setup.Commit();
+  const double t = timer.ElapsedSeconds() / static_cast<double>(commits);
+  FaultRegistry::Global().DisarmAll();
+  return t;
+}
+
+struct Rounds {
+  bench::Spread t_disarmed;  // seconds per commit
+  bench::Spread t_armed;
+  bench::Spread armed_pct;   // each round's armed overhead
+  bench::Spread point_ns;    // disarmed point
+  bench::Spread miss_ns;     // armed-miss point
+};
+
+Rounds RunRounds(size_t rounds, size_t commits, size_t micro_iters) {
+  std::vector<double> off, on, pct, point, miss;
+  for (size_t i = 0; i < rounds; ++i) {
+    const bool armed_first = i % 2 == 1;
+    const double first = TimePerCommit(armed_first, commits);
+    const double second = TimePerCommit(!armed_first, commits);
+    off.push_back(armed_first ? second : first);
+    on.push_back(armed_first ? first : second);
+    pct.push_back((on.back() / off.back() - 1.0) * 100.0);
+    point.push_back(DisabledPointNanos(micro_iters));
+    miss.push_back(ArmedMissNanos(micro_iters / 20));
+  }
+  return {bench::SpreadOf(off), bench::SpreadOf(on), bench::SpreadOf(pct),
+          bench::SpreadOf(point), bench::SpreadOf(miss)};
+}
+
+// The IQR as a percentage of the median.
+double IqrPct(const bench::Spread& s) {
+  return s.median > 0 ? s.iqr / s.median * 100.0 : 0;
 }
 
 void BM_DisabledFaultPoint(benchmark::State& state) {
@@ -149,46 +181,57 @@ BENCHMARK(BM_ArmedMissFaultPoint);
 
 void PrintSummary() {
   using bench::FormatSeconds;
-  const size_t rounds = bench::Scaled(7, 2);
+  const size_t rounds = bench::Scaled(11, 2);
   const size_t commits = bench::Scaled(4000, 50);
-  const size_t micro_iters = bench::Scaled(20'000'000, 10'000);
+  const size_t micro_iters = bench::Scaled(2'000'000, 10'000);
 
-  const double point_ns = DisabledPointNanos(micro_iters);
-  const double miss_ns = ArmedMissNanos(micro_iters / 20);
   const double points = PointsPerCommit(std::min<size_t>(commits, 500));
-  const double t_disarmed = MinTimePerCommit(false, rounds, commits);
-  const double t_armed = MinTimePerCommit(true, rounds, commits);
-
-  const double disabled_pct = point_ns * points / (t_disarmed * 1e9) * 100.0;
-  const double armed_pct = (t_armed / t_disarmed - 1.0) * 100.0;
+  const Rounds r = RunRounds(rounds, commits, micro_iters);
+  const double disabled_pct =
+      r.point_ns.median * points / (r.t_disarmed.median * 1e9) * 100.0;
 
   auto pct = [](double v, const char* suffix = "") {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.4f%%%s", v, suffix);
     return std::string(buf);
   };
+  auto time = [&](const bench::Spread& s) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), " (IQR %.1f%%)", IqrPct(s));
+    return FormatSeconds(s.median) + buf;
+  };
   char points_buf[32];
   std::snprintf(points_buf, sizeof(points_buf), "%.1f", points);
+  char paired_buf[64];
+  std::snprintf(paired_buf, sizeof(paired_buf), "%.2f%% (IQR %.2f%%)",
+                r.armed_pct.median, r.armed_pct.iqr);
   bench::SummaryTable table(
       "E18: fault-registry overhead — E16 indexed-equi per-commit latency, "
-      "registry disarmed vs armed-with-unrelated-point, min over rounds",
+      "registry disarmed vs armed-with-unrelated-point, median over "
+      "alternating rounds",
       {"config", "per commit", "points/commit", "overhead"});
-  table.AddRow({"disarmed (production)", FormatSeconds(t_disarmed),
-                points_buf, pct(disabled_pct, " (derived)")});
-  table.AddRow({"armed, no match (chaos)", FormatSeconds(t_armed), points_buf,
-                pct(armed_pct)});
+  table.AddRow({"disarmed (production)", time(r.t_disarmed), points_buf,
+                pct(disabled_pct, " (derived)")});
+  table.AddRow({"armed, no match (chaos)", time(r.t_armed), points_buf,
+                paired_buf});
   table.Print();
-  std::printf("disabled point: %.2f ns   armed-miss point: %.2f ns\n\n",
-              point_ns, miss_ns);
+  std::printf("disabled point: %.2f ns (IQR %.1f%%)   armed-miss point: "
+              "%.2f ns (IQR %.1f%%)\n\n",
+              r.point_ns.median, IqrPct(r.point_ns), r.miss_ns.median,
+              IqrPct(r.miss_ns));
 
   bench::JsonRows json;
-  json.Add({{"t_disarmed_s", t_disarmed},
-            {"t_armed_s", t_armed},
+  // The per-config IQRs stay in the table: one round's stall moves them
+  // by tens of points between runs, so they would trip the bench-diff gate
+  // on noise.
+  json.Add({{"t_disarmed_median_s", r.t_disarmed.median},
+            {"t_armed_median_s", r.t_armed.median},
             {"disabled_overhead_pct", disabled_pct},
-            {"armed_overhead_pct", armed_pct},
+            {"armed_overhead_paired_median_pct", r.armed_pct.median},
+            {"armed_overhead_paired_iqr_pct", r.armed_pct.iqr},
             {"points_per_commit", points},
-            {"disabled_point_nanos", point_ns},
-            {"armed_miss_point_nanos", miss_ns}});
+            {"disabled_point_median_nanos", r.point_ns.median},
+            {"armed_miss_point_median_nanos", r.miss_ns.median}});
   json.WriteIfRequested();
 }
 

@@ -12,10 +12,11 @@ Field classification (by name, documented here because the JSON carries
 no units):
 
 * metric fields — timings (`*_ms`, `*_us`, `*_ns`, `*_nanos`,
-  `*_seconds`, `*_s`), sizes (`*_bytes`), and ratios (`*_x`, `speedup*`,
-  `*throughput*`, `*_per_sec`).  Compared with the relative threshold;
-  direction-aware (time/bytes regress upward, speedups/throughput regress
-  downward).
+  `*_seconds`, `*_s`), sizes (`*_bytes`), slowdowns (`*_slowdown`: a
+  latency under load over the same latency without it), and ratios
+  (`*_x`, `speedup*`, `*throughput*`, `*_per_sec`).  Compared with the
+  relative threshold; direction-aware (time/bytes/slowdowns regress
+  upward, speedups/throughput regress downward).
 * percentage fields — `*_pct` (overheads and their spreads, lower is
   better).  They sit near 0 and can be negative, so a ratio means
   nothing: they are compared by absolute difference, and regress when
@@ -49,7 +50,7 @@ import sys
 import tempfile
 
 LOWER_IS_BETTER = ("_ms", "_us", "_ns", "_nanos", "_seconds", "_s", "_sec",
-                   "_bytes")
+                   "_bytes", "_slowdown")
 HIGHER_IS_BETTER_HINTS = ("speedup", "throughput", "_per_sec", "reduction")
 
 

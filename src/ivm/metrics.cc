@@ -147,6 +147,22 @@ std::string ScrubMetrics::ToJson() const {
   return os.str();
 }
 
+std::string RowStoreMetrics::ToJson() const {
+  std::ostringstream os;
+  os << "{";
+  const char* sep = "";
+  for (const auto& [name, bytes] :
+       {std::pair<const char*, const RowStoreBytes*>("bases", &bases),
+        {"views", &views},
+        {"spares", &spares}}) {
+    os << sep << "\"" << name << "\": {\"mapped_bytes\": " << bytes->mapped
+       << ", \"live_bytes\": " << bytes->live << "}";
+    sep = ", ";
+  }
+  os << "}";
+  return os.str();
+}
+
 std::string StorageMetrics::ToJson() const {
   std::ostringstream os;
   os << "{\"wal_appends\": " << wal_appends
@@ -211,6 +227,7 @@ std::string MetricsRegistry::ToJson() const {
      << ", \"scrub\": " << scrub_.ToJson()
      << ", \"sessions\": " << sessions_.ToJson()
      << ", \"admission\": " << admission_.ToJson()
+     << ", \"row_store\": " << row_store_.ToJson()
      << ", \"global\": " << Aggregate().ToJson()
      << ", \"retired\": " << retired_.ToJson() << ", \"views\": {";
   bool first = true;

@@ -11,6 +11,7 @@
 #include "ivm/differential.h"
 #include "obs/histogram.h"
 #include "obs/session_stats.h"
+#include "relational/row_store.h"
 
 namespace mview {
 
@@ -95,6 +96,26 @@ struct PoolMetrics {
   int64_t active_workers = 0;  // tasks currently executing
 
   /// `{"workers": …, "queue_depth": …, "active_workers": …}`.
+  std::string ToJson() const;
+};
+
+/// Row-store gauges: the bytes stored rows hold, by owner — the base
+/// relations, the views' current materializations (shared with the
+/// published epoch) and the views' retired epoch spares.  Per owner,
+/// `mapped` is what the row stores mapped themselves and `live` the slot
+/// bytes of the rows they hold, so an operator can set resident memory
+/// against the rows it keeps.  Refreshed by
+/// `ViewManager::SyncRowStoreMetrics()` before stats are rendered — like
+/// `PoolMetrics` this struct is just the last snapshot.  Surfaced under the
+/// "row_store" key of `SHOW STATS JSON`, `*`-scoped rows of the long
+/// format, and the `mview_row_store_*` Prometheus families.
+struct RowStoreMetrics {
+  RowStoreBytes bases;
+  RowStoreBytes views;
+  RowStoreBytes spares;
+
+  /// `{"bases": {"mapped_bytes": …, "live_bytes": …}, "views": {…},
+  ///   "spares": {…}}`.
   std::string ToJson() const;
 };
 
@@ -224,6 +245,9 @@ class MetricsRegistry {
   AdmissionMetrics& admission() { return admission_; }
   const AdmissionMetrics& admission() const { return admission_; }
 
+  RowStoreMetrics& row_store() { return row_store_; }
+  const RowStoreMetrics& row_store() const { return row_store_; }
+
   /// Metrics accumulated by views dropped since session start.
   const ViewMetrics& retired() const { return retired_; }
 
@@ -235,7 +259,8 @@ class MetricsRegistry {
   /// `{"commits": …, "normalize_nanos": …, "base_apply_nanos": …,
   ///   "epochs_published": …, "snapshot_reuses": …, "snapshot_copies": …,
   ///   "commit_latency": {…}, "storage": {…}, "pool": {…}, "scrub": {…},
-  ///   "sessions": {…}, "admission": {…}, "global": {…}, "retired": {…},
+  ///   "sessions": {…}, "admission": {…}, "row_store": {…},
+  ///   "global": {…}, "retired": {…},
   ///   "views": {"name": {…}, …}}`.
   std::string ToJson() const;
 
@@ -248,6 +273,7 @@ class MetricsRegistry {
   ScrubMetrics scrub_;
   SessionMetrics sessions_;
   AdmissionMetrics admission_;
+  RowStoreMetrics row_store_;
 };
 
 }  // namespace mview

@@ -262,6 +262,18 @@ void ViewManager::SyncPoolMetrics() {
   pm.active_workers = static_cast<int64_t>(g.active);
 }
 
+void ViewManager::SyncRowStoreMetrics() {
+  RowStoreMetrics& rs = metrics_.row_store();
+  rs = RowStoreMetrics{};
+  for (const std::string& name : db_->Names()) {
+    rs.bases += db_->Get(name).memory();
+  }
+  for (const auto& [name, view] : views_) {
+    if (view->materialized != nullptr) rs.views += view->materialized->memory();
+    if (view->spare != nullptr) rs.spares += view->spare->memory();
+  }
+}
+
 void ViewManager::Apply(const Transaction& txn) {
   Stopwatch timer;
   TransactionEffect effect = txn.Normalize(*db_);

@@ -423,6 +423,11 @@ class ViewManager {
   /// rendered; samples under the pool's mutex.
   void SyncPoolMetrics();
 
+  /// Refreshes `metrics().row_store()` with the bytes held by the base
+  /// relations, the views and their epoch spares.  Called before stats are
+  /// rendered, on the thread that may read every relation.
+  void SyncRowStoreMetrics();
+
   /// Installs a view with an exact previously-captured state instead of
   /// evaluating it: `materialized` becomes the view's contents verbatim and
   /// `pending` (deferred mode; one log per base occurrence, may be empty

@@ -339,6 +339,18 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
   Family(os, "mview_deadline_exceeded_total", "counter",
          "Statements unwound by an expired deadline")
       .Sample("", admission.deadline_exceeded);
+
+  const RowStoreMetrics& row_store = registry.row_store();
+  const std::pair<const char*, const RowStoreBytes*> owners[] = {
+      {"{owner=\"bases\"}", &row_store.bases},
+      {"{owner=\"views\"}", &row_store.views},
+      {"{owner=\"spares\"}", &row_store.spares}};
+  Family mapped(os, "mview_row_store_mapped_bytes", "gauge",
+                "Bytes the row stores mapped for stored rows and tables");
+  for (const auto& [label, bytes] : owners) mapped.Sample(label, bytes->mapped);
+  Family live(os, "mview_row_store_live_bytes", "gauge",
+              "Slot bytes of the rows stored");
+  for (const auto& [label, bytes] : owners) live.Sample(label, bytes->live);
   return os.str();
 }
 

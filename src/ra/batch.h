@@ -29,8 +29,8 @@ namespace mview {
 ///     the paper's domains are integer-valued), so selection and join-key
 ///     computation run as tight loops over machine words;
 ///   - `kString` attributes are an array of *borrowed* `std::string_view`s
-///     into the scanned relations' node-stable rows (a row's value array
-///     never moves while the row is stored), so strings are never copied
+///     into the scanned relations' slot-stable rows (a row's values never
+///     move while the row is stored), so strings are never copied
 ///     while a row is in flight — only a surviving output row materializes
 ///     its strings into the result `Tuple`;
 ///   - every row carries its multiplicity in a `counts` column

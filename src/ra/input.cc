@@ -35,9 +35,7 @@ bool FullRelationInput::CanProbe(size_t attr) const {
 
 void FullRelationInput::ProbeEqual(size_t attr, const Value& key,
                                    DeltaSink& sink) const {
-  const auto* hits = relation_->Probe(attr, key);
-  if (hits == nullptr) return;
-  for (const Tuple* t : *hits) sink.Emit(*t, 1);
+  for (const Tuple& t : relation_->Probe(attr, key)) sink.Emit(t, 1);
 }
 
 SubtractRelationInput::SubtractRelationInput(const Relation* relation,
@@ -67,10 +65,8 @@ bool SubtractRelationInput::CanProbe(size_t attr) const {
 
 void SubtractRelationInput::ProbeEqual(size_t attr, const Value& key,
                                        DeltaSink& sink) const {
-  const auto* hits = relation_->Probe(attr, key);
-  if (hits == nullptr) return;
-  for (const Tuple* t : *hits) {
-    if (!minus_->Contains(*t)) sink.Emit(*t, 1);
+  for (const Tuple& t : relation_->Probe(attr, key)) {
+    if (!minus_->Contains(t)) sink.Emit(t, 1);
   }
 }
 
@@ -102,7 +98,7 @@ void DeltaIndexInput::ProbeEqual(size_t attr, const Value& key,
   auto [it, created] = indexes_.try_emplace(attr);
   if (created) {
     // First probe on this attribute: build the index once, O(|delta|).
-    // Tuple pointers reference the relation's stable set nodes.
+    // Tuple pointers reference the relation's stored rows.
     it->second.reserve(relation_->size());
     relation_->Scan(
         [&](const Tuple& t) { it->second[t.at(attr)].push_back(&t); });
@@ -156,12 +152,10 @@ bool PartitionSliceInput::CanProbe(size_t attr) const {
 
 void PartitionSliceInput::ProbeEqual(size_t attr, const Value& key,
                                      DeltaSink& sink) const {
-  const auto* hits = relation_->Probe(attr, key);
-  if (hits == nullptr) return;
-  for (const Tuple* t : *hits) {
-    if (!InSlice(*t)) continue;
-    if (minus_ != nullptr && minus_->Contains(*t)) continue;
-    sink.Emit(*t, 1);
+  for (const Tuple& t : relation_->Probe(attr, key)) {
+    if (!InSlice(t)) continue;
+    if (minus_ != nullptr && minus_->Contains(t)) continue;
+    sink.Emit(t, 1);
   }
 }
 

@@ -16,57 +16,70 @@ uint64_t Relation::NextUid() {
 bool Relation::Insert(const Tuple& tuple) {
   MVIEW_CHECK(tuple.size() == schema_.size(), "tuple arity ", tuple.size(),
               " does not match scheme ", schema_.ToString());
-  auto [it, inserted] = rows_.insert(tuple);
+  // Make room in every index first, so linking the new row cannot fail.
+  for (Index& index : indexes_) {
+    index.next.Cover(size_t{rows_.id_bound()} + 1);
+    index.heads.Reserve(index.heads.size() + 1, [&](uint32_t id) {
+      return Key(id, index.attr).Hash();
+    });
+  }
+  const auto [id, inserted] = rows_.Insert(tuple);
   if (inserted) {
     ++version_;
-    for (auto& [attr, index] : indexes_) IndexInsert(&index, attr, *it);
+    for (Index& index : indexes_) Link(&index, id);
   }
   return inserted;
 }
 
 bool Relation::Erase(const Tuple& tuple) {
-  auto it = rows_.find(tuple);
-  if (it == rows_.end()) return false;
+  const uint32_t id = rows_.Find(tuple);
+  if (id == RowStore::kNone) return false;
   ++version_;
-  for (auto& [attr, index] : indexes_) IndexErase(&index, attr, *it);
-  rows_.erase(it);
+  for (Index& index : indexes_) Unlink(&index, id);
+  rows_.Erase(id);
   return true;
 }
 
 void Relation::Scan(const std::function<void(const Tuple&)>& fn) const {
-  for (const auto& t : rows_) fn(t);
+  rows_.ForEach([&](uint32_t id) { fn(rows_.Row(id)); });
 }
 
 void Relation::CreateIndex(const std::string& attribute) {
-  size_t attr = schema_.MustIndexOf(attribute);
   Index index;
-  for (const auto& t : rows_) IndexInsert(&index, attr, t);
-  indexes_[attr] = std::move(index);
+  index.attr = schema_.MustIndexOf(attribute);
+  index.next.Cover(rows_.id_bound());
+  rows_.ForEach([&](uint32_t id) { Link(&index, id); });
+  auto it = std::lower_bound(
+      indexes_.begin(), indexes_.end(), index.attr,
+      [](const Index& i, size_t attr) { return i.attr < attr; });
+  if (it != indexes_.end() && it->attr == index.attr) {
+    *it = std::move(index);
+  } else {
+    indexes_.insert(it, std::move(index));
+  }
 }
 
 bool Relation::HasIndex(size_t attr_index) const {
-  return indexes_.count(attr_index) > 0;
+  return FindIndex(attr_index) != nullptr;
 }
 
 std::vector<size_t> Relation::IndexedAttributes() const {
   std::vector<size_t> attrs;
   attrs.reserve(indexes_.size());
-  for (const auto& [attr, index] : indexes_) attrs.push_back(attr);
-  std::sort(attrs.begin(), attrs.end());
+  for (const Index& index : indexes_) attrs.push_back(index.attr);
   return attrs;
 }
 
-const std::vector<const Tuple*>* Relation::Probe(size_t attr_index,
-                                                 const Value& key) const {
-  auto it = indexes_.find(attr_index);
-  MVIEW_CHECK(it != indexes_.end(), "no index on attribute #", attr_index);
-  auto hit = it->second.find(key);
-  if (hit == it->second.end()) return nullptr;
-  return &hit->second;
+RowChain Relation::Probe(size_t attr_index, const Value& key) const {
+  const Index* index = FindIndex(attr_index);
+  MVIEW_CHECK(index != nullptr, "no index on attribute #", attr_index);
+  return RowChain(&rows_, &index->next, Head(*index, key));
 }
 
 std::vector<Tuple> Relation::ToSortedVector() const {
-  std::vector<Tuple> out(rows_.begin(), rows_.end());
+  std::vector<Tuple> out;
+  out.reserve(size());
+  Scan([&](const Tuple& t) { out.push_back(t); });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -77,102 +90,146 @@ std::string Relation::ToString() const {
   return os.str();
 }
 
-void Relation::IndexInsert(Index* index, size_t attr, const Tuple& stored) {
-  (*index)[stored.at(attr)].push_back(&stored);
+RowStoreBytes Relation::memory() const {
+  RowStoreBytes bytes = rows_.bytes();
+  for (const Index& index : indexes_) {
+    bytes.mapped += index.heads.mapped_bytes() + index.next.mapped_bytes();
+  }
+  return bytes;
 }
 
-void Relation::IndexErase(Index* index, size_t attr, const Tuple& tuple) {
-  auto it = index->find(tuple.at(attr));
-  if (it == index->end()) return;
-  auto& vec = it->second;
-  for (size_t i = 0; i < vec.size(); ++i) {
-    if (*vec[i] == tuple) {
-      vec[i] = vec.back();
-      vec.pop_back();
-      break;
-    }
+const Relation::Index* Relation::FindIndex(size_t attr) const {
+  for (const Index& index : indexes_) {
+    if (index.attr == attr) return &index;
   }
-  if (vec.empty()) index->erase(it);
+  return nullptr;
+}
+
+uint32_t Relation::Head(const Index& index, const Value& key) const {
+  return index.heads.Find(key.Hash(), [&](uint32_t id) {
+    return Key(id, index.attr) == key;
+  });
+}
+
+void Relation::Link(Index* index, uint32_t id) {
+  const Value& key = Key(id, index->attr);
+  const uint32_t head = Head(*index, key);
+  if (head == RowStore::kNone) {
+    index->next[id] = RowStore::kNone;
+    index->heads.Insert(key.Hash(), id, [&](uint32_t i) {
+      return Key(i, index->attr).Hash();
+    });
+  } else {
+    // After the head, so the head entry stays as it is.
+    index->next[id] = index->next[head];
+    index->next[head] = id;
+  }
+}
+
+void Relation::Unlink(Index* index, uint32_t id) {
+  const Value& key = Key(id, index->attr);
+  const uint32_t head = Head(*index, key);
+  IdArray& next = index->next;
+  if (head == id) {
+    if (next[id] == RowStore::kNone) {
+      index->heads.Erase(key.Hash(), id);
+    } else {
+      index->heads.Replace(key.Hash(), id, next[id]);
+    }
+    return;
+  }
+  uint32_t prev = head;
+  while (next[prev] != id) prev = next[prev];
+  next[prev] = next[id];
+}
+
+template <typename T>
+void CountedRelation::AddRow(T&& tuple, int64_t count) {
+  MVIEW_CHECK(tuple.size() == schema_.size(), "tuple arity ", tuple.size(),
+              " does not match scheme ", schema_.ToString());
+  if (count == 0) return;
+  const auto [id, inserted] = rows_.Insert(std::forward<T>(tuple));
+  const int64_t c = (inserted ? 0 : CountOf(id)) + count;
+  if (c < 0) {
+    const std::string row = rows_.Row(id).ToString();
+    if (inserted) rows_.Erase(id);
+    MVIEW_CHECK(c >= 0, "multiplicity of ", row, " went negative");
+  }
+  total_ += count;
+  if (c == 0) {
+    rows_.Erase(id);
+  } else {
+    SetCount(id, c);
+  }
 }
 
 void CountedRelation::Add(const Tuple& tuple, int64_t count) {
-  MVIEW_CHECK(tuple.size() == schema_.size(), "tuple arity ", tuple.size(),
-              " does not match scheme ", schema_.ToString());
-  if (count == 0) return;
-  auto [it, inserted] = counts_.emplace(tuple, 0);
-  it->second += count;
-  total_ += count;
-  MVIEW_CHECK(it->second >= 0, "multiplicity of ", tuple.ToString(),
-              " went negative");
-  if (it->second == 0) counts_.erase(it);
+  AddRow(tuple, count);
 }
 
 void CountedRelation::Add(Tuple&& tuple, int64_t count) {
-  MVIEW_CHECK(tuple.size() == schema_.size(), "tuple arity ", tuple.size(),
-              " does not match scheme ", schema_.ToString());
-  if (count == 0) return;
-  auto [it, inserted] = counts_.emplace(std::move(tuple), 0);
-  it->second += count;
-  total_ += count;
-  MVIEW_CHECK(it->second >= 0, "multiplicity of ", it->first.ToString(),
-              " went negative");
-  if (it->second == 0) counts_.erase(it);
+  AddRow(std::move(tuple), count);
 }
 
 int64_t CountedRelation::Count(const Tuple& tuple) const {
-  auto it = counts_.find(tuple);
-  return it == counts_.end() ? 0 : it->second;
+  const uint32_t id = rows_.Find(tuple);
+  return id == RowStore::kNone ? 0 : CountOf(id);
 }
 
 void CountedRelation::CancelWith(CountedRelation* other) {
   MVIEW_CHECK(other != nullptr, "null relation");
-  if (counts_.empty() || other->counts_.empty()) return;
-  // Probe with the smaller side; erase cancelled-out entries in place
-  // (erasing a node of a node-based map never invalidates other iterators).
+  if (empty() || other->empty()) return;
+  // Probe with the smaller side; erasing the visited row is allowed.
   CountedRelation& small = size() <= other->size() ? *this : *other;
   CountedRelation& large = &small == this ? *other : *this;
-  for (auto it = small.counts_.begin(); it != small.counts_.end();) {
-    auto hit = large.counts_.find(it->first);
-    if (hit == large.counts_.end()) {
-      ++it;
-      continue;
-    }
-    const int64_t c = std::min(it->second, hit->second);
+  small.rows_.ForEach([&](uint32_t id) {
+    const uint32_t hit = large.rows_.Find(small.rows_.Row(id));
+    if (hit == RowStore::kNone) return;
+    const int64_t mine = small.CountOf(id);
+    const int64_t theirs = large.CountOf(hit);
+    const int64_t c = std::min(mine, theirs);
     small.total_ -= c;
     large.total_ -= c;
-    if ((hit->second -= c) == 0) large.counts_.erase(hit);
-    if ((it->second -= c) == 0) {
-      it = small.counts_.erase(it);
+    if (theirs == c) {
+      large.rows_.Erase(hit);
     } else {
-      ++it;
+      large.SetCount(hit, theirs - c);
     }
-  }
+    if (mine == c) {
+      small.rows_.Erase(id);
+    } else {
+      small.SetCount(id, mine - c);
+    }
+  });
 }
 
 void CountedRelation::Scan(
     const std::function<void(const Tuple&, int64_t)>& fn) const {
-  for (const auto& [t, c] : counts_) fn(t, c);
+  rows_.ForEach([&](uint32_t id) { fn(rows_.Row(id), CountOf(id)); });
 }
 
 void CountedRelation::Clear() {
-  counts_.clear();
+  rows_.Clear();
   total_ = 0;
 }
 
 std::vector<std::pair<Tuple, int64_t>> CountedRelation::ToSortedVector()
     const {
-  std::vector<std::pair<Tuple, int64_t>> out(counts_.begin(), counts_.end());
+  std::vector<std::pair<Tuple, int64_t>> out;
+  out.reserve(size());
+  Scan([&](const Tuple& t, int64_t c) { out.emplace_back(t, c); });
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
 bool CountedRelation::SameContents(const CountedRelation& other) const {
-  if (counts_.size() != other.counts_.size()) return false;
-  for (const auto& [t, c] : counts_) {
-    if (other.Count(t) != c) return false;
-  }
-  return true;
+  if (size() != other.size()) return false;
+  bool same = true;
+  rows_.ForEach([&](uint32_t id) {
+    if (same && other.Count(rows_.Row(id)) != CountOf(id)) same = false;
+  });
+  return same;
 }
 
 std::string CountedRelation::ToString() const {

@@ -23,9 +23,11 @@ namespace mview {
 /// relations (where it is always one).
 ///
 /// A tuple is a pointer and a 32-bit size over one heap array of exactly
-/// `size()` values — no capacity slack, 16 bytes in its container node.
-/// Moving a tuple moves the pointer, so values (and the bytes of their
-/// inline strings) stay where they are while the tuple is alive.
+/// `size()` values — no capacity slack.  Moving a tuple moves the pointer,
+/// so values (and the bytes of their inline strings) stay where they are
+/// while the tuple is alive.  A stored row is the same 16-byte header
+/// borrowing the values that follow it in a row store's slot
+/// (`relational/row_store.h`); copying it yields an owning tuple.
 class Tuple {
  public:
   Tuple() = default;
@@ -111,6 +113,14 @@ class Tuple {
   std::string ToString() const;
 
  private:
+  friend class RowStore;
+
+  // A header over `size` values at `data` that it does not own: the head
+  // of a row store's slot.  The store never runs its destructor; it
+  // destroys the values itself when it erases the row.
+  struct Borrowed {};
+  Tuple(Value* data, uint32_t size, Borrowed) : data_(data), size_(size) {}
+
   // Allocates room for `n` values and leaves `size_` at 0; `Push` then
   // constructs them in order.  `size_` counts the constructed values, so a
   // throw midway destroys exactly those.

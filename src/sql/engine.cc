@@ -747,6 +747,7 @@ std::string EngineCore::ExportMetricsText() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (storage_ != nullptr) storage_->SyncWalMetrics();
   views_.SyncPoolMetrics();
+  views_.SyncRowStoreMetrics();
   SyncSessionMetrics();
   SyncAdmissionMetrics();
   return obs::ExportPrometheus(views_.metrics());
@@ -933,6 +934,7 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
       // registry as one coherent snapshot first.
       if (storage_ != nullptr) storage_->SyncWalMetrics();
       views_.SyncPoolMetrics();
+      views_.SyncRowStoreMetrics();
       SyncSessionMetrics();
       SyncAdmissionMetrics();
       if (stmt.json) return JsonMessage(views_.metrics().ToJson());
@@ -1007,6 +1009,13 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
       emit("*", "admission_write_inflight", admission.write_inflight);
       emit("*", "admission_retry_after_ms", admission.retry_after_ms);
       emit("*", "deadline_exceeded", admission.deadline_exceeded);
+      const RowStoreMetrics& row_store = registry.row_store();
+      emit("*", "row_store_bases_mapped_bytes", row_store.bases.mapped);
+      emit("*", "row_store_bases_live_bytes", row_store.bases.live);
+      emit("*", "row_store_views_mapped_bytes", row_store.views.mapped);
+      emit("*", "row_store_views_live_bytes", row_store.views.live);
+      emit("*", "row_store_spares_mapped_bytes", row_store.spares.mapped);
+      emit("*", "row_store_spares_live_bytes", row_store.spares.live);
       emit_view("*", registry.Aggregate());
       for (const auto& name : registry.ViewNames()) {
         emit_view(name, *registry.Find(name));

@@ -1,12 +1,15 @@
 // Footprint regression tests.
 //
-// The row representation: counts the heap blocks and bytes a stored row
-// costs, through a replaced global `operator new`.  Every base relation,
-// view and epoch spare holds its rows this way, so bytes per row is what
-// the engine pays to keep the paper's state.  The bounds sit between the
-// 16-byte `Value` / exact-size `Tuple` layout and the 40-byte
-// `std::variant` values in a `std::vector` it replaced (about 216 and 184
-// bytes per row in the two cases below).
+// The row store: a stored row lives in a slot of its relation's own
+// memory — chunks and tables the store maps itself once they pass 16 KiB,
+// and a few small first blocks from `operator new` — so a row costs no
+// heap block of its own.  These tests count the process's mapped bytes
+// and the blocks and bytes requested through a replaced global
+// `operator new`.  Every base relation, view and
+// epoch spare holds its rows this way, so bytes per row is what the engine
+// pays to keep the paper's state.  The `std::unordered_*` layout this
+// replaced cost two heap blocks per row: 144 B (base) and 128 B (view) in
+// glibc chunks for the rows below.
 //
 // The maintenance scratch: a round that moves a handful of delta rows keeps
 // its arena within one block, because column batches start at 16 rows and
@@ -18,12 +21,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ivm/view_manager.h"
 #include "relational/relation.h"
+#include "relational/row_store.h"
 #include "relational/schema.h"
 #include "relational/tuple.h"
 #include "sql/engine.h"
@@ -55,30 +61,31 @@ namespace {
 constexpr int64_t kRows = 20000;
 
 struct Footprint {
-  double blocks_per_row = 0;
-  double bytes_per_row = 0;
+  double blocks_per_row = 0;  // heap blocks requested
+  double bytes_per_row = 0;   // heap bytes requested plus bytes mapped
 };
 
-// What `store` requests from the allocator, per row, for `kRows` rows.
-// The rows are built before counting starts, so only the stored copies
-// (container nodes, value arrays, bucket arrays) are counted.
+// What `store` costs per row for `kRows` rows.  The rows are built before
+// counting starts, so only the stored copies are counted.
 template <typename Store>
 Footprint Measure(const std::vector<Tuple>& rows, Store&& store) {
   const int64_t blocks0 = blocks_requested.load();
   const int64_t bytes0 = bytes_requested.load();
+  const int64_t mapped0 = row_memory::MappedBytes();
   for (const Tuple& row : rows) store(row);
   Footprint f;
   f.blocks_per_row =
       static_cast<double>(blocks_requested.load() - blocks0) / rows.size();
-  f.bytes_per_row =
-      static_cast<double>(bytes_requested.load() - bytes0) / rows.size();
+  f.bytes_per_row = static_cast<double>(bytes_requested.load() - bytes0 +
+                                        row_memory::MappedBytes() - mapped0) /
+                    rows.size();
   return f;
 }
 
-std::vector<Tuple> IntRows(size_t arity) {
+std::vector<Tuple> IntRows(size_t arity, int64_t n = kRows) {
   std::vector<Tuple> rows;
-  rows.reserve(kRows);
-  for (int64_t i = 0; i < kRows; ++i) {
+  rows.reserve(n);
+  for (int64_t i = 0; i < n; ++i) {
     std::vector<Value> values;
     for (size_t a = 0; a < arity; ++a) {
       values.emplace_back(i * 7 + static_cast<int64_t>(a));
@@ -88,28 +95,90 @@ std::vector<Tuple> IntRows(size_t arity) {
   return rows;
 }
 
-TEST(FootprintTest, FourIntBaseRowCostsOneNodeAndOneExactArray) {
+TEST(FootprintTest, FourIntBaseRowTakesNoHeapBlockOfItsOwn) {
   Relation relation(Schema::OfInts({"a", "b", "c", "d"}));
   const std::vector<Tuple> rows = IntRows(4);
   Footprint f = Measure(rows, [&](const Tuple& t) { relation.Insert(t); });
   ASSERT_EQ(relation.size(), static_cast<size_t>(kRows));
-  // A node (link, 16-byte tuple, cached hash: 32 B) and a 64 B array, plus
-  // the bucket arrays' amortized share: 112 B measured.
-  EXPECT_LE(f.blocks_per_row, 2.01);
-  EXPECT_LE(f.bytes_per_row, 128.0);
+  // An 80 B slot (16 B header, four 16 B values), plus the slack of the
+  // last chunk and the lookup table's 5 B entries: 93 B measured.
+  EXPECT_LE(f.blocks_per_row, 0.01);
+  EXPECT_LE(f.bytes_per_row, 96.0);
+  const RowStoreBytes bytes = relation.memory();
+  EXPECT_EQ(bytes.live, 80 * kRows);
+  EXPECT_GT(bytes.mapped, 0);
   RecordProperty("bytes_per_row", std::to_string(f.bytes_per_row));
+  RecordProperty("blocks_per_row", std::to_string(f.blocks_per_row));
 }
 
-TEST(FootprintTest, ThreeIntViewRowCostsOneNodeAndOneExactArray) {
+TEST(FootprintTest, ThreeIntViewRowTakesNoHeapBlockOfItsOwn) {
   CountedRelation view(Schema::OfInts({"a", "b", "c"}));
   const std::vector<Tuple> rows = IntRows(3);
   Footprint f = Measure(rows, [&](const Tuple& t) { view.Add(t, 2); });
   ASSERT_EQ(view.size(), static_cast<size_t>(kRows));
-  // A node (link, tuple, count, cached hash: 40 B) and a 48 B array, plus
-  // the bucket arrays' amortized share: 104 B measured.
-  EXPECT_LE(f.blocks_per_row, 2.01);
-  EXPECT_LE(f.bytes_per_row, 120.0);
+  // A 72 B slot (header, 8 B count, three values) plus the same slack and
+  // table share: 85 B measured.
+  EXPECT_LE(f.blocks_per_row, 0.01);
+  EXPECT_LE(f.bytes_per_row, 88.0);
+  EXPECT_EQ(view.memory().live, 72 * kRows);
   RecordProperty("bytes_per_row", std::to_string(f.bytes_per_row));
+  RecordProperty("blocks_per_row", std::to_string(f.blocks_per_row));
+}
+
+// A relation's rows may be inserted by one thread (a pool worker, a
+// connection) and dropped by another (a reopen): its mapped chunks and
+// tables go back to the system either way, not into some thread's arena.
+TEST(FootprintTest, RelationFilledOnWorkersGivesBackEveryMappedByte) {
+  const int64_t mapped0 = row_memory::MappedBytes();
+  auto base = std::make_unique<Relation>(Schema::OfInts({"a", "b", "c", "d"}));
+  base->CreateIndex("b");
+  auto view = std::make_unique<CountedRelation>(Schema::OfInts({"a", "b"}));
+  const std::vector<Tuple> rows = IntRows(4);
+  constexpr int kWorkers = 4;
+  for (int w = 0; w < kWorkers; ++w) {
+    // One worker at a time: a relation has a single writer.
+    std::thread([&, w] {
+      for (size_t i = w; i < rows.size(); i += kWorkers) {
+        base->Insert(rows[i]);
+        view->Add(Tuple{rows[i].at(0), rows[i].at(1)}, 1);
+      }
+    }).join();
+  }
+  ASSERT_EQ(base->size(), static_cast<size_t>(kRows));
+  const int64_t mapped = row_memory::MappedBytes() - mapped0;
+  EXPECT_EQ(mapped, base->memory().mapped + view->memory().mapped);
+  EXPECT_GT(base->memory().mapped, 0);
+  EXPECT_GT(view->memory().mapped, 0);
+  std::thread([&] {
+    base.reset();
+    view.reset();
+  }).join();
+  EXPECT_EQ(row_memory::MappedBytes(), mapped0);
+}
+
+TEST(FootprintTest, SmallRelationsMapNothing) {
+  const int64_t mapped0 = row_memory::MappedBytes();
+  Relation base(Schema::OfInts({"a", "b", "c", "d"}));
+  base.CreateIndex("a");
+  CountedRelation view(Schema::OfInts({"a", "b", "c"}));
+  for (const Tuple& t : IntRows(4, 64)) {
+    base.Insert(t);
+    view.Add(Tuple{t.at(0), t.at(1), t.at(2)}, 1);
+  }
+  EXPECT_EQ(base.memory().mapped, 0);
+  EXPECT_EQ(view.memory().mapped, 0);
+  EXPECT_EQ(row_memory::MappedBytes(), mapped0);
+  // Emptied by erases, a large relation keeps its chunks for reuse until it
+  // is cleared.
+  CountedRelation big(Schema::OfInts({"a"}));
+  for (int64_t i = 0; i < kRows; ++i) big.Add(Tuple{Value(i)}, 1);
+  EXPECT_GT(big.memory().mapped, 0);
+  for (int64_t i = 0; i < kRows; ++i) big.Add(Tuple{Value(i)}, -1);
+  EXPECT_TRUE(big.empty());
+  EXPECT_GT(big.memory().mapped, 0);
+  big.Clear();
+  EXPECT_EQ(big.memory().mapped, 0);
+  EXPECT_EQ(row_memory::MappedBytes(), mapped0);
 }
 
 // Small commits against a 3-way join with an `x > y + c` atom and a

@@ -88,6 +88,8 @@ TEST(PrometheusTest, CountersGaugesAndLabelsFromHandBuiltRegistry) {
   registry.pool().workers = 4;
   registry.pool().queue_depth = 2;
   registry.storage().wal_appends = 11;
+  registry.row_store().bases.mapped = 1 << 20;
+  registry.row_store().views.live = 4000;
   ViewMetrics& v = registry.ForView("v");
   v.stats.transactions = 5;
   v.stats.updates_filtered = 3;
@@ -107,6 +109,11 @@ TEST(PrometheusTest, CountersGaugesAndLabelsFromHandBuiltRegistry) {
   EXPECT_EQ(samples.at("mview_view_transactions_total{view=\"w\"}"), 1);
   EXPECT_EQ(samples.at("mview_view_updates_filtered_total{view=\"v\"}"), 3);
   EXPECT_EQ(samples.at("mview_view_cache_bytes{view=\"v\"}"), 4096);
+  EXPECT_EQ(samples.at("mview_row_store_mapped_bytes{owner=\"bases\"}"),
+            1 << 20);
+  EXPECT_EQ(samples.at("mview_row_store_mapped_bytes{owner=\"spares\"}"), 0);
+  EXPECT_EQ(samples.at("mview_row_store_live_bytes{owner=\"views\"}"), 4000);
+  EXPECT_TRUE(Contains(text, "# TYPE mview_row_store_live_bytes gauge"));
   EXPECT_TRUE(Contains(text, "# TYPE mview_pool_workers gauge"));
   EXPECT_TRUE(Contains(text, "# TYPE mview_commits_total counter"));
 }
@@ -192,6 +199,14 @@ TEST(PrometheusTest, EngineEndToEndExport) {
     EXPECT_GE(samples.at("mview_fsync_latency_seconds_count"), 2);
     EXPECT_GE(samples.at("mview_view_transactions_total{view=\"v\"}"), 2);
     EXPECT_GE(samples.at("mview_commit_latency_seconds_count"), 2);
+    // Three 2-int base rows (48 B slots) and two 4-int view rows (header,
+    // count and four values: 88 B slots), all in unmapped first chunks.
+    EXPECT_EQ(samples.at("mview_row_store_live_bytes{owner=\"bases\"}"),
+              3 * 48);
+    EXPECT_EQ(samples.at("mview_row_store_live_bytes{owner=\"views\"}"),
+              2 * 88);
+    EXPECT_EQ(samples.at("mview_row_store_mapped_bytes{owner=\"bases\"}"),
+              0);
 
     // Storage-level export matches the engine-level one.
     EXPECT_EQ(storage->ExportMetricsText(), engine.ExportMetricsText());

@@ -51,10 +51,10 @@ TEST(RelationIndexTest, ProbeFindsMatches) {
   r.CreateIndex("B");
   size_t b_idx = r.schema().MustIndexOf("B");
   ASSERT_TRUE(r.HasIndex(b_idx));
-  const auto* hits = r.Probe(b_idx, Value(10));
-  ASSERT_NE(hits, nullptr);
-  EXPECT_EQ(hits->size(), 2u);
-  EXPECT_EQ(r.Probe(b_idx, Value(99)), nullptr);
+  const RowChain hits = r.Probe(b_idx, Value(10));
+  ASSERT_FALSE(hits.empty());
+  EXPECT_EQ(std::distance(hits.begin(), hits.end()), 2);
+  EXPECT_TRUE(r.Probe(b_idx, Value(99)).empty());
 }
 
 TEST(RelationIndexTest, IndexMaintainedAcrossUpdates) {
@@ -64,21 +64,20 @@ TEST(RelationIndexTest, IndexMaintainedAcrossUpdates) {
   r.Insert(T({1, 10}));
   r.Insert(T({2, 10}));
   r.Erase(T({1, 10}));
-  const auto* hits = r.Probe(b_idx, Value(10));
-  ASSERT_NE(hits, nullptr);
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ(*(*hits)[0], T({2, 10}));
+  const RowChain hits = r.Probe(b_idx, Value(10));
+  ASSERT_EQ(std::distance(hits.begin(), hits.end()), 1);
+  EXPECT_EQ(*hits.begin(), T({2, 10}));
   r.Erase(T({2, 10}));
-  EXPECT_EQ(r.Probe(b_idx, Value(10)), nullptr);
+  EXPECT_TRUE(r.Probe(b_idx, Value(10)).empty());
 }
 
 TEST(RelationIndexTest, IndexSurvivesRehash) {
   Relation r(Schema::OfInts({"A"}));
   r.CreateIndex("A");
   for (int64_t i = 0; i < 10000; ++i) r.Insert(T({i}));
-  const auto* hits = r.Probe(0, Value(1234));
-  ASSERT_NE(hits, nullptr);
-  EXPECT_EQ(*(*hits)[0], T({1234}));
+  const RowChain hits = r.Probe(0, Value(1234));
+  ASSERT_EQ(std::distance(hits.begin(), hits.end()), 1);
+  EXPECT_EQ(*hits.begin(), T({1234}));
 }
 
 TEST(RelationIndexTest, ProbeWithoutIndexThrows) {

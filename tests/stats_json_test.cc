@@ -98,6 +98,16 @@ TEST(StatsJsonTest, GoldenSchema) {
               storage_json.At("checkpoint_bytes").number);
     EXPECT_GT(storage_json.At("fsync_latency").At("count").number, 0);
 
+    // Row-store gauges.
+    const JsonValue& row_store = doc.At("row_store");
+    for (const char* owner : {"bases", "views", "spares"}) {
+      for (const char* key : {"mapped_bytes", "live_bytes"}) {
+        ASSERT_TRUE(row_store.At(owner).Has(key)) << owner << "." << key;
+      }
+    }
+    EXPECT_GT(row_store.At("bases").At("live_bytes").number, 0);
+    EXPECT_GT(row_store.At("views").At("live_bytes").number, 0);
+
     // Pool gauges.
     const JsonValue& pool = doc.At("pool");
     EXPECT_EQ(pool.At("workers").number, 2);
@@ -132,6 +142,42 @@ TEST(StatsJsonTest, InMemoryEngineParsesToo) {
   EXPECT_EQ(doc.At("storage").At("wal_appends").number, 0);
   EXPECT_EQ(doc.At("pool").At("workers").number, 0);
   EXPECT_GT(doc.At("views").At("v").At("transactions").number, 0);
+}
+
+// The row-store gauges follow the rows: live bytes are slot bytes of the
+// rows held, and a relation past its first 16 KiB maps its chunks.
+TEST(StatsJsonTest, RowStoreGaugesFollowTheRows) {
+  sql::Engine engine;
+  engine.ExecuteScript(
+      "CREATE TABLE t (a INT64, b INT64);"
+      "CREATE MATERIALIZED VIEW v AS SELECT a FROM t WHERE b < 1000000;");
+  constexpr int64_t kRows = 2000;
+  for (int64_t batch = 0; batch < 4; ++batch) {
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int64_t i = batch; i < kRows; i += 4) {
+      if (i != batch) insert += ", ";
+      insert += "(" + std::to_string(i) + ", " + std::to_string(i) + ")";
+    }
+    engine.Execute(insert);
+  }
+  auto gauges = [&engine] {
+    return JsonParser::Parse(engine.Execute("SHOW STATS JSON").message)
+        .At("row_store");
+  };
+  JsonValue rs = gauges();
+  // A 2-int base row is a 16 B header and two 16 B values; a 1-int view
+  // row adds an 8 B count to its header and value.
+  EXPECT_EQ(rs.At("bases").At("live_bytes").number, kRows * 48);
+  EXPECT_EQ(rs.At("views").At("live_bytes").number, kRows * 40);
+  EXPECT_GT(rs.At("bases").At("mapped_bytes").number, 0);
+  EXPECT_GT(rs.At("views").At("mapped_bytes").number, 0);
+  // The retired front a delta commit left behind is the spare.
+  EXPECT_GT(rs.At("spares").At("live_bytes").number, 0);
+
+  engine.Execute("DELETE FROM t WHERE b < 1000000");
+  rs = gauges();
+  EXPECT_EQ(rs.At("bases").At("live_bytes").number, 0);
+  EXPECT_EQ(rs.At("views").At("live_bytes").number, 0);
 }
 
 TEST(StatsJsonTest, LongFormatCarriesPoolGauges) {
