@@ -99,11 +99,11 @@ BENCHMARK(BM_PartitionedCommit)
 size_t CheckpointRows() { return bench::Scaled(50'000, 500); }
 
 struct CheckpointResult {
-  double full_bytes = 0;     // first image (every scope's base)
+  double full_bytes = 0;     // first image (every table's base)
   double delta_bytes = 0;    // re-checkpoint after the 1% commit
   double changed_rows = 0;   // rows the commit deleted or inserted
   double segments = 0;       // segments written by the second checkpoint
-  double skipped = 0;        // scopes carried forward by it
+  double skipped = 0;        // table chains carried forward by it
 };
 
 // Multi-row INSERT statements in `chunk`-row batches (one commit each).
@@ -132,15 +132,15 @@ CheckpointResult RunCheckpointExperiment() {
     engine.Execute(
         "CREATE MATERIALIZED VIEW v AS SELECT a, b FROM t WHERE a >= 0");
     // No manifest exists yet, so the first checkpoint writes the full
-    // image (every scope's base).
+    // image (every table's base; the view is derived state, stored as its
+    // definition alone).
     StorageMetrics& m = engine.mutable_views().metrics().storage();
     const int64_t before_full = m.checkpoint_bytes;
     engine.Execute("CHECKPOINT");
     result.full_bytes = static_cast<double>(m.checkpoint_bytes - before_full);
 
     // One commit changing 1% of the rows: half deletes of old rows, half
-    // inserts of new ones.  The view holds the same tuples, so its delta
-    // is the same size.
+    // inserts of new ones.  Only the table's delta is written.
     const size_t half = CheckpointRows() / 200;
     engine.Execute("BEGIN");
     engine.Execute("DELETE FROM t WHERE a < " + std::to_string(half));

@@ -4,9 +4,12 @@
 Every bench binary writes its summary rows with `--json <path>` (see
 bench/bench_util.h); the committed BENCH_E*.json files in the repo root
 are the recorded experiment results.  This script re-runs the comparison
-side of that loop: it pairs the fresh rows with the baseline rows by
-position and flags metric fields that regressed past a relative
-threshold.
+side of that loop: it pairs each fresh row with the baseline row that has
+the same config fields (below) and flags metric fields that regressed past
+a relative threshold.  Rows may come in any order; rows sharing one config
+pair in the order they appear.  A baseline row with no fresh partner, or a
+fresh row with no baseline partner (a missing row, or a config field that
+changed), is an error: the workloads are not comparable.
 
 Field classification (by name, documented here because the JSON carries
 no units):
@@ -23,8 +26,9 @@ no units):
   the fresh value exceeds the baseline by more than `threshold * 100`
   percentage points (50 points at the default).
 * config fields — everything else (`rows`, `partitions`, `workers`,
-  `cores`, counts such as `spans_per_commit`, ...).  Must match the
-  baseline exactly; a mismatch means the workload changed and the
+  `cores`, counts such as `spans_per_commit`, ...), plus every
+  non-numeric field.  They identify a row: rows pair by them, so a value
+  the baseline does not have means the workload changed and the
   comparison is meaningless, which is reported as an error rather than a
   regression.
 
@@ -43,7 +47,6 @@ Exit status: 0 clean, 1 regression(s), 2 usage/row-shape errors.
 
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -76,29 +79,54 @@ def load_rows(path):
     return rows
 
 
+def is_metric(field, value):
+    return isinstance(value, (int, float)) and classify(field) != "config"
+
+
+def config_key(row):
+    """The row's config fields and their values, as a hashable key."""
+    return tuple(sorted((field, json.dumps(value))
+                        for field, value in row.items()
+                        if not is_metric(field, value)))
+
+
+def describe(key):
+    return "{" + ", ".join(f"{field}={value}" for field, value in key) + "}"
+
+
+def pair_rows(baseline_rows, fresh_rows):
+    """Pairs rows by config; returns (pairs of indices, errors)."""
+    unpaired = {}  # config key -> fresh row indices not yet paired, in order
+    for j, row in enumerate(fresh_rows):
+        unpaired.setdefault(config_key(row), []).append(j)
+    pairs, errors = [], []
+    for i, row in enumerate(baseline_rows):
+        key = config_key(row)
+        if unpaired.get(key):
+            pairs.append((i, unpaired[key].pop(0)))
+        else:
+            errors.append(f"baseline row {i} {describe(key)} has no fresh "
+                          f"row with that config; workloads are not "
+                          f"comparable")
+    for key, rows in unpaired.items():
+        for j in rows:
+            errors.append(f"fresh row {j} {describe(key)} has no baseline "
+                          f"row with that config; workloads are not "
+                          f"comparable")
+    return pairs, errors
+
+
 def compare(baseline_rows, fresh_rows, threshold):
     """Returns (errors, regressions) as lists of message strings."""
-    errors = []
+    pairs, errors = pair_rows(baseline_rows, fresh_rows)
     regressions = []
-    if len(baseline_rows) != len(fresh_rows):
-        errors.append(
-            f"row count differs: baseline {len(baseline_rows)}, "
-            f"fresh {len(fresh_rows)}"
-        )
-        return errors, regressions
-    for i, (base, fresh) in enumerate(zip(baseline_rows, fresh_rows)):
+    for i, j in pairs:
+        base, fresh = baseline_rows[i], fresh_rows[j]
         for field in sorted(set(base) & set(fresh)):
             b, f = base[field], fresh[field]
-            if not isinstance(b, (int, float)) or not isinstance(f, (int, float)):
+            if not is_metric(field, b) or not is_metric(field, f):
                 continue
             kind = classify(field)
-            if kind == "config":
-                if not math.isclose(b, f, rel_tol=1e-9, abs_tol=1e-9):
-                    errors.append(
-                        f"row {i}: config field '{field}' changed "
-                        f"({b:g} -> {f:g}); workloads are not comparable"
-                    )
-                continue
             if kind == "points":
                 points = f - b
                 if points > threshold * 100.0:

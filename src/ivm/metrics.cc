@@ -177,6 +177,9 @@ std::string StorageMetrics::ToJson() const {
      << ", \"segments_written\": " << segments_written
      << ", \"partitions_skipped\": " << partitions_skipped
      << ", \"replayed_records\": " << replayed_records
+     << ", \"restore_nanos\": " << restore_nanos
+     << ", \"derive_nanos\": " << derive_nanos
+     << ", \"replay_nanos\": " << replay_nanos
      << ", \"batch_commits_histogram\": " << batch_commits.ToJson()
      << ", \"fsync_latency\": " << fsync_latency.ToJson() << "}";
   return os.str();

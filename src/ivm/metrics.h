@@ -138,10 +138,14 @@ struct StorageMetrics {
   int64_t checkpoint_base_bytes = 0;   // of which fresh bases and compactions
   int64_t checkpoint_delta_bytes = 0;  // of which delta segments
   int64_t segments_written = 0;  // segment files (bases and deltas) written
-  // Scopes (tables and views) a checkpoint carried forward unchanged; the
+  // Table chains a checkpoint carried forward unchanged; the
   // key keeps its name for `SHOW STATS JSON` readers.
   int64_t partitions_skipped = 0;
   int64_t replayed_records = 0;  // WAL records replayed at recovery
+  // The last open's steps: tables decoded, views derived, WAL replayed.
+  int64_t restore_nanos = 0;
+  int64_t derive_nanos = 0;
+  int64_t replay_nanos = 0;
   SizeHistogram batch_commits;   // commits coalesced per fsync batch
   obs::LatencyHistogram fsync_latency;  // per write+fsync batch
 

@@ -97,17 +97,7 @@ ViewScrubResult Scrubber::Finish(ViewScrubResult result,
   // backlog would apply on refresh (fresh − pending-delta = the stale
   // contents the materialization should hold).
   if (info.mode == MaintenanceMode::kDeferred && info.stale) {
-    const DifferentialMaintainer& maintainer = views_->Maintainer(name);
-    const auto& pending = views_->PendingLogs(name);
-    std::vector<BaseParts> parts(pending.size());
-    for (size_t i = 0; i < pending.size(); ++i) {
-      const BaseDeltaLog& log = *pending[i];
-      if (log.Empty()) continue;
-      parts[i].inserts = &log.inserts();
-      parts[i].deletes = &log.deletes();
-      parts[i].subtract = &log.inserts();
-    }
-    ViewDelta delta = maintainer.ComputeDeltaFromParts(parts);
+    ViewDelta delta = views_->PendingDelta(name);
     delta.inserts.Scan([&](const Tuple& t, int64_t c) { diff[t] -= c; });
     delta.deletes.Scan([&](const Tuple& t, int64_t c) { diff[t] += c; });
   }

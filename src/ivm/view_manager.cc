@@ -154,7 +154,7 @@ void ViewManager::SetParallelism(size_t workers) {
 
 Relation& ViewManager::CreateTable(const std::string& name, Schema schema) {
   Relation& rel = db_->CreateRelation(name, std::move(schema));
-  changed_.MarkCreated("t:" + name);
+  changed_.MarkCreated(name);
   return rel;
 }
 
@@ -182,6 +182,11 @@ ViewManager::PreparedView ViewManager::PrepareView(
 }
 
 void ViewManager::InstallView(PreparedView prepared) {
+  AddView(std::move(prepared));
+  PublishEpoch();
+}
+
+ViewManager::ManagedView& ViewManager::AddView(PreparedView prepared) {
   const std::string name = prepared.maintainer->definition().name();
   MVIEW_CHECK(views_.count(name) == 0, "view already registered: ", name);
 
@@ -191,7 +196,6 @@ void ViewManager::InstallView(PreparedView prepared) {
   view->maintainer = std::move(prepared.maintainer);
   view->materialized =
       std::make_shared<ViewBuffer>(std::move(prepared.materialized));
-  changed_.MarkCreated("v:" + name);
   view->metrics = &metrics_.ForView(name);
   view->span_name_id = obs::Tracer::Global().InternName("maintain:" + name);
   if (view->mode == MaintenanceMode::kDeferred) {
@@ -201,46 +205,43 @@ void ViewManager::InstallView(PreparedView prepared) {
           std::make_unique<BaseDeltaLog>(d.AliasedSchema(*db_, i)));
     }
   }
-  views_[name] = std::move(view);
-  PublishEpoch();
+  return *(views_[name] = std::move(view));
 }
 
 void ViewManager::RestoreView(ViewDefinition def, MaintenanceMode mode,
                               MaintenanceOptions options,
-                              CountedRelation materialized,
                               std::vector<std::unique_ptr<BaseDeltaLog>> pending,
                               RestoredHealth health) {
-  const std::string name = def.name();
-  MVIEW_CHECK(views_.count(name) == 0, "view already registered: ", name);
-
-  auto view = std::make_unique<ManagedView>();
-  view->name = name;
-  view->mode = mode;
-  view->quarantined = health.quarantined;
-  view->quarantine_reason = std::move(health.reason);
-  view->quarantine_sticky = health.sticky;
-  view->maintainer =
+  MVIEW_CHECK(pending.empty() || (mode == MaintenanceMode::kDeferred &&
+                                  pending.size() == def.bases().size()),
+              "restored pending logs must cover every base of ", def.name());
+  PreparedView prepared;
+  prepared.mode = mode;
+  prepared.maintainer =
       std::make_unique<DifferentialMaintainer>(std::move(def), db_, options);
-  view->materialized = std::make_shared<ViewBuffer>(std::move(materialized));
-  // Conservative: nothing says the restored rows match any checkpoint
-  // image.  Recovery, which knows they do, clears the mark.
-  changed_.MarkCreated("v:" + name);
-  view->metrics = &metrics_.ForView(name);
-  view->span_name_id = obs::Tracer::Global().InternName("maintain:" + name);
-  if (mode == MaintenanceMode::kDeferred) {
-    const ViewDefinition& d = view->maintainer->definition();
-    MVIEW_CHECK(pending.empty() || pending.size() == d.bases().size(),
-                "restored pending logs must cover every base of ", name);
-    if (pending.empty()) {
-      for (size_t i = 0; i < d.bases().size(); ++i) {
-        view->pending.push_back(
-            std::make_unique<BaseDeltaLog>(d.AliasedSchema(*db_, i)));
-      }
-    } else {
-      view->pending = std::move(pending);
+  prepared.materialized =
+      CountedRelation(prepared.maintainer->definition().OutputSchema(*db_));
+  ManagedView& view = AddView(std::move(prepared));
+  if (!pending.empty()) view.pending = std::move(pending);
+  view.quarantined = health.quarantined;
+  view.quarantine_reason = std::move(health.reason);
+  view.quarantine_sticky = health.sticky;
+  // Derive the contents the way `PrepareView` does; a stale deferred view
+  // is the fresh result with its backlog's refresh delta undone.
+  try {
+    CountedRelation rows = view.maintainer->FullEvaluate();
+    if (IsStale(view)) {
+      ViewDelta undo = PendingDelta(view.name);
+      std::swap(undo.inserts, undo.deletes);
+      undo.ApplyTo(&rows);
     }
+    view.materialized = std::make_shared<ViewBuffer>(std::move(rows));
+  } catch (...) {
+    // Contained like a commit-time failure: the view stays empty and
+    // quarantined (reads throw until REPAIR).  Publishes the epoch.
+    QuarantineFor(&view, std::current_exception());
+    return;
   }
-  views_[name] = std::move(view);
   PublishEpoch();
 }
 
@@ -418,7 +419,7 @@ void ViewManager::MergePartitionedJob(CommitJob* job) {
 
 void ViewManager::MarkEffectChanged(const TransactionEffect& effect) {
   for (const std::string& name : effect.TouchedRelations()) {
-    changed_.MarkRows("t:" + name);
+    changed_.MarkRows(name);
   }
 }
 
@@ -604,7 +605,6 @@ void ViewManager::CommitPrepared(PreparedCommit prepared,
           // epoch's buffer is never touched.
           std::shared_ptr<ViewBuffer> next = WritableBuffer(view);
           job.delta->ApplyTo(next.get());
-          changed_.MarkRows("v:" + view->name);
           m.delta_sizes.Record(job.delta->TotalCount());
           view->spare = std::move(view->materialized);
           view->materialized = std::move(next);
@@ -618,7 +618,6 @@ void ViewManager::CommitPrepared(PreparedCommit prepared,
           Stopwatch timer;
           view->materialized = std::make_shared<ViewBuffer>(
               view->maintainer->FullEvaluate(&m.stats.plan));
-          changed_.MarkRows("v:" + view->name);
           view->spare.reset();
           view->lag_delta.reset();
           ++m.stats.full_reevaluations;
@@ -686,7 +685,6 @@ void ViewManager::Repair(const std::string& name) {
                 ": two full evaluations disagree");
   }
   view.materialized = std::make_shared<ViewBuffer>(std::move(result));
-  changed_.MarkRows("v:" + name);
   view.spare.reset();
   view.lag_delta.reset();
   view.maintainer->ResetJoinCache();
@@ -787,37 +785,44 @@ void ViewManager::LogDeferred(ManagedView* view,
   }
 }
 
-void ViewManager::RefreshView(const std::string& name, ManagedView* view) {
-  (void)name;
+bool ViewManager::IsStale(const ManagedView& view) {
+  for (const auto& log : view.pending) {
+    if (!log->Empty()) return true;
+  }
+  return false;
+}
+
+ViewDelta ViewManager::PendingDelta(const std::string& name,
+                                    MaintenanceStats* stats) const {
+  const ManagedView& view = GetView(name);
+  // The database holds the post-state; the clean old part of each base is
+  // r_now − inserts (= r_old − deletes).
+  std::vector<BaseParts> parts(view.pending.size());
+  for (size_t i = 0; i < view.pending.size(); ++i) {
+    const BaseDeltaLog& log = *view.pending[i];
+    if (log.Empty()) continue;
+    parts[i].inserts = &log.inserts();
+    parts[i].deletes = &log.deletes();
+    parts[i].subtract = &log.inserts();
+  }
+  return view.maintainer->ComputeDeltaFromParts(parts, stats);
+}
+
+void ViewManager::RefreshView(ManagedView* view) {
   // A quarantined view has no backlog to replay (quarantine cleared it);
   // reads surface the quarantine, and repair rebuilds from the bases.
   if (view->quarantined) return;
   if (view->mode != MaintenanceMode::kDeferred) return;
-  bool stale = false;
-  for (const auto& log : view->pending) {
-    if (!log->Empty()) stale = true;
-  }
-  if (!stale) return;
+  if (!IsStale(*view)) return;
   ViewMetrics& m = *view->metrics;
   Stopwatch timer;
   try {
     MVIEW_FAULT_POINT("viewmgr.refresh");
-    // The database now holds the post-state; the clean old part of each
-    // base is r_now − inserts (= r_old − deletes).
-    std::vector<BaseParts> parts(view->pending.size());
-    for (size_t i = 0; i < view->pending.size(); ++i) {
-      const BaseDeltaLog& log = *view->pending[i];
-      if (log.Empty()) continue;
-      parts[i].inserts = &log.inserts();
-      parts[i].deletes = &log.deletes();
-      parts[i].subtract = &log.inserts();
-    }
-    ViewDelta delta = view->maintainer->ComputeDeltaFromParts(parts, &m.stats);
+    ViewDelta delta = PendingDelta(view->name, &m.stats);
     m.phases.differential_nanos += timer.ElapsedNanos();
     Stopwatch apply_timer;
     std::shared_ptr<ViewBuffer> next = WritableBuffer(view);
     delta.ApplyTo(next.get());
-    changed_.MarkRows("v:" + name);
     m.delta_sizes.Record(delta.TotalCount());
     view->spare = std::move(view->materialized);
     view->materialized = std::move(next);
@@ -835,11 +840,11 @@ void ViewManager::RefreshView(const std::string& name, ManagedView* view) {
 }
 
 void ViewManager::Refresh(const std::string& name) {
-  RefreshView(name, &GetView(name));
+  RefreshView(&GetView(name));
 }
 
 void ViewManager::RefreshAll() {
-  for (auto& [name, view] : views_) RefreshView(name, view.get());
+  for (auto& [name, view] : views_) RefreshView(view.get());
 }
 
 ViewInfo ViewManager::Describe(const std::string& name) const {
@@ -883,7 +888,6 @@ CountedRelation& ViewManager::MutableMaterialization(const std::string& name) {
   // bytes and silently undo what the test injected.
   view.spare.reset();
   view.lag_delta.reset();
-  changed_.MarkRows("v:" + name);
   return *view.materialized;
 }
 

@@ -140,12 +140,12 @@ class EpochSnapshot {
   std::map<std::string, ViewSnapshot> views_;
 };
 
-/// Which checkpoint scopes — tables ("t:<name>") and views ("v:<name>") —
-/// changed since the last successful checkpoint.  It records scopes, not
-/// rows: the checkpoint writer finds a changed scope's rows by merging its
-/// image on disk with its rows in memory.  Every path that mutates a
-/// scope's rows marks it; one that (re)creates a scope marks it created,
-/// so the writer gives it a fresh base instead of a predecessor's chain.
+/// Which checkpoint scopes — base tables, by name; views are derived and
+/// have none — changed since the last successful checkpoint.  It records
+/// tables, not rows: the writer finds a changed table's rows by merging
+/// its image on disk with its rows in memory.  A commit marks the tables
+/// it touches; `CreateTable` marks its table created, so the writer gives
+/// it a fresh base instead of a predecessor's chain.
 /// Not thread-safe: marks happen on the commit coordinator thread and the
 /// checkpoint runs under the engine's exclusive lock.
 class ChangedScopes {
@@ -273,9 +273,8 @@ class ViewManager {
   PreparedView PrepareView(ViewDefinition def, MaintenanceMode mode,
                            MaintenanceOptions options);
 
-  /// Installs a prepared view: marks its checkpoint scope created and
-  /// publishes an epoch that contains it.  The database must not have
-  /// changed since `PrepareView`.
+  /// Installs a prepared view and publishes an epoch that contains it.
+  /// The database must not have changed since `PrepareView`.
   void InstallView(PreparedView prepared);
 
   /// Removes a view, its materialization, and its metrics.
@@ -428,21 +427,22 @@ class ViewManager {
   /// rendered, on the thread that may read every relation.
   void SyncRowStoreMetrics();
 
-  /// Installs a view with an exact previously-captured state instead of
-  /// evaluating it: `materialized` becomes the view's contents verbatim and
-  /// `pending` (deferred mode; one log per base occurrence, may be empty
-  /// for "nothing pending") becomes its change backlog.  This is the
-  /// recovery path — a checkpointed deferred view may be stale, so
-  /// re-registering via `RegisterView`/`FullEvaluate` would both lose that
-  /// staleness and double-count the backlog.  Creates join-attribute
-  /// indexes like `RegisterView`; performs no evaluation.  `health`
-  /// restores the checkpointed quarantine state (the default is healthy);
-  /// restoring a quarantine does not publish a health event — the state is
-  /// already durable.
+  /// Installs a checkpointed view, derived from the current bases as
+  /// `PrepareView` evaluates it; with a non-empty `pending` (deferred mode,
+  /// one log per base occurrence) that backlog's refresh delta is undone,
+  /// giving the stale contents, and the backlog is kept.  `health`
+  /// restores the checkpointed quarantine state without a health event.
+  /// A failed evaluation quarantines the view (`Quarantine`) instead of
+  /// throwing; an invalid definition throws.
   void RestoreView(ViewDefinition def, MaintenanceMode mode,
-                   MaintenanceOptions options, CountedRelation materialized,
+                   MaintenanceOptions options,
                    std::vector<std::unique_ptr<BaseDeltaLog>> pending,
                    RestoredHealth health = RestoredHealth{});
+
+  /// The delta a refresh of deferred view `name` would apply now (REFRESH,
+  /// the scrubber and recovery use it); `stats` may be null.
+  ViewDelta PendingDelta(const std::string& name,
+                         MaintenanceStats* stats = nullptr) const;
 
   /// The pending change logs of a deferred view, one per base occurrence
   /// (empty vector for other modes) — read by the checkpoint writer.
@@ -453,11 +453,9 @@ class ViewManager {
   Database& database() { return *db_; }
   const Database& database() const { return *db_; }
 
-  /// The checkpoint scopes changed since the last checkpoint: every
-  /// mutation path marks the scope it touches — a commit its touched
-  /// tables and the views it changed, register/create/repair/refresh and
-  /// test mutation theirs — and `Storage::Checkpoint` clears the set after
-  /// a successful write.
+  /// The tables changed since the last checkpoint: a commit marks the
+  /// tables it touches, `CreateTable` its new table, and
+  /// `Storage::Checkpoint` clears the set after a successful write.
   ChangedScopes& changed_scopes() { return changed_; }
   const ChangedScopes& changed_scopes() const { return changed_; }
 
@@ -534,7 +532,11 @@ class ViewManager {
   /// Marks the scope of every table the effect touches changed.
   void MarkEffectChanged(const TransactionEffect& effect);
   void LogDeferred(ManagedView* view, const TransactionEffect& effect);
-  void RefreshView(const std::string& name, ManagedView* view);
+  void RefreshView(ManagedView* view);
+  /// True when a deferred view has logged changes awaiting a refresh.
+  static bool IsStale(const ManagedView& view);
+  /// `InstallView` without the epoch publication.
+  ManagedView& AddView(PreparedView prepared);
   /// Quarantines `view` for the failure captured in `error` (transient
   /// `IoError` → automatic retry; everything else sticky).
   void QuarantineFor(ManagedView* view, const std::exception_ptr& error);

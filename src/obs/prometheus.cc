@@ -156,11 +156,20 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
          "Segment files (bases and deltas) written by checkpoints")
       .Sample("", storage.segments_written);
   Family(os, "mview_checkpoint_partitions_skipped_total", "counter",
-         "Scopes (tables and views) carried forward unchanged by checkpoints")
+         "Table chains carried forward unchanged by checkpoints")
       .Sample("", storage.partitions_skipped);
   Family(os, "mview_wal_replayed_records_total", "counter",
          "WAL records replayed at recovery")
       .Sample("", storage.replayed_records);
+  Family open(os, "mview_open_seconds", "gauge",
+              "Time the last open spent per step: table images decoded "
+              "(restore), views derived (derive), WAL tail replayed (replay)");
+  open.Sample("{step=\"restore\"}",
+              Seconds(static_cast<double>(storage.restore_nanos)));
+  open.Sample("{step=\"derive\"}",
+              Seconds(static_cast<double>(storage.derive_nanos)));
+  open.Sample("{step=\"replay\"}",
+              Seconds(static_cast<double>(storage.replay_nanos)));
   EmitLatencyFamily(os, "mview_fsync_latency_seconds",
                     "Group-commit write+fsync batch latency",
                     {{"", &storage.fsync_latency}});

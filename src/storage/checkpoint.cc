@@ -19,10 +19,11 @@ namespace mview::storage {
 namespace {
 
 // Manifest and row-segment files (see the header's format note; the
-// manifest rename is the commit point).  "3" moved segment bodies and
-// pending backlogs from the row codec to packed blocks.
-constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '4'};
-constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '3'};
+// manifest rename is the commit point).  "5"/"004" dropped the views' row
+// chains: the manifest keeps no view scope and a segment is a table's base
+// or delta.
+constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '5'};
+constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '4'};
 // Magic, CRC, body length.
 constexpr size_t kFramePrefix = 8 + 4 + 8;
 
@@ -199,44 +200,46 @@ bool IsSegmentName(const std::string& name) {
   return std::regex_match(name, kPattern);
 }
 
-/// A scope's rows in memory, sorted; the tuples are borrowed.
+/// A table's rows in memory, sorted; the tuples are borrowed.
 using SortedRows = std::vector<wire::CountedRow>;
 
 /// A segment body: kind, column-type header, and `rows` as one packed
-/// block, counted unless the segment is a table's base.
+/// block, counted in a delta.
 std::string SegmentBody(SegmentKind kind, const ColumnTypes& types,
                         const SortedRows& rows) {
   std::string body;
   wire::PutU8(&body, static_cast<uint8_t>(kind));
   wire::PutRowHeader(&body, types);
-  wire::PutPackedRows(&body, types, rows, kind != SegmentKind::kTableBase);
+  wire::PutPackedRows(&body, types, rows, kind == SegmentKind::kDelta);
   return body;
 }
 
 /// Streams one segment's rows in order, validating as it goes: the kind
 /// and column types the chain position requires, nothing after the block,
-/// and (in `wire::PackedReader`) strictly ascending rows; counts in range.
+/// and (in `wire::PackedReader`) strictly ascending rows; a delta's counts
+/// 0 or 1.
 class SegmentReader {
  public:
   SegmentReader(const std::string& dir, const SegmentRef& ref,
                 SegmentKind kind, const ColumnTypes& types)
       : path_(dir + "/" + ref.file),
-        body_(ReadBody(path_, ref.bytes)),
-        // A base holds live rows only; a delta may record a row's removal.
-        min_count_(kind == SegmentKind::kDelta ? 0 : 1) {
+        body_(ReadBody(path_, ref.bytes)) {
     wire::Reader r(body_);
     if (r.GetU8() != static_cast<uint8_t>(kind)) Fail("wrong segment kind");
     if (r.GetRowHeader() != types) Fail("column types differ from schema");
-    block_.emplace(&r, types, kind != SegmentKind::kTableBase);
+    block_.emplace(&r, types, kind == SegmentKind::kDelta);
     if (!r.AtEnd()) Fail("trailing bytes after the last row");
   }
   SegmentReader(const SegmentReader&) = delete;
   SegmentReader& operator=(const SegmentReader&) = delete;
 
-  /// Moves to the next row; false once past the last.
+  /// Moves to the next row (counted 1, or 0 when a delta removes it);
+  /// false once past the last.
   bool Next() {
     if (!block_->Next()) return false;
-    if (block_->count() < min_count_) Fail("row count out of range");
+    if (block_->count() < 0 || block_->count() > 1) {
+      Fail("row count out of range");
+    }
     return true;
   }
 
@@ -251,7 +254,6 @@ class SegmentReader {
 
   std::string path_;
   std::string body_;
-  int64_t min_count_;
   std::optional<wire::PackedReader> block_;  // over body_
 };
 
@@ -267,28 +269,25 @@ std::string SegmentReader::ReadBody(const std::string& path, uint64_t bytes) {
   return std::move(*body);
 }
 
-/// A scope's image in ascending row order: the base streamed, with the
+/// A table's image in ascending row order: the base streamed, with the
 /// chain's deltas folded into one sorted override list (deltas are small;
 /// the base is read once).  Positioned on live rows only.
 class ImageReader {
  public:
-  ImageReader(const std::string& dir, const ScopeImage& scope, bool counted)
-      : counted_(counted) {
+  ImageReader(const std::string& dir, const ScopeImage& scope) {
     const ColumnTypes types = ColumnTypesOf(scope.schema);
     for (size_t i = 1; i < scope.chain.size(); ++i) {
       SegmentReader delta(dir, scope.chain[i], SegmentKind::kDelta, types);
       Fold(&delta);
     }
-    base_ = std::make_unique<SegmentReader>(
-        dir, scope.chain[0],
-        counted ? SegmentKind::kViewBase : SegmentKind::kTableBase, types);
+    base_ = std::make_unique<SegmentReader>(dir, scope.chain[0],
+                                            SegmentKind::kBase, types);
     base_valid_ = base_->Next();
     Settle();
   }
 
   bool Valid() const { return row_ != nullptr; }
   const Tuple& row() const { return *row_; }
-  int64_t count() const { return count_; }
   void Next() {
     Advance();
     Settle();
@@ -335,30 +334,18 @@ class ImageReader {
       from_base_ = base_valid_ && (o == nullptr || !(o->first < base_->row()));
       from_override_ = o != nullptr &&
                        (!base_valid_ || !(base_->row() < o->first));
-      if (from_override_) {
-        row_ = &o->first;
-        count_ = o->second;
-      } else {
-        row_ = &base_->row();
-        count_ = base_->count();
-      }
-      if (!counted_ && count_ > 1) {
-        throw CorruptionError("checkpoint: table row counted " +
-                              std::to_string(count_) + " times");
-      }
-      if (count_ > 0) return;
+      row_ = from_override_ ? &o->first : &base_->row();
+      if (!from_override_ || o->second > 0) return;
       Advance();  // a row the chain removed
     }
   }
 
-  bool counted_;
   std::unique_ptr<SegmentReader> base_;
   bool base_valid_ = false;
   std::vector<Override> overrides_;
   size_t next_override_ = 0;
-  // The current row, its count, and the inputs it came from.
+  // The current row and the inputs it came from.
   const Tuple* row_ = nullptr;
-  int64_t count_ = 0;
   bool from_base_ = false;
   bool from_override_ = false;
 };
@@ -368,10 +355,10 @@ void SortRows(SortedRows* rows) {
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
 }
 
-/// Collects, as delta rows, every row whose count in `rows` differs from
-/// its count in `image` (absent = 0), with its count in `rows`.  A row the
-/// image holds and `rows` does not is copied into `removed`, which must
-/// outlive the result.
+/// Collects, as delta rows, every row in exactly one of `rows` and
+/// `image`, with its count in `rows` (1, or 0 when gone).  A row the image
+/// holds and `rows` does not is copied into `removed`, which must outlive
+/// the result.
 SortedRows DiffRows(ImageReader* image, const SortedRows& rows,
                     std::deque<Tuple>* removed) {
   SortedRows delta;
@@ -385,7 +372,6 @@ SortedRows DiffRows(ImageReader* image, const SortedRows& rows,
       delta.emplace_back(&removed->back(), 0);
       image->Next();
     } else {
-      if (rows[i].second != image->count()) delta.push_back(rows[i]);
       ++i;
       image->Next();
     }
@@ -434,10 +420,9 @@ std::string EncodeManifest(const CheckpointManifest& m) {
   wire::PutVarint(&body, m.tables.size());
   for (const auto& scope : m.tables) PutScope(&body, scope);
   wire::PutVarint(&body, m.views.size());
-  for (size_t i = 0; i < m.views.size(); ++i) {
-    wire::PutViewMeta(&body, m.views[i]);
-    PutPendingLogs(&body, m.views[i]);
-    PutScope(&body, m.view_images[i]);
+  for (const auto& view : m.views) {
+    wire::PutViewMeta(&body, view);
+    PutPendingLogs(&body, view);
   }
   wire::PutVarint(&body, m.assertions.size());
   for (const auto& def : m.assertions) wire::PutDefinition(&body, def);
@@ -449,24 +434,36 @@ CheckpointManifest DecodeManifest(const std::string& body) {
   CheckpointManifest m;
   m.lsn = r.GetU64();
   m.generation = r.GetU64();
-  std::unordered_set<std::string> names;
+  std::unordered_set<std::string> tables;
   uint64_t n_tables = r.GetVarCount();
   for (uint64_t i = 0; i < n_tables; ++i) {
     m.tables.push_back(GetScope(&r));
-    if (!names.insert("t:" + m.tables.back().name).second) {
+    if (!tables.insert(m.tables.back().name).second) {
       throw CorruptionError("checkpoint: duplicate table in manifest");
     }
   }
+  std::unordered_set<std::string> views;
   uint64_t n_views = r.GetVarCount();
   for (uint64_t i = 0; i < n_views; ++i) {
     CheckpointView view = wire::GetViewMeta(&r);
     GetPendingLogs(&r, &view);
-    ScopeImage image = GetScope(&r);
-    if (image.name != view.name || !names.insert("v:" + view.name).second) {
-      throw CorruptionError("checkpoint: bad view scope in manifest");
+    if (!views.insert(view.name).second) {
+      throw CorruptionError("checkpoint: duplicate view in manifest");
+    }
+    // Recovery derives the view from these tables, so each must be here.
+    const auto& bases = view.definition.bases();
+    for (const BaseRef& base : bases) {
+      if (tables.count(base.relation) == 0) {
+        throw CorruptionError("checkpoint: view " + view.name +
+                              " reads table " + base.relation +
+                              ", which the manifest lacks");
+      }
+    }
+    if (!view.pending.empty() && view.pending.size() != bases.size()) {
+      throw CorruptionError("checkpoint: pending logs of " + view.name +
+                            " do not cover every base");
     }
     m.views.push_back(std::move(view));
-    m.view_images.push_back(std::move(image));
   }
   uint64_t n_assertions = r.GetVarCount();
   for (uint64_t i = 0; i < n_assertions; ++i) {
@@ -525,36 +522,33 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
     ++stats->segments_written;
     return ref;
   };
-  auto find_prev = [&](std::vector<ScopeImage> CheckpointManifest::*scopes,
-                       const std::string& name) -> const ScopeImage* {
+  auto find_prev = [&](const std::string& name) -> const ScopeImage* {
     if (prev == nullptr) return nullptr;
-    for (const auto& scope : prev->*scopes) {
+    for (const auto& scope : prev->tables) {
       if (scope.name == name) return &scope;
     }
     return nullptr;
   };
-  // One scope's chain: carried forward, extended by a delta, or replaced
-  // by a fresh base (see the header's chain and compaction rules).  `scan`
-  // feeds every row in memory with its count.
-  auto write_scope = [&](const std::string& name, const std::string& key,
-                         const ScopeImage* old, const Schema& schema,
-                         bool counted, const auto& scan) {
+  // One table's chain: carried forward, extended by a delta, or replaced
+  // by a fresh base (see the header's chain and compaction rules).
+  auto write_table = [&](const std::string& name, const Relation& rel) {
+    const ScopeImage* old = find_prev(name);
     ScopeImage out;
     out.name = name;
-    out.schema = schema;
-    const bool fresh =
-        old == nullptr || changed.Created(key) || !(old->schema == schema);
-    if (!fresh && !changed.Changed(key)) {
+    out.schema = rel.schema();
+    const bool fresh = old == nullptr || changed.Created(name) ||
+                       !(old->schema == out.schema);
+    if (!fresh && !changed.Changed(name)) {
       out.chain = old->chain;
       ++stats->scopes_skipped;
       return out;
     }
     SortedRows rows;
-    scan([&](const Tuple& t, int64_t count) { rows.emplace_back(&t, count); });
+    rel.Scan([&](const Tuple& t) { rows.emplace_back(&t, 1); });
     SortRows(&rows);
-    const ColumnTypes types = ColumnTypesOf(schema);
+    const ColumnTypes types = ColumnTypesOf(out.schema);
     if (!fresh) {
-      ImageReader image(dir, *old, counted);
+      ImageReader image(dir, *old);
       std::deque<Tuple> removed;
       const SortedRows delta = DiffRows(&image, rows, &removed);
       if (delta.empty()) {
@@ -574,31 +568,18 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
         return out;
       }
     }
-    out.chain.push_back(write_segment(
-        SegmentBody(counted ? SegmentKind::kViewBase : SegmentKind::kTableBase,
-                    types, rows),
-        /*base=*/true));
+    out.chain.push_back(
+        write_segment(SegmentBody(SegmentKind::kBase, types, rows),
+                      /*base=*/true));
     return out;
   };
 
   for (const auto& name : db.Names()) {
-    const Relation& rel = db.Get(name);
-    m.tables.push_back(write_scope(
-        name, "t:" + name, find_prev(&CheckpointManifest::tables, name),
-        rel.schema(), /*counted=*/false, [&](const auto& emit) {
-          rel.Scan([&](const Tuple& t) { emit(t, 1); });
-        }));
+    m.tables.push_back(write_table(name, db.Get(name)));
   }
+  // Views are derived state: only what evaluation cannot recover.
   for (const auto& name : views.ViewNames()) {
     m.views.push_back(BuildViewMeta(views, name));
-    // The raw materialization, not `View()`: a quarantined view's contents
-    // still checkpoint (recovery restores them alongside the quarantine
-    // flag; `REPAIR VIEW` rebuilds from bases later).
-    const CountedRelation& rel = views.Materialization(name);
-    m.view_images.push_back(write_scope(
-        name, "v:" + name, find_prev(&CheckpointManifest::view_images, name),
-        rel.schema(), /*counted=*/true,
-        [&](const auto& emit) { rel.Scan(emit); }));
   }
   if (guard != nullptr) {
     for (const auto& name : guard->AssertionNames()) {
@@ -618,10 +599,8 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
 
   // Segments only the *old* manifest referenced are garbage now.
   std::unordered_set<std::string> live;
-  for (const auto* scopes : {&m.tables, &m.view_images}) {
-    for (const auto& scope : *scopes) {
-      for (const auto& ref : scope.chain) live.insert(ref.file);
-    }
+  for (const auto& scope : m.tables) {
+    for (const auto& ref : scope.chain) live.insert(ref.file);
   }
   SweepSegments(dir, live);
   return m;
@@ -642,10 +621,10 @@ std::optional<CheckpointManifest> ReadManifest(const std::string& dir) {
   }
 }
 
-void ScanImage(const std::string& dir, const ScopeImage& scope, bool counted,
-               const std::function<void(const Tuple&, int64_t)>& fn) {
-  for (ImageReader image(dir, scope, counted); image.Valid(); image.Next()) {
-    fn(image.row(), image.count());
+void ScanImage(const std::string& dir, const ScopeImage& scope,
+               const std::function<void(const Tuple&)>& fn) {
+  for (ImageReader image(dir, scope); image.Valid(); image.Next()) {
+    fn(image.row());
   }
 }
 

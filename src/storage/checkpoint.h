@@ -19,61 +19,60 @@ namespace mview::storage {
 
 // --- the checkpoint image ---------------------------------------------------
 //
-// A checkpoint is a small manifest (`manifest.mv`) plus, per scope (table
-// or view), a chain of row segments (`seg_<generation>_<seq>.mv`).  The
-// chain's first file is the scope's *base*: every row, sorted.  Each
-// later file is a *delta* written by one later checkpoint: every row whose
-// multiplicity changed since the chain's previous file, sorted, with its
-// multiplicity after that checkpoint — 0 when the row is gone.  A scope's
-// image is its base with the deltas applied in order.  The manifest
-// carries everything else — LSN, table schemas, view definitions,
-// options, health and pending backlogs, assertions — plus each scope's
-// chain.
+// A checkpoint is a small manifest (`manifest.mv`) plus, per table
+// ("scope"), a chain of row segments (`seg_<generation>_<seq>.mv`).  The
+// chain's first file is the table's *base*: every row, sorted.  Each later
+// file is a *delta* written by one later checkpoint: every row that came or
+// went since the chain's previous file, sorted, with its multiplicity
+// after that checkpoint — 1 when present, 0 when gone.  A table's image is
+// its base with the deltas applied in order.  The manifest carries
+// everything else — LSN, table schemas, view definitions, options, health
+// and pending backlogs, assertions — plus each table's chain.
 //
-// The view manager records which scopes changed since the last
-// checkpoint, not which rows (`ChangedScopes`).  For each changed scope
-// the writer stream-merges the image on disk with the scope's rows in
-// memory, sorted, and appends the differences as one delta; a scope that
+// Views are derived state with no rows in the image: recovery re-evaluates
+// each from the tables (a deferred view with its backlog undone; see
+// `InstallCheckpoint`), so the manifest keeps only what evaluation cannot
+// recover — each view's definition, mode, options, health and backlog.
+//
+// The view manager records which tables changed since the last
+// checkpoint, not which rows (`ChangedScopes`).  For each changed table
+// the writer stream-merges the image on disk with the table's rows in
+// memory, sorted, and appends the differences as one delta; a table that
 // did not change, or whose merge finds no difference, carries its chain
 // forward untouched.  So a checkpoint costs bytes in proportion to the
-// rows that changed, and repair, full re-evaluation or creation need no
-// special case.  A scope created (or dropped and re-created) since the
-// last checkpoint gets a fresh base: it never inherits a predecessor's
-// chain.
+// base rows that changed.  A table created (or dropped and re-created)
+// since the last checkpoint gets a fresh base: it never inherits a
+// predecessor's chain.
 //
 // Compaction: when appending the delta would make the chain hold more
 // than `kMaxDeltas` deltas or more delta bytes than its base, the writer
 // writes a fresh base instead and drops the chain.  The byte rule bounds
-// a scope's files at twice its base, so the space on disk and the bytes
+// a table's files at twice its base, so the space on disk and the bytes
 // recovery reads stay within a constant of the live rows; the count rule
-// bounds how many files recovery and the next merge open per scope.  Both
+// bounds how many files recovery and the next merge open per table.  Both
 // are fixed: they trade write volume against those bounds, not a
 // deployment choice.
 //
 // The manifest rename is the commit point: segments are written and
 // fsynced first (a crash leaves unreferenced orphans, removed by the next
 // writer's sweep), then the manifest replaces its predecessor atomically.
-// Pending backlogs ride in the manifest rather than in segments because
-// deferred logging mutates them without touching the materialization.
 //
 // Every file shares one frame: 8-byte magic, CRC32 of the body, body
 // length, body.  A segment's body is a kind byte (`SegmentKind`), the
 // column-type header, and its rows, strictly ascending, as one packed
-// block (`wire::PutPackedRows`): column-major and bit-packed, with the
-// multiplicity column last — except in a table's base, where every row
-// counts once and the block has none.  A sorted set of narrow columns packs
-// to a few bits per value, which roughly halves every base, delta and
-// compaction against the row codec.  The manifest stores each pending
-// backlog's inserts and deletes as packed blocks too.
+// block (`wire::PutPackedRows`): column-major and bit-packed, with a
+// delta's multiplicity column last (a base's rows each count once, so it
+// has none).  A sorted set of narrow columns packs to a few bits per
+// value.  The manifest stores each pending backlog's inserts and deletes
+// as packed blocks too.
 
 /// Deltas a chain may hold before the next change compacts it.
 constexpr size_t kMaxDeltas = 8;
 
 /// What a segment holds; the first byte of its body.
 enum class SegmentKind : uint8_t {
-  kTableBase = 0,  // rows, each counted once
-  kViewBase = 1,   // rows with their counts (>= 1)
-  kDelta = 2,      // rows with their multiplicity after the change (>= 0)
+  kBase = 0,   // rows, each counted once
+  kDelta = 1,  // rows with their multiplicity after the change (0 or 1)
 };
 
 /// One file of a chain and its size on disk (frame included).
@@ -82,7 +81,7 @@ struct SegmentRef {
   uint64_t bytes = 0;
 };
 
-/// One scope's checkpointed rows: its schema and its chain — `chain[0]`
+/// One table's checkpointed rows: its schema and its chain — `chain[0]`
 /// is the base, the rest are deltas, oldest first.
 struct ScopeImage {
   std::string name;
@@ -90,14 +89,13 @@ struct ScopeImage {
   std::vector<SegmentRef> chain;
 };
 
-/// A decoded `manifest.mv`.  `views` hold each view's metadata and
-/// pending backlog; `view_images` (parallel to it) its rows.
+/// A decoded `manifest.mv`: each table's image, and each view's
+/// metadata and pending backlog, in the order recovery derives them.
 struct CheckpointManifest {
   uint64_t lsn = 0;
   uint64_t generation = 0;  // monotonic per manifest write
   std::vector<ScopeImage> tables;
   std::vector<CheckpointView> views;
-  std::vector<ScopeImage> view_images;
   std::vector<ViewDefinition> assertions;
 };
 
@@ -107,13 +105,14 @@ struct CheckpointStats {
   uint64_t base_bytes = 0;       // fresh bases and compactions
   uint64_t delta_bytes = 0;      // delta segments
   int64_t segments_written = 0;  // bases and deltas
-  int64_t scopes_skipped = 0;    // chains carried forward unchanged
+  int64_t scopes_skipped = 0;    // table chains carried forward unchanged
 };
 
-/// Writes a checkpoint of `db`, `views` and `guard`'s assertions into
-/// `dir` at `lsn`.  Scopes absent from `prev` (or every scope, when `prev`
-/// is null) get a fresh base; the rest follow the chain rules above, with
-/// `changed` naming the scopes that may differ from `prev`'s image.
+/// Writes a checkpoint of `db`'s tables, `views`' definitions and backlogs
+/// and `guard`'s assertions into `dir` at `lsn`.  Tables absent from `prev`
+/// (or every table, when `prev` is null) get a fresh base; the rest follow
+/// the chain rules above, with `changed` naming the tables that may differ
+/// from `prev`'s image.
 /// Fires "checkpoint.write" once up front, "checkpoint.segment" before
 /// each segment and "checkpoint.manifest" after the last one, before the
 /// manifest commits; a failure at any of them leaves the previous manifest
@@ -132,17 +131,18 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
 /// Reads the manifest in `dir`.  Returns nullopt when none exists (a
 /// fresh database); throws `CorruptionError` when it fails validation (bad
 /// magic, CRC mismatch, undecodable body, an empty or overlong chain, a
-/// segment name outside `seg_<gen>_<seq>.mv`, a duplicate scope) and
-/// `IoError` on read errors.
+/// segment name outside `seg_<gen>_<seq>.mv`, a duplicate table or view, a
+/// view over a table the manifest lacks, a backlog that does not cover
+/// every base of its view) and `IoError` on read errors.
 std::optional<CheckpointManifest> ReadManifest(const std::string& dir);
 
-/// Streams a scope's image — base with the chain applied — to `fn`, each
-/// live row once with its count, in ascending order.  `counted` is false
-/// for a table.  Throws `CorruptionError` when a segment is missing, fails
-/// its frame, or does not decode as the chain position and `scope.schema`
-/// require (wrong kind or column types, rows out of order, bad counts).
-void ScanImage(const std::string& dir, const ScopeImage& scope, bool counted,
-               const std::function<void(const Tuple&, int64_t)>& fn);
+/// Streams a table's image — base with the chain applied — to `fn`, each
+/// live row once, in ascending order.  Throws `CorruptionError` when a
+/// segment is missing, fails its frame, or does not decode as the chain
+/// position and `scope.schema` require (wrong kind or column types, rows
+/// out of order, bad counts).
+void ScanImage(const std::string& dir, const ScopeImage& scope,
+               const std::function<void(const Tuple&)>& fn);
 
 }  // namespace mview::storage
 

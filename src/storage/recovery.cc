@@ -5,6 +5,7 @@
 
 #include "ivm/snapshot.h"
 #include "util/error.h"
+#include "util/stopwatch.h"
 
 namespace mview::storage {
 
@@ -14,33 +15,28 @@ void InstallCheckpoint(const std::string& dir, CheckpointManifest* manifest,
               "null recovery target");
   MVIEW_CHECK(db->Names().empty() && views->ViewNames().empty(),
               "recovery requires an empty engine");
+  StorageMetrics& metrics = views->metrics().storage();
 
+  Stopwatch restore;
   for (const ScopeImage& table : manifest->tables) {
     Relation& rel = db->CreateRelation(table.name, table.schema);
-    ScanImage(dir, table, /*counted=*/false,
-              [&](const Tuple& t, int64_t) { rel.Insert(t); });
+    ScanImage(dir, table, [&](const Tuple& t) { rel.Insert(t); });
   }
+  metrics.restore_nanos = restore.ElapsedNanos();
 
-  for (size_t v = 0; v < manifest->views.size(); ++v) {
-    CheckpointView& view = manifest->views[v];
-    const ScopeImage& image = manifest->view_images[v];
-    if (!(image.schema == view.definition.OutputSchema(*db))) {
-      throw CorruptionError("checkpoint: image of view " + view.name +
-                            " does not match its definition's columns");
-    }
-    CountedRelation rows(image.schema);
-    ScanImage(dir, image, /*counted=*/true,
-              [&](const Tuple& t, int64_t count) { rows.Add(t, count); });
+  Stopwatch derive;
+  for (CheckpointView& view : manifest->views) {
     std::vector<std::unique_ptr<BaseDeltaLog>> pending;
-    if (view.mode == MaintenanceMode::kDeferred && !view.pending.empty()) {
-      MVIEW_CHECK(view.pending.size() == view.definition.bases().size(),
-                  "checkpointed pending logs do not cover every base of ",
-                  view.name);
+    RestoredHealth health;
+    health.quarantined = view.quarantined;
+    health.reason = view.quarantine_reason;
+    health.sticky = view.quarantine_sticky;
+    try {
+      // `ReadManifest` checked that a backlog covers every base.
       for (size_t i = 0; i < view.pending.size(); ++i) {
         Schema schema = view.definition.AliasedSchema(*db, i);
         if (ColumnTypesOf(schema) != view.pending[i].types) {
-          throw CorruptionError("checkpoint: pending log of " + view.name +
-                                " does not match its base's columns");
+          throw CorruptionError("its pending log has other columns");
         }
         auto log = std::make_unique<BaseDeltaLog>(std::move(schema));
         for (const auto& t : view.pending[i].inserts) log->LogInsert(t);
@@ -48,14 +44,16 @@ void InstallCheckpoint(const std::string& dir, CheckpointManifest* manifest,
         pending.push_back(std::move(log));
       }
       view.pending.clear();
+      views->RestoreView(std::move(view.definition), view.mode, view.options,
+                         std::move(pending), std::move(health));
+    } catch (const Error& e) {
+      // Evaluation failures are contained by `RestoreView` (a quarantine);
+      // what lands here is a view the restored tables cannot hold.
+      throw CorruptionError("checkpoint: view " + view.name +
+                            " does not fit its tables: " + e.what());
     }
-    RestoredHealth health;
-    health.quarantined = view.quarantined;
-    health.reason = view.quarantine_reason;
-    health.sticky = view.quarantine_sticky;
-    views->RestoreView(view.definition, view.mode, view.options,
-                       std::move(rows), std::move(pending), std::move(health));
   }
+  metrics.derive_nanos = derive.ElapsedNanos();
   views->changed_scopes().Clear();
 }
 

@@ -15,15 +15,15 @@ namespace mview::storage {
 
 /// Rebuilds base relations and views from the checkpoint `manifest` in
 /// `dir`.  Each table's image (base plus chain) is decoded straight into
-/// the `Database` relation created for it; each view's into the
-/// materialization it is restored with, along with its pending backlog
-/// (moved out of `manifest`) via `ViewManager::RestoreView` — not
-/// re-evaluated, because a deferred view's checkpointed contents may
-/// legitimately lag its bases.  Leaves the manager's changed-scope set
-/// empty: what it installed is the image.  The caller replays the WAL
-/// tail afterwards and registers assertions last (see
-/// `InstallAssertions`).  Expects an empty database/manager.  Throws
-/// `CorruptionError` when a segment or a pending log fails validation.
+/// the `Database` relation created for it; then each view is derived from
+/// the tables by `ViewManager::RestoreView`, in manifest order, with its
+/// pending backlog moved out of `manifest`.  Times both steps
+/// (`StorageMetrics::restore_nanos`, `derive_nanos`).  Leaves the
+/// manager's changed-table set empty: what it installed is the image.  The
+/// caller replays the WAL tail afterwards and registers assertions last
+/// (see `InstallAssertions`).  Expects an empty database/manager.  Throws
+/// `CorruptionError` when a segment or a pending log fails validation, or
+/// a view's definition does not fit its tables.
 void InstallCheckpoint(const std::string& dir, CheckpointManifest* manifest,
                        Database* db, ViewManager* views);
 

@@ -50,6 +50,7 @@ void Storage::Attach(sql::EngineCore& core) {
   Database& db = core.storage_database();
   ViewManager& views = core.storage_views();
 
+  StorageMetrics& metrics = views.metrics().storage();
   uint64_t checkpoint_lsn = 0;
   bool have_checkpoint = false;
   std::vector<ViewDefinition> assertions;
@@ -57,14 +58,14 @@ void Storage::Attach(sql::EngineCore& core) {
     have_checkpoint = true;
     checkpoint_lsn = manifest->lsn;
     assertions = manifest->assertions;
-    // Leaves the changed-scope set empty: from here on every mutation,
-    // replayed or live, marks its scope like a live one.
+    // Decodes the tables and derives the views from them (timing both).
+    // Leaves the changed-table set empty: from here on every mutation,
+    // replayed or live, marks its table like a live one.
     storage::InstallCheckpoint(path_, &*manifest, &db, &views);
     // Carried into the next write, which extends its chains.
     manifest_ = std::move(manifest);
   }
 
-  StorageMetrics& metrics = views.metrics().storage();
   storage::WalOptions wal_options;
   wal_options.group_commit_window = options_.group_commit_window;
   wal_options.max_batch = options_.max_batch;
@@ -74,6 +75,7 @@ void Storage::Attach(sql::EngineCore& core) {
   // header is a torn rotate (the checkpoint covers everything such a file
   // could have held), not corruption.
   wal_options.tolerate_torn_header = have_checkpoint;
+  Stopwatch replay;
   wal_ = std::make_unique<storage::Wal>(
       wal_path(), wal_options, [&](storage::WalRecord&& record) {
         // A crash between checkpoint write and log rotation leaves records
@@ -111,6 +113,7 @@ void Storage::Attach(sql::EngineCore& core) {
         }
         ++metrics.replayed_records;
       });
+  metrics.replay_nanos = replay.ElapsedNanos();
 
   // A crash during `Rotate` (or an externally emptied log) can leave the
   // log rebased *below* the checkpoint.  Fresh appends would then be

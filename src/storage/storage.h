@@ -17,8 +17,9 @@ class EngineCore;
 namespace mview {
 
 /// The single storage-facing facade: one durable database directory
-/// holding a checkpoint image (`manifest.mv` plus each scope's chain of
-/// `seg_*.mv` row segments) and a write-ahead log (`wal.mv`).
+/// holding a checkpoint image (`manifest.mv` plus each table's chain of
+/// `seg_*.mv` row segments; views are derived state and store no rows)
+/// and a write-ahead log (`wal.mv`).
 ///
 /// Lifecycle: `Open` the directory, construct an `sql::Engine` with the
 /// `Storage*` (the engine attaches, which recovers — checkpoint restore,
@@ -27,7 +28,8 @@ namespace mview {
 /// transaction and every catalog change (DDL) is appended to the log
 /// (group-committed) before it is applied, so a DDL statement costs one
 /// small record, not a checkpoint.  `Checkpoint` (or SQL `CHECKPOINT`)
-/// writes the rows that changed since the last one and truncates the log; `Close` detaches (checkpointing first by default).
+/// writes the table rows that changed since the last one and truncates the
+/// log; `Close` detaches (checkpointing first by default).
 class Storage {
  public:
   struct Options {
@@ -65,22 +67,25 @@ class Storage {
   Storage& operator=(const Storage&) = delete;
 
   /// Binds this storage to an *empty* engine core and recovers into it:
-  /// restores the latest checkpoint, replays the WAL tail through
+  /// decodes the latest checkpoint's tables and derives every view from
+  /// them (`storage::InstallCheckpoint`; a view whose evaluation throws
+  /// comes up quarantined), replays the WAL tail through
   /// `ViewManager::ApplyEffect` (so replayed updates flow through
   /// irrelevance filtering and differential re-evaluation), truncates any
   /// torn tail, rebases the log above the checkpoint LSN when a torn
   /// rotation left it behind, re-registers assertions against the
   /// recovered state, and finally republishes the recovered view state as
   /// epoch 0 — a freshly opened database always serves snapshot readers
-  /// from epoch 0 regardless of how many rounds the WAL replayed.
-  /// Called by the `sql::EngineCore(Storage*)` constructor; callable
-  /// directly for engines assembled by hand.  Throws
-  /// `storage::CorruptionError` / `storage::IoError` on unrecoverable
-  /// state.
+  /// from epoch 0 regardless of how many rounds the WAL replayed.  Times
+  /// the first three steps (`StorageMetrics::restore_nanos`,
+  /// `derive_nanos`, `replay_nanos`).  Called by the
+  /// `sql::EngineCore(Storage*)` constructor; callable directly for engines
+  /// assembled by hand.  Throws `storage::CorruptionError` /
+  /// `storage::IoError` on unrecoverable state.
   void Attach(sql::EngineCore& core);
 
   /// Checkpoints the engine state at the current durable LSN — one delta
-  /// segment per scope whose rows changed since the last checkpoint,
+  /// segment per table whose rows changed since the last checkpoint,
   /// holding just those rows, so the cost follows the change rather than
   /// the database (see `storage/checkpoint.h`) — then truncates the log.
   /// Requires an attached engine.

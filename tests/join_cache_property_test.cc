@@ -93,17 +93,14 @@ TEST_P(JoinCachePropertyTest, WarmEqualsDisabledAcrossDdlRefreshRecovery) {
         check_shards();
       }
       if (step == 10) {
-        // Simulated recovery: bring the deferred view up to date, capture
-        // the materializations, destroy the manager, and restore the views
-        // verbatim into a fresh one (the checkpoint/recovery path).
+        // Simulated recovery: bring the deferred view up to date, destroy
+        // the manager, and restore the views into a fresh one, which
+        // derives them from the bases (the checkpoint/recovery path).
         vm->Refresh("snap");
         warm_hits += vm->Describe("v").stats.cache_hits;
-        CountedRelation v = vm->View("v"), snap = vm->View("snap");
         vm = std::make_unique<ViewManager>(&db);
-        vm->RestoreView(def, MaintenanceMode::kImmediate, options,
-                        std::move(v), {});
-        vm->RestoreView(snap_def, MaintenanceMode::kDeferred, options,
-                        std::move(snap), {});
+        vm->RestoreView(def, MaintenanceMode::kImmediate, options, {});
+        vm->RestoreView(snap_def, MaintenanceMode::kDeferred, options, {});
         check_shards();
       }
     }

@@ -311,11 +311,11 @@ TEST_F(PartitionCheckpointTest, DirtyCarryForwardRecovers) {
   ExpectSameState(engine, reference, "carry-forward recovery");
 }
 
-// A table dropped and re-created, and a view re-created under its old
-// name with another definition, between two checkpoints: the second
-// checkpoint must give every re-created scope a fresh base and never
-// extend or carry the old scope's chain, whose rows belong to a
-// predecessor.
+// A table dropped and re-created, and views re-created under their old
+// names with other definitions, between two checkpoints: the second
+// checkpoint must give the re-created table a fresh base and never extend
+// or carry the old table's chain, whose rows belong to a predecessor, and
+// recovery must derive the views from their new definitions.
 TEST_F(PartitionCheckpointTest, RecreatedScopesNeverCarryOldSegments) {
   const std::string before =
       "CREATE TABLE r (a INT64, b INT64);"
@@ -355,17 +355,13 @@ TEST_F(PartitionCheckpointTest, RecreatedScopesNeverCarryOldSegments) {
         storage::ReadManifest(Dir("inc"));
     ASSERT_TRUE(now.has_value());
     std::set<std::string> old_files;
-    for (const auto* scopes : {&old->tables, &old->view_images}) {
-      for (const auto& scope : *scopes) {
-        for (const auto& ref : scope.chain) old_files.insert(ref.file);
-      }
+    for (const auto& scope : old->tables) {
+      for (const auto& ref : scope.chain) old_files.insert(ref.file);
     }
-    for (const auto* scopes : {&now->tables, &now->view_images}) {
-      for (const auto& scope : *scopes) {
-        if (scope.name == "r") continue;
-        ASSERT_EQ(scope.chain.size(), 1u) << scope.name;
-        EXPECT_EQ(old_files.count(scope.chain[0].file), 0u) << scope.name;
-      }
+    for (const auto& scope : now->tables) {
+      if (scope.name == "r") continue;
+      ASSERT_EQ(scope.chain.size(), 1u) << scope.name;
+      EXPECT_EQ(old_files.count(scope.chain[0].file), 0u) << scope.name;
     }
   }
   // The log was rotated by the second checkpoint, so recovery reads the

@@ -88,6 +88,9 @@ TEST(PrometheusTest, CountersGaugesAndLabelsFromHandBuiltRegistry) {
   registry.pool().workers = 4;
   registry.pool().queue_depth = 2;
   registry.storage().wal_appends = 11;
+  registry.storage().restore_nanos = 2'000'000;    // 2 ms
+  registry.storage().derive_nanos = 30'000'000;    // 30 ms
+  registry.storage().replay_nanos = 500'000'000;   // 0.5 s
   registry.row_store().bases.mapped = 1 << 20;
   registry.row_store().views.live = 4000;
   ViewMetrics& v = registry.ForView("v");
@@ -105,6 +108,9 @@ TEST(PrometheusTest, CountersGaugesAndLabelsFromHandBuiltRegistry) {
   EXPECT_EQ(samples.at("mview_pool_workers"), 4);
   EXPECT_EQ(samples.at("mview_pool_queue_depth"), 2);
   EXPECT_EQ(samples.at("mview_wal_appends_total"), 11);
+  EXPECT_DOUBLE_EQ(samples.at("mview_open_seconds{step=\"restore\"}"), 0.002);
+  EXPECT_DOUBLE_EQ(samples.at("mview_open_seconds{step=\"derive\"}"), 0.03);
+  EXPECT_DOUBLE_EQ(samples.at("mview_open_seconds{step=\"replay\"}"), 0.5);
   EXPECT_EQ(samples.at("mview_view_transactions_total{view=\"v\"}"), 5);
   EXPECT_EQ(samples.at("mview_view_transactions_total{view=\"w\"}"), 1);
   EXPECT_EQ(samples.at("mview_view_updates_filtered_total{view=\"v\"}"), 3);
@@ -210,6 +216,16 @@ TEST(PrometheusTest, EngineEndToEndExport) {
 
     // Storage-level export matches the engine-level one.
     EXPECT_EQ(storage->ExportMetricsText(), engine.ExportMetricsText());
+  }
+  {
+    // Reopened over the checkpoint: the table is decoded and the view
+    // derived from it, each step timed.
+    auto storage = Storage::Open(dir);
+    sql::Engine engine(storage.get());
+    auto samples = Samples(engine.ExportMetricsText());
+    EXPECT_GT(samples.at("mview_open_seconds{step=\"restore\"}"), 0);
+    EXPECT_GT(samples.at("mview_open_seconds{step=\"derive\"}"), 0);
+    EXPECT_GE(samples.at("mview_open_seconds{step=\"replay\"}"), 0);
   }
   std::filesystem::remove_all(dir);
 }

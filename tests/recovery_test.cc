@@ -28,6 +28,7 @@
 #include "storage/storage.h"
 #include "storage/wal.h"
 #include "util/fault.h"
+#include "ivm_test_util.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -607,6 +608,53 @@ TEST_F(RecoveryTest, AssertionsRecoverAndStillRejectViolations) {
       Tuple({Value(int64_t{6}), Value(int64_t{60})})));
 }
 
+// Views are derived at open, so an evaluation that throws there must not
+// fail the open: the view comes up quarantined with the failure as its
+// reason, the other views are derived, and REPAIR heals it.  The fault
+// fires once, during `Attach`: first in a full evaluation (the immediate
+// view, derived first), then in a backlog's delta (the deferred view).
+TEST_F(RecoveryTest, ViewWhoseDerivationFailsOpensQuarantined) {
+  {
+    auto storage = Storage::Open(Dir());
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
+    engine.ExecuteScript(
+        "INSERT INTO r VALUES (1, 10), (2, 20);"
+        "INSERT INTO s VALUES (10, 100), (20, 200);");
+  }
+  Storage::Options options;
+  options.checkpoint_on_close = false;
+  for (const std::string point : {"ra.batch.alloc", "differential.eval"}) {
+    SCOPED_TRACE(point);
+    const std::string failed =
+        point == "ra.batch.alloc" ? "joined" : "small_a";
+    const std::string healthy = failed == "joined" ? "small_a" : "joined";
+    std::unique_ptr<Storage> storage;
+    std::unique_ptr<Engine> recovered;
+    {
+      util::ScopedFault fault(point, util::FaultSpec{});
+      storage = Storage::Open(Dir(), options);
+      ASSERT_NO_THROW(recovered = std::make_unique<Engine>(storage.get()));
+    }
+    const ViewInfo info = recovered->views().Describe(failed);
+    EXPECT_TRUE(info.quarantined);
+    EXPECT_TRUE(info.quarantine_sticky);
+    EXPECT_NE(info.quarantine_reason.find(point), std::string::npos)
+        << info.quarantine_reason;
+    EXPECT_FALSE(recovered->views().IsQuarantined(healthy));
+    EXPECT_EQ(recovered->views().Describe("small_a").stale,
+              failed != "small_a");  // a quarantine drops the backlog
+    recovered->Execute("REPAIR VIEW " + failed);
+    recovered->Execute("REFRESH small_a");
+    for (const std::string& name : {failed, healthy}) {
+      EXPECT_TRUE(recovered->views().View(name).SameContents(
+          testing::NaiveEvaluate(recovered->views().Describe(name).definition,
+                                 recovered->database())))
+          << name;
+    }
+  }
+}
+
 TEST_F(RecoveryTest, SqlCheckpointShowWalAndStorageStats) {
   auto storage = Storage::Open(Dir());
   Engine engine(storage.get());
@@ -655,15 +703,13 @@ TEST_F(RecoveryTest, SqlCheckpointShowWalAndStorageStats) {
 // ---------------------------------------------------------------------------
 // Differential checkpoints: chains of delta segments over a base.
 
-// Scope name -> its chain in the manifest on disk (tables and views).
+// Table name -> its chain in the manifest on disk (views have none).
 std::map<std::string, std::vector<storage::SegmentRef>> Chains(
     const std::string& dir) {
   std::optional<storage::CheckpointManifest> m = storage::ReadManifest(dir);
   std::map<std::string, std::vector<storage::SegmentRef>> chains;
   if (!m.has_value()) return chains;
-  for (const auto* scopes : {&m->tables, &m->view_images}) {
-    for (const auto& scope : *scopes) chains[scope.name] = scope.chain;
-  }
+  for (const auto& scope : m->tables) chains[scope.name] = scope.chain;
   return chains;
 }
 
@@ -815,10 +861,11 @@ TEST_F(DifferentialCheckpointTest, CrashBeforeManifestRenameKeepsTheOldImage) {
   ExpectSameState(*engine_, reference_);
 }
 
-// A table and a view dropped and re-created under their names, with the
-// same rows, while their chains hold deltas: the next checkpoint gives
-// each a fresh base.  (A merge against the old image would find nothing
-// to write and carry the predecessor's chain forward.)
+// A table dropped and re-created under its name, with the same rows, while
+// its chain holds deltas: the next checkpoint gives it a fresh base.  (A
+// merge against the old image would find nothing to write and carry the
+// predecessor's chain forward.)  The view over it, re-created too, is
+// derived from the new table at recovery.
 TEST_F(DifferentialCheckpointTest, ScopeRecreatedMidChainNeverInheritsIt) {
   for (int i = 0; i < 2; ++i) {
     Both("INSERT INTO s VALUES (3, " + std::to_string(9000 + i) + ");");
@@ -826,7 +873,7 @@ TEST_F(DifferentialCheckpointTest, ScopeRecreatedMidChainNeverInheritsIt) {
   }
   const auto before = Chains(Dir());
   ASSERT_EQ(before.at("s").size(), 3u);
-  ASSERT_EQ(before.at("joined").size(), 3u);
+  EXPECT_EQ(before.count("joined"), 0u);
   std::string refill = "INSERT INTO s VALUES (3, 9000), (3, 9001)";
   for (int a = 0; a < 300; ++a) {
     refill += ", (" + std::to_string(a % 7) + ", " + std::to_string(a) + ")";
@@ -840,11 +887,9 @@ TEST_F(DifferentialCheckpointTest, ScopeRecreatedMidChainNeverInheritsIt) {
        "  SELECT a, c FROM r, s WHERE b = b2;");
   engine_->Execute("CHECKPOINT");
   auto after = Chains(Dir());
-  for (const char* scope : {"s", "joined"}) {
-    ASSERT_EQ(after[scope].size(), 1u) << scope;
-    for (const auto& old : before.at(scope)) {
-      EXPECT_NE(after[scope][0].file, old.file) << scope;
-    }
+  ASSERT_EQ(after["s"].size(), 1u);
+  for (const auto& old : before.at("s")) {
+    EXPECT_NE(after["s"][0].file, old.file);
   }
   EXPECT_EQ(after["r"].size(), before.at("r").size());  // untouched
   Reopen();
@@ -892,11 +937,12 @@ TEST_F(DifferentialCheckpointTest, QuarantineBacklogAndAssertionSurvive) {
   ExpectSameState(*engine_, reference_);
 }
 
-// Every path that changes a scope's rows marks it, so the next checkpoint
-// records the change: a commit (with a RECOMPUTED view's full
-// re-evaluation), a REFRESH, and the REPAIR of a quarantined view that
-// missed a commit.  Each checkpoint rotates the log away, so recovery
-// reads the image alone.
+// Every path that changes a view's rows is reproduced from the image
+// alone: a commit (with a RECOMPUTED view's full re-evaluation) reaches
+// the tables, a REFRESH empties the backlog the manifest keeps, and the
+// REPAIR of a quarantined view that missed a commit clears the health the
+// manifest keeps; recovery derives every view from the result.  Each
+// checkpoint rotates the log away, so recovery reads the image alone.
 TEST_F(DifferentialCheckpointTest, EveryMutationPathReachesTheImage) {
   Both("CREATE MATERIALIZED VIEW recomputed RECOMPUTED AS "
        "  SELECT a, b FROM r WHERE b = 3;");
@@ -923,7 +969,7 @@ TEST_F(DifferentialCheckpointTest, EveryMutationPathReachesTheImage) {
   }
   reference_.Execute("INSERT INTO s VALUES (3, 8001);");
   ASSERT_TRUE(engine_->views().IsQuarantined("joined"));
-  engine_->Execute("CHECKPOINT");  // the stale rows, quarantined
+  engine_->Execute("CHECKPOINT");  // the quarantine, in the manifest
   engine_->Execute("REPAIR VIEW joined");
   check("repair");
 }
@@ -931,6 +977,8 @@ TEST_F(DifferentialCheckpointTest, EveryMutationPathReachesTheImage) {
 // `checkpoint_bytes` counts every byte of every file a checkpoint writes,
 // and `segments_written` every segment file; `checkpoint_base_bytes` and
 // `checkpoint_delta_bytes` split the segments' bytes by chain position.
+// Only table scopes are written: one segment per changed table, none for
+// the views over them.
 TEST_F(DifferentialCheckpointTest, CheckpointBytesEqualTheFilesWritten) {
   for (int round = 0; round < 4; ++round) {
     if (round < 3) {
@@ -946,9 +994,12 @@ TEST_F(DifferentialCheckpointTest, CheckpointBytesEqualTheFilesWritten) {
     const int64_t segments0 = m.segments_written;
     const auto files0 = Files(Dir());
     engine_->Execute("CHECKPOINT");
-    std::set<std::string> bases;
-    for (const auto& [scope, chain] : Chains(Dir())) {
+    const auto chains = Chains(Dir());
+    EXPECT_EQ(chains.size(), 2u);  // r and s; no view scope
+    std::set<std::string> bases, live;
+    for (const auto& [scope, chain] : chains) {
       bases.insert(chain[0].file);
+      for (const auto& ref : chain) live.insert(ref.file);
     }
     uintmax_t written = 0;
     int64_t base = 0;
@@ -958,6 +1009,7 @@ TEST_F(DifferentialCheckpointTest, CheckpointBytesEqualTheFilesWritten) {
       if (name == "manifest.mv") {
         written += size;
       } else if (name.rfind("seg_", 0) == 0 && files0.count(name) == 0) {
+        EXPECT_EQ(live.count(name), 1u) << name << " is no table's segment";
         written += size;
         (bases.count(name) > 0 ? base : delta) += static_cast<int64_t>(size);
         ++segments;
@@ -968,26 +1020,32 @@ TEST_F(DifferentialCheckpointTest, CheckpointBytesEqualTheFilesWritten) {
     EXPECT_EQ(m.checkpoint_delta_bytes - delta0, delta) << "round " << round;
     EXPECT_EQ(m.segments_written - segments0, segments);
     EXPECT_GT(segments, 0);
+    EXPECT_EQ(segments, round < 3 ? 2 : 1) << "round " << round;
     EXPECT_GT(round < 3 ? delta : base, 0) << "round " << round;
   }
 }
 
-// `REPAIR VIEW` of a healthy view reinstalls the same rows: the merge
-// finds no difference, so the next checkpoint writes no delta for it.
+// `REPAIR VIEW` of a healthy view changes no table, and views have no
+// chain, so the next checkpoint writes no segment at all.
 TEST_F(DifferentialCheckpointTest,
        RepairOfAHealthyViewLeavesItsNextDeltaEmpty) {
   const auto before = Chains(Dir());
   engine_->Execute("REPAIR VIEW joined");
-  ASSERT_TRUE(engine_->views().changed_scopes().Changed("v:joined"));
+  for (const auto& [table, chain] : before) {
+    EXPECT_FALSE(engine_->views().changed_scopes().Changed(table)) << table;
+  }
   StorageMetrics& m = engine_->mutable_views().metrics().storage();
   const int64_t segments0 = m.segments_written;
   const int64_t skipped0 = m.partitions_skipped;
   engine_->Execute("CHECKPOINT");
   EXPECT_EQ(m.segments_written, segments0);
-  EXPECT_EQ(m.partitions_skipped - skipped0, 4);  // r, s, joined, small_a
+  EXPECT_EQ(m.partitions_skipped - skipped0, 2);  // r and s
   const auto after = Chains(Dir());
-  EXPECT_EQ(after.at("joined").size(), before.at("joined").size());
-  EXPECT_EQ(after.at("joined")[0].file, before.at("joined")[0].file);
+  EXPECT_EQ(after.size(), 2u);
+  for (const auto& [table, chain] : before) {
+    ASSERT_EQ(after.at(table).size(), chain.size()) << table;
+    EXPECT_EQ(after.at(table).back().file, chain.back().file) << table;
+  }
 }
 
 // The replay == direct-execution property, at the component level: a

@@ -82,11 +82,12 @@ TEST(StatsJsonTest, GoldenSchema) {
     for (const char* key :
          {"wal_appends", "wal_fsyncs", "wal_bytes", "fsync_nanos",
           "checkpoints", "checkpoint_nanos", "replayed_records",
+          "restore_nanos", "derive_nanos", "replay_nanos",
           "batch_commits_histogram", "fsync_latency"}) {
       ASSERT_TRUE(storage_json.Has(key)) << key;
     }
     EXPECT_GT(storage_json.At("wal_appends").number, 0);
-    // The first checkpoint writes every scope's base; the rest of its bytes
+    // The first checkpoint writes every table's base; the rest of its bytes
     // are the manifest's.
     for (const char* key : {"checkpoint_bytes", "checkpoint_base_bytes",
                             "checkpoint_delta_bytes"}) {
@@ -128,6 +129,43 @@ TEST(StatsJsonTest, GoldenSchema) {
     EXPECT_GT(doc.At("retired").At("transactions").number, 0);
     // Live views recorded per-phase latency histograms.
     EXPECT_GT(views.At("v").At("differential_latency").At("count").number, 0);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The open's three steps are timed from inside: a fresh directory has no
+// image to decode or derive from, and a reopen over a checkpoint and a
+// WAL tail spends time in all three.
+TEST(StatsJsonTest, OpenTimingsComeFromTheLastOpen) {
+  const std::string dir = testing::ScratchDir();
+  Storage::Options options;
+  options.checkpoint_on_close = false;
+  auto storage_json = [](sql::Engine& engine) {
+    return JsonParser::Parse(engine.Execute("SHOW STATS JSON").message)
+        .At("storage");
+  };
+  {
+    auto storage = Storage::Open(dir, options);
+    sql::Engine engine(storage.get());
+    const JsonValue fresh = storage_json(engine);
+    EXPECT_EQ(fresh.At("restore_nanos").number, 0);
+    EXPECT_EQ(fresh.At("derive_nanos").number, 0);
+    EXPECT_GT(fresh.At("replay_nanos").number, 0);
+    engine.ExecuteScript(
+        "CREATE TABLE r (a INT64, b INT64);"
+        "CREATE MATERIALIZED VIEW v AS SELECT a FROM r WHERE b < 5;"
+        "INSERT INTO r VALUES (1, 1), (2, 9), (3, 3);"
+        "CHECKPOINT;"
+        "INSERT INTO r VALUES (4, 4);");
+  }
+  {
+    auto storage = Storage::Open(dir, options);
+    sql::Engine engine(storage.get());
+    const JsonValue reopened = storage_json(engine);
+    EXPECT_GT(reopened.At("restore_nanos").number, 0);
+    EXPECT_GT(reopened.At("derive_nanos").number, 0);
+    EXPECT_GT(reopened.At("replay_nanos").number, 0);
+    EXPECT_EQ(reopened.At("replayed_records").number, 1);
   }
   std::filesystem::remove_all(dir);
 }

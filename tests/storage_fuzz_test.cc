@@ -222,12 +222,9 @@ class StorageFuzzTest : public ::testing::Test {
     std::vector<std::string> donors = {recorded_.manifest_body, recorded_.rows,
                                        recorded_.packed};
     for (const auto& p : recorded_.wal_payloads) donors.push_back(p);
-    for (const auto* scopes :
-         {&recorded_.manifest.tables, &recorded_.manifest.view_images}) {
-      for (const auto& scope : *scopes) {
-        for (const auto& ref : scope.chain) {
-          donors.push_back(ReadFile(dir_ + "/" + ref.file).substr(kFrame));
-        }
+    for (const auto& scope : recorded_.manifest.tables) {
+      for (const auto& ref : scope.chain) {
+        donors.push_back(ReadFile(dir_ + "/" + ref.file).substr(kFrame));
       }
     }
     mutator_ = std::make_unique<Mutator>(20260501, std::move(donors));
@@ -339,12 +336,12 @@ TEST_F(StorageFuzzTest, ManifestWithChains) {
     for (const auto& log : view.pending) has_backlog |= !log.inserts.empty();
   }
   ASSERT_TRUE(has_backlog) << "the workload left no pending backlog";
-  const std::string framed = Frame("MVMANIF4", recorded_.manifest_body);
+  const std::string framed = Frame("MVMANIF5", recorded_.manifest_body);
   for (int64_t i = 0; i < 8 * Iterations(); ++i) {
     // Odd rounds mutate the frame too (magic, CRC, length): the reader
     // must not trust the length field either.
     const std::string file =
-        i % 2 == 0 ? Frame("MVMANIF4",
+        i % 2 == 0 ? Frame("MVMANIF5",
                            mutator_->Mutate(recorded_.manifest_body))
                    : mutator_->Mutate(framed);
     WriteFile(dir_ + "/manifest.mv", file);
@@ -356,31 +353,26 @@ TEST_F(StorageFuzzTest, ManifestWithChains) {
 
 TEST_F(StorageFuzzTest, BaseAndDeltaSegments) {
   int64_t deltas = 0;
-  for (int counted = 0; counted < 2; ++counted) {
-    const auto& scopes = counted != 0 ? recorded_.manifest.view_images
-                                      : recorded_.manifest.tables;
-    for (const ScopeImage& scope : scopes) {
-      for (size_t pos = 0; pos < scope.chain.size(); ++pos) {
-        deltas += pos > 0 ? 1 : 0;
-        const std::string path = dir_ + "/" + scope.chain[pos].file;
-        const std::string original = ReadFile(path);
-        for (int64_t i = 0; i < Iterations(); ++i) {
-          const std::string file =
-              i % 2 == 0 ? Frame("MVSEG003",
-                                 mutator_->Mutate(original.substr(kFrame)))
-                         : mutator_->Mutate(original);
-          WriteFile(path, file);
-          // The manifest's size entry follows the mutation, so the
-          // decoder — not the size check — meets every input.
-          ScopeImage mutated = scope;
-          mutated.chain[pos].bytes = file.size();
-          ExpectDecodesOrCorruption(path, file.size(), [&] {
-            ScanImage(dir_, mutated, counted != 0,
-                      [](const Tuple&, int64_t) {});
-          });
-        }
-        WriteFile(path, original);
+  for (const ScopeImage& scope : recorded_.manifest.tables) {
+    for (size_t pos = 0; pos < scope.chain.size(); ++pos) {
+      deltas += pos > 0 ? 1 : 0;
+      const std::string path = dir_ + "/" + scope.chain[pos].file;
+      const std::string original = ReadFile(path);
+      for (int64_t i = 0; i < Iterations(); ++i) {
+        const std::string file =
+            i % 2 == 0 ? Frame("MVSEG004",
+                               mutator_->Mutate(original.substr(kFrame)))
+                       : mutator_->Mutate(original);
+        WriteFile(path, file);
+        // The manifest's size entry follows the mutation, so the
+        // decoder — not the size check — meets every input.
+        ScopeImage mutated = scope;
+        mutated.chain[pos].bytes = file.size();
+        ExpectDecodesOrCorruption(path, file.size(), [&] {
+          ScanImage(dir_, mutated, [](const Tuple&) {});
+        });
       }
+      WriteFile(path, original);
     }
   }
   EXPECT_GT(deltas, 0) << "the workload left no delta segment to mutate";
@@ -392,17 +384,67 @@ TEST_F(StorageFuzzTest, TrailingBytesAfterPackedBlocksAreCorrupt) {
   const ScopeImage& scope = recorded_.manifest.tables[0];
   const std::string path = dir_ + "/" + scope.chain[0].file;
   const std::string file = Frame(
-      "MVSEG003", ReadFile(path).substr(kFrame) + std::string(1, '\0'));
+      "MVSEG004", ReadFile(path).substr(kFrame) + std::string(1, '\0'));
   WriteFile(path, file);
   ScopeImage grown = scope;
   grown.chain[0].bytes = file.size();
-  EXPECT_THROW(
-      ScanImage(dir_, grown, false, [](const Tuple&, int64_t) {}),
-      CorruptionError);
+  EXPECT_THROW(ScanImage(dir_, grown, [](const Tuple&) {}), CorruptionError);
 
   WriteFile(dir_ + "/manifest.mv",
-            Frame("MVMANIF4", recorded_.manifest_body + std::string(1, '\0')));
+            Frame("MVMANIF5", recorded_.manifest_body + std::string(1, '\0')));
   EXPECT_THROW(ReadManifest(dir_), CorruptionError);
+}
+
+// Recovery derives every view from the manifest's tables, so a view over a
+// table the manifest lacks is corrupt — found by the decoder, before
+// anything is evaluated.  The recorded manifest is re-encoded without one
+// of the tables its views read.
+TEST_F(StorageFuzzTest, ViewOverAMissingTableIsCorrupt) {
+  const CheckpointManifest& m = recorded_.manifest;
+  ASSERT_FALSE(m.views.empty());
+  for (size_t drop = 0; drop < m.tables.size(); ++drop) {
+    std::string body;
+    wire::PutU64(&body, m.lsn);
+    wire::PutU64(&body, m.generation);
+    wire::PutVarint(&body, m.tables.size() - 1);
+    for (size_t t = 0; t < m.tables.size(); ++t) {
+      if (t == drop) continue;
+      wire::PutString(&body, m.tables[t].name);
+      wire::PutSchema(&body, m.tables[t].schema);
+      wire::PutVarint(&body, m.tables[t].chain.size());
+      for (const SegmentRef& ref : m.tables[t].chain) {
+        wire::PutString(&body, ref.file);
+        wire::PutVarint(&body, ref.bytes);
+      }
+    }
+    // The views with their backlogs, as recorded.
+    wire::Reader r(recorded_.manifest_body);
+    r.GetU64();
+    r.GetU64();
+    for (uint64_t t = r.GetVarCount(); t > 0; --t) {
+      r.GetString();
+      wire::GetSchema(&r);
+      for (uint64_t n = r.GetVarCount(); n > 0; --n) {
+        r.GetString();
+        r.GetVarint();
+      }
+    }
+    body += recorded_.manifest_body.substr(recorded_.manifest_body.size() -
+                                           r.Remaining());
+    const std::string file = Frame("MVMANIF5", body);
+    WriteFile(dir_ + "/manifest.mv", file);
+    bool rejected = false;
+    ExpectDecodesOrCorruption("manifest without " + m.tables[drop].name,
+                              file.size(), [&] {
+                                try {
+                                  ReadManifest(dir_);
+                                } catch (const CorruptionError&) {
+                                  rejected = true;
+                                  throw;
+                                }
+                              });
+    EXPECT_TRUE(rejected) << m.tables[drop].name;
+  }
 }
 
 // Hand-built packed blocks that each break one rule of the format.  Every

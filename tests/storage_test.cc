@@ -54,7 +54,7 @@ class StorageTest : public ::testing::Test {
 
   // Frames `body` as a manifest file (magic, CRC, length) and installs it.
   void WriteRawManifest(const std::string& body) {
-    std::string file = "MVMANIF4";
+    std::string file = "MVMANIF5";
     wire::PutU32(&file, Crc32(body.data(), body.size()));
     wire::PutU64(&file, body.size());
     file += body;
@@ -492,8 +492,8 @@ TEST_F(StorageTest, CheckpointRoundTripsTablesViewsAndAssertions) {
   EXPECT_EQ(back.PendingLogs("sel")[0]->inserts().ToSortedVector(),
             std::vector<Tuple>{T({5, 2})});
   // What was installed is the image: nothing is marked changed.
-  EXPECT_FALSE(back.changed_scopes().Changed("v:j"));
-  EXPECT_FALSE(back.changed_scopes().Changed("t:R"));
+  EXPECT_FALSE(back.changed_scopes().Changed("R"));
+  EXPECT_FALSE(back.changed_scopes().Changed("S"));
   ASSERT_EQ(m.assertions.size(), 1u);
   EXPECT_EQ(m.assertions[0].name(), "no_big_a");
   // The condition survived structurally.
@@ -534,12 +534,21 @@ TEST_F(StorageTest, CorruptCheckpointThrows) {
   FlipLastByte(ManifestPath());
   ASSERT_TRUE(ReadManifest(dir_).has_value());
 
-  // A manifest under the previous format's magic is refused, not decoded,
-  // even with an intact CRC: its view meta carried two more bytes.
+  // Files under the previous format's magics are refused, not decoded,
+  // even with an intact CRC: that format carried the views' row chains.
+  {
+    std::fstream f(segment, std::ios::binary | std::ios::in | std::ios::out);
+    f.write("MVSEG003", 8);
+  }
+  {
+    Database back_db;
+    ViewManager back(&back_db);
+    EXPECT_THROW(Install(&back_db, &back), CorruptionError);
+  }
   {
     std::fstream f(ManifestPath(),
                    std::ios::binary | std::ios::in | std::ios::out);
-    f.write("MVMANIF3", 8);
+    f.write("MVMANIF4", 8);
   }
   EXPECT_THROW(ReadManifest(dir_), CorruptionError);
 }
@@ -550,7 +559,7 @@ TEST_F(StorageTest, CheckpointOverwriteIsAtomic) {
   ViewManager views(&db);
   CheckpointManifest first = Write(1, db, views, nullptr);
   db.Get("R").Insert(T({2}));
-  views.changed_scopes().MarkRows("t:R");
+  views.changed_scopes().MarkRows("R");
   Write(2, db, views, nullptr, &first);
   Database back_db;
   ViewManager back(&back_db);
@@ -615,9 +624,9 @@ TEST_F(StorageTest, ManifestSegmentNamesMustBeSegmentFiles) {
   }
 }
 
-// A base segment is the scope's rows in sorted order as one packed block —
-// kind, column-type header, then the block, whose last column holds a view
-// row's count — and the manifest records the framed file's size.
+// A base segment is the table's rows in sorted order as one packed block —
+// kind, column-type header, then the block — and the manifest records the
+// framed file's size.  A view writes no segment: it is derived state.
 TEST_F(StorageTest, SegmentBytesArePackedBlocksOfTheSortedScope) {
   Database db;
   Relation& rel = db.CreateRelation(
@@ -646,7 +655,7 @@ TEST_F(StorageTest, SegmentBytesArePackedBlocksOfTheSortedScope) {
   std::vector<wire::CountedRow> block;
   for (const Tuple& t : table_rows) block.emplace_back(&t, 1);
   std::string table;
-  wire::PutU8(&table, static_cast<uint8_t>(SegmentKind::kTableBase));
+  wire::PutU8(&table, static_cast<uint8_t>(SegmentKind::kBase));
   wire::PutRowHeader(&table, ColumnTypesOf(rel.schema()));
   wire::PutPackedRows(&table, ColumnTypesOf(rel.schema()), block,
                       /*counted=*/false);
@@ -654,26 +663,20 @@ TEST_F(StorageTest, SegmentBytesArePackedBlocksOfTheSortedScope) {
   ASSERT_EQ(m.tables[0].chain.size(), 1u);
   EXPECT_EQ(segment(m.tables[0].chain[0]), table);
 
-  const CountedRelation& view = views.View("v");
-  const auto view_rows = view.ToSortedVector();
-  block.clear();
-  for (const auto& [t, count] : view_rows) block.emplace_back(&t, count);
-  std::string counted;
-  wire::PutU8(&counted, static_cast<uint8_t>(SegmentKind::kViewBase));
-  wire::PutRowHeader(&counted, ColumnTypesOf(view.schema()));
-  wire::PutPackedRows(&counted, ColumnTypesOf(view.schema()), block,
-                      /*counted=*/true);
-  ASSERT_EQ(m.view_images.size(), 1u);
-  EXPECT_EQ(segment(m.view_images[0].chain[0]), counted);
-  // The projection collapsed duplicates, so some counts exceed one.
-  bool multi = false;
-  view.Scan([&](const Tuple&, int64_t c) { multi |= c > 1; });
-  EXPECT_TRUE(multi);
+  ASSERT_EQ(m.views.size(), 1u);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"manifest.mv",
+                                             m.tables[0].chain[0].file}));
 }
 
-// A changed scope gets one delta holding exactly the rows whose count
-// changed, with the count after the change (0 = gone); an unchanged one
-// keeps its chain, and recovery applies the chain over the base.
+// A changed table gets one delta holding exactly the rows that came or
+// went, with the count after the change (1, or 0 = gone); an unchanged one
+// keeps its chain, and recovery applies the chain over the base and
+// derives the view from the result.
 TEST_F(StorageTest, DeltaSegmentHoldsOnlyTheChangedRows) {
   Database db;
   // The two wide rows keep R's packed base larger than a two-row delta, so
@@ -694,7 +697,7 @@ TEST_F(StorageTest, DeltaSegmentHoldsOnlyTheChangedRows) {
   CheckpointStats stats;
   CheckpointManifest second = WriteCheckpoint(
       dir_, 2, db, views, nullptr, views.changed_scopes(), &first, &stats);
-  EXPECT_EQ(stats.segments_written, 2);  // R and p; Q carried
+  EXPECT_EQ(stats.segments_written, 1);  // R; Q carried, p derived
   EXPECT_EQ(stats.scopes_skipped, 1);
   EXPECT_EQ(second.tables[0].name, "Q");
   EXPECT_EQ(second.tables[0].chain.size(), 1u);
@@ -703,7 +706,7 @@ TEST_F(StorageTest, DeltaSegmentHoldsOnlyTheChangedRows) {
 
   // The rows (1, 1) now 0 times and (5, 3) once, as golden bytes.
   const std::string delta = Bytes({
-      0x02,              // kind: delta
+      0x01,              // kind: delta
       0x02, 0x00, 0x00,  // two int64 columns
       0x02,              // two rows
       0x02, 0x03, 0x20,  // A: base 1, 3-bit gaps 0 and 4
@@ -712,11 +715,10 @@ TEST_F(StorageTest, DeltaSegmentHoldsOnlyTheChangedRows) {
   });
   EXPECT_EQ(SegmentBody(second.tables[1].chain[1]), delta);
 
-  // The view: B=1 dropped from count 2 to 1, and B=3 appeared.
-  std::vector<std::pair<Tuple, int64_t>> view_rows;
-  ScanImage(dir_, second.view_images[0], /*counted=*/true,
-            [&](const Tuple& t, int64_t c) { view_rows.emplace_back(t, c); });
-  EXPECT_EQ(view_rows, views.View("p").ToSortedVector());
+  std::vector<Tuple> image;
+  ScanImage(dir_, second.tables[1],
+            [&](const Tuple& t) { image.push_back(t); });
+  EXPECT_EQ(image, db.Get("R").ToSortedVector());
 
   Database back_db;
   ViewManager back(&back_db);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "ivm_test_util.h"
 #include "test_util.h"
 #include "util/error.h"
+#include "util/fault.h"
 
 namespace mview {
 namespace {
@@ -196,14 +198,15 @@ TEST_F(ViewManagerTest, DescribeReturnsFullSnapshot) {
   EXPECT_FALSE(vm_.Describe("snap").stale);
 }
 
-TEST_F(ViewManagerTest, RestoreViewInstallsExactStateWithoutEvaluation) {
-  // Capture a stale deferred view's state, then restore it into a second
-  // manager over the same database contents and check nothing is lost:
-  // the (stale) materialization is verbatim and the backlog still drives
-  // a correct refresh.
+TEST_F(ViewManagerTest, RestoreViewDerivesTheStaleStateFromBasesAndBacklog) {
+  // Capture a stale deferred view's backlog, then restore the view into a
+  // second manager over the same database contents: it is derived from the
+  // bases with the backlog undone, so it equals the stale materialization,
+  // and the backlog still drives a correct refresh.
   vm_.RegisterView(JoinDef("snap"), MaintenanceMode::kDeferred);
   Transaction txn;
   txn.Insert("R", T({5, 2}));
+  txn.Delete("S", T({2, 20}));
   vm_.Apply(txn);
   ViewInfo info = vm_.Describe("snap");
   ASSERT_TRUE(info.stale);
@@ -221,17 +224,47 @@ TEST_F(ViewManagerTest, RestoreViewInstallsExactStateWithoutEvaluation) {
     });
     pending.push_back(std::move(copy));
   }
-  CountedRelation materialized(vm_.View("snap").schema());
-  vm_.View("snap").Scan(
-      [&](const Tuple& t, int64_t c) { materialized.Add(t, c); });
   restored.RestoreView(info.definition, info.mode, MaintenanceOptions{},
-                       std::move(materialized), std::move(pending));
+                       std::move(pending));
 
   EXPECT_TRUE(restored.Describe("snap").stale);
   EXPECT_TRUE(restored.View("snap").SameContents(vm_.View("snap")));
+  EXPECT_FALSE(restored.View("snap").SameContents(
+      testing::NaiveEvaluate(info.definition, db_)));
   vm_.Refresh("snap");
   restored.Refresh("snap");
   EXPECT_TRUE(restored.View("snap").SameContents(vm_.View("snap")));
+}
+
+TEST_F(ViewManagerTest, RestoreViewKeepsHealthAndQuarantinesAFailedEvaluation) {
+  RestoredHealth health;
+  health.quarantined = true;
+  health.reason = "checkpointed reason";
+  health.sticky = true;
+  vm_.RestoreView(JoinDef("sick"), MaintenanceMode::kImmediate,
+                  MaintenanceOptions{}, {}, health);
+  ViewInfo sick = vm_.Describe("sick");
+  EXPECT_TRUE(sick.quarantined);
+  EXPECT_EQ(sick.quarantine_reason, "checkpointed reason");
+  EXPECT_TRUE(sick.quarantine_sticky);
+  // Evaluated all the same: REPAIR finds nothing to change.
+  EXPECT_TRUE(vm_.Materialization("sick").SameContents(
+      testing::NaiveEvaluate(JoinDef("sick"), db_)));
+
+  {
+    util::ScopedFault fault("ra.batch.alloc", util::FaultSpec{});
+    vm_.RestoreView(JoinDef("failed"), MaintenanceMode::kImmediate,
+                    MaintenanceOptions{}, {});
+  }
+  ViewInfo failed = vm_.Describe("failed");
+  EXPECT_TRUE(failed.quarantined);
+  EXPECT_NE(failed.quarantine_reason.find("ra.batch.alloc"), std::string::npos)
+      << failed.quarantine_reason;
+  EXPECT_TRUE(failed.quarantine_sticky);
+  EXPECT_EQ(vm_.Materialization("failed").size(), 0u);
+  vm_.Repair("failed");
+  EXPECT_TRUE(vm_.View("failed").SameContents(
+      testing::NaiveEvaluate(JoinDef("failed"), db_)));
 }
 
 TEST_F(ViewManagerTest, MetricsRecordPhasesAndDeltaSizes) {
