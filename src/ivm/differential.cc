@@ -1,7 +1,6 @@
 #include "ivm/differential.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -10,38 +9,6 @@
 #include "util/stopwatch.h"
 
 namespace mview {
-namespace {
-
-// The byte budget of one view's join-state cache, split evenly among its
-// partition shards.
-constexpr size_t kJoinCacheBudgetBytes = size_t{256} << 20;
-
-/// Exception-safe wrapper of the join-cache round protocol: the destructor
-/// aborts a round that never reached `Commit()`, so a throw anywhere
-/// between `BeginRound` and `EndRound` (planner failure, injected fault,
-/// bad_alloc) cannot leave the cache with a round open and half-repaired
-/// entries that the *next* round would then silently discard mid-state.
-class JoinCacheRoundGuard {
- public:
-  /// Construct *before* `BeginRound` so even a throw from inside the
-  /// repair itself (after the round flag is set) unwinds through the
-  /// abort.
-  explicit JoinCacheRoundGuard(JoinStateCache* cache) : cache_(cache) {}
-  ~JoinCacheRoundGuard() {
-    if (cache_->round_active()) cache_->AbortRound();
-  }
-
-  /// Applies the round's inserts and closes it normally.
-  void Commit() { cache_->EndRound(); }
-
-  JoinCacheRoundGuard(const JoinCacheRoundGuard&) = delete;
-  JoinCacheRoundGuard& operator=(const JoinCacheRoundGuard&) = delete;
-
- private:
-  JoinStateCache* cache_;
-};
-
-}  // namespace
 
 PhaseBreakdown& PhaseBreakdown::operator+=(const PhaseBreakdown& o) {
   normalize_nanos += o.normalize_nanos;
@@ -65,10 +32,6 @@ MaintenanceStats& MaintenanceStats::operator+=(const MaintenanceStats& o) {
   quarantines += o.quarantines;
   repairs += o.repairs;
   maintenance_nanos += o.maintenance_nanos;
-  cache_hits += o.cache_hits;
-  cache_misses += o.cache_misses;
-  cache_evictions += o.cache_evictions;
-  cache_bytes += o.cache_bytes;
   batch_batches += o.batch_batches;
   batch_rows += o.batch_rows;
   arena_bytes += o.arena_bytes;
@@ -95,7 +58,6 @@ DifferentialMaintainer::DifferentialMaintainer(ViewDefinition def,
     Relation& rel = db->Get(def_.bases()[i].relation);
     for (const auto& attr : join_attrs[i]) rel.CreateIndex(attr);
   }
-  cross_join_ = !def_.EquiConnected(*db);
   combined_ = def_.CombinedSchema(*db_);
   output_ = def_.OutputSchema(*db_);
   aliased_.reserve(def_.bases().size());
@@ -109,23 +71,6 @@ DifferentialMaintainer::DifferentialMaintainer(ViewDefinition def,
   for (uint32_t p = 0; p < layout_.count; ++p) {
     arenas_.push_back(std::make_unique<util::Arena>());
   }
-  BuildShards();
-}
-
-void DifferentialMaintainer::BuildShards() {
-  shards_.clear();
-  if (!cross_join_) return;
-  const size_t budget = kJoinCacheBudgetBytes / layout_.count;
-  shards_.reserve(layout_.count);
-  for (uint32_t p = 0; p < layout_.count; ++p) {
-    shards_.push_back(std::make_unique<JoinStateCache>(budget));
-  }
-}
-
-size_t DifferentialMaintainer::join_cache_bytes() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->bytes();
-  return total;
 }
 
 bool DifferentialMaintainer::AffectedBy(const TransactionEffect& effect) const {
@@ -180,20 +125,6 @@ DifferentialMaintainer::PreparedDelta DifferentialMaintainer::Prepare(
     };
     prep.parts[i].inserts = filter_one(re->inserts);
     prep.parts[i].deletes = filter_one(re->deletes);
-  }
-
-  // Cache-round tokens: built from the *unfiltered* deltas so the
-  // predicted post-versions match the relations after the commit applies.
-  if (!shards_.empty()) {
-    prep.use_cache = true;
-    prep.slots.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Relation& rel = db_->Get(def_.bases()[i].relation);
-      const RelationEffect* re = effect.Find(def_.bases()[i].relation);
-      prep.slots[i] = {rel.uid(), rel.version(),
-                       re != nullptr ? &re->deletes : nullptr,
-                       re != nullptr ? &re->inserts : nullptr};
-    }
   }
 
   // Slice the screened deltas by partition.  Keyed mode slices by each
@@ -264,47 +195,20 @@ ViewDelta DifferentialMaintainer::ComputePartition(
     PhaseBreakdown* phases, const util::Cancellation* cancel) const {
   static const uint32_t kDifferentialName =
       obs::Tracer::Global().InternName("differential");
-  static const uint32_t kCacheRepairName =
-      obs::Tracer::Global().InternName("join_cache_repair");
   MVIEW_CHECK(p < layout_.count, "partition index out of range");
   obs::TraceSpan differential_span(kDifferentialName);
   Stopwatch differential_timer;
-  // Open a cache round on this partition's shard: validate entries against
-  // each base's (uid, version) token and apply the *unfiltered* deletes so
-  // warm tables mirror the clean pre-state the planner's clean inputs
-  // stream.  The unfiltered inserts are replayed (through each entry's
-  // stored local filters) when the round closes.  Pruned partitions run
-  // the round too — skipping it would let the shard's version tokens fall
-  // behind the relations and force cold rebuilds.
-  JoinStateCache* shard = prep.use_cache ? shards_[p].get() : nullptr;
-  JoinCacheCounters before;
-  std::optional<JoinCacheRoundGuard> round;
-  if (shard != nullptr) {
-    before = shard->counters();
-    obs::TraceSpan repair_span(kCacheRepairName);
-    round.emplace(shard);
-    shard->BeginRound(prep.slots);
-  }
   ViewDelta delta(output_);
   if (prep.active[p]) {
     const bool keyed = layout_.keyed && layout_.count > 1;
     const std::vector<BaseParts>& full = keyed ? prep.sliced[p] : prep.parts;
     const std::vector<BaseParts>& anchor =
         layout_.count > 1 ? prep.sliced[p] : prep.parts;
-    delta = EvaluateSlice(full, anchor, keyed, p, shard, arenas_[p].get(),
-                          stats, cancel);
+    delta = EvaluateSlice(full, anchor, keyed, p, arenas_[p].get(), stats,
+                          cancel);
     if (stats != nullptr) ++stats->partition_jobs;
   } else if (stats != nullptr) {
     ++stats->partitions_pruned;
-  }
-  if (shard != nullptr) {
-    round->Commit();
-    if (stats != nullptr) {
-      const JoinCacheCounters& after = shard->counters();
-      stats->cache_hits += after.hits - before.hits;
-      stats->cache_misses += after.misses - before.misses;
-      stats->cache_evictions += after.evictions - before.evictions;
-    }
   }
   if (phases != nullptr) {
     phases->differential_nanos += differential_timer.ElapsedNanos();
@@ -338,7 +242,6 @@ ViewDelta DifferentialMaintainer::MergePartitions(std::vector<ViewDelta> slices,
 
 void DifferentialMaintainer::FinalizeRoundStats(MaintenanceStats* stats) const {
   if (stats == nullptr) return;
-  stats->cache_bytes = static_cast<int64_t>(join_cache_bytes());
   int64_t reserved = 0;
   int64_t high_water = 0;
   for (const auto& arena : arenas_) {
@@ -369,11 +272,10 @@ ViewDelta DifferentialMaintainer::ComputeDelta(
 
 ViewDelta DifferentialMaintainer::ComputeDeltaFromParts(
     const std::vector<BaseParts>& parts, MaintenanceStats* stats) const {
-  // Deferred refresh reconstructs an old state no cached table mirrors and
-  // always runs unpartitioned: the backlog is replayed in one slice.
+  // Deferred refresh always runs unpartitioned: the backlog is replayed in
+  // one slice.
   ViewDelta delta = EvaluateSlice(parts, parts, /*slice_clean=*/false,
-                                  /*slice=*/0, /*shard=*/nullptr,
-                                  arenas_.front().get(), stats);
+                                  /*slice=*/0, arenas_.front().get(), stats);
   if (stats != nullptr) {
     stats->delta_inserts += delta.inserts.TotalCount();
     stats->delta_deletes += delta.deletes.TotalCount();
@@ -382,12 +284,10 @@ ViewDelta DifferentialMaintainer::ComputeDeltaFromParts(
   return delta;
 }
 
-void DifferentialMaintainer::ResetJoinCache() { BuildShards(); }
-
 ViewDelta DifferentialMaintainer::EvaluateSlice(
     const std::vector<BaseParts>& full, const std::vector<BaseParts>& anchor,
-    bool slice_clean, uint32_t slice, JoinStateCache* shard,
-    util::Arena* arena, MaintenanceStats* stats,
+    bool slice_clean, uint32_t slice, util::Arena* arena,
+    MaintenanceStats* stats,
     const util::Cancellation* cancel) const {
   // Covers the delta paths — commit-time rows (every partition) and
   // deferred refresh funnel through here.  `FullEvaluate` has no point of
@@ -435,12 +335,6 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
                                                               aliased_[i]));
     } else {
       clean[i] = keep(std::make_unique<FullRelationInput>(&rel, aliased_[i]));
-    }
-    if (shard != nullptr && !slice_clean) {
-      // Only the unsliced clean inputs go through the persistent cache:
-      // their slot index is a stable identity and their contents advance
-      // exactly by the normalized deltas the shard's round replays.
-      clean[i]->BindJoinCache(shard, static_cast<uint32_t>(i));
     }
     ins[i] = make_delta(i, full[i].inserts);
     del[i] = make_delta(i, full[i].deletes);

@@ -9,7 +9,6 @@
 #include "ivm/irrelevance.h"
 #include "ivm/partition.h"
 #include "ivm/view_def.h"
-#include "ra/join_cache.h"
 #include "ra/planner.h"
 #include "util/arena.h"
 
@@ -28,11 +27,7 @@ struct MaintenanceOptions {
   /// be computed independently (see `PartitionLayout` for the keyed /
   /// row-hash mode choice).  1 disables partitioning.  The merged delta is
   /// byte-identical to the unpartitioned one (property-tested); bench E21
-  /// measures the split.  A view with a cross-join step keeps one
-  /// join-state cache shard per partition; such a view is never keyed, so
-  /// every shard mirrors the full clean tables, and the shards split one
-  /// fixed byte budget evenly — a large P can force evictions a single
-  /// shard would not need.
+  /// measures the split.
   uint32_t partition_count = 1;
 };
 
@@ -64,20 +59,12 @@ struct MaintenanceStats {
   int64_t quarantines = 0;           // times this view entered quarantine
   int64_t repairs = 0;               // successful heals (full recompute)
   int64_t maintenance_nanos = 0;     // time spent maintaining this view
-  // Join-state cache activity.  The first three are cumulative counters;
-  // `cache_bytes` is a gauge overwritten with the cache's current size
-  // after every round (operator+= sums it, which aggregates per-view
-  // gauges into a total across views).
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  int64_t cache_bytes = 0;
   // Columnar executor activity (ra/batch.h).
   // The first two are cumulative; the arena pair are gauges overwritten
-  // after every round (operator+= sums them across views, like
-  // `cache_bytes`): `arena_bytes` is the scratch memory currently reserved
-  // by the per-round arena, `arena_high_water` the largest live footprint
-  // any round reached.
+  // after every round (operator+= sums them, which aggregates per-view
+  // gauges into a total across views): `arena_bytes` is the scratch memory
+  // currently reserved by the per-round arena, `arena_high_water` the
+  // largest live footprint any round reached.
   int64_t batch_batches = 0;
   int64_t batch_rows = 0;
   int64_t arena_bytes = 0;
@@ -131,9 +118,8 @@ class DifferentialMaintainer {
   /// Indexes every base attribute of the definition's equi-join predicates
   /// (`ViewDefinition::JoinAttributes`), so each differential row probes
   /// the clean bases from its small delta (Section 5.3's `t_r ⋈ s`) in
-  /// O(|delta|).  A view whose equi-joins leave some base unconnected also
-  /// gets a join-state cache for its cross-join steps
-  /// (`ViewDefinition::EquiConnected`); every other view has none.
+  /// O(|delta|).  A base that no equality reaches is read in place at its
+  /// cross-join step; the maintainer keeps no copy of it.
   DifferentialMaintainer(ViewDefinition def, Database* db,
                          MaintenanceOptions options = {});
 
@@ -143,22 +129,16 @@ class DifferentialMaintainer {
   /// when enabled.  When `phases` is non-null, filter and differential time
   /// are accumulated into it separately.
   ///
-  /// When the view has a join-state cache this runs one cache *round*:
-  /// entries are validated and synchronized with the effect's normalized
-  /// deltas, so a steady-state call touches O(|delta|) cached rows instead
-  /// of rescanning the clean bases at its cross-join steps.
-  ///
   /// Thread-safety: reads only the (frozen) database pre-state and mutates
-  /// only this maintainer's own join-state cache shard, so concurrent
+  /// only this maintainer's own scratch arenas, so concurrent
   /// calls for *different* maintainers are safe as long as no thread
   /// mutates the database — the property the parallel commit pipeline
   /// relies on (it runs at most one worker per view per commit).
   /// Concurrent calls on the *same* maintainer are not safe.
   ///
   /// `cancel` (optional) threads a cooperative cancellation token into the
-  /// evaluation loops; an expired deadline unwinds the round cleanly (the
-  /// cache round aborts via its guard, nothing observable was mutated) and
-  /// throws `DeadlineExceededError`.
+  /// evaluation loops; an expired deadline unwinds the round cleanly
+  /// (nothing observable was mutated) and throws `DeadlineExceededError`.
   ViewDelta ComputeDelta(const TransactionEffect& effect,
                          MaintenanceStats* stats = nullptr,
                          PhaseBreakdown* phases = nullptr,
@@ -168,7 +148,7 @@ class DifferentialMaintainer {
   /// once per (view, transaction) by `Prepare` and consumed by one
   /// `ComputePartition` call per partition.  Owns every filtered and
   /// sliced relation its parts point into; the source effect must stay
-  /// alive (the cache-round slots reference its unfiltered deltas).
+  /// alive (each part's `subtract` is its unfiltered deletes).
   struct PreparedDelta {
     /// Screened full per-base parts (`subtract` = the unfiltered deletes).
     std::vector<BaseParts> parts;
@@ -178,13 +158,9 @@ class DifferentialMaintainer {
     std::vector<std::vector<BaseParts>> sliced;
     /// Whether partition `p` has any non-empty delta slice.  When no
     /// partition does, partition 0 is marked active anyway so every round
-    /// performs (at least) one evaluation — the same fault-point and
-    /// cache-round cadence as unpartitioned maintenance.
+    /// performs (at least) one evaluation — the same fault-point cadence as
+    /// unpartitioned maintenance.
     std::vector<bool> active;
-    /// Join-cache round tokens built from the *unfiltered* deltas; every
-    /// shard replays them in full.
-    std::vector<JoinStateCache::SlotUpdate> slots;
-    bool use_cache = false;
     std::vector<std::unique_ptr<Relation>> owned;
   };
 
@@ -195,14 +171,12 @@ class DifferentialMaintainer {
                         MaintenanceStats* stats = nullptr,
                         PhaseBreakdown* phases = nullptr) const;
 
-  /// Evaluates partition `p` of a prepared round: opens a cache round on
-  /// shard `p`, evaluates the slice (or, when `p` is inactive, just
-  /// synchronizes the shard with the round's deltas so its entries stay
-  /// warm), and returns the partition's normalized delta.
+  /// Evaluates partition `p` of a prepared round (nothing, when `p` is
+  /// inactive) and returns the partition's normalized delta.
   ///
   /// Thread-safety: calls for *distinct* partitions of the same prepared
-  /// round may run concurrently — each touches only its own shard and
-  /// arena and reads the frozen pre-state — provided each call gets its
+  /// round may run concurrently — each touches only its own arena and
+  /// reads the frozen pre-state — provided each call gets its
   /// own `stats`/`phases` (or null).  Two calls for the same partition
   /// must not overlap.
   ViewDelta ComputePartition(const PreparedDelta& prep, uint32_t p,
@@ -216,9 +190,9 @@ class DifferentialMaintainer {
   ViewDelta MergePartitions(std::vector<ViewDelta> slices,
                             MaintenanceStats* stats = nullptr) const;
 
-  /// Overwrites the per-round gauges (`cache_bytes`, `arena_bytes`,
-  /// `arena_high_water`) with the current totals across all partition
-  /// shards/arenas.  Called once after a round's partitions finish, and
+  /// Overwrites the per-round gauges (`arena_bytes`, `arena_high_water`)
+  /// with the current totals across all partition arenas.  Called once
+  /// after a round's partitions finish, and
   /// after a deferred refresh, so the gauges mean the same after either;
   /// the per-partition `ComputePartition` calls leave gauges untouched so
   /// merging their stats never double-counts.
@@ -226,9 +200,7 @@ class DifferentialMaintainer {
 
   /// Lower-level entry point used by deferred refresh: `parts[i]` describes
   /// base occurrence `i` (all fields may be null for untouched bases).
-  /// No filtering is applied here — callers filter when logging.  This
-  /// path never touches the join-state cache: refresh reconstructs an old
-  /// state (`r_now − i`) that no cached table mirrors.
+  /// No filtering is applied here — callers filter when logging.
   ViewDelta ComputeDeltaFromParts(const std::vector<BaseParts>& parts,
                                   MaintenanceStats* stats = nullptr) const;
 
@@ -257,22 +229,6 @@ class DifferentialMaintainer {
   const PartitionLayout& partition_layout() const { return layout_; }
   uint32_t partition_count() const { return layout_.count; }
 
-  /// The first join-state cache shard (null for equi-connected views) —
-  /// the whole cache for unpartitioned views; tests and stats renderers
-  /// that need totals across shards use `join_cache_bytes()`.
-  const JoinStateCache* join_cache() const {
-    return shards_.empty() ? nullptr : shards_.front().get();
-  }
-
-  /// Current bytes held across all partition shards.
-  size_t join_cache_bytes() const;
-
-  /// Discards every cached join table (fresh empty shard, same budget).
-  /// Called when the view's materialization is rebuilt outside the normal
-  /// delta path (quarantine/repair): the cached tables may mirror a state
-  /// the failure left inconsistent, and a cold rebuild is always safe.
-  void ResetJoinCache();
-
  private:
   /// Evaluates one slice of a round.  `full` supplies the clean inputs
   /// (with their subtract relations) and the deltas at non-anchoring join
@@ -284,8 +240,7 @@ class DifferentialMaintainer {
   /// the clean side); unpartitioned rounds pass `parts` twice.
   ViewDelta EvaluateSlice(const std::vector<BaseParts>& full,
                           const std::vector<BaseParts>& anchor,
-                          bool slice_clean, uint32_t slice,
-                          JoinStateCache* shard, util::Arena* arena,
+                          bool slice_clean, uint32_t slice, util::Arena* arena,
                           MaintenanceStats* stats,
                           const util::Cancellation* cancel = nullptr) const;
   void EnumerateRows(const std::vector<RelationInput*>& clean,
@@ -296,27 +251,18 @@ class DifferentialMaintainer {
                      ViewDelta* delta, MaintenanceStats* stats,
                      PlannerCache* cache, const EvalContext* ctx) const;
 
-  void BuildShards();
-
   ViewDefinition def_;
   const Database* db_;
   MaintenanceOptions options_;
-  // Some base meets the others only through a cross-join step (not
-  // `EquiConnected`): the view gets one cache shard per partition.
-  bool cross_join_ = false;
   Schema combined_;
   Schema output_;
   std::vector<Schema> aliased_;
   PartitionLayout layout_;
   std::unique_ptr<IrrelevanceFilter> filter_;
-  // One join-state cache shard per partition (empty for equi-connected
-  // views); mutable because ComputeDelta is logically const yet advances
-  // the shards between rounds.  Shard `p` is touched only by
-  // partition `p`'s rounds — the basis of the partition-parallel contract.
-  mutable std::vector<std::unique_ptr<JoinStateCache>> shards_;
   // Per-partition scratch memory for the batch pipeline, reset at the
-  // start of every slice evaluation; mutable and partition-confined like
-  // the shards.
+  // start of every slice evaluation; mutable because ComputeDelta is
+  // logically const.  Arena `p` is touched only by partition `p`'s rounds
+  // — the basis of the partition-parallel contract.
   mutable std::vector<std::unique_ptr<util::Arena>> arenas_;
 };
 

@@ -85,10 +85,6 @@ std::string ViewMetrics::ToJson() const {
      << ", \"quarantines\": " << stats.quarantines
      << ", \"repairs\": " << stats.repairs
      << ", \"maintenance_nanos\": " << stats.maintenance_nanos
-     << ", \"cache_hits\": " << stats.cache_hits
-     << ", \"cache_misses\": " << stats.cache_misses
-     << ", \"cache_evictions\": " << stats.cache_evictions
-     << ", \"cache_bytes\": " << stats.cache_bytes
      << ", \"batch_batches\": " << stats.batch_batches
      << ", \"batch_rows\": " << stats.batch_rows
      << ", \"arena_bytes\": " << stats.arena_bytes

@@ -21,8 +21,7 @@ namespace mview {
 ///    by the hash of that base's class attribute.  Exact because two
 ///    tuples whose class attributes hash to different partitions can never
 ///    satisfy the condition together, so every output row is produced in
-///    exactly one partition.  Such a view is equi-connected, so it has no
-///    join-state cache.
+///    exactly one partition.
 ///
 ///  - **Row-hash (anchor-slice) fallback**: the general case (inequality
 ///    joins, offset joins, disjuncts with differing equalities,

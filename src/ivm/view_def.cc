@@ -221,25 +221,6 @@ std::vector<std::vector<std::string>> ViewDefinition::JoinAttributes(
   return result;
 }
 
-bool ViewDefinition::EquiConnected(const Database& db) const {
-  // Union-find over base occurrences, joined by the core's equi-joins.
-  std::vector<size_t> parent(bases_.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&](size_t i) {
-    while (parent[i] != i) i = parent[i] = parent[parent[i]];
-    return i;
-  };
-  size_t components = bases_.size();
-  ForEachCoreEquiJoin(*this, db, [&](size_t lb, size_t, size_t rb, size_t) {
-    const size_t a = find(lb), b = find(rb);
-    if (a != b) {
-      parent[a] = b;
-      --components;
-    }
-  });
-  return components <= 1;
-}
-
 std::string ViewDefinition::ToString() const {
   std::ostringstream os;
   os << name_ << " = ";

@@ -93,12 +93,6 @@ class ViewDefinition {
   std::vector<std::vector<std::string>> JoinAttributes(
       const Database& db) const;
 
-  /// True when those equality predicates connect every base occurrence, so
-  /// each join step after the first can probe an index on one of them.
-  /// False when some base meets the others only through a cross product or
-  /// a non-equi atom — the steps the join-state cache serves.
-  bool EquiConnected(const Database& db) const;
-
   /// Renders as "V = π{...}(σ[...](r × s))".
   std::string ToString() const;
 

@@ -653,10 +653,8 @@ void ViewManager::Quarantine(const std::string& name, const std::string& reason,
     view.repair_attempts = 0;
     view.next_retry_commit = commit_seq_ + 1;
   }
-  // Drop derived state the failure may have left inconsistent: the cached
-  // join tables mirror a commit that never finished for this view, and the
-  // deferred backlog is dead weight once repair recomputes from the bases.
-  view.maintainer->ResetJoinCache();
+  // The deferred backlog is dead weight once repair recomputes from the
+  // bases.
   for (auto& log : view.pending) log->Clear();
   PublishHealthEvent({ViewHealthEvent::Kind::kQuarantine, name, reason,
                       view.quarantine_sticky});
@@ -687,7 +685,6 @@ void ViewManager::Repair(const std::string& name) {
   view.materialized = std::make_shared<ViewBuffer>(std::move(result));
   view.spare.reset();
   view.lag_delta.reset();
-  view.maintainer->ResetJoinCache();
   for (auto& log : view.pending) log->Clear();
   const bool was_quarantined = view.quarantined;
   view.quarantined = false;

@@ -184,21 +184,18 @@ class ChangedScopes {
 /// views with a partition layout (`MaintenanceOptions::partition_count`)
 /// additionally fan out *within* the view — the coordinator prepares the
 /// round serially (screen + hash slicing), one worker evaluates each
-/// partition against its own cache shard and arena, and a serial merge
-/// folds the per-partition deltas.  Deltas are still applied serially in
-/// name order, so view contents are bit-identical to the serial pipeline
-/// regardless of worker count or partition count (see DESIGN.md, "Commit
-/// pipeline").  A view with a cross-join step has a maintainer owning
-/// private per-partition `JoinStateCache` shards, and the pipeline runs at
-/// most one worker per (view, partition) per commit, so the shards need no
-/// locking; DDL (`DropView`/`RegisterView`/`RestoreView`) replaces the
-/// maintainer and its shards wholesale, which is how cached state is
-/// invalidated.
+/// partition in its own arena, and a serial merge folds the per-partition
+/// deltas.  Deltas are still applied serially in name order, so view
+/// contents are bit-identical to the serial pipeline regardless of worker
+/// count or partition count (see DESIGN.md, "Commit pipeline").  A
+/// maintainer keeps no state between rounds but its scratch arenas, and
+/// the pipeline runs at most one worker per (view, partition) per commit,
+/// so the arenas need no locking.
 ///
 /// Failure containment: an exception inside one view's maintenance does
 /// not poison the commit.  The failing view is *quarantined* — its
 /// materialization is marked untrusted, reads throw
-/// `ViewQuarantinedError`, and its join-cache shard is dropped — while the
+/// `ViewQuarantinedError`, and its deferred backlog is dropped — while the
 /// base relations and every sibling view commit normally.  A transient
 /// failure (`IoError`) retries automatically with exponential backoff
 /// measured in commits; anything else (corruption, logic errors, OOM) is
@@ -292,8 +289,7 @@ class ViewManager {
   /// deltas, produced by `PrepareCommit` and consumed exactly once by
   /// `CommitPrepared`.  Destroying an uncommitted handle abandons the
   /// round with no observable effect — bases, materializations, and the
-  /// deferred backlogs are exactly as if the commit never started (cache
-  /// shards may go cold but never wrong; see `PrepareCommit`).
+  /// deferred backlogs are exactly as if the commit never started.
   class PreparedCommit {
    public:
     PreparedCommit();
@@ -317,10 +313,7 @@ class ViewManager {
   /// `cancel` threads a cooperative cancellation token into the evaluation
   /// loops; an expired deadline unwinds cleanly and rethrows
   /// `DeadlineExceededError` out of this call (it never quarantines a view
-  /// — the view did nothing wrong).  Join-cache rounds interrupted
-  /// mid-flight are aborted by their guards; rounds already closed against
-  /// an abandoned commit self-heal by version mismatch on the next round
-  /// (a cold rebuild, never stale data).
+  /// — the view did nothing wrong).
   PreparedCommit PrepareCommit(const TransactionEffect& effect,
                                const util::Cancellation* cancel = nullptr);
 
@@ -372,8 +365,8 @@ class ViewManager {
 
   /// Marks a view's materialization as untrusted.  `reason` is surfaced by
   /// `Describe`/reads; `sticky` disables the automatic transient retry.
-  /// Drops the view's join-cache shard and its deferred backlog (a repair
-  /// recomputes from the bases, so the backlog is dead weight).  Publishes
+  /// Drops the view's deferred backlog (a repair recomputes from the bases,
+  /// so the backlog is dead weight).  Publishes
   /// a `kQuarantine` health event.  Idempotent escalation: quarantining an
   /// already-quarantined view updates the reason and may raise (never
   /// lower) stickiness.
@@ -386,10 +379,9 @@ class ViewManager {
   /// evaluated twice and the results compared byte-for-byte before
   /// installation, so a fault that corrupts evaluation itself cannot
   /// "heal" a view into a wrong state.  Clears quarantine and the deferred
-  /// backlog, resets the join-cache shard, and publishes a `kRepair`
-  /// event.  Works on healthy views too (re-verification).  Throws —
-  /// leaving the view quarantined — when evaluation fails or the double
-  /// evaluation disagrees.
+  /// backlog and publishes a `kRepair` event.  Works on healthy views too
+  /// (re-verification).  Throws — leaving the view quarantined — when
+  /// evaluation fails or the double evaluation disagrees.
   void Repair(const std::string& name);
 
   bool IsQuarantined(const std::string& name) const;
@@ -514,8 +506,8 @@ class ViewManager {
   const ManagedView& GetView(const std::string& name) const;
   /// Phase-2 body for one view: filter + differential (immediate), log
   /// (deferred).  Reads only the frozen pre-state; writes only this view's
-  /// state, metrics, and join-state cache shard, so jobs are safe to run
-  /// concurrently.
+  /// state, metrics, and its maintainer's scratch arenas, so jobs are safe
+  /// to run concurrently.
   void ComputeJob(CommitJob* job, const TransactionEffect& effect,
                   const util::Cancellation* cancel = nullptr);
   void ComputeJobBody(CommitJob* job, const TransactionEffect& effect,

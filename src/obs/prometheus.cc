@@ -198,12 +198,6 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
       {"mview_view_full_reevaluations_total",
        "Deltas answered by full re-evaluation",
        [](const ViewMetrics& m) { return m.stats.full_reevaluations; }},
-      {"mview_view_cache_hits_total", "Join-state cache hits",
-       [](const ViewMetrics& m) { return m.stats.cache_hits; }},
-      {"mview_view_cache_misses_total", "Join-state cache misses",
-       [](const ViewMetrics& m) { return m.stats.cache_misses; }},
-      {"mview_view_cache_evictions_total", "Join-state cache evictions",
-       [](const ViewMetrics& m) { return m.stats.cache_evictions; }},
       {"mview_view_batch_batches_total",
        "Column batches produced by the batch evaluation pipeline",
        [](const ViewMetrics& m) { return m.stats.batch_batches; }},
@@ -228,11 +222,6 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
     for (const std::string& view : views) {
       family.Sample(ViewLabel(view), c.get(*registry.Find(view)));
     }
-  }
-  Family cache_bytes(os, "mview_view_cache_bytes", "gauge",
-                     "Join-state cache resident bytes");
-  for (const std::string& view : views) {
-    cache_bytes.Sample(ViewLabel(view), registry.Find(view)->stats.cache_bytes);
   }
   Family arena_bytes(os, "mview_view_arena_bytes", "gauge",
                      "Batch-pipeline arena reserved bytes");

@@ -13,8 +13,6 @@
 
 namespace mview {
 
-class JoinStateCache;
-
 /// A read-only stream of counted tuples feeding the SPJ planner.
 ///
 /// Differential re-evaluation joins *parts* of relations (Section 5.3): the
@@ -52,26 +50,12 @@ class RelationInput {
   virtual void ProbeEqual(size_t attr, const Value& key,
                           DeltaSink& sink) const;
 
-  /// Attaches this input to slot `slot` of a cross-transaction join-state
-  /// cache.  At a cross-join step the planner materializes a bound input
-  /// through the cache — keyed by the stable slot identity rather than
-  /// this (per-round) object — instead of rescanning it.  Only the
-  /// unsliced *clean* inputs of a maintenance round are ever bound.
-  void BindJoinCache(JoinStateCache* cache, uint32_t slot) {
-    join_cache_ = cache;
-    cache_slot_ = slot;
-  }
-  JoinStateCache* join_cache() const { return join_cache_; }
-  uint32_t cache_slot() const { return cache_slot_; }
-
   /// A process-unique serial stamped at construction; `PlannerCache`
   /// records it so debug builds can assert an entry's input pointer was
   /// not freed and reused (pointer-keyed caches dangle silently otherwise).
   uint64_t debug_serial() const { return debug_serial_; }
 
  private:
-  JoinStateCache* join_cache_ = nullptr;
-  uint32_t cache_slot_ = 0;
   uint64_t debug_serial_ = 0;
 };
 

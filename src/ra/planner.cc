@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "ra/eval.h"
-#include "ra/join_cache.h"
 #include "util/arena.h"
 #include "util/deadline.h"
 #include "util/error.h"
@@ -42,7 +41,7 @@ PlannerCache::Table* PlannerCache::Create(const RelationInput* input,
   return raw;
 }
 
-size_t PlannerCache::Table::AddRow(const Tuple& t, int64_t count) {
+void PlannerCache::Table::AddRow(const Tuple& t, int64_t count) {
   const size_t row = rows.size();
   rows.emplace_back(t, count);
   if (all_int) {
@@ -50,10 +49,9 @@ size_t PlannerCache::Table::AddRow(const Tuple& t, int64_t count) {
   }
   if (int_keyed) {
     int_index[t.at(key_attrs[0]).AsInt64()].push_back(row);
-  } else if (!key_attrs.empty()) {
+  } else {
     index[t.Project(key_attrs)].push_back(row);
   }
-  return row;
 }
 
 Schema CombinedSchema(const SpjQuery& query) {
@@ -81,6 +79,50 @@ struct StepFilter {
   Atom atom;
   size_t last_input = 0;  // the step at which the atom becomes ground
 };
+
+// A step filter of a cross-join step, split by side: one variable is an
+// attribute of the step's input, read once per input row, the other a
+// column of the rows in flight.  The atom reads `local op src + offset`
+// when `local_is_lhs`, else `src op local + offset`.
+struct CrossFilter {
+  size_t src_col = 0;
+  size_t local_attr = 0;
+  bool local_is_lhs = false;
+  CompareOp op = CompareOp::kEq;
+  int64_t offset = 0;
+};
+
+// Refines `sel[0..n)`, row ids of `src`, to the rows that pass every filter
+// when merged with input row `t`; returns how many remain.  Integers
+// compare `x − offset` against `y`, exactly as `Atom::Evaluate` does.
+size_t SelectCrossRows(const ColumnBatch& src, const Tuple& t,
+                       const std::vector<CrossFilter>& filters, uint32_t* sel,
+                       size_t n) {
+  auto three_way = [](int64_t a, int64_t b) { return a < b ? -1 : a > b; };
+  for (const CrossFilter& f : filters) {
+    size_t kept = 0;
+    if (src.column_type(f.src_col) == ValueType::kInt64) {
+      const int64_t local = t.at(f.local_attr).AsInt64();
+      const int64_t* col = src.ints(f.src_col);
+      for (size_t i = 0; i < n; ++i) {
+        const int cmp = f.local_is_lhs
+                            ? three_way(local - f.offset, col[sel[i]])
+                            : three_way(col[sel[i]] - f.offset, local);
+        if (EvalCompare(cmp, f.op)) sel[kept++] = sel[i];
+      }
+    } else {
+      const std::string_view local = t.at(f.local_attr).AsString();
+      const std::string_view* col = src.strs(f.src_col);
+      for (size_t i = 0; i < n; ++i) {
+        const int cmp = f.local_is_lhs ? local.compare(col[sel[i]])
+                                       : col[sel[i]].compare(local);
+        if (EvalCompare(cmp, f.op)) sel[kept++] = sel[i];
+      }
+    }
+    n = kept;
+  }
+  return n;
+}
 
 // A connecting equi-join predicate at one join step: bound side expressed
 // as a combined-tuple index plus the offset to apply, local side as an
@@ -292,23 +334,6 @@ bool SpjExecutor::PassesLocalFilters(const InputInfo& info,
 PlannerCache::Table* SpjExecutor::MaterializeTable(
     size_t input_id, const std::vector<size_t>& key_attrs) {
   const InputInfo& info = inputs_[input_id];
-  // Cross-round path: a cross-join step over a clean input bound to a
-  // `JoinStateCache` reuses its keyless table across maintenance rounds
-  // (keyed by its stable slot, not this per-round input object) and only
-  // pays the full scan on a cold miss; the cache replays later deltas into
-  // the installed table.
-  JoinStateCache* jsc = info.input->join_cache();
-  if (jsc != nullptr && key_attrs.empty()) {
-    const uint32_t slot = info.input->cache_slot();
-    if (PlannerCache::Table* warm = jsc->Lookup(slot)) return warm;
-    if (PlannerCache::Table* table =
-            jsc->Install(slot, info.input->schema(), info.local_filters)) {
-      FillTable(info, table);
-      jsc->CompleteInstall(slot);
-      return table;
-    }
-    // No active round; fall through to the per-round cache.
-  }
   PlannerCache* cache = cache_ != nullptr ? cache_ : &local_cache_;
   if (PlannerCache::Table* hit = cache->Find(info.input, key_attrs)) {
     return hit;
@@ -339,7 +364,7 @@ void SpjExecutor::FillTable(const InputInfo& info,
     table->rows.reserve(hint);
     if (table->int_keyed) {
       table->int_index.reserve(hint);
-    } else if (!key_attrs.empty()) {
+    } else {
       table->index.reserve(hint);
     }
     if (table->all_int) table->int_rows.reserve(hint * schema.size());
@@ -382,8 +407,8 @@ std::vector<Link> SpjExecutor::CollectLinks(size_t input_id) const {
 // Execution.  Intermediate rows live in combined-scheme `ColumnBatch` chunks
 // carved from the arena, selections run as kernels producing selection
 // vectors, and the final projection is a column shuffle.  Each join step
-// picks a strategy (index probe, hash join, cross join) and multiplies
-// counts (Section 5.2).
+// picks a strategy (index probe, per-round hash table, in-place cross join)
+// and multiplies counts (Section 5.2).
 
 ColumnBatch& SpjExecutor::DestBatch(std::vector<ColumnBatch>* list,
                                     bool sealed) {
@@ -481,13 +506,12 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
   std::vector<ColumnBatch> next;
   size_t next_total = 0;
 
-  // Appends the merge of a source row with a matched tuple, then applies
-  // the step filters to the merged row, abandoning it on failure.  When the
-  // matched row comes from an all-int table, `int_row` points at its flat
-  // mirror and the values are copied as raw words instead of variant reads.
-  auto emit_merged = [&](const ColumnBatch& src, size_t src_row,
-                         const Tuple& t, int64_t count,
-                         const int64_t* int_row) {
+  // Appends the merge of a source row with a matched tuple and returns its
+  // batch and row.  When the matched tuple is all-int, `int_row` may point
+  // at its values as raw words (a table's flat mirror, or the cross join's
+  // per-row copy), which are copied instead of read as variants.
+  auto merge = [&](const ColumnBatch& src, size_t src_row, const Tuple& t,
+                   int64_t count, const int64_t* int_row) {
     ColumnBatch& dst = DestBatch(&next);
     const size_t row = dst.AppendRow(src.counts()[src_row] * count);
     for (const auto& [off, arity] : bound_ranges) {
@@ -500,9 +524,18 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
     } else {
       dst.SetFromTuple(row, t, info.offset);
     }
+    return std::pair<ColumnBatch*, size_t>(&dst, row);
+  };
+
+  // Merges, then applies the step filters to the merged row, abandoning it
+  // on failure.
+  auto emit_merged = [&](const ColumnBatch& src, size_t src_row,
+                         const Tuple& t, int64_t count,
+                         const int64_t* int_row) {
+    const auto [dst, row] = merge(src, src_row, t, count, int_row);
     for (const BoundAtom& atom : filters) {
-      if (!EvalBoundAtom(dst, row, atom)) {
-        dst.Truncate(row);
+      if (!EvalBoundAtom(*dst, row, atom)) {
+        dst->Truncate(row);
         return;
       }
     }
@@ -625,18 +658,55 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
       }
     }
   } else {
-    // Cross join against the (cached) materialized input.
-    PlannerCache::Table* table = MaterializeTable(input_id, {});
-    const int64_t* mirror = table->all_int ? table->int_rows.data() : nullptr;
-    for (const ColumnBatch& src : *batches) {
-      for (size_t r = 0; r < src.size(); ++r) {
-        for (size_t idx = 0; idx < table->rows.size(); ++idx) {
-          const auto& [t, count] = table->rows[idx];
-          emit_merged(src, r, t, count,
-                      mirror != nullptr ? mirror + idx * info.arity : nullptr);
+    // Cross join, in place: one scan of the input.  Each row that passes
+    // the local filters meets every source row in flight: the step filters,
+    // each with one side in this row, select the source rows it joins in a
+    // tight loop, and only those are merged.  An all-int row's words are
+    // read once and copied raw into each merged row.
+    std::vector<CrossFilter> cross;
+    for (const BoundAtom& f : filters) {
+      const bool lhs_local =
+          f.lhs_col >= info.offset && f.lhs_col < info.offset + info.arity;
+      cross.push_back({lhs_local ? f.rhs_col : f.lhs_col,
+                       (lhs_local ? f.lhs_col : f.rhs_col) - info.offset,
+                       lhs_local, f.op, f.offset});
+    }
+    const Schema& schema = info.input->schema();
+    bool all_int = true;
+    for (size_t i = 0; i < schema.size(); ++i) {
+      all_int = all_int && schema.attribute(i).type == ValueType::kInt64;
+    }
+    int64_t* words =  // null unless every attribute is kInt64
+        all_int ? arena_->AllocateArray<int64_t>(info.arity) : nullptr;
+    uint32_t* sel =  // source row ids, one batch at a time
+        arena_->AllocateArray<uint32_t>(ColumnBatch::kDefaultCapacity);
+    auto join_row = [&](const Tuple& t, int64_t count) {
+      ++local_stats_.rows_scanned;
+      if (!PassesLocalFilters(info, t)) return;
+      if (words != nullptr) {
+        for (size_t i = 0; i < info.arity; ++i) words[i] = t.at(i).AsInt64();
+      }
+      for (const ColumnBatch& src : *batches) {
+        for (size_t i = 0; i < src.size(); ++i) {
+          sel[i] = static_cast<uint32_t>(i);
+        }
+        const size_t n = SelectCrossRows(src, t, cross, sel, src.size());
+        for (size_t i = 0; i < n; ++i) {
+          merge(src, sel[i], t, count, words);
+          ++next_total;
         }
       }
-    }
+    };
+    class CrossSink final : public DeltaSink {
+     public:
+      explicit CrossSink(decltype(join_row)& join) : join_(join) {}
+      void Emit(const Tuple& t, int64_t count) override { join_(t, count); }
+
+     private:
+      decltype(join_row)& join_;
+    };
+    CrossSink sink(join_row);
+    info.input->Scan(sink);
   }
 
   local_stats_.intermediate_tuples += static_cast<int64_t>(next_total);

@@ -49,8 +49,7 @@ struct PlanStats {
 /// Section 5.3/5.4 all share the view condition and most inputs).  This is
 /// the paper's "re-using partial subexpressions appearing in multiple rows",
 /// and differential maintenance always shares one across a round's rows.
-/// (The *cross-round* reuse of keyless tables at cross-join steps lives in
-/// `JoinStateCache`, which keys on stable slot identities instead.)
+/// It holds only keyed tables: a cross-join step reads its input in place.
 ///
 /// Entries are keyed by input identity, so a cache must never outlive the
 /// inputs it indexes, and must not be shared across different conditions.
@@ -59,16 +58,14 @@ struct PlanStats {
 /// reused by a newer one.
 class PlannerCache {
  public:
-  /// A filtered, materialized input with an optional equi-join hash index.
+  /// A filtered, materialized input with its equi-join hash index.
   struct Table {
     std::vector<std::pair<Tuple, int64_t>> rows;
-    // A keyed table keeps exactly one index from its key to indices into
-    // rows.  An `int_keyed` table uses `int_index`, which the executor
-    // probes with an int64 straight out of a column, skipping the key-tuple
-    // build and the Tuple hash; any other keyed table uses `index`, keyed
-    // by the tuple of key_attrs' values.  `AddRow` and the swap-remove in
-    // JoinStateCache::RemoveRow (keyless tables only) are the only
-    // mutations of rows.
+    // A table keeps exactly one index from its key to indices into rows.
+    // An `int_keyed` table uses `int_index`, which the executor probes with
+    // an int64 straight out of a column, skipping the key-tuple build and
+    // the Tuple hash; any other table uses `index`, keyed by the tuple of
+    // key_attrs' values.  `AddRow` is the only mutation of rows.
     std::unordered_map<Tuple, std::vector<size_t>> index;
     std::unordered_map<int64_t, std::vector<size_t>> int_index;
     // Flat row-major mirror of `rows`' values, populated only when
@@ -76,14 +73,14 @@ class PlannerCache {
     // straight from this array (row i at [i*arity, (i+1)*arity)),
     // skipping the per-value variant reads of `SetFromTuple`.
     std::vector<int64_t> int_rows;
-    std::vector<size_t> key_attrs;  // empty for plain materializations
+    std::vector<size_t> key_attrs;
     bool int_keyed = false;  // key_attrs is one kInt64 attribute
     bool all_int = false;    // every input attribute is kInt64
     uint64_t debug_serial = 0;      // RelationInput::debug_serial() at Create
 
     /// Appends `t` with multiplicity `count` to rows, its mirror and the
-    /// key index; returns its row index.
-    size_t AddRow(const Tuple& t, int64_t count);
+    /// key index.
+    void AddRow(const Tuple& t, int64_t count);
   };
 
   /// Returns the cached table for (input, key_attrs), or nullptr.

@@ -1,17 +1,11 @@
 #include "relational/relation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 
 #include "util/error.h"
 
 namespace mview {
-
-uint64_t Relation::NextUid() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 bool Relation::Insert(const Tuple& tuple) {
   MVIEW_CHECK(tuple.size() == schema_.size(), "tuple arity ", tuple.size(),
@@ -25,7 +19,6 @@ bool Relation::Insert(const Tuple& tuple) {
   }
   const auto [id, inserted] = rows_.Insert(tuple);
   if (inserted) {
-    ++version_;
     for (Index& index : indexes_) Link(&index, id);
   }
   return inserted;
@@ -34,7 +27,6 @@ bool Relation::Insert(const Tuple& tuple) {
 bool Relation::Erase(const Tuple& tuple) {
   const uint32_t id = rows_.Find(tuple);
   if (id == RowStore::kNone) return false;
-  ++version_;
   for (Index& index : indexes_) Unlink(&index, id);
   rows_.Erase(id);
   return true;

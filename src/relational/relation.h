@@ -83,17 +83,6 @@ class Relation {
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.size() == 0; }
 
-  /// A process-unique identity assigned at construction.  Together with
-  /// `version()` it forms the validity token of the cross-transaction
-  /// join-state cache: a cached structure derived from a relation is
-  /// current exactly when both values still match (a recreated relation —
-  /// e.g. after recovery — gets a fresh uid even at the same address).
-  uint64_t uid() const { return uid_; }
-
-  /// Content version: incremented by every successful `Insert`/`Erase`
-  /// (index creation does not change contents and leaves it alone).
-  uint64_t version() const { return version_; }
-
   /// Inserts a tuple; returns false when it was already present.
   /// Throws when the tuple arity does not match the scheme.
   bool Insert(const Tuple& tuple);
@@ -140,8 +129,6 @@ class Relation {
     IdArray next;   // per row: the next row with the same key
   };
 
-  static uint64_t NextUid();
-
   const Index* FindIndex(size_t attr) const;
   const Value& Key(uint32_t id, size_t attr) const {
     return rows_.Row(id).values()[attr];
@@ -150,8 +137,6 @@ class Relation {
   void Link(Index* index, uint32_t id);
   void Unlink(Index* index, uint32_t id);
 
-  uint64_t uid_ = NextUid();
-  uint64_t version_ = 0;
   Schema schema_;
   RowStore rows_;
   std::vector<Index> indexes_;  // sorted by attribute

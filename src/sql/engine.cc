@@ -960,10 +960,6 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
         emit(view, "full_reevaluations", m.stats.full_reevaluations);
         emit(view, "refreshes", m.stats.refreshes);
         emit(view, "maintenance_nanos", m.stats.maintenance_nanos);
-        emit(view, "cache_hits", m.stats.cache_hits);
-        emit(view, "cache_misses", m.stats.cache_misses);
-        emit(view, "cache_evictions", m.stats.cache_evictions);
-        emit(view, "cache_bytes", m.stats.cache_bytes);
         emit(view, "filter_nanos", m.phases.filter_nanos);
         emit(view, "differential_nanos", m.phases.differential_nanos);
         emit(view, "apply_nanos", m.phases.apply_nanos);

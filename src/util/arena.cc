@@ -37,8 +37,8 @@ Arena::~Arena() {
 
 void* Arena::Allocate(size_t bytes, size_t align) {
   // The chaos matrix arms this point to simulate scratch-memory exhaustion
-  // mid-round; the throw unwinds through the join-cache round guard and
-  // quarantines the view (see tests/chaos_matrix_test.cc).
+  // mid-round; the throw unwinds the round and quarantines the view (see
+  // tests/chaos_matrix_test.cc).
   MVIEW_FAULT_POINT("ra.batch.alloc");
   if (bytes == 0) bytes = 1;  // keep returned pointers distinct
   Block* b = next_block_ == 0 ? nullptr : &blocks_[next_block_ - 1];

@@ -39,9 +39,9 @@ struct ArenaStats {
 ///
 /// Fault injection: every allocation passes the `ra.batch.alloc` point, so
 /// the chaos matrix can simulate scratch-memory exhaustion mid-round; the
-/// thrown error unwinds through the join-cache round guard and quarantines
-/// the view instead of corrupting it, or fails the full evaluation (view
-/// creation, REPAIR) that was allocating.
+/// thrown error unwinds the round and quarantines the view instead of
+/// corrupting it, or fails the full evaluation (view creation, REPAIR)
+/// that was allocating.
 ///
 /// Thread-safety: none.  Each `DifferentialMaintainer` owns one arena and
 /// the commit pipeline runs at most one worker per view per commit.

@@ -17,10 +17,10 @@ namespace mview::util {
 /// token costs one `steady_clock::now()` per poll — poll points therefore
 /// sit per *batch* / per *join step*, never per tuple.  `Check()` throws
 /// `DeadlineExceededError`, and every poll point is placed where stack
-/// unwinding restores all invariants: the join-cache round of a view with
-/// a cross-join step aborts via `JoinCacheRoundGuard` (equi-connected
-/// views open none), prepared deltas are dropped before any base or view
-/// buffer is touched, and the WAL has not yet logged the commit.
+/// unwinding restores all invariants: a maintenance round keeps nothing
+/// between rounds but its scratch arena, prepared deltas are dropped before
+/// any base or view buffer is touched, and the WAL has not yet logged the
+/// commit.
 /// The point of no return is the WAL append — after it, maintenance runs
 /// to completion regardless of the token (`ViewManager::CommitPrepared`
 /// never polls).

@@ -51,8 +51,8 @@ class ViewQuarantinedError : public Error {
 /// during drain) at a cooperative poll point.  Surfaced as
 /// `mview::Status::Kind::kDeadlineExceeded`.  Cancellation is clean by
 /// construction: poll points sit only where unwinding restores every
-/// structure (round guards abort join-cache rounds, prepared deltas are
-/// dropped before any base or view buffer is touched).
+/// structure (prepared deltas are dropped before any base or view buffer
+/// is touched).
 class DeadlineExceededError : public Error {
  public:
   explicit DeadlineExceededError(const std::string& message)

@@ -49,7 +49,6 @@ const char* const kAllPoints[] = {
     "viewmgr.repair",
     "differential.eval",
     "ra.batch.alloc",
-    "joincache.repair",
     "integrity.precheck",
     "wal.append",
     "wal.fsync",
@@ -146,13 +145,12 @@ class ChaosMatrixTest : public ::testing::Test {
   void TearDown() override { FaultRegistry::Global().DisarmAll(); }
 
   // One end-to-end scenario under an armed registry, through the
-  // acceptance check above.  Returns how many times the armed points fired.
-  int64_t RunScenario(const std::vector<std::pair<std::string, FaultSpec>>& arm,
+  // acceptance check above.
+  void RunScenario(const std::vector<std::pair<std::string, FaultSpec>>& arm,
                       const std::string& trace) {
     const std::string dir = testing::ScratchDir();
     Engine shadow;
     shadow.ExecuteScript(Preamble());
-    int64_t fired = 0;
 
     std::vector<std::string> acked;
     std::string in_flight;
@@ -182,9 +180,6 @@ class ChaosMatrixTest : public ::testing::Test {
           in_flight = sql;
         }
       }
-      for (const auto& [point, spec] : arm) {
-        fired += FaultRegistry::Global().FireCount(point);
-      }
       FaultRegistry::Global().DisarmAll();
       // Scope exit: the engine closes the storage (checkpointing when the
       // log is still healthy).
@@ -199,7 +194,6 @@ class ChaosMatrixTest : public ::testing::Test {
     auto storage = Storage::Open(dir);
     Engine recovered(storage.get());
     RepairRefreshAndCompare(recovered, shadow, in_flight, trace);
-    return fired;
   }
 };
 
@@ -209,14 +203,8 @@ TEST_F(ChaosMatrixTest, EveryFaultPointIsContained) {
       FaultSpec spec;
       spec.kind = FaultKind::kIoError;
       spec.sticky = sticky;
-      const int64_t fired = RunScenario(
-          {{point, spec}}, std::string("point=") + point +
-                               " sticky=" + (sticky ? "1" : "0"));
-      // vx's cross-join rounds reach the cache's repair point, so the
-      // round guard's unwind is exercised, not just armed.
-      if (std::string(point) == "joincache.repair") {
-        EXPECT_GT(fired, 0) << "sticky=" << sticky;
-      }
+      RunScenario({{point, spec}}, std::string("point=") + point +
+                                       " sticky=" + (sticky ? "1" : "0"));
     }
   }
 }
@@ -365,41 +353,6 @@ TEST_F(ChaosMatrixTest, ArenaFaultFailsFullEvaluationCleanly) {
   EXPECT_FALSE(recovered.views().HasView("vc"));
   EXPECT_FALSE(recovered.views().IsQuarantined("va"));
   EXPECT_TRUE(SameVisibleState(recovered, reference));
-}
-
-// An exception inside a join-cache round must unwind through AbortRound —
-// the next delta computation starts a fresh round instead of tripping over
-// a still-open one.  vx (a < c) is the view with a cross-join step, so it
-// is the one whose rounds open the cache.
-TEST_F(ChaosMatrixTest, JoinCacheRoundUnwindsOnFault) {
-  Engine reference;
-  reference.ExecuteScript(Preamble());
-  Engine engine;
-  engine.ExecuteScript(Preamble());
-  for (Engine* e : {&reference, &engine}) {
-    e->Execute("INSERT INTO r VALUES (1, 10)");
-    e->Execute("INSERT INTO s VALUES (10, 100)");  // warms vx's join cache
-  }
-
-  FaultSpec eio;
-  eio.kind = FaultKind::kIoError;
-  FaultRegistry::Global().Arm("joincache.repair", eio);
-  engine.Execute("INSERT INTO s VALUES (20, 200)");  // vx quarantined
-  reference.Execute("INSERT INTO s VALUES (20, 200)");
-  EXPECT_EQ(FaultRegistry::Global().FireCount("joincache.repair"), 1);
-  EXPECT_TRUE(engine.views().IsQuarantined("vx"));
-  EXPECT_FALSE(engine.views().IsQuarantined("va"));
-
-  // Transient: the next commit heals vx, and its join cache rounds work
-  // again (BeginRound would throw "round already active" had the failed
-  // round leaked).
-  for (Engine* e : {&reference, &engine}) {
-    e->Execute("INSERT INTO r VALUES (2, 20)");
-    e->Execute("INSERT INTO s VALUES (30, 300)");
-  }
-  EXPECT_FALSE(engine.views().IsQuarantined("vx"));
-  EXPECT_EQ(Dump(engine, "vx"), Dump(reference, "vx"));
-  EXPECT_EQ(Dump(engine, "va"), Dump(reference, "va"));
 }
 
 }  // namespace

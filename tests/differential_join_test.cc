@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "ivm/differential.h"
+#include "ivm/view_manager.h"
 #include "ivm_test_util.h"
 #include "test_util.h"
+#include "workload/generator.h"
 
 namespace mview {
 namespace {
@@ -193,6 +195,205 @@ TEST_F(JoinViewTest, ThreeWayChurnOnEveryBase) {
   MaintenanceStats stats;
   CheckMaintenance(&db_, def, txn, options, &stats);
   EXPECT_EQ(stats.rows_enumerated, 14);
+}
+
+// Joins with a cross-join step: `r_a1 > s_a0 + 3` has no equality, so
+// every differential row meets the clean other base by reading it in place
+// at that step, and the maintainer keeps nothing of it between commits.
+ViewDefinition CrossDef() {
+  return ViewDefinition("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
+                        "r_a1 > s_a0 + 3", {"r_a0", "s_a1"});
+}
+
+ViewDefinition EquiDef() {
+  return ViewDefinition("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
+                        "r_a1 = s_a0", {"r_a0", "s_a1"});
+}
+
+const RelationSpec kR{"r", 2, 12, 60}, kS{"s", 2, 12, 60};
+
+void PopulateJoinDb(Database* db, uint32_t seed) {
+  WorkloadGenerator gen(seed);
+  gen.Populate(db, kR);
+  gen.Populate(db, kS);
+}
+
+// One maintained commit: delta on the pre-state, then base + view apply.
+void Step(Database* db, const DifferentialMaintainer& m, CountedRelation* view,
+          const Transaction& txn, MaintenanceStats* stats = nullptr) {
+  TransactionEffect effect = txn.Normalize(*db);
+  ViewDelta delta = m.ComputeDelta(effect, stats);
+  effect.ApplyTo(db);
+  delta.ApplyTo(view);
+}
+
+TEST(CrossJoinViewTest, CommitsOnOneSideEqualNaive) {
+  Database db;
+  PopulateJoinDb(&db, 42);
+  DifferentialMaintainer m(CrossDef(), &db);
+  CountedRelation view = m.FullEvaluate();
+  WorkloadGenerator gen(7);
+  for (int step = 0; step < 10; ++step) {
+    Transaction txn;
+    gen.AddUpdates(&txn, kR, 2, 2);  // only r changes
+    Step(&db, m, &view, txn);
+    ASSERT_TRUE(view.SameContents(testing::NaiveEvaluate(CrossDef(), db)))
+        << "step " << step;
+  }
+}
+
+TEST(CrossJoinViewTest, CommitsOnBothSidesEqualNaive) {
+  Database db;
+  PopulateJoinDb(&db, 43);
+  DifferentialMaintainer m(CrossDef(), &db);
+  CountedRelation view = m.FullEvaluate();
+  WorkloadGenerator gen(11);
+  for (int step = 0; step < 8; ++step) {
+    Transaction txn;
+    gen.AddUpdates(&txn, kR, 2, 2);
+    gen.AddUpdates(&txn, kS, 2, 2);
+    Step(&db, m, &view, txn);
+    ASSERT_TRUE(view.SameContents(testing::NaiveEvaluate(CrossDef(), db)))
+        << "step " << step;
+  }
+}
+
+// A base mutated outside maintenance (no ComputeDelta saw the change) is
+// read as it now stands by the next commit's cross-join step.
+TEST(CrossJoinViewTest, OutOfBandMutationStaysCorrect) {
+  Database db;
+  PopulateJoinDb(&db, 45);
+  DifferentialMaintainer m(CrossDef(), &db);
+  WorkloadGenerator gen(5);
+
+  Transaction first;
+  gen.AddUpdates(&first, kR, 2, 2);
+  TransactionEffect effect = first.Normalize(db);
+  m.ComputeDelta(effect);
+  effect.ApplyTo(&db);
+
+  // Mutate s behind the maintainer's back.
+  Transaction sneak;
+  gen.AddUpdates(&sneak, kS, 3, 3);
+  sneak.Normalize(db).ApplyTo(&db);
+
+  // The next maintained commit must take the view to the oracle's state.
+  CountedRelation view = m.FullEvaluate();
+  Transaction txn;
+  gen.AddUpdates(&txn, kR, 2, 2);
+  Step(&db, m, &view, txn);
+  EXPECT_TRUE(view.SameContents(testing::NaiveEvaluate(CrossDef(), db)));
+}
+
+// A computed delta whose transaction never commits (the effect is not
+// applied) leaves nothing behind that the next commit could trip over.
+TEST(CrossJoinViewTest, RejectedCommitLeavesNoTrace) {
+  Database db;
+  PopulateJoinDb(&db, 46);
+  DifferentialMaintainer m(CrossDef(), &db);
+  CountedRelation view = m.FullEvaluate();
+  WorkloadGenerator gen(9);
+
+  Transaction rejected;
+  gen.AddUpdates(&rejected, kR, 2, 2);
+  gen.AddUpdates(&rejected, kS, 2, 2);
+  m.ComputeDelta(rejected.Normalize(db));  // never applied
+
+  Transaction txn;
+  gen.AddUpdates(&txn, kR, 2, 2);
+  Step(&db, m, &view, txn);
+  EXPECT_TRUE(view.SameContents(testing::NaiveEvaluate(CrossDef(), db)));
+}
+
+// A cross product whose in-place side carries a string column (so its
+// rows are merged value by value, not as raw words) and a local filter.
+TEST(CrossJoinViewTest, FilteredProductWithStringColumnEqualsNaive) {
+  Database db;
+  MakeRelation(&db, "r", {"r_a0", "r_a1"}, {{1, 2}, {3, 4}, {5, 6}});
+  Relation& s = db.CreateRelation(
+      "s", Schema({{"s_k", ValueType::kInt64}, {"s_name", ValueType::kString}}));
+  auto name = [](int64_t k) {
+    return "name-" + std::to_string(k) + "-long-enough-for-the-heap";
+  };
+  for (int64_t k = 0; k < 6; ++k) s.Insert(Tuple({Value(k), Value(name(k))}));
+  ViewDefinition def("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
+                     "s_k < 4 && r_a0 > 1", {"r_a1", "s_name"});
+  Transaction txn;
+  txn.Insert("r", T({7, 8})).Delete("r", T({3, 4}));
+  txn.Insert("s", Tuple({Value(2), Value("two")}));
+  txn.Delete("s", Tuple({Value(5), Value(name(5))}));
+  CheckMaintenance(&db, def, txn);
+}
+
+// A string inequality between the two bases is a step filter either way
+// round: each base is read in place when the other changes.
+TEST(CrossJoinViewTest, StringInequalityJoinEqualsNaive) {
+  Database db;
+  const Schema named({{"k", ValueType::kInt64}, {"name", ValueType::kString}});
+  Relation& r = db.CreateRelation("r", named);
+  Relation& s = db.CreateRelation("s", named);
+  const char* const names[] = {"ash", "birch", "cedar", "dogwood", "elm"};
+  for (int64_t k = 0; k < 5; ++k) {
+    r.Insert(Tuple({Value(k), Value(names[k])}));
+    s.Insert(Tuple({Value(k), Value(names[4 - k])}));
+  }
+  ViewDefinition def("v", {BaseRef{"r", {"rk", "rname"}},
+                           BaseRef{"s", {"sk", "sname"}}},
+                     "rname < sname && sk < 4", {"rk", "sname"});
+  Transaction txn;
+  txn.Insert("r", Tuple({Value(7), Value("beech")}));
+  txn.Delete("r", Tuple({Value(2), Value("cedar")}));
+  txn.Insert("s", Tuple({Value(1), Value("cherry")}));
+  txn.Delete("s", Tuple({Value(0), Value("elm")}));
+  CheckMaintenance(&db, def, txn);
+}
+
+// An equi-join view's maintainer indexes both join attributes, and its
+// commits probe them.
+TEST(IndexedJoinTest, MaintainerIndexesEquiJoinAttributes) {
+  Database db;
+  PopulateJoinDb(&db, 44);
+  DifferentialMaintainer m(EquiDef(), &db);
+  EXPECT_TRUE(db.Get("r").HasIndex(1));  // r_a1
+  EXPECT_TRUE(db.Get("s").HasIndex(0));  // s_a0
+  CountedRelation view = m.FullEvaluate();
+  WorkloadGenerator gen(3);
+  MaintenanceStats stats;
+  Transaction txn;
+  gen.AddUpdates(&txn, kR, 2, 2);
+  Step(&db, m, &view, txn, &stats);
+  EXPECT_TRUE(view.SameContents(testing::NaiveEvaluate(EquiDef(), db)));
+  EXPECT_GT(stats.plan.probes, 0);
+}
+
+// After one transaction as large as the clean base, later small commits
+// must go back to probing the base's index.  The bulk round's delta ties
+// with `s`, so the planner scans the delta first and hashes `s` for that
+// round; nothing of that table may outlive the round and serve the small
+// commits in place of the index.
+TEST(IndexedJoinTest, EquiJoinProbesIndexAfterBulkCommit) {
+  Database db;
+  WorkloadGenerator pop(48);
+  pop.Populate(&db, {"r", 2, 400, 50});
+  pop.Populate(&db, {"s", 2, 400, 200});
+  ViewDefinition def = EquiDef();
+  ViewManager vm(&db);
+  vm.RegisterView(def, MaintenanceMode::kImmediate, MaintenanceOptions{});
+
+  Transaction bulk;
+  const int64_t n = static_cast<int64_t>(db.Get("s").size());
+  for (int64_t i = 0; i < n; ++i) bulk.Insert("r", T({10000 + i, i % 400}));
+  vm.Apply(bulk);
+
+  for (int64_t i = 0; i < 5; ++i) {
+    const MaintenanceStats before = vm.Describe("v").stats;
+    Transaction one;
+    one.Insert("r", T({20000 + i, (7 * i) % 400}));
+    vm.Apply(one);
+    const MaintenanceStats after = vm.Describe("v").stats;
+    EXPECT_GT(after.plan.probes, before.plan.probes) << "commit " << i;
+  }
+  EXPECT_TRUE(vm.View("v").SameContents(testing::NaiveEvaluate(def, db)));
 }
 
 }  // namespace

@@ -15,8 +15,13 @@
 // its arena within one block, because column batches start at 16 rows and
 // grow with the rows in flight.  A single 1024-row batch of the 3-way
 // join's 11 combined columns would take about 96 KiB.
+//
+// The maintainer's state: a view whose join has a cross-join step reads the
+// clean base in place at that step, so what its maintainer holds between
+// commits does not grow with the base.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -27,6 +32,8 @@
 #include <thread>
 #include <vector>
 
+#include "db/transaction.h"
+#include "ivm/differential.h"
 #include "ivm/view_manager.h"
 #include "relational/relation.h"
 #include "relational/row_store.h"
@@ -39,6 +46,16 @@ namespace {
 
 std::atomic<int64_t> blocks_requested{0};
 std::atomic<int64_t> bytes_requested{0};
+// Usable bytes of the blocks `operator new` handed out and that are not yet
+// deleted.
+std::atomic<int64_t> bytes_live{0};
+
+void Release(void* p) {
+  if (p == nullptr) return;
+  bytes_live.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                       std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -47,12 +64,16 @@ std::atomic<int64_t> bytes_requested{0};
   blocks_requested.fetch_add(1, std::memory_order_relaxed);
   bytes_requested.fetch_add(static_cast<int64_t>(size),
                             std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    bytes_live.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+    return p;
+  }
   throw std::bad_alloc();
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { Release(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 
 namespace mview {
@@ -179,6 +200,47 @@ TEST(FootprintTest, SmallRelationsMapNothing) {
   big.Clear();
   EXPECT_EQ(big.memory().mapped, 0);
   EXPECT_EQ(row_memory::MappedBytes(), mapped0);
+}
+
+// Heap bytes held through `operator new` plus bytes the row stores map.
+int64_t HeldBytes() {
+  return bytes_live.load() + row_memory::MappedBytes();
+}
+
+// A 2-way inequality join over a 20 000-row base, maintained through 20
+// one-row commits to its other base.  Each commit's differential row meets
+// the clean base at a cross-join step; reading it there in place leaves the
+// maintainer holding its fixed scratch (one 64 KiB arena block) and
+// nothing per base row.  A copy of the base's rows kept for that step
+// (tuples plus an int mirror, ~160 B a row) would hold about 3.2 MB.
+TEST(FootprintTest, CrossJoinViewHoldsNothingThatGrowsWithItsBase) {
+  Database db;
+  Relation& r = db.CreateRelation("r", Schema::OfInts({"r_a", "r_b"}));
+  for (const Tuple& t : IntRows(2)) r.Insert(t);  // r_a = 7i, r_b = 7i + 1
+  db.CreateRelation("s", Schema::OfInts({"s_a", "s_b"}));
+  const ViewDefinition def("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
+                           "r_a > s_a + 3", {"r_a", "s_b"});
+  const int64_t held0 = HeldBytes();
+  DifferentialMaintainer m(def, &db);
+  CountedRelation view = m.FullEvaluate();
+  for (int64_t i = 0; i < 20; ++i) {
+    // Each s row joins the ten largest r rows, so the view stays small.
+    Transaction txn;
+    txn.Insert("s", Tuple{Value(7 * (kRows - 10) - 4), Value(i)});
+    TransactionEffect effect = txn.Normalize(db);
+    ViewDelta delta = m.ComputeDelta(effect);
+    effect.ApplyTo(&db);
+    delta.ApplyTo(&view);
+  }
+  ASSERT_EQ(view.size(), 200u);
+  // The view's own rows: 64 B slots, with their lookup table and slack
+  // counted generously.
+  const int64_t own = 2 * 64 * static_cast<int64_t>(view.size());
+  const int64_t held = HeldBytes() - held0 - own;
+  // Beyond the arena block, less than a byte per base row.
+  constexpr int64_t kBlock = util::Arena::kDefaultBlockBytes;
+  EXPECT_LT(held, kBlock + kRows) << "bytes held beyond the view's rows";
+  RecordProperty("held_bytes", std::to_string(held));
 }
 
 // Small commits against a 3-way join with an `x > y + c` atom and a

@@ -96,7 +96,7 @@ TEST(PrometheusTest, CountersGaugesAndLabelsFromHandBuiltRegistry) {
   ViewMetrics& v = registry.ForView("v");
   v.stats.transactions = 5;
   v.stats.updates_filtered = 3;
-  v.stats.cache_bytes = 4096;
+  v.stats.arena_bytes = 4096;
   registry.ForView("w").stats.transactions = 1;
 
   std::string text = obs::ExportPrometheus(registry);
@@ -114,7 +114,7 @@ TEST(PrometheusTest, CountersGaugesAndLabelsFromHandBuiltRegistry) {
   EXPECT_EQ(samples.at("mview_view_transactions_total{view=\"v\"}"), 5);
   EXPECT_EQ(samples.at("mview_view_transactions_total{view=\"w\"}"), 1);
   EXPECT_EQ(samples.at("mview_view_updates_filtered_total{view=\"v\"}"), 3);
-  EXPECT_EQ(samples.at("mview_view_cache_bytes{view=\"v\"}"), 4096);
+  EXPECT_EQ(samples.at("mview_view_arena_bytes{view=\"v\"}"), 4096);
   EXPECT_EQ(samples.at("mview_row_store_mapped_bytes{owner=\"bases\"}"),
             1 << 20);
   EXPECT_EQ(samples.at("mview_row_store_mapped_bytes{owner=\"spares\"}"), 0);

@@ -3,8 +3,9 @@
 // WAL tail replayed — must give back exactly the views the engine had
 // before the crash.  Each seed draws a schema of two or three tables and
 // five to seven views over them (selections, projections with duplicate
-// counts, equi-joins with an inequality, immediate, DEFERRED, RECOMPUTED
-// and PARTITIONS > 1), then interleaves DML, REFRESH, REPAIR, CHECKPOINT,
+// counts, equi-joins with an inequality, inequality-only joins and cross
+// products with a local filter; immediate, DEFERRED, RECOMPUTED and
+// PARTITIONS > 1), then interleaves DML, REFRESH, REPAIR, CHECKPOINT,
 // commits that quarantine a view, and crash-reopens at random points.
 // After every reopen:
 //   - every base table and every view equals its pre-crash snapshot,
@@ -57,7 +58,8 @@ struct ViewState {
 /// One seed's schema, views and operation stream.
 class Scenario {
  public:
-  explicit Scenario(uint64_t seed) : rng_(seed) {
+  explicit Scenario(int seed)
+      : seed_(seed), rng_(static_cast<uint64_t>(seed) * 7919 + 1) {
     const int tables = Uniform(2, 3);
     for (int t = 0; t < tables; ++t) {
       const std::string name = "t" + std::to_string(t);
@@ -79,8 +81,14 @@ class Scenario {
       }
       ddl += ");";
     }
+    // v0 is immediate, so every seed has one for the oracle.  v1 and v2 are
+    // the two shapes with a cross-join step, in modes that cycle with the
+    // seed, so any four consecutive seeds draw each in every mode.
     const int views = Uniform(5, 7);
-    for (int v = 0; v < views; ++v) ddl += ViewDdl("v" + std::to_string(v));
+    ddl += ViewDdl(RandomShape(), Mode::kImmediate);
+    ddl += ViewDdl(Shape::kInequalityJoin, static_cast<Mode>(seed_ % 4));
+    ddl += ViewDdl(Shape::kFilteredProduct, static_cast<Mode>((seed_ + 1) % 4));
+    for (int v = 3; v < views; ++v) ddl += ViewDdl(RandomShape(), RandomMode());
     return ddl;
   }
 
@@ -130,23 +138,56 @@ class Scenario {
     return *it;
   }
 
-  std::string ViewDdl(const std::string& name) {
-    views.push_back(name);
-    std::string mode;
-    // The first view is immediate, so every seed has one for the oracle.
-    switch (views.size() == 1 ? 5 : Uniform(0, 5)) {
+  // Equi-joins are probed through an index at every step; an inequality
+  // join and a filtered product meet their second table at a cross-join
+  // step instead.
+  enum class Shape { kSelect, kEquiJoin, kInequalityJoin, kFilteredProduct };
+  enum class Mode { kImmediate, kDeferred, kPartitioned, kRecomputed };
+
+  Shape RandomShape() {
+    switch (Uniform(0, 5)) {
       case 0:
       case 1:
-        mode = " DEFERRED";
+        return Shape::kEquiJoin;
+      case 2:
+        return Shape::kInequalityJoin;
+      case 3:
+        return Shape::kFilteredProduct;
+      default:
+        return Shape::kSelect;
+    }
+  }
+
+  Mode RandomMode() {
+    switch (Uniform(0, 5)) {
+      case 0:
+      case 1:
+        return Mode::kDeferred;
+      case 2:
+        return Mode::kPartitioned;
+      case 3:
+        return Mode::kRecomputed;
+      default:
+        return Mode::kImmediate;
+    }
+  }
+
+  std::string ViewDdl(Shape shape, Mode mode) {
+    const std::string name = "v" + std::to_string(views.size());
+    views.push_back(name);
+    std::string suffix;
+    switch (mode) {
+      case Mode::kDeferred:
+        suffix = " DEFERRED";
         deferred.push_back(name);
         break;
-      case 2:
-        mode = " PARTITIONS " + std::to_string(Uniform(2, 4));
+      case Mode::kPartitioned:
+        suffix = " PARTITIONS " + std::to_string(Uniform(2, 4));
         break;
-      case 3:
-        mode = " RECOMPUTED";
+      case Mode::kRecomputed:
+        suffix = " RECOMPUTED";
         break;
-      default:
+      case Mode::kImmediate:
         break;
     }
     const auto& [left, lcols] = Table();
@@ -154,25 +195,39 @@ class Scenario {
     std::string from = " FROM " + left;
     std::string where =
         " WHERE " + lcols[0] + " < " + std::to_string(Uniform(3, 10));
-    if (Uniform(0, 2) > 0) {  // an equi-join, sometimes with an inequality
+    if (shape == Shape::kSelect) {
+      if (Uniform(0, 1) == 0) {
+        select = "SELECT " + lcols[1];  // a projection: duplicate counts
+      }
+    } else {
       const auto* right = &Table();
       while (right->first == left) right = &Table();
       const auto& rcols = right->second;
-      select = "SELECT " + lcols[1] + ", " + rcols.back();
       from += ", " + right->first;
-      where = " WHERE " + lcols[1] + " = " + rcols[0];
-      if (Uniform(0, 1) == 0) {
-        const int offset = Uniform(-3, 3);
-        where += " AND " + lcols[0] + " > " + rcols.back() +
-                 (offset < 0 ? " - " : " + ") + std::to_string(std::abs(offset));
+      const int offset = Uniform(-3, 3);
+      const std::string inequality =
+          lcols[0] + " > " + rcols.back() + (offset < 0 ? " - " : " + ") +
+          std::to_string(std::abs(offset));
+      switch (shape) {
+        case Shape::kEquiJoin:  // sometimes with an inequality
+          select = "SELECT " + lcols[1] + ", " + rcols.back();
+          where = " WHERE " + lcols[1] + " = " + rcols[0];
+          if (Uniform(0, 1) == 0) where += " AND " + inequality;
+          break;
+        case Shape::kInequalityJoin:
+          select = "SELECT " + lcols[1] + ", " + rcols.back();
+          where = " WHERE " + inequality;
+          break;
+        default:  // a cross product; `where` keeps the left-side filter
+          select = "SELECT " + lcols[1] + ", " + rcols[0];
+          break;
       }
-    } else if (Uniform(0, 1) == 0) {
-      select = "SELECT " + lcols[1];  // a projection: duplicate counts
     }
-    return "CREATE MATERIALIZED VIEW " + name + mode + " AS " + select + from +
-           where + ";";
+    return "CREATE MATERIALIZED VIEW " + name + suffix + " AS " + select +
+           from + where + ";";
   }
 
+  int seed_;
   std::mt19937_64 rng_;
   Tables tables_;
 };
@@ -257,7 +312,7 @@ class RestorePropertyTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(RestorePropertyTest, ReopenedViewsEqualTheirPreCrashState) {
-  Scenario sc(static_cast<uint64_t>(GetParam()) * 7919 + 1);
+  Scenario sc(GetParam());
   Open();
   ASSERT_NO_FATAL_FAILURE(Run(sc.Ddl()));
   for (int i = 0; i < 20; ++i) ASSERT_NO_FATAL_FAILURE(Run(sc.Dml()));

@@ -25,8 +25,7 @@ void ExpectViewMetricsShape(const JsonValue& v, const std::string& where) {
        {"transactions", "skipped_irrelevant", "updates_seen",
         "updates_filtered", "rows_enumerated", "rows_evaluated",
         "delta_inserts", "delta_deletes", "full_reevaluations", "refreshes",
-        "maintenance_nanos", "cache_hits", "cache_misses", "cache_evictions",
-        "cache_bytes", "batch_batches", "batch_rows", "arena_bytes",
+        "maintenance_nanos", "batch_batches", "batch_rows", "arena_bytes",
         "arena_high_water", "filter_nanos", "differential_nanos",
         "apply_nanos"}) {
     ASSERT_TRUE(v.Has(key)) << "missing per-view key: " << key;

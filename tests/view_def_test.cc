@@ -168,24 +168,6 @@ TEST_F(ViewDefTest, JoinAttributesWithAliases) {
   EXPECT_EQ(attrs[1], (std::vector<std::string>{"B"}));
 }
 
-TEST_F(ViewDefTest, EquiConnectedNeedsEveryBaseJoinedByTheCore) {
-  auto connected = [&](std::vector<BaseRef> bases, const char* condition) {
-    return ViewDefinition("v", std::move(bases), condition)
-        .EquiConnected(db_);
-  };
-  const BaseRef r{"r", {}}, s{"s", {}}, t{"t", {"T1", "T2"}};
-  EXPECT_TRUE(connected({r}, "A < 10"));
-  EXPECT_TRUE(connected({r, s}, "B = C"));
-  EXPECT_TRUE(connected({r, s}, "B = C + 2"));  // offsets probe too
-  EXPECT_FALSE(connected({r, s}, "B < C"));
-  EXPECT_FALSE(connected({r, s}, "true"));
-  EXPECT_TRUE(connected({r, s, t}, "B = C && D = T1"));
-  EXPECT_FALSE(connected({r, s, t}, "B = C && D < T1"));
-  // Only equalities common to every disjunct connect.
-  EXPECT_TRUE(connected({r, s}, "(B = C && A < 1) || (B = C && D > 5)"));
-  EXPECT_FALSE(connected({r, s}, "(B = C && A < 1) || (A > 5 && D = 0)"));
-}
-
 TEST_F(ViewDefTest, ToStringMentionsStructure) {
   ViewDefinition def("v", {BaseRef{"r", {}}, BaseRef{"s", {}}}, "B = C",
                      {"A"});
