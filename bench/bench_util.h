@@ -1,6 +1,8 @@
 #ifndef MVIEW_BENCH_BENCH_UTIL_H_
 #define MVIEW_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -164,6 +166,32 @@ inline Spread SpreadOf(std::vector<double> samples) {
                              (samples[hi] - samples[lo]);
   };
   return {quantile(0.5), quantile(0.75) - quantile(0.25)};
+}
+
+/// The host a result was measured on: online cores, CPU model, compiler
+/// and build type, as one line for a summary table's title.
+inline std::string HostFingerprint() {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::strncmp(line, "model name", 10) != 0) continue;
+      const char* colon = std::strchr(line, ':');
+      if (colon == nullptr) break;
+      cpu = colon + 1;
+      cpu.erase(0, cpu.find_first_not_of(' '));
+      cpu.erase(cpu.find_last_not_of(" \n") + 1);
+      break;
+    }
+    std::fclose(f);
+  }
+#ifdef NDEBUG
+  const char* build = "optimized (NDEBUG)";
+#else
+  const char* build = "debug (asserts on)";
+#endif
+  return "nproc=" + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", cpu=" + cpu + ", compiler=" + __VERSION__ + ", build=" + build;
 }
 
 /// Runs `fn` `reps` times and returns the average seconds per run (a

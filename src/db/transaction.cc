@@ -1,6 +1,6 @@
 #include "db/transaction.h"
 
-#include <unordered_map>
+#include <iterator>
 
 #include "util/error.h"
 
@@ -70,43 +70,60 @@ Transaction& Transaction::Update(const std::string& relation, Tuple old_tuple,
 }
 
 Transaction& Transaction::InsertAll(const std::string& relation,
-                                    const std::vector<Tuple>& tuples) {
-  for (const auto& t : tuples) Insert(relation, t);
+                                    std::vector<Tuple> tuples) {
+  ops_.reserve(ops_.size() + tuples.size());
+  for (Tuple& t : tuples) Insert(relation, std::move(t));
   return *this;
 }
 
 Transaction& Transaction::DeleteAll(const std::string& relation,
-                                    const std::vector<Tuple>& tuples) {
-  for (const auto& t : tuples) Delete(relation, t);
+                                    std::vector<Tuple> tuples) {
+  ops_.reserve(ops_.size() + tuples.size());
+  for (Tuple& t : tuples) Delete(relation, std::move(t));
   return *this;
 }
 
-Transaction& Transaction::Append(const Transaction& other) {
-  ops_.insert(ops_.end(), other.ops_.begin(), other.ops_.end());
+Transaction& Transaction::Append(Transaction other) {
+  if (ops_.empty()) {
+    ops_ = std::move(other.ops_);
+  } else {
+    ops_.insert(ops_.end(), std::make_move_iterator(other.ops_.begin()),
+                std::make_move_iterator(other.ops_.end()));
+  }
   return *this;
 }
 
 TransactionEffect Transaction::Normalize(const Database& db) const {
-  // Replay the operations over an overlay recording each touched tuple's
-  // final presence; compare with its pre-state presence to get the net
-  // effect (Section 3: r, i_r, d_r mutually disjoint).
-  std::map<std::string, std::unordered_map<Tuple, bool>> overlay;
-  for (const auto& op : ops_) {
-    const Relation& r = db.Get(op.relation);
-    MVIEW_CHECK(op.tuple.size() == r.schema().size(),
-                "tuple arity does not match relation ", op.relation);
-    overlay[op.relation][op.tuple] = op.is_insert;
-  }
+  // Section 3's net effect, with the effect's own sets as the overlay: a
+  // tuple's last operation decides whether it is present afterwards, and
+  // its presence in r before decides where that lands.  After an insert
+  // it is in `inserts` when r lacks it (else in neither set); after a
+  // delete it is in `deletes` when r has it (else in neither).  So r, the
+  // inserts and the deletes stay disjoint at every step.
   TransactionEffect effect;
-  for (auto& [name, tuples] : overlay) {
-    const Relation& r = db.Get(name);
-    auto rel_effect = std::make_unique<RelationEffect>(r.schema());
-    for (auto& [tuple, present_after] : tuples) {
-      bool present_before = r.Contains(tuple);
-      if (present_after && !present_before) rel_effect->inserts.Insert(tuple);
-      if (!present_after && present_before) rel_effect->deletes.Insert(tuple);
+  const std::string* name = nullptr;  // the relation of the previous op
+  const Relation* r = nullptr;
+  RelationEffect* rel_effect = nullptr;
+  for (const Op& op : ops_) {
+    if (name == nullptr || op.relation != *name) {
+      name = &op.relation;
+      r = &db.Get(op.relation);
+      rel_effect = &effect.Mutable(op.relation, r->schema());
     }
-    effect.effects_[name] = std::move(rel_effect);
+    MVIEW_CHECK(op.tuple.size() == r->schema().size(),
+                "tuple arity does not match relation ", op.relation);
+    const bool in_base = r->Contains(op.tuple);
+    if (op.is_insert) {
+      if (in_base) {
+        rel_effect->deletes.Erase(op.tuple);
+      } else {
+        rel_effect->inserts.Insert(op.tuple);
+      }
+    } else if (in_base) {
+      rel_effect->deletes.Insert(op.tuple);
+    } else {
+      rel_effect->inserts.Erase(op.tuple);
+    }
   }
   return effect;
 }

@@ -51,15 +51,14 @@ class TransactionEffect {
 
   /// Returns a mutable effect slot for `relation`, creating an empty one
   /// with `schema` on first use.  This is the build path for effects
-  /// reconstructed from a durable log rather than normalized from a live
-  /// transaction; the caller is responsible for the Section 3 invariants
+  /// normalized from a live transaction and for effects reconstructed from
+  /// a durable log; the caller is responsible for the Section 3 invariants
   /// (`inserts ∩ r = ∅`, `deletes ⊆ r`, `inserts ∩ deletes = ∅`) — WAL
   /// replay preserves them by re-applying effects in original commit order
   /// from the checkpointed state.
   RelationEffect& Mutable(const std::string& relation, const Schema& schema);
 
  private:
-  friend class Transaction;
   std::map<std::string, std::unique_ptr<RelationEffect>> effects_;
 };
 
@@ -69,7 +68,8 @@ class TransactionEffect {
 /// Operations are recorded in order; `Normalize` replays them against the
 /// database pre-state to compute the net `TransactionEffect`: inserting an
 /// already-present tuple or deleting an absent one is a no-op, and
-/// insert-then-delete (or delete-then-insert) sequences cancel.
+/// insert-then-delete (or delete-then-insert) sequences cancel.  The replay
+/// costs one probe of the base per operation.
 class Transaction {
  public:
   /// Records `insert(R, t)`.
@@ -84,15 +84,15 @@ class Transaction {
   Transaction& Update(const std::string& relation, Tuple old_tuple,
                       Tuple new_tuple);
 
-  /// Convenience for batches.
+  /// Convenience for batches; the tuples are moved in, not copied.
   Transaction& InsertAll(const std::string& relation,
-                         const std::vector<Tuple>& tuples);
+                         std::vector<Tuple> tuples);
   Transaction& DeleteAll(const std::string& relation,
-                         const std::vector<Tuple>& tuples);
+                         std::vector<Tuple> tuples);
 
-  /// Appends every operation of `other` in order — merges a
+  /// Moves every operation of `other` to the end, in order — merges a
   /// statement-built transaction into an enclosing BEGIN … COMMIT scope.
-  Transaction& Append(const Transaction& other);
+  Transaction& Append(Transaction other);
 
   size_t NumOperations() const { return ops_.size(); }
 

@@ -68,9 +68,9 @@ bool Atom::Evaluate(const Schema& schema, const Tuple& tuple) const {
   }
   const Value& right = tuple.at(schema.MustIndexOf(*rhs_var));
   if (offset == 0) return EvalCompare(left.Compare(right), op);
-  // x op y + c with integer attributes: compare x - c against y to avoid
-  // overflowing y + c.
-  return EvalCompare(Value(left.AsInt64() - offset).Compare(right), op);
+  // x op y + c with integer attributes.
+  return EvalCompare(CompareShifted(left.AsInt64(), offset, right.AsInt64()),
+                     op);
 }
 
 Atom Atom::Negated() const {

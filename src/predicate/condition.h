@@ -27,6 +27,14 @@ const char* CompareOpName(CompareOp op);
 /// Applies `op` to a three-way comparison result.
 bool EvalCompare(int cmp, CompareOp op);
 
+/// Three-way comparison of `x − offset` against `y` in exact arithmetic:
+/// how every evaluator decides `x op y + offset`.  Near the ends of the
+/// int64 range `x − offset` leaves it, and wrapping would flip the answer.
+inline int CompareShifted(int64_t x, int64_t offset, int64_t y) {
+  const __int128 shifted = static_cast<__int128>(x) - offset;
+  return shifted < y ? -1 : shifted > y ? 1 : 0;
+}
+
 /// An atomic formula: `x op c`, `x op y`, or `x op y + c` (Section 4).
 ///
 /// `lhs` is always a variable (an attribute name).  When `rhs_var` is set the

@@ -23,6 +23,10 @@ int64_t ConstraintGraph::SatAdd(int64_t a, int64_t b) {
 void ConstraintGraph::AddEdge(size_t from, size_t to, int64_t weight) {
   MVIEW_CHECK(!closed_, "cannot add edges after Close()");
   MVIEW_CHECK(from < n_ && to < n_, "edge endpoint out of range");
+  // Saturated like every sum `SatAdd` forms: a weight past -kInfinity is
+  // loosened to it (the graph can only become more satisfiable), one past
+  // +kInfinity is no constraint.
+  weight = std::clamp(weight, -kInfinity, kInfinity);
   int64_t& cell = dist_[from * n_ + to];
   cell = std::min(cell, weight);
   edges_.push_back({from, to, weight});

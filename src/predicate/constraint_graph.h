@@ -37,7 +37,7 @@ class ConstraintGraph {
   size_t num_nodes() const { return n_; }
 
   /// Adds edge `from → to` with `weight`, keeping the minimum weight for
-  /// parallel edges.
+  /// parallel edges.  Weights saturate to ±kInfinity.
   void AddEdge(size_t from, size_t to, int64_t weight);
 
   /// Runs Floyd–Warshall and caches the closure.  Returns true when the

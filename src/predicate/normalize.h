@@ -28,8 +28,10 @@ struct DifferenceConstraint {
   std::string ToString() const;
 };
 
-/// Normalizes one RH atom into one or two difference constraints.
-/// Throws `Error` when the atom is not in the RH class (`≠`, strings).
+/// Normalizes one RH atom into one or two difference constraints.  A
+/// constant past ±`ConstraintGraph::kInfinity` is saturated to it (a
+/// looser bound, so unsatisfiability is never over-claimed).  Throws
+/// `Error` when the atom is not in the RH class (`≠`, strings).
 std::vector<DifferenceConstraint> NormalizeAtom(const Atom& atom);
 
 /// Normalizes every atom of a conjunction.  Throws on non-RH atoms.

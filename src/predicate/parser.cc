@@ -1,8 +1,10 @@
 #include "predicate/parser.h"
 
 #include <cctype>
+#include <limits>
 #include <memory>
 
+#include "util/digits.h"
 #include "util/error.h"
 
 namespace mview {
@@ -114,17 +116,31 @@ class Parser {
     return text_.substr(start, pos_ - start);
   }
 
+  // [-]digits; the minus and the digit run's magnitude combine, so
+  // "-9223372036854775808" is INT64_MIN.
   int64_t ParseInt() {
     SkipSpace();
-    size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    MVIEW_CHECK(pos_ > start && (pos_ > start + 1 || text_[start] != '-'),
+    const size_t start = pos_;
+    const bool negative = Peek() == '-';
+    if (negative) ++pos_;
+    MVIEW_CHECK(pos_ < text_.size() && util::IsDigit(text_[pos_]),
                 "expected integer at offset ", start);
-    return std::stoll(text_.substr(start, pos_ - start));
+    uint64_t magnitude = 0;
+    int64_t value = 0;
+    MVIEW_CHECK(util::ScanDigits(text_, &pos_, &magnitude) &&
+                    util::SignedFromMagnitude(magnitude, negative, &value),
+                "integer literal out of range at offset ", start);
+    return value;
+  }
+
+  // The integer after a `+`/`-` offset sign.  Offsets are negated, so
+  // INT64_MIN (a second minus) is out of their range.
+  int64_t ParseOffset() {
+    const size_t start = pos_;
+    const int64_t offset = ParseInt();
+    MVIEW_CHECK(offset != std::numeric_limits<int64_t>::min(),
+                "integer offset out of range at offset ", start);
+    return offset;
   }
 
   CompareOp ParseOp() {
@@ -164,13 +180,13 @@ class Parser {
     std::string rhs = ParseIdent();
     int64_t offset = 0;
     if (Consume("+")) {
-      offset = ParseInt();
+      offset = ParseOffset();
     } else {
       SkipSpace();
       // A '-' here is an offset subtraction, e.g. "A <= B - 2".
       if (pos_ < text_.size() && text_[pos_] == '-') {
         ++pos_;
-        offset = -ParseInt();
+        offset = -ParseOffset();
       }
     }
     node->atom = Atom::VarVar(std::move(lhs), op, std::move(rhs), offset);

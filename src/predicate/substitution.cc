@@ -245,7 +245,7 @@ bool SubstitutionFilter::EvaluateAtom(
   const Value& rhs =
       atom.rhs_is_slot ? SlotValue(atom.rhs, tuples) : atom.rhs_const;
   if (atom.offset == 0) return EvalCompare(lhs.Compare(rhs), atom.op);
-  return EvalCompare(Value(lhs.AsInt64() - atom.offset).Compare(rhs),
+  return EvalCompare(CompareShifted(lhs.AsInt64(), atom.offset, rhs.AsInt64()),
                      atom.op);
 }
 

@@ -193,9 +193,10 @@ bool EvalBoundAtom(const ColumnBatch& batch, size_t row,
   }
   if (lhs_int) {
     // Matches Atom::Evaluate exactly: x op y + c compares x − c against y.
-    const int64_t left = batch.ints(atom.lhs_col)[row] - atom.offset;
-    const int64_t right = batch.ints(atom.rhs_col)[row];
-    return EvalCompare(left < right ? -1 : (left > right ? 1 : 0), atom.op);
+    return EvalCompare(CompareShifted(batch.ints(atom.lhs_col)[row],
+                                      atom.offset,
+                                      batch.ints(atom.rhs_col)[row]),
+                       atom.op);
   }
   const std::string_view left = batch.strs(atom.lhs_col)[row];
   const std::string_view right = batch.strs(atom.rhs_col)[row];

@@ -98,7 +98,6 @@ struct CrossFilter {
 size_t SelectCrossRows(const ColumnBatch& src, const Tuple& t,
                        const std::vector<CrossFilter>& filters, uint32_t* sel,
                        size_t n) {
-  auto three_way = [](int64_t a, int64_t b) { return a < b ? -1 : a > b; };
   for (const CrossFilter& f : filters) {
     size_t kept = 0;
     if (src.column_type(f.src_col) == ValueType::kInt64) {
@@ -106,8 +105,8 @@ size_t SelectCrossRows(const ColumnBatch& src, const Tuple& t,
       const int64_t* col = src.ints(f.src_col);
       for (size_t i = 0; i < n; ++i) {
         const int cmp = f.local_is_lhs
-                            ? three_way(local - f.offset, col[sel[i]])
-                            : three_way(col[sel[i]] - f.offset, local);
+                            ? CompareShifted(local, f.offset, col[sel[i]])
+                            : CompareShifted(col[sel[i]], f.offset, local);
         if (EvalCompare(cmp, f.op)) sel[kept++] = sel[i];
       }
     } else {
@@ -543,10 +542,17 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
   };
 
   // The probe key of `link` for a source row, with the link's offset
-  // applied (offsets only arise on integer attributes).
-  auto key_value = [&](const ColumnBatch& src, size_t row, const Link& link) {
+  // applied (offsets only arise on integer attributes); none when the
+  // shifted key leaves int64, as then no row can match it.
+  auto key_value = [&](const ColumnBatch& src, size_t row,
+                       const Link& link) -> std::optional<Value> {
     if (src.column_type(link.bound_combined) == ValueType::kInt64) {
-      return Value(src.ints(link.bound_combined)[row] + link.key_offset);
+      int64_t key = 0;
+      if (__builtin_add_overflow(src.ints(link.bound_combined)[row],
+                                 link.key_offset, &key)) {
+        return std::nullopt;
+      }
+      return Value(key);
     }
     return Value(src.strs(link.bound_combined)[row]);
   };
@@ -558,7 +564,8 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
       const Link& l = links[li];
       const Value& tv = t.at(l.local_attr);
       if (src.column_type(l.bound_combined) == ValueType::kInt64) {
-        if (tv.AsInt64() != src.ints(l.bound_combined)[row] + l.key_offset) {
+        if (CompareShifted(tv.AsInt64(), l.key_offset,
+                           src.ints(l.bound_combined)[row]) != 0) {
           return false;
         }
       } else if (tv.AsString() != src.strs(l.bound_combined)[row]) {
@@ -602,7 +609,10 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
       for (const ColumnBatch& src : *batches) {
         const int64_t* keys = src.ints(link.bound_combined);
         for (size_t r = 0; r < src.size(); ++r) {
-          auto hit = table->int_index.find(keys[r] + link.key_offset);
+          // A key whose shifted value leaves int64 matches no row.
+          int64_t key = 0;
+          if (__builtin_add_overflow(keys[r], link.key_offset, &key)) continue;
+          auto hit = table->int_index.find(key);
           if (hit != table->int_index.end()) emit_bucket(src, r, hit->second);
         }
       }
@@ -613,9 +623,13 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
       for (const ColumnBatch& src : *batches) {
         for (size_t r = 0; r < src.size(); ++r) {
           std::span<Value> key_vals = probe_key.mutable_values();
-          for (size_t li = 0; li < links.size(); ++li) {
-            key_vals[li] = key_value(src, r, links[li]);
+          bool in_range = true;
+          for (size_t li = 0; li < links.size() && in_range; ++li) {
+            std::optional<Value> key = key_value(src, r, links[li]);
+            in_range = key.has_value();
+            if (in_range) key_vals[li] = std::move(*key);
           }
+          if (!in_range) continue;
           auto hit = table->index.find(probe_key);
           if (hit != table->index.end()) emit_bucket(src, r, hit->second);
         }
@@ -654,7 +668,10 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
       for (size_t r = 0; r < src.size(); ++r) {
         ++local_stats_.probes;
         sink.row_ = r;
-        info.input->ProbeEqual(link.local_attr, key_value(src, r, link), sink);
+        const std::optional<Value> key = key_value(src, r, link);
+        if (key.has_value()) {
+          info.input->ProbeEqual(link.local_attr, *key, sink);
+        }
       }
     }
   } else {

@@ -78,12 +78,6 @@ uint64_t Tuple::StableHash() const {
   return h;
 }
 
-size_t Tuple::HeapBytes() const {
-  size_t bytes = size_ * sizeof(Value);
-  for (const Value& v : values()) bytes += v.HeapBytes();
-  return bytes;
-}
-
 std::string Tuple::ToString() const {
   std::ostringstream os;
   os << "(";

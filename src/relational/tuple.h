@@ -104,11 +104,6 @@ class Tuple {
   /// (stable across restarts, unlike `Hash()`).
   uint64_t StableHash() const;
 
-  /// Heap bytes this tuple owns: its value array plus the values'
-  /// out-of-line string blocks (not `sizeof(Tuple)` itself, which lives in
-  /// the owning container).
-  size_t HeapBytes() const;
-
   /// Renders as "(1, 2, \"x\")".
   std::string ToString() const;
 

@@ -130,10 +130,6 @@ class Value {
   /// assignments derived from it survive checkpoint/recovery round-trips.
   uint64_t StableHash() const;
 
-  /// Heap bytes this value owns: the length of an out-of-line string, else
-  /// 0 (integers and strings of at most 15 bytes live in the value itself).
-  size_t HeapBytes() const { return tag() == kHeapTag ? HeapSize() : 0; }
-
   /// Renders the value for diagnostics ("42" or "\"abc\"").
   std::string ToString() const;
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "util/digits.h"
 #include "util/json.h"
 
 namespace mview::server {
@@ -166,14 +167,16 @@ std::string SplitRequestDeadline(const std::string& line,
   *deadline_ms = 0;
   if (line.empty() || line[0] != '@') return line;
   size_t pos = 1;
+  uint64_t magnitude = 0;
   int64_t ms = 0;
-  while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    ms = ms * 10 + (line[pos] - '0');
-    ++pos;
+  // Require at least one digit, an int64 value and a following space;
+  // anything else is statement text (SQL will reject it with a real parse
+  // error).
+  if (!util::ScanDigits(line, &pos, &magnitude) ||
+      !util::SignedFromMagnitude(magnitude, false, &ms) || pos == 1 ||
+      pos >= line.size() || line[pos] != ' ') {
+    return line;
   }
-  // Require at least one digit and a following space; anything else is
-  // statement text (SQL will reject it with a real parse error).
-  if (pos == 1 || pos >= line.size() || line[pos] != ' ') return line;
   *deadline_ms = ms;
   return line.substr(pos + 1);
 }

@@ -271,7 +271,7 @@ EngineCore::LockClass EngineCore::Classify(const Statement& stmt,
   }
 }
 
-Result EngineCore::ExecuteParsed(const Statement& stmt,
+Result EngineCore::ExecuteParsed(Statement stmt,
                                  std::optional<Transaction>* pending,
                                  bool* served_from_snapshot,
                                  const util::Cancellation* cancel) {
@@ -487,23 +487,21 @@ Result EngineCore::ExecuteDropAssertion(const Statement& stmt) {
   return Message("assertion " + stmt.name + " dropped");
 }
 
-Transaction EngineCore::BuildInsert(const Statement& stmt,
-                                    size_t* rows) const {
-  const Relation& rel = db_.Get(stmt.name);
-  Transaction txn;
-  for (const auto& row : stmt.rows) {
-    MVIEW_CHECK(row.size() == rel.schema().size(), "INSERT into ", stmt.name,
-                " expects ", rel.schema().size(), " values, got ",
-                row.size());
+Transaction EngineCore::BuildInsert(Statement& stmt, size_t* rows) const {
+  const Schema& schema = db_.Get(stmt.name).schema();
+  for (const Tuple& row : stmt.rows) {
+    MVIEW_CHECK(row.size() == schema.size(), "INSERT into ", stmt.name,
+                " expects ", schema.size(), " values, got ", row.size());
     for (size_t i = 0; i < row.size(); ++i) {
-      MVIEW_CHECK(row[i].type() == rel.schema().attribute(i).type,
+      MVIEW_CHECK(row.values()[i].type() == schema.attribute(i).type,
                   "INSERT into ", stmt.name, ": column ",
-                  rel.schema().attribute(i).name, " expects ",
-                  ValueTypeName(rel.schema().attribute(i).type));
+                  schema.attribute(i).name, " expects ",
+                  ValueTypeName(schema.attribute(i).type));
     }
-    txn.Insert(stmt.name, Tuple(std::span<const Value>(row)));
   }
   *rows = stmt.rows.size();
+  Transaction txn;
+  txn.InsertAll(stmt.name, std::move(stmt.rows));
   return txn;
 }
 
@@ -517,7 +515,7 @@ Transaction EngineCore::BuildDelete(const Statement& stmt,
   });
   *rows = matches.size();
   Transaction txn;
-  txn.DeleteAll(stmt.name, matches);
+  txn.DeleteAll(stmt.name, std::move(matches));
   return txn;
 }
 
@@ -548,7 +546,7 @@ Transaction EngineCore::BuildUpdate(const Statement& stmt,
   return txn;
 }
 
-Transaction EngineCore::BuildDml(const Statement& stmt, size_t* rows) const {
+Transaction EngineCore::BuildDml(Statement& stmt, size_t* rows) const {
   switch (stmt.kind) {
     case Statement::Kind::kInsert:
       return BuildInsert(stmt, rows);
@@ -561,13 +559,13 @@ Transaction EngineCore::BuildDml(const Statement& stmt, size_t* rows) const {
   }
 }
 
-Result EngineCore::ExecuteInsert(const Statement& stmt,
+Result EngineCore::ExecuteInsert(Statement& stmt,
                                  std::optional<Transaction>* pending,
                                  const util::Cancellation* cancel) {
   size_t n = 0;
   Transaction txn = BuildInsert(stmt, &n);
   if (pending->has_value()) {
-    (*pending)->Append(txn);
+    (*pending)->Append(std::move(txn));
     return Message(std::to_string(n) + " row(s) staged");
   }
   Result result = CommitTransaction(std::move(txn), cancel);
@@ -583,7 +581,7 @@ Result EngineCore::ExecuteDelete(const Statement& stmt,
   size_t n = 0;
   Transaction txn = BuildDelete(stmt, &n);
   if (pending->has_value()) {
-    (*pending)->Append(txn);
+    (*pending)->Append(std::move(txn));
     return Message(std::to_string(n) + " row(s) staged");
   }
   Result result = CommitTransaction(std::move(txn), cancel);
@@ -599,7 +597,7 @@ Result EngineCore::ExecuteUpdate(const Statement& stmt,
   size_t n = 0;
   Transaction txn = BuildUpdate(stmt, &n);
   if (pending->has_value()) {
-    (*pending)->Append(txn);
+    (*pending)->Append(std::move(txn));
     return Message(std::to_string(n) + " row(s) staged");
   }
   Result result = CommitTransaction(std::move(txn), cancel);
@@ -609,8 +607,8 @@ Result EngineCore::ExecuteUpdate(const Statement& stmt,
   return result;
 }
 
-Result EngineCore::ExecuteExplainMaintenance(const Statement& stmt) {
-  const Statement& dml = stmt.inner.front();
+Result EngineCore::ExecuteExplainMaintenance(Statement& stmt) {
+  Statement& dml = stmt.inner.front();
   size_t n = 0;
   Transaction txn = BuildDml(dml, &n);
   // Normalize is const against the database: the would-be net effect is
@@ -769,7 +767,7 @@ void EngineCore::EnsureTableDroppable(const std::string& name) const {
   }
 }
 
-Result EngineCore::ExecuteStatement(const Statement& stmt,
+Result EngineCore::ExecuteStatement(Statement& stmt,
                                     std::optional<Transaction>* pending,
                                     const util::Cancellation* cancel) {
   using Kind = Statement::Kind;

@@ -100,7 +100,10 @@ class EngineCore {
   /// immediately with `OverloadedError` carrying a retry-after hint.  The
   /// snapshot fast path bypasses both — published-epoch reads stay
   /// wait-free even under overload.
-  Result ExecuteParsed(const Statement& stmt,
+  ///
+  /// The statement is taken by value because executing it may consume it:
+  /// an INSERT moves its parsed rows into the transaction it commits.
+  Result ExecuteParsed(Statement stmt,
                        std::optional<Transaction>* pending,
                        bool* served_from_snapshot,
                        const util::Cancellation* cancel = nullptr);
@@ -185,8 +188,9 @@ class EngineCore {
 
   /// The statement dispatcher; the caller holds the lock `Classify`
   /// demanded.  `cancel` may be null; it reaches the maintenance poll
-  /// points through `CommitTransaction`.
-  Result ExecuteStatement(const Statement& stmt,
+  /// points through `CommitTransaction`.  INSERT rows (also those under
+  /// EXPLAIN MAINTENANCE) are moved out of `stmt`.
+  Result ExecuteStatement(Statement& stmt,
                           std::optional<Transaction>* pending,
                           const util::Cancellation* cancel);
   Result ExecuteSelect(const SelectQuery& query);
@@ -195,7 +199,7 @@ class EngineCore {
   Result ExecuteSelectFromSnapshot(const EpochSnapshot& snap,
                                    const SelectQuery& query);
   Result ExecuteCreateView(const Statement& stmt);
-  Result ExecuteInsert(const Statement& stmt,
+  Result ExecuteInsert(Statement& stmt,
                        std::optional<Transaction>* pending,
                        const util::Cancellation* cancel);
   Result ExecuteDelete(const Statement& stmt,
@@ -204,16 +208,18 @@ class EngineCore {
   Result ExecuteUpdate(const Statement& stmt,
                        std::optional<Transaction>* pending,
                        const util::Cancellation* cancel);
-  Result ExecuteExplainMaintenance(const Statement& stmt);
+  Result ExecuteExplainMaintenance(Statement& stmt);
   Result CommitTransaction(Transaction txn, const util::Cancellation* cancel);
 
   // Validate a DML statement against the catalog and return the
   // transaction it would commit (affected-row count via `rows`), applying
   // nothing — shared by the execution paths and EXPLAIN MAINTENANCE.
-  Transaction BuildInsert(const Statement& stmt, size_t* rows) const;
+  // `BuildInsert` type-checks the parsed rows and moves them into the
+  // transaction, leaving `stmt.rows` empty.
+  Transaction BuildInsert(Statement& stmt, size_t* rows) const;
   Transaction BuildDelete(const Statement& stmt, size_t* rows) const;
   Transaction BuildUpdate(const Statement& stmt, size_t* rows) const;
-  Transaction BuildDml(const Statement& stmt, size_t* rows) const;
+  Transaction BuildDml(Statement& stmt, size_t* rows) const;
   void EnsureTableDroppable(const std::string& name) const;
   // DDL statements run in commit order: validate (and evaluate a new
   // view), then log the change here — with storage attached it returns

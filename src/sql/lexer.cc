@@ -1,7 +1,9 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cstring>
 
+#include "util/digits.h"
 #include "util/error.h"
 
 namespace mview::sql {
@@ -19,6 +21,14 @@ bool EqualsIgnoreCase(const std::string& a, const char* b) {
   return i == a.size() && b[i] == '\0';
 }
 
+bool IsIdentifierStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+bool IsIdentifierChar(char c) {
+  return IsIdentifierStart(c) || util::IsDigit(c);
+}
+
 }  // namespace
 
 bool Token::Is(const char* upper_keyword) const {
@@ -29,92 +39,107 @@ bool Token::IsSymbol(const char* symbol) const {
   return kind == TokenKind::kSymbol && text == symbol;
 }
 
-std::vector<Token> Lex(const std::string& sql) {
-  std::vector<Token> tokens;
-  auto push = [&tokens](TokenKind kind, std::string text, int64_t integer,
-                        size_t offset) {
-    Token token;
-    token.kind = kind;
-    token.text = std::move(text);
-    token.integer = integer;
-    token.offset = offset;
-    tokens.push_back(std::move(token));
+void Lexer::Next(Token* token) {
+  const size_t n = src_.size();
+  size_t i = pos_;
+  // Sets `*token` to the source bytes [offset, end) and moves past them.
+  auto emit = [&](TokenKind kind, size_t offset, size_t end) {
+    token->kind = kind;
+    token->text.assign(src_.data() + offset, end - offset);
+    token->magnitude = 0;
+    token->offset = offset;
+    pos_ = end;
   };
-  size_t i = 0;
-  const size_t n = sql.size();
   while (i < n) {
-    char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '-' && i + 1 < n && sql[i + 1] == '-') {
-      while (i < n && sql[i] != '\n') ++i;
-      continue;
-    }
     const size_t offset = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      while (i < n && (std::isalnum(static_cast<unsigned char>(sql[i])) ||
-                       sql[i] == '_')) {
-        ++i;
-      }
-      push(TokenKind::kIdentifier, sql.substr(offset, i - offset), 0, offset);
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
-      std::string text = sql.substr(offset, i - offset);
-      int64_t integer = std::stoll(text);
-      push(TokenKind::kInteger, std::move(text), integer, offset);
-      continue;
-    }
-    if (c == '\'') {
-      ++i;
-      std::string value;
-      bool closed = false;
-      while (i < n) {
-        if (sql[i] == '\'') {
-          if (i + 1 < n && sql[i + 1] == '\'') {  // doubled quote escape
-            value += '\'';
-            i += 2;
-            continue;
-          }
-          closed = true;
-          ++i;
-          break;
-        }
-        value += sql[i++];
-      }
-      MVIEW_CHECK(closed, "unterminated string literal at offset ", offset);
-      push(TokenKind::kString, std::move(value), 0, offset);
-      continue;
-    }
-    // Multi-character operators first.
-    auto starts_with = [&](const char* s) {
-      size_t len = std::char_traits<char>::length(s);
-      return sql.compare(i, len, s) == 0;
+    const char c = src_[i];
+    // The length of a symbol that may take a second character `next`.
+    auto pair = [&](char next) {
+      return offset + 1 < n && src_[offset + 1] == next ? 2 : 1;
     };
-    const char* two_char[] = {"==", "!=", "<>", "<=", ">="};
-    bool matched = false;
-    for (const char* op : two_char) {
-      if (starts_with(op)) {
-        push(TokenKind::kSymbol, op, 0, offset);
-        i += 2;
-        matched = true;
-        break;
+    switch (c) {
+      case ' ':
+      case '\t':
+      case '\n':
+      case '\v':
+      case '\f':
+      case '\r':
+        ++i;
+        continue;
+      case '(':
+      case ')':
+      case ',':
+      case ';':
+      case '.':
+      case '*':
+      case '+':
+        return emit(TokenKind::kSymbol, offset, offset + 1);
+      case '-':
+        if (pair('-') == 2) {  // a comment, to the end of the line
+          const void* eol = std::memchr(src_.data() + i, '\n', n - i);
+          i = eol == nullptr ? n
+                             : static_cast<const char*>(eol) - src_.data();
+          continue;
+        }
+        return emit(TokenKind::kSymbol, offset, offset + 1);
+      case '=':
+      case '>':
+        return emit(TokenKind::kSymbol, offset, offset + pair('='));
+      case '<':
+        return emit(TokenKind::kSymbol, offset,
+                    offset + (pair('=') == 2 || pair('>') == 2 ? 2 : 1));
+      case '!':
+        if (pair('=') == 1) {
+          internal::ThrowError("unexpected character '!' at offset ", offset);
+        }
+        return emit(TokenKind::kSymbol, offset, offset + 2);
+      case '\'': {
+        // '' inside the quotes stands for one quote.
+        token->kind = TokenKind::kString;
+        token->text.clear();
+        token->magnitude = 0;
+        token->offset = offset;
+        ++i;
+        while (true) {
+          const void* quote = std::memchr(src_.data() + i, '\'', n - i);
+          MVIEW_CHECK(quote != nullptr,
+                      "unterminated string literal at offset ", offset);
+          const size_t q = static_cast<const char*>(quote) - src_.data();
+          token->text.append(src_.data() + i, q - i);
+          i = q + 1;
+          if (i >= n || src_[i] != '\'') break;
+          token->text += '\'';
+          ++i;
+        }
+        pos_ = i;
+        return;
       }
+      default:
+        if (util::IsDigit(c)) {
+          uint64_t magnitude = 0;
+          MVIEW_CHECK(util::ScanDigits(src_, &i, &magnitude),
+                      "integer literal out of range at offset ", offset);
+          emit(TokenKind::kInteger, offset, i);
+          token->magnitude = magnitude;
+          return;
+        }
+        if (IsIdentifierStart(c)) {
+          while (i < n && IsIdentifierChar(src_[i])) ++i;
+          return emit(TokenKind::kIdentifier, offset, i);
+        }
+        internal::ThrowError("unexpected character '", std::string(1, c),
+                             "' at offset ", offset);
     }
-    if (matched) continue;
-    const std::string singles = "(),;.*=<>+-";
-    if (singles.find(c) != std::string::npos) {
-      push(TokenKind::kSymbol, std::string(1, c), 0, offset);
-      ++i;
-      continue;
-    }
-    internal::ThrowError("unexpected character '", std::string(1, c),
-                         "' at offset ", i);
   }
-  push(TokenKind::kEnd, "", 0, n);
+  emit(TokenKind::kEnd, n, n);
+}
+
+std::vector<Token> Lex(const std::string& sql) {
+  Lexer lexer(sql);
+  std::vector<Token> tokens;
+  do {
+    lexer.Next(&tokens.emplace_back());
+  } while (tokens.back().kind != TokenKind::kEnd);
   return tokens;
 }
 

@@ -1,14 +1,19 @@
 #include "sql/parser.h"
 
 #include "sql/lexer.h"
+#include "util/digits.h"
 #include "util/error.h"
 
 namespace mview::sql {
 namespace {
 
+// A recursive-descent parser over a streaming lexer: it holds the token at
+// the cursor and the one consumed last, nothing more.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view sql) : lexer_(sql) {
+    lexer_.Next(&tokens_[cursor_]);
+  }
 
   std::vector<Statement> ParseScript() {
     std::vector<Statement> out;
@@ -25,11 +30,14 @@ class Parser {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = std::min(pos_ + ahead, tokens_.size() - 1);
-    return tokens_[i];
+  const Token& Peek() const { return tokens_[cursor_]; }
+  // Moves to the next token and returns the one consumed, valid until the
+  // next call.  At the end it keeps returning the end token.
+  const Token& Advance() {
+    cursor_ ^= 1;
+    lexer_.Next(&tokens_[cursor_]);
+    return tokens_[cursor_ ^ 1];
   }
-  const Token& Advance() { return tokens_[std::min(pos_++, tokens_.size() - 1)]; }
 
   bool ConsumeKeyword(const char* kw) {
     if (Peek().Is(kw)) {
@@ -69,11 +77,20 @@ class Parser {
 
   Value ParseLiteral() {
     if (Peek().kind == TokenKind::kString) return Value(Advance().text);
-    bool negative = ConsumeSymbol("-");
+    const bool negative = ConsumeSymbol("-");
     MVIEW_CHECK(Peek().kind == TokenKind::kInteger,
                 "expected literal at offset ", Peek().offset);
-    int64_t v = Advance().integer;
-    return Value(negative ? -v : v);
+    return Value(SignedInteger(negative));
+  }
+
+  // The integer token at the cursor under the given sign; a unary minus
+  // reaches 2^63's negation, INT64_MIN.
+  int64_t SignedInteger(bool negative) {
+    const Token& t = Advance();
+    int64_t v = 0;
+    MVIEW_CHECK(util::SignedFromMagnitude(t.magnitude, negative, &v),
+                "integer literal out of range at offset ", t.offset);
+    return v;
   }
 
   CompareOp ParseCompareOp() {
@@ -133,14 +150,14 @@ class Parser {
     if (Peek().kind == TokenKind::kIdentifier) {
       std::string rhs = ParseQualifiedName();
       int64_t offset = 0;
-      if (ConsumeSymbol("+")) {
+      const bool plus = ConsumeSymbol("+");
+      if (plus || ConsumeSymbol("-")) {
         MVIEW_CHECK(Peek().kind == TokenKind::kInteger,
                     "expected integer offset at offset ", Peek().offset);
-        offset = Advance().integer;
-      } else if (ConsumeSymbol("-")) {
-        MVIEW_CHECK(Peek().kind == TokenKind::kInteger,
-                    "expected integer offset at offset ", Peek().offset);
-        offset = -Advance().integer;
+        // Offsets are negated downstream, so their magnitude stays within
+        // INT64_MAX on either side.
+        offset = SignedInteger(/*negative=*/false);
+        if (!plus) offset = -offset;
       }
       return Condition::FromAtom(
           Atom::VarVar(std::move(lhs), op, std::move(rhs), offset));
@@ -278,6 +295,8 @@ class Parser {
 
   Statement ParseStatement() {
     Statement stmt;
+    // Refers to the cursor token's slot, which the second `Advance`
+    // overwrites: every branch reads `t` only before its first `Advance`.
     const Token& t = Peek();
     if (t.Is("CREATE")) return ParseCreate();
     if (t.Is("DROP")) {
@@ -299,13 +318,17 @@ class Parser {
       stmt.kind = Statement::Kind::kInsert;
       stmt.name = ExpectIdentifier();
       ExpectKeyword("VALUES");
+      // Each row's values gather in one scratch vector and then move into
+      // a tuple of exactly their count: one allocation per row.
+      std::vector<Value> values;
       do {
         ExpectSymbol("(");
-        std::vector<Value> row;
-        row.push_back(ParseLiteral());
-        while (ConsumeSymbol(",")) row.push_back(ParseLiteral());
+        values.clear();
+        values.push_back(ParseLiteral());
+        while (ConsumeSymbol(",")) values.push_back(ParseLiteral());
         ExpectSymbol(")");
-        stmt.rows.push_back(std::move(row));
+        stmt.rows.push_back(Tuple::Build(
+            values.size(), [&](size_t i) { return std::move(values[i]); }));
       } while (ConsumeSymbol(","));
       return stmt;
     }
@@ -442,14 +465,15 @@ class Parser {
                          t.text, "'");
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Token tokens_[2];  // the cursor token and the one consumed last
+  size_t cursor_ = 0;
 };
 
 }  // namespace
 
 std::vector<Statement> Parse(const std::string& sql) {
-  Parser parser(Lex(sql));
+  Parser parser(sql);
   return parser.ParseScript();
 }
 

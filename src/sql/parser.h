@@ -7,6 +7,7 @@
 
 #include "predicate/condition.h"
 #include "relational/schema.h"
+#include "relational/tuple.h"
 #include "relational/value.h"
 
 namespace mview::sql {
@@ -95,7 +96,7 @@ struct Statement {
   std::vector<Attribute> columns;  // CREATE TABLE
   SelectQuery query;               // CREATE VIEW / SELECT
   ViewMode view_mode = ViewMode::kImmediate;
-  std::vector<std::vector<Value>> rows;              // INSERT
+  std::vector<Tuple> rows;                           // INSERT
   Condition where = Condition::True();               // DELETE/UPDATE/ASSERTION
   std::vector<std::pair<std::string, Value>> assignments;  // UPDATE SET
   std::vector<std::string> tables;                   // ASSERTION ON list

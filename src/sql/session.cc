@@ -63,13 +63,13 @@ obs::SessionStats Session::StatsSnapshot() const {
   return stats_;
 }
 
-Result Session::ExecuteOne(const Statement& stmt,
+Result Session::ExecuteOne(Statement stmt,
                            const util::Cancellation* cancel) {
   const bool is_read = stmt.kind == Statement::Kind::kSelect;
   Stopwatch timer;
   bool served_from_snapshot = false;
   try {
-    Result result = core_->ExecuteParsed(stmt, &pending_,
+    Result result = core_->ExecuteParsed(std::move(stmt), &pending_,
                                          &served_from_snapshot, cancel);
     const int64_t nanos = timer.ElapsedNanos();
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -99,7 +99,7 @@ Result Session::Execute(const std::string& sql,
   MVIEW_CHECK(statements.size() == 1,
               "Execute expects exactly one statement; got ",
               statements.size(), " (use ExecuteScript)");
-  return ExecuteOne(statements[0], cancel);
+  return ExecuteOne(std::move(statements[0]), cancel);
 }
 
 Status Session::TryExecute(const std::string& sql, Result* result,
@@ -110,6 +110,8 @@ Status Session::TryExecute(const std::string& sql, Result* result,
     statements = ParseTraced(sql);
   } catch (const Error& e) {
     return Status::ParseError(e.what());
+  } catch (const std::exception& e) {
+    return ClassifyException(e, e.what());
   }
   if (statements.size() != 1) {
     return Status::ParseError("TryExecute expects exactly one statement; got " +
@@ -117,7 +119,7 @@ Status Session::TryExecute(const std::string& sql, Result* result,
                               " (use TryExecuteScript)");
   }
   try {
-    Result r = ExecuteOne(statements[0], cancel);
+    Result r = ExecuteOne(std::move(statements[0]), cancel);
     if (result != nullptr) *result = std::move(r);
   } catch (const std::exception& e) {
     return ClassifyException(e, e.what());
@@ -131,7 +133,7 @@ std::vector<Result> Session::ExecuteScript(const std::string& sql) {
   std::vector<Result> results;
   for (size_t i = 0; i < statements.size(); ++i) {
     try {
-      results.push_back(ExecuteOne(statements[i]));
+      results.push_back(ExecuteOne(std::move(statements[i])));
     } catch (const Error& e) {
       internal::ThrowError("statement ", i + 1, " of ", statements.size(),
                            ": ", e.what());
@@ -149,10 +151,12 @@ Status Session::TryExecuteScript(const std::string& sql,
     statements = ParseTraced(sql);
   } catch (const Error& e) {
     return Status::ParseError(e.what());
+  } catch (const std::exception& e) {
+    return ClassifyException(e, e.what());
   }
   for (size_t i = 0; i < statements.size(); ++i) {
     try {
-      Result r = ExecuteOne(statements[i]);
+      Result r = ExecuteOne(std::move(statements[i]));
       if (results != nullptr) results->push_back(std::move(r));
     } catch (const std::exception& e) {
       if (failed_statement != nullptr) *failed_statement = i;

@@ -85,9 +85,9 @@ class Session {
   friend class EngineCore;
   Session(EngineCore* core, uint64_t id);
 
-  /// Runs one parsed statement through the core and records latency,
-  /// error, row, and snapshot-read counters around it.
-  Result ExecuteOne(const Statement& stmt,
+  /// Runs one parsed statement through the core (which may consume it)
+  /// and records latency, error, row, and snapshot-read counters around it.
+  Result ExecuteOne(Statement stmt,
                     const util::Cancellation* cancel = nullptr);
 
   EngineCore* core_;  // not owned; outlives the session

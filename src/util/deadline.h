@@ -1,6 +1,7 @@
 #ifndef MVIEW_UTIL_DEADLINE_H_
 #define MVIEW_UTIL_DEADLINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -37,8 +38,12 @@ class Cancellation {
   Cancellation() = default;
 
   /// A token that expires `timeout_ms` from now (<= 0 expires immediately).
+  /// Timeouts beyond a century are clamped to one, so any int64 (a wire
+  /// deadline prefix, say) stays inside the clock's range.
   static Cancellation After(int64_t timeout_ms) {
-    return Cancellation(Clock::now() + std::chrono::milliseconds(timeout_ms));
+    constexpr int64_t kCenturyMs = int64_t{100} * 365 * 24 * 3600 * 1000;
+    return Cancellation(Clock::now() + std::chrono::milliseconds(std::min(
+                                           timeout_ms, kCenturyMs)));
   }
 
   explicit Cancellation(Clock::time_point deadline) : deadline_(deadline) {}

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 
 #include "test_util.h"
 #include "util/error.h"
@@ -126,6 +127,37 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_THROW(ParseCondition("123 < A"), Error);
   EXPECT_THROW(ParseCondition("A < \"unterminated"), Error);
   EXPECT_THROW(ParseCondition("< 10"), Error);
+}
+
+// Integer literals span exactly int64: a minus reaches INT64_MIN, whose
+// magnitude 2^63 alone is out of range, as is any 20-digit run.
+TEST(ParserTest, IntegerLiteralsSpanExactlyInt64) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  Condition lo = ParseCondition("A = -9223372036854775808");
+  EXPECT_EQ(lo.disjuncts()[0].atoms[0].rhs_const, Value(kMin));
+  EXPECT_TRUE(lo.Evaluate(ABC(), T({kMin, 0, 0})));
+  Condition hi = ParseCondition("A = 9223372036854775807");
+  EXPECT_EQ(hi.disjuncts()[0].atoms[0].rhs_const, Value(kMax));
+  EXPECT_EQ(ParseCondition("A <= B + 9223372036854775807").ToString(),
+            "A <= B + 9223372036854775807");
+  EXPECT_EQ(ParseCondition("A <= B - 9223372036854775807").ToString(),
+            "A <= B - 9223372036854775807");
+  for (const char* text :
+       {"A = 9223372036854775808", "A = 99999999999999999999",
+        "A = -99999999999999999999", "A = 12345678901234567890",
+        "A = -9223372036854775809", "A <= B + 9223372036854775808",
+        "A <= B - 9223372036854775808", "A <= B - -9223372036854775808"}) {
+    EXPECT_THROW(ParseCondition(text), Error) << text;
+  }
+  try {
+    ParseCondition("A = 99999999999999999999");
+    FAIL() << "no error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("out of range at offset 4"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // Round-trip property: rendering a parsed condition and re-parsing it must

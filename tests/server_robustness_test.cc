@@ -119,6 +119,29 @@ TEST_F(RobustnessTest, MalformedDeadlinePrefixIsJustAParseError) {
   EXPECT_TRUE(client.Execute("SELECT * FROM t").ok);
 }
 
+// A digit run beyond int64 is a parse error like any other: it must not
+// escape the lexer as std::out_of_range and take the whole process down.
+TEST_F(RobustnessTest, OutOfRangeLiteralIsAParseErrorNotACrash) {
+  StartServer(Server::Options{});
+  Client client = Connect();
+  ASSERT_TRUE(client.Execute("CREATE TABLE t (a INT64)").ok);
+
+  WireResponse bad =
+      client.Execute("SELECT * FROM t WHERE a = 99999999999999999999");
+  EXPECT_FALSE(bad.ok);
+  EXPECT_EQ(bad.kind, Status::Kind::kParseError);
+  EXPECT_NE(bad.message.find("offset 26"), std::string::npos) << bad.message;
+  // The same connection answers the next frames.
+  WireResponse next = client.Execute("SELECT 1");
+  EXPECT_EQ(next.kind, Status::Kind::kParseError);  // SELECT needs FROM
+  EXPECT_TRUE(client.Execute("INSERT INTO t VALUES (-9223372036854775808)").ok);
+  EXPECT_TRUE(client.Execute("SELECT * FROM t").ok);
+  // So does a deadline prefix too long for an int64: it stays statement
+  // text, which the parser rejects.
+  EXPECT_EQ(client.Execute("@99999999999999999999 SELECT * FROM t").kind,
+            Status::Kind::kParseError);
+}
+
 // -------------------------------------------------------------- deadlines ---
 
 TEST_F(RobustnessTest, WireDeadlineCancelsTheStatement) {

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <limits>
+#include <memory>
+
+#include "server/wire.h"
 #include "sql/lexer.h"
+#include "sql/session.h"
 #include "test_util.h"
+#include "util/deadline.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -33,7 +41,74 @@ TEST(SqlLexerTest, Errors) {
   EXPECT_THROW(Lex("SELECT @"), Error);
 }
 
+// Digit runs are read in place with an overflow check: a run up to 2^63
+// (INT64_MIN's magnitude, for the parser to negate) is a token, a longer
+// one is an error naming its offset.
+TEST(SqlLexerTest, IntegerLiteralsAreCheckedDigitRuns) {
+  auto tokens = Lex("9223372036854775808 007 0");
+  ASSERT_EQ(tokens.size(), 4u);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kInteger);
+  EXPECT_EQ(tokens[0].magnitude, uint64_t{1} << 63);
+  EXPECT_EQ(tokens[0].text, "9223372036854775808");
+  EXPECT_EQ(tokens[1].magnitude, 7u);
+  EXPECT_EQ(tokens[1].offset, 20u);
+  EXPECT_EQ(tokens[2].magnitude, 0u);
+  for (const char* sql : {"99999999999999999999", "SELECT 9223372036854775809",
+                          "SELECT 18446744073709551616",
+                          "SELECT 123456789012345678901234567890"}) {
+    EXPECT_THROW(Lex(sql), Error) << sql;
+  }
+  try {
+    Lex("SELECT 18446744073709551616");
+    FAIL() << "no error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "integer literal out of range at offset 7"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SqlLexerTest, SymbolsCommentsAndOffsets) {
+  auto tokens = Lex("a==b!=c<>d<=e>=f<g>h=i -- x <= y\n(j.k),*;+-'q'''");
+  std::vector<std::string> texts;
+  for (const Token& t : tokens) texts.push_back(t.text);
+  EXPECT_EQ(texts, (std::vector<std::string>{
+                       "a", "==", "b", "!=", "c", "<>", "d", "<=", "e", ">=",
+                       "f", "<", "g", ">", "h", "=", "i", "(", "j", ".", "k",
+                       ")", ",", "*", ";", "+", "-", "q'", ""}));
+  EXPECT_EQ(tokens[1].offset, 1u);
+  EXPECT_EQ(tokens[17].offset, 33u);  // '(' after the comment's newline
+  EXPECT_EQ(tokens[27].kind, TokenKind::kString);
+  EXPECT_EQ(tokens.back().offset, 48u);
+  EXPECT_THROW(Lex("a ! b"), Error);
+}
+
 // --------------------------------------------------------------- parser ---
+
+TEST(SqlParserTest, IntegerLiteralsSpanExactlyInt64) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto stmts = Parse(
+      "INSERT INTO t VALUES (-9223372036854775808, 9223372036854775807);");
+  ASSERT_EQ(stmts[0].rows.size(), 1u);
+  EXPECT_EQ(stmts[0].rows[0], Tuple({Value(kMin), Value(kMax)}));
+  stmts = Parse("SELECT * FROM t WHERE a = -9223372036854775808;");
+  EXPECT_EQ(stmts[0].query.where.disjuncts()[0].atoms[0].rhs_const,
+            Value(kMin));
+  for (const char* sql :
+       {"INSERT INTO t VALUES (9223372036854775808);",
+        "INSERT INTO t VALUES (-9223372036854775809);",
+        "INSERT INTO t VALUES (12345678901234567890);",
+        "SELECT * FROM t WHERE a = 99999999999999999999;",
+        "SELECT * FROM t WHERE 9223372036854775808 < a;",
+        "SELECT * FROM t WHERE a > b + 9223372036854775808;",
+        "SELECT * FROM t WHERE a > b - 9223372036854775808;",
+        "CREATE VIEW v PARTITIONS 99999999999999999999 AS SELECT * FROM t;",
+        "UPDATE t SET a = 9223372036854775808;"}) {
+    EXPECT_THROW(Parse(sql), Error) << sql;
+  }
+}
 
 TEST(SqlParserTest, CreateTable) {
   auto stmts = Parse("CREATE TABLE emp (id INT, name STRING);");
@@ -376,7 +451,173 @@ TEST(SqlFuzzTest, RandomTokenSoupThrowsCleanly) {
   EXPECT_GE(parsed_ok, 0);
 }
 
+// Values at the ends of int64 meet offsets and bounds in exact
+// arithmetic: `x op y + c` is decided on `x − c` without wrapping, a join
+// key shifted out of int64 matches nothing, and a bound at INT64_MIN
+// normalizes without overflow — in the views' screen, their differential
+// joins and an ad-hoc SELECT alike.
+TEST(SqlStatusTest, Int64ExtremesMeetOffsetsExactly) {
+  Engine engine;
+  engine.ExecuteScript(
+      "CREATE TABLE t (a INT64); CREATE TABLE u (c INT64);"
+      "CREATE MATERIALIZED VIEW below AS SELECT a FROM t "
+      "  WHERE a < -9223372036854775808;"
+      "CREATE MATERIALIZED VIEW all_a AS SELECT a FROM t "
+      "  WHERE a >= -9223372036854775808 AND a <= 9223372036854775807;"
+      "CREATE MATERIALIZED VIEW shifted AS SELECT a, c FROM t, u "
+      "  WHERE a = c + 10;"
+      "CREATE MATERIALIZED VIEW above AS SELECT a, c FROM t, u "
+      "  WHERE a > c + 5;"
+      "INSERT INTO t VALUES (-9223372036854775808), (9223372036854775807), "
+      "  (0);"
+      "INSERT INTO u VALUES (9223372036854775807), (-9223372036854775808), "
+      "  (-10);");
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto rows = [&](const std::string& sql) {
+    std::vector<Tuple> out;
+    for (const auto& [t, count] : engine.Execute(sql).rows) out.push_back(t);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_TRUE(rows("SELECT * FROM below").empty());
+  EXPECT_EQ(rows("SELECT * FROM all_a").size(), 3u);
+  EXPECT_EQ(rows("SELECT * FROM shifted"),
+            std::vector<Tuple>({Tuple({Value(0), Value(-10)})}));
+  const std::vector<Tuple> above = {
+      Tuple({Value(0), Value(kMin)}), Tuple({Value(0), Value(-10)}),
+      Tuple({Value(kMax), Value(kMin)}), Tuple({Value(kMax), Value(-10)})};
+  EXPECT_EQ(rows("SELECT * FROM above"), above);
+  EXPECT_EQ(rows("SELECT a, c FROM t, u WHERE a > c + 5"), above);
+  EXPECT_EQ(rows("SELECT a, c FROM t, u WHERE a = c + 10"),
+            rows("SELECT * FROM shifted"));
+}
+
+// A corpus of valid statements with the lexer's edge cases — long digit
+// runs, doubled quotes, comments, deadline prefixes — mutated byte-wise by
+// bit flips, truncation and splices.  Every input, deadline prefix split
+// off as the server does, must come back from `TryExecute` as a `Status`;
+// nothing may escape as an exception.  MVIEW_FUZZ_ITERS sets the number of
+// mutated inputs (default 3000).
+TEST(SqlFuzzTest, MutatedStatementsEndInAStatus) {
+  const std::vector<std::string> corpus = {
+      "INSERT INTO t VALUES (9223372036854775807, 'it''s'), "
+      "(-9223372036854775808, '')",
+      "SELECT * FROM t WHERE a = 99999999999999999999",
+      "SELECT a, b FROM t WHERE a >= -5 AND b <> 'x''y' -- a comment",
+      "@250 SELECT * FROM t WHERE a < 10 OR NOT (a = 3)",
+      "@99999999999999999999 SELECT * FROM t",
+      "@9223372036854775807 INSERT INTO t VALUES (1, 'deadline')",
+      "DELETE FROM t WHERE a = 123456789012345678",
+      "UPDATE t SET b = 'a string longer than fifteen bytes' WHERE a > 3",
+      "CREATE MATERIALIZED VIEW v AS SELECT a FROM t WHERE a > 0",
+      "SELECT t.a, u.c FROM t, u WHERE t.a = u.c + 18446744073709551616",
+      "EXPLAIN MAINTENANCE INSERT INTO t VALUES (1, 'a'), (2, 'b')",
+      "INSERT INTO u VALUES (00000000000000000000000000042)",
+      "BEGIN",
+      "COMMIT",
+      "ROLLBACK",
+  };
+  Engine engine;
+  engine.ExecuteScript(
+      "CREATE TABLE t (a INT, b STRING); CREATE TABLE u (c INT);");
+  std::unique_ptr<Session> session = engine.CreateSession();
+  Rng rng(20240617);
+  auto pick = [&](const std::vector<std::string>& from) -> const std::string& {
+    return from[rng.Uniform(0, static_cast<int64_t>(from.size()) - 1)];
+  };
+  int ok = 0;
+  int parse_errors = 0;
+  const char* iters = std::getenv("MVIEW_FUZZ_ITERS");
+  const int kTrials = iters == nullptr ? 3000 : std::max(1, std::atoi(iters));
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::string input = pick(corpus);
+    switch (rng.Uniform(0, 3)) {
+      case 0:  // flip a few bits
+        for (int64_t f = rng.Uniform(1, 4); f > 0 && !input.empty(); --f) {
+          const size_t at = rng.Uniform(0, input.size() - 1);
+          input[at] = static_cast<char>(input[at] ^ (1 << rng.Uniform(0, 7)));
+        }
+        break;
+      case 1:  // truncate
+        input.resize(rng.Uniform(0, input.size()));
+        break;
+      case 2: {  // splice a prefix of one onto a suffix of another
+        const std::string& other = pick(corpus);
+        input = input.substr(0, rng.Uniform(0, input.size())) +
+                other.substr(rng.Uniform(0, other.size()));
+        break;
+      }
+      default:  // drop in a long digit run
+        input.insert(rng.Uniform(0, input.size()),
+                     std::string(rng.Uniform(18, 40), '9'));
+        break;
+    }
+    int64_t deadline_ms = 0;
+    const std::string sql = server::SplitRequestDeadline(input, &deadline_ms);
+    const util::Cancellation cancel =
+        deadline_ms > 0 ? util::Cancellation::After(deadline_ms)
+                        : util::Cancellation();
+    Status status;
+    try {
+      Result result;
+      status = session->TryExecute(sql, &result, &cancel);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "escaped: " << e.what() << " for input: " << input;
+      continue;
+    }
+    if (status.ok) ++ok;
+    if (status.kind == Status::Kind::kParseError) ++parse_errors;
+    if (session->in_transaction() && rng.Bernoulli(0.5)) {
+      ASSERT_TRUE(session->TryExecute("ROLLBACK", nullptr).ok);
+    }
+  }
+  // The mutations leave both outcomes common.
+  EXPECT_GT(ok, kTrials / 20);
+  EXPECT_GT(parse_errors, kTrials / 20);
+  RecordProperty("ok", ok);
+  RecordProperty("parse_errors", parse_errors);
+}
+
 // ----------------------------------------------- TryExecute / Status ---
+
+// An out-of-range literal is a parse error with an offset, from both
+// non-throwing entry points — not an exception out of the lexer.
+TEST(SqlStatusTest, OutOfRangeLiteralIsAParseError) {
+  Engine engine;
+  engine.Execute("CREATE TABLE t (a INT);");
+  const std::string sql = "SELECT * FROM t WHERE a = 99999999999999999999";
+  Status status = engine.TryExecute(sql, nullptr);
+  EXPECT_EQ(status.kind, Status::Kind::kParseError);
+  EXPECT_NE(status.message.find("out of range at offset 26"),
+            std::string::npos)
+      << status.message;
+  EXPECT_EQ(engine.TryExecuteScript("INSERT INTO t VALUES (1); " + sql,
+                                    nullptr)
+                .kind,
+            Status::Kind::kParseError);
+  EXPECT_EQ(engine.Execute("SELECT * FROM t").rows.size(), 0u);
+}
+
+TEST(SqlStatusTest, Int64BoundsRoundTrip) {
+  Engine engine;
+  engine.Execute("CREATE TABLE n (v INT64);");
+  engine.Execute(
+      "INSERT INTO n VALUES (-9223372036854775808), (9223372036854775807);");
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto lo = engine.Execute("SELECT * FROM n WHERE v = -9223372036854775808");
+  ASSERT_EQ(lo.rows.size(), 1u);
+  EXPECT_EQ(lo.rows[0].first, Tuple({Value(kMin)}));
+  auto hi = engine.Execute("SELECT * FROM n WHERE v >= 9223372036854775807");
+  ASSERT_EQ(hi.rows.size(), 1u);
+  EXPECT_EQ(hi.rows[0].first, Tuple({Value(kMax)}));
+  EXPECT_EQ(engine.Execute("SELECT * FROM n").rows.size(), 2u);
+  EXPECT_EQ(engine.TryExecute("INSERT INTO n VALUES (9223372036854775808)",
+                              nullptr)
+                .kind,
+            Status::Kind::kParseError);
+}
 
 TEST(SqlStatusTest, TryExecuteSuccess) {
   Engine engine;

@@ -71,10 +71,13 @@ TEST(TupleTest, ToString) {
 static_assert(sizeof(Tuple) == 16, "a Tuple is a pointer and a size");
 
 TEST(TupleRepresentationTest, HoldsExactlyItsValues) {
-  EXPECT_EQ(Tuple().HeapBytes(), 0u);
-  EXPECT_EQ(T({1, 2, 3, 4}).HeapBytes(), 4 * sizeof(Value));
+  EXPECT_EQ(Tuple().size(), 0u);
+  EXPECT_EQ(Tuple().values().data(), nullptr);
+  EXPECT_EQ(T({1, 2, 3, 4}).values().size(), 4u);
   Tuple mixed({Value(1), Value("short"), Value(std::string(100, 'l'))});
-  EXPECT_EQ(mixed.HeapBytes(), 3 * sizeof(Value) + 100);
+  ASSERT_EQ(mixed.size(), 3u);
+  EXPECT_EQ(mixed.at(1).AsString(), "short");
+  EXPECT_EQ(mixed.at(2).AsString(), std::string(100, 'l'));
 }
 
 TEST(TupleRepresentationTest, CopyMoveAndSelfAssignment) {
