@@ -299,8 +299,8 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
               "expected one BaseParts per base occurrence");
   const size_t n = def_.bases().size();
   // When the anchor parts are the very same vector (unpartitioned rounds,
-  // keyed mode), the anchor inputs alias the full ones — no duplicate
-  // lazy-index state.
+  // keyed mode), the anchor inputs alias the full ones, so the cache
+  // hashes each delta at most once.
   const bool separate_anchor = &full != &anchor;
   std::vector<std::unique_ptr<RelationInput>> owned;
   owned.reserve(n * 5);
@@ -310,12 +310,11 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
     owned.push_back(std::move(input));
     return owned.back().get();
   };
-  // Deltas are streamed through `DeltaIndexInput`, which claims probe
-  // support on every attribute and builds a single-attribute hash index
-  // lazily on first probe.
+  // A delta joined through an equality is hashed by the slice's
+  // `PlannerCache`, once for all the rows it appears in.
   auto make_delta = [&](size_t i, const Relation* part) -> RelationInput* {
     if (part == nullptr || part->empty()) return nullptr;
-    return keep(std::make_unique<DeltaIndexInput>(part, aliased_[i]));
+    return keep(std::make_unique<FullRelationInput>(part, aliased_[i]));
   };
   for (size_t i = 0; i < n; ++i) {
     const Relation& rel = db_->Get(def_.bases()[i].relation);

@@ -235,12 +235,12 @@ void SubstitutionFilter::CompileDisjunct(const Conjunction& disjunct) {
 }
 
 const Value& SubstitutionFilter::SlotValue(
-    const Slot& slot, const std::vector<const Tuple*>& tuples) {
+    const Slot& slot, std::span<const Tuple* const> tuples) {
   return tuples[slot.relation]->at(slot.attr);
 }
 
 bool SubstitutionFilter::EvaluateAtom(
-    const EvalAtom& atom, const std::vector<const Tuple*>& tuples) const {
+    const EvalAtom& atom, std::span<const Tuple* const> tuples) const {
   const Value& lhs = SlotValue(atom.lhs, tuples);
   const Value& rhs =
       atom.rhs_is_slot ? SlotValue(atom.rhs, tuples) : atom.rhs_const;
@@ -250,7 +250,7 @@ bool SubstitutionFilter::EvaluateAtom(
 }
 
 bool SubstitutionFilter::MightBeRelevant(
-    const std::vector<const Tuple*>& tuples) const {
+    std::span<const Tuple* const> tuples) const {
   MVIEW_CHECK(tuples.size() == substituted_.size(),
               "expected one tuple per substituted scheme");
   for (size_t i = 0; i < tuples.size(); ++i) {
@@ -284,8 +284,8 @@ bool SubstitutionFilter::MightBeRelevant(
 }
 
 bool SubstitutionFilter::MightBeRelevant(const Tuple& tuple) const {
-  std::vector<const Tuple*> tuples{&tuple};
-  return MightBeRelevant(tuples);
+  const Tuple* one = &tuple;  // no vector: this runs once per update
+  return MightBeRelevant(std::span<const Tuple* const>(&one, 1));
 }
 
 }  // namespace mview

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,7 @@ class SubstitutionFilter {
   /// Theorem 4.2 test: returns false iff `C(t1, …, tk, Y2)` is provably
   /// unsatisfiable — i.e. the simultaneous update is irrelevant to the view
   /// for every database state.  `tuples[i]` instantiates `substituted[i]`.
-  bool MightBeRelevant(const std::vector<const Tuple*>& tuples) const;
+  bool MightBeRelevant(std::span<const Tuple* const> tuples) const;
 
   /// Theorem 4.1 convenience for a single substituted scheme.
   bool MightBeRelevant(const Tuple& tuple) const;
@@ -126,9 +127,9 @@ class SubstitutionFilter {
   bool FindSlot(const std::string& var, Slot* slot) const;
   void CompileDisjunct(const Conjunction& disjunct);
   bool EvaluateAtom(const EvalAtom& atom,
-                    const std::vector<const Tuple*>& tuples) const;
+                    std::span<const Tuple* const> tuples) const;
   static const Value& SlotValue(const Slot& slot,
-                                const std::vector<const Tuple*>& tuples);
+                                std::span<const Tuple* const> tuples);
 
   Schema variables_;
   std::vector<Schema> substituted_;

@@ -82,32 +82,6 @@ void CountedRelationInput::Scan(DeltaSink& sink) const {
   relation_->Scan([&](const Tuple& t, int64_t c) { sink.Emit(t, c); });
 }
 
-DeltaIndexInput::DeltaIndexInput(const Relation* relation, Schema schema)
-    : relation_(relation), schema_(std::move(schema)) {
-  MVIEW_CHECK(relation_ != nullptr, "null relation");
-  MVIEW_CHECK(schema_.size() == relation_->schema().size(),
-              "alias scheme arity mismatch");
-}
-
-void DeltaIndexInput::Scan(DeltaSink& sink) const {
-  relation_->Scan([&](const Tuple& t) { sink.Emit(t, 1); });
-}
-
-void DeltaIndexInput::ProbeEqual(size_t attr, const Value& key,
-                                 DeltaSink& sink) const {
-  auto [it, created] = indexes_.try_emplace(attr);
-  if (created) {
-    // First probe on this attribute: build the index once, O(|delta|).
-    // Tuple pointers reference the relation's stored rows.
-    it->second.reserve(relation_->size());
-    relation_->Scan(
-        [&](const Tuple& t) { it->second[t.at(attr)].push_back(&t); });
-  }
-  auto hit = it->second.find(key);
-  if (hit == it->second.end()) return;
-  for (const Tuple* t : hit->second) sink.Emit(*t, 1);
-}
-
 PartitionSliceInput::PartitionSliceInput(const Relation* relation,
                                          Schema schema, const Relation* minus,
                                          size_t key_attr, uint32_t slice,

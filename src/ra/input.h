@@ -2,8 +2,6 @@
 #define MVIEW_RA_INPUT_H_
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ra/batch.h"
@@ -22,9 +20,14 @@ namespace mview {
 /// re-evaluation, per-transaction deltas, and deferred snapshot refresh.
 ///
 /// Streams flow into `DeltaSink`s (ra/batch.h): `Scan` and `ProbeEqual`
-/// take the sink interface — one devirtualizable call per row instead of a
-/// `std::function` dispatch.  Callers that used to pass closures implement
-/// small stack-allocated sinks instead.
+/// take the sink interface, and callers implement small stack-allocated
+/// sinks.
+///
+/// Inputs are immutable, and every `const Tuple&` they stream is a row in
+/// a relation's row store, valid while that relation is not modified.  A
+/// per-round join table (`PlannerCache`) keeps pointers to those rows
+/// instead of copying them.  A delta is a plain `FullRelationInput`: a
+/// step that joins it through an equality hashes it once per round.
 ///
 /// Inputs may expose their scheme under *aliases* (view definitions rename
 /// attributes to keep them unique across the view's base relations); the
@@ -113,37 +116,6 @@ class CountedRelationInput : public RelationInput {
  private:
   const CountedRelation* relation_;
   Schema schema_;
-};
-
-/// A small delta relation exposed with *lazy* per-attribute hash indexes.
-///
-/// A truth-table row may join a delta at a non-anchor position, where the
-/// planner can probe it from the rows built so far.  Eagerly indexing
-/// every delta on every base index would cost O(|delta| · indexes) per
-/// round; this input instead claims probe support on every attribute and
-/// builds a single-attribute index the first time one is actually probed,
-/// so a delta that is only scanned pays nothing.
-///
-/// Thread-safety: the lazy indexes mutate on first probe, so an instance
-/// must stay confined to the maintenance round (and thread) that created
-/// it — the same lifetime delta inputs already have.
-class DeltaIndexInput : public RelationInput {
- public:
-  DeltaIndexInput(const Relation* relation, Schema schema);
-
-  const Schema& schema() const override { return schema_; }
-  size_t SizeHint() const override { return relation_->size(); }
-  void Scan(DeltaSink& sink) const override;
-  bool CanProbe(size_t) const override { return true; }
-  void ProbeEqual(size_t attr, const Value& key,
-                  DeltaSink& sink) const override;
-
- private:
-  using LazyIndex = std::unordered_map<Value, std::vector<const Tuple*>>;
-
-  const Relation* relation_;
-  Schema schema_;
-  mutable std::unordered_map<size_t, LazyIndex> indexes_;
 };
 
 /// One hash partition of `(relation − minus)`: streams the tuples whose

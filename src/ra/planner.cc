@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <utility>
 
 #include "ra/eval.h"
 #include "util/arena.h"
 #include "util/deadline.h"
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace mview {
 
@@ -41,19 +43,6 @@ PlannerCache::Table* PlannerCache::Create(const RelationInput* input,
   return raw;
 }
 
-void PlannerCache::Table::AddRow(const Tuple& t, int64_t count) {
-  const size_t row = rows.size();
-  rows.emplace_back(t, count);
-  if (all_int) {
-    for (size_t i = 0; i < t.size(); ++i) int_rows.push_back(t.at(i).AsInt64());
-  }
-  if (int_keyed) {
-    int_index[t.at(key_attrs[0]).AsInt64()].push_back(row);
-  } else {
-    index[t.Project(key_attrs)].push_back(row);
-  }
-}
-
 Schema CombinedSchema(const SpjQuery& query) {
   Schema combined;
   for (const auto* input : query.inputs) {
@@ -63,6 +52,26 @@ Schema CombinedSchema(const SpjQuery& query) {
 }
 
 namespace {
+
+// The hash of a `PlannerCache::Table` key: the values' hashes folded in
+// key order.  The probe side folds the same hashes from batch columns.
+size_t RowKeyHash(const Tuple& t, const std::vector<size_t>& key_attrs) {
+  size_t hash = 0;
+  for (size_t a : key_attrs) hash = HashCombine(hash, t.at(a).Hash());
+  return hash;
+}
+
+// A `DeltaSink` that hands each row to `fn(tuple, count)`, so the
+// executor's scans and probes stream into lambdas on the stack.
+template <typename Fn>
+class FnSink final : public DeltaSink {
+ public:
+  explicit FnSink(Fn fn) : fn_(std::move(fn)) {}
+  void Emit(const Tuple& t, int64_t count) override { fn_(t, count); }
+
+ private:
+  Fn fn_;
+};
 
 // An equality join predicate `a.attr_a = b.attr_b + offset` between two
 // inputs, extracted from the condition's conjunctive core.
@@ -344,45 +353,43 @@ PlannerCache::Table* SpjExecutor::MaterializeTable(
 
 void SpjExecutor::FillTable(const InputInfo& info,
                             PlannerCache::Table* table) {
-  const Schema& schema = info.input->schema();
-  const std::vector<size_t>& key_attrs = table->key_attrs;
-  table->int_keyed =
-      key_attrs.size() == 1 &&
-      schema.attribute(key_attrs[0]).type == ValueType::kInt64;
-  table->all_int = true;
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (schema.attribute(i).type != ValueType::kInt64) {
-      table->all_int = false;
-      break;
-    }
-  }
+  const std::vector<size_t>& key = table->key_attrs;
+  auto hash_of = [&](uint32_t id) {
+    return RowKeyHash(*table->rows[id].first, key);
+  };
   // Without local filters the input size is the exact row count; with
   // filters a full-size reserve could vastly overshoot the survivors.
   if (info.local_filters.empty()) {
     const size_t hint = info.input->SizeHint();
     table->rows.reserve(hint);
-    if (table->int_keyed) {
-      table->int_index.reserve(hint);
-    } else {
-      table->index.reserve(hint);
-    }
-    if (table->all_int) table->int_rows.reserve(hint * schema.size());
+    table->heads.Reserve(hint, hash_of);
+    table->next.Cover(hint);
   }
-  class BuildSink final : public DeltaSink {
-   public:
-    BuildSink(SpjExecutor* e, const InputInfo& info, PlannerCache::Table* table)
-        : e_(e), info_(info), table_(table) {}
-    void Emit(const Tuple& t, int64_t count) override {
-      ++e_->local_stats_.rows_scanned;
-      if (e_->PassesLocalFilters(info_, t)) table_->AddRow(t, count);
+  // Each surviving row is linked into its key's chain right after the
+  // head, as `Relation` links its index chains.
+  auto add_row = [&](const Tuple& t, int64_t count) {
+    ++local_stats_.rows_scanned;
+    if (!PassesLocalFilters(info, t)) return;
+    const auto id = static_cast<uint32_t>(table->rows.size());
+    table->rows.emplace_back(&t, count);
+    table->next.Cover(size_t{id} + 1);
+    const size_t hash = RowKeyHash(t, key);
+    const uint32_t head = table->heads.Find(hash, [&](uint32_t other) {
+      const Tuple& o = *table->rows[other].first;
+      for (size_t a : key) {
+        if (o.at(a) != t.at(a)) return false;
+      }
+      return true;
+    });
+    if (head == IdTable::kNone) {
+      table->next[id] = IdTable::kNone;
+      table->heads.Insert(hash, id, hash_of);
+    } else {
+      table->next[id] = table->next[head];
+      table->next[head] = id;
     }
-
-   private:
-    SpjExecutor* e_;
-    const InputInfo& info_;
-    PlannerCache::Table* table_;
   };
-  BuildSink sink(this, info, table);
+  FnSink sink(add_row);
   info.input->Scan(sink);
 }
 
@@ -450,30 +457,17 @@ size_t SpjExecutor::ScanFirst(std::vector<ColumnBatch>* out) {
   // chunk below the cap is sealed, so the ramp follows the rows scanned,
   // not the survivors: a selective filter would otherwise refill one
   // 16-row chunk, and rerun its kernel, every 16 rows.
-  class ScanSink final : public DeltaSink {
-   public:
-    ScanSink(SpjExecutor* e, std::vector<ColumnBatch>* out,
-             const InputInfo& info, const std::vector<BoundAtom>& filters)
-        : e_(e), out_(out), info_(info), filters_(filters) {}
-    void Emit(const Tuple& t, int64_t count) override {
-      ++e_->local_stats_.rows_scanned;
-      ColumnBatch& batch = e_->DestBatch(out_, sealed_);
-      batch.AppendTuple(t, count, info_.offset);
-      sealed_ = false;
-      if (batch.full()) {
-        e_->FilterBatch(&batch, filters_);
-        sealed_ = batch.capacity() < ColumnBatch::kDefaultCapacity;
-      }
+  bool sealed = false;
+  FnSink sink([&](const Tuple& t, int64_t count) {
+    ++local_stats_.rows_scanned;
+    ColumnBatch& batch = DestBatch(out, sealed);
+    batch.AppendTuple(t, count, info.offset);
+    sealed = false;
+    if (batch.full()) {
+      FilterBatch(&batch, filters);
+      sealed = batch.capacity() < ColumnBatch::kDefaultCapacity;
     }
-
-   private:
-    SpjExecutor* e_;
-    std::vector<ColumnBatch>* out_;
-    const InputInfo& info_;
-    const std::vector<BoundAtom>& filters_;
-    bool sealed_ = false;
-  };
-  ScanSink sink(this, out, info, filters);
+  });
   info.input->Scan(sink);
   if (!out->empty()) FilterBatch(&out->back(), filters);
 
@@ -507,8 +501,8 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
 
   // Appends the merge of a source row with a matched tuple and returns its
   // batch and row.  When the matched tuple is all-int, `int_row` may point
-  // at its values as raw words (a table's flat mirror, or the cross join's
-  // per-row copy), which are copied instead of read as variants.
+  // at its values as raw words (the cross join's per-row copy), which are
+  // copied instead of read as variants.
   auto merge = [&](const ColumnBatch& src, size_t src_row, const Tuple& t,
                    int64_t count, const int64_t* int_row) {
     ColumnBatch& dst = DestBatch(&next);
@@ -529,9 +523,8 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
   // Merges, then applies the step filters to the merged row, abandoning it
   // on failure.
   auto emit_merged = [&](const ColumnBatch& src, size_t src_row,
-                         const Tuple& t, int64_t count,
-                         const int64_t* int_row) {
-    const auto [dst, row] = merge(src, src_row, t, count, int_row);
+                         const Tuple& t, int64_t count) {
+    const auto [dst, row] = merge(src, src_row, t, count, nullptr);
     for (const BoundAtom& atom : filters) {
       if (!EvalBoundAtom(*dst, row, atom)) {
         dst->Truncate(row);
@@ -591,84 +584,53 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
     std::vector<size_t> key_attrs;
     key_attrs.reserve(links.size());
     for (const auto& l : links) key_attrs.push_back(l.local_attr);
-    PlannerCache::Table* table = MaterializeTable(input_id, key_attrs);
-    const int64_t* mirror = table->all_int ? table->int_rows.data() : nullptr;
-    auto emit_bucket = [&](const ColumnBatch& src, size_t r,
-                           const std::vector<size_t>& bucket) {
-      for (size_t idx : bucket) {
-        const auto& [t, count] = table->rows[idx];
-        emit_merged(src, r, t, count,
-                    mirror != nullptr ? mirror + idx * info.arity : nullptr);
-      }
-    };
-    if (table->int_keyed) {
-      // Raw-key probe: the key is one int64 read straight from the column
-      // (Condition::Validate keeps both sides of a join the same type),
-      // hashed without building a key tuple.
-      const Link& link = links[0];
-      for (const ColumnBatch& src : *batches) {
-        const int64_t* keys = src.ints(link.bound_combined);
-        for (size_t r = 0; r < src.size(); ++r) {
-          // A key whose shifted value leaves int64 matches no row.
-          int64_t key = 0;
-          if (__builtin_add_overflow(keys[r], link.key_offset, &key)) continue;
-          auto hit = table->int_index.find(key);
-          if (hit != table->int_index.end()) emit_bucket(src, r, hit->second);
-        }
-      }
-    } else {
-      // One scratch key reused across probes: assigning into its values
-      // avoids materializing a fresh tuple per probe.
-      Tuple probe_key = Tuple::OfSize(links.size());
-      for (const ColumnBatch& src : *batches) {
-        for (size_t r = 0; r < src.size(); ++r) {
-          std::span<Value> key_vals = probe_key.mutable_values();
-          bool in_range = true;
-          for (size_t li = 0; li < links.size() && in_range; ++li) {
-            std::optional<Value> key = key_value(src, r, links[li]);
-            in_range = key.has_value();
-            if (in_range) key_vals[li] = std::move(*key);
+    const PlannerCache::Table* table = MaterializeTable(input_id, key_attrs);
+    for (const ColumnBatch& src : *batches) {
+      for (size_t r = 0; r < src.size(); ++r) {
+        // The key's hash, folded straight from the columns with each
+        // link's offset applied (offsets only arise on integer
+        // attributes).  A key whose shifted value leaves int64 matches no
+        // row.
+        size_t hash = 0;
+        bool in_range = true;
+        for (const Link& l : links) {
+          if (src.column_type(l.bound_combined) == ValueType::kInt64) {
+            int64_t key = 0;
+            in_range = !__builtin_add_overflow(src.ints(l.bound_combined)[r],
+                                               l.key_offset, &key);
+            if (!in_range) break;
+            hash = HashCombine(hash, Value::HashInt(key));
+          } else {
+            hash = HashCombine(
+                hash, Value::HashString(src.strs(l.bound_combined)[r]));
           }
-          if (!in_range) continue;
-          auto hit = table->index.find(probe_key);
-          if (hit != table->index.end()) emit_bucket(src, r, hit->second);
+        }
+        if (!in_range) continue;
+        uint32_t id = table->heads.Find(hash, [&](uint32_t head) {
+          return check_links(src, r, *table->rows[head].first, links.size());
+        });
+        for (; id != IdTable::kNone; id = table->next[id]) {
+          const auto& [t, count] = table->rows[id];
+          emit_merged(src, r, *t, count);
         }
       }
     }
   } else if (use_index) {
     const Link& link = links[*probe_link];
-    // Per-probe state is two plain assignments (`src_`, `row_`) — the old
-    // `std::function on_match_` reassignment allocated a fresh closure per
-    // probe.
-    class ProbeSink final : public DeltaSink {
-     public:
-      ProbeSink(SpjExecutor* e, const InputInfo& info,
-                decltype(check_links)& check, decltype(emit_merged)& emit,
-                size_t skip_link)
-          : e_(e), info_(info), check_(check), emit_(emit),
-            skip_link_(skip_link) {}
-      void Emit(const Tuple& t, int64_t count) override {
-        if (!e_->PassesLocalFilters(info_, t)) return;
-        if (!check_(*src_, row_, t, skip_link_)) return;
-        emit_(*src_, row_, t, count, nullptr);
+    // The source row being probed for; the sink sees it by reference.
+    const ColumnBatch* src = nullptr;
+    size_t row = 0;
+    FnSink sink([&](const Tuple& t, int64_t count) {
+      if (PassesLocalFilters(info, t) &&
+          check_links(*src, row, t, *probe_link)) {
+        emit_merged(*src, row, t, count);
       }
-      const ColumnBatch* src_ = nullptr;
-      size_t row_ = 0;
-
-     private:
-      SpjExecutor* e_;
-      const InputInfo& info_;
-      decltype(check_links)& check_;
-      decltype(emit_merged)& emit_;
-      size_t skip_link_;
-    };
-    ProbeSink sink(this, info, check_links, emit_merged, *probe_link);
-    for (const ColumnBatch& src : *batches) {
-      sink.src_ = &src;
-      for (size_t r = 0; r < src.size(); ++r) {
+    });
+    for (const ColumnBatch& batch : *batches) {
+      src = &batch;
+      for (row = 0; row < batch.size(); ++row) {
         ++local_stats_.probes;
-        sink.row_ = r;
-        const std::optional<Value> key = key_value(src, r, link);
+        const std::optional<Value> key = key_value(batch, row, link);
         if (key.has_value()) {
           info.input->ProbeEqual(link.local_attr, *key, sink);
         }
@@ -714,15 +676,7 @@ size_t SpjExecutor::JoinStep(size_t input_id, size_t total,
         }
       }
     };
-    class CrossSink final : public DeltaSink {
-     public:
-      explicit CrossSink(decltype(join_row)& join) : join_(join) {}
-      void Emit(const Tuple& t, int64_t count) override { join_(t, count); }
-
-     private:
-      decltype(join_row)& join_;
-    };
-    CrossSink sink(join_row);
+    FnSink sink(join_row);
     info.input->Scan(sink);
   }
 

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "predicate/condition.h"
@@ -44,43 +43,37 @@ struct PlanStats {
   PlanStats& operator+=(const PlanStats& other);
 };
 
-/// A cache of materialized scans and join hash tables shared by several
-/// plan executions over the *same* condition (the truth-table rows of
-/// Section 5.3/5.4 all share the view condition and most inputs).  This is
-/// the paper's "re-using partial subexpressions appearing in multiple rows",
-/// and differential maintenance always shares one across a round's rows.
-/// It holds only keyed tables: a cross-join step reads its input in place.
+/// A cache of join hash tables shared by several plan executions over the
+/// *same* condition (the truth-table rows of Section 5.3/5.4 all share the
+/// view condition and most inputs).  This is the paper's "re-using partial
+/// subexpressions appearing in multiple rows", and differential maintenance
+/// always shares one across a round's rows.  It holds only keyed tables: a
+/// cross-join step reads its input in place.
 ///
-/// Entries are keyed by input identity, so a cache must never outlive the
-/// inputs it indexes, and must not be shared across different conditions.
-/// Debug builds assert this: each entry records its input's
-/// `debug_serial()`, and `Find` trips when a freed input's address was
-/// reused by a newer one.
+/// A table indexes its input's rows in place: it keeps a pointer to each
+/// `const Tuple&` the input streamed, and every input streams the rows of
+/// a row store (a base's, a delta's or a counted relation's), which stay
+/// put while they are stored.  So a cache must never outlive its inputs,
+/// no input's relation may change while a cache holds a table of it (no
+/// base or delta changes within a maintenance round), and a cache must not
+/// be shared across different conditions.  Entries are keyed by input
+/// identity; debug builds assert the lifetime rule: each entry records its
+/// input's `debug_serial()`, and `Find` trips when a freed input's address
+/// was reused by a newer one.  Under AddressSanitizer a read of a row the
+/// store has since freed is reported, as its slot is poisoned.
 class PlannerCache {
  public:
-  /// A filtered, materialized input with its equi-join hash index.
+  /// The rows of one input that pass its local filters, with a chained
+  /// hash index on `key_attrs` in the shape of a relation's indexes: per
+  /// distinct key the first row of its chain, per row the next row with
+  /// the same key.  Keys hash as their values' `Value::Hash()` folded in
+  /// `key_attrs` order.
   struct Table {
-    std::vector<std::pair<Tuple, int64_t>> rows;
-    // A table keeps exactly one index from its key to indices into rows.
-    // An `int_keyed` table uses `int_index`, which the executor probes with
-    // an int64 straight out of a column, skipping the key-tuple build and
-    // the Tuple hash; any other table uses `index`, keyed by the tuple of
-    // key_attrs' values.  `AddRow` is the only mutation of rows.
-    std::unordered_map<Tuple, std::vector<size_t>> index;
-    std::unordered_map<int64_t, std::vector<size_t>> int_index;
-    // Flat row-major mirror of `rows`' values, populated only when
-    // `all_int`: the executor copies matched rows into merged batches
-    // straight from this array (row i at [i*arity, (i+1)*arity)),
-    // skipping the per-value variant reads of `SetFromTuple`.
-    std::vector<int64_t> int_rows;
+    std::vector<std::pair<const Tuple*, int64_t>> rows;  // borrowed, count
+    IdTable heads;  // per distinct key: the first row of its chain
+    IdArray next;   // per row: the next row with the same key
     std::vector<size_t> key_attrs;
-    bool int_keyed = false;  // key_attrs is one kInt64 attribute
-    bool all_int = false;    // every input attribute is kInt64
-    uint64_t debug_serial = 0;      // RelationInput::debug_serial() at Create
-
-    /// Appends `t` with multiplicity `count` to rows, its mirror and the
-    /// key index.
-    void AddRow(const Tuple& t, int64_t count);
+    uint64_t debug_serial = 0;  // RelationInput::debug_serial() at Create
   };
 
   /// Returns the cached table for (input, key_attrs), or nullptr.

@@ -32,10 +32,6 @@ bool Relation::Erase(const Tuple& tuple) {
   return true;
 }
 
-void Relation::Scan(const std::function<void(const Tuple&)>& fn) const {
-  rows_.ForEach([&](uint32_t id) { fn(rows_.Row(id)); });
-}
-
 void Relation::CreateIndex(const std::string& attribute) {
   Index index;
   index.attr = schema_.MustIndexOf(attribute);
@@ -193,11 +189,6 @@ void CountedRelation::CancelWith(CountedRelation* other) {
       small.SetCount(id, mine - c);
     }
   });
-}
-
-void CountedRelation::Scan(
-    const std::function<void(const Tuple&, int64_t)>& fn) const {
-  rows_.ForEach([&](uint32_t id) { fn(rows_.Row(id), CountOf(id)); });
 }
 
 void CountedRelation::Clear() {

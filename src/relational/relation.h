@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -95,8 +94,11 @@ class Relation {
     return rows_.Find(tuple) != RowStore::kNone;
   }
 
-  /// Invokes `fn` for every tuple (unspecified order).
-  void Scan(const std::function<void(const Tuple&)>& fn) const;
+  /// Invokes `fn(tuple)` for every tuple (unspecified order).
+  template <typename Fn>
+  void Scan(Fn&& fn) const {
+    rows_.ForEach([&](uint32_t id) { fn(rows_.Row(id)); });
+  }
 
   /// Creates (or re-creates) a hash index on the named attribute.
   void CreateIndex(const std::string& attribute);
@@ -195,7 +197,10 @@ class CountedRelation {
   bool Contains(const Tuple& tuple) const { return Count(tuple) > 0; }
 
   /// Invokes `fn(tuple, count)` for every distinct tuple.
-  void Scan(const std::function<void(const Tuple&, int64_t)>& fn) const;
+  template <typename Fn>
+  void Scan(Fn&& fn) const {
+    rows_.ForEach([&](uint32_t id) { fn(rows_.Row(id), CountOf(id)); });
+  }
 
   /// Removes all tuples.
   void Clear();

@@ -59,12 +59,11 @@ int Value::Compare(const Value& other) const {
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
-std::size_t Value::StringHash() const {
+std::size_t Value::HashString(std::string_view s) {
   // std::hash<std::string_view> hashes the same bytes the same way
   // std::hash<std::string> does, so hashes match the variant-based value
   // this layout replaced.
-  return std::hash<std::string_view>{}(StringPayload()) ^
-         0x9e3779b97f4a7c15ULL;
+  return std::hash<std::string_view>{}(s) ^ 0x9e3779b97f4a7c15ULL;
 }
 
 uint64_t Value::StableHash() const {

@@ -115,14 +115,23 @@ class Value {
 
   /// Returns a hash suitable for unordered containers.
   std::size_t Hash() const {
-    if (tag() != kIntTag) return StringHash();
+    return tag() == kIntTag ? HashInt(IntPayload())
+                            : HashString(StringPayload());
+  }
+
+  /// `Hash()` of the integer value `v`, without building the value.
+  static std::size_t HashInt(int64_t v) {
     // Mix so that small integers spread across buckets.
-    uint64_t x = static_cast<uint64_t>(IntPayload());
+    uint64_t x = static_cast<uint64_t>(v);
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdULL;
     x ^= x >> 33;
     return static_cast<std::size_t>(x);
   }
+
+  /// `Hash()` of the string value with bytes `s`, without building the
+  /// value (which may copy `s` into a heap block).
+  static std::size_t HashString(std::string_view s);
 
   /// A process-independent hash (FNV-1a over a type tag and the payload
   /// bytes).  Unlike `Hash()` — which may vary with the standard library —
@@ -169,7 +178,6 @@ class Value {
   void Release() {
     if (tag() == kHeapTag) delete[] HeapData();
   }
-  std::size_t StringHash() const;
 
   alignas(8) char bytes_[16];
 };

@@ -396,5 +396,31 @@ TEST(IndexedJoinTest, EquiJoinProbesIndexAfterBulkCommit) {
   EXPECT_TRUE(vm.View("v").SameContents(testing::NaiveEvaluate(def, db)));
 }
 
+// A transaction whose delta on `s` outgrows the rows in flight.  The rows
+// (i_r, i_s), (d_r, d_s), (r, i_s) and (r, d_s) meet that delta at a later
+// join step, where it has no index: each round hashes it once and those
+// rows share the table.  Partitioned rounds keep the full delta at such
+// non-anchor positions, so every slice hashes it in its own cache.
+TEST(IndexedJoinTest, LargeDeltaAtLaterStepEqualsNaive) {
+  for (uint32_t partitions : {1u, 3u}) {
+    Database db;
+    PopulateJoinDb(&db, 45);
+    Transaction txn;
+    txn.Insert("r", T({100, 3}));
+    txn.Insert("r", T({101, 5}));
+    txn.Delete("r", db.Get("r").ToSortedVector().front());
+    for (int64_t i = 0; i < 200; ++i) txn.Insert("s", T({i % 12, 100 + i}));
+    const std::vector<Tuple> s_rows = db.Get("s").ToSortedVector();
+    for (size_t i = 0; i < 10; ++i) txn.Delete("s", s_rows[i * 5]);
+    MaintenanceOptions options;
+    options.partition_count = partitions;
+    MaintenanceStats stats;
+    CheckMaintenance(&db, EquiDef(), txn, options, &stats);
+    if (partitions == 1) {
+      EXPECT_EQ(stats.rows_evaluated, 6);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mview

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ivm_test_util.h"
@@ -200,6 +202,152 @@ TEST_F(PlannerTest, CacheReusesMaterializations) {
   // The second run reuses the hash table: strictly fewer rows scanned.
   EXPECT_LT(second.rows_scanned, first.rows_scanned);
   EXPECT_GE(cache.size(), 1u);
+}
+
+// The per-round hash table against a nested-loop oracle.  Neither input
+// has an index, so the step after the first scan always hashes its input;
+// each case runs with either side the larger (hashed) one.
+
+// Every (tuple, count) an input streams.
+std::vector<std::pair<Tuple, int64_t>> Collect(const RelationInput& input) {
+  class CollectSink final : public DeltaSink {
+   public:
+    void Emit(const Tuple& t, int64_t count) override {
+      rows.emplace_back(t, count);
+    }
+    std::vector<std::pair<Tuple, int64_t>> rows;
+  };
+  CollectSink sink;
+  input.Scan(sink);
+  return std::move(sink.rows);
+}
+
+// Joins `a` and `b` on `condition` through the planner, which must build
+// exactly one table, and compares the result with every pair of their rows
+// that satisfies the condition, counts multiplied.
+void ExpectTableJoinMatchesNestedLoop(const RelationInput& a,
+                                      const RelationInput& b,
+                                      const std::string& condition) {
+  const Condition cond = ParseCondition(condition);
+  SpjQuery q;
+  q.inputs = {&a, &b};
+  q.condition = &cond;
+  const Schema combined = CombinedSchema(q);
+  CountedRelation expected(combined);
+  for (const auto& [ta, ca] : Collect(a)) {
+    for (const auto& [tb, cb] : Collect(b)) {
+      Tuple t = ta.Concat(tb);
+      if (cond.Evaluate(combined, t)) expected.Add(t, ca * cb);
+    }
+  }
+  PlannerCache cache;
+  PlanStats stats;
+  CountedRelation out(combined);
+  EvaluateSpjInto(q, &out, 1, &stats, &cache);
+  EXPECT_EQ(cache.size(), 1u) << condition;
+  EXPECT_EQ(stats.probes, 0) << condition;
+  EXPECT_TRUE(out.SameContents(expected))
+      << condition << "\ngot:\n" << out.ToString() << "expected:\n"
+      << expected.ToString();
+}
+
+// Keys of two attributes, an int and a string (inline and heap-held), many
+// sharing their int part, so distinct keys meet in the table's probe runs.
+TEST(TableJoinTest, MixedIntAndStringKeys) {
+  auto make = [](const char* p, size_t n, int64_t shift) {
+    Relation rel(Schema({{std::string(p) + "a", ValueType::kInt64},
+                         {std::string(p) + "s", ValueType::kString},
+                         {std::string(p) + "v", ValueType::kInt64}}));
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t k = static_cast<int64_t>(i);
+      const std::string str = (k % 3 == 0 ? "a string past the inline bytes "
+                                          : "k") +
+                              std::to_string((k * 7) % 500);
+      rel.Insert(Tuple({Value(k % 2 + shift), Value(str), Value(k % 10)}));
+    }
+    return rel;
+  };
+  for (const auto& [r_rows, s_rows] :
+       {std::pair<size_t, size_t>{300, 2000}, {2000, 300}}) {
+    const Relation r = make("r", r_rows, 1);
+    const Relation s = make("s", s_rows, 0);
+    FullRelationInput ri(&r, r.schema());
+    FullRelationInput si(&s, s.schema());
+    ExpectTableJoinMatchesNestedLoop(ri, si, "ra = sa + 1 && rs = ss");
+    ExpectTableJoinMatchesNestedLoop(ri, si, "rs = ss && ra = sa + 1");
+    ExpectTableJoinMatchesNestedLoop(ri, si,
+                                     "ss = rs && sa = ra - 1 && rv < sv");
+  }
+}
+
+// Shifted int keys at the ends of int64: a key whose shifted value leaves
+// int64 matches nothing, and one that stays inside matches exactly.
+TEST(TableJoinTest, ShiftedKeysAtInt64Limits) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> edge = {kMin, kMin + 1, kMin + 2, -1, 0,
+                                     1,    kMax - 2, kMax - 1, kMax};
+  auto make = [&](const char* p, size_t fill) {
+    Relation rel(Schema::OfInts({std::string(p) + "a", std::string(p) + "b"}));
+    for (int64_t a : edge) {
+      for (int64_t b : edge) rel.Insert(Tuple({Value(a), Value(b)}));
+    }
+    for (size_t i = 0; i < fill; ++i) {
+      rel.Insert(Tuple({Value(static_cast<int64_t>(i)), Value(kMax)}));
+    }
+    return rel;
+  };
+  for (const auto& [r_fill, s_fill] :
+       {std::pair<size_t, size_t>{0, 50}, {50, 0}}) {
+    const Relation r = make("r", r_fill);
+    const Relation s = make("s", s_fill);
+    FullRelationInput ri(&r, r.schema());
+    FullRelationInput si(&s, s.schema());
+    for (const char* cond :
+         {"ra = sa + 1", "ra = sa - 1", "ra = sa + 9223372036854775807",
+          "ra = sa - 9223372036854775807", "ra = sa + 2 && rb = sb - 2",
+          "ra = sa && rb = sb + 1"}) {
+      ExpectTableJoinMatchesNestedLoop(ri, si, cond);
+    }
+  }
+}
+
+// Counted inputs: counts above one multiply through the hashed step.
+TEST(TableJoinTest, CountedInputsMultiplyCounts) {
+  auto make = [](const char* p, int64_t n) {
+    CountedRelation rel(
+        Schema::OfInts({std::string(p) + "a", std::string(p) + "b"}));
+    for (int64_t i = 0; i < n; ++i) rel.Add(T({i % 7, i}), 1 + i % 4);
+    return rel;
+  };
+  for (const auto& [r_rows, s_rows] :
+       {std::pair<int64_t, int64_t>{20, 90}, {90, 20}}) {
+    const CountedRelation r = make("r", r_rows);
+    const CountedRelation s = make("s", s_rows);
+    CountedRelationInput ri(&r, r.schema());
+    CountedRelationInput si(&s, s.schema());
+    ExpectTableJoinMatchesNestedLoop(ri, si, "ra = sa");
+    ExpectTableJoinMatchesNestedLoop(ri, si, "ra = sa + 2 && rb < sb");
+  }
+}
+
+// A subtracted input (`r − minus`, the clean part of a modified base)
+// hashed with local filters on both sides.
+TEST(TableJoinTest, SubtractedInputWithLocalFilters) {
+  Database db;
+  Relation& r = MakeRelation(&db, "r", {"ra", "rb"}, {});
+  Relation& s = MakeRelation(&db, "s", {"sa", "sb"}, {});
+  Relation& minus = MakeRelation(&db, "m", {"sa", "sb"}, {});
+  for (int64_t i = 0; i < 40; ++i) r.Insert(T({i % 9, i}));
+  for (int64_t i = 0; i < 300; ++i) {
+    s.Insert(T({i % 11, i}));
+    if (i % 4 == 0) minus.Insert(T({i % 11, i}));
+  }
+  FullRelationInput ri(&r, r.schema());
+  SubtractRelationInput si(&s, &minus, s.schema());
+  ExpectTableJoinMatchesNestedLoop(ri, si, "ra = sa && sb > 50");
+  ExpectTableJoinMatchesNestedLoop(ri, si,
+                                   "ra = sa - 1 && sb < 250 && rb > 3");
 }
 
 // Chunk boundaries.  A list of batches ramps 16, 32, … 1024 rows, so row
