@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "db/transaction.h"
 #include "ivm/metrics.h"
 #include "relational/schema.h"
+#include "storage/file.h"
 #include "storage/wal.h"
 
 namespace mview {
@@ -102,6 +104,7 @@ void PrintSummary() {
   struct Config {
     std::string label;
     storage::WalOptions options;
+    bool durable = true;  // false: every fsync skipped
   };
   auto window_config = [kThreads](const std::string& label, int64_t micros) {
     Config c{label, {}};
@@ -115,7 +118,7 @@ void PrintSummary() {
   std::vector<Config> configs;
   {
     Config none{"no durability (fsync off)", {}};
-    none.options.fsync = false;
+    none.durable = false;
     configs.push_back(none);
     Config per_commit{"per-commit fsync (batch=1)", {}};
     per_commit.options.max_batch = 1;
@@ -136,6 +139,9 @@ void PrintSummary() {
   double per_commit_rate = 0;
   char buf[64];
   for (const Config& config : configs) {
+    storage::UnsyncedFileSystem unsynced;
+    std::optional<storage::ScopedFileSystem> no_fsync;
+    if (!config.durable) no_fsync.emplace(&unsynced);
     RunResult r = Run(config.options, kThreads, kPerThread);
     double rate = kTotal / r.seconds;
     if (config.label.rfind("per-commit", 0) == 0) per_commit_rate = rate;

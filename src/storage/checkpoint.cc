@@ -1,10 +1,6 @@
 #include "storage/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -13,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "storage/file.h"
 #include "util/fault.h"
 
 namespace mview::storage {
@@ -26,11 +23,6 @@ constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '5'};
 constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '4'};
 // Magic, CRC, body length.
 constexpr size_t kFramePrefix = 8 + 4 + 8;
-
-[[noreturn]] void ThrowErrno(const std::string& what, const std::string& path) {
-  throw IoError("checkpoint: " + what + " failed for " + path + ": " +
-                std::strerror(errno));
-}
 
 /// Captures everything about a view except its rows — what the manifest
 /// stores per view.
@@ -90,15 +82,6 @@ void GetPendingLogs(wire::Reader* r, CheckpointView* view) {
 // Every checkpoint file (manifest, segment) shares one frame: 8-byte
 // magic, CRC32 of the body, body length, body.
 
-void WriteAll(int fd, const std::string& data, const std::string& path) {
-  size_t done = 0;
-  while (done < data.size()) {
-    ssize_t n = ::write(fd, data.data() + done, data.size() - done);
-    if (n < 0) ThrowErrno("write", path);
-    done += static_cast<size_t>(n);
-  }
-}
-
 std::string Frame(const char magic[8], const std::string& body) {
   std::string file(magic, 8);
   wire::PutU32(&file, Crc32(body.data(), body.size()));
@@ -107,81 +90,27 @@ std::string Frame(const char magic[8], const std::string& body) {
   return file;
 }
 
-void WriteFileDurable(const std::string& path, const std::string& contents) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) ThrowErrno("open", path);
-  try {
-    WriteAll(fd, contents, path);
-    if (::fsync(fd) != 0) ThrowErrno("fsync", path);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-}
-
-void SyncDirOf(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
-  int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);  // best effort: some filesystems reject directory fsync
-    ::close(dfd);
-  }
-}
-
-/// Temp-write + rename + directory sync: a crash at any point leaves
-/// either the old file or the new one, never a torn one.
-void CommitFile(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  WriteFileDurable(tmp, contents);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) ThrowErrno("rename", path);
-  SyncDirOf(path);
-}
-
 /// Reads and validates a framed file: nullopt when absent, the body when
 /// intact, `CorruptionError` otherwise.
 std::optional<std::string> ReadFramedFile(const std::string& path,
                                           const char magic[8]) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::nullopt;
-    ThrowErrno("open", path);
-  }
-  std::string contents;
-  try {
-    off_t size = ::lseek(fd, 0, SEEK_END);
-    if (size < 0) ThrowErrno("lseek", path);
-    contents.resize(static_cast<size_t>(size));
-    size_t done = 0;
-    while (done < contents.size()) {
-      ssize_t n = ::pread(fd, contents.data() + done, contents.size() - done,
-                          static_cast<off_t>(done));
-      if (n < 0) ThrowErrno("read", path);
-      if (n == 0) break;
-      done += static_cast<size_t>(n);
-    }
-    contents.resize(done);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-
-  if (contents.size() < kFramePrefix ||
-      std::memcmp(contents.data(), magic, 8) != 0) {
+  std::optional<std::string> contents = FileSystem::Current().Read(path);
+  if (!contents.has_value()) return std::nullopt;
+  std::string& file = *contents;
+  if (file.size() < kFramePrefix ||
+      std::memcmp(file.data(), magic, 8) != 0) {
     throw CorruptionError("checkpoint: bad header in " + path);
   }
-  wire::Reader prefix(contents.data() + 8, 12);
+  wire::Reader prefix(file.data() + 8, 12);
   uint32_t crc = prefix.GetU32();
   uint64_t body_len = prefix.GetU64();
-  if (body_len != contents.size() - kFramePrefix) {
+  if (body_len != file.size() - kFramePrefix) {
     throw CorruptionError("checkpoint: truncated body in " + path);
   }
-  if (Crc32(contents.data() + kFramePrefix, body_len) != crc) {
+  if (Crc32(file.data() + kFramePrefix, body_len) != crc) {
     throw CorruptionError("checkpoint: CRC mismatch in " + path);
   }
-  contents.erase(0, kFramePrefix);
+  file.erase(0, kFramePrefix);
   return contents;
 }
 
@@ -475,16 +404,14 @@ CheckpointManifest DecodeManifest(const std::string& body) {
   return m;
 }
 
-/// Deletes segment files in `dir` that `live` does not reference, plus any
-/// leftover temp manifest.
+/// Deletes segment files in `dir` that `live` does not reference.
 void SweepSegments(const std::string& dir,
                    const std::unordered_set<std::string>& live) {
+  FileSystem& fs = FileSystem::Current();
   std::error_code ec;
-  std::filesystem::remove(dir + "/manifest.mv.tmp", ec);
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (!IsSegmentName(name) || live.count(name) > 0) continue;
-    std::filesystem::remove(entry.path(), ec);
+    if (IsSegmentName(name) && live.count(name) == 0) fs.Remove(entry.path());
   }
 }
 
@@ -515,7 +442,7 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
     SegmentRef ref;
     ref.file = SegmentName(m.generation, seq++);
     std::string framed = Frame(kSegmentMagic, body);
-    WriteFileDurable(dir + "/" + ref.file, framed);
+    File::Create(dir + "/" + ref.file, framed);  // synced before the rename
     ref.bytes = framed.size();
     stats->bytes_written += ref.bytes;
     (base ? stats->base_bytes : stats->delta_bytes) += ref.bytes;
@@ -594,7 +521,7 @@ CheckpointManifest WriteCheckpoint(const std::string& dir, uint64_t lsn,
   // written, none referenced.
   MVIEW_FAULT_POINT("checkpoint.manifest");
   std::string framed = Frame(kManifestMagic, EncodeManifest(m));
-  CommitFile(dir + "/manifest.mv", framed);
+  File::Replace(dir + "/manifest.mv", framed);
   stats->bytes_written += framed.size();
 
   // Segments only the *old* manifest referenced are garbage now.

@@ -55,7 +55,14 @@ namespace mview::storage {
 //
 // The manifest rename is the commit point: segments are written and
 // fsynced first (a crash leaves unreferenced orphans, removed by the next
-// writer's sweep), then the manifest replaces its predecessor atomically.
+// writer's sweep), then the manifest replaces its predecessor atomically
+// (`File::Replace`: temp write, fsync, rename, directory sync).  Under the
+// ordered crash model of `storage/file.h` that directory sync also makes
+// the segments' names durable.  A failed one fails the checkpoint, and the
+// caller keeps building on the previous manifest, but under a later
+// generation than the failed write's: that write's manifest may already be
+// the file on disk, and its `seg_<generation>_*` files must not be
+// rewritten.
 //
 // Every file shares one frame: 8-byte magic, CRC32 of the body, body
 // length, body.  A segment's body is a kind byte (`SegmentKind`), the

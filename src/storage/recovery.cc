@@ -85,12 +85,6 @@ void ReplayCatalog(CatalogChange&& change, ViewManager* views,
   }
 }
 
-void InstallAssertions(const std::vector<ViewDefinition>& assertions,
-                       IntegrityGuard* guard) {
-  MVIEW_CHECK(guard != nullptr, "null integrity guard");
-  for (const auto& def : assertions) guard->AddAssertion(def);
-}
-
 TransactionEffect ToEffect(const WalRecord& record, const Database& db) {
   TransactionEffect effect;
   for (const auto& change : record.changes) {

@@ -6,7 +6,6 @@
 
 #include "db/database.h"
 #include "db/transaction.h"
-#include "ivm/integrity.h"
 #include "ivm/view_manager.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
@@ -20,8 +19,8 @@ namespace mview::storage {
 /// pending backlog moved out of `manifest`.  Times both steps
 /// (`StorageMetrics::restore_nanos`, `derive_nanos`).  Leaves the
 /// manager's changed-table set empty: what it installed is the image.  The
-/// caller replays the WAL tail afterwards and registers assertions last
-/// (see `InstallAssertions`).  Expects an empty database/manager.  Throws
+/// caller replays the WAL tail afterwards and registers assertions last.
+/// Expects an empty database/manager.  Throws
 /// `CorruptionError` when a segment or a pending log fails validation, or
 /// a view's definition does not fit its tables.
 void InstallCheckpoint(const std::string& dir, CheckpointManifest* manifest,
@@ -31,19 +30,10 @@ void InstallCheckpoint(const std::string& dir, CheckpointManifest* manifest,
 /// and views go through the same `ViewManager` calls the engine makes (a
 /// created view is evaluated against the bases as replay has rebuilt them
 /// so far, and both mark their checkpoint scopes created), while assertion
-/// changes only edit `assertions`, which `InstallAssertions` registers once
-/// replay is done.
+/// changes only edit `assertions`, which the caller registers once replay
+/// is done.
 void ReplayCatalog(CatalogChange&& change, ViewManager* views,
                    std::vector<ViewDefinition>* assertions);
-
-/// Re-registers checkpointed and replayed assertions.  Must run *after* WAL replay:
-/// replay drives `ViewManager::ApplyEffect` directly (replayed
-/// transactions were already admitted once, so prechecking them again is
-/// both wasted work and wrong under assertions added later), which
-/// bypasses `IntegrityGuard` error-view maintenance — registering here
-/// computes each error view once against the final recovered state.
-void InstallAssertions(const std::vector<ViewDefinition>& assertions,
-                       IntegrityGuard* guard);
 
 /// Converts a decoded WAL record back into a `TransactionEffect` against
 /// `db`'s catalog (schemas are looked up by relation name; throws

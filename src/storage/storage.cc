@@ -5,10 +5,10 @@
 #include <utility>
 #include <vector>
 
-#include "obs/prometheus.h"
 #include "obs/trace.h"
 #include "sql/engine.h"
 #include "storage/checkpoint.h"
+#include "storage/file.h"
 #include "storage/recovery.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
@@ -17,11 +17,24 @@ namespace mview {
 
 std::unique_ptr<Storage> Storage::Open(const std::string& path,
                                        Options options) {
+  // A directory this creates is durable once its parent is synced; sync
+  // the parent of each one, so no power cut loses a log written inside.
   std::error_code ec;
-  std::filesystem::create_directories(path, ec);
+  std::filesystem::path dir =
+      std::filesystem::absolute(path, ec).lexically_normal();
+  if (!dir.has_filename()) dir = dir.parent_path();  // a trailing '/'
+  std::vector<std::string> parents;  // of the directories created
+  for (auto p = dir; p.has_relative_path() && !std::filesystem::exists(p, ec);
+       p = p.parent_path()) {
+    parents.push_back(p.parent_path().string());
+  }
+  std::filesystem::create_directories(dir, ec);
   if (ec) {
     throw storage::IoError("storage: cannot create directory " + path + ": " +
                            ec.message());
+  }
+  for (const auto& parent : parents) {
+    storage::FileSystem::Current().SyncDir(parent);
   }
   return std::unique_ptr<Storage>(new Storage(path, options));
 }
@@ -32,15 +45,6 @@ std::unique_ptr<Storage> Storage::Open(const std::string& path) {
 
 Storage::Storage(std::string path, Options options)
     : path_(std::move(path)), options_(options) {}
-
-Storage::~Storage() {
-  // No checkpoint here — the attached engine may already be destroyed
-  // (`Engine`'s destructor calls `Close`, which checkpoints while the
-  // engine is still alive).  Dropping the log without a checkpoint is
-  // safe: it holds every commit, so the next `Open` recovers everything.
-  wal_.reset();
-  engine_ = nullptr;
-}
 
 void Storage::Attach(sql::EngineCore& core) {
   MVIEW_CHECK(engine_ == nullptr, "storage already attached");
@@ -67,10 +71,6 @@ void Storage::Attach(sql::EngineCore& core) {
   }
 
   storage::WalOptions wal_options;
-  wal_options.group_commit_window = options_.group_commit_window;
-  wal_options.max_batch = options_.max_batch;
-  wal_options.fsync = options_.fsync;
-  wal_options.failure_policy = options_.failure_policy;
   // With a checkpoint in hand, a header-sized-or-shorter WAL with a bad
   // header is a torn rotate (the checkpoint covers everything such a file
   // could have held), not corruption.
@@ -129,7 +129,7 @@ void Storage::Attach(sql::EngineCore& core) {
   // catalog records: replay bypassed the integrity guard (those
   // transactions were admitted when first committed), so each error view
   // is computed once against the fully recovered state.
-  storage::InstallAssertions(assertions, &core.storage_guard());
+  for (const auto& def : assertions) core.storage_guard().AddAssertion(def);
 
   // Installed *after* replay so replayed health transitions are not
   // re-logged.  Best-effort by design: a failing append here must not
@@ -164,10 +164,19 @@ void Storage::Checkpoint() {
   ViewManager& views = engine_->storage_views();
   StorageMetrics& metrics = views.metrics().storage();
   storage::CheckpointStats stats;
-  manifest_ = storage::WriteCheckpoint(
-      path_, lsn, engine_->database(), engine_->views(), &engine_->guard(),
-      views.changed_scopes(), manifest_.has_value() ? &*manifest_ : nullptr,
-      &stats);
+  try {
+    manifest_ = storage::WriteCheckpoint(
+        path_, lsn, engine_->database(), engine_->views(), &engine_->guard(),
+        views.changed_scopes(), manifest_.has_value() ? &*manifest_ : nullptr,
+        &stats);
+  } catch (...) {
+    // The attempt's manifest may have landed (a failed directory sync
+    // follows its rename) naming segments of the attempt's generation: the
+    // next attempt takes a later one instead of rewriting them in place.
+    if (!manifest_.has_value()) manifest_.emplace();  // no tables: no chains
+    ++manifest_->generation;
+    throw;
+  }
   metrics.checkpoint_bytes += static_cast<int64_t>(stats.bytes_written);
   metrics.checkpoint_base_bytes += static_cast<int64_t>(stats.base_bytes);
   metrics.checkpoint_delta_bytes += static_cast<int64_t>(stats.delta_bytes);

@@ -1,7 +1,6 @@
 #ifndef MVIEW_STORAGE_STORAGE_H_
 #define MVIEW_STORAGE_STORAGE_H_
 
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,38 +29,37 @@ namespace mview {
 /// small record, not a checkpoint.  `Checkpoint` (or SQL `CHECKPOINT`)
 /// writes the table rows that changed since the last one and truncates the
 /// log; `Close` detaches (checkpointing first by default).
+///
+/// Durability: files are reached through the `storage::FileSystem` seam.
+/// The ordering rules in `storage/wal.h` and `storage/checkpoint.h` are
+/// meant to make a power cut, under the seam's crash model, leave a
+/// directory that recovers to the state after a prefix of the statements
+/// holding every acknowledged one.  `tests/crash_state_test.cc` checks
+/// that for every power cut of a scripted workload run in an existing
+/// database directory.
 class Storage {
  public:
   struct Options {
-    /// Group-commit window and batch bound — see `storage::WalOptions`.
-    std::chrono::microseconds group_commit_window{0};
-    size_t max_batch = 64;
-
-    /// When false, the log never fsyncs (benchmark baseline only).
-    bool fsync = true;
-
     /// Checkpoint automatically in `Close` (skipped when the log has
     /// failed — a later `Open` recovers from the last durable state).
     bool checkpoint_on_close = true;
-
-    /// Fault injection for crash tests; not owned, may be null.
-    storage::FailurePolicy* failure_policy = nullptr;
   };
 
-  /// Opens (creating if needed) the database directory.  Throws
-  /// `storage::IoError` when the directory cannot be created.  Recovery
-  /// happens at `Attach` time, not here.  The storage must outlive the
-  /// engine it attaches to; the engine calls `Close` from its destructor,
-  /// so the usual declaration order (`Storage` first, `Engine` second)
-  /// checkpoints cleanly on scope exit.
+  /// Opens (creating if needed) the database directory; each directory it
+  /// creates is synced into its parent.  Throws `storage::IoError` when the
+  /// directory cannot be created.  Recovery happens at `Attach` time, not
+  /// here.  The storage must outlive the engine it attaches to; the engine
+  /// calls `Close` from its destructor, so the usual declaration order
+  /// (`Storage` first, `Engine` second) checkpoints cleanly on scope exit.
   static std::unique_ptr<Storage> Open(const std::string& path,
                                        Options options);
   static std::unique_ptr<Storage> Open(const std::string& path);
 
   /// Closes the log file; does NOT checkpoint (the engine may already be
   /// gone).  Call `Close` — or let the engine's destructor do it — for a
-  /// checkpointing shutdown.
-  ~Storage();
+  /// checkpointing shutdown.  Dropping the log unflushed is safe: it holds
+  /// every commit, so the next `Open` recovers everything.
+  ~Storage() = default;
 
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
@@ -88,7 +86,10 @@ class Storage {
   /// segment per table whose rows changed since the last checkpoint,
   /// holding just those rows, so the cost follows the change rather than
   /// the database (see `storage/checkpoint.h`) — then truncates the log.
-  /// Requires an attached engine.
+  /// Requires an attached engine.  A failure before the log rotates (a
+  /// failed directory sync included) leaves the previous manifest the base
+  /// of the next checkpoint, which still writes its segments under a new
+  /// generation; a rotation that fails after its rename fails the log.
   void Checkpoint();
 
   /// Detaches from the engine, checkpointing first when
@@ -96,7 +97,6 @@ class Storage {
   /// the engine remains usable but non-durable afterwards.
   void Close();
 
-  bool attached() const { return engine_ != nullptr; }
   const std::string& path() const { return path_; }
   std::string wal_path() const { return path_ + "/wal.mv"; }
   std::string manifest_path() const { return path_ + "/manifest.mv"; }
@@ -115,25 +115,16 @@ class Storage {
 
   Storage(std::string path, Options options);
 
-  /// Appends the committed effect to the log; returns once durable.
-  /// Called by the engine *before* the effect is applied anywhere (the
-  /// write-ahead rule).
+  /// The write-ahead hooks: each appends one record to the log and returns
+  /// once it is durable.  The engine calls them before the change is
+  /// applied anywhere — a commit's effect, a validated DDL statement (a new
+  /// view already evaluated), a deferred view's refresh, a REPAIR that
+  /// consumes a backlog (a quarantined view's repair is logged by the
+  /// health listener) — so a failed append rejects the statement with
+  /// nothing changed.
   void LogCommit(const TransactionEffect& effect);
-
-  /// Appends a catalog change to the log; returns once durable.  Called
-  /// by the engine after the DDL statement has been validated (and a new
-  /// view evaluated) but before anything is installed, so a failed append
-  /// rejects the statement with nothing changed.
   void LogCatalog(const storage::CatalogChange& change);
-
-  /// Appends a deferred-view refresh to the log; returns once durable.
-  /// Called by the engine before the refresh runs, so a failed append
-  /// rejects the statement with the view untouched.
   void LogRefresh(const std::string& view);
-
-  /// Appends a view repair to the log; returns once durable.  Called by
-  /// the engine before a REPAIR that consumes a deferred view's backlog
-  /// (the repair of a quarantined view is logged by the health listener).
   void LogRepair(const std::string& view);
 
   /// Refreshes the WAL-owned counters in the engine's `MetricsRegistry`
@@ -148,7 +139,8 @@ class Storage {
   std::unique_ptr<storage::Wal> wal_;
   /// The manifest of the last checkpoint (written here or recovered at
   /// `Attach`); the next write extends or carries forward its chains.
-  /// Absent until the first checkpoint of a fresh database.
+  /// Absent until the first checkpoint of a fresh database.  A failed
+  /// write advances its generation (see `Checkpoint`).
   std::optional<storage::CheckpointManifest> manifest_;
 };
 

@@ -1,13 +1,7 @@
 #include "storage/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "obs/trace.h"
 #include "util/fault.h"
@@ -26,11 +20,6 @@ constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t);
 // A record larger than this cannot be legitimate; treat it as damage
 // rather than attempting a multi-gigabyte allocation.
 constexpr uint32_t kMaxPayload = 1u << 30;
-
-[[noreturn]] void ThrowErrno(const std::string& what, const std::string& path) {
-  throw IoError("wal: " + what + " failed for " + path + ": " +
-                std::strerror(errno));
-}
 
 // A varint row count, then `rows` in sorted order (so a given effect always
 // encodes the same), sorted by reference rather than copied.
@@ -112,85 +101,36 @@ WalRecord DecodePayload(const std::string& payload) {
 
 }  // namespace
 
-size_t RegistryFailurePolicy::AdmitWrite(size_t size) {
-  try {
-    MVIEW_FAULT_POINT("wal.torn_write");
-  } catch (const IoError&) {
-    return size / 2;  // write half the batch, then the append fails torn
-  }
-  return size;
-}
-
-void RegistryFailurePolicy::BeforeSync() {
-  MVIEW_FAULT_POINT("wal.before_sync");
-}
-
 Wal::Wal(std::string path, WalOptions options, const ReplayFn& replay)
     : path_(std::move(path)), options_(options) {
   MVIEW_CHECK(options_.max_batch >= 1, "wal: max_batch must be at least 1");
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd_ < 0) ThrowErrno("open", path_);
-  try {
-    ScanExisting(replay);
-  } catch (...) {
-    ::close(fd_);
-    fd_ = -1;
-    throw;
-  }
-}
-
-Wal::~Wal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void Wal::ScanExisting(const ReplayFn& replay) {
-  std::string contents;
-  {
-    off_t size = ::lseek(fd_, 0, SEEK_END);
-    if (size < 0) ThrowErrno("lseek", path_);
-    contents.resize(static_cast<size_t>(size));
-    size_t done = 0;
-    while (done < contents.size()) {
-      ssize_t n = ::pread(fd_, contents.data() + done, contents.size() - done,
-                          static_cast<off_t>(done));
-      if (n < 0) ThrowErrno("read", path_);
-      if (n == 0) break;
-      done += static_cast<size_t>(n);
-    }
-    contents.resize(done);
-  }
-
-  if (contents.empty()) {
-    WriteHeader(0);
-    return;
-  }
+  const std::string contents =
+      FileSystem::Current().Read(path_).value_or(std::string());
   if (contents.size() < kHeaderSize ||
       std::memcmp(contents.data(), kMagic, sizeof(kMagic)) != 0) {
-    // A header-sized-or-shorter file with a bad header cannot hold any
-    // record, so when the caller vouches for a checkpoint
-    // (tolerate_torn_header) it is a torn header write — re-initialize
-    // and let `Storage::Attach` rebase above the checkpoint LSN.  A file
-    // long enough to carry records is damage either way.
-    if (options_.tolerate_torn_header && contents.size() <= kHeaderSize) {
-      stats_.truncated_bytes += static_cast<int64_t>(contents.size());
-      WriteHeader(0);
-      return;
+    // An absent or empty log is new.  A file long enough to carry records
+    // is damage either way; see `WalOptions::tolerate_torn_header` for a
+    // shorter one.
+    if (!contents.empty() &&
+        !(options_.tolerate_torn_header && contents.size() <= kHeaderSize)) {
+      throw CorruptionError("wal: bad header in " + path_);
     }
-    throw CorruptionError("wal: bad header in " + path_);
+    stats_.truncated_bytes += static_cast<int64_t>(contents.size());
+    Reset(0);
+    return;
   }
+  file_ = File(path_);
   {
     wire::Reader header(contents.data() + sizeof(kMagic), sizeof(uint64_t));
     base_lsn_ = header.GetU64();
   }
-  next_lsn_ = base_lsn_ + 1;
-  durable_lsn_ = base_lsn_;
 
   // Decode records until the end of the file or a torn tail.  A record
   // that frames correctly (length fits, CRC matches) but decodes to
   // garbage or breaks the LSN chain is *mid-log* damage — corruption, not
   // a torn write — because appends are strictly sequential.
   size_t good = kHeaderSize;
-  uint64_t expect = next_lsn_;
+  uint64_t expect = base_lsn_ + 1;
   while (good < contents.size()) {
     size_t remaining = contents.size() - good;
     if (remaining < 8) break;  // torn frame header
@@ -214,67 +154,46 @@ void Wal::ScanExisting(const ReplayFn& replay) {
   }
   next_lsn_ = expect;
   durable_lsn_ = expect - 1;
+  end_ = good;  // appends extend the valid prefix
   if (good < contents.size()) {
     stats_.truncated_bytes +=
         static_cast<int64_t>(contents.size() - good);
-    if (::ftruncate(fd_, static_cast<off_t>(good)) != 0) {
-      ThrowErrno("ftruncate", path_);
-    }
-    if (options_.fsync && ::fsync(fd_) != 0) ThrowErrno("fsync", path_);
-  }
-  // Leave the offset at the end of the valid prefix so appends extend it
-  // (the scan and a possible truncation both moved it elsewhere).
-  if (::lseek(fd_, static_cast<off_t>(good), SEEK_SET) < 0) {
-    ThrowErrno("lseek", path_);
+    file_.Truncate(good);
+    file_.Sync();
   }
 }
 
-void Wal::WriteHeader(uint64_t base_lsn) {
+void Wal::Reset(uint64_t base_lsn, bool* renamed) {
+  // Built beside `path_` and renamed over it, then the directory synced:
+  // a crash leaves no log, the old one or the complete new header, and the
+  // name is durable before any record is acknowledged into the file.
   std::string header(kMagic, sizeof(kMagic));
   wire::PutU64(&header, base_lsn);
-  if (::ftruncate(fd_, 0) != 0) ThrowErrno("ftruncate", path_);
-  size_t done = 0;
-  while (done < header.size()) {
-    ssize_t n = ::pwrite(fd_, header.data() + done, header.size() - done,
-                         static_cast<off_t>(done));
-    if (n < 0) ThrowErrno("write", path_);
-    done += static_cast<size_t>(n);
-  }
-  if (options_.fsync && ::fsync(fd_) != 0) ThrowErrno("fsync", path_);
-  // pwrite does not move the file offset, but record appends in
-  // WriteAndSync are offset-relative — park the offset after the header.
-  if (::lseek(fd_, static_cast<off_t>(kHeaderSize), SEEK_SET) < 0) {
-    ThrowErrno("lseek", path_);
-  }
+  file_ = File::Replace(path_, header, renamed);
   base_lsn_ = base_lsn;
   next_lsn_ = base_lsn + 1;
   durable_lsn_ = base_lsn;
+  end_ = kHeaderSize;
 }
 
 int64_t Wal::WriteAndSync(const std::string& batch) {
   // Fires before the write so an injected EIO leaves nothing of the batch
   // on disk: recovery then replays exactly the acknowledged prefix, which
-  // is what the sticky-failure contract promises.  (The bytes-written-but-
-  // maybe-not-durable window is exercised separately via
-  // `FailurePolicy::BeforeSync` / the "wal.before_sync" point.)
+  // is what the sticky-failure contract promises.  The bytes-written-but-
+  // maybe-not-durable window is "wal.before_sync", and a partial write
+  // "wal.torn_write".
   MVIEW_FAULT_POINT("wal.fsync");
   Stopwatch timer;
-  size_t admit = batch.size();
-  if (options_.failure_policy != nullptr) {
-    admit = options_.failure_policy->AdmitWrite(batch.size());
+  try {
+    MVIEW_FAULT_POINT("wal.torn_write");
+  } catch (const IoError&) {
+    file_.Write(std::string_view(batch).substr(0, batch.size() / 2), end_);
+    throw;
   }
-  size_t done = 0;
-  while (done < admit) {
-    ssize_t n = ::write(fd_, batch.data() + done, admit - done);
-    if (n < 0) ThrowErrno("write", path_);
-    done += static_cast<size_t>(n);
-  }
-  if (admit < batch.size()) {
-    throw IoError("wal: injected torn write after " + std::to_string(admit) +
-                  " of " + std::to_string(batch.size()) + " bytes");
-  }
-  if (options_.failure_policy != nullptr) options_.failure_policy->BeforeSync();
-  if (options_.fsync && ::fsync(fd_) != 0) ThrowErrno("fsync", path_);
+  file_.Write(batch, end_);
+  MVIEW_FAULT_POINT("wal.before_sync");
+  file_.Sync();
+  end_ += batch.size();
   return timer.ElapsedNanos();
 }
 
@@ -425,48 +344,22 @@ void Wal::Rotate(uint64_t base_lsn) {
               " below already-assigned LSN ", next_lsn_ - 1);
   // Truncating the live file in place would open a window where a crash
   // leaves an empty or half-written header and LSN assignment restarts
-  // below the checkpoint.  Build the new log beside the old one and swap
-  // it in atomically instead: a crash leaves the old records (covered by
-  // the checkpoint, skipped at replay) or the complete new header.
-  const std::string tmp = path_ + ".tmp";
-  int nfd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (nfd < 0) ThrowErrno("open", tmp);
+  // below the checkpoint; `Reset` swaps the new log in atomically instead,
+  // so a crash leaves the old records (covered by the checkpoint, skipped
+  // at replay) or the complete new header.
+  bool renamed = false;
   try {
-    std::string header(kMagic, sizeof(kMagic));
-    wire::PutU64(&header, base_lsn);
-    size_t done = 0;
-    while (done < header.size()) {
-      ssize_t n = ::pwrite(nfd, header.data() + done, header.size() - done,
-                           static_cast<off_t>(done));
-      if (n < 0) ThrowErrno("write", tmp);
-      done += static_cast<size_t>(n);
+    Reset(base_lsn, &renamed);
+  } catch (const Error& e) {
+    // Before the rename the old log is still the live one.  After it (a
+    // failed directory sync) the old descriptor names an unlinked file
+    // whose appends would vanish: the log fails as after a failed fsync.
+    if (renamed) {
+      failed_ = true;
+      failure_message_ = e.what();
     }
-    if (options_.fsync && ::fsync(nfd) != 0) ThrowErrno("fsync", tmp);
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) ThrowErrno("rename", path_);
-  } catch (...) {
-    ::close(nfd);
-    ::unlink(tmp.c_str());
     throw;
   }
-  // Make the swap itself durable (best effort: some filesystems reject
-  // directory fsync).
-  if (options_.fsync) {
-    std::string dir = std::filesystem::path(path_).parent_path().string();
-    if (dir.empty()) dir = ".";
-    int dfd = ::open(dir.c_str(), O_RDONLY);
-    if (dfd >= 0) {
-      ::fsync(dfd);
-      ::close(dfd);
-    }
-  }
-  ::close(fd_);
-  fd_ = nfd;
-  if (::lseek(fd_, static_cast<off_t>(kHeaderSize), SEEK_SET) < 0) {
-    ThrowErrno("lseek", path_);
-  }
-  base_lsn_ = base_lsn;
-  next_lsn_ = base_lsn + 1;
-  durable_lsn_ = base_lsn;
 }
 
 bool Wal::failed() const {

@@ -13,44 +13,9 @@
 #include "db/transaction.h"
 #include "ivm/metrics.h"
 #include "storage/codec.h"
+#include "storage/file.h"
 
 namespace mview::storage {
-
-/// Fault-injection hook for crash tests: lets a test make the log
-/// misbehave mid-write to prove torn-tail truncation and idempotent
-/// replay.  The default policy never fails.  Once a policy injects a
-/// failure the log is sticky-failed (as a crashed process would be); the
-/// test then reopens the file through recovery.
-///
-/// This predates the process-wide `util::FaultRegistry` and remains for
-/// tests that need the torn-write *prefix* semantics; `RegistryFailurePolicy`
-/// below adapts it onto the registry's named fault points so one armed
-/// registry drives both mechanisms.
-class FailurePolicy {
- public:
-  virtual ~FailurePolicy() = default;
-
-  /// Called with the size of each physical batch about to be written.
-  /// Return `size` to write it whole; return less to simulate a torn
-  /// write — the prefix is written, then the append fails with `IoError`.
-  virtual size_t AdmitWrite(size_t size) { return size; }
-
-  /// Called between write and fsync; throw `IoError` to simulate power
-  /// loss in the window where bytes may or may not be durable.
-  virtual void BeforeSync() {}
-};
-
-/// Adapter from the legacy `FailurePolicy` hooks onto the process-wide
-/// fault registry: `AdmitWrite` fires the `"wal.torn_write"` point (an
-/// injected `IoError` there truncates the batch to half, simulating a torn
-/// write) and `BeforeSync` fires `"wal.before_sync"` (throwing models power
-/// loss in the bytes-maybe-durable window).  Stateless; one instance can
-/// serve every log in the process.
-class RegistryFailurePolicy : public FailurePolicy {
- public:
-  size_t AdmitWrite(size_t size) override;
-  void BeforeSync() override;
-};
 
 /// One decoded log record, tagged with its log sequence number.  Most
 /// records are `kEffect` — the normalized net effect (Section 3) of a
@@ -98,22 +63,13 @@ struct WalOptions {
   /// per-commit fsync (the E15 baseline).
   size_t max_batch = 64;
 
-  /// When false, records are written but never fsynced — the "no
-  /// durability" benchmark baseline.  Never disable this for real data.
-  bool fsync = true;
-
-  /// When true, a file too short to hold the 16-byte header (or exactly
-  /// header-sized with bad magic) is treated as a *torn header write* —
-  /// re-initialized empty instead of throwing `CorruptionError`.  Set this
-  /// only when an authoritative checkpoint exists: such a file cannot
-  /// contain a complete record, so with a checkpoint nothing is lost, but
-  /// without one the same bytes more likely mean external damage.  A file
-  /// long enough to carry records whose magic is wrong is always
-  /// corruption.  The caller must rebase the log above the checkpoint LSN
-  /// afterwards (see `Storage::Attach`).
+  /// When true, a file no longer than the 16-byte header whose magic is
+  /// wrong is re-initialized empty instead of refused with
+  /// `CorruptionError`: it cannot hold a record, so with an authoritative
+  /// checkpoint beside it nothing is lost (without one the bytes more
+  /// likely mean external damage).  The caller must then rebase the log
+  /// above the checkpoint LSN (see `Storage::Attach`).
   bool tolerate_torn_header = false;
-
-  FailurePolicy* failure_policy = nullptr;  // not owned; may be null
 };
 
 /// Point-in-time counters of one log instance.  Returned by `Wal::stats`
@@ -162,7 +118,19 @@ struct WalStats {
 /// safe recovery is to reject every waiter and future append with
 /// `IoError` until the directory is reopened through recovery, which
 /// replays exactly the acknowledged prefix (unacknowledged records were
-/// never written past the failure).
+/// never written past the failure).  A `Rotate` that fails after its
+/// rename (in the directory sync) fails it too: the old descriptor then
+/// names an unlinked file.  One that fails before the rename leaves the
+/// old log live and usable.
+///
+/// Ordering under the crash model of `storage/file.h`: a batch is fsynced
+/// before its commits are acknowledged, and a new or rotated log is built
+/// beside the path, fsynced, renamed over it and the directory synced
+/// (else a power cut could drop the file's name, and with it every
+/// acknowledged record).  The fault points `wal.fsync` (before a batch's
+/// write), `wal.torn_write` (half the batch written, then the append
+/// fails) and `wal.before_sync` (between write and fsync) inject failures
+/// on that path.
 class Wal {
  public:
   using ReplayFn = std::function<void(WalRecord&&)>;
@@ -172,7 +140,6 @@ class Wal {
   /// truncated before the log accepts appends.  Throws `IoError` on file
   /// errors and `CorruptionError` on a bad header or mid-log damage.
   Wal(std::string path, WalOptions options, const ReplayFn& replay = nullptr);
-  ~Wal();
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
@@ -203,9 +170,9 @@ class Wal {
   /// Empties the log and restarts it after `base_lsn` (call after a
   /// checkpoint covering everything up to `base_lsn` is durable).  The
   /// new log is built beside the old one and swapped in with an atomic
-  /// rename, so a crash at any instant leaves either the old records or
-  /// the complete new header — never a truncated file.  Must not race
-  /// appends.
+  /// rename (`File::Replace`), so a crash at any instant leaves either the
+  /// old records or the complete new header — never a truncated file.
+  /// Must not race appends.
   void Rotate(uint64_t base_lsn);
 
   WalStats stats() const;
@@ -219,10 +186,11 @@ class Wal {
   // Shared group-commit path: assigns the LSN, frames `payload_tail` (the
   // payload bytes after the leading LSN), and blocks until durable.
   uint64_t AppendPayload(std::string payload_tail);
-  void ScanExisting(const ReplayFn& replay);
-  void WriteHeader(uint64_t base_lsn);
-  // Writes `batch` at the current end of file and fsyncs; returns nanos
-  // spent.  Called by the batch leader with `mu_` released.
+  // Replaces the file with an empty log after `base_lsn`; `renamed` as in
+  // `File::Replace`.
+  void Reset(uint64_t base_lsn, bool* renamed = nullptr);
+  // Writes `batch` at the end of the log and fsyncs; returns nanos spent.
+  // Called by the batch leader with `mu_` released.
   int64_t WriteAndSync(const std::string& batch);
   // Drains up to max_batch pending records as the leader; `lk` holds mu_.
   void LeadBatch(std::unique_lock<std::mutex>& lk);
@@ -230,7 +198,8 @@ class Wal {
 
   std::string path_;
   WalOptions options_;
-  int fd_ = -1;
+  File file_;
+  uint64_t end_ = 0;  // offset of the next batch: the valid prefix's end
 
   mutable std::mutex mu_;
   std::condition_variable cv_batch_;    // new record buffered

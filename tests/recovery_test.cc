@@ -24,6 +24,7 @@
 #include "ivm/view_manager.h"
 #include "sql/engine.h"
 #include "storage/checkpoint.h"
+#include "storage/file.h"
 #include "storage/recovery.h"
 #include "storage/storage.h"
 #include "storage/wal.h"
@@ -37,31 +38,43 @@ namespace {
 
 using sql::Engine;
 
-// Simulates a kill before anything reaches the disk: once armed, every
-// physical batch is dropped whole (zero bytes written), then the append
-// fails.  The deterministic stand-in for "power lost with zero fsyncs
-// completed" — an in-process BeforeSync crash would still leave the
-// written bytes in the file, which a real power cut may or may not.
-class DropWritePolicy : public storage::FailurePolicy {
+// Fails the `fail_at`-th directory sync (1-based) and no other.
+class FailingDirSync : public storage::FileSystem {
  public:
-  size_t AdmitWrite(size_t size) override { return armed ? 0 : size; }
-  bool armed = false;
-};
-
-// Tears the `fail_at`-th physical batch after arming in half: a partial
-// write reaches the disk, then the append fails.
-class TornWritePolicy : public storage::FailurePolicy {
- public:
-  explicit TornWritePolicy(int fail_at) : fail_at_(fail_at) {}
-  size_t AdmitWrite(size_t size) override {
-    if (!armed) return size;
-    return ++writes_ == fail_at_ ? size / 2 : size;
+  explicit FailingDirSync(int fail_at) : fail_at_(fail_at) {}
+  void SyncDir(const std::string& dir) override {
+    if (++syncs_ == fail_at_) throw IoError("injected EIO syncing " + dir);
+    FileSystem::SyncDir(dir);
   }
-  bool armed = false;
 
  private:
   int fail_at_;
-  int writes_ = 0;
+  int syncs_ = 0;
+};
+
+// Fails the `fail_at`-th rename (1-based) and no other.
+class FailingRename : public storage::FileSystem {
+ public:
+  explicit FailingRename(int fail_at) : fail_at_(fail_at) {}
+  void Rename(const std::string& from, const std::string& to) override {
+    if (++renames_ == fail_at_) throw IoError("injected EIO renaming " + from);
+    FileSystem::Rename(from, to);
+  }
+
+ private:
+  int fail_at_;
+  int renames_ = 0;
+};
+
+// Records every directory sync.
+class DirSyncLog : public storage::FileSystem {
+ public:
+  void SyncDir(const std::string& dir) override {
+    synced.push_back(dir);
+    FileSystem::SyncDir(dir);
+  }
+
+  std::vector<std::string> synced;
 };
 
 class RecoveryTest : public ::testing::Test {
@@ -304,18 +317,22 @@ TEST_F(RecoveryTest, FailedRefreshAppendLeavesTheViewStale) {
 }
 
 TEST_F(RecoveryTest, CrashBeforeAnyFsyncLosesOnlyTheUndurableCommit) {
-  DropWritePolicy policy;  // no record batch ever reaches the disk
   {
     Storage::Options options;
     options.checkpoint_on_close = false;
-    options.failure_policy = &policy;
     auto storage = Storage::Open(Dir(), options);
     Engine engine(storage.get());
     // The schema lands durably (and is checkpointed, so nothing is left to
     // replay) before every later fsync "loses power".
     engine.ExecuteScript(Preamble());
     engine.Execute("CHECKPOINT;");
-    policy.armed = true;
+    // "wal.fsync" fires before the batch is written: the deterministic
+    // stand-in for "power lost with zero fsyncs completed", since an
+    // in-process crash after the write would leave its bytes in the file,
+    // which a real power cut may or may not.
+    util::FaultSpec eio;
+    eio.kind = util::FaultKind::kIoError;
+    util::ScopedFault fault("wal.fsync", eio);
 
     Status status =
         engine.TryExecute("INSERT INTO r VALUES (1, 10);", nullptr);
@@ -337,16 +354,17 @@ TEST_F(RecoveryTest, CrashBeforeAnyFsyncLosesOnlyTheUndurableCommit) {
 }
 
 TEST_F(RecoveryTest, CrashMidWriteDropsOnlyTheTornCommit) {
-  TornWritePolicy policy(/*fail_at=*/3);  // third commit is torn in half
   {
     Storage::Options options;
     options.checkpoint_on_close = false;
-    options.failure_policy = &policy;
     auto storage = Storage::Open(Dir(), options);
     Engine engine(storage.get());
     engine.ExecuteScript(Preamble());
     engine.Execute("CHECKPOINT;");  // the WAL tail below is DML only
-    policy.armed = true;
+    util::FaultSpec torn;  // third commit is torn in half
+    torn.kind = util::FaultKind::kIoError;
+    torn.hits_before = 2;
+    util::ScopedFault fault("wal.torn_write", torn);
     engine.Execute("INSERT INTO r VALUES (1, 10);");
     engine.Execute("INSERT INTO s VALUES (10, 100);");
 
@@ -370,6 +388,146 @@ TEST_F(RecoveryTest, CrashMidWriteDropsOnlyTheTornCommit) {
   reference.Execute("INSERT INTO r VALUES (1, 10);");
   reference.Execute("INSERT INTO s VALUES (10, 100);");
   ExpectSameState(recovered, reference);
+}
+
+TEST_F(RecoveryTest, FailedManifestDirectorySyncFailsOnlyTheCheckpoint) {
+  {
+    Storage::Options options;
+    options.checkpoint_on_close = false;
+    auto storage = Storage::Open(Dir(), options);
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
+    engine.Execute("CHECKPOINT;");
+    engine.Execute("INSERT INTO r VALUES (1, 10);");
+    const uint64_t base = storage->wal_stats().base_lsn;
+    {
+      FailingDirSync fs(/*fail_at=*/1);  // the manifest's, after its rename
+      storage::ScopedFileSystem seam(&fs);
+      Status status = engine.TryExecute("CHECKPOINT;", nullptr);
+      ASSERT_FALSE(status.ok);
+      EXPECT_EQ(status.kind, Status::Kind::kIoError) << status.message;
+    }
+    // The log was not rotated and stays healthy; the next checkpoint
+    // builds on the previous manifest.
+    EXPECT_EQ(storage->wal_stats().base_lsn, base);
+    engine.Execute("INSERT INTO s VALUES (10, 100);");
+    engine.Execute("CHECKPOINT;");
+    engine.Execute("INSERT INTO r VALUES (2, 10);");
+  }
+  auto storage = Storage::Open(Dir());
+  Engine recovered(storage.get());
+  Engine reference;
+  reference.ExecuteScript(Preamble());
+  reference.Execute("INSERT INTO r VALUES (1, 10);");
+  reference.Execute("INSERT INTO s VALUES (10, 100);");
+  reference.Execute("INSERT INTO r VALUES (2, 10);");
+  ExpectSameState(recovered, reference);
+}
+
+TEST_F(RecoveryTest, FailedRotationDirectorySyncFailsTheLog) {
+  {
+    Storage::Options options;
+    options.checkpoint_on_close = false;
+    auto storage = Storage::Open(Dir(), options);
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
+    engine.Execute("INSERT INTO r VALUES (1, 10);");
+    {
+      FailingDirSync fs(/*fail_at=*/2);  // the rotation's, after the manifest's
+      storage::ScopedFileSystem seam(&fs);
+      Status status = engine.TryExecute("CHECKPOINT;", nullptr);
+      ASSERT_FALSE(status.ok);
+      EXPECT_EQ(status.kind, Status::Kind::kIoError) << status.message;
+    }
+    // The renamed-away log may be all the old descriptor still reaches:
+    // appends there could vanish, so the log refuses them (fsyncgate).
+    Status status = engine.TryExecute("INSERT INTO r VALUES (2, 20);", nullptr);
+    EXPECT_EQ(status.kind, Status::Kind::kIoError);
+    EXPECT_EQ(status.message.rfind("wal: log has failed", 0), 0u)
+        << status.message;
+  }
+  auto storage = Storage::Open(Dir());
+  Engine recovered(storage.get());
+  Engine reference;
+  reference.ExecuteScript(Preamble());
+  reference.Execute("INSERT INTO r VALUES (1, 10);");
+  ExpectSameState(recovered, reference);
+}
+
+// The failed attempt's manifest landed before its directory sync failed,
+// so it is the file on disk.  The next attempt must write its segments
+// under a new generation: rewriting the landed manifest's segments in
+// place, then stopping before its own rename, would leave that manifest
+// naming segments that fail their frame.
+TEST_F(RecoveryTest, CheckpointAfterAFailedDirectorySyncKeepsTheLandedImage) {
+  {
+    Storage::Options options;
+    options.checkpoint_on_close = false;
+    auto storage = Storage::Open(Dir(), options);
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
+    engine.Execute("CHECKPOINT;");
+    engine.Execute("INSERT INTO r VALUES (1, 10);");
+    {
+      FailingDirSync fs(/*fail_at=*/1);  // the manifest's, after its rename
+      storage::ScopedFileSystem seam(&fs);
+      ASSERT_FALSE(engine.TryExecute("CHECKPOINT;", nullptr).ok);
+    }
+    engine.Execute("INSERT INTO r VALUES (2, 10);");  // r's next delta differs
+    util::ScopedFault fault("checkpoint.manifest", util::FaultSpec{});
+    ASSERT_FALSE(engine.TryExecute("CHECKPOINT;", nullptr).ok);
+  }  // killed: no checkpoint at close
+  auto storage = Storage::Open(Dir());
+  Engine recovered(storage.get());
+  Engine reference;
+  reference.ExecuteScript(Preamble());
+  reference.Execute("INSERT INTO r VALUES (1, 10);");
+  reference.Execute("INSERT INTO r VALUES (2, 10);");
+  ExpectSameState(recovered, reference);
+}
+
+TEST_F(RecoveryTest, FailedRotationBeforeItsRenameLeavesTheLogUsable) {
+  {
+    Storage::Options options;
+    options.checkpoint_on_close = false;
+    auto storage = Storage::Open(Dir(), options);
+    Engine engine(storage.get());
+    engine.ExecuteScript(Preamble());
+    engine.Execute("INSERT INTO r VALUES (1, 10);");
+    {
+      FailingRename fs(/*fail_at=*/2);  // the rotation's, after the manifest's
+      storage::ScopedFileSystem seam(&fs);
+      Status status = engine.TryExecute("CHECKPOINT;", nullptr);
+      ASSERT_FALSE(status.ok);
+      EXPECT_EQ(status.kind, Status::Kind::kIoError) << status.message;
+    }
+    // The old log is still the live one: appends go on into it, and the
+    // next checkpoint rotates it.
+    engine.Execute("INSERT INTO r VALUES (2, 20);");
+    engine.Execute("CHECKPOINT;");
+    engine.Execute("INSERT INTO s VALUES (10, 100);");
+  }
+  auto storage = Storage::Open(Dir());
+  Engine recovered(storage.get());
+  Engine reference;
+  reference.ExecuteScript(Preamble());
+  reference.Execute("INSERT INTO r VALUES (1, 10);");
+  reference.Execute("INSERT INTO r VALUES (2, 20);");
+  reference.Execute("INSERT INTO s VALUES (10, 100);");
+  ExpectSameState(recovered, reference);
+}
+
+TEST_F(RecoveryTest, OpenSyncsEachDirectoryItCreatesIntoItsParent) {
+  const std::filesystem::path root =
+      std::filesystem::absolute(Dir()).lexically_normal();
+  DirSyncLog fs;
+  storage::ScopedFileSystem seam(&fs);
+  Storage::Open(Dir() + "/a/b/");
+  EXPECT_EQ(fs.synced, (std::vector<std::string>{(root / "a").string(),
+                                                 root.string()}));
+  fs.synced.clear();
+  Storage::Open(Dir() + "/a/b");  // exists: nothing to sync
+  EXPECT_TRUE(fs.synced.empty());
 }
 
 TEST_F(RecoveryTest, ReplaySkipsRecordsTheCheckpointAlreadyCovers) {

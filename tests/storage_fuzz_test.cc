@@ -35,6 +35,7 @@
 #include "sql/engine.h"
 #include "storage/checkpoint.h"
 #include "storage/codec.h"
+#include "storage/file.h"
 #include "storage/storage.h"
 #include "storage/wal.h"
 #include "test_util.h"
@@ -112,7 +113,8 @@ Recorded Record(const std::string& dir) {
   Recorded out;
   Storage::Options options;
   options.checkpoint_on_close = false;
-  options.fsync = false;
+  UnsyncedFileSystem unsynced;
+  ScopedFileSystem no_fsync(&unsynced);
   {
     auto storage = Storage::Open(dir, options);
     Engine engine(storage.get());
@@ -300,8 +302,9 @@ TEST_F(StorageFuzzTest, PackedBlock) {
 TEST_F(StorageFuzzTest, WalRecords) {
   ASSERT_GE(recorded_.wal_payloads.size(), 10u);
   const std::string path = dir_ + "/fuzz_wal.mv";
+  UnsyncedFileSystem unsynced;
+  ScopedFileSystem no_fsync(&unsynced);
   WalOptions options;
-  options.fsync = false;
   for (size_t k = 0; k < recorded_.wal_payloads.size(); ++k) {
     for (int64_t i = 0; i < Iterations(); ++i) {
       std::string log = recorded_.wal_header;

@@ -17,6 +17,7 @@
 #include "storage/wal.h"
 #include "test_util.h"
 #include "util/error.h"
+#include "util/fault.h"
 
 namespace mview::storage {
 namespace {
@@ -393,24 +394,13 @@ TEST_F(StorageTest, TornHeaderToleranceStillRejectsLogsWithRecords) {
   }
 }
 
-class TornWritePolicy : public FailurePolicy {
- public:
-  explicit TornWritePolicy(int fail_at) : fail_at_(fail_at) {}
-  size_t AdmitWrite(size_t size) override {
-    if (--fail_at_ == 0) return size / 2;
-    return size;
-  }
-
- private:
-  int fail_at_;
-};
-
 TEST_F(StorageTest, InjectedTornWriteFailsTheLogStickily) {
-  TornWritePolicy policy(/*fail_at=*/2);
-  WalOptions options;
-  options.failure_policy = &policy;
   {
-    Wal wal(WalPath(), options);
+    util::FaultSpec torn;  // the second append is torn in half
+    torn.kind = util::FaultKind::kIoError;
+    torn.hits_before = 1;
+    util::ScopedFault fault("wal.torn_write", torn);
+    Wal wal(WalPath(), WalOptions{});
     wal.Append(Effect(1));
     EXPECT_THROW(wal.Append(Effect(2)), IoError);
     EXPECT_TRUE(wal.failed());
@@ -431,19 +421,13 @@ TEST_F(StorageTest, InjectedTornWriteFailsTheLogStickily) {
   EXPECT_EQ(stats.durable_lsn, 1u);
 }
 
-class SyncCrashPolicy : public FailurePolicy {
- public:
-  void BeforeSync() override {
-    throw IoError("injected power loss before fsync");
-  }
-};
-
 TEST_F(StorageTest, CrashBeforeSyncLeavesRecoverableLog) {
-  SyncCrashPolicy policy;
-  WalOptions options;
-  options.failure_policy = &policy;
   {
-    Wal wal(WalPath(), options);
+    util::FaultSpec power_loss;
+    power_loss.kind = util::FaultKind::kIoError;
+    power_loss.sticky = true;
+    util::ScopedFault fault("wal.before_sync", power_loss);
+    Wal wal(WalPath(), WalOptions{});
     EXPECT_THROW(wal.Append(Effect(1)), IoError);
   }
   // The bytes happen to be intact (the "may or may not be durable"
