@@ -36,7 +36,7 @@ void BM_SingleTupleFilter(benchmark::State& state) {
   Rng rng(42);
   for (auto _ : state) {
     Tuple t({Value(rng.Uniform(0, 99)), Value(rng.Uniform(0, 99))});
-    benchmark::DoNotOptimize(setup.filter->IsRelevant(0, t));
+    benchmark::DoNotOptimize(setup.filter->base_filter(0).MightBeRelevant(t));
   }
 }
 BENCHMARK(BM_SingleTupleFilter);
@@ -70,8 +70,8 @@ void PrintSummary() {
   {
     Stopwatch timer;
     for (const auto& [r_t, s_t] : pairs) {
-      if (setup.filter->IsRelevant(0, r_t) &&
-          setup.filter->IsRelevant(1, s_t)) {
+      if (setup.filter->base_filter(0).MightBeRelevant(r_t) &&
+          setup.filter->base_filter(1).MightBeRelevant(s_t)) {
         ++single_kept_both;
       }
     }

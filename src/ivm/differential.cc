@@ -87,44 +87,33 @@ DifferentialMaintainer::PreparedDelta DifferentialMaintainer::Prepare(
       obs::Tracer::Global().InternName("irrelevance_screen");
   static const uint32_t kFilteredArg =
       obs::Tracer::Global().InternName("updates_filtered");
-  // Filtered copies of the per-base deltas (Algorithm 4.1).  The clean part
-  // subtracts the *unfiltered* deletes — the surviving state is defined by
-  // what the transaction actually removed; tuples the filter drops are
-  // provably invisible to the view either way.
+  // Screened per-base deltas (Algorithm 4.1).  The clean part subtracts
+  // the *unscreened* deletes — the surviving state is defined by what the
+  // transaction actually removed; tuples the screen drops are provably
+  // invisible to the view either way.
   obs::TraceSpan screen_span(kScreenName);
   const int64_t filtered_before = stats != nullptr ? stats->updates_filtered : 0;
   Stopwatch filter_timer;
   const size_t n = def_.bases().size();
   PreparedDelta prep;
   prep.parts.resize(n);
+  const std::vector<IrrelevanceFilter::Survivors> survivors =
+      filter_->Screen(effect, stats);
+  // The part the round reads: `in` itself when the screen kept all of it,
+  // else a copy of the survivors.
+  auto screened = [&](const Relation& in, const std::vector<const Tuple*>& kept)
+      -> const Relation* {
+    if (kept.size() == in.size()) return &in;
+    prep.owned.push_back(std::make_unique<Relation>(in.schema()));
+    for (const Tuple* t : kept) prep.owned.back()->Insert(*t);
+    return prep.owned.back().get();
+  };
   for (size_t i = 0; i < n; ++i) {
     const RelationEffect* re = effect.Find(def_.bases()[i].relation);
     if (re == nullptr) continue;
     prep.parts[i].subtract = &re->deletes;
-    const SubstitutionFilter& base_filter = filter_->base_filter(i);
-    bool filter_useful =
-        options_.use_irrelevance_filter && !base_filter.always_relevant();
-    if (!filter_useful) {
-      if (stats != nullptr) {
-        stats->updates_seen += static_cast<int64_t>(re->inserts.size()) +
-                               static_cast<int64_t>(re->deletes.size());
-      }
-      prep.parts[i].inserts = &re->inserts;
-      prep.parts[i].deletes = &re->deletes;
-      continue;
-    }
-    auto filter_one = [&](const Relation& in) -> const Relation* {
-      auto out = std::make_unique<Relation>(in.schema());
-      size_t dropped = filter_->FilterRelation(i, in, out.get());
-      if (stats != nullptr) {
-        stats->updates_seen += static_cast<int64_t>(in.size());
-        stats->updates_filtered += static_cast<int64_t>(dropped);
-      }
-      prep.owned.push_back(std::move(out));
-      return prep.owned.back().get();
-    };
-    prep.parts[i].inserts = filter_one(re->inserts);
-    prep.parts[i].deletes = filter_one(re->deletes);
+    prep.parts[i].inserts = screened(re->inserts, survivors[i].inserts);
+    prep.parts[i].deletes = screened(re->deletes, survivors[i].deletes);
   }
 
   // Slice the screened deltas by partition.  Keyed mode slices by each

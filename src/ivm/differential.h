@@ -15,14 +15,11 @@
 namespace mview {
 
 /// Tuning knobs for differential maintenance.  Every view delta is the
-/// paper's truth table (Section 5.3) with partial subexpressions shared
-/// between its rows (Section 5.4); these two settings only choose whether
-/// the rows see screened deltas and how many slices a round is split into.
+/// paper's truth table (Section 5.3) over screened deltas (Section 4, always
+/// on: Theorem 4.1 drops only tuples that cannot change the view) with
+/// partial subexpressions shared between its rows (Section 5.4); the one
+/// setting only chooses how many slices a round is split into.
 struct MaintenanceOptions {
-  /// Run Algorithm 4.1 over the transaction's tuples before re-evaluation
-  /// (Section 4); off = treat every update as relevant.
-  bool use_irrelevance_filter = true;
-
   /// Split each maintenance round into this many hash partitions that can
   /// be computed independently (see `PartitionLayout` for the keyed /
   /// row-hash mode choice).  1 disables partitioning.  The merged delta is
@@ -47,7 +44,7 @@ struct PhaseBreakdown {
 /// and reported by the benchmark harness.
 struct MaintenanceStats {
   int64_t transactions = 0;          // transactions routed to this view
-  int64_t skipped_irrelevant = 0;    // transactions dropped entirely
+  int64_t skipped_irrelevant = 0;    // transactions the screen dropped whole
   int64_t updates_seen = 0;          // tuples examined by the filter
   int64_t updates_filtered = 0;      // tuples proved irrelevant
   int64_t rows_enumerated = 0;       // truth-table rows considered
@@ -125,9 +122,9 @@ class DifferentialMaintainer {
 
   /// Computes the view delta for a transaction's net effect.  The database
   /// must still hold the *pre-transaction* state (the paper's assumption
-  /// (a), Section 5).  Irrelevant tuples are filtered per Algorithm 4.1
-  /// when enabled.  When `phases` is non-null, filter and differential time
-  /// are accumulated into it separately.
+  /// (a), Section 5).  Irrelevant tuples are dropped first (Algorithm 4.1,
+  /// `IrrelevanceFilter::Screen`).  When `phases` is non-null, filter and
+  /// differential time are accumulated into it separately.
   ///
   /// Thread-safety: reads only the (frozen) database pre-state and mutates
   /// only this maintainer's own scratch arenas, so concurrent
@@ -146,11 +143,13 @@ class DifferentialMaintainer {
 
   /// The partition-independent prefix of one maintenance round, produced
   /// once per (view, transaction) by `Prepare` and consumed by one
-  /// `ComputePartition` call per partition.  Owns every filtered and
+  /// `ComputePartition` call per partition.  Owns every screened copy and
   /// sliced relation its parts point into; the source effect must stay
-  /// alive (each part's `subtract` is its unfiltered deletes).
+  /// alive (each part's `subtract` is its unscreened deletes).
   struct PreparedDelta {
-    /// Screened full per-base parts (`subtract` = the unfiltered deletes).
+    /// Screened full per-base parts (`subtract` = the unscreened deletes).
+    /// A part the screen dropped nothing from points at the effect's own
+    /// relation; otherwise at an owned copy of the survivors.
     std::vector<BaseParts> parts;
     /// `sliced[p][i]`: partition `p`'s hash slice of base `i`'s filtered
     /// deltas (keyed mode: by the join-key attribute; row-hash mode: by
@@ -200,7 +199,9 @@ class DifferentialMaintainer {
 
   /// Lower-level entry point used by deferred refresh: `parts[i]` describes
   /// base occurrence `i` (all fields may be null for untouched bases).
-  /// No filtering is applied here — callers filter when logging.
+  /// It never screens: deferred views screen when they log, and the
+  /// differential alone is exact on any parts (a screened-out tuple only
+  /// adds rows that join nothing).
   ViewDelta ComputeDeltaFromParts(const std::vector<BaseParts>& parts,
                                   MaintenanceStats* stats = nullptr) const;
 

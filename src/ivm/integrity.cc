@@ -61,11 +61,7 @@ bool IntegrityGuard::ComputeViolationDeltas(
         violations->push_back(std::move(v));
       }
     }
-    if (delta.Empty()) {
-      ++assertion.stats.skipped_irrelevant;
-    } else {
-      deltas->emplace_back(&assertion, std::move(delta));
-    }
+    if (!delta.Empty()) deltas->emplace_back(&assertion, std::move(delta));
   }
   return any_new;
 }

@@ -1,5 +1,6 @@
 #include "ivm/irrelevance.h"
 
+#include "ivm/differential.h"
 #include "util/error.h"
 
 namespace mview {
@@ -20,27 +21,32 @@ IrrelevanceFilter::IrrelevanceFilter(const ViewDefinition& def,
   }
 }
 
-bool IrrelevanceFilter::IsRelevant(size_t base_index,
-                                   const Tuple& tuple) const {
-  MVIEW_CHECK(base_index < filters_.size(), "base index out of range");
-  return filters_[base_index]->MightBeRelevant(tuple);
-}
-
-size_t IrrelevanceFilter::FilterRelation(size_t base_index, const Relation& in,
-                                         Relation* out) const {
-  MVIEW_CHECK(out != nullptr && out->empty(),
-              "output relation must be empty");
-  MVIEW_CHECK(base_index < filters_.size(), "base index out of range");
-  const SubstitutionFilter& filter = *filters_[base_index];
-  size_t dropped = 0;
-  in.Scan([&](const Tuple& t) {
-    if (filter.MightBeRelevant(t)) {
-      out->Insert(t);
-    } else {
-      ++dropped;
-    }
-  });
-  return dropped;
+std::vector<IrrelevanceFilter::Survivors> IrrelevanceFilter::Screen(
+    const TransactionEffect& effect, MaintenanceStats* stats) const {
+  std::vector<Survivors> out(filters_.size());
+  int64_t seen = 0;
+  int64_t kept = 0;
+  for (size_t i = 0; i < filters_.size(); ++i) {
+    const RelationEffect* re = effect.Find(def_.bases()[i].relation);
+    if (re == nullptr) continue;
+    const SubstitutionFilter& filter = *filters_[i];
+    auto screen = [&](const Relation& in, std::vector<const Tuple*>* kept_out) {
+      kept_out->reserve(in.size());
+      in.Scan([&](const Tuple& t) {
+        if (filter.MightBeRelevant(t)) kept_out->push_back(&t);
+      });
+      seen += static_cast<int64_t>(in.size());
+      kept += static_cast<int64_t>(kept_out->size());
+    };
+    screen(re->inserts, &out[i].inserts);
+    screen(re->deletes, &out[i].deletes);
+  }
+  if (stats != nullptr) {
+    stats->updates_seen += seen;
+    stats->updates_filtered += seen - kept;
+    if (seen > 0 && kept == 0) ++stats->skipped_irrelevant;
+  }
+  return out;
 }
 
 const SubstitutionFilter& IrrelevanceFilter::base_filter(

@@ -10,6 +10,11 @@
 
 namespace mview {
 
+/// The largest partition count a view may ask for: the SQL `PARTITIONS`
+/// clause accepts [1, kMaxPartitionCount] and the storage decoder refuses
+/// a larger count as corruption, since each partition owns an arena.
+inline constexpr uint32_t kMaxPartitionCount = 4096;
+
 /// How one view's maintenance work is split into hash partitions.
 ///
 /// Two modes, chosen by `ComputePartitionLayout`:

@@ -321,9 +321,7 @@ void ViewManager::ComputeJobBody(CommitJob* job,
       m.filter_latency.Record(m.phases.filter_nanos - filter_before);
       m.differential_latency.Record(m.phases.differential_nanos -
                                     differential_before);
-      if (delta.Empty()) {
-        ++m.stats.skipped_irrelevant;
-      } else {
+      if (!delta.Empty()) {
         span.SetArg(delta_rows_arg, delta.TotalCount());
         job->delta = std::make_unique<ViewDelta>(std::move(delta));
       }
@@ -407,9 +405,7 @@ void ViewManager::MergePartitionedJob(CommitJob* job) {
   view->maintainer->FinalizeRoundStats(&m.stats);
   m.differential_latency.Record(m.phases.differential_nanos -
                                 differential_before);
-  if (merged.Empty()) {
-    ++m.stats.skipped_irrelevant;
-  } else {
+  if (!merged.Empty()) {
     obs::TraceSpan span(view->span_name_id);
     span.SetArg(kDeltaRowsArg, merged.TotalCount());
     job->delta = std::make_unique<ViewDelta>(std::move(merged));
@@ -754,31 +750,12 @@ void ViewManager::PublishHealthEvent(const ViewHealthEvent& event) {
 
 void ViewManager::LogDeferred(ManagedView* view,
                               const TransactionEffect& effect) {
-  const ViewDefinition& def = view->maintainer->definition();
-  const bool use_filter = view->maintainer->options().use_irrelevance_filter;
-  MaintenanceStats& stats = view->metrics->stats;
-  for (size_t i = 0; i < def.bases().size(); ++i) {
-    const RelationEffect* re = effect.Find(def.bases()[i].relation);
-    if (re == nullptr) continue;
-    const SubstitutionFilter& filter =
-        view->maintainer->filter().base_filter(i);
+  const std::vector<IrrelevanceFilter::Survivors> survivors =
+      view->maintainer->filter().Screen(effect, &view->metrics->stats);
+  for (size_t i = 0; i < survivors.size(); ++i) {
     BaseDeltaLog& log = *view->pending[i];
-    re->inserts.Scan([&](const Tuple& t) {
-      ++stats.updates_seen;
-      if (use_filter && !filter.MightBeRelevant(t)) {
-        ++stats.updates_filtered;
-        return;
-      }
-      log.LogInsert(t);
-    });
-    re->deletes.Scan([&](const Tuple& t) {
-      ++stats.updates_seen;
-      if (use_filter && !filter.MightBeRelevant(t)) {
-        ++stats.updates_filtered;
-        return;
-      }
-      log.LogDelete(t);
-    });
+    for (const Tuple* t : survivors[i].inserts) log.LogInsert(*t);
+    for (const Tuple* t : survivors[i].deletes) log.LogDelete(*t);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include "ivm/partition.h"
 #include "sql/lexer.h"
 #include "util/digits.h"
 #include "util/error.h"
@@ -283,9 +284,9 @@ class Parser {
       const size_t offset = Peek().offset;
       Value n = ParseLiteral();
       MVIEW_CHECK(n.type() == ValueType::kInt64 && n.AsInt64() >= 1 &&
-                      n.AsInt64() <= 4096,
-                  "PARTITIONS expects an integer in [1, 4096] at offset ",
-                  offset);
+                      n.AsInt64() <= kMaxPartitionCount,
+                  "PARTITIONS expects an integer in [1, ", kMaxPartitionCount,
+                  "] at offset ", offset);
       stmt.partitions = static_cast<uint32_t>(n.AsInt64());
     }
     ExpectKeyword("AS");

@@ -18,8 +18,8 @@ namespace {
 // Manifest and row-segment files (see the header's format note; the
 // manifest rename is the commit point).  "5"/"004" dropped the views' row
 // chains: the manifest keeps no view scope and a segment is a table's base
-// or delta.
-constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '5'};
+// or delta; "6" dropped the view meta's screening byte.
+constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '6'};
 constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '4'};
 // Magic, CRC, body length.
 constexpr size_t kFramePrefix = 8 + 4 + 8;

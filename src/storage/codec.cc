@@ -564,7 +564,6 @@ ViewDefinition GetDefinition(Reader* r) {
 void PutViewMeta(std::string* out, const CheckpointView& view) {
   PutString(out, view.name);
   PutU8(out, static_cast<uint8_t>(view.mode));
-  PutU8(out, view.options.use_irrelevance_filter ? 1 : 0);
   PutU32(out, view.options.partition_count);
   PutU8(out, view.quarantined ? 1 : 0);
   PutString(out, view.quarantine_reason);
@@ -580,10 +579,10 @@ CheckpointView GetViewMeta(Reader* r) {
     throw CorruptionError("storage decode: bad maintenance mode tag");
   }
   view.mode = static_cast<MaintenanceMode>(mode);
-  view.options.use_irrelevance_filter = r->GetU8() != 0;
   view.options.partition_count = r->GetU32();
-  if (view.options.partition_count == 0) {
-    throw CorruptionError("storage decode: zero view partition count");
+  if (view.options.partition_count == 0 ||
+      view.options.partition_count > kMaxPartitionCount) {
+    throw CorruptionError("storage decode: view partition count out of range");
   }
   view.quarantined = r->GetU8() != 0;
   view.quarantine_reason = r->GetString();

@@ -12,10 +12,11 @@ namespace {
 
 // "002" added the record-type byte after the LSN (quarantine/repair
 // records); "003" the catalog-change record; "004" the compact row codec
-// for effect rows (it was tagged 9-byte cells).  Older logs are not migrated:
+// for effect rows (it was tagged 9-byte cells); "006" dropped the view
+// meta's screening byte.  Older logs are not migrated:
 // the log is rotated away at every checkpoint, so no deployment carries a
 // long-lived WAL across versions.
-constexpr char kMagic[8] = {'M', 'V', 'W', 'A', 'L', '0', '0', '5'};
+constexpr char kMagic[8] = {'M', 'V', 'W', 'A', 'L', '0', '0', '6'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint64_t);
 // A record larger than this cannot be legitimate; treat it as damage
 // rather than attempting a multi-gigabyte allocation.

@@ -92,7 +92,7 @@ struct WalStats {
 /// An fsync-batched append-only log of committed transaction effects,
 /// catalog changes and view-health transitions.
 ///
-/// File layout: an 16-byte header (`"MVWAL005"` + little-endian u64 base
+/// File layout: an 16-byte header (`"MVWAL006"` + little-endian u64 base
 /// LSN) followed by records `[u32 payload_len][u32 crc32][payload]`.  The
 /// payload carries the LSN, a record-type byte (`WalRecord::Type`), and
 /// the type's body — for effects, per relation a column-type header and

@@ -190,10 +190,8 @@ TEST_F(JoinViewTest, ThreeWayChurnOnEveryBase) {
   txn.Insert("R", T({9, 2})).Delete("R", T({3, 4}));
   txn.Insert("S", T({5, 50})).Delete("S", T({2, 20}));
   txn.Insert("U", T({50, 9})).Delete("U", T({40, 8}));
-  MaintenanceOptions options;
-  options.use_irrelevance_filter = false;
   MaintenanceStats stats;
-  CheckMaintenance(&db_, def, txn, options, &stats);
+  CheckMaintenance(&db_, def, txn, {}, &stats);
   EXPECT_EQ(stats.rows_enumerated, 14);
 }
 

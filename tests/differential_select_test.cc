@@ -74,13 +74,47 @@ TEST_F(SelectViewTest, MixedInsertAndDelete) {
 }
 
 TEST_F(SelectViewTest, WithoutFilterResultIsTheSame) {
+  // (9, 90) fails A < 5, so the screen would drop it; the differential
+  // alone must still be exact with it in the truth table.
   Transaction txn;
   txn.Insert("r", T({0, 5})).Insert("r", T({9, 90})).Delete("r", T({2, 20}));
-  MaintenanceOptions no_filter;
-  no_filter.use_irrelevance_filter = false;
+  DifferentialMaintainer m(def_, &db_);
+  CountedRelation view = m.FullEvaluate();
+  TransactionEffect effect = txn.Normalize(db_);
   MaintenanceStats stats;
-  CheckMaintenance(&db_, def_, txn, no_filter, &stats);
+  m.ComputeDeltaFromParts(testing::RawParts(def_, effect), &stats)
+      .ApplyTo(&view);
+  effect.ApplyTo(&db_);
+  EXPECT_TRUE(view.SameContents(testing::NaiveEvaluate(def_, db_)));
+  EXPECT_EQ(stats.updates_seen, 0);  // `ComputeDeltaFromParts` never screens
   EXPECT_EQ(stats.updates_filtered, 0);
+}
+
+TEST_F(SelectViewTest, PrepareCopiesOnlyWhatTheScreenKeeps) {
+  DifferentialMaintainer m(def_, &db_);
+  // Nothing dropped: both parts are the effect's own relations.
+  Transaction relevant;
+  relevant.Insert("r", T({0, 5})).Delete("r", T({2, 20}));
+  TransactionEffect kept_all = relevant.Normalize(db_);
+  const RelationEffect* re = kept_all.Find("r");
+  DifferentialMaintainer::PreparedDelta prep = m.Prepare(kept_all);
+  EXPECT_EQ(prep.parts[0].inserts, &re->inserts);
+  EXPECT_EQ(prep.parts[0].deletes, &re->deletes);
+  EXPECT_EQ(prep.parts[0].subtract, &re->deletes);
+  EXPECT_TRUE(prep.owned.empty());
+  // (9, 90) is dropped: the insert part is a copy holding only the
+  // survivor, the untouched delete part still the effect's own.
+  Transaction mixed;
+  mixed.Insert("r", T({0, 5})).Insert("r", T({9, 90})).Delete("r", T({2, 20}));
+  TransactionEffect dropped_one = mixed.Normalize(db_);
+  re = dropped_one.Find("r");
+  prep = m.Prepare(dropped_one);
+  EXPECT_NE(prep.parts[0].inserts, &re->inserts);
+  EXPECT_EQ(prep.parts[0].inserts->ToSortedVector(),
+            std::vector<Tuple>{T({0, 5})});
+  EXPECT_EQ(prep.parts[0].deletes, &re->deletes);
+  EXPECT_EQ(prep.parts[0].subtract, &re->deletes);
+  EXPECT_EQ(prep.owned.size(), 1u);
 }
 
 TEST_F(SelectViewTest, SelectProjectView) {

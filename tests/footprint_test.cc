@@ -283,9 +283,10 @@ TEST(JoinTableFootprintTest, HashedRowTakesNoHeapBlockOfItsOwn) {
 // meet the large delta at a later join step, where it outgrows the rows in
 // flight and has no index: the round hashes it once, in place.  None of
 // its rows joins, so the view delta stays empty.  The irrelevance screen
-// runs as at every commit and must not take a block per update either.
-// The round's fixed cost (schemas, scratch, the screened copy's first
-// blocks) is about 220 blocks, 0.0045 per delta row.
+// runs as at every commit and must not take a block per update either: it
+// keeps every row here, so the round reads the effect's own relations.
+// The round's fixed cost (schemas, scratch, the screen's survivor lists)
+// is about 175 blocks, 0.0035 per delta row.
 TEST(JoinTableFootprintTest, LargeDeltaAtLaterStepTakesNoBlockPerRow) {
   constexpr int64_t kDelta = 50000;
   Database db;

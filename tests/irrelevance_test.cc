@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "ivm/differential.h"
 #include "test_util.h"
 #include "util/error.h"
 
@@ -31,37 +34,55 @@ class Example41ViewTest : public ::testing::Test {
 
 TEST_F(Example41ViewTest, PaperVerdicts) {
   // "inserting the tuple (9,10) into relation r is relevant to the view v"
-  EXPECT_TRUE(filter_->IsRelevant(0, T({9, 10})));
+  EXPECT_TRUE(filter_->base_filter(0).MightBeRelevant(T({9, 10})));
   // "inserting the tuple (11,10) into relation r is (provably) irrelevant"
-  EXPECT_FALSE(filter_->IsRelevant(0, T({11, 10})));
+  EXPECT_FALSE(filter_->base_filter(0).MightBeRelevant(T({11, 10})));
 }
 
 TEST_F(Example41ViewTest, DeletionsUseTheSameTest) {
-  EXPECT_TRUE(filter_->IsRelevant(0, T({5, 10})));
-  EXPECT_FALSE(filter_->IsRelevant(0, T({11, 10})));
+  EXPECT_TRUE(filter_->base_filter(0).MightBeRelevant(T({5, 10})));
+  EXPECT_FALSE(filter_->base_filter(0).MightBeRelevant(T({11, 10})));
 }
 
 TEST_F(Example41ViewTest, UpdatesToSecondRelation) {
-  EXPECT_TRUE(filter_->IsRelevant(1, T({10, 20})));
-  EXPECT_FALSE(filter_->IsRelevant(1, T({5, 20})));  // C > 5 fails
-  EXPECT_FALSE(filter_->IsRelevant(1, T({2, 10})));
+  EXPECT_TRUE(filter_->base_filter(1).MightBeRelevant(T({10, 20})));
+  // C > 5 fails:
+  EXPECT_FALSE(filter_->base_filter(1).MightBeRelevant(T({5, 20})));
+  EXPECT_FALSE(filter_->base_filter(1).MightBeRelevant(T({2, 10})));
 }
 
-TEST_F(Example41ViewTest, FilterRelationBatch) {
-  Relation in(db_.Get("r").schema());
-  Fill(&in, {{9, 10}, {11, 10}, {3, 12}, {3, 4}});
-  Relation out(in.schema());
-  size_t dropped = filter_->FilterRelation(0, in, &out);
-  EXPECT_EQ(dropped, 2u);  // (11,10): A<10 fails; (3,4): B=C → C=4 ≤ 5
-  EXPECT_TRUE(out.Contains(T({9, 10})));
-  EXPECT_TRUE(out.Contains(T({3, 12})));
+TEST_F(Example41ViewTest, ScreenKeepsTheRelevantTuples) {
+  TransactionEffect effect;
+  RelationEffect& r = effect.Mutable("r", db_.Get("r").schema());
+  Fill(&r.inserts, {{9, 10}, {11, 10}, {3, 12}, {3, 4}});
+  Fill(&r.deletes, {{5, 10}});
+  MaintenanceStats stats;
+  const auto survivors = filter_->Screen(effect, &stats);
+  ASSERT_EQ(survivors.size(), 2u);
+  // (11,10): A<10 fails; (3,4): B=C → C=4 ≤ 5.
+  std::vector<Tuple> kept;
+  for (const Tuple* t : survivors[0].inserts) kept.push_back(*t);
+  std::sort(kept.begin(), kept.end());
+  EXPECT_EQ(kept, (std::vector<Tuple>{T({3, 12}), T({9, 10})}));
+  ASSERT_EQ(survivors[0].deletes.size(), 1u);
+  EXPECT_EQ(*survivors[0].deletes[0], T({5, 10}));
+  EXPECT_TRUE(survivors[1].inserts.empty());  // s is untouched
+  EXPECT_EQ(stats.updates_seen, 5);
+  EXPECT_EQ(stats.updates_filtered, 2);
+  EXPECT_EQ(stats.skipped_irrelevant, 0);
 }
 
-TEST_F(Example41ViewTest, FilterRelationRequiresEmptyOutput) {
-  Relation in(db_.Get("r").schema());
-  Relation out(in.schema());
-  out.Insert(T({1, 1}));
-  EXPECT_THROW(filter_->FilterRelation(0, in, &out), Error);
+TEST_F(Example41ViewTest, ScreenCountsAFullyDroppedTransactionAsSkipped) {
+  TransactionEffect effect;
+  Fill(&effect.Mutable("r", db_.Get("r").schema()).inserts, {{11, 10}});
+  Fill(&effect.Mutable("s", db_.Get("s").schema()).deletes, {{2, 10}});
+  MaintenanceStats stats;
+  const auto survivors = filter_->Screen(effect, &stats);
+  EXPECT_TRUE(survivors[0].inserts.empty());
+  EXPECT_TRUE(survivors[1].deletes.empty());
+  EXPECT_EQ(stats.updates_seen, 2);
+  EXPECT_EQ(stats.updates_filtered, 2);
+  EXPECT_EQ(stats.skipped_irrelevant, 1);
 }
 
 TEST_F(Example41ViewTest, JointFilterTheorem42) {
@@ -74,8 +95,8 @@ TEST_F(Example41ViewTest, JointFilterTheorem42) {
   EXPECT_TRUE(joint.MightBeRelevant(good));
   EXPECT_FALSE(joint.MightBeRelevant(bad));  // 7 ≠ 9 contradicts B = C
   // Each tuple alone is relevant — the joint test is strictly stronger.
-  EXPECT_TRUE(filter_->IsRelevant(0, r_t));
-  EXPECT_TRUE(filter_->IsRelevant(1, s_bad));
+  EXPECT_TRUE(filter_->base_filter(0).MightBeRelevant(r_t));
+  EXPECT_TRUE(filter_->base_filter(1).MightBeRelevant(s_bad));
 }
 
 TEST(IrrelevanceFilterTest, DisjunctiveCondition) {
@@ -84,10 +105,10 @@ TEST(IrrelevanceFilterTest, DisjunctiveCondition) {
   ViewDefinition def("v", {BaseRef{"r", {}}},
                      "(A < 0 && B = 1) || (A > 10 && B = 2)");
   IrrelevanceFilter filter(def, db);
-  EXPECT_TRUE(filter.IsRelevant(0, T({-1, 1})));
-  EXPECT_TRUE(filter.IsRelevant(0, T({11, 2})));
-  EXPECT_FALSE(filter.IsRelevant(0, T({-1, 2})));
-  EXPECT_FALSE(filter.IsRelevant(0, T({5, 1})));
+  EXPECT_TRUE(filter.base_filter(0).MightBeRelevant(T({-1, 1})));
+  EXPECT_TRUE(filter.base_filter(0).MightBeRelevant(T({11, 2})));
+  EXPECT_FALSE(filter.base_filter(0).MightBeRelevant(T({-1, 2})));
+  EXPECT_FALSE(filter.base_filter(0).MightBeRelevant(T({5, 1})));
 }
 
 TEST(IrrelevanceFilterTest, TrueConditionKeepsEverything) {
@@ -96,7 +117,7 @@ TEST(IrrelevanceFilterTest, TrueConditionKeepsEverything) {
   ViewDefinition def = ViewDefinition::Project("v", "r", {"A"});
   IrrelevanceFilter filter(def, db);
   EXPECT_TRUE(filter.base_filter(0).always_relevant());
-  EXPECT_TRUE(filter.IsRelevant(0, T({123})));
+  EXPECT_TRUE(filter.base_filter(0).MightBeRelevant(T({123})));
 }
 
 TEST(IrrelevanceFilterTest, BoundsChecking) {
@@ -105,7 +126,7 @@ TEST(IrrelevanceFilterTest, BoundsChecking) {
   ViewDefinition def = ViewDefinition::Select("v", "r", "A < 1");
   IrrelevanceFilter filter(def, db);
   EXPECT_EQ(filter.num_bases(), 1u);
-  EXPECT_THROW(filter.IsRelevant(1, T({0})), Error);
+  EXPECT_THROW(filter.base_filter(1).MightBeRelevant(T({0})), Error);
   EXPECT_THROW(filter.CompileJointFilter({3}), Error);
   EXPECT_THROW(filter.CompileJointFilter({}), Error);
 }
@@ -117,11 +138,11 @@ TEST(IrrelevanceFilterTest, SelfJoinViewHasPerOccurrenceFilters) {
   IrrelevanceFilter filter(def, db);
   ASSERT_EQ(filter.num_bases(), 2u);
   // First occurrence constrains A directly.
-  EXPECT_FALSE(filter.IsRelevant(0, T({7, 0})));
+  EXPECT_FALSE(filter.base_filter(0).MightBeRelevant(T({7, 0})));
   // Join atoms tie the second occurrence's attributes to the first's: the
   // desugared equalities A = r.A and B = r.B force r.A = 7 ≥ 5.
-  EXPECT_FALSE(filter.IsRelevant(1, T({7, 0})));
-  EXPECT_TRUE(filter.IsRelevant(1, T({3, 0})));
+  EXPECT_FALSE(filter.base_filter(1).MightBeRelevant(T({7, 0})));
+  EXPECT_TRUE(filter.base_filter(1).MightBeRelevant(T({3, 0})));
 }
 
 }  // namespace

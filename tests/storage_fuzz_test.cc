@@ -39,6 +39,7 @@
 #include "storage/storage.h"
 #include "storage/wal.h"
 #include "test_util.h"
+#include "ivm/partition.h"
 #include "util/error.h"
 
 namespace {
@@ -339,12 +340,12 @@ TEST_F(StorageFuzzTest, ManifestWithChains) {
     for (const auto& log : view.pending) has_backlog |= !log.inserts.empty();
   }
   ASSERT_TRUE(has_backlog) << "the workload left no pending backlog";
-  const std::string framed = Frame("MVMANIF5", recorded_.manifest_body);
+  const std::string framed = Frame("MVMANIF6", recorded_.manifest_body);
   for (int64_t i = 0; i < 8 * Iterations(); ++i) {
     // Odd rounds mutate the frame too (magic, CRC, length): the reader
     // must not trust the length field either.
     const std::string file =
-        i % 2 == 0 ? Frame("MVMANIF5",
+        i % 2 == 0 ? Frame("MVMANIF6",
                            mutator_->Mutate(recorded_.manifest_body))
                    : mutator_->Mutate(framed);
     WriteFile(dir_ + "/manifest.mv", file);
@@ -394,7 +395,7 @@ TEST_F(StorageFuzzTest, TrailingBytesAfterPackedBlocksAreCorrupt) {
   EXPECT_THROW(ScanImage(dir_, grown, [](const Tuple&) {}), CorruptionError);
 
   WriteFile(dir_ + "/manifest.mv",
-            Frame("MVMANIF5", recorded_.manifest_body + std::string(1, '\0')));
+            Frame("MVMANIF6", recorded_.manifest_body + std::string(1, '\0')));
   EXPECT_THROW(ReadManifest(dir_), CorruptionError);
 }
 
@@ -434,7 +435,7 @@ TEST_F(StorageFuzzTest, ViewOverAMissingTableIsCorrupt) {
     }
     body += recorded_.manifest_body.substr(recorded_.manifest_body.size() -
                                            r.Remaining());
-    const std::string file = Frame("MVMANIF5", body);
+    const std::string file = Frame("MVMANIF6", body);
     WriteFile(dir_ + "/manifest.mv", file);
     bool rejected = false;
     ExpectDecodesOrCorruption("manifest without " + m.tables[drop].name,
@@ -447,6 +448,89 @@ TEST_F(StorageFuzzTest, ViewOverAMissingTableIsCorrupt) {
                                 }
                               });
     EXPECT_TRUE(rejected) << m.tables[drop].name;
+  }
+}
+
+// A CRC-valid manifest or WAL CREATE VIEW record naming more partitions
+// than `PARTITIONS` accepts is corrupt: the open fails before a maintainer
+// would allocate one arena per partition.
+TEST_F(StorageFuzzTest, PartitionCountAboveTheSqlCapIsCorrupt) {
+  const std::string manifest_path = dir_ + "/manifest.mv";
+  const std::string wal_path = dir_ + "/wal.mv";
+  const std::string manifest = ReadFile(manifest_path);
+  const std::string wal = ReadFile(wal_path);
+  // Every view meta starts with the view's name and its mode byte; the
+  // partition count follows.
+  auto count_at = [](wire::Reader* r, const std::string& body) {
+    r->GetString();
+    r->GetU8();
+    return body.size() - r->Remaining();
+  };
+  std::string manifest_body = recorded_.manifest_body;
+  size_t manifest_at = 0;
+  {
+    wire::Reader r(manifest_body);
+    r.GetU64();
+    r.GetU64();
+    for (uint64_t t = r.GetVarCount(); t > 0; --t) {
+      r.GetString();
+      wire::GetSchema(&r);
+      for (uint64_t n = r.GetVarCount(); n > 0; --n) {
+        r.GetString();
+        r.GetVarint();
+      }
+    }
+    ASSERT_GT(r.GetVarCount(), 0u);
+    manifest_at = count_at(&r, manifest_body);
+  }
+  size_t record = recorded_.wal_payloads.size();
+  size_t record_at = 0;
+  for (size_t k = 0; k < recorded_.wal_payloads.size(); ++k) {
+    const std::string& payload = recorded_.wal_payloads[k];
+    wire::Reader r(payload);
+    r.GetU64();  // LSN
+    if (r.GetU8() != static_cast<uint8_t>(WalRecord::Type::kCatalog) ||
+        r.GetU8() != static_cast<uint8_t>(CatalogChange::Kind::kCreateView)) {
+      continue;
+    }
+    r.GetString();  // the change's name
+    record = k;
+    record_at = count_at(&r, payload);
+  }
+  ASSERT_LT(record, recorded_.wal_payloads.size()) << "no CREATE VIEW logged";
+
+  auto open = [&](const std::string& what, size_t size) {
+    const int64_t decoded = decoded_;
+    ExpectDecodesOrCorruption(what, size, [&] {
+      Storage::Options options;
+      options.checkpoint_on_close = false;
+      auto storage = Storage::Open(dir_, options);
+      Engine engine(storage.get());
+    });
+    EXPECT_EQ(decoded_, decoded) << what << " opened";
+  };
+  for (const uint32_t count : {kMaxPartitionCount + 1, UINT32_MAX}) {
+    SCOPED_TRACE(count);
+    std::string body = manifest_body;
+    std::string patched;
+    wire::PutU32(&patched, count);
+    body.replace(manifest_at, 4, patched);
+    const std::string file = Frame("MVMANIF6", body);
+    WriteFile(manifest_path, file);
+    open("manifest", file.size());
+    WriteFile(manifest_path, manifest);
+
+    std::string log = recorded_.wal_header;
+    for (size_t k = 0; k < recorded_.wal_payloads.size(); ++k) {
+      std::string payload = recorded_.wal_payloads[k];
+      if (k == record) payload.replace(record_at, 4, patched);
+      wire::PutU32(&log, static_cast<uint32_t>(payload.size()));
+      wire::PutU32(&log, Crc32(payload.data(), payload.size()));
+      log += payload;
+    }
+    WriteFile(wal_path, log);
+    open("wal", log.size());
+    WriteFile(wal_path, wal);
   }
 }
 

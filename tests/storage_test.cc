@@ -55,7 +55,7 @@ class StorageTest : public ::testing::Test {
 
   // Frames `body` as a manifest file (magic, CRC, length) and installs it.
   void WriteRawManifest(const std::string& body) {
-    std::string file = "MVMANIF5";
+    std::string file = "MVMANIF6";
     wire::PutU32(&file, Crc32(body.data(), body.size()));
     wire::PutU64(&file, body.size());
     file += body;
@@ -263,9 +263,9 @@ TEST_F(StorageTest, ReaderRejectsImpossibleCounts) {
 }
 
 // A clobbered magic, and the previous format's magic (whose view meta
-// carried two more bytes), are both refused rather than decoded.
+// carried one more byte), are both refused rather than decoded.
 TEST_F(StorageTest, BadHeaderMagicThrows) {
-  for (const char* magic : {"X", "MVWAL004"}) {
+  for (const char* magic : {"X", "MVWAL005"}) {
     std::filesystem::remove(WalPath());
     {
       Wal wal(WalPath(), WalOptions{});
@@ -377,7 +377,7 @@ TEST_F(StorageTest, TornHeaderIsRecoverableWhenOptedIn) {
 
 TEST_F(StorageTest, TornHeaderToleranceStillRejectsLogsWithRecords) {
   // A clobbered magic, or the previous format's: the record bytes remain.
-  for (const char* magic : {"X", "MVWAL004"}) {
+  for (const char* magic : {"X", "MVWAL005"}) {
     std::filesystem::remove(WalPath());
     {
       Wal wal(WalPath(), WalOptions{});
@@ -518,8 +518,9 @@ TEST_F(StorageTest, CorruptCheckpointThrows) {
   FlipLastByte(ManifestPath());
   ASSERT_TRUE(ReadManifest(dir_).has_value());
 
-  // Files under the previous format's magics are refused, not decoded,
-  // even with an intact CRC: that format carried the views' row chains.
+  // Files under the previous formats' magics are refused, not decoded,
+  // even with an intact CRC: segments before "004" carried the views' row
+  // chains, and manifests before "6" a screening byte per view.
   {
     std::fstream f(segment, std::ios::binary | std::ios::in | std::ios::out);
     f.write("MVSEG003", 8);
@@ -532,7 +533,7 @@ TEST_F(StorageTest, CorruptCheckpointThrows) {
   {
     std::fstream f(ManifestPath(),
                    std::ios::binary | std::ios::in | std::ios::out);
-    f.write("MVMANIF4", 8);
+    f.write("MVMANIF5", 8);
   }
   EXPECT_THROW(ReadManifest(dir_), CorruptionError);
 }

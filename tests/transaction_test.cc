@@ -271,7 +271,9 @@ uint64_t FileHash(const std::string& path) {
 // BEGIN … COMMIT, no-op inserts and deletes, updates, a view — writes a
 // log with recorded bytes.  The hash was taken with a Normalize that kept a
 // per-tuple map of final presence; the effect sets, and so the WAL
-// codec's input, must stay exactly those.
+// codec's input, must stay exactly those.  It was retaken for "MVWAL006",
+// whose log differs from "MVWAL005"'s only in the magic and the CREATE VIEW
+// record's dropped screening byte: every effect record is byte-identical.
 TEST(NormalizeGoldenTest, DmlScriptWritesTheRecordedLog) {
   const std::string dir = testing::ScratchDir();
   {
@@ -300,7 +302,7 @@ TEST(NormalizeGoldenTest, DmlScriptWritesTheRecordedLog) {
         "UPDATE r SET b = 'a' WHERE a = 1;"
         "DELETE FROM r WHERE a > 2 OR a < 0;");
   }
-  EXPECT_EQ(FileHash(dir + "/wal.mv"), 6942386520894467967ULL)
+  EXPECT_EQ(FileHash(dir + "/wal.mv"), 15388504121272322590ULL)
       << "wal.mv changed";
   std::filesystem::remove_all(dir);
 }

@@ -91,6 +91,36 @@ TEST_F(ViewManagerTest, IrrelevantTransactionSkipsView) {
   EXPECT_EQ(stats.updates_filtered, 1);
 }
 
+TEST_F(ViewManagerTest, RelevantInsertThatJoinsNothingIsNotSkipped) {
+  // B = 9 may join a future S row, so the screen keeps it; the delta is
+  // empty because no S row matches now, but the commit was not screened.
+  vm_.RegisterView(JoinDef("v"));
+  Transaction txn;
+  txn.Insert("R", T({5, 9}));
+  vm_.Apply(txn);
+  const MaintenanceStats stats = vm_.Describe("v").stats;
+  EXPECT_EQ(stats.transactions, 1);
+  EXPECT_EQ(stats.updates_filtered, 0);
+  EXPECT_EQ(stats.skipped_irrelevant, 0);
+}
+
+TEST_F(ViewManagerTest, FullyScreenedDeferredCommitIsSkipped) {
+  vm_.RegisterView(ViewDefinition::Select("small", "R", "A < 0"),
+                   MaintenanceMode::kDeferred);
+  Transaction screened;
+  screened.Insert("R", T({100, 100})).Delete("R", T({1, 2}));
+  vm_.Apply(screened);
+  Transaction relevant;
+  relevant.Insert("R", T({-1, 0})).Insert("R", T({7, 7}));
+  vm_.Apply(relevant);
+  const MaintenanceStats stats = vm_.Describe("small").stats;
+  EXPECT_EQ(stats.transactions, 2);
+  EXPECT_EQ(stats.updates_seen, 4);
+  EXPECT_EQ(stats.updates_filtered, 3);
+  EXPECT_EQ(stats.skipped_irrelevant, 1);
+  EXPECT_EQ(vm_.Describe("small").pending_tuples, 1u);
+}
+
 TEST_F(ViewManagerTest, FullReevaluationModeMatchesImmediate) {
   vm_.RegisterView(JoinDef("diff"), MaintenanceMode::kImmediate);
   vm_.RegisterView(JoinDef("full"), MaintenanceMode::kFullReevaluation);
